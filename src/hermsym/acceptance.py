@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
 from .gauss import GaussRational
-from .linalg import det_gauss_elimination
+from .linalg import det_exact
 from .maps import RationalMap, identity_map, scaling_map
 from .octonion import (Octonion, cayley_matrix, freudenthal_forms,
                        freudenthal_jordan_matrix, jordan_det, jordan_product,
@@ -92,7 +92,7 @@ def check_embedding_identity(seed: int = DEFAULT_SEED,
                    + sum((Z[i][k] * Z[j][k].conj() for k in range(cols)),
                          GaussRational(0)))
                   for j in range(rows)] for i in range(rows)]
-            rhs = det_gauss_elimination(M)
+            rhs = det_exact(M)
             if not (lhs - rhs).is_zero():
                 bad.append(spec)
                 break
@@ -130,7 +130,7 @@ def check_pfaffian_suite(seed: int = DEFAULT_SEED,
     for order in range(2, 7):
         M = random_antisym(order)
         pf = pfaffian(M, "partition").constant_term()
-        det = det_gauss_elimination(
+        det = det_exact(
             [[M[i][j].constant_term() for j in range(order)] for i in range(order)])
         if not (pf * pf - det).is_zero():
             return CriterionResult("pfaffian_suite", False,
@@ -150,7 +150,7 @@ def check_pfaffian_suite(seed: int = DEFAULT_SEED,
             M = [[(GaussRational(1 if i == j else 0)
                    + sum((Z[i][k] * X[j][k] for k in range(n)), GaussRational(0)))
                   for j in range(n)] for i in range(n)]
-            det = det_gauss_elimination(M)
+            det = det_exact(M)
             if not (rho * rho - det).is_zero():
                 return CriterionResult(
                     "pfaffian_suite", False,

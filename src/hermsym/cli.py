@@ -190,7 +190,7 @@ def _det_pairing_check(fam, seed):
     """For the (symplectic) Grassmannians: rho(z, zbar) equals the exact
     determinant det(I + Z conj(Z)^t) at random rational points.  None for
     the other families (no determinant model)."""
-    from .linalg import det_gauss_elimination
+    from .linalg import det_exact
     from .sampling import random_gauss_point
     from .spaces import cell_matrix_point
     space = fam.space
@@ -206,7 +206,7 @@ def _det_pairing_check(fam, seed):
                + sum((Z[i][k] * Z[j][k].conj() for k in range(cols)),
                      GaussRational(0)))
               for j in range(rows)] for i in range(rows)]
-        if not (fam.rho_at(z, zbar) - det_gauss_elimination(M)).is_zero():
+        if not (fam.rho_at(z, zbar) - det_exact(M)).is_zero():
             return False
     return True
 

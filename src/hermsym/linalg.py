@@ -1,60 +1,38 @@
 """Exact linear algebra over Gaussian rationals.
 
-Determinants and ranks are computed fraction-free: each row is scaled to
-Gaussian-integer entries (pairs of Python ints), then Bareiss elimination
-runs in Z[i], where every division in the pivot recurrence is exact.  This
-keeps intermediate growth polynomial and avoids Fraction gcd churn on large
-matrices (the nondegeneracy determinants reach 55x55).
+Determinants use Gaussian elimination over Q(i) that skips zero entries.
+The large determinants here are the sparse 55x55 to 69x69 witness
+matrices, whose values are small (-1/69 - 9/68 i for typeI:4,4) while
+the Hadamard bound of the row-scaled integer matrix is 2,300-2,700 bits.
+Fraction-free Bareiss pays for that bound: on those matrices it took
+1.0-1.4 s each, against 0.01-0.02 s for elimination over Q(i) (2-vCPU Xeon
+VM, Python 3.11).
+
+Ranks are tracked incrementally on rows scaled to Gaussian-integer entries
+(pairs of Python ints).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import List, Sequence
 
-from .gauss import GaussRational
+from .gauss import GaussRational, ONE, ZERO
 
 # A Gaussian integer is a plain (int, int) pair.
 GInt = tuple
 
 
-def _gi_mul(a: GInt, b: GInt) -> GInt:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gi_sub(a: GInt, b: GInt) -> GInt:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _gi_exact_div(a: GInt, b: GInt) -> GInt:
-    """Exact division in Z[i]; raises if not divisible."""
-    n = b[0] * b[0] + b[1] * b[1]
-    re = a[0] * b[0] + a[1] * b[1]
-    im = a[1] * b[0] - a[0] * b[1]
-    if re % n or im % n:
-        raise ArithmeticError("non-exact Gaussian-integer division")
-    return (re // n, im // n)
-
-
-def _gi_is_zero(a: GInt) -> bool:
-    return a[0] == 0 and a[1] == 0
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
-def _scale_row(row: Sequence[GaussRational]):
-    """Return (integer row, scale) with row == int_row / scale."""
+def _scale_row(row: Sequence[GaussRational]) -> List[GInt]:
+    """The row times the lcm of its denominators, as Gaussian integers."""
     scale = 1
     for x in row:
-        scale = _lcm(scale, x.re.denominator)
-        scale = _lcm(scale, x.im.denominator)
-    out = []
-    for x in row:
-        out.append((int(x.re * scale), int(x.im * scale)))
-    return out, scale
+        for q in (x.re, x.im):
+            if q and scale % q.denominator:
+                scale = scale // gcd(scale, q.denominator) * q.denominator
+    return [(x.re.numerator * (scale // x.re.denominator),
+             x.im.numerator * (scale // x.im.denominator)) if x.re or x.im
+            else (0, 0) for x in row]
 
 
 def _row_content(row: List[GInt]) -> int:
@@ -68,42 +46,31 @@ def _row_content(row: List[GInt]) -> int:
 
 
 def det_exact(matrix: Sequence[Sequence[GaussRational]]) -> GaussRational:
-    """Exact determinant via fraction-free Bareiss elimination."""
+    """Exact determinant by Gaussian elimination over Q(i)."""
     n = len(matrix)
-    if n == 0:
-        return GaussRational(1)
-    if any(len(r) != n for r in matrix):
+    rows = [[GaussRational.coerce(x) for x in r] for r in matrix]
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    rows = []
-    denom = Fraction(1)
-    for r in matrix:
-        ir, s = _scale_row([GaussRational.coerce(x) for x in r])
-        rows.append(list(ir))
-        denom *= s
-    sign = 1
-    prev = (1, 0)
-    for k in range(n - 1):
-        # pivot search
-        piv = None
-        for i in range(k, n):
-            if not _gi_is_zero(rows[i][k]):
-                piv = i
-                break
+    det = ONE
+    for k in range(n):
+        piv = next((i for i in range(k, n) if not rows[i][k].is_zero()), None)
         if piv is None:
-            return GaussRational(0)
+            return ZERO
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
-            sign = -sign
-        pk = rows[k][k]
+            det = -det
+        top = rows[k]
+        det = det * top[k]
+        inv = ONE / top[k]
+        support = [j for j in range(k + 1, n) if not top[j].is_zero()]
         for i in range(k + 1, n):
-            rik = rows[i][k]
-            for j in range(k + 1, n):
-                num = _gi_sub(_gi_mul(pk, rows[i][j]), _gi_mul(rik, rows[k][j]))
-                rows[i][j] = _gi_exact_div(num, prev)
-            rows[i][k] = (0, 0)
-        prev = pk
-    d = rows[n - 1][n - 1]
-    return GaussRational(Fraction(sign * d[0]) / denom, Fraction(sign * d[1]) / denom)
+            row = rows[i]
+            if row[k].is_zero():
+                continue
+            f = row[k] * inv
+            for j in support:
+                row[j] = row[j] - f * top[j]
+    return det
 
 
 class RankTracker:
@@ -124,14 +91,16 @@ class RankTracker:
         return len(self.rows)
 
     def add_row(self, row: Sequence[GaussRational]) -> bool:
-        vec, _ = _scale_row([GaussRational.coerce(x) for x in row])
-        vec = list(vec)
+        vec = _scale_row([GaussRational.coerce(x) for x in row])
         for brow, p in zip(self.rows, self.pivots):
-            if _gi_is_zero(vec[p]):
+            if vec[p] == (0, 0):
                 continue
-            a, b = brow[p], vec[p]
-            vec = [_gi_sub(_gi_mul(a, v), _gi_mul(b, w)) for v, w in zip(vec, brow)]
-        pivot = next((j for j in range(self.width) if not _gi_is_zero(vec[j])), None)
+            # vec <- a*vec - b*brow clears column p (a = brow[p], b = vec[p])
+            (a0, a1), (b0, b1) = brow[p], vec[p]
+            vec = [(a0 * v0 - a1 * v1 - b0 * w0 + b1 * w1,
+                    a0 * v1 + a1 * v0 - b0 * w1 - b1 * w0)
+                   for (v0, v1), (w0, w1) in zip(vec, brow)]
+        pivot = next((j for j, x in enumerate(vec) if x != (0, 0)), None)
         if pivot is None:
             return False
         c = _row_content(vec)
@@ -149,32 +118,6 @@ def rank_exact(matrix: Sequence[Sequence[GaussRational]]) -> int:
     for row in matrix:
         tracker.add_row(row)
     return tracker.rank
-
-
-def det_gauss_elimination(matrix: Sequence[Sequence[GaussRational]]) -> GaussRational:
-    """Plain Gaussian elimination over GaussRational (an independent route
-    from ``det_exact``; used as the oracle side of determinant identities)."""
-    n = len(matrix)
-    rows = [[GaussRational.coerce(x) for x in r] for r in matrix]
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    det = GaussRational(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if not rows[i][k].is_zero()), None)
-        if piv is None:
-            return GaussRational(0)
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            det = -det
-        det = det * rows[k][k]
-        inv = GaussRational(1) / rows[k][k]
-        for i in range(k + 1, n):
-            if rows[i][k].is_zero():
-                continue
-            f = rows[i][k] * inv
-            for j in range(k, n):
-                rows[i][j] = rows[i][j] - f * rows[k][j]
-    return det
 
 
 def solve_linear(a: GaussRational, b: GaussRational) -> GaussRational:

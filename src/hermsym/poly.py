@@ -234,25 +234,6 @@ class Polynomial:
                 out[ne] = s
         return Polynomial(self.ring, out)
 
-    def derivative_multi(self, orders: Dict[str, int]) -> "Polynomial":
-        p = self
-        for name, k in orders.items():
-            for _ in range(k):
-                if p.is_zero():
-                    return p
-                p = p.derivative(name)
-        return p
-
-    def directional_derivative(self, direction: Dict[str, GaussRational]) -> "Polynomial":
-        """Apply the constant-coefficient field sum(c_v * d/dv)."""
-        out = self.ring.zero()
-        for name, c in direction.items():
-            c = GaussRational.coerce(c)
-            if c.is_zero():
-                continue
-            out = out + self.derivative(name).scale(c)
-        return out
-
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, point: Dict[str, GaussRational]) -> GaussRational:
@@ -331,37 +312,43 @@ class Polynomial:
         return PolyFraction(out_num, den_p[max_k])
 
     def compose_fractions(self, images: Dict[str, "PolyFraction"]) -> "PolyFraction":
-        """Simultaneous substitution of variables by fractions (same ring)."""
+        """Simultaneous substitution of variables by fractions (same ring).
+
+        A variable whose image is itself over 1 stays in place, so composing
+        with the identity costs one pass over the terms."""
         ring = self.ring
-        nums, dens, maxk = [], [], []
+        one = ring.one()
+        moved = []                     # (index, power tables, max exponent)
         for i, v in enumerate(ring.vars):
             img = images.get(v)
-            if img is None:
-                img = PolyFraction(ring.var(v), ring.one())
-            nums.append(img.num)
-            dens.append(img.den)
-            maxk.append(max((e[i] for e in self.terms), default=0))
-        # power tables per variable
-        pow_n = [[ring.one()] for _ in ring.vars]
-        pow_d = [[ring.one()] for _ in ring.vars]
-        for i in range(len(ring.vars)):
-            for _ in range(maxk[i]):
-                pow_n[i].append(pow_n[i][-1] * nums[i])
-                pow_d[i].append(pow_d[i][-1] * dens[i])
-        total = ring.zero()
+            maxk = max((e[i] for e in self.terms), default=0)
+            if img is None or maxk == 0 or (img.den == one
+                                            and img.num == ring.var(v)):
+                continue
+            pow_n, pow_d = [one], [one]
+            for _ in range(maxk):
+                pow_n.append(pow_n[-1] * img.num)
+                pow_d.append(pow_d[-1] * img.den)
+            moved.append((i, pow_n, pow_d, maxk))
+        total: Dict[Exponent, GaussRational] = {}
         for e, c in self.terms.items():
-            t = ring.const(c)
-            for i, k in enumerate(e):
-                if maxk[i] == 0:
-                    continue
-                t = t * pow_n[i][k] * pow_d[i][maxk[i] - k]
-            total = total + t
-        # common denominator prod(d_i^maxk_i)
-        den = ring.one()
-        for i in range(len(ring.vars)):
-            if maxk[i]:
-                den = den * pow_d[i][maxk[i]]
-        return PolyFraction(total, den)
+            kept = list(e)
+            for i, _, _, _ in moved:
+                kept[i] = 0
+            t = Polynomial(ring, {tuple(kept): c})
+            for i, pow_n, pow_d, maxk in moved:
+                t = t * pow_n[e[i]] * pow_d[maxk - e[i]]
+            for te, tc in t.terms.items():
+                s = total.get(te, ZERO) + tc
+                if s.is_zero():
+                    total.pop(te, None)
+                else:
+                    total[te] = s
+        # common denominator prod(d_i^maxk_i) over the moved variables
+        den = one
+        for _, _, pow_d, maxk in moved:
+            den = den * pow_d[maxk]
+        return PolyFraction(Polynomial(ring, total), den)
 
     # -- transport between rings --------------------------------------------
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gauss import GaussRational
+from .gauss import GaussRational, ONE, ZERO
 from .linalg import RankTracker, det_exact, rank_exact
 from .maps import RationalMap, compose_psi
 from .poly import Polynomial, PolyFraction
@@ -53,77 +54,112 @@ def multiindices_upto(width: int, max_weight: int):
     return out
 
 
-def _derive(obj, var: str):
-    return obj.derivative(var)
+# A truncated power series in the shift parameters t, graded by weight:
+# series[w] maps each exponent tuple of total weight w to its coefficient.
+Series = List[Dict[Tuple[int, ...], GaussRational]]
 
 
-def _evaluate(obj, point):
-    return obj.evaluate(point)
+def _accumulate(out: Dict, e, c) -> None:
+    s = out.get(e, ZERO) + c
+    if s.is_zero():
+        out.pop(e, None)
+    else:
+        out[e] = s
 
 
-class JetTable:
-    """Cache of iterated derivatives of a polynomial (or fraction) system
-    with respect to a list of commuting first-order operators.
+def _series_mul(a: Series, b: Series, top: int) -> Series:
+    out: Series = [{} for _ in range(min(len(a) + len(b) - 2, top) + 1)]
+    for wa, pa in enumerate(a):
+        for wb, pb in enumerate(b[:top - wa + 1]):
+            for ea, ca in pa.items():
+                for eb, cb in pb.items():
+                    _accumulate(out[wa + wb], tuple(x + y for x, y in zip(ea, eb)),
+                                ca * cb)
+    return out
 
-    Operators are either plain coordinate derivatives (``fields`` is a list
-    of variable names) or constant-coefficient directional derivatives
-    (``fields`` a list of {var: coeff} dicts)."""
 
-    def __init__(self, system: Sequence, fields: Sequence):
-        self.system = list(system)
-        self.fields = list(fields)
-        self.cache: Dict[Tuple[int, ...], List] = {(0,) * len(fields): self.system}
+class TaylorJets:
+    """Jets of a system of polynomials or fractions at one point, along
+    constant fields v_k (variable names or direction dicts).
 
-    def _apply_field(self, obj, k: int):
-        f = self.fields[k]
-        if isinstance(f, str):
-            return _derive(obj, f)
-        out = None
-        for var, coeff in f.items():
-            term = _derive(obj, var)
-            if isinstance(term, Polynomial):
-                term = term.scale(coeff)
-            else:
-                term = _scale_fraction(term, coeff)
-            out = term if out is None else out + term
+    For the commuting fields L_k = sum_v v_k[v] d/dv, Taylor's theorem gives
+    L^beta f(z0) = beta! [t^beta] f(z0 + sum_k t_k v_k), so one shift per
+    component replaces the iterated derivatives.  ``row(beta)`` returns the
+    raw coefficients [t^beta]: scaling a row by beta! leaves ranks unchanged
+    and multiplies a determinant by beta!.  A fraction's numerator and
+    denominator are shifted, then divided as truncated power series one
+    weight at a time as the scan asks for rows; a denominator vanishing at
+    the point raises ZeroDivisionError here."""
+
+    def __init__(self, system: Sequence, fields: Sequence, point: Dict,
+                 top: int):
+        self.top = top
+        origin = self.origin = (0,) * len(fields)
+        # powers[i, k]: (z0_i + sum_l t_l v_l[i]) ** k, the shifted variable i
+        self.powers: Dict[Tuple[int, int], Series] = {}
+        for i, v in enumerate(system[0].ring.vars):
+            linear = {}
+            for k, f in enumerate(fields):
+                c = ONE if f == v else (f.get(v) if isinstance(f, dict) else None)
+                if c:
+                    linear[origin[:k] + (1,) + origin[k + 1:]] = c
+            const = GaussRational.coerce(point[v])
+            self.powers[i, 1] = [{origin: const} if const else {}, linear]
+        self.shifted = []             # (numerator, denominator, 1/d_0)
+        for f in system:
+            num, den = (f, f.ring.one()) if isinstance(f, Polynomial) else (f.num, f.den)
+            dser = self._shift(den)
+            d0 = dser[0].get(origin, ZERO)
+            if d0.is_zero():
+                raise ZeroDivisionError("denominator vanishes at the jet point")
+            self.shifted.append((self._shift(num), dser, ONE / d0))
+        self.parts: List[List[Dict]] = []    # parts[w][j]: weight w of component j
+
+    def _power(self, i: int, k: int) -> Series:
+        if (i, k) not in self.powers:
+            self.powers[i, k] = _series_mul(self._power(i, k - 1),
+                                            self.powers[i, 1], self.top)
+        return self.powers[i, k]
+
+    def _shift(self, poly: Polynomial) -> Series:
+        out: Series = [{} for _ in range(self.top + 1)]
+        for e, c in poly.terms.items():
+            term: Series = [{self.origin: c}]
+            for i, k in enumerate(e):
+                if k:
+                    term = _series_mul(term, self._power(i, k), self.top)
+            for part, dest in zip(term, out):
+                for te, tc in part.items():
+                    _accumulate(dest, te, tc)
         return out
 
-    def rows(self, beta: Tuple[int, ...]) -> List:
-        if beta in self.cache:
-            return self.cache[beta]
-        k = next(i for i, b in enumerate(beta) if b > 0)
-        parent = tuple(b - (1 if i == k else 0) for i, b in enumerate(beta))
-        prows = self.rows(parent)
-        rows = [self._apply_field(p, k) for p in prows]
-        self.cache[beta] = rows
-        return rows
+    def row(self, beta: Tuple[int, ...]) -> List[GaussRational]:
+        w = sum(beta)
+        while len(self.parts) <= w:
+            # q_m = (n_m - sum_{k>=1} d_k q_{m-k}) / d_0
+            m = len(self.parts)
+            weight = []
+            for j, (num, den, inv) in enumerate(self.shifted):
+                acc = dict(num[m]) if m < len(num) else {}
+                for k in range(1, min(m, len(den) - 1) + 1):
+                    for ed, cd in den[k].items():
+                        for eq, cq in self.parts[m - k][j].items():
+                            _accumulate(acc, tuple(x + y for x, y in zip(ed, eq)),
+                                        -(cd * cq))
+                weight.append(acc if inv == ONE else
+                              {e: c * inv for e, c in acc.items()})
+            self.parts.append(weight)
+        return [part.get(beta, ZERO) for part in self.parts[w]]
 
 
-def _scale_fraction(frac: PolyFraction, coeff) -> PolyFraction:
-    return PolyFraction(frac.num.scale(GaussRational.coerce(coeff)), frac.den)
-
-
-def _psi_system(space: Space, F: RationalMap) -> List:
-    """psi o F, simplified to plain polynomials when F is polynomial."""
-    comps = compose_psi(space, F)
-    if F.is_polynomial():
-        out = []
-        for f in comps:
-            c = f.den.constant_term()
-            out.append(f.num.scale(GaussRational(1) / c))
-        return out
-    return comps
-
-
-def _sample_jet_point(space: Space, system, rng) -> Dict[str, GaussRational]:
+def _sample_jets(space: Space, system, fields, top: int, rng) -> TaylorJets:
+    """Jets at a random rational point where every denominator is regular."""
     for _ in range(64):
         pt = {v: random_small_gauss(rng) for v in space.vars}
         try:
-            for s in system:
-                _evaluate(s, pt)
+            return TaylorJets(system, fields, pt, top)
         except ZeroDivisionError:
             continue
-        return pt
     raise ArithmeticError("could not sample a regular point for the jet matrix")
 
 
@@ -131,17 +167,16 @@ def jet_rank(space: Space, F: RationalMap, k: int, trials: int = 3,
              seed: int = 0, system=None) -> int:
     """Exact rank of the order-<=k truncated-variable jet of psi o F,
     maximized over random rational points near 0."""
-    system = _psi_system(space, F) if system is None else list(system)
-    table = JetTable(system, list(truncated_vars(space)))
-    betas = multiindices_upto(len(truncated_vars(space)), k)
+    system = compose_psi(space, F) if system is None else list(system)
+    fields = list(truncated_vars(space))
+    betas = multiindices_upto(len(fields), k)
     rng = rng_from_seed(seed)
     best = 0
     for _ in range(trials):
-        pt = _sample_jet_point(space, system, rng)
+        jets = _sample_jets(space, system, fields, k, rng)
         tracker = RankTracker(len(system))
         for beta in betas:
-            row = [_evaluate(x, pt) for x in table.rows(beta)]
-            tracker.add_row(row)
+            tracker.add_row(jets.row(beta))
             if tracker.rank == len(system):
                 break
         best = max(best, tracker.rank)
@@ -249,7 +284,9 @@ def tangent_apply(frame: TangentFrame, fam: SegreFamily, expr: PolyFraction,
                 direction = frame.fields[idx]
                 acc = None
                 for var, coeff in direction.items():
-                    term = _scale_fraction(out.derivative(var), coeff)
+                    d = out.derivative(var)
+                    term = PolyFraction(d.num.scale(GaussRational.coerce(coeff)),
+                                        d.den)
                     acc = term if acc is None else acc + term
                 out = acc
     return out
@@ -407,7 +444,7 @@ def find_nondegeneracy_witness(space: Space, fam: SegreFamily, F: RationalMap,
     if max_order is None:
         max_order = default_order_bound(space)
     rng = rng_from_seed(seed)
-    system = _psi_system(space, F)
+    system = compose_psi(space, F)
     N = len(system)
     examined_total = 0
     exhausted = False
@@ -416,21 +453,24 @@ def find_nondegeneracy_witness(space: Space, fam: SegreFamily, F: RationalMap,
         if not fam.rho_at(z0, xi0).is_zero():
             raise ArithmeticError("special point is not on the family")
         frame_kind, fields = witness_fields(space, mu)
-        table = JetTable(system, fields)
+        jets = TaylorJets(system, fields, z0, max_order)
         tracker = RankTracker(N)
         chosen: List[Tuple[int, ...]] = []
         chosen_rows: List[List[GaussRational]] = []
         examined = 0
         width = len(fields)
         for w in range(max_order + 1):
-            if tracker.rank == N or examined >= budget:
+            if tracker.rank == N:
+                break
+            if examined >= budget:
+                exhausted = True
                 break
             for beta in sorted(_multiindices(width, w)):
                 if examined >= budget:
                     exhausted = True
                     break
                 examined += 1
-                row = [_evaluate(x, z0) for x in table.rows(beta)]
+                row = jets.row(beta)
                 if tracker.add_row(row):
                     chosen.append(beta)
                     chosen_rows.append(row)
@@ -438,7 +478,9 @@ def find_nondegeneracy_witness(space: Space, fam: SegreFamily, F: RationalMap,
                         break
         examined_total += examined
         if tracker.rank == N:
-            lam = det_exact(chosen_rows)
+            # the rows hold [t^beta]; the derivative rows are beta! times them
+            scale = prod(factorial(b) for beta in chosen for b in beta)
+            lam = det_exact(chosen_rows) * GaussRational(scale)
             if lam.is_zero():
                 raise ArithmeticError("witness determinant vanished; rank logic broken")
             return WitnessReport(True, z0, xi0, chosen, lam, frame_kind,
@@ -482,15 +524,16 @@ def degeneracy_relation(polys: Sequence[Polynomial], slice_count: int = 3,
     last = ring.vars[-1]
 
     # exact precondition via the jet machinery
-    table = JetTable(list(polys), list(ring.vars[:-1]))
-    betas = multiindices_upto(m - 1, N - m + 1)
+    top = N - m + 1
+    betas = multiindices_upto(m - 1, top)
     rng = rng_from_seed(seed)
     best = 0
     for _ in range(rank_trials):
         pt = {v: random_small_gauss(rng) for v in ring.vars}
+        jets = TaylorJets(polys, ring.vars[:-1], pt, top)
         tracker = RankTracker(N)
         for beta in betas:
-            tracker.add_row([_evaluate(x, pt) for x in table.rows(beta)])
+            tracker.add_row(jets.row(beta))
             if tracker.rank == N:
                 break
         best = max(best, tracker.rank)

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .gauss import GaussRational
-from .linalg import det_gauss_elimination
+from .linalg import det_exact
 from .poly import Polynomial, PolyRing
 from .sampling import random_complex_ball, random_gauss_point, rng_from_seed
 from .spaces import Space, sym_det
@@ -514,7 +514,7 @@ def type1_compound_matrix(space: Space, g) -> list:
             Sb = subsets[b]
             if exact:
                 sub = [[g[i - 1][j - 1] for j in Sb] for i in Sa]
-                d = det_gauss_elimination(sub)
+                d = det_exact(sub)
                 row.append(d * GaussRational(signs[a] * signs[b]))
             else:
                 sub = np.asarray(g, dtype=complex)[np.ix_([i - 1 for i in Sa],

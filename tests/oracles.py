@@ -1,0 +1,110 @@
+"""Slow reference routes that the fast library paths are tested against.
+
+* ``det_bareiss`` -- fraction-free Bareiss elimination on row-scaled
+  Gaussian-integer matrices, where every division is exact in Z[i].
+* ``derivative_jet_row`` -- jets by iterated symbolic differentiation of
+  each component, then exact evaluation at the point.
+* ``compose_full`` -- simultaneous substitution of every variable, identity
+  images included, over one common denominator.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from hermsym.gauss import GaussRational
+from hermsym.poly import Polynomial, PolyFraction
+
+
+def _gi_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gi_exact_div(a, b):
+    n = b[0] * b[0] + b[1] * b[1]
+    re = a[0] * b[0] + a[1] * b[1]
+    im = a[1] * b[0] - a[0] * b[1]
+    if re % n or im % n:
+        raise ArithmeticError("non-exact Gaussian-integer division")
+    return (re // n, im // n)
+
+
+def _integer_row(row):
+    """(Gaussian-integer row, scale) with row == int_row / scale."""
+    scale = 1
+    for x in row:
+        for d in (x.re.denominator, x.im.denominator):
+            scale = scale // gcd(scale, d) * d
+    return [(int(x.re * scale), int(x.im * scale)) for x in row], scale
+
+
+def det_bareiss(matrix):
+    n = len(matrix)
+    if n == 0:
+        return GaussRational(1)
+    if any(len(r) != n for r in matrix):
+        raise ValueError("determinant of a non-square matrix")
+    rows, denom = [], 1
+    for r in matrix:
+        ir, s = _integer_row([GaussRational.coerce(x) for x in r])
+        rows.append(ir)
+        denom *= s
+    sign, prev = 1, (1, 0)
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if rows[i][k] != (0, 0)), None)
+        if piv is None:
+            return GaussRational(0)
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        pk = rows[k][k]
+        for i in range(k + 1, n):
+            rik = rows[i][k]
+            for j in range(k + 1, n):
+                a, b = _gi_mul(pk, rows[i][j]), _gi_mul(rik, rows[k][j])
+                rows[i][j] = _gi_exact_div((a[0] - b[0], a[1] - b[1]), prev)
+            rows[i][k] = (0, 0)
+        prev = pk
+    d = rows[n - 1][n - 1]
+    return GaussRational(Fraction(sign * d[0], denom), Fraction(sign * d[1], denom))
+
+
+def _apply_field(obj, field):
+    """One constant-coefficient field (a variable name or a direction dict)
+    applied to a polynomial or fraction."""
+    if isinstance(field, str):
+        return obj.derivative(field)
+    out = None
+    for var, coeff in field.items():
+        d = obj.derivative(var)
+        term = (d.scale(coeff) if isinstance(d, Polynomial)
+                else PolyFraction(d.num.scale(coeff), d.den))
+        out = term if out is None else out + term
+    return out
+
+
+def derivative_jet_row(system, fields, point, beta):
+    """[L^beta f(point) for f in system], differentiating symbolically."""
+    row = []
+    for f in system:
+        for k, order in enumerate(beta):
+            for _ in range(order):
+                f = _apply_field(f, fields[k])
+        row.append(f.evaluate(point))
+    return row
+
+
+def compose_full(poly, images):
+    ring = poly.ring
+    one = ring.one()
+    total, den = ring.zero(), one
+    maxk = [max((e[i] for e in poly.terms), default=0) for i in range(len(ring.vars))]
+    for i, v in enumerate(ring.vars):
+        img = images.get(v, PolyFraction(ring.var(v), one))
+        den = den * img.den ** maxk[i]
+    for e, c in poly.terms.items():
+        t = ring.const(c)
+        for i, v in enumerate(ring.vars):
+            img = images.get(v, PolyFraction(ring.var(v), one))
+            t = t * img.num ** e[i] * img.den ** (maxk[i] - e[i])
+        total = total + t
+    return PolyFraction(total, den)

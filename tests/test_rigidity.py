@@ -69,6 +69,19 @@ def test_jet_rank_degenerate_map(families):
     assert not w.found
 
 
+def test_witness_budget_exhausted_at_weight_boundary(families):
+    """A budget that runs out exactly where a weight ends, below the order
+    bound, is still reported as exhausted (4 = weights 0 and 1 here)."""
+    fam = families["typeI:2,2"]
+    sp = fam.space
+    F = polynomial_map(sp, {"z2_2": sp.ring.var("z1_1")})
+    for budget in (4, 5):
+        w = find_nondegeneracy_witness(sp, fam, F, seed=3, trials=1,
+                                       budget=budget)
+        assert not w.found and w.budget_exhausted, budget
+        assert w.candidates_examined == budget
+
+
 # -- tangent frames ----------------------------------------------------------
 
 def test_tangency_exact(families):
@@ -399,7 +412,7 @@ def test_volume_equation_complexified(disc_family):
 def test_type2_square_identity_order_six():
     """Convention fixed at n=4 extends to n=6 (the n=5 case sits in the
     acceptance matrix)."""
-    from hermsym.linalg import det_gauss_elimination
+    from hermsym.linalg import det_exact
     from hermsym.sampling import random_gauss_point
     from hermsym.spaces import cell_matrix_point
     fam = build_rho(build_space("typeII:6"))
@@ -414,7 +427,7 @@ def test_type2_square_identity_order_six():
         M = [[(G(1 if i == j else 0)
                + sum((Z[i][k] * X[j][k] for k in range(6)), G(0)))
               for j in range(6)] for i in range(6)]
-        assert (rho * rho - det_gauss_elimination(M)).is_zero()
+        assert (rho * rho - det_exact(M)).is_zero()
 
 
 def test_lambda_undefined_at_point(families):
@@ -550,7 +563,7 @@ def test_grassmannian_gradient_row_structure(families):
 def test_big_grassmannian_det_identity():
     """The 3x3 Grassmannian pairing needs arbitrary-precision intermediates;
     its family polynomial still matches the exact determinant."""
-    from hermsym.linalg import det_gauss_elimination
+    from hermsym.linalg import det_exact
     from hermsym.sampling import random_gauss_point
     from hermsym.spaces import cell_matrix_point
     fam = build_rho(build_space("typeI:3,3"))
@@ -564,7 +577,7 @@ def test_big_grassmannian_det_identity():
         M = [[(G(1 if i == j else 0)
                + sum((Z[i][k] * Z[j][k].conj() for k in range(3)), G(0)))
               for j in range(3)] for i in range(3)]
-        assert (fam.rho_at(z, zbar) - det_gauss_elimination(M)).is_zero()
+        assert (fam.rho_at(z, zbar) - det_exact(M)).is_zero()
 
 
 def test_volume_equation_mixed_isometries(disc_family):

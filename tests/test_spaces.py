@@ -8,7 +8,7 @@ import pytest
 from fractions import Fraction
 
 from hermsym.gauss import GaussRational as G
-from hermsym.linalg import det_gauss_elimination, rank_exact
+from hermsym.linalg import det_exact, rank_exact
 from hermsym.poly import PolyRing
 from hermsym.sampling import random_gauss_point, random_small_gauss, rng_from_seed
 from hermsym.spaces import (SpaceDescriptor, build_space, build_type1,
@@ -96,7 +96,7 @@ def test_pfaffian_partition_vs_recursive_and_square():
         assert p1 == p2
         if order <= 6:
             pf = p1.constant_term()
-            det = det_gauss_elimination(
+            det = det_exact(
                 [[M[i][j].constant_term() for j in range(order)]
                  for i in range(order)])
             assert (pf * pf - det).is_zero()
@@ -139,7 +139,7 @@ def test_type3_numeric_tail():
             M = [[(G(1 if i == j else 0)
                    + sum((Z[i][k] * X[j][k] for k in range(n)), G(0)))
                   for j in range(n)] for i in range(n)]
-            det = complex(det_gauss_elimination(M))
+            det = complex(det_exact(M))
             assert abs(1.0 + t1 @ t2 - det) < 1e-9
         # float full row rank of the tail system at tolerance 1e-9
         pts = []

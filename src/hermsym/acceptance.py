@@ -27,7 +27,7 @@ from .rigidity import (degeneracy_relation, find_nondegeneracy_witness,
                        trial_division_modp, isometry_pullback_check,
                        volume_equation_check)
 from .sampling import random_gauss_point, rng_from_seed, random_small_gauss
-from .segre import build_rho, einstein_fit, ricci_residual, SegreFamily
+from .segre import einstein_fit, ricci_residual, SegreFamily
 from .spaces import (build_space, cell_matrix_point, pfaffian)
 
 DEFAULT_SEED = 1729
@@ -58,7 +58,7 @@ _FAMILIES: Dict[str, SegreFamily] = {}
 
 def family(spec: str) -> SegreFamily:
     if spec not in _FAMILIES:
-        _FAMILIES[spec] = build_rho(build_space(spec))
+        _FAMILIES[spec] = SegreFamily(build_space(spec))
     return _FAMILIES[spec]
 
 
@@ -75,7 +75,7 @@ def _float_result(name: str, residual: float, tol: float, detail: str,
 def check_embedding_identity(seed: int = DEFAULT_SEED,
                              tol: Optional[Tolerances] = None,
                              points: int = 100) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = rng_from_seed(seed)
     bad = []
     for spec in ["typeI:1,2", "typeI:2,2", "typeI:2,3", "typeIII:2", "typeIII:3"]:
@@ -96,7 +96,7 @@ def check_embedding_identity(seed: int = DEFAULT_SEED,
             if not (lhs - rhs).is_zero():
                 bad.append(spec)
                 break
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     if bad:
         return CriterionResult("embedding_identity", False,
                                f"mismatch for {bad}", elapsed, "logic")
@@ -108,7 +108,7 @@ def check_embedding_identity(seed: int = DEFAULT_SEED,
 
 def check_pfaffian_suite(seed: int = DEFAULT_SEED,
                          tol: Optional[Tolerances] = None) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = rng_from_seed(seed)
     ring = PolyRing(("t",))
 
@@ -126,7 +126,7 @@ def check_pfaffian_suite(seed: int = DEFAULT_SEED,
         if pfaffian(M, "partition") != pfaffian(M, "recursive"):
             return CriterionResult("pfaffian_suite", False,
                                    f"algorithms disagree at order {order}",
-                                   time.time() - t0, "logic")
+                                   time.perf_counter() - t0, "logic")
     for order in range(2, 7):
         M = random_antisym(order)
         pf = pfaffian(M, "partition").constant_term()
@@ -135,7 +135,7 @@ def check_pfaffian_suite(seed: int = DEFAULT_SEED,
         if not (pf * pf - det).is_zero():
             return CriterionResult("pfaffian_suite", False,
                                    f"pf^2 != det at order {order}",
-                                   time.time() - t0, "logic")
+                                   time.perf_counter() - t0, "logic")
     # family polynomial squared equals det(I + Z Xi^t), convention fixed at
     # n=4 and then asserted at n=5
     for n in (4, 5):
@@ -154,17 +154,18 @@ def check_pfaffian_suite(seed: int = DEFAULT_SEED,
             if not (rho * rho - det).is_zero():
                 return CriterionResult(
                     "pfaffian_suite", False,
-                    f"rho^2 != det(I+Z Xi^t) at n={n}", time.time() - t0, "logic")
+                    f"rho^2 != det(I+Z Xi^t) at n={n}", time.perf_counter() - t0,
+                    "logic")
     return CriterionResult("pfaffian_suite", True,
                            "partition==recursive (2-8); pf^2=det (2-6); "
-                           "rho^2=det at n=4,5", time.time() - t0)
+                           "rho^2=det at n=4,5", time.perf_counter() - t0)
 
 
 # -- criterion 3 -------------------------------------------------------------
 
 def check_octonion_suite(seed: int = DEFAULT_SEED,
                          tol: Optional[Tolerances] = None) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     zero, one = GaussRational(0), GaussRational(1)
     basis = [Octonion.basis(k, one, zero) for k in range(8)]
     for i in range(8):
@@ -172,20 +173,21 @@ def check_octonion_suite(seed: int = DEFAULT_SEED,
             prod = basis[i] * basis[j]
             if i == 0 and prod != basis[j]:
                 return CriterionResult("octonion_suite", False, "e0 not identity",
-                                       time.time() - t0, "logic")
+                                       time.perf_counter() - t0, "logic")
             if j == 0 and prod != basis[i]:
                 return CriterionResult("octonion_suite", False, "e0 not identity",
-                                       time.time() - t0, "logic")
+                                       time.perf_counter() - t0, "logic")
             if i == j and i >= 1:
                 if prod != Octonion.scalar(GaussRational(-1), zero):
                     return CriterionResult("octonion_suite", False,
-                                           f"e{i}^2 != -1", time.time() - t0, "logic")
+                                           f"e{i}^2 != -1", time.perf_counter() - t0,
+                                           "logic")
             if 1 <= i != j >= 1:
                 anti = basis[j] * basis[i]
                 if not (prod + anti).is_zero():
                     return CriterionResult("octonion_suite", False,
                                            f"e{i} e{j} not antisymmetric",
-                                           time.time() - t0, "logic")
+                                           time.perf_counter() - t0, "logic")
     rng = rng_from_seed(seed)
 
     def rnd_oct():
@@ -195,7 +197,7 @@ def check_octonion_suite(seed: int = DEFAULT_SEED,
         a, b = rnd_oct(), rnd_oct()
         if not ((a * b).norm() - a.norm() * b.norm()).is_zero():
             return CriterionResult("octonion_suite", False,
-                                   "norm not multiplicative", time.time() - t0,
+                                   "norm not multiplicative", time.perf_counter() - t0,
                                    "logic")
     ring = PolyRing(M16_VARS)
     x = symbolic_octonion(ring, "x")
@@ -206,14 +208,14 @@ def check_octonion_suite(seed: int = DEFAULT_SEED,
     if not mat_eq(XX, scaled):
         return CriterionResult("octonion_suite", False,
                                "Cayley identity X o X = tr(X) X failed",
-                               time.time() - t0, "logic")
+                               time.perf_counter() - t0, "logic")
     if not jordan_det(freudenthal_jordan_matrix()) == freudenthal_forms()[54]:
         return CriterionResult("octonion_suite", False,
                                "jordan_det != cubic coordinate polynomial",
-                               time.time() - t0, "logic")
+                               time.perf_counter() - t0, "logic")
     return CriterionResult("octonion_suite", True,
                            "table laws, norm multiplicativity, Cayley identity, "
-                           "det==cubic form", time.time() - t0)
+                           "det==cubic form", time.perf_counter() - t0)
 
 
 # -- criterion 4 -------------------------------------------------------------
@@ -221,7 +223,7 @@ def check_octonion_suite(seed: int = DEFAULT_SEED,
 def check_einstein_fits(seed: int = DEFAULT_SEED,
                         tol: Optional[Tolerances] = None) -> CriterionResult:
     tol = tol or Tolerances()
-    t0 = time.time()
+    t0 = time.perf_counter()
     expected = {"typeI:1,1": 2, "typeI:1,2": 3, "typeI:2,2": 4,
                 "typeIV:3": 3, "typeII:4": 6, "typeIII:2": 3}
     worst = 0.0
@@ -231,16 +233,16 @@ def check_einstein_fits(seed: int = DEFAULT_SEED,
         if lam != lam_expect:
             return CriterionResult("einstein_fits", False,
                                    f"{spec}: exponent {lam} != {lam_expect}",
-                                   time.time() - t0, "logic")
+                                   time.perf_counter() - t0, "logic")
         worst = max(worst, residual)
     ricci = ricci_residual(family("typeIV:3"), 10, seed)
     detail = (f"exponents match; constancy residual {worst:.2e}; "
               f"Ricci cross-check {ricci:.2e}")
     if worst >= tol.einstein_tol:
         return _float_result("einstein_fits", worst, tol.einstein_tol, detail,
-                             time.time() - t0)
+                             time.perf_counter() - t0)
     return _float_result("einstein_fits", ricci, tol.ricci_tol, detail,
-                         time.time() - t0)
+                         time.perf_counter() - t0)
 
 
 # -- criterion 5 -------------------------------------------------------------
@@ -248,7 +250,7 @@ def check_einstein_fits(seed: int = DEFAULT_SEED,
 def check_hypothesis_one(seed: int = DEFAULT_SEED,
                          tol: Optional[Tolerances] = None,
                          e27_budget: int = 6000) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     desk = ["typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]
     for spec in desk:
         fam = family(spec)
@@ -260,7 +262,7 @@ def check_hypothesis_one(seed: int = DEFAULT_SEED,
             return CriterionResult(
                 "hypothesis_I", False,
                 f"{spec}: rank0={r0}, rank1={r1} (expected 1, {space.n})",
-                time.time() - t0, "logic")
+                time.perf_counter() - t0, "logic")
     bounds = {"typeI:2,2": 2, "typeII:4": 2, "typeIII:2": 2, "typeIV:3": 2,
               "e16": 11}
     details = []
@@ -271,7 +273,7 @@ def check_hypothesis_one(seed: int = DEFAULT_SEED,
         if not w.found or w.lambda_value.is_zero():
             return CriterionResult("hypothesis_I", False,
                                    f"{spec}: no witness within order {bound}",
-                                   time.time() - t0, "logic")
+                                   time.perf_counter() - t0, "logic")
         details.append(f"{spec}@{w.max_order_used}")
     fam = family("e27")
     w27 = find_nondegeneracy_witness(fam.space, fam, identity_map(fam.space),
@@ -280,34 +282,33 @@ def check_hypothesis_one(seed: int = DEFAULT_SEED,
                 f"(order {w27.max_order_used}, {w27.candidates_examined} candidates)")
     return CriterionResult("hypothesis_I", True,
                            "ranks ok; witnesses " + ", ".join(details) +
-                           "; " + e27_note, time.time() - t0)
+                           "; " + e27_note, time.perf_counter() - t0)
 
 
 # -- criterion 6 -------------------------------------------------------------
 
 def check_hypothesis_two(seed: int = DEFAULT_SEED,
                          tol: Optional[Tolerances] = None) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
+    gradients = {}
     for spec in ["typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]:
         fam = family(spec)
         xi0, z0, z1 = transversality_recipe(fam, seed)
-        r = transversality_rank(fam, xi0, z0, z1)
+        r, gradients[spec] = transversality_rank(fam, xi0, z0, z1)
         if r != 2:
             return CriterionResult("hypothesis_II", False,
                                    f"{spec}: transversality rank {r} != 2",
-                                   time.time() - t0, "logic")
+                                   time.perf_counter() - t0, "logic")
     for spec in ["typeIV:3", "typeI:2,2"]:
-        fam = family(spec)
-        xi0, z0, z1 = transversality_recipe(fam, seed)
-        det, slots = flattening_jacobian(fam, xi0, z0, z1)
+        det, slots = flattening_jacobian(gradients[spec])
         if det.is_zero():
             return CriterionResult("hypothesis_II", False,
                                    f"{spec}: flattening Jacobian vanished",
-                                   time.time() - t0, "logic")
+                                   time.perf_counter() - t0, "logic")
     return CriterionResult("hypothesis_II", True,
                            "rank 2 on all six recipes; flattening Jacobian "
                            "nonzero on quadric and Grassmannian",
-                           time.time() - t0)
+                           time.perf_counter() - t0)
 
 
 # -- criterion 7 -------------------------------------------------------------
@@ -315,14 +316,14 @@ def check_hypothesis_two(seed: int = DEFAULT_SEED,
 def check_hypothesis_three(seed: int = DEFAULT_SEED,
                            tol: Optional[Tolerances] = None) -> CriterionResult:
     tol = tol or Tolerances()
-    t0 = time.time()
+    t0 = time.perf_counter()
     for spec in ["typeI:2,2", "typeII:4", "typeIII:3", "typeIV:3", "e16", "e27"]:
         report = support_claims(family(spec))
         if not all(report.values()):
             failed = [k for k, v in report.items() if not v]
             return CriterionResult("hypothesis_III", False,
                                    f"{spec}: support facts failed {failed}",
-                                   time.time() - t0, "logic")
+                                   time.perf_counter() - t0, "logic")
     for spec in ["typeIV:3", "typeI:2,2"]:
         fam = family(spec)
         xi = generic_conjugate_point(fam, seed)
@@ -330,18 +331,18 @@ def check_hypothesis_three(seed: int = DEFAULT_SEED,
         if res.status != "irreducible_certified":
             return CriterionResult("hypothesis_III", False,
                                    f"{spec}: oracle returned {res.status}",
-                                   time.time() - t0, "logic")
+                                   time.perf_counter() - t0, "logic")
     ring = PolyRing(["z1", "z2"])
     control = (ring.one() + ring.var("z1")) * (ring.one() + ring.var("z2"))
     factor, _ = trial_division_modp(control.reduce_mod(5), 1, tol.oracle_budget)
     if factor is None:
         return CriterionResult("hypothesis_III", False,
                                "oracle missed the reducible control",
-                               time.time() - t0, "logic")
+                               time.perf_counter() - t0, "logic")
     return CriterionResult("hypothesis_III", True,
                            "support facts on all six; oracle certified the "
                            "quadric and the Grassmannian over F5; control refuted",
-                           time.time() - t0)
+                           time.perf_counter() - t0)
 
 
 # -- criterion 8 -------------------------------------------------------------
@@ -357,7 +358,7 @@ def _unitary_moebius_map(space) -> RationalMap:
 def check_volume_isometry(seed: int = DEFAULT_SEED,
                           tol: Optional[Tolerances] = None) -> CriterionResult:
     tol = tol or Tolerances()
-    t0 = time.time()
+    t0 = time.perf_counter()
     fam = family("typeI:1,1")
     space = fam.space
     ident = identity_map(space)
@@ -377,9 +378,9 @@ def check_volume_isometry(seed: int = DEFAULT_SEED,
     if margin <= 0.1:
         return CriterionResult("volume_isometry", False,
                                f"scaling map margin {margin:.3f} <= 0.1",
-                               time.time() - t0, "logic")
+                               time.perf_counter() - t0, "logic")
     return _float_result("volume_isometry", worst, tol.float_tol, detail,
-                         time.time() - t0)
+                         time.perf_counter() - t0)
 
 
 # -- criterion 9 -------------------------------------------------------------
@@ -387,7 +388,7 @@ def check_volume_isometry(seed: int = DEFAULT_SEED,
 def check_degeneracy_extraction(seed: int = DEFAULT_SEED,
                                 tol: Optional[Tolerances] = None) -> CriterionResult:
     tol = tol or Tolerances()
-    t0 = time.time()
+    t0 = time.perf_counter()
     r2 = PolyRing(["z1", "z2"])
     z1, z2 = r2.var("z1"), r2.var("z2")
     one2 = r2.one()
@@ -406,9 +407,9 @@ def check_degeneracy_extraction(seed: int = DEFAULT_SEED,
     detail = f"residual {worst_res:.2e}; zero-slice head {worst_head:.2e}"
     if worst_res >= tol.degeneracy_tol:
         return _float_result("degeneracy_extraction", worst_res,
-                             tol.degeneracy_tol, detail, time.time() - t0)
+                             tol.degeneracy_tol, detail, time.perf_counter() - t0)
     return _float_result("degeneracy_extraction", worst_head,
-                         tol.claim_head_tol, detail, time.time() - t0)
+                         tol.claim_head_tol, detail, time.perf_counter() - t0)
 
 
 ALL_CRITERIA: List[Callable] = [

@@ -5,7 +5,8 @@ identity/Einstein/hypothesis suites, and check user-supplied map tuples.
 Reports are deterministic JSON (sorted keys, 17-significant-digit floats):
 identical (command, config, seed) produce byte-identical output.
 
-Exit codes: 0 pass/success, 1 check failure, 2 usage or input error.
+Exit codes: 0 pass/success, 1 check failure, 2 usage or input error,
+3 internal error (an exact invariant of the program broke).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .rigidity import (find_nondegeneracy_witness, flattening_jacobian,
                        transversality_rank, transversality_recipe,
                        volume_equation_check)
 from .sampling import rng_from_seed, random_complex_ball
-from .segre import (build_rho, einstein_fit, kahler_metric,
-                    rho_swap_symmetric, sample_on_family, conj_name)
+from .segre import (SegreFamily, build_rho, einstein_fit, kahler_metric,
+                    rho_swap_symmetric, sample_on_family)
 from .spaces import build_space, space_to_json
 
 
@@ -142,7 +143,7 @@ def _load_map_file(space, path):
 
 def cmd_describe(args):
     space = build_space(args.space)
-    fam = build_rho(space)
+    fam = SegreFamily(space)
     seed = _resolve_seed(args, required=False)
     lam = None
     try:
@@ -169,7 +170,7 @@ def cmd_rho(args):
 
 def cmd_metric(args):
     space = build_space(args.space)
-    fam = build_rho(space)
+    fam = SegreFamily(space)
     seed = _resolve_seed(args, required=True)
     rng = rng_from_seed(seed)
     samples = []
@@ -235,7 +236,7 @@ def cmd_einstein(args):
 
 def cmd_hyp1(args):
     space = build_space(args.space)
-    fam = build_rho(space)
+    fam = SegreFamily(space)
     seed = _resolve_seed(args, required=True)
     F = identity_map(space)
     r0 = jet_rank(space, F, 0, trials=2, seed=seed)
@@ -268,14 +269,14 @@ def cmd_hyp1(args):
 
 def cmd_hyp2(args):
     space = build_space(args.space)
-    fam = build_rho(space)
+    fam = SegreFamily(space)
     seed = _resolve_seed(args, required=True)
     xi0, z0, z1 = transversality_recipe(fam, seed)
-    rank = transversality_rank(fam, xi0, z0, z1)
+    rank, rows = transversality_rank(fam, xi0, z0, z1)
     det = slots = None
     ok = rank == 2
     if ok:
-        d, slots = flattening_jacobian(fam, xi0, z0, z1)
+        d, slots = flattening_jacobian(rows)
         det = gauss_json(d)
         ok = not d.is_zero()
     report = {
@@ -317,11 +318,8 @@ def cmd_hyp3(args):
     regular = False
     for _ in range(8):
         z, xi = sample_on_family(fam, rng)
-        pt = fam.point_pair(z, xi)
-        dz = any(not fam.rho.derivative(v).evaluate(pt).is_zero()
-                 for v in space.vars)
-        dxi = any(not fam.rho.derivative(conj_name(v)).evaluate(pt).is_zero()
-                  for v in space.vars)
+        dz = any(not d.is_zero() for d in fam.xi_gradient(xi, z))
+        dxi = any(not d.is_zero() for d in fam.xi_gradient(z, xi))
         if dz and dxi:
             regular = True
             break
@@ -342,7 +340,7 @@ def cmd_hyp3(args):
 
 def cmd_volume_check(args):
     space = build_space(args.space)
-    fam = build_rho(space)
+    fam = SegreFamily(space)
     seed = _resolve_seed(args, required=True)
     mf = _load_map_file(space, args.maps)
     lambdas = mf.lambdas if mf.lambdas is not None else \
@@ -360,7 +358,7 @@ def cmd_volume_check(args):
 
 def cmd_isometry_check(args):
     space = build_space(args.space)
-    fam = build_rho(space)
+    fam = SegreFamily(space)
     seed = _resolve_seed(args, required=True)
     mf = _load_map_file(space, args.maps)
     residuals = [isometry_pullback_check(fam, F, args.samples, seed)
@@ -459,6 +457,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if args.output == "table":
         print_table(report)
     else:

@@ -23,7 +23,7 @@ from .linalg import RankTracker, det_exact, rank_exact
 from .maps import RationalMap, compose_psi
 from .poly import Polynomial, PolyFraction
 from .sampling import random_small_gauss, rng_from_seed
-from .segre import SegreFamily, conj_name, hyperplane_mu, _engine
+from .segre import SegreFamily, hyperplane_mu
 from .spaces import Space
 
 
@@ -656,60 +656,42 @@ class FlatteningSeedError(ArithmeticError):
     pass
 
 
-_XI_DERIV_CACHE: Dict[int, Tuple[SegreFamily, List[Polynomial]]] = {}
-
-
-def _xi_gradient(fam: SegreFamily, z: Dict, xi0: Dict) -> List[GaussRational]:
-    # the family rides along in the cache entry to pin its id (see _engine)
-    entry = _XI_DERIV_CACHE.get(id(fam))
-    if entry is None or entry[0] is not fam:
-        derivs = [fam.rho.derivative(conj_name(v)) for v in fam.zvars]
-        _XI_DERIV_CACHE[id(fam)] = (fam, derivs)
-    else:
-        derivs = entry[1]
-    # restrict at xi0 first: recipe points are mostly zero there, which
-    # collapses the derivative polynomials before the exact evaluation
-    conj_assign = {conj_name(v): GaussRational.coerce(xi0[v]) for v in fam.zvars}
-    zpoint = fam.point_pair(z, xi0)
-    return [d.partial_evaluate(conj_assign).evaluate(zpoint) for d in derivs]
-
-
-def transversality_rank(fam: SegreFamily, xi0: Dict, z0: Dict, z1: Dict) -> int:
-    """Exact rank of the two conjugate-gradient rows at xi0."""
+def transversality_rank(fam: SegreFamily, xi0: Dict, z0: Dict, z1: Dict
+                        ) -> Tuple[int, List[List[GaussRational]]]:
+    """Exact rank of the two conjugate-gradient rows at xi0, returned with
+    the rows: (rank, [row of z0, row of z1])."""
     if not fam.rho_at(z0, xi0).is_zero() or not fam.rho_at(z1, xi0).is_zero():
         raise OffVarietyError("points are not on the Segre variety of xi0")
-    return rank_exact([_xi_gradient(fam, z0, xi0), _xi_gradient(fam, z1, xi0)])
+    rows = [fam.xi_gradient(z0, xi0), fam.xi_gradient(z1, xi0)]
+    return rank_exact(rows), rows
 
 
-def flattening_jacobian(fam: SegreFamily, xi0: Dict, z0: Dict, z1: Dict):
-    """Exact Jacobian determinant of the flattening seed system.
+def flattening_jacobian(rows: Sequence[List[GaussRational]]):
+    """Exact Jacobian determinant of the flattening seed system, from the
+    gradient pair that ``transversality_rank`` returns.
 
     The system rescales the two incidence equations along fresh parameters
     and pins the remaining coordinates; at the base point its Jacobian in
     the xi variables reduces to a 2x2 minor of the gradient pair bordered
     by identity rows.  Returns (determinant, slot pair)."""
-    if not fam.rho_at(z0, xi0).is_zero() or not fam.rho_at(z1, xi0).is_zero():
-        raise OffVarietyError("points are not on the Segre variety of xi0")
-    r0 = _xi_gradient(fam, z0, xi0)
-    r1 = _xi_gradient(fam, z1, xi0)
-    if rank_exact([r0, r1]) != 2:
-        raise FlatteningSeedError("flattening seed failed: gradients do not "
-                                  "intersect transversally")
+    r0, r1 = rows
     n = len(r0)
     for a in range(n):
         for b in range(a + 1, n):
             minor = r0[a] * r1[b] - r0[b] * r1[a]
             if minor.is_zero():
                 continue
-            rows = [r0, r1]
+            mat = [r0, r1]
             for k in range(n):
                 if k in (a, b):
                     continue
                 e = [GaussRational(0)] * n
                 e[k] = GaussRational(-1)
-                rows.append(e)
-            return det_exact(rows), (a, b)
-    raise FlatteningSeedError("flattening seed failed")
+                mat.append(e)
+            return det_exact(mat), (a, b)
+    # every 2x2 minor vanishes exactly when the pair has rank below 2
+    raise FlatteningSeedError("flattening seed failed: gradients do not "
+                              "intersect transversally")
 
 
 def transversality_recipe(fam: SegreFamily, seed: int = 0) -> Tuple[Dict, Dict, Dict]:
@@ -834,31 +816,8 @@ def _pair_index(space: Space) -> Dict[str, Tuple[int, int]]:
     return out
 
 
-def _xi_poly(groups, ze, width) -> Dict:
-    return groups.get(tuple(ze), {})
-
-
-def _xi_eq(a: Dict, b: Dict) -> bool:
-    return a == b
-
-
-def _xi_scale(a: Dict, s: Fraction) -> Dict:
-    return {e: c * GaussRational(s) for e, c in a.items() if not (c * GaussRational(s)).is_zero()}
-
-
 def _xi_neg(a: Dict) -> Dict:
     return {e: -c for e, c in a.items()}
-
-
-def _xi_add(a: Dict, b: Dict) -> Dict:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, GaussRational(0)) + c
-        if s.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return out
 
 
 def support_claims(fam: SegreFamily) -> Dict[str, bool]:
@@ -921,17 +880,17 @@ def support_claims(fam: SegreFamily) -> Dict[str, bool]:
         for i in range(1, n + 1):
             ze = [0] * n
             ze[vindex[f"z{i}"]] = 2
-            cur = _xi_poly(groups, ze, n)
+            cur = groups.get(tuple(ze), {})
             if diag is None:
                 diag = cur
-            elif not _xi_eq(diag, cur):
+            elif diag != cur:
                 ok_diag = False
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 ze = [0] * n
                 ze[vindex[f"z{i}"]] = 1
                 ze[vindex[f"z{j}"]] = 1
-                if _xi_poly(groups, ze, n):
+                if groups.get(tuple(ze), {}):
                     ok_cross = False
         report["square_coefficients_equal"] = ok_diag
         report["no_mixed_quadratics"] = ok_cross
@@ -947,24 +906,24 @@ def support_claims(fam: SegreFamily) -> Dict[str, bool]:
         okx = oky = True
         for i in range(8):
             for j in range(i + 1, 8):
-                if _xi_poly(groups, ze_of((f"x{i}", 1), (f"x{j}", 1)), nvars):
+                if groups.get(ze_of((f"x{i}", 1), (f"x{j}", 1)), {}):
                     okx = False
-                if _xi_poly(groups, ze_of((f"y{i}", 1), (f"y{j}", 1)), nvars):
+                if groups.get(ze_of((f"y{i}", 1), (f"y{j}", 1)), {}):
                     oky = False
         report["no_x_cross_terms"] = okx
         report["no_y_cross_terms"] = oky
-        bx = [_xi_poly(groups, ze_of((f"x{i}", 2)), nvars) for i in range(8)]
-        by = [_xi_poly(groups, ze_of((f"y{i}", 2)), nvars) for i in range(8)]
-        report["x_square_coefficients_equal"] = all(_xi_eq(bx[0], b) for b in bx)
-        report["y_square_coefficients_equal"] = all(_xi_eq(by[0], b) for b in by)
+        bx = [groups.get(ze_of((f"x{i}", 2)), {}) for i in range(8)]
+        by = [groups.get(ze_of((f"y{i}", 2)), {}) for i in range(8)]
+        report["x_square_coefficients_equal"] = all(bx[0] == b for b in bx)
+        report["y_square_coefficients_equal"] = all(by[0] == b for b in by)
         ok_pair = True
         for i in range(8):
             for j in range(8):
                 if i == j:
                     continue
-                a = _xi_poly(groups, ze_of((f"x{i}", 1), (f"y{j}", 1)), nvars)
-                b = _xi_poly(groups, ze_of((f"x{j}", 1), (f"y{i}", 1)), nvars)
-                if not _xi_eq(a, _xi_neg(b)):
+                a = groups.get(ze_of((f"x{i}", 1), (f"y{j}", 1)), {})
+                b = groups.get(ze_of((f"x{j}", 1), (f"y{i}", 1)), {})
+                if a != _xi_neg(b):
                     ok_pair = False
         report["xy_antisymmetric_pairing"] = ok_pair
         return report
@@ -1061,7 +1020,7 @@ def _symplectic_pairing_facts(nvars: int, n: int, groups, vindex) -> Dict[str, b
                     ct = get(T)
                     ratio_half = tuple(q)[vindex[vname(i, j)]] >= 1
                     want = halves(cp) if ratio_half else cp
-                    if not _xi_eq(ct, _xi_neg(want)):
+                    if ct != _xi_neg(want):
                         ok_a = False
 
     ok_b = True
@@ -1088,7 +1047,7 @@ def _symplectic_pairing_facts(nvars: int, n: int, groups, vindex) -> Dict[str, b
                 ct = get(T)
                 doubled = tuple(q)[vindex[vname(j, n)]] >= 1
                 want = {e: c + c for e, c in cp.items()} if doubled else cp
-                if not _xi_eq(ct, _xi_neg(want)):
+                if ct != _xi_neg(want):
                     ok_b = False
 
     ok_c = True
@@ -1115,7 +1074,7 @@ def _symplectic_pairing_facts(nvars: int, n: int, groups, vindex) -> Dict[str, b
                 ct = get(T)
                 ratio_half = tuple(q)[vindex[vname(n - 1, n)]] >= 1
                 want = halves(cp) if ratio_half else cp
-                if not _xi_eq(ct, _xi_neg(want)):
+                if ct != _xi_neg(want):
                     ok_c = False
 
     ok_d = True
@@ -1153,18 +1112,14 @@ class OracleResult:
 
 
 def specialize_conjugate(fam: SegreFamily, xi: Dict) -> Polynomial:
-    """rho(., xi) as an exact polynomial in the cell variables."""
-    space = fam.space
-    assign = {conj_name(v): GaussRational.coerce(xi[v]) for v in space.vars}
-    restricted = fam.rho.partial_evaluate(assign)
-    zring = space.ring
-    width = len(space.vars)
-    terms = {}
-    for e, c in restricted.terms.items():
-        if any(k for k in e[width:]):
-            raise ArithmeticError("conjugate slot survived specialization")
-        terms[e[:width]] = c
-    return Polynomial(zring, terms)
+    """rho(., xi) = 1 + sum_j psi_j(xi) psi_j as an exact polynomial in the
+    cell variables."""
+    out = fam.space.ring.one()
+    for p in fam.space.pairing_psi:
+        c = p.evaluate(xi)
+        if not c.is_zero():
+            out = out + p.scale(c)
+    return out
 
 
 def _monomials_up_to(nvars: int, d: int):
@@ -1307,7 +1262,7 @@ def volume_equation_check(fam: SegreFamily, maps: Sequence[RationalMap],
     space = fam.space
     if lam is None:
         lam, _, _ = einstein_fit(fam, 24, seed + 7)
-    eng = _engine(fam, "invariant")
+    eng = fam.engine("invariant")
     rng = rng_from_seed(seed)
     jacs = [F.jacobian_fractions() for F in maps]
     worst = 0.0
@@ -1342,7 +1297,7 @@ def isometry_pullback_check(fam: SegreFamily, F: RationalMap,
                             max_retries: int = 40) -> float:
     """Max entrywise deviation of the pulled-back metric from the metric."""
     space = fam.space
-    eng = _engine(fam, "invariant")
+    eng = fam.engine("invariant")
     rng = rng_from_seed(seed)
     jac = F.jacobian_fractions()
     worst = 0.0
@@ -1382,7 +1337,7 @@ def volume_equation_complexified(fam: SegreFamily, maps: Sequence[RationalMap],
     space = fam.space
     if lam is None:
         lam, _, _ = einstein_fit(fam, 24, seed + 7)
-    eng = _engine(fam, "invariant")
+    eng = fam.engine("invariant")
     w = eng.w
     rng = rng_from_seed(seed)
     jacs = [F.jacobian_fractions() for F in maps]

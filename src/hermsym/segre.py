@@ -1,10 +1,13 @@
 """Segre families, Kahler metrics, Einstein exponents, and projectively
 induced automorphisms.
 
-The family polynomial lives in a doubled ring: the cell variables of the
-space plus a conjugate copy (prefix ``c``).  Metric work differentiates the
-embedding polynomials symbolically once and pushes batches of sample points
-through a compiled numpy evaluator; exact identities never touch floats.
+The family polynomial rho(z, xi) = 1 + sum_j psi_j(z) psi_j(xi) is evaluated
+from the pairing vector psi of the space, exactly as it is defined.  Its
+expansion in a doubled ring (the cell variables plus a conjugate copy,
+prefix ``c``) is built lazily, for the few checks that read its monomials.
+Metric work differentiates the embedding polynomials symbolically once and
+pushes batches of sample points through a compiled numpy evaluator; exact
+identities never touch floats.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gauss import GaussRational
+from .gauss import GaussRational, ONE, ZERO
 from .linalg import det_exact
 from .poly import Polynomial, PolyRing
 from .sampling import random_complex_ball, random_gauss_point, rng_from_seed
@@ -27,19 +30,56 @@ def conj_name(v: str) -> str:
     return "c" + v
 
 
-@dataclass(frozen=True)
 class SegreFamily:
-    space: Space
-    ring: PolyRing                      # doubled ring: cell vars + conjugates
-    rho: Polynomial
+    """The Segre family of a space: rho(z, xi) = 1 + sum_j psi_j(z) psi_j(xi)
+    over its pairing vector psi (``Space.pairing_psi``).
+
+    Every query evaluates that sum from the psi vector: ``rho_at``,
+    ``rho_at_float`` and the conjugate gradient ``xi_gradient``.  The sum is
+    the definition of rho, so in exact arithmetic each value equals the one
+    read off the expanded polynomial, and no soundness argument beyond it is
+    needed.  ``rho``, the expansion in the doubled ring, is built on first
+    read; only the rho command, the swap-symmetry identity, the monomial
+    support facts and the symbolic Lambda oracle read it.
+
+    The expansion, the table of first derivatives of psi and the compiled
+    metric evaluators are per-family caches: each is built once, on first
+    use, under the family's lock, and is freed with the family."""
+
+    def __init__(self, space: Space):
+        self.space = space
+        self.ring = PolyRing(space.vars + tuple(conj_name(v) for v in space.vars))
+        self._cache: Dict = {}
+        self._lock = threading.Lock()
+
+    def _cached(self, key, build):
+        value = self._cache.get(key)
+        if value is None:
+            with self._lock:
+                value = self._cache.get(key)
+                if value is None:
+                    value = self._cache[key] = build()
+        return value
+
+    @property
+    def rho(self) -> Polynomial:
+        """The expanded family polynomial in the doubled ring."""
+        def expand():
+            zmap = {v: v for v in self.zvars}
+            cmap = {v: conj_name(v) for v in self.zvars}
+            rho = self.ring.one()
+            for p in self.space.pairing_psi:
+                rho = rho + p.embed(self.ring, zmap) * p.embed(self.ring, cmap)
+            return rho
+        return self._cached("rho", expand)
+
+    def engine(self, weights: str = "plain") -> "_MetricEngine":
+        return self._cached(("engine", weights),
+                            lambda: _MetricEngine(self.space, weights))
 
     @property
     def zvars(self) -> Tuple[str, ...]:
         return self.space.vars
-
-    @property
-    def cvars(self) -> Tuple[str, ...]:
-        return tuple(conj_name(v) for v in self.space.vars)
 
     def point_pair(self, z: Dict, xi: Dict) -> Dict:
         out = {v: GaussRational.coerce(z[v]) for v in self.zvars}
@@ -48,26 +88,46 @@ class SegreFamily:
         return out
 
     def rho_at(self, z: Dict, xi: Dict) -> GaussRational:
-        # collapse the conjugate block first; recipe points are sparse there
-        conj_assign = {conj_name(v): GaussRational.coerce(xi[v]) for v in self.zvars}
-        restricted = self.rho.partial_evaluate(conj_assign)
-        return restricted.evaluate(self.point_pair(z, xi))
+        total = ONE
+        # psi(xi) first: recipe points are sparse in xi
+        for p in self.space.pairing_psi:
+            b = p.evaluate(xi)
+            if not b.is_zero():
+                total = total + p.evaluate(z) * b
+        return total
 
     def rho_at_float(self, z: Dict, xi: Dict) -> complex:
-        pt = {v: complex(z[v]) for v in self.zvars}
-        pt.update({conj_name(v): complex(xi[v]) for v in self.zvars})
-        return self.rho.evaluate_float(pt)
+        return 1 + sum((p.evaluate_float(z) * p.evaluate_float(xi)
+                        for p in self.space.pairing_psi), 0j)
+
+    def xi_gradient(self, z: Dict, xi: Dict) -> List[GaussRational]:
+        """[d rho / d xi_v at (z, xi) for v in the cell variables], that is
+        sum_j psi_j(z) (d_v psi_j)(xi).  The psi sum is symmetric, so the
+        z-gradient at (z, xi) is ``xi_gradient(xi, z)``."""
+        psi = self.space.pairing_psi
+        table = self._cached("dpsi", lambda: [
+            [(j, d) for j, d in enumerate(p.derivative(v) for p in psi) if d]
+            for v in self.zvars])
+        psi_z: Dict[int, GaussRational] = {}
+        out = []
+        for row in table:
+            acc = ZERO
+            for j, d in row:
+                b = d.evaluate(xi)
+                if b.is_zero():
+                    continue
+                if j not in psi_z:
+                    psi_z[j] = psi[j].evaluate(z)
+                acc = acc + psi_z[j] * b
+            out.append(acc)
+        return out
 
 
 def build_rho(space: Space) -> SegreFamily:
-    """rho(z, xi) = 1 + sum_j psi_j(z) psi_j(xi), over the pairing system."""
-    ring = PolyRing(space.vars + tuple(conj_name(v) for v in space.vars))
-    zmap = {v: v for v in space.vars}
-    cmap = {v: conj_name(v) for v in space.vars}
-    rho = ring.one()
-    for p in space.pairing_psi:
-        rho = rho + p.embed(ring, zmap) * p.embed(ring, cmap)
-    return SegreFamily(space, ring, rho)
+    """The family of ``space`` with its doubled-ring expansion built."""
+    fam = SegreFamily(space)
+    fam.rho  # expand now
+    return fam
 
 
 def rho_swap_symmetric(fam: SegreFamily) -> bool:
@@ -142,10 +202,9 @@ def invariant_weights(space: Space) -> np.ndarray:
 
 
 class _MetricEngine:
-    """Caches the symbolic Jacobian of the pairing system per family."""
+    """The compiled pairing system of a space and its symbolic Jacobian."""
 
-    def __init__(self, fam: SegreFamily, weights: str):
-        space = fam.space
+    def __init__(self, space: Space, weights: str):
         self.nvars = space.n
         self.order = list(space.vars)
         polys = list(space.pairing_psi)
@@ -170,26 +229,6 @@ class _MetricEngine:
         return g, rho
 
 
-_ENGINES: Dict[Tuple[int, str], Tuple[SegreFamily, _MetricEngine]] = {}
-_ENGINE_LOCK = threading.Lock()
-
-
-def _engine(fam: SegreFamily, weights: str = "plain") -> _MetricEngine:
-    # engines are pure caches; the lock only guards concurrent construction.
-    # The family is stored alongside its engine so the id key stays pinned
-    # (ids of collected objects are reused, which would alias a fresh family
-    # to a stale engine).
-    key = (id(fam), weights)
-    entry = _ENGINES.get(key)
-    if entry is None or entry[0] is not fam:
-        with _ENGINE_LOCK:
-            entry = _ENGINES.get(key)
-            if entry is None or entry[0] is not fam:
-                entry = (fam, _MetricEngine(fam, weights))
-                _ENGINES[key] = entry
-    return entry[1]
-
-
 def kahler_metric(fam: SegreFamily, point: Sequence[complex],
                   hermitian_tol: float = 1e-10,
                   weights: str = "plain") -> MetricSample:
@@ -198,7 +237,7 @@ def kahler_metric(fam: SegreFamily, point: Sequence[complex],
     The mixed Hessian of log rho at xi = conj(z) is assembled from the exact
     symbolic Jacobian of the embedding system (the two routes agree
     identically because rho is the self-pairing of that system)."""
-    g, _ = _engine(fam, weights).metric(point)
+    g, _ = fam.engine(weights).metric(point)
     dev = float(np.max(np.abs(g - g.conj().T)))
     if dev > hermitian_tol:
         raise ArithmeticError(f"metric not Hermitian (deviation {dev:g}); "
@@ -220,7 +259,7 @@ def einstein_fit(fam: SegreFamily, sample_count: int, seed: int,
     the rounding is then *verified* against all samples; a non-integer fit
     beyond 0.01 raises EinsteinError."""
     rng = rng_from_seed(seed)
-    eng = _engine(fam, weights)
+    eng = fam.engine(weights)
     logs = []
     for _ in range(sample_count):
         pt = random_complex_ball(rng, fam.space.n, radius)
@@ -255,7 +294,7 @@ def ricci_residual(fam: SegreFamily, point_count: int, seed: int,
     if lam is None:
         lam, _, _ = einstein_fit(fam, 24, seed, weights=weights)
     rng = rng_from_seed(seed + 1)
-    eng = _engine(fam, weights)
+    eng = fam.engine(weights)
     n = fam.space.n
 
     def logV(pt: np.ndarray) -> float:
@@ -322,19 +361,21 @@ def sample_on_family(fam: SegreFamily, rng) -> Tuple[Dict, Dict]:
         if kind in ("typeI", "typeII", "typeIII"):
             xi = random_gauss_point(rng, space.vars, small=True)
             dist = space.distinguished
-            pt = fam.point_pair(z, xi)
-            del pt[conj_name(dist)]
-            restricted = fam.rho.partial_evaluate(pt)
-            # restricted = A * xi_dist + B exactly
-            slot = fam.ring.index(conj_name(dist))
-            A = B = GaussRational(0)
-            for e, c in restricted.terms.items():
-                if e[slot] == 1:
-                    A = A + c
-                elif e[slot] == 0:
-                    B = B + c
-                else:
+            # rho(z, xi) = A * xi_dist + B exactly: every psi_j is linear in
+            # the distinguished slot, psi_j(xi) = b_j + a_j * xi_dist
+            at0, at1 = dict(xi), dict(xi)
+            at0[dist], at1[dist] = ZERO, ONE
+            A, B = ZERO, ONE
+            for p in space.pairing_psi:
+                if p.degree_in((dist,)) > 1:
                     raise ArithmeticError("distinguished slot not linear")
+                b = p.evaluate(at0)
+                a = p.evaluate(at1) - b
+                if a.is_zero() and b.is_zero():
+                    continue
+                pz = p.evaluate(z)
+                A = A + pz * a
+                B = B + pz * b
             if A.is_zero():
                 continue
             xi[dist] = -(B / A)

@@ -6,6 +6,10 @@
   each component, then exact evaluation at the point.
 * ``compose_full`` -- simultaneous substitution of every variable, identity
   images included, over one common denominator.
+* ``rho_at_expanded``, ``xi_gradient_expanded``, ``z_gradient_expanded``,
+  ``specialize_expanded`` and ``slot_coefficients_expanded`` -- queries of
+  the Segre family read off its expanded doubled-ring polynomial by
+  ``partial_evaluate``, instead of from the psi vector.
 """
 
 from fractions import Fraction
@@ -13,6 +17,7 @@ from math import gcd
 
 from hermsym.gauss import GaussRational
 from hermsym.poly import Polynomial, PolyFraction
+from hermsym.segre import conj_name
 
 
 def _gi_mul(a, b):
@@ -108,3 +113,50 @@ def compose_full(poly, images):
             t = t * img.num ** e[i] * img.den ** (maxk[i] - e[i])
         total = total + t
     return PolyFraction(total, den)
+
+
+def _conj_assign(fam, xi):
+    return {conj_name(v): GaussRational.coerce(xi[v]) for v in fam.zvars}
+
+
+def rho_at_expanded(fam, z, xi):
+    restricted = fam.rho.partial_evaluate(_conj_assign(fam, xi))
+    return restricted.evaluate(fam.point_pair(z, xi))
+
+
+def xi_gradient_expanded(fam, z, xi):
+    assign, point = _conj_assign(fam, xi), fam.point_pair(z, xi)
+    return [fam.rho.derivative(conj_name(v)).partial_evaluate(assign).evaluate(point)
+            for v in fam.zvars]
+
+
+def z_gradient_expanded(fam, z, xi):
+    point = fam.point_pair(z, xi)
+    return [fam.rho.derivative(v).evaluate(point) for v in fam.zvars]
+
+
+def specialize_expanded(fam, xi):
+    """rho(., xi) moved into the cell ring of the space."""
+    width = len(fam.zvars)
+    restricted = fam.rho.partial_evaluate(_conj_assign(fam, xi))
+    terms = {}
+    for e, c in restricted.terms.items():
+        assert not any(e[width:]), "conjugate slot survived specialization"
+        terms[e[:width]] = c
+    return Polynomial(fam.space.ring, terms)
+
+
+def slot_coefficients_expanded(fam, z, xi):
+    """(A, B) with rho(z, xi) = A * xi_dist + B, xi_dist left free."""
+    dist = conj_name(fam.space.distinguished)
+    point = fam.point_pair(z, xi)
+    del point[dist]
+    slot = fam.ring.index(dist)
+    A = B = GaussRational(0)
+    for e, c in fam.rho.partial_evaluate(point).terms.items():
+        assert e[slot] <= 1, "distinguished slot not linear"
+        if e[slot]:
+            A = A + c
+        else:
+            B = B + c
+    return A, B

@@ -36,3 +36,24 @@ def test_tightened_tolerance_flags_tolerance_not_logic():
     assert failures, "tightening tolerances to 1e-15 must trip a float check"
     for r in failures:
         assert r.failure_kind == "tolerance", (r.name, r.detail)
+
+
+def test_perturbed_psi_fails_embedding_identity(monkeypatch):
+    """rho is evaluated from the pairing vector, so one wrong psi
+    coefficient must break rho(z, zbar) = det(I + Z Z*)."""
+    import dataclasses
+    from hermsym.gauss import GaussRational
+    from hermsym.poly import Polynomial
+    from hermsym.segre import SegreFamily
+    from hermsym.spaces import build_space
+    space = build_space("typeI:2,2")
+    psi = list(space.pairing_psi)
+    minor = psi[-1]
+    e = min(minor.terms)
+    psi[-1] = Polynomial(minor.ring,
+                         {**minor.terms, e: minor.terms[e] + GaussRational(1)})
+    bad = dataclasses.replace(space, pairing_psi=tuple(psi))
+    monkeypatch.setitem(acceptance._FAMILIES, "typeI:2,2", SegreFamily(bad))
+    result = acceptance.check_embedding_identity(seed=SEED, points=10)
+    assert not result.passed
+    assert result.failure_kind == "logic" and "typeI:2,2" in result.detail

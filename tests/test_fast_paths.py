@@ -1,7 +1,9 @@
 """Property tests: each fast exact path against its slow reference route,
-with exact equality (see ``oracles.py``)."""
+with exact equality (see ``oracles.py``); the one float route, ``rho_at_float``,
+is held to a relative 1e-9."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
 from hypothesis import assume, given, settings, strategies as st
@@ -9,8 +11,14 @@ from hypothesis import assume, given, settings, strategies as st
 from hermsym.gauss import GaussRational as G
 from hermsym.linalg import det_exact
 from hermsym.poly import Polynomial, PolyFraction, PolyRing
-from hermsym.rigidity import TaylorJets, multiindices_upto
-from oracles import compose_full, derivative_jet_row, det_bareiss
+from hermsym.rigidity import TaylorJets, multiindices_upto, specialize_conjugate
+from hermsym.sampling import rng_from_seed
+from hermsym.segre import SegreFamily, sample_on_family
+from hermsym.spaces import build_space
+from oracles import (compose_full, derivative_jet_row, det_bareiss,
+                     rho_at_expanded, slot_coefficients_expanded,
+                     specialize_expanded, xi_gradient_expanded,
+                     z_gradient_expanded)
 
 RING = PolyRing(("x", "y", "z"))
 BOUNDED = settings(max_examples=40, deadline=None, derandomize=True)
@@ -88,3 +96,71 @@ def test_compose_fractions_partly_identity(poly, raw):
     identity = poly.compose_fractions(
         {v: PolyFraction(RING.var(v), RING.one()) for v in RING.vars})
     assert identity.num == poly and identity.den == RING.one()
+
+
+# -- the Segre family from its psi vector against the expanded rho ------------
+
+FAMILY_SPECS = ["typeI:2,3", "typeII:5", "typeIII:3", "typeIV:4", "e16"]
+
+
+@lru_cache(maxsize=None)
+def _family(spec):
+    return SegreFamily(build_space(spec))
+
+
+def _points(names):
+    """Dense random points, or recipe-like ones: one or two nonzero slots."""
+    dense = st.fixed_dictionaries({v: gauss for v in names})
+    sparse = st.dictionaries(st.sampled_from(names), gauss, min_size=1,
+                             max_size=2).map(
+        lambda d: {v: d.get(v, G(0)) for v in names})
+    return st.one_of(dense, sparse)
+
+
+family_points = st.sampled_from(FAMILY_SPECS).flatmap(
+    lambda spec: st.tuples(st.just(spec), _points(_family(spec).zvars),
+                           _points(_family(spec).zvars)))
+
+
+@BOUNDED
+@given(family_points)
+def test_rho_at_matches_expansion(case):
+    spec, z, xi = case
+    fam = _family(spec)
+    want = rho_at_expanded(fam, z, xi)
+    assert fam.rho_at(z, xi) == want
+    got = fam.rho_at_float({v: complex(z[v]) for v in z},
+                           {v: complex(xi[v]) for v in xi})
+    assert abs(got - complex(want)) <= 1e-9 * max(1.0, abs(complex(want)))
+
+
+@BOUNDED
+@given(family_points)
+def test_gradients_match_expansion(case):
+    """The conjugate gradient of transversality, and both gradient blocks
+    of the regular-locus check (the z block by the swap of the psi sum)."""
+    spec, z, xi = case
+    fam = _family(spec)
+    assert fam.xi_gradient(z, xi) == xi_gradient_expanded(fam, z, xi)
+    assert fam.xi_gradient(xi, z) == z_gradient_expanded(fam, z, xi)
+
+
+@BOUNDED
+@given(family_points)
+def test_specialize_conjugate_matches_expansion(case):
+    spec, _, xi = case
+    fam = _family(spec)
+    assert specialize_conjugate(fam, xi) == specialize_expanded(fam, xi)
+
+
+@BOUNDED
+@given(st.sampled_from(FAMILY_SPECS), st.integers(0, 10 ** 6))
+def test_sampled_points_match_expansion(spec, seed):
+    """Sampled points lie on the expanded family; for types I-III the slot
+    solve equals the one read off the expansion."""
+    fam = _family(spec)
+    z, xi = sample_on_family(fam, rng_from_seed(seed))
+    assert rho_at_expanded(fam, z, xi).is_zero()
+    if fam.space.desc.kind in ("typeI", "typeII", "typeIII"):
+        A, B = slot_coefficients_expanded(fam, z, xi)
+        assert xi[fam.space.distinguished] == -(B / A)

@@ -186,3 +186,40 @@ def test_cli_map_with_vanishing_denominator(tmp_path, capsys, disc):
                  "--maps", str(path), "--seed", "2"])
     assert code == 2
     assert "denominator" in capsys.readouterr().err
+
+
+def test_cli_exit_codes(capsys, monkeypatch):
+    """0 pass, 1 check failure, 2 usage error, 3 internal error."""
+    from hermsym.gauss import GaussRational
+    from hermsym.segre import SegreFamily
+    assert main(["hyp2", "--space", "typeIV:3", "--seed", "7"]) == 0
+    assert main(["einstein", "--space", "typeIV:3", "--seed", "7",
+                 "--einstein-tol", "0"]) == 1
+    assert main(["hyp2", "--space", "typeIV:3"]) == 2
+    capsys.readouterr()
+    # an internal invariant breaks: no point lies on the family any more
+    monkeypatch.setattr(SegreFamily, "rho_at",
+                        lambda self, z, xi: GaussRational(1))
+    assert main(["hyp1", "--space", "typeIV:3", "--seed", "7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert "special point is not on the family" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_commands_leave_rho_unexpanded(capsys, monkeypatch):
+    """hyp1, hyp2, metric and describe evaluate the family from psi and
+    never build its doubled-ring expansion."""
+    from hermsym.segre import SegreFamily
+
+    def refuse(self):
+        raise AssertionError("the expanded family polynomial was read")
+
+    monkeypatch.setattr(SegreFamily, "rho", property(refuse))
+    for argv in (["hyp1", "--space", "typeI:2,2", "--seed", "7"],
+                 ["hyp2", "--space", "e16", "--seed", "7"],
+                 ["metric", "--space", "typeIII:2", "--seed", "7"],
+                 ["describe", "--space", "typeII:4", "--seed", "7"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()

@@ -273,3 +273,32 @@ def test_concurrent_metric_sampling(families):
     with cf.ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(lambda p: kahler_metric(fam, p).volume_density, pts))
     assert serial == parallel
+
+
+def test_family_caches_built_once_under_contention():
+    """Concurrent first reads of a fresh family's lazy caches share one
+    build: every thread sees the same expansion and the same engine."""
+    import sys
+    import threading
+    from hermsym.segre import SegreFamily
+    fam = SegreFamily(build_space("typeI:2,3"))
+    seen = []
+    start = threading.Barrier(8)
+
+    def read():
+        start.wait(timeout=60)
+        seen.append((fam.rho, fam.engine("invariant")))
+
+    threads = [threading.Thread(target=read) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8
+    assert all(r is seen[0][0] and e is seen[0][1] for r, e in seen)

@@ -27,8 +27,8 @@ from .rigidity import (degeneracy_relation, find_nondegeneracy_witness,
                        trial_division_modp, isometry_pullback_check,
                        volume_equation_check)
 from .sampling import random_gauss_point, rng_from_seed, random_small_gauss
-from .segre import einstein_fit, ricci_residual, SegreFamily
-from .spaces import (build_space, cell_matrix_point, pfaffian)
+from .segre import det_model_holds, einstein_fit, ricci_residual, SegreFamily
+from .spaces import build_space, pfaffian
 
 DEFAULT_SEED = 1729
 LOOSE_FLOAT_BOUND = 1e-4    # residuals below this are tolerance failures, not logic
@@ -83,17 +83,7 @@ def check_embedding_identity(seed: int = DEFAULT_SEED,
         space = fam.space
         for _ in range(points):
             z = random_gauss_point(rng, space.vars, small=True)
-            zbar = {v: z[v].conj() for v in space.vars}
-            lhs = fam.rho_at(z, zbar)
-            Z = cell_matrix_point(space, z)
-            rows = len(Z)
-            cols = len(Z[0])
-            M = [[(GaussRational(1 if i == j else 0)
-                   + sum((Z[i][k] * Z[j][k].conj() for k in range(cols)),
-                         GaussRational(0)))
-                  for j in range(rows)] for i in range(rows)]
-            rhs = det_exact(M)
-            if not (lhs - rhs).is_zero():
+            if not det_model_holds(fam, z, {v: z[v].conj() for v in space.vars}):
                 bad.append(spec)
                 break
     elapsed = time.perf_counter() - t0
@@ -144,14 +134,7 @@ def check_pfaffian_suite(seed: int = DEFAULT_SEED,
         for _ in range(10):
             z = random_gauss_point(rng, space.vars, small=True)
             xi = random_gauss_point(rng, space.vars, small=True)
-            rho = fam.rho_at(z, xi)
-            Z = cell_matrix_point(space, z)
-            X = cell_matrix_point(space, xi)
-            M = [[(GaussRational(1 if i == j else 0)
-                   + sum((Z[i][k] * X[j][k] for k in range(n)), GaussRational(0)))
-                  for j in range(n)] for i in range(n)]
-            det = det_exact(M)
-            if not (rho * rho - det).is_zero():
+            if not det_model_holds(fam, z, xi):
                 return CriterionResult(
                     "pfaffian_suite", False,
                     f"rho^2 != det(I+Z Xi^t) at n={n}", time.perf_counter() - t0,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Dict, Optional
@@ -27,9 +28,9 @@ from .rigidity import (find_nondegeneracy_witness, flattening_jacobian,
                        isometry_pullback_check, jet_rank, support_claims,
                        transversality_rank, transversality_recipe,
                        volume_equation_check)
-from .sampling import rng_from_seed, random_complex_ball
-from .segre import (SegreFamily, build_rho, einstein_fit, kahler_metric,
-                    rho_swap_symmetric, sample_on_family)
+from .sampling import random_complex_ball, random_gauss_point, rng_from_seed
+from .segre import (SegreFamily, build_rho, det_model_holds, einstein_fit,
+                    kahler_metric, rho_swap_symmetric, sample_on_family)
 from .spaces import build_space, space_to_json
 
 
@@ -188,26 +189,16 @@ def cmd_metric(args):
 
 
 def _det_pairing_check(fam, seed):
-    """For the (symplectic) Grassmannians: rho(z, zbar) equals the exact
-    determinant det(I + Z conj(Z)^t) at random rational points.  None for
-    the other families (no determinant model)."""
-    from .linalg import det_exact
-    from .sampling import random_gauss_point
-    from .spaces import cell_matrix_point
+    """rho(z, zbar) equals the exact determinant det(I + Z conj(Z)^t) at
+    random rational points.  None for the families without that model; the
+    squared Pfaffian model is a selftest criterion."""
     space = fam.space
-    if space.desc.kind not in ("typeI", "typeIII"):
+    if space.kind.det_power != 1:
         return None
-    rng = rng_from_seed(0 if seed is None else seed)
+    rng = rng_from_seed(seed)
     for _ in range(5):
         z = random_gauss_point(rng, space.vars, small=True)
-        zbar = {v: z[v].conj() for v in space.vars}
-        Z = cell_matrix_point(space, z)
-        rows, cols = len(Z), len(Z[0])
-        M = [[(GaussRational(1 if i == j else 0)
-               + sum((Z[i][k] * Z[j][k].conj() for k in range(cols)),
-                     GaussRational(0)))
-              for j in range(rows)] for i in range(rows)]
-        if not (fam.rho_at(z, zbar) - det_exact(M)).is_zero():
+        if not det_model_holds(fam, z, {v: z[v].conj() for v in space.vars}):
             return False
     return True
 
@@ -302,7 +293,7 @@ def cmd_hyp3(args):
     ok = all(facts.values())
     oracle = None
     evidence = "support-only"
-    if space.desc.kind in ("typeI", "typeII", "typeIII", "typeIV"):
+    if space.kind.oracle:
         xi = generic_conjugate_point(fam, seed)
         res = irreducibility_oracle(fam, xi, prime=args.prime,
                                     budget=args.oracle_budget)
@@ -390,6 +381,24 @@ def cmd_selftest(args):
 
 # ---------------------------------------------------------------------------
 
+def _at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+def _prime(text: str) -> int:
+    """argparse type: a prime; the oracle's modular arithmetic needs a field."""
+    p = int(text)
+    if p < 2 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+        raise argparse.ArgumentTypeError(f"must be a prime, got {p}")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hermsym",
@@ -416,28 +425,28 @@ def build_parser() -> argparse.ArgumentParser:
     add("rho", cmd_rho, seed=False,
         help="emit the Segre family polynomial as exact JSON")
     p = add("metric", cmd_metric, help="sample the pullback metric and volume density")
-    p.add_argument("--points", type=int, default=5)
+    p.add_argument("--points", type=_at_least(1), default=5)
     p = add("einstein", cmd_einstein,
             help="fit the integer exponent of the volume density")
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_at_least(2), default=50)
     p = add("hyp1", cmd_hyp1,
             help="jet ranks and the nondegeneracy witness search")
-    p.add_argument("--max-order", dest="max_order", type=int, default=None)
+    p.add_argument("--max-order", dest="max_order", type=_at_least(0), default=None)
     p.add_argument("--budget", type=int, default=20000)
     add("hyp2", cmd_hyp2,
         help="transversality rank and the flattening Jacobian seed")
     p = add("hyp3", cmd_hyp3,
             help="monomial-support facts and the irreducibility oracle")
-    p.add_argument("--prime", type=int, default=5)
+    p.add_argument("--prime", type=_prime, default=5)
     p.add_argument("--oracle-budget", dest="oracle_budget", type=int, default=10 ** 7)
     p = add("volume-check", cmd_volume_check,
             help="residual of the volume-preserving equation for a map tuple")
     p.add_argument("--maps", required=True)
-    p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--samples", type=_at_least(1), default=25)
     p = add("isometry-check", cmd_isometry_check,
             help="metric pullback deviation for a map tuple")
     p.add_argument("--maps", required=True)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_at_least(1), default=20)
     add("selftest", cmd_selftest, space=False,
         help="run the full acceptance matrix")
     return ap
@@ -457,7 +466,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
+    except Exception as exc:  # a check failure is a report, never an exception
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if args.output == "table":

@@ -23,7 +23,7 @@ from .gauss import GaussRational, ONE, ZERO
 from .linalg import det_exact
 from .poly import Polynomial, PolyRing
 from .sampling import random_complex_ball, random_gauss_point, rng_from_seed
-from .spaces import Space, sym_det
+from .spaces import Space, cell_matrix_point, sym_det
 
 
 def conj_name(v: str) -> str:
@@ -188,17 +188,13 @@ def invariant_weights(space: Space) -> np.ndarray:
 
     The minor and Pfaffian pairings of the classical types are already
     invariant (weight 1 throughout; the symplectic raw pairing duplicates
-    off-diagonal minors, which is exactly its doubling).  The two
-    exceptional cells are printed with unit coefficients, so the invariant
-    trace form doubles their matrix-off-diagonal blocks; only this weighted
-    pairing is Kahler-Einstein (the exponent fits land exactly on the Fano
-    indices 12 and 18)."""
-    kind = space.desc.kind
-    if kind == "e16":
-        return np.array([2.0] * 16 + [2.0] * 8 + [1.0] * 2)
-    if kind == "e27":
-        return np.array([1.0] * 3 + [2.0] * 24 + [1.0] * 3 + [2.0] * 24 + [1.0])
-    return np.ones(len(space.pairing_psi))
+    off-diagonal minors, which is exactly its doubling).  Only the weighted
+    pairing of the two exceptional cells is Kahler-Einstein (the exponent
+    fits land exactly on the Fano indices 12 and 18)."""
+    weights = space.kind.weights
+    if weights is None:
+        return np.ones(len(space.pairing_psi))
+    return np.array(weights)
 
 
 class _MetricEngine:
@@ -347,74 +343,129 @@ def hyperplane_mu(n_minus_1: int):
     return mu
 
 
+def check_mu(mu: Sequence[GaussRational], width: int) -> None:
+    """Refuse a hyperplane direction mu of the wrong length, or one with
+    sum(mu^2) + 1 != 0."""
+    total = ONE
+    for m in mu:
+        total = total + m * m
+    if not total.is_zero():
+        raise ValueError("mu must satisfy sum(mu^2) + 1 = 0 exactly")
+    if len(mu) != width:
+        raise ValueError(f"mu length must be {width}")
+
+
+def null_block(space: Space) -> Optional[Tuple[str, ...]]:
+    """The variables carrying the null hyperplane direction of a null kind,
+    ending at the distinguished one; None for a slot kind."""
+    prefix = space.kind.null_prefix
+    if prefix is None:
+        return None
+    return tuple(v for v in space.vars if v.startswith(prefix))
+
+
+def solve_null_direction(mu: Sequence[GaussRational],
+                         base: Sequence[GaussRational]) -> List[GaussRational]:
+    """Solve for xi with 1 + <base, xi> = 0, sum(xi^2) = 0, xi_j = mu_j xi_last.
+
+    Both defining identities are re-verified exactly before returning; a
+    base point on which the hyperplane denominator vanishes raises
+    ZeroDivisionError."""
+    mu = [GaussRational.coerce(m) for m in mu]
+    base = [GaussRational.coerce(b) for b in base]
+    check_mu(mu, len(base) - 1)
+    den = base[-1]
+    for m, b in zip(mu, base):
+        den = den + m * b
+    if den.is_zero():
+        raise ZeroDivisionError("hyperplane denominator vanishes at base point")
+    xin = GaussRational(-1) / den
+    xi = [m * xin for m in mu] + [xin]
+    total = ONE
+    square = ZERO
+    for b, x in zip(base, xi):
+        total = total + b * x
+        square = square + x * x
+    if not total.is_zero() or not square.is_zero():
+        raise ArithmeticError("null direction identities failed; internal error")
+    return xi
+
+
+def special_point(space: Space, rng) -> Tuple[Dict, Dict, Optional[List[GaussRational]]]:
+    """A random rational z0 and its incidence point xi0, rho(z0, xi0) = 0.
+
+    A slot kind sets xi0[d] = -1/z0[d] at the distinguished slot d; a null
+    kind takes the null direction through the hyperplane mu of its block.
+    Returns (z0, xi0, mu), with mu None for a slot kind."""
+    block = null_block(space)
+    mu = None if block is None else hyperplane_mu(len(block) - 1)
+    for _ in range(64):
+        z0 = random_gauss_point(rng, space.vars, small=True)
+        xi0 = {v: ZERO for v in space.vars}
+        if block is None:
+            d = space.distinguished
+            if z0[d].is_zero():
+                continue
+            xi0[d] = GaussRational(-1) / z0[d]
+        else:
+            try:
+                xi0.update(zip(block, solve_null_direction(mu, [z0[v] for v in block])))
+            except ZeroDivisionError:
+                continue
+        return z0, xi0, mu
+    raise ArithmeticError("could not construct a special point")
+
+
 def sample_on_family(fam: SegreFamily, rng) -> Tuple[Dict, Dict]:
     """A random exact rational point (z, xi) with rho(z, xi) = 0.
 
-    Types I/II/III solve the distinguished conjugate slot (rho is linear in
-    it); the quadric and the 16-dimensional exceptional space use the null
-    direction trick; the 27-dimensional space uses its distinguished-slot
-    incidence point."""
+    A slot-solve kind draws z and xi and solves the distinguished conjugate
+    slot (rho is linear in it); the other kinds take ``special_point``."""
     space = fam.space
-    kind = space.desc.kind
+    if not space.kind.slot_solve:
+        z, xi, _ = special_point(space, rng)
+        return z, xi
+    dist = space.distinguished
     for _ in range(64):
         z = random_gauss_point(rng, space.vars, small=True)
-        if kind in ("typeI", "typeII", "typeIII"):
-            xi = random_gauss_point(rng, space.vars, small=True)
-            dist = space.distinguished
-            # rho(z, xi) = A * xi_dist + B exactly: every psi_j is linear in
-            # the distinguished slot, psi_j(xi) = b_j + a_j * xi_dist
-            at0, at1 = dict(xi), dict(xi)
-            at0[dist], at1[dist] = ZERO, ONE
-            A, B = ZERO, ONE
-            for p in space.pairing_psi:
-                if p.degree_in((dist,)) > 1:
-                    raise ArithmeticError("distinguished slot not linear")
-                b = p.evaluate(at0)
-                a = p.evaluate(at1) - b
-                if a.is_zero() and b.is_zero():
-                    continue
-                pz = p.evaluate(z)
-                A = A + pz * a
-                B = B + pz * b
-            if A.is_zero():
+        xi = random_gauss_point(rng, space.vars, small=True)
+        # rho(z, xi) = A * xi_dist + B exactly: every psi_j is linear in
+        # the distinguished slot, psi_j(xi) = b_j + a_j * xi_dist
+        at0, at1 = dict(xi), dict(xi)
+        at0[dist], at1[dist] = ZERO, ONE
+        A, B = ZERO, ONE
+        for p in space.pairing_psi:
+            if p.degree_in((dist,)) > 1:
+                raise ArithmeticError("distinguished slot not linear")
+            b = p.evaluate(at0)
+            a = p.evaluate(at1) - b
+            if a.is_zero() and b.is_zero():
                 continue
-            xi[dist] = -(B / A)
-            return z, xi
-        if kind == "typeIV":
-            n = space.n
-            mu = hyperplane_mu(n - 1)
-            den = GaussRational(0)
-            for k in range(n - 1):
-                den = den + mu[k] * z[f"z{k + 1}"]
-            den = den + z[f"z{n}"]
-            if den.is_zero():
-                continue
-            xin = GaussRational(-1) / den
-            xi = {f"z{k + 1}": mu[k] * xin for k in range(n - 1)}
-            xi[f"z{n}"] = xin
-            return z, xi
-        if kind == "e16":
-            mu = hyperplane_mu(7)
-            den = GaussRational(0)
-            for k in range(7):
-                den = den + mu[k] * z[f"y{k}"]
-            den = den + z["y7"]
-            if den.is_zero():
-                continue
-            xi7 = GaussRational(-1) / den
-            xi = {f"x{k}": GaussRational(0) for k in range(8)}
-            for k in range(7):
-                xi[f"y{k}"] = mu[k] * xi7
-            xi["y7"] = xi7
-            return z, xi
-        if kind == "e27":
-            if z["x3"].is_zero():
-                continue
-            xi = {v: GaussRational(0) for v in space.vars}
-            xi["x3"] = GaussRational(-1) / z["x3"]
-            return z, xi
-        raise ValueError(f"unknown kind {kind}")
+            pz = p.evaluate(z)
+            A = A + pz * a
+            B = B + pz * b
+        if A.is_zero():
+            continue
+        xi[dist] = -(B / A)
+        return z, xi
     raise ArithmeticError("could not sample a family point (degenerate draws)")
+
+
+def det_model_holds(fam: SegreFamily, z: Dict, xi: Dict) -> bool:
+    """Exact check of the determinant model rho(z, xi)^k = det(I + Z Xi^t),
+    Z and Xi the cell matrices of z and xi and k the kind's power."""
+    space = fam.space
+    Z = cell_matrix_point(space, z)
+    X = cell_matrix_point(space, xi)
+    rows, cols = len(Z), len(Z[0])
+    M = [[(ONE if i == j else ZERO)
+          + sum((Z[i][k] * X[j][k] for k in range(cols)), ZERO)
+          for j in range(rows)] for i in range(rows)]
+    rho = fam.rho_at(z, xi)
+    power = ONE
+    for _ in range(space.kind.det_power):
+        power = power * rho
+    return (power - det_exact(M)).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,13 @@ selected per degree; the orthonormalized float tail that turns that basis
 into an honest Euclidean-coordinate embedding is kept in
 ``symplectic_tail`` (its coefficients are irrational, so only numeric
 checks consume it).
+
+The table ``KINDS`` at the end of the module is the one place that tells
+the six families apart: each ``Kind`` record holds the parameter check and
+builder of a family, its incidence style, sampler, jet order bound,
+invariant weights, cell matrix layout, determinant model, transversal
+pencil and monomial-support laws.  Code elsewhere reads the record of a
+space (``Space.kind``) and never its kind name.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,32 +35,20 @@ from .gauss import GaussRational
 from .linalg import RankTracker
 from .octonion import (M16_VARS, M27_VARS, cayley_plane_forms, freudenthal_forms)
 from .poly import Polynomial, PolyRing
+from .sampling import random_small_gauss
 
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
-    kind: str                 # typeI | typeII | typeIII | typeIV | e16 | e27
+    kind: str                 # a key of KINDS
     params: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        k, p = self.kind, self.params
-        if k == "typeI":
-            if len(p) != 2 or not (1 <= p[0] <= p[1]):
-                raise ValueError("typeI needs 1 <= p <= q")
-        elif k == "typeII":
-            if len(p) != 1 or p[0] < 2:
-                raise ValueError("typeII needs n >= 2 (first Pfaffian block at n=4)")
-        elif k == "typeIII":
-            if len(p) != 1 or p[0] < 2:
-                raise ValueError("typeIII needs n >= 2")
-        elif k == "typeIV":
-            if len(p) != 1 or p[0] < 3:
-                raise ValueError("typeIV needs n >= 3 (irreducible quadric)")
-        elif k in ("e16", "e27"):
-            if p:
-                raise ValueError(f"{k} takes no parameters")
-        else:
-            raise ValueError(f"unknown space kind {k!r}")
+        kind = KINDS.get(self.kind)
+        if kind is None:
+            raise ValueError(f"unknown space kind {self.kind!r}")
+        if not kind.valid(self.params):
+            raise ValueError(kind.needs)
 
     def label(self) -> str:
         if self.params:
@@ -96,6 +92,11 @@ class Space:
     @property
     def vars(self) -> Tuple[str, ...]:
         return self.ring.vars
+
+    @property
+    def kind(self) -> "Kind":
+        """The record of the family this space belongs to."""
+        return KINDS[self.desc.kind]
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +195,47 @@ def _pf_recursive(matrix, idx: List[int], ring: PolyRing) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# type I: Grassmannians G(p, q), full minor enumeration
+# cell matrix layouts: (i, j) -> (variable, sign), or None for a zero entry
 # ---------------------------------------------------------------------------
 
-def _type1_vars(p: int, q: int) -> Tuple[str, ...]:
-    return tuple(f"z{i}_{j}" for i in range(1, p + 1) for j in range(1, q + 1))
+def _plain_entry(i: int, j: int):
+    return f"z{i}_{j}", 1
+
+
+def _antisym_entry(i: int, j: int):
+    if i == j:
+        return None
+    return (f"z{i}_{j}", 1) if i < j else (f"z{j}_{i}", -1)
+
+
+def _sym_entry(i: int, j: int):
+    return f"z{min(i, j)}_{max(i, j)}", 1
+
+
+def _fill_matrix(entry, rows: int, cols: int, lookup, zero) -> list:
+    """The rows x cols matrix of a layout, each variable read by ``lookup``."""
+    def value(i, j):
+        e = entry(i, j)
+        if e is None:
+            return zero
+        v = lookup(e[0])
+        return v if e[1] > 0 else -v
+    return [[value(i, j) for j in range(1, cols + 1)] for i in range(1, rows + 1)]
+
+
+def _symbolic_cell(entry, rows: int, cols: int):
+    """The cell ring of a layout (variables in row-major order of first
+    appearance) and its symbolic matrix as an entry function (i, j)."""
+    names = [e[0] for i in range(1, rows + 1) for j in range(1, cols + 1)
+             if (e := entry(i, j)) is not None]
+    ring = PolyRing(tuple(dict.fromkeys(names)))
+    M = _fill_matrix(entry, rows, cols, ring.var, ring.zero())
+    return ring, lambda i, j: M[i - 1][j - 1]
+
+
+# ---------------------------------------------------------------------------
+# type I: Grassmannians G(p, q), full minor enumeration
+# ---------------------------------------------------------------------------
 
 def minor_index_sets(p: int, q: int):
     """(k, rows, cols) triples in lexicographic order, k = 1..p."""
@@ -215,8 +252,7 @@ def matrix_minor(entry, rows, cols) -> Polynomial:
 
 def build_type1(p: int, q: int) -> Space:
     desc = SpaceDescriptor("typeI", (p, q))
-    ring = PolyRing(_type1_vars(p, q))
-    entry = lambda i, j: ring.var(f"z{i}_{j}")
+    ring, entry = _symbolic_cell(_plain_entry, p, q)
     psi = [matrix_minor(entry, rows, cols) for _, rows, cols in minor_index_sets(p, q)]
     return Space(desc, p * q, len(psi), ring, tuple(psi), tuple(psi),
                  distinguished=f"z{p}_{q}")
@@ -226,24 +262,9 @@ def build_type1(p: int, q: int) -> Space:
 # type II: orthogonal Grassmannians, Pfaffian coordinates
 # ---------------------------------------------------------------------------
 
-def _type2_vars(n: int) -> Tuple[str, ...]:
-    return tuple(f"z{i}_{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1))
-
-
-def antisym_matrix(ring: PolyRing, n: int, name: str = "z"):
-    def entry(i, j):
-        if i == j:
-            return ring.zero()
-        if i < j:
-            return ring.var(f"{name}{i}_{j}")
-        return -ring.var(f"{name}{j}_{i}")
-    return entry
-
-
 def build_type2(n: int) -> Space:
     desc = SpaceDescriptor("typeII", (n,))
-    ring = PolyRing(_type2_vars(n))
-    entry = antisym_matrix(ring, n)
+    ring, entry = _symbolic_cell(_antisym_entry, n, n)
     psi = []
     for k in range(2, n + 1, 2):
         for sigma in itertools.combinations(range(1, n + 1), k):
@@ -263,26 +284,13 @@ def build_type2(n: int) -> Space:
 # type III: symplectic Grassmannians, two-layer minor system
 # ---------------------------------------------------------------------------
 
-def _type3_vars(n: int) -> Tuple[str, ...]:
-    return tuple(f"z{i}_{j}" for i in range(1, n + 1) for j in range(i, n + 1))
-
-
-def sym_matrix_entry(ring: PolyRing, name: str = "z"):
-    def entry(i, j):
-        if i <= j:
-            return ring.var(f"{name}{i}_{j}")
-        return ring.var(f"{name}{j}_{i}")
-    return entry
-
-
 def _poly_coeff_row(p: Polynomial, monomials: List) -> List[GaussRational]:
     return [p.coeff(e) for e in monomials]
 
 
 def build_type3(n: int, tail_tol: float = 1e-9) -> Space:
     desc = SpaceDescriptor("typeIII", (n,))
-    ring = PolyRing(_type3_vars(n))
-    entry = sym_matrix_entry(ring)
+    ring, entry = _symbolic_cell(_sym_entry, n, n)
 
     raw: List[Polynomial] = []       # layer (a): all minors, redundant
     raw_by_degree: Dict[int, List[Polynomial]] = {}
@@ -381,20 +389,10 @@ def build_e27() -> Space:
     return Space(desc, 27, 55, ring, psi, psi, distinguished="x3")
 
 
-_BUILDERS = {
-    "typeI": lambda p: build_type1(*p),
-    "typeII": lambda p: build_type2(*p),
-    "typeIII": lambda p: build_type3(*p),
-    "typeIV": lambda p: build_type4(*p),
-    "e16": lambda p: build_e16(),
-    "e27": lambda p: build_e27(),
-}
-
-
 def build_space(desc: SpaceDescriptor | str) -> Space:
     if isinstance(desc, str):
         desc = parse_space_spec(desc)
-    return _BUILDERS[desc.kind](desc.params)
+    return KINDS[desc.kind].build(*desc.params)
 
 
 def space_to_json(space: Space) -> dict:
@@ -411,28 +409,411 @@ def space_to_json(space: Space) -> dict:
 
 
 def cell_matrix_point(space: Space, values: Dict[str, GaussRational]):
-    """Assemble the matrix (or vector) of a cell point from named values."""
-    kind = space.desc.kind
-    if kind == "typeI":
-        p, q = space.desc.params
-        return [[values[f"z{i}_{j}"] for j in range(1, q + 1)] for i in range(1, p + 1)]
-    if kind == "typeII":
-        n = space.desc.params[0]
-        z = GaussRational(0)
-        out = [[z for _ in range(n)] for _ in range(n)]
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                v = GaussRational.coerce(values[f"z{i}_{j}"])
-                out[i - 1][j - 1] = v
-                out[j - 1][i - 1] = -v
-        return out
-    if kind == "typeIII":
-        n = space.desc.params[0]
-        out = [[None] * n for _ in range(n)]
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                v = GaussRational.coerce(values[f"z{i}_{j}"])
-                out[i - 1][j - 1] = v
-                out[j - 1][i - 1] = v
-        return out
-    return [values[v] for v in space.vars]
+    """Assemble the matrix (or, for a kind without a layout, the vector) of
+    a cell point from named values."""
+    entry = space.kind.entry
+    if entry is None:
+        return [values[v] for v in space.vars]
+    params = space.desc.params
+    return _fill_matrix(entry, params[0], params[-1],
+                        lambda v: GaussRational.coerce(values[v]), GaussRational(0))
+
+
+# ---------------------------------------------------------------------------
+# transversal Segre pencils: (space, rng) -> (xi0, z0, z1)
+# ---------------------------------------------------------------------------
+
+def _zero_point(space: Space) -> Dict[str, GaussRational]:
+    return {v: GaussRational(0) for v in space.vars}
+
+
+def _slot_pencil(a: str, b: str, space: Space, rng):
+    """xi0 = e_a; z0 random with z0[a] = -1; z1 = z0 moved by 1/3 along b."""
+    xi0 = _zero_point(space)
+    xi0[a] = GaussRational(1)
+    z0 = {v: random_small_gauss(rng) for v in space.vars}
+    z0[a] = GaussRational(-1)
+    z1 = dict(z0)
+    z1[b] = z0[b] + GaussRational(1, 3)
+    return xi0, z0, z1
+
+
+def _quadric_pencil(space: Space, rng):
+    xi0 = _zero_point(space)
+    xi0["z1"] = GaussRational(1)
+    i = GaussRational.i()
+    a = random_small_gauss(rng)
+    b = a + GaussRational(1, 5)
+    z0 = _zero_point(space)
+    z0["z1"] = a
+    z0["z2"] = i * (a + 2)
+    z1 = _zero_point(space)
+    z1["z1"] = b
+    z1["z2"] = -(i * (b + 2))
+    return xi0, z0, z1
+
+
+def _cayley_plane_pencil(space: Space, rng):
+    xi0 = _zero_point(space)
+    xi0["x0"] = GaussRational(1)
+
+    def conic_point(t: Fraction, sign: int):
+        # rational points on s^2 = x0^2 + x0 + 1 via lines through (0, 1)
+        x0 = GaussRational(Fraction(1 - 2 * t, t * t - 1))
+        s = GaussRational(Fraction(-(t * t) + t - 1, t * t - 1))
+        z = {v: random_small_gauss(rng) for v in space.vars}
+        for k in range(8):
+            z[f"x{k}"] = GaussRational(0)
+        z["x0"] = x0
+        z["x1"] = GaussRational.i() * s * sign
+        return z
+    return xi0, conic_point(Fraction(2), 1), conic_point(Fraction(3), -1)
+
+
+# ---------------------------------------------------------------------------
+# monomial-support laws behind the irreducibility case analyses:
+# (space, groups) -> {fact: bool}, where groups maps each z-exponent tuple of
+# the family polynomial to its xi-coefficients {xi-exponent tuple: value}
+# ---------------------------------------------------------------------------
+
+def _pair_index(space: Space) -> Dict[str, Tuple[int, int]]:
+    out = {}
+    for v in space.vars:
+        i, j = v[1:].split("_")
+        out[v] = (int(i), int(j))
+    return out
+
+
+def _xi_neg(a: Dict) -> Dict:
+    return {e: -c for e, c in a.items()}
+
+
+def _grassmann_laws(space: Space, groups) -> Dict[str, bool]:
+    pairs = _pair_index(space)
+    ok_sq = ok_row = ok_col = True
+    for ze in groups:
+        used = [pairs[space.vars[i]] for i, k in enumerate(ze) if k]
+        if any(k > 1 for k in ze):
+            ok_sq = False
+        rows = [ij[0] for ij in used]
+        cols = [ij[1] for ij in used]
+        if len(rows) != len(set(rows)):
+            ok_row = False
+        if len(cols) != len(set(cols)):
+            ok_col = False
+    return {"no_squared_entry": ok_sq, "no_repeated_row": ok_row,
+            "no_repeated_column": ok_col}
+
+
+def _orthogonal_laws(space: Space, groups) -> Dict[str, bool]:
+    pairs = _pair_index(space)
+    ok_sq = ok_overlap = True
+    for ze in groups:
+        used = []
+        for i, k in enumerate(ze):
+            if k > 1:
+                ok_sq = False
+            if k:
+                used.append(set(pairs[space.vars[i]]))
+        for a in range(len(used)):
+            for b in range(a + 1, len(used)):
+                if used[a] & used[b]:
+                    ok_overlap = False
+    return {"no_squared_entry": ok_sq, "no_overlapping_index_pairs": ok_overlap}
+
+
+def _symplectic_laws(space: Space, groups) -> Dict[str, bool]:
+    vindex = {v: i for i, v in enumerate(space.vars)}
+    return symplectic_pairing_facts(space.desc.params[0], groups, vindex)
+
+
+def _quadric_laws(space: Space, groups) -> Dict[str, bool]:
+    vindex = {v: i for i, v in enumerate(space.vars)}
+    n = space.n
+    diag = None
+    ok_diag = ok_cross = True
+    for i in range(1, n + 1):
+        ze = [0] * n
+        ze[vindex[f"z{i}"]] = 2
+        cur = groups.get(tuple(ze), {})
+        if diag is None:
+            diag = cur
+        elif diag != cur:
+            ok_diag = False
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            ze = [0] * n
+            ze[vindex[f"z{i}"]] = 1
+            ze[vindex[f"z{j}"]] = 1
+            if groups.get(tuple(ze), {}):
+                ok_cross = False
+    return {"square_coefficients_equal": ok_diag, "no_mixed_quadratics": ok_cross}
+
+
+def _cayley_plane_laws(space: Space, groups) -> Dict[str, bool]:
+    vindex = {v: i for i, v in enumerate(space.vars)}
+    nvars = len(space.vars)
+
+    def ze_of(*items):
+        ze = [0] * nvars
+        for name, k in items:
+            ze[vindex[name]] += k
+        return tuple(ze)
+    okx = oky = True
+    for i in range(8):
+        for j in range(i + 1, 8):
+            if groups.get(ze_of((f"x{i}", 1), (f"x{j}", 1)), {}):
+                okx = False
+            if groups.get(ze_of((f"y{i}", 1), (f"y{j}", 1)), {}):
+                oky = False
+    bx = [groups.get(ze_of((f"x{i}", 2)), {}) for i in range(8)]
+    by = [groups.get(ze_of((f"y{i}", 2)), {}) for i in range(8)]
+    ok_pair = True
+    for i in range(8):
+        for j in range(8):
+            if i == j:
+                continue
+            a = groups.get(ze_of((f"x{i}", 1), (f"y{j}", 1)), {})
+            b = groups.get(ze_of((f"x{j}", 1), (f"y{i}", 1)), {})
+            if a != _xi_neg(b):
+                ok_pair = False
+    return {"no_x_cross_terms": okx, "no_y_cross_terms": oky,
+            "x_square_coefficients_equal": all(bx[0] == b for b in bx),
+            "y_square_coefficients_equal": all(by[0] == b for b in by),
+            "xy_antisymmetric_pairing": ok_pair}
+
+
+def _freudenthal_laws(space: Space, groups) -> Dict[str, bool]:
+    ok_xsq = True
+    div_x1x2 = set()
+    ok_x3t = ok_x3w = True
+    div_x3y0 = set()
+    div_t0w0 = set()
+    for ze in groups:
+        exp = {space.vars[i]: k for i, k in enumerate(ze) if k}
+        if any(exp.get(f"x{i}", 0) > 1 for i in (1, 2, 3)):
+            ok_xsq = False
+        if exp.get("x1") and exp.get("x2"):
+            div_x1x2.add(tuple(sorted(exp.items())))
+        if exp.get("x3"):
+            if any(exp.get(f"t{i}") for i in range(8)):
+                ok_x3t = False
+            if any(exp.get(f"w{i}") for i in range(8)):
+                ok_x3w = False
+        if exp.get("x3") and exp.get("y0"):
+            div_x3y0.add(tuple(sorted(exp.items())))
+        if exp.get("t0") and exp.get("w0"):
+            div_t0w0.add(tuple(sorted(exp.items())))
+    return {
+        "no_squared_diagonal": ok_xsq,
+        "x1x2_multiples": div_x1x2 <= {
+            (("x1", 1), ("x2", 1)), (("x1", 1), ("x2", 1), ("x3", 1))},
+        "no_x3_t_terms": ok_x3t,
+        "no_x3_w_terms": ok_x3w,
+        "x3y0_multiples": div_x3y0 <= {
+            (("x3", 1), ("y0", 1)), (("x3", 1), ("y0", 2))},
+        "t0w0_multiples": div_t0w0 <= {
+            (("t0", 1), ("w0", 1)), (("t0", 1), ("w0", 1), ("y0", 1))},
+    }
+
+
+def symplectic_pairing_facts(n: int, groups, vindex) -> Dict[str, bool]:
+    """The four paired-coefficient laws of the symmetric-minor expansions,
+    checked with xi-coefficients compared as exact polynomials."""
+
+    def vname(i, j):
+        return f"z{min(i, j)}_{max(i, j)}"
+
+    def add_var(ze, i, j, k=1):
+        ze = list(ze)
+        ze[vindex[vname(i, j)]] += k
+        return tuple(ze)
+
+    def get(ze):
+        return groups.get(tuple(ze), {})
+
+    def halves(d: Dict) -> Dict:
+        return {e: c * GaussRational(Fraction(1, 2)) for e, c in d.items()}
+
+    all_z = list(groups.keys())
+
+    ok_a = True
+    # law A: P = z_in z_nj Q vs Ptilde = z_ij z_nn Q, ratio -1 (or -1/2 when
+    # z_ij divides Q)
+    for i in range(1, n):
+        for j in range(1, n):
+            seen = set()
+            for ze in all_z:
+                for source in ("P", "T"):
+                    if source == "P":
+                        if not (ze[vindex[vname(i, n)]] and ze[vindex[vname(j, n)]]):
+                            continue
+                        if i == j and ze[vindex[vname(i, n)]] < 2:
+                            continue
+                        q = add_var(add_var(ze, i, n, -1), j, n, -1)
+                    else:
+                        if not (ze[vindex[vname(i, j)]] and ze[vindex[vname(n, n)]]):
+                            continue
+                        q = add_var(add_var(ze, i, j, -1), n, n, -1)
+                    if q in seen:
+                        continue
+                    seen.add(q)
+                    P = add_var(add_var(q, i, n), j, n)
+                    T = add_var(add_var(q, i, j), n, n)
+                    cp = get(P)
+                    ct = get(T)
+                    ratio_half = tuple(q)[vindex[vname(i, j)]] >= 1
+                    want = halves(cp) if ratio_half else cp
+                    if ct != _xi_neg(want):
+                        ok_a = False
+
+    ok_b = True
+    # law B: P = z_jn z_(n-1)(n-1) Q vs Ptilde = z_j(n-1) z_(n-1)n Q,
+    # ratio -1 (or -2 when z_jn divides Q)
+    for j in range(1, n - 1):
+        seen = set()
+        for ze in all_z:
+            for source in ("P", "T"):
+                if source == "P":
+                    if not (ze[vindex[vname(j, n)]] and ze[vindex[vname(n - 1, n - 1)]]):
+                        continue
+                    q = add_var(add_var(ze, j, n, -1), n - 1, n - 1, -1)
+                else:
+                    if not (ze[vindex[vname(j, n - 1)]] and ze[vindex[vname(n - 1, n)]]):
+                        continue
+                    q = add_var(add_var(ze, j, n - 1, -1), n - 1, n, -1)
+                if q in seen:
+                    continue
+                seen.add(q)
+                P = add_var(add_var(q, j, n), n - 1, n - 1)
+                T = add_var(add_var(q, j, n - 1), n - 1, n)
+                cp = get(P)
+                ct = get(T)
+                doubled = tuple(q)[vindex[vname(j, n)]] >= 1
+                want = {e: c + c for e, c in cp.items()} if doubled else cp
+                if ct != _xi_neg(want):
+                    ok_b = False
+
+    ok_c = True
+    # law C: P = z_i(n-1) z_in Q vs Ptilde = z_ii z_(n-1)n Q, ratio -1
+    # (or -1/2 when z_(n-1)n divides Q)
+    for i in range(1, n - 1):
+        seen = set()
+        for ze in all_z:
+            for source in ("P", "T"):
+                if source == "P":
+                    if not (ze[vindex[vname(i, n - 1)]] and ze[vindex[vname(i, n)]]):
+                        continue
+                    q = add_var(add_var(ze, i, n - 1, -1), i, n, -1)
+                else:
+                    if not (ze[vindex[vname(i, i)]] and ze[vindex[vname(n - 1, n)]]):
+                        continue
+                    q = add_var(add_var(ze, i, i, -1), n - 1, n, -1)
+                if q in seen:
+                    continue
+                seen.add(q)
+                P = add_var(add_var(q, i, n - 1), i, n)
+                T = add_var(add_var(q, i, i), n - 1, n)
+                cp = get(P)
+                ct = get(T)
+                ratio_half = tuple(q)[vindex[vname(n - 1, n)]] >= 1
+                want = halves(cp) if ratio_half else cp
+                if ct != _xi_neg(want):
+                    ok_c = False
+
+    ok_d = True
+    # mixed law: a present monomial z_ij z_(n-1)n Q forces the presence of
+    # z_i(n-1) z_jn Q or z_in z_j(n-1) Q.  (The literal two-sided coefficient
+    # claim -(c1+c2) fails on explicit 3x3 submatrices once n >= 4; the case
+    # analyses only ever use this presence implication, which does hold.)
+    for i in range(1, n - 1):
+        for j in range(1, n - 1):
+            if i == j:
+                continue
+            for ze in all_z:
+                if not (ze[vindex[vname(i, j)]] and ze[vindex[vname(n - 1, n)]]):
+                    continue
+                q = add_var(add_var(ze, i, j, -1), n - 1, n, -1)
+                P1 = add_var(add_var(q, i, n - 1), j, n)
+                P2 = add_var(add_var(q, i, n), j, n - 1)
+                if not get(P1) and not get(P2):
+                    ok_d = False
+
+    return {"pairing_law_corner": ok_a, "pairing_law_row": ok_b,
+            "pairing_law_diag": ok_c, "pairing_law_mixed": ok_d}
+
+
+# ---------------------------------------------------------------------------
+# the per-kind table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Kind:
+    """How one family of spaces differs from the others.
+
+    ``null_prefix`` is None for a slot kind, whose incidence point of z is
+    xi[d] = -1/z[d] at the distinguished slot d.  A null kind names the
+    prefix of the variables that carry its null hyperplane direction (the
+    block ends at the distinguished variable); the variables outside the
+    block carry plain derivative fields.  A ``slot_solve`` kind samples
+    family points by solving rho for the distinguished conjugate slot, in
+    which rho is linear; the other kinds sample incidence points."""
+    needs: str                               # the parameter requirement
+    valid: Callable[[Tuple[int, ...]], bool]
+    build: Callable[..., Space]
+    null_prefix: Optional[str]
+    slot_solve: bool
+    order_bound: Optional[int]               # witness jet order; None: 1 + N - n
+    weights: Optional[Tuple[float, ...]]     # invariant pairing weights; None: 1
+    entry: Optional[Callable]                # cell matrix layout; None: a vector
+    det_power: Optional[int]                 # rho^k = det(I + Z Xi^t); None: no model
+    oracle: bool                             # hyp3 runs the finite-field oracle
+    pencil: Callable                         # (space, rng) -> (xi0, z0, z1)
+    support_laws: Callable                   # (space, groups) -> {fact: bool}
+
+
+KINDS: Dict[str, Kind] = {
+    "typeI": Kind(
+        needs="typeI needs 1 <= p <= q",
+        valid=lambda p: len(p) == 2 and 1 <= p[0] <= p[1], build=build_type1,
+        null_prefix=None, slot_solve=True, order_bound=None, weights=None,
+        entry=_plain_entry, det_power=1, oracle=True,
+        pencil=partial(_slot_pencil, "z1_1", "z1_2"),
+        support_laws=_grassmann_laws),
+    "typeII": Kind(
+        needs="typeII needs n >= 2 (first Pfaffian block at n=4)",
+        valid=lambda p: len(p) == 1 and p[0] >= 2, build=build_type2,
+        null_prefix=None, slot_solve=True, order_bound=None, weights=None,
+        entry=_antisym_entry, det_power=2, oracle=True,
+        pencil=partial(_slot_pencil, "z1_2", "z1_3"),
+        support_laws=_orthogonal_laws),
+    "typeIII": Kind(
+        needs="typeIII needs n >= 2",
+        valid=lambda p: len(p) == 1 and p[0] >= 2, build=build_type3,
+        null_prefix=None, slot_solve=True, order_bound=None, weights=None,
+        entry=_sym_entry, det_power=1, oracle=True,
+        pencil=partial(_slot_pencil, "z1_1", "z1_2"),
+        support_laws=_symplectic_laws),
+    "typeIV": Kind(
+        needs="typeIV needs n >= 3 (irreducible quadric)",
+        valid=lambda p: len(p) == 1 and p[0] >= 3, build=build_type4,
+        null_prefix="z", slot_solve=False, order_bound=2, weights=None,
+        entry=None, det_power=None, oracle=True,
+        pencil=_quadric_pencil, support_laws=_quadric_laws),
+    # the exceptional cells are printed with unit coefficients; the
+    # invariant trace form doubles their matrix-off-diagonal blocks
+    "e16": Kind(
+        needs="e16 takes no parameters", valid=lambda p: not p, build=build_e16,
+        null_prefix="y", slot_solve=False, order_bound=11,
+        weights=(2.0,) * 24 + (1.0,) * 2,
+        entry=None, det_power=None, oracle=False,
+        pencil=_cayley_plane_pencil, support_laws=_cayley_plane_laws),
+    "e27": Kind(
+        needs="e27 takes no parameters", valid=lambda p: not p, build=build_e27,
+        null_prefix=None, slot_solve=False,
+        order_bound=29,  # the search budget limits the practical search
+        weights=(1.0,) * 3 + (2.0,) * 24 + (1.0,) * 3 + (2.0,) * 24 + (1.0,),
+        entry=None, det_power=None, oracle=False,
+        pencil=partial(_slot_pencil, "x1", "y0"),
+        support_laws=_freudenthal_laws),
+}

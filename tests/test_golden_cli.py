@@ -1,0 +1,34 @@
+"""Byte-level golden test of the command line.
+
+Each job runs ``hermsym.cli.main`` in process at seed 7 and compares the
+SHA-256 of its stdout and its exit code with ``golden_cli.json``.  The
+digests lock the reports (exact lambda values, witness multiindices, detail
+strings) against refactors of the internals.  ``hyp3 --space typeII:4`` is
+left out for its run time; the benchmark's ``certify`` golden covers it.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from hermsym.cli import main
+
+GOLDEN = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())
+
+
+def run_job(job: str):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(job.split())
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("job", sorted(GOLDEN))
+def test_cli_output_matches_golden(job, monkeypatch):
+    monkeypatch.delenv("HSS_SEED", raising=False)
+    code, digest = run_job(job)
+    assert (code, digest) == (GOLDEN[job]["exit"], GOLDEN[job]["sha256"])

@@ -206,6 +206,52 @@ def test_cli_exit_codes(capsys, monkeypatch):
     assert captured.err.startswith("internal error: ")
     assert "special point is not on the family" in captured.err
     assert captured.err.count("\n") == 1
+    # any other exception is an internal error too, never a check failure
+    monkeypatch.undo()
+    monkeypatch.setattr(SegreFamily, "xi_gradient",
+                        lambda self, z, xi: {}["missing"])
+    assert main(["hyp2", "--space", "typeIV:3", "--seed", "7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: KeyError: 'missing'\n"
+    # count flags out of range are usage errors
+    for argv in (["hyp1", "--space", "typeIV:3", "--seed", "1", "--max-order", "-1"],
+                 ["einstein", "--space", "typeIV:3", "--seed", "7", "--samples", "0"],
+                 ["einstein", "--space", "typeIV:3", "--seed", "7", "--samples", "1"],
+                 ["metric", "--space", "typeIV:3", "--seed", "7", "--points", "-1"],
+                 ["metric", "--space", "typeIV:3", "--seed", "7", "--points", "0"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be >= " in captured.err, argv
+
+
+def test_hyp2_refuses_one_dimensional_cells(capsys):
+    """A rank-2 pencil needs two cell coordinates."""
+    for space in ("typeI:1,1", "typeII:2"):
+        assert main(["hyp2", "--space", space, "--seed", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dimension >= 2" in captured.err
+
+
+def test_hyp3_refuses_non_prime(capsys):
+    """Modulo a composite the oracle meets zero divisors: refused up front."""
+    for prime in ("15", "21", "6", "1", "0"):
+        assert main(["hyp3", "--space", "typeIV:3", "--seed", "7",
+                     "--prime", prime]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be a prime" in captured.err
+
+
+def test_cli_refuses_zero_map_samples(capsys, tmp_path, disc):
+    """A map check over zero samples would pass vacuously."""
+    path = tmp_path / "maps.json"
+    path.write_text(json.dumps(identity_payload(disc)))
+    for command in ("volume-check", "isometry-check"):
+        assert main([command, "--space", "typeI:1,1", "--maps", str(path),
+                     "--seed", "7", "--samples", "0"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_commands_leave_rho_unexpanded(capsys, monkeypatch):

@@ -18,12 +18,12 @@ from hermsym.rigidity import (FlatteningSeedError, LambdaUndefinedError,
                               irreducibility_oracle, isometry_pullback_check,
                               jet_rank, lambda_determinant,
                               rank_monotonicity_probe, segre_frame,
-                              solve_null_direction, special_point,
+                              special_point,
                               support_claims, tangent_apply,
                               transversality_rank, transversality_recipe,
                               trial_division_modp, volume_equation_check)
 from hermsym.sampling import rng_from_seed
-from hermsym.segre import build_rho, hyperplane_mu
+from hermsym.segre import build_rho, hyperplane_mu, solve_null_direction
 from hermsym.spaces import build_space
 
 DESK = ["typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]
@@ -272,15 +272,15 @@ def test_flattening_jacobian(families):
 
 def test_solve_null_direction():
     mu = [G.i(), G(0)]
-    xi = solve_null_direction("typeIV", mu, [G(0), G(0), G(1)])
+    xi = solve_null_direction(mu, [G(0), G(0), G(1)])
     total = G(1) + xi[2]
     assert total.is_zero()
     assert sum((x * x for x in xi), G(0)).is_zero()
     with pytest.raises(ZeroDivisionError):
-        solve_null_direction("typeIV", mu, [G(1), G(0), G(0, -1)])
+        solve_null_direction(mu, [G(1), G(0), G(0, -1)])
     mu8 = [G.i()] + [G(0)] * 6
     base = [G(1)] + [G(0)] * 6 + [G(2)]
-    xi = solve_null_direction("e16", mu8, base)
+    xi = solve_null_direction(mu8, base)
     assert len(xi) == 8
     assert sum((x * x for x in xi), G(0)).is_zero()
     s = G(1)
@@ -288,7 +288,7 @@ def test_solve_null_direction():
         s = s + b * x
     assert s.is_zero()
     with pytest.raises(ValueError, match="mu"):
-        solve_null_direction("typeIV", [G(1), G(0)], [G(0), G(0), G(1)])
+        solve_null_direction([G(1), G(0)], [G(0), G(0), G(1)])
 
 
 # -- support facts and the oracle ---------------------------------------------
@@ -458,15 +458,13 @@ def test_symplectic_pairing_laws_per_minor():
     """The paired-coefficient laws hold for each individual minor and each
     independent basis element, not just their aggregation; n=4 exercises
     the mixed law non-vacuously."""
-    from hermsym.rigidity import symplectic_pairing_facts_poly
-    from hermsym.spaces import build_type3
+    from hermsym.spaces import build_type3, symplectic_pairing_facts
     for n in (3, 4):
         s = build_type3(n)
-        for m in s.pairing_psi:
-            facts = symplectic_pairing_facts_poly(m, n)
-            assert all(facts.values()), (n, facts)
-        for m in s.psi:
-            facts = symplectic_pairing_facts_poly(m, n)
+        vindex = {v: i for i, v in enumerate(s.vars)}
+        for m in s.pairing_psi + s.psi:
+            groups = {e: {(): c} for e, c in m.terms.items()}
+            facts = symplectic_pairing_facts(n, groups, vindex)
             assert all(facts.values()), (n, facts)
 
 

@@ -184,3 +184,20 @@ def test_space_json():
     assert len(obj["psi"]) == 5
     assert obj["psi_numeric_tail"] is False
     assert space_to_json(build_space("typeIII:2"))["psi_numeric_tail"] is True
+
+
+def test_kind_table_consistent():
+    """Each record agrees with the space its builder makes: a null block
+    ends at the distinguished variable, the weights cover the pairing
+    vector, and a matrix layout holds every cell variable."""
+    from hermsym.segre import invariant_weights, null_block
+    for spec in DESK:
+        s = build_space(spec)
+        block = null_block(s)
+        if block is not None:
+            assert block[-1] == s.distinguished and len(block) >= 2, spec
+        assert len(invariant_weights(s)) == len(s.pairing_psi), spec
+        if s.kind.entry is not None:
+            z = {v: G(k + 1) for k, v in enumerate(s.vars)}
+            entries = {abs(complex(x)) for row in cell_matrix_point(s, z) for x in row}
+            assert entries - {0} == {k + 1 for k in range(s.n)}, spec

@@ -19,13 +19,12 @@ from .maps import RationalMap, identity_map, scaling_map
 from .octonion import (Octonion, cayley_matrix, freudenthal_forms,
                        freudenthal_jordan_matrix, jordan_det, jordan_product,
                        jordan_trace, mat_eq, symbolic_octonion, M16_VARS)
-from .poly import PolyFraction, PolyRing
+from .poly import PolyFraction, PolyRing, trial_division_modp
 from .rigidity import (degeneracy_relation, find_nondegeneracy_witness,
                        flattening_jacobian, generic_conjugate_point,
                        irreducibility_oracle, jet_rank, support_claims,
                        transversality_rank, transversality_recipe,
-                       trial_division_modp, isometry_pullback_check,
-                       volume_equation_check)
+                       isometry_pullback_check, volume_equation_check)
 from .sampling import random_gauss_point, rng_from_seed, random_small_gauss
 from .segre import det_model_holds, einstein_fit, ricci_residual, SegreFamily
 from .spaces import build_space, pfaffian

@@ -23,6 +23,7 @@ import numpy as np
 from .acceptance import Tolerances, run_all, DEFAULT_SEED
 from .gauss import GaussRational
 from .maps import identity_map, parse_map_file
+from .poly import PRIME_BOUND
 from .rigidity import (find_nondegeneracy_witness, flattening_jacobian,
                        generic_conjugate_point, irreducibility_oracle,
                        isometry_pullback_check, jet_rank, support_claims,
@@ -287,22 +288,21 @@ def cmd_hyp2(args):
 
 def cmd_hyp3(args):
     space = build_space(args.space)
-    fam = build_rho(space)
+    fam = SegreFamily(space)
     seed = _resolve_seed(args, required=True)
     facts = support_claims(fam)
     ok = all(facts.values())
     oracle = None
     evidence = "support-only"
     if space.kind.oracle:
-        xi = generic_conjugate_point(fam, seed)
+        xi = generic_conjugate_point(fam, seed, prime=args.prime)
         res = irreducibility_oracle(fam, xi, prime=args.prime,
                                     budget=args.oracle_budget)
+        # a modular factor is only a refutation lead, kept in the report
         oracle = {"status": res.status, "detail": res.detail,
                   "xi": point_json(xi), "prime": args.prime}
         if res.status == "irreducible_certified":
             evidence = "exact"
-        elif res.status == "factor_found":
-            ok = False
     # computable shadow of the connectivity statement: a family point at
     # which both gradient blocks are nonzero (regular locus nonempty)
     rng = rng_from_seed(seed + 1)
@@ -394,6 +394,10 @@ def _at_least(low: int):
 def _prime(text: str) -> int:
     """argparse type: a prime; the oracle's modular arithmetic needs a field."""
     p = int(text)
+    if p >= PRIME_BOUND:
+        raise argparse.ArgumentTypeError(
+            f"must be below 2**31, got {p}: the candidate space of the oracle "
+            "would hold at least 2**62 factors")
     if p < 2 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
         raise argparse.ArgumentTypeError(f"must be a prime, got {p}")
     return p
@@ -438,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("hyp3", cmd_hyp3,
             help="monomial-support facts and the irreducibility oracle")
     p.add_argument("--prime", type=_prime, default=5)
-    p.add_argument("--oracle-budget", dest="oracle_budget", type=int, default=10 ** 7)
+    p.add_argument("--oracle-budget", dest="oracle_budget", type=_at_least(1),
+                   default=10 ** 7)
     p = add("volume-check", cmd_volume_check,
             help="residual of the volume-preserving equation for a map tuple")
     p.add_argument("--maps", required=True)

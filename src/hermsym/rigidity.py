@@ -21,7 +21,7 @@ import numpy as np
 from .gauss import GaussRational, ONE, ZERO
 from .linalg import RankTracker, det_exact, rank_exact
 from .maps import RationalMap, compose_psi
-from .poly import Polynomial, PolyFraction
+from .poly import Polynomial, PolyFraction, monomials, trial_division_modp
 from .sampling import random_small_gauss, rng_from_seed
 from .segre import SegreFamily, check_mu, null_block, special_point
 from .spaces import Space
@@ -35,22 +35,10 @@ def truncated_vars(space: Space) -> Tuple[str, ...]:
     return tuple(v for v in space.vars if v != space.distinguished)
 
 
-def _multiindices(width: int, weight: int):
-    """All exponent tuples of the given total weight, lexicographic."""
-    if weight == 0:
-        yield (0,) * width
-        return
-    for combo in itertools.combinations_with_replacement(range(width), weight):
-        out = [0] * width
-        for i in combo:
-            out[i] += 1
-        yield tuple(out)
-
-
 def multiindices_upto(width: int, max_weight: int):
     out = []
     for w in range(max_weight + 1):
-        out.extend(sorted(_multiindices(width, w)))
+        out.extend(monomials(width, w))
     return out
 
 
@@ -384,7 +372,7 @@ def find_nondegeneracy_witness(space: Space, fam: SegreFamily, F: RationalMap,
             if examined >= budget:
                 exhausted = True
                 break
-            for beta in sorted(_multiindices(width, w)):
+            for beta in monomials(width, w):
                 if examined >= budget:
                     exhausted = True
                     break
@@ -627,15 +615,22 @@ def transversality_recipe(fam: SegreFamily, seed: int = 0) -> Tuple[Dict, Dict, 
 # ---------------------------------------------------------------------------
 
 def _z_part_groups(fam: SegreFamily):
-    """Group the family polynomial by the exponent pattern of the z block:
-    z-exponent tuple -> {xi-exponent tuple: coefficient}."""
-    space = fam.space
-    nz = len(space.vars)
-    groups: Dict[Tuple[int, ...], Dict[Tuple[int, ...], GaussRational]] = {}
-    for e, c in fam.rho.terms.items():
-        ze, xe = e[:nz], e[nz:]
-        groups.setdefault(ze, {})[xe] = c
-    return groups
+    """Group the family polynomial 1 + sum_j psi_j(z) psi_j(xi) by the
+    exponent pattern of the z block: z-exponent tuple -> {xi-exponent tuple:
+    coefficient}, read from the pairing vector (each z-monomial c z^a of
+    psi_j contributes c psi_j(xi)); zero coefficients and empty groups are
+    dropped, so the groups equal those of the expanded polynomial."""
+    origin = (0,) * len(fam.space.vars)
+    groups: Dict[Tuple[int, ...], Dict[Tuple[int, ...], GaussRational]] = {
+        origin: {origin: ONE}}
+    for p in fam.space.pairing_psi:
+        for ze, c in p.terms.items():
+            group = groups.setdefault(ze, {})
+            for xe, cx in p.terms.items():
+                term = c * cx
+                group[xe] = term if xe not in group else group[xe] + term
+    return {ze: nonzero for ze, group in groups.items()
+            if (nonzero := {xe: c for xe, c in group.items() if not c.is_zero()})}
 
 
 def support_claims(fam: SegreFamily) -> Dict[str, bool]:
@@ -667,57 +662,6 @@ def specialize_conjugate(fam: SegreFamily, xi: Dict) -> Polynomial:
         if not c.is_zero():
             out = out + p.scale(c)
     return out
-
-
-def _monomials_up_to(nvars: int, d: int):
-    out = []
-    for w in range(1, d + 1):
-        out.extend(sorted(_multiindices(nvars, w)))
-    return out
-
-
-def trial_division_modp(target, d: int, budget: int):
-    """Search degree <= d factors with unit constant term by trial division.
-
-    ``target`` is a PolyModP with constant term 1.  Returns (factor, tried)
-    where factor is None if no divisor of degree <= d exists; raises
-    OverflowError when the candidate space exceeds the budget."""
-    from .poly import PolyModP
-    p = target.p
-    names = target.vars
-    nvars = len(names)
-    monos = _monomials_up_to(nvars, d)
-    count = p ** len(monos)
-    if count > budget:
-        raise OverflowError(count)
-    D = target.degree()
-    parts = [target.homogeneous_part(k) for k in range(D + 1)]
-    one = PolyModP(names, p, {(0,) * nvars: 1})
-    tried = 0
-    for coeffs in itertools.product(range(p), repeat=len(monos)):
-        if not any(coeffs):
-            continue
-        tried += 1
-        cand = PolyModP(names, p, {m: c for m, c in zip(monos, coeffs) if c})
-        cand = cand + one
-        # graded quotient: Q_k = R_k - sum_j (P_j * Q_{k-j})
-        q_parts = [one]
-        ok = True
-        for k in range(1, D + 1):
-            acc = parts[k]
-            for j in range(1, min(k, d) + 1):
-                pj = cand.homogeneous_part(j)
-                if pj.is_zero():
-                    continue
-                acc = acc - (pj * q_parts[k - j])
-            q_parts.append(acc)
-        quotient = q_parts[0]
-        for qk in q_parts[1:]:
-            quotient = quotient + qk
-        prod = cand * quotient
-        if prod == target and quotient.degree() >= 1:
-            return cand, tried
-    return None, tried
 
 
 def irreducibility_oracle(fam: SegreFamily, xi: Dict, prime: int = 5,

@@ -39,8 +39,8 @@ class SegreFamily:
     the definition of rho, so in exact arithmetic each value equals the one
     read off the expanded polynomial, and no soundness argument beyond it is
     needed.  ``rho``, the expansion in the doubled ring, is built on first
-    read; only the rho command, the swap-symmetry identity, the monomial
-    support facts and the symbolic Lambda oracle read it.
+    read; only the rho command, the swap-symmetry identity and the symbolic
+    Lambda oracle read it.
 
     The expansion, the table of first derivatives of psi and the compiled
     metric evaluators are per-family caches: each is built once, on first

@@ -10,13 +10,20 @@
   ``specialize_expanded`` and ``slot_coefficients_expanded`` -- queries of
   the Segre family read off its expanded doubled-ring polynomial by
   ``partial_evaluate``, instead of from the psi vector.
+* ``z_part_groups_expanded`` -- the z-monomial groups of the support facts,
+  read off the expanded family polynomial instead of from the psi vector.
+* ``trial_division_loop`` -- the finite-field trial division one candidate
+  at a time, with dict-based PolyModP products.
 """
+
+import itertools
 
 from fractions import Fraction
 from math import gcd
 
 from hermsym.gauss import GaussRational
-from hermsym.poly import Polynomial, PolyFraction
+from hermsym.poly import Polynomial, PolyFraction, PolyModP
+from hermsym.rigidity import multiindices_upto
 from hermsym.segre import conj_name
 
 
@@ -160,3 +167,52 @@ def slot_coefficients_expanded(fam, z, xi):
         else:
             B = B + c
     return A, B
+
+
+def z_part_groups_expanded(fam):
+    """z-exponent tuple -> {xi-exponent tuple: coefficient} over the
+    expanded doubled-ring rho."""
+    nz = len(fam.space.vars)
+    groups = {}
+    for e, c in fam.rho.terms.items():
+        groups.setdefault(e[:nz], {})[e[nz:]] = c
+    return groups
+
+
+def trial_division_loop(target, d, budget):
+    """(factor, tried) of ``poly.trial_division_modp``, one candidate at
+    a time."""
+    p = target.p
+    names = target.vars
+    nvars = len(names)
+    monos = multiindices_upto(nvars, d)[1:]
+    count = p ** len(monos)
+    if count > budget:
+        raise OverflowError(count)
+    D = target.degree()
+    parts = [target.homogeneous_part(k) for k in range(D + 1)]
+    one = PolyModP(names, p, {(0,) * nvars: 1})
+    tried = 0
+    for coeffs in itertools.product(range(p), repeat=len(monos)):
+        if not any(coeffs):
+            continue
+        tried += 1
+        cand = PolyModP(names, p, {m: c for m, c in zip(monos, coeffs) if c})
+        cand = cand + one
+        # graded quotient: Q_k = R_k - sum_j (P_j * Q_{k-j})
+        q_parts = [one]
+        for k in range(1, D + 1):
+            acc = parts[k]
+            for j in range(1, min(k, d) + 1):
+                pj = cand.homogeneous_part(j)
+                if pj.is_zero():
+                    continue
+                acc = acc - (pj * q_parts[k - j])
+            q_parts.append(acc)
+        quotient = q_parts[0]
+        for qk in q_parts[1:]:
+            quotient = quotient + qk
+        prod = cand * quotient
+        if prod == target and quotient.degree() >= 1:
+            return cand, tried
+    return None, tried

@@ -10,15 +10,19 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hermsym.gauss import GaussRational as G
 from hermsym.linalg import det_exact
-from hermsym.poly import Polynomial, PolyFraction, PolyRing
-from hermsym.rigidity import TaylorJets, multiindices_upto, specialize_conjugate
+from hermsym import rigidity
+from hermsym.poly import Polynomial, PolyFraction, PolyModP, PolyRing, _GradedProducts
+from hermsym.rigidity import (TaylorJets, irreducibility_oracle_poly,
+                              multiindices_upto, specialize_conjugate,
+                              trial_division_modp)
 from hermsym.sampling import rng_from_seed
 from hermsym.segre import SegreFamily, sample_on_family
 from hermsym.spaces import build_space
 from oracles import (compose_full, derivative_jet_row, det_bareiss,
                      rho_at_expanded, slot_coefficients_expanded,
-                     specialize_expanded, xi_gradient_expanded,
-                     z_gradient_expanded)
+                     specialize_expanded, trial_division_loop,
+                     xi_gradient_expanded, z_gradient_expanded,
+                     z_part_groups_expanded)
 
 RING = PolyRing(("x", "y", "z"))
 BOUNDED = settings(max_examples=40, deadline=None, derandomize=True)
@@ -164,3 +168,108 @@ def test_sampled_points_match_expansion(spec, seed):
     if fam.space.desc.kind in ("typeI", "typeII", "typeIII"):
         A, B = slot_coefficients_expanded(fam, z, xi)
         assert xi[fam.space.distinguished] == -(B / A)
+
+
+@BOUNDED
+@given(st.sampled_from(["typeI:2,3", "typeI:3,3", "typeII:4", "typeII:6",
+                        "typeIII:2", "typeIII:3", "typeIV:3", "typeIV:6",
+                        "e16", "e27"]))
+def test_support_groups_match_expansion(spec):
+    fam = _family(spec)
+    assert rigidity._z_part_groups(fam) == z_part_groups_expanded(fam)
+
+
+# -- the batched F_p trial division against the one-candidate loop -------------
+
+def _modp_poly(names, p, coeffs, degree):
+    """1 + sum of the given coefficients on the monomials of degree 1..degree."""
+    monos = multiindices_upto(len(names), degree)[1:]
+    terms = {(0,) * len(names): 1}
+    terms.update(zip(monos, coeffs))
+    return PolyModP(names, p, terms)
+
+
+# targets over F_5 and F_7 in one to three variables with constant term 1:
+# random ones of degree 2-4, and products g*h with deg g in {1, 2}; the
+# searched degree d is 1 or 2, and at most 5**5 candidates are enumerated
+@st.composite
+def modp_cases(draw):
+    p = draw(st.sampled_from([5, 7]))
+    names = ("a", "b", "c")[:draw(st.integers(1, 3))]
+    d = draw(st.integers(1, 2 if len(names) == 1 or p == 5 and len(names) == 2
+                         else 1))
+
+    def poly(degree):
+        size = len(multiindices_upto(len(names), degree)) - 1
+        return _modp_poly(names, p, draw(st.lists(st.integers(0, p - 1),
+                                                  min_size=size, max_size=size)),
+                          degree)
+    if draw(st.booleans()):
+        target = poly(draw(st.integers(1, 2))) * poly(draw(st.integers(1, 2)))
+    else:
+        target = poly(draw(st.integers(2, 4)))
+    return target, d
+
+
+def _kernel_agrees(target, d):
+    try:
+        return trial_division_modp(target, d, 10 ** 6) == \
+            trial_division_loop(target, d, 10 ** 6)
+    except ArithmeticError:          # a hit that fails the exact check
+        return False
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(modp_cases())
+def test_trial_division_kernel_matches_loop(case):
+    assert _kernel_agrees(*case)
+
+
+PLANE = PolyRing(("x", "y"))
+
+
+def _plane_poly(coeffs, degree):
+    """1 + integer coefficients on the monomials of degree 1..degree."""
+    monos = multiindices_upto(2, degree)[1:]
+    return Polynomial(PLANE, {(0, 0): G(1),
+                              **{m: G(c) for m, c in zip(monos, coeffs)}})
+
+
+small_int_polys = st.integers(1, 2).flatmap(
+    lambda degree: st.lists(st.integers(-3, 3), min_size=degree * (degree + 3) // 2,
+                            max_size=degree * (degree + 3) // 2).map(
+        lambda coeffs: _plane_poly(coeffs, degree)))
+
+
+@BOUNDED
+@given(small_int_polys, small_int_polys, st.sampled_from([5, 7]))
+def test_oracle_never_certifies_products(g, h, prime):
+    assume(g.degree() >= 1 and h.degree() >= 1)
+    result = irreducibility_oracle_poly(g * h, prime, budget=10 ** 5)
+    assert result.status != "irreducible_certified"
+
+
+AB = ("a", "b")
+FAULT_CASES = [_modp_poly(AB, 5, [1, 3], 1) * _modp_poly(AB, 5, [2, 0, 1, 4, 1], 2),
+               _modp_poly(AB, 7, [3, 1], 1) * _modp_poly(AB, 7, [0, 5], 1),
+               _modp_poly(AB, 5, [1, 2, 0, 4, 3, 0, 1, 2, 2], 3)]
+
+
+def test_kernel_fault_injection_trips_agreement(monkeypatch):
+    """One wrong table entry, or one product reduced modulo the wrong number,
+    and the agreement with the loop fails on a fixed set of targets."""
+    assert all(_kernel_agrees(t, 1) for t in FAULT_CASES)
+    table = _GradedProducts.table
+
+    def flipped_table(self, j, m):
+        left, right, starts = table(self, j, m)
+        right = right.copy()
+        right[-1] = (right[-1] + 1) % len(self.monos[m])
+        return left, right, starts
+    monkeypatch.setattr(_GradedProducts, "table", flipped_table)
+    assert not all(_kernel_agrees(t, 1) for t in FAULT_CASES)
+    monkeypatch.undo()
+    mul = _GradedProducts.mul
+    monkeypatch.setattr(_GradedProducts, "mul",
+                        lambda self, a, b, j, m, p: mul(self, a, b, j, m, p + 1))
+    assert not all(_kernel_agrees(t, 1) for t in FAULT_CASES)

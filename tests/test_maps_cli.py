@@ -219,10 +219,18 @@ def test_cli_exit_codes(capsys, monkeypatch):
                  ["einstein", "--space", "typeIV:3", "--seed", "7", "--samples", "0"],
                  ["einstein", "--space", "typeIV:3", "--seed", "7", "--samples", "1"],
                  ["metric", "--space", "typeIV:3", "--seed", "7", "--points", "-1"],
-                 ["metric", "--space", "typeIV:3", "--seed", "7", "--points", "0"]):
+                 ["metric", "--space", "typeIV:3", "--seed", "7", "--points", "0"],
+                 ["hyp3", "--space", "typeIV:3", "--seed", "7", "--oracle-budget", "0"]):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "must be >= " in captured.err, argv
+    # the oracle's int64 kernel needs p < 2**31; a larger prime is refused
+    # before any primality trial
+    for prime in (str(2 ** 31 - 1 + 12), str(10 ** 40 + 1)):
+        assert main(["hyp3", "--space", "typeIV:3", "--seed", "7",
+                     "--prime", prime]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be below 2**31" in captured.err
 
 
 def test_hyp2_refuses_one_dimensional_cells(capsys):
@@ -242,6 +250,23 @@ def test_hyp3_refuses_non_prime(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be a prime" in captured.err
+
+
+def test_hyp3_honours_prime(capsys):
+    """The conjugate point is chosen admissible modulo --prime, and a modular
+    factor is reported as a refutation lead, not as a failed check."""
+    assert main(["hyp3", "--space", "typeI:2,2", "--seed", "7",
+                 "--prime", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["witness"]["oracle"]["status"] == "irreducible_certified"
+    assert report["witness"]["oracle"]["prime"] == 3
+    assert report["evidence"] == "exact" and report["passed"]
+    # in characteristic 2 the quadric's sum of squares is a square
+    assert main(["hyp3", "--space", "typeIV:3", "--seed", "7",
+                 "--prime", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["witness"]["oracle"]["status"] == "factor_found"
+    assert report["evidence"] == "support-only" and report["passed"]
 
 
 def test_cli_refuses_zero_map_samples(capsys, tmp_path, disc):

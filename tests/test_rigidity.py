@@ -321,6 +321,9 @@ def test_oracle_control_and_budget():
     assert factor is not None
     with pytest.raises(OverflowError):
         trial_division_modp(control.reduce_mod(5), 1, 2)
+    # the int64 kernel needs p < 2**31, whatever the budget
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        trial_division_modp(control.reduce_mod(2 ** 31 + 11), 1, 2 ** 63)
 
 
 def test_oracle_budget_inconclusive(families):
@@ -611,16 +614,19 @@ def test_witness_for_rational_isometry(families):
 
 
 def test_support_claims_negative_control(families):
-    """A corrupted family polynomial must trip the support facts."""
+    """A corrupted pairing vector must trip the support facts: a squared
+    entry in one psi component gives rho a z1_1^2 group."""
+    import dataclasses
+    from hermsym.poly import Polynomial
     from hermsym.segre import SegreFamily
-    fam = families["typeI:2,2"]
-    ring = fam.ring
-    bad = fam.rho + ring.var("z1_1") * ring.var("z1_1") * ring.var("cz1_1")
-
-    class Corrupted(SegreFamily):
-        rho = bad
-
-    report = support_claims(Corrupted(fam.space))
+    space = families["typeI:2,2"].space
+    psi = list(space.pairing_psi)
+    first = psi[0]
+    square = tuple(2 if v == "z1_1" else 0 for v in first.ring.vars)
+    psi[0] = Polynomial(first.ring, {**first.terms, square: G(1)})
+    bad = dataclasses.replace(space, pairing_psi=tuple(psi))
+    assert all(support_claims(SegreFamily(space)).values())
+    report = support_claims(SegreFamily(bad))
     assert not report["no_squared_entry"]
 
 

@@ -8,6 +8,7 @@ tolerance is reported as such.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,12 +54,21 @@ class Tolerances:
 
 
 _FAMILIES: Dict[str, SegreFamily] = {}
+_FAMILIES_BOUND = 16                # above the 11 spaces of the selftest
+_FAMILIES_LOCK = threading.Lock()
 
 
 def family(spec: str) -> SegreFamily:
-    if spec not in _FAMILIES:
-        _FAMILIES[spec] = SegreFamily(build_space(spec))
-    return _FAMILIES[spec]
+    """The shared family of ``spec``, built once; a full cache drops its oldest."""
+    fam = _FAMILIES.get(spec)
+    if fam is None:
+        with _FAMILIES_LOCK:
+            fam = _FAMILIES.get(spec)
+            if fam is None:
+                if len(_FAMILIES) >= _FAMILIES_BOUND:
+                    del _FAMILIES[next(iter(_FAMILIES))]
+                fam = _FAMILIES[spec] = SegreFamily(build_space(spec))
+    return fam
 
 
 def _float_result(name: str, residual: float, tol: float, detail: str,

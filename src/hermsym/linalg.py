@@ -9,7 +9,7 @@ Fraction-free Bareiss pays for that bound: on those matrices it took
 VM, Python 3.11).
 
 Ranks are tracked incrementally on rows scaled to Gaussian-integer entries
-(pairs of Python ints).
+(pairs of Python ints, read off the entries' canonical triples).
 """
 
 from __future__ import annotations
@@ -24,15 +24,13 @@ GInt = tuple
 
 
 def _scale_row(row: Sequence[GaussRational]) -> List[GInt]:
-    """The row times the lcm of its denominators, as Gaussian integers."""
+    """The row times the lcm of its denominators (the d's), as Gaussian integers."""
+    parts = [x.parts() for x in row]
     scale = 1
-    for x in row:
-        for q in (x.re, x.im):
-            if q and scale % q.denominator:
-                scale = scale // gcd(scale, q.denominator) * q.denominator
-    return [(x.re.numerator * (scale // x.re.denominator),
-             x.im.numerator * (scale // x.im.denominator)) if x.re or x.im
-            else (0, 0) for x in row]
+    for _, _, d in parts:
+        if scale % d:
+            scale = scale // gcd(scale, d) * d
+    return [(a * (scale // d), b * (scale // d)) for a, b, d in parts]
 
 
 def _row_content(row: List[GInt]) -> int:

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from .gauss import GaussRational, ZERO, ONE
+from .gauss import GaussRational, ZERO, ONE, gauss_json
 
 Exponent = Tuple[int, ...]
 
@@ -382,24 +382,19 @@ class Polynomial:
             out[tuple(ne)] = c
         return Polynomial(ring, out)
 
-    def swap_vars(self, permutation: Dict[str, str]) -> "Polynomial":
-        """Permute variables inside the same ring."""
-        full = {v: permutation.get(v, v) for v in self.ring.vars}
-        return self.embed(self.ring, full)
-
     # -- finite-field reduction ----------------------------------------------
 
     def reduce_mod(self, p: int) -> "PolyModP":
         terms: Dict[Exponent, int] = {}
         for e, c in self.terms.items():
-            if not c.is_real():
+            num, im, den = c.parts()
+            if im:
                 raise ValueError(f"non-real coefficient {c!r} cannot be reduced mod {p}")
-            den = c.re.denominator
             if den % p == 0:
                 raise ValueError(
                     f"prime {p} divides the denominator of coefficient {c.re}"
                 )
-            v = (c.re.numerator * pow(den, -1, p)) % p
+            v = (num * pow(den, -1, p)) % p
             if v:
                 terms[e] = v
         return PolyModP(self.ring.vars, p, terms)
@@ -407,10 +402,7 @@ class Polynomial:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        terms = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            terms.append({"exp": list(e), "re": str(c.re), "im": str(c.im)})
+        terms = [{"exp": list(e), **gauss_json(self.terms[e])} for e in sorted(self.terms)]
         return {"vars": list(self.ring.vars), "terms": terms}
 
     def __repr__(self):

@@ -700,7 +700,7 @@ def irreducibility_oracle_poly(poly: Polynomial, prime: int = 5,
             return OracleResult(
                 "factor_found",
                 factor={"vars": list(factor.vars), "prime": prime,
-                        "terms": {str(k): v for k, v in sorted(factor.terms.items())}},
+                        "terms": [[list(k), v] for k, v in sorted(factor.terms.items())]},
                 detail=f"nontrivial factor of degree <= {d} modulo {prime}")
     return OracleResult("irreducible_certified",
                         detail=f"no factor of degree <= {deg // 2} modulo {prime}")

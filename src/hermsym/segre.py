@@ -39,8 +39,7 @@ class SegreFamily:
     the definition of rho, so in exact arithmetic each value equals the one
     read off the expanded polynomial, and no soundness argument beyond it is
     needed.  ``rho``, the expansion in the doubled ring, is built on first
-    read; only the rho command, the swap-symmetry identity and the symbolic
-    Lambda oracle read it.
+    read; only the rho command and the symbolic Lambda oracle read it.
 
     The expansion, the table of first derivatives of psi and the compiled
     metric evaluators are per-family caches: each is built once, on first
@@ -128,13 +127,6 @@ def build_rho(space: Space) -> SegreFamily:
     fam = SegreFamily(space)
     fam.rho  # expand now
     return fam
-
-
-def rho_swap_symmetric(fam: SegreFamily) -> bool:
-    """Exact z <-> xi swap symmetry of the family polynomial."""
-    perm = {v: conj_name(v) for v in fam.zvars}
-    perm.update({conj_name(v): v for v in fam.zvars})
-    return fam.rho.swap_vars(perm) == fam.rho
 
 
 def segre_membership(fam: SegreFamily, z: Dict, xi: Dict):

@@ -13,7 +13,12 @@
 * ``z_part_groups_expanded`` -- the z-monomial groups of the support facts,
   read off the expanded family polynomial instead of from the psi vector.
 * ``trial_division_loop`` -- the finite-field trial division one candidate
-  at a time, with dict-based PolyModP products.
+  at a time, with dict-based PolyModP products; ``divide_modp`` is its
+  exact division step.
+* ``rho_swap_symmetric`` and ``unit_at_origin_expanded`` -- the ``einstein``
+  identity checks read off the expanded family polynomial.
+* ``FractionPair`` -- the Gaussian-rational scalar as a pair of
+  ``Fraction`` parts, the reference for ``hermsym.gauss``.
 """
 
 import itertools
@@ -179,6 +184,27 @@ def z_part_groups_expanded(fam):
     return groups
 
 
+def divide_modp(target, cand):
+    """target / cand in F_p[x] when cand, with constant term 1, divides
+    target exactly; otherwise None."""
+    nvars = len(target.vars)
+    one = PolyModP(target.vars, target.p, {(0,) * nvars: 1})
+    parts = [target.homogeneous_part(k) for k in range(target.degree() + 1)]
+    cand_parts = [cand.homogeneous_part(j) for j in range(cand.degree() + 1)]
+    # graded quotient: Q_k = R_k - sum_j (P_j * Q_{k-j})
+    q_parts = [one]
+    for k in range(1, len(parts)):
+        acc = parts[k]
+        for j in range(1, min(k, len(cand_parts) - 1) + 1):
+            if not cand_parts[j].is_zero():
+                acc = acc - (cand_parts[j] * q_parts[k - j])
+        q_parts.append(acc)
+    quotient = q_parts[0]
+    for qk in q_parts[1:]:
+        quotient = quotient + qk
+    return quotient if cand * quotient == target else None
+
+
 def trial_division_loop(target, d, budget):
     """(factor, tried) of ``poly.trial_division_modp``, one candidate at
     a time."""
@@ -189,8 +215,6 @@ def trial_division_loop(target, d, budget):
     count = p ** len(monos)
     if count > budget:
         raise OverflowError(count)
-    D = target.degree()
-    parts = [target.homogeneous_part(k) for k in range(D + 1)]
     one = PolyModP(names, p, {(0,) * nvars: 1})
     tried = 0
     for coeffs in itertools.product(range(p), repeat=len(monos)):
@@ -199,20 +223,136 @@ def trial_division_loop(target, d, budget):
         tried += 1
         cand = PolyModP(names, p, {m: c for m, c in zip(monos, coeffs) if c})
         cand = cand + one
-        # graded quotient: Q_k = R_k - sum_j (P_j * Q_{k-j})
-        q_parts = [one]
-        for k in range(1, D + 1):
-            acc = parts[k]
-            for j in range(1, min(k, d) + 1):
-                pj = cand.homogeneous_part(j)
-                if pj.is_zero():
-                    continue
-                acc = acc - (pj * q_parts[k - j])
-            q_parts.append(acc)
-        quotient = q_parts[0]
-        for qk in q_parts[1:]:
-            quotient = quotient + qk
-        prod = cand * quotient
-        if prod == target and quotient.degree() >= 1:
+        quotient = divide_modp(target, cand)
+        if quotient is not None and quotient.degree() >= 1:
             return cand, tried
     return None, tried
+
+
+def rho_swap_symmetric(fam):
+    """Exact z <-> xi swap symmetry of the expanded family polynomial."""
+    perm = {v: conj_name(v) for v in fam.zvars}
+    perm.update({conj_name(v): v for v in fam.zvars})
+    return fam.rho.embed(fam.ring, perm) == fam.rho
+
+
+def unit_at_origin_expanded(fam):
+    """Whether rho(0, xi) is the constant 1, by ``partial_evaluate``."""
+    rest = fam.rho.partial_evaluate({v: GaussRational(0) for v in fam.zvars})
+    return rest.is_constant() and rest.constant_term() == GaussRational(1)
+
+
+def _frac(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        return Fraction(x)
+    raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
+
+
+class FractionPair:
+    """``re + im*i`` with exact rational ``re``, ``im``: the scalar type as
+    two ``Fraction`` parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", _frac(re))
+        object.__setattr__(self, "im", _frac(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FractionPair is immutable")
+
+    # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def coerce(x) -> "FractionPair":
+        if isinstance(x, FractionPair):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return FractionPair(x)
+        raise TypeError(f"cannot coerce {type(x).__name__} to FractionPair")
+
+    @staticmethod
+    def i() -> "FractionPair":
+        return FractionPair(0, 1)
+
+    # -- arithmetic ----------------------------------------------------
+
+    def __add__(self, other):
+        other = FractionPair.coerce(other)
+        return FractionPair(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = FractionPair.coerce(other)
+        return FractionPair(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return FractionPair.coerce(other) - self
+
+    def __neg__(self):
+        return FractionPair(-self.re, -self.im)
+
+    def __mul__(self, other):
+        other = FractionPair.coerce(other)
+        return FractionPair(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = FractionPair.coerce(other)
+        d = other.re * other.re + other.im * other.im
+        if d == 0:
+            raise ZeroDivisionError("division by zero FractionPair")
+        return FractionPair(
+            (self.re * other.re + self.im * other.im) / d,
+            (self.im * other.re - self.re * other.im) / d,
+        )
+
+    def __rtruediv__(self, other):
+        return FractionPair.coerce(other) / self
+
+    # -- structure -----------------------------------------------------
+
+    def conj(self) -> "FractionPair":
+        return FractionPair(self.re, -self.im)
+
+    def norm2(self) -> Fraction:
+        """Squared modulus |z|^2 = re^2 + im^2 (a rational)."""
+        return self.re * self.re + self.im * self.im
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def is_real(self) -> bool:
+        return self.im == 0
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionPair(other)
+        if not isinstance(other, FractionPair):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def __repr__(self):
+        if self.im == 0:
+            return f"{self.re}"
+        if self.re == 0:
+            return f"{self.im}*i"
+        return f"({self.re}{'+' if self.im > 0 else ''}{self.im}*i)"

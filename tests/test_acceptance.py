@@ -57,3 +57,50 @@ def test_perturbed_psi_fails_embedding_identity(monkeypatch):
     result = acceptance.check_embedding_identity(seed=SEED, points=10)
     assert not result.passed
     assert result.failure_kind == "logic" and "typeI:2,2" in result.detail
+
+
+def test_family_cache_built_once_under_contention(monkeypatch):
+    """Concurrent first requests for one space share a single build, and
+    the cache never holds more than its bound, dropping the oldest entry."""
+    import sys
+    import threading
+    import time
+    from hermsym.spaces import build_space
+    builds = []
+
+    def counting_build(spec):
+        builds.append(spec)
+        time.sleep(0.01)                    # widen the race window
+        return build_space(spec)
+
+    monkeypatch.setattr(acceptance, "_FAMILIES", {})
+    monkeypatch.setattr(acceptance, "build_space", counting_build)
+    seen = []
+    start = threading.Barrier(8)
+
+    def request():
+        start.wait(timeout=60)
+        seen.append(acceptance.family("typeI:2,3"))
+
+    threads = [threading.Thread(target=request) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert builds == ["typeI:2,3"]
+    assert len(seen) == 8 and all(f is seen[0] for f in seen)
+    # fill past the bound with cheap spaces: the first one is dropped
+    bound = acceptance._FAMILIES_BOUND
+    assert bound > 11                       # the selftest's spaces never evict
+    specs = [f"typeI:1,{k}" for k in range(1, bound + 1)]
+    for spec in specs:
+        acceptance.family(spec)
+    assert len(acceptance._FAMILIES) == bound
+    assert "typeI:2,3" not in acceptance._FAMILIES
+    assert set(acceptance._FAMILIES) == set(specs)

@@ -2,14 +2,17 @@
 with exact equality (see ``oracles.py``); the one float route, ``rho_at_float``,
 is held to a relative 1e-9."""
 
+import dataclasses
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from hermsym.cli import _unit_at_origin
 from hermsym.gauss import GaussRational as G
-from hermsym.linalg import det_exact
+from hermsym.linalg import _scale_row, det_exact
 from hermsym import rigidity
 from hermsym.poly import Polynomial, PolyFraction, PolyModP, PolyRing, _GradedProducts
 from hermsym.rigidity import (TaylorJets, irreducibility_oracle_poly,
@@ -18,7 +21,9 @@ from hermsym.rigidity import (TaylorJets, irreducibility_oracle_poly,
 from hermsym.sampling import rng_from_seed
 from hermsym.segre import SegreFamily, sample_on_family
 from hermsym.spaces import build_space
-from oracles import (compose_full, derivative_jet_row, det_bareiss,
+from oracles import (FractionPair, _integer_row, compose_full,
+                     derivative_jet_row, det_bareiss, rho_swap_symmetric,
+                     unit_at_origin_expanded,
                      rho_at_expanded, slot_coefficients_expanded,
                      specialize_expanded, trial_division_loop,
                      xi_gradient_expanded, z_gradient_expanded,
@@ -273,3 +278,124 @@ def test_kernel_fault_injection_trips_agreement(monkeypatch):
     monkeypatch.setattr(_GradedProducts, "mul",
                         lambda self, a, b, j, m, p: mul(self, a, b, j, m, p + 1))
     assert not all(_kernel_agrees(t, 1) for t in FAULT_CASES)
+
+
+# -- the scalar layer against its Fraction-pair reference ---------------------
+
+big = st.integers(-10 ** 40, 10 ** 40)
+rationals = st.builds(Fraction, st.one_of(st.integers(-6, 6), big),
+                      st.one_of(st.integers(1, 12), st.integers(1, 10 ** 40)))
+zero_q = st.just(Fraction(0))
+part_pairs = st.one_of(st.tuples(rationals, rationals),
+                       st.tuples(rationals, zero_q),      # pure real
+                       st.tuples(zero_q, rationals),      # pure imaginary
+                       st.tuples(zero_q, zero_q),
+                       st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+scalars = part_pairs.map(lambda t: (G(*t), FractionPair(*t)))
+plain = st.one_of(st.integers(-9, 9), big, rationals)   # int and Fraction
+SCALAR_RUNS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+def _same(x, ref):
+    """x is canonical and agrees with the reference value in every reading."""
+    assert type(x) is G
+    a, b, d = x.parts()
+    assert type(a) is type(b) is type(d) is int
+    assert d > 0 and gcd(a, b, d) == 1
+    assert (x.re, x.im) == (ref.re, ref.im)
+    assert type(x.re) is type(x.im) is Fraction
+    assert repr(x) == repr(ref) and hash(x) == hash(ref)
+    cx, cr = complex(x), complex(ref)
+    assert (cx.real.hex(), cx.imag.hex()) == (cr.real.hex(), cr.imag.hex())
+    assert x.is_zero() == ref.is_zero() and x.is_real() == ref.is_real()
+    assert bool(x) == bool(ref) and x.norm2() == ref.norm2()
+    assert x == G(ref.re, ref.im) and not x != G(ref.re, ref.im)
+
+
+@SCALAR_RUNS
+@given(scalars, scalars)
+def test_gauss_arithmetic_matches_fraction_pairs(xs, ys):
+    (x, rx), (y, ry) = xs, ys
+    _same(x, rx)
+    _same(-x, -rx)
+    _same(x.conj(), rx.conj())
+    _same(x + y, rx + ry)
+    _same(x - y, rx - ry)
+    _same(x * y, rx * ry)
+    _same(x * x, rx * rx)
+    assert (x == y) == (rx == ry) and (x == x)
+    if ry.is_zero():
+        for f in (lambda: x / y, lambda: rx / ry):
+            try:
+                f()
+            except ZeroDivisionError:
+                continue
+            raise AssertionError("division by zero did not raise")
+    else:
+        _same(x / y, rx / ry)
+
+
+@SCALAR_RUNS
+@given(scalars, plain)
+def test_gauss_mixed_operands_match_fraction_pairs(xs, c):
+    x, rx = xs
+    for got, want in ((x + c, rx + c), (c + x, c + rx), (x - c, rx - c),
+                      (c - x, c - rx), (x * c, rx * c), (c * x, c * rx),
+                      (G.coerce(c), FractionPair.coerce(c))):
+        _same(got, want)
+    assert (x == c) == (rx == c) and (G(c) == c)
+    if c:
+        _same(x / c, rx / c)
+    if not rx.is_zero():
+        _same(c / x, c / rx)
+
+
+@BOUNDED
+@given(st.lists(scalars, min_size=1, max_size=8))
+def test_scale_row_matches_fraction_route(row):
+    want, scale = _integer_row([r for _, r in row])
+    assert _scale_row([x for x, _ in row]) == want
+    # d is the lcm of the reduced denominators of re and im
+    assert scale == lcm(*(x.parts()[2] for x, _ in row))
+
+
+def test_gauss_is_immutable():
+    x = G(Fraction(1, 2), 3)
+    for name in ("re", "im", "_abd", "other"):
+        try:
+            setattr(x, name, 1)
+        except AttributeError:
+            continue
+        raise AssertionError(f"{name} could be set")
+    assert x.parts() == (1, 6, 2)
+    assert G("1/2", "-3/4").parts() == (2, -3, 4)
+    for bad in (0.5, 1j, None):
+        try:
+            G(bad)
+        except TypeError:
+            continue
+        raise AssertionError(f"{bad!r} was accepted")
+
+
+# -- the einstein identity checks against the expanded rho --------------------
+
+EINSTEIN_SPECS = ["typeI:2,3", "typeII:5", "typeIII:3", "typeIV:4", "e16", "e27"]
+
+
+def _shift_first_psi(space, c):
+    """The space with the constant c added to its first psi component."""
+    psi = list(space.pairing_psi)
+    psi[0] = psi[0] + c
+    return dataclasses.replace(space, pairing_psi=tuple(psi))
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("spec", EINSTEIN_SPECS)
+def test_einstein_identities_match_expansion(spec, shifted):
+    """unit_at_origin from psi equals the partial_evaluate route, and rho is
+    swap-symmetric; a constant added to one psi component must make
+    unit_at_origin false on both routes."""
+    space = _family(spec).space
+    fam = SegreFamily(_shift_first_psi(space, 1) if shifted else space)
+    assert _unit_at_origin(fam) == unit_at_origin_expanded(fam) == (not shifted)
+    assert rho_swap_symmetric(fam)

@@ -220,7 +220,9 @@ def test_cli_exit_codes(capsys, monkeypatch):
                  ["einstein", "--space", "typeIV:3", "--seed", "7", "--samples", "1"],
                  ["metric", "--space", "typeIV:3", "--seed", "7", "--points", "-1"],
                  ["metric", "--space", "typeIV:3", "--seed", "7", "--points", "0"],
-                 ["hyp3", "--space", "typeIV:3", "--seed", "7", "--oracle-budget", "0"]):
+                 ["hyp3", "--space", "typeIV:3", "--seed", "7", "--oracle-budget", "0"],
+                 ["hyp1", "--space", "typeI:2,2", "--seed", "7", "--budget", "0"],
+                 ["hyp1", "--space", "typeI:2,2", "--seed", "7", "--budget", "-5"]):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "must be >= " in captured.err, argv
@@ -265,8 +267,26 @@ def test_hyp3_honours_prime(capsys):
     assert main(["hyp3", "--space", "typeIV:3", "--seed", "7",
                  "--prime", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["witness"]["oracle"]["status"] == "factor_found"
+    oracle = report["witness"]["oracle"]
+    assert oracle["status"] == "factor_found"
     assert report["evidence"] == "support-only" and report["passed"]
+    # the lead is kept: its terms divide the reduced target modulo 2
+    from hermsym.gauss import GaussRational
+    from hermsym.poly import PolyModP
+    from hermsym.rigidity import specialize_conjugate
+    from hermsym.segre import SegreFamily
+    from oracles import divide_modp
+    space = build_space("typeIV:3")
+    xi = {v: GaussRational(c["re"], c["im"]) for v, c in oracle["xi"].items()}
+    target = specialize_conjugate(SegreFamily(space), xi).reduce_mod(2)
+    terms = oracle["factor"]
+    assert terms == sorted(terms) and all(r % 2 for _, r in terms)
+    factor = PolyModP(space.vars, 2, {tuple(e): r for e, r in terms})
+    assert 1 <= factor.degree() < target.degree()
+    assert divide_modp(target, factor) is not None
+    # a certified run carries no factor entry
+    assert main(["hyp3", "--space", "typeIV:3", "--seed", "7"]) == 0
+    assert "factor" not in json.loads(capsys.readouterr().out)["witness"]["oracle"]
 
 
 def test_cli_refuses_zero_map_samples(capsys, tmp_path, disc):
@@ -280,8 +300,8 @@ def test_cli_refuses_zero_map_samples(capsys, tmp_path, disc):
 
 
 def test_cli_commands_leave_rho_unexpanded(capsys, monkeypatch):
-    """hyp1, hyp2, metric and describe evaluate the family from psi and
-    never build its doubled-ring expansion."""
+    """hyp1, hyp2, metric, describe and einstein evaluate the family from
+    psi and never build its doubled-ring expansion."""
     from hermsym.segre import SegreFamily
 
     def refuse(self):
@@ -291,6 +311,7 @@ def test_cli_commands_leave_rho_unexpanded(capsys, monkeypatch):
     for argv in (["hyp1", "--space", "typeI:2,2", "--seed", "7"],
                  ["hyp2", "--space", "e16", "--seed", "7"],
                  ["metric", "--space", "typeIII:2", "--seed", "7"],
-                 ["describe", "--space", "typeII:4", "--seed", "7"]):
+                 ["describe", "--space", "typeII:4", "--seed", "7"],
+                 ["einstein", "--space", "typeIV:3", "--seed", "7"]):
         assert main(argv) == 0, argv
     capsys.readouterr()

@@ -12,10 +12,11 @@ from hermsym.segre import (EinsteinError, MapsIntoHyperplaneError,
                            NotPreservingError, apply_projective_map,
                            build_rho, einstein_fit, kahler_metric,
                            quadric_permutation_matrix, ricci_residual,
-                           rho_swap_symmetric, sample_on_family,
+                           sample_on_family,
                            segre_invariance_check, segre_membership,
                            type1_compound_matrix, type1_moebius, conj_name)
 from hermsym.spaces import build_space, cell_matrix_point
+from oracles import rho_swap_symmetric
 
 DESK = ["typeI:1,1", "typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]
 

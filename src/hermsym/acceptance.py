@@ -216,15 +216,15 @@ def check_einstein_fits(seed: int = DEFAULT_SEED,
                         tol: Optional[Tolerances] = None) -> CriterionResult:
     tol = tol or Tolerances()
     t0 = time.perf_counter()
-    expected = {"typeI:1,1": 2, "typeI:1,2": 3, "typeI:2,2": 4,
-                "typeIV:3": 3, "typeII:4": 6, "typeIII:2": 3}
     worst = 0.0
-    for spec, lam_expect in expected.items():
+    for spec in ["typeI:1,1", "typeI:1,2", "typeI:2,2", "typeIV:3", "typeII:4",
+                 "typeIII:2"]:
         fam = family(spec)
         lam, c, residual = einstein_fit(fam, 50, seed)
-        if lam != lam_expect:
+        genus = fam.space.desc.genus
+        if lam != genus:
             return CriterionResult("einstein_fits", False,
-                                   f"{spec}: exponent {lam} != {lam_expect}",
+                                   f"{spec}: exponent {lam} != {genus}",
                                    time.perf_counter() - t0, "logic")
         worst = max(worst, residual)
     ricci = ricci_residual(family("typeIV:3"), 10, seed)
@@ -240,8 +240,7 @@ def check_einstein_fits(seed: int = DEFAULT_SEED,
 # -- criterion 5 -------------------------------------------------------------
 
 def check_hypothesis_one(seed: int = DEFAULT_SEED,
-                         tol: Optional[Tolerances] = None,
-                         e27_budget: int = 6000) -> CriterionResult:
+                         tol: Optional[Tolerances] = None) -> CriterionResult:
     t0 = time.perf_counter()
     desk = ["typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]
     for spec in desk:
@@ -269,7 +268,7 @@ def check_hypothesis_one(seed: int = DEFAULT_SEED,
         details.append(f"{spec}@{w.max_order_used}")
     fam = family("e27")
     w27 = find_nondegeneracy_witness(fam.space, fam, identity_map(fam.space),
-                                     seed=seed, budget=e27_budget)
+                                     seed=seed, budget=6000)
     e27_note = (f"e27 witness {'found' if w27.found else 'not-found-within-budget'} "
                 f"(order {w27.max_order_used}, {w27.candidates_examined} candidates)")
     return CriterionResult("hypothesis_I", True,

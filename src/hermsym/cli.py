@@ -32,7 +32,7 @@ from .rigidity import (find_nondegeneracy_witness, flattening_jacobian,
 from .sampling import random_complex_ball, random_gauss_point, rng_from_seed
 from .segre import (SegreFamily, build_rho, det_model_holds, einstein_fit,
                     kahler_metric, sample_on_family)
-from .spaces import build_space, space_to_json
+from .spaces import SPACE_GRAMMAR, build_space, space_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +141,9 @@ def _load_map_file(space, path):
 
 def cmd_describe(args):
     space = build_space(args.space)
-    fam = SegreFamily(space)
     seed = _resolve_seed(args, required=False)
-    lam = None
-    try:
-        lam, _, _ = einstein_fit(fam, 30, seed if seed is not None else DEFAULT_SEED)
-    except ArithmeticError:
-        lam = None
     report = space_to_json(space)
-    report["lambda"] = lam
+    report["lambda"] = space.desc.genus
     report["config"] = _config(args, seed)
     return 0, report
 
@@ -216,7 +210,8 @@ def cmd_einstein(args):
         "unit_at_origin": _unit_at_origin(fam),
         "det_pairing_exact": _det_pairing_check(fam, seed),
     }
-    ok = residual < args.einstein_tol and all(
+    # the fit must land on the genus, the exponent the other commands use
+    ok = residual < args.einstein_tol and lam == space.desc.genus and all(
         v for v in identity_checks.values() if v is not None)
     report = {"space": args.space, "lambda": lam, "c": c,
               "einstein_residual": residual,
@@ -415,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, space=True, seed=True, help=None):
         p = sub.add_parser(name, help=help)
         if space:
-            p.add_argument("--space", required=True,
-                           help="typeI:p,q | typeII:n | typeIII:n | typeIV:n | e16 | e27")
+            p.add_argument("--space", required=True, help=SPACE_GRAMMAR)
         if seed:
             p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output", choices=("json", "table"), default="json")

@@ -36,6 +36,9 @@ class GaussRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
 
+    def __reduce__(self):
+        return _reduced, self._abd
+
     @staticmethod
     def coerce(x) -> "GaussRational":
         if isinstance(x, GaussRational):
@@ -114,11 +117,6 @@ class GaussRational:
         a, b, d = self._abd
         return _reduced(a, -b, d)
 
-    def norm2(self) -> Fraction:
-        """Squared modulus |z|^2 = re^2 + im^2 (a rational)."""
-        a, b, d = self._abd
-        return Fraction(a * a + b * b, d * d)
-
     def is_zero(self) -> bool:
         return not self._abd[0] and not self._abd[1]
 
@@ -138,7 +136,10 @@ class GaussRational:
         return NotImplemented
 
     def __hash__(self):
+        # a real value hashes as the equal int or Fraction does
         a, b, d = self._abd
+        if not b:
+            return hash(a) if d == 1 else hash(Fraction(a, d))
         return hash((a, b) if d == 1 else (Fraction(a, d), Fraction(b, d)))
 
     def __complex__(self):

@@ -117,9 +117,3 @@ def rank_exact(matrix: Sequence[Sequence[GaussRational]]) -> int:
         tracker.add_row(row)
     return tracker.rank
 
-
-def solve_linear(a: GaussRational, b: GaussRational) -> GaussRational:
-    """Solve a*x + b = 0 exactly."""
-    if a.is_zero():
-        raise ZeroDivisionError("linear coefficient vanishes")
-    return -(b / a)

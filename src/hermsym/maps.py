@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gauss import GaussRational
-from .poly import Polynomial, PolyFraction, PolyRing
+from .poly import PolyFraction, PolyRing
 from .spaces import Space
 
 
@@ -31,9 +31,6 @@ class RationalMap:
     def n(self) -> int:
         return len(self.components)
 
-    def is_polynomial(self) -> bool:
-        return all(f.den.is_constant() for f in self.components)
-
     def as_fraction_images(self) -> Dict[str, PolyFraction]:
         return {v: f for v, f in zip(self.ring.vars, self.components)}
 
@@ -53,13 +50,6 @@ def identity_map(space: Space) -> RationalMap:
     ring = space.ring
     one = ring.one()
     comps = tuple(PolyFraction(ring.var(v), one) for v in ring.vars)
-    return RationalMap(ring, comps)
-
-
-def polynomial_map(space: Space, images: Dict[str, Polynomial]) -> RationalMap:
-    ring = space.ring
-    one = ring.one()
-    comps = tuple(PolyFraction(images.get(v, ring.var(v)), one) for v in ring.vars)
     return RationalMap(ring, comps)
 
 
@@ -130,6 +120,3 @@ def parse_map_file(space: Space, payload) -> MapFile:
             raise ValueError("lambdas must be positive")
     return MapFile(maps, floats, exact)
 
-
-def map_to_json(F: RationalMap) -> list:
-    return [{"num": f.num.to_json(), "den": f.den.to_json()} for f in F.components]

@@ -143,14 +143,6 @@ def _scalar_eq(a, b) -> bool:
     return _is_zero_scalar(a - b)
 
 
-def bilinear_pairing(u: Octonion, v: Octonion):
-    """sum_i u_i v_i  (= real part of u * conj(v))."""
-    total = u._zero()
-    for a, b in zip(u.coeffs, v.coeffs):
-        total = total + a * b
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Jordan algebra of Hermitian 3x3 octonion matrices
 # ---------------------------------------------------------------------------
@@ -382,18 +374,6 @@ def freudenthal_forms(ring: PolyRing | None = None):
         g = g + (row * ring.var(f"t{i}")).scale(2)
     forms.append(g)
     return forms
-
-
-def exceptional_cell_forms(which: str):
-    """Hard-coded embedding polynomials for the exceptional cells.
-
-    ``which`` is 'M16' (26 forms in 16 variables) or 'M27' (55 forms in 27
-    variables)."""
-    if which == "M16":
-        return cayley_plane_forms()
-    if which == "M27":
-        return freudenthal_forms()
-    raise ValueError("which must be 'M16' or 'M27'")
 
 
 def symbolic_octonion(ring: PolyRing, prefix: str) -> Octonion:

@@ -58,6 +58,9 @@ class PolyRing:
     def __setattr__(self, name, value):
         raise AttributeError("PolyRing is immutable")
 
+    def __reduce__(self):
+        return PolyRing, (self.vars,)
+
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.vars == other.vars
 
@@ -121,6 +124,9 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        return Polynomial, (self.ring, self.terms)
 
     # -- predicates / structure ----------------------------------------
 
@@ -308,27 +314,6 @@ class Polynomial:
                 out[ne] = s
         return Polynomial(self.ring, out)
 
-    def substitute(self, name: str, frac: "PolyFraction") -> "PolyFraction":
-        """Replace one variable by a polynomial fraction; exact result."""
-        if frac.den.is_zero():
-            raise ZeroDivisionError("substitution denominator is identically zero")
-        i = self.ring.index(name)
-        max_k = max((e[i] for e in self.terms), default=0)
-        # powers of num and den up to max_k
-        num_p = [frac.num.ring.one()]
-        den_p = [frac.den.ring.one()]
-        for _ in range(max_k):
-            num_p.append(num_p[-1] * frac.num)
-            den_p.append(den_p[-1] * frac.den)
-        out_num = self.ring.zero()
-        for e, c in self.terms.items():
-            k = e[i]
-            ne = list(e)
-            ne[i] = 0
-            rest = Polynomial(self.ring, {tuple(ne): c})
-            out_num = out_num + rest * num_p[k] * den_p[max_k - k]
-        return PolyFraction(out_num, den_p[max_k])
-
     def compose_fractions(self, images: Dict[str, "PolyFraction"]) -> "PolyFraction":
         """Simultaneous substitution of variables by fractions (same ring).
 
@@ -451,6 +436,9 @@ class PolyFraction:
     def __setattr__(self, name, value):
         raise AttributeError("PolyFraction is immutable")
 
+    def __reduce__(self):
+        return PolyFraction, (self.num, self.den)
+
     @staticmethod
     def from_poly(p: Polynomial) -> "PolyFraction":
         return PolyFraction(p, p.ring.one())
@@ -555,9 +543,6 @@ class PolyModP:
     def __setattr__(self, name, value):
         raise AttributeError("PolyModP is immutable")
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         if not self.terms:
             return -1
@@ -570,18 +555,6 @@ class PolyModP:
     def __hash__(self):
         return hash((self.vars, self.p, frozenset(self.terms.items())))
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = (terms.get(e, 0) + c) % self.p
-        return PolyModP(self.vars, self.p, terms)
-
-    def __sub__(self, other):
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = (terms.get(e, 0) - c) % self.p
-        return PolyModP(self.vars, self.p, terms)
-
     def __mul__(self, other):
         out: Dict[Exponent, int] = {}
         for e1, c1 in self.terms.items():
@@ -589,10 +562,6 @@ class PolyModP:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = (out.get(e, 0) + c1 * c2) % self.p
         return PolyModP(self.vars, self.p, out)
-
-    def homogeneous_part(self, d: int) -> "PolyModP":
-        return PolyModP(self.vars, self.p,
-                        {e: c for e, c in self.terms.items() if sum(e) == d})
 
     def constant(self) -> int:
         return self.terms.get((0,) * len(self.vars), 0)

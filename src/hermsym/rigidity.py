@@ -10,7 +10,6 @@ reproduce identical reports.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
@@ -21,8 +20,8 @@ import numpy as np
 from .gauss import GaussRational, ONE, ZERO
 from .linalg import RankTracker, det_exact, rank_exact
 from .maps import RationalMap, compose_psi
-from .poly import Polynomial, PolyFraction, monomials, trial_division_modp
-from .sampling import random_small_gauss, rng_from_seed
+from .poly import Polynomial, monomials, trial_division_modp
+from .sampling import random_complex_ball, random_small_gauss, rng_from_seed
 from .segre import SegreFamily, check_mu, null_block, special_point
 from .spaces import Space
 
@@ -152,10 +151,10 @@ def _sample_jets(space: Space, system, fields, top: int, rng) -> TaylorJets:
 
 
 def jet_rank(space: Space, F: RationalMap, k: int, trials: int = 3,
-             seed: int = 0, system=None) -> int:
+             seed: int = 0) -> int:
     """Exact rank of the order-<=k truncated-variable jet of psi o F,
     maximized over random rational points near 0."""
-    system = compose_psi(space, F) if system is None else list(system)
+    system = compose_psi(space, F)
     fields = list(truncated_vars(space))
     betas = multiindices_upto(len(fields), k)
     rng = rng_from_seed(seed)
@@ -171,17 +170,6 @@ def jet_rank(space: Space, F: RationalMap, k: int, trials: int = 3,
         if best == len(system):
             break
     return best
-
-
-def rank_monotonicity_probe(space: Space, F: RationalMap, kmax: int,
-                            trials: int = 3, seed: int = 0,
-                            system=None) -> List[int]:
-    ranks = [jet_rank(space, F, k, trials, seed, system=system)
-             for k in range(kmax + 1)]
-    for a, b in zip(ranks, ranks[1:]):
-        if b < a:
-            raise ArithmeticError("jet rank decreased with order; internal error")
-    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -218,102 +206,6 @@ def hyperplane_frame(space: Space, mu: Sequence[GaussRational]) -> TangentFrame:
     fields = [{v: ONE} for v in space.vars if v not in block]
     fields += [{v: ONE, block[-1]: -m} for v, m in zip(block, mu)]
     return TangentFrame("hyperplane", tuple(fields))
-
-
-class TangencyError(ValueError):
-    pass
-
-
-def _segre_field_apply(fam: SegreFamily, var: str, expr: PolyFraction) -> PolyFraction:
-    dist = fam.space.distinguished
-    rho_i = fam.rho.derivative(var)
-    rho_d = fam.rho.derivative(dist)
-    if rho_d.is_zero():
-        raise TangencyError("distinguished derivative of the family vanishes identically")
-    d_i = expr.derivative(var)
-    d_d = expr.derivative(dist)
-    # d_i and d_d share the denominator expr.den^2 by construction, so the
-    # combination d/dz_i - (rho_i / rho_d) d/dz_d stays on one denominator
-    num = d_i.num * rho_d - rho_i * d_d.num
-    den = d_i.den * rho_d
-    return PolyFraction(num, den)
-
-
-def tangent_apply(frame: TangentFrame, fam: SegreFamily, expr: PolyFraction,
-                  beta: Dict[str, int] | Sequence[int]) -> PolyFraction:
-    """Iterated application of the frame fields per the multiindex.
-
-    Composition applies later-listed fields first (the product convention
-    L_1^{k_1} L_2^{k_2} ... acting on the right)."""
-    if not isinstance(beta, dict):
-        beta = {i: b for i, b in enumerate(beta)}
-        orders = [(i, beta.get(i, 0)) for i in range(frame.width())]
-    else:
-        names = list(frame.fields)
-        orders = [(names.index(v), k) for v, k in beta.items()]
-    out = expr
-    for idx, k in reversed(orders):
-        for _ in range(k):
-            if frame.kind == "segre":
-                out = _segre_field_apply(fam, frame.fields[idx], out)
-            else:
-                direction = frame.fields[idx]
-                acc = None
-                for var, coeff in direction.items():
-                    d = out.derivative(var)
-                    term = PolyFraction(d.num.scale(GaussRational.coerce(coeff)),
-                                        d.den)
-                    acc = term if acc is None else acc + term
-                out = acc
-    return out
-
-
-class LambdaUndefinedError(ArithmeticError):
-    pass
-
-
-def lambda_determinant(space: Space, fam: SegreFamily, F: RationalMap,
-                       betas: Sequence[Tuple[int, ...]],
-                       z0: Dict, xi0: Dict,
-                       frame: Optional[TangentFrame] = None) -> GaussRational:
-    """Exact determinant of [L^beta_l (psi_j o F)] at a family point.
-
-    Fully symbolic in the frame fields; intended for desk-size spaces (the
-    witness search below uses the slice evaluation instead, which agrees at
-    the recipe points)."""
-    if frame is None:
-        frame = segre_frame(fam)
-    if not fam.rho_at(z0, xi0).is_zero():
-        raise ValueError("point is not on the Segre family")
-    point = fam.point_pair(z0, xi0)
-    if frame.kind == "segre":
-        dist = space.distinguished
-        rho_d = fam.rho.derivative(dist)
-        rho_d_z0 = rho_d.partial_evaluate(
-            {v: point[v] for v in fam.zvars})
-        if rho_d_z0.is_zero():
-            raise LambdaUndefinedError(
-                "Lambda undefined over this Segre variety: distinguished "
-                "derivative vanishes identically on it")
-        if rho_d.evaluate(point).is_zero():
-            raise LambdaUndefinedError("Lambda undefined at point")
-    if betas[0] != (0,) * frame.width():
-        raise ValueError("first multiindex must be zero")
-    psis = compose_psi(space, F)
-    if len(betas) != len(psis):
-        raise ValueError("need exactly N multiindices")
-    ring = fam.ring
-    zmap = {v: v for v in space.vars}
-    lifted = [PolyFraction(p.num.embed(ring, zmap), p.den.embed(ring, zmap))
-              for p in psis]
-    rows = []
-    for beta in betas:
-        row = []
-        for f in lifted:
-            g = tangent_apply(frame, fam, f, beta)
-            row.append(g.evaluate(point))
-        rows.append(row)
-    return det_exact(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -481,74 +373,6 @@ def degeneracy_relation(polys: Sequence[Polynomial], slice_count: int = 3,
         if s == 0:
             zero_head = float(np.max(np.abs(g[:m])))
     return DegeneracyReport(slices, coefficients, residuals, zero_head)
-
-
-# ---------------------------------------------------------------------------
-# bordered determinant identities
-# ---------------------------------------------------------------------------
-
-def _random_matrix(rng, n: int) -> List[List[GaussRational]]:
-    return [[random_small_gauss(rng) for _ in range(n)] for _ in range(n)]
-
-
-def _minor(mat, rows, cols) -> GaussRational:
-    sub = [[mat[i][j] for j in cols] for i in rows]
-    return det_exact(sub)
-
-
-def bordered_identity_check(n: int, trials: int = 5, seed: int = 0) -> bool:
-    """The bordered two-by-two identity of complementary (n-1)-minors:
-    det of the 2x2 block of big minors equals (inner minor) * det(B)."""
-    if n < 3:
-        raise ValueError("needs n >= 3")
-    rng = rng_from_seed(seed)
-    for t in range(trials):
-        B = _random_matrix(rng, n)
-        if t == trials - 1:
-            # singular control: replace last row by the sum of the others
-            B[n - 1] = [sum((B[i][j] for i in range(n - 1)), GaussRational(0))
-                        for j in range(n)]
-        detB = det_exact(B)
-        for i_set in itertools.combinations(range(n - 1), n - 2):
-            for j_set in itertools.combinations(range(n - 1), n - 2):
-                top = list(range(n - 1))
-                lhs = det_exact([
-                    [_minor(B, top, top), _minor(B, top, list(j_set) + [n - 1])],
-                    [_minor(B, list(i_set) + [n - 1], top),
-                     _minor(B, list(i_set) + [n - 1], list(j_set) + [n - 1])],
-                ])
-                rhs = _minor(B, i_set, j_set) * detB
-                if not (lhs - rhs).is_zero():
-                    return False
-                if detB.is_zero() and not lhs.is_zero():
-                    return False
-    return True
-
-
-def bordered_vanish_probe(n: int, trials: int = 5, seed: int = 0) -> bool:
-    """All n bordered determinants det(b_{i1}..b_{i n-1}, a) vanish iff a=0,
-    for invertible B (checked on random data plus the a=0 control)."""
-    rng = rng_from_seed(seed)
-    for _ in range(trials):
-        while True:
-            B = _random_matrix(rng, n)
-            if not det_exact(B).is_zero():
-                break
-        a = [random_small_gauss(rng) for _ in range(n)]
-        if all(x.is_zero() for x in a):
-            a[0] = GaussRational(1)
-        dets = []
-        for cols in itertools.combinations(range(n), n - 1):
-            mat = [[B[r][c] for c in cols] + [a[r]] for r in range(n)]
-            dets.append(det_exact(mat))
-        if all(d.is_zero() for d in dets):
-            return False          # nonzero a must leave a nonzero bordered det
-        zero = [GaussRational(0)] * n
-        for cols in itertools.combinations(range(n), n - 1):
-            mat = [[B[r][c] for c in cols] + [zero[r]] for r in range(n)]
-            if not det_exact(mat).is_zero():
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -731,8 +555,8 @@ def generic_conjugate_point(fam: SegreFamily, seed: int = 0,
 # volume equation and isometry pullback checks
 # ---------------------------------------------------------------------------
 
-from .sampling import random_complex_ball  # noqa: E402  (shared sampler)
-from .segre import einstein_fit  # noqa: E402
+_MAP_RADIUS = 0.2      # sample ball of the map checks
+_MAX_RETRIES = 40      # draws that may hit a pole of a map before one raises
 
 
 def _named(space: Space, pt: Sequence[complex]) -> Dict[str, complex]:
@@ -746,13 +570,12 @@ def _weighted_rho(eng, point: Sequence[complex]) -> float:
 
 def volume_equation_check(fam: SegreFamily, maps: Sequence[RationalMap],
                           lambdas: Sequence[float], sample_count: int = 25,
-                          seed: int = 0, lam: Optional[int] = None,
-                          radius: float = 0.2, max_retries: int = 40) -> float:
+                          seed: int = 0) -> float:
     """Max relative residual of the volume-preserving equation
-    sum_j lambda_j |J_Fj|^2 / rho(F_j, conj F_j)^lam = rho(z, zbar)^-lam."""
+    sum_j lambda_j |J_Fj|^2 / rho(F_j, conj F_j)^lam = rho(z, zbar)^-lam,
+    lam the genus of the space."""
     space = fam.space
-    if lam is None:
-        lam, _, _ = einstein_fit(fam, 24, seed + 7)
+    lam = space.desc.genus
     eng = fam.engine("invariant")
     rng = rng_from_seed(seed)
     jacs = [F.jacobian_fractions() for F in maps]
@@ -760,7 +583,7 @@ def volume_equation_check(fam: SegreFamily, maps: Sequence[RationalMap],
     done = 0
     retries = 0
     while done < sample_count:
-        pt = random_complex_ball(rng, space.n, radius)
+        pt = random_complex_ball(rng, space.n, _MAP_RADIUS)
         named = _named(space, pt)
         try:
             lhs = 0.0
@@ -773,7 +596,7 @@ def volume_equation_check(fam: SegreFamily, maps: Sequence[RationalMap],
             rhs = 1.0 / _weighted_rho(eng, pt) ** lam
         except ZeroDivisionError:
             retries += 1
-            if retries > max_retries:
+            if retries > _MAX_RETRIES:
                 raise
             continue
         worst = max(worst, abs(lhs / rhs - 1.0))
@@ -783,9 +606,8 @@ def volume_equation_check(fam: SegreFamily, maps: Sequence[RationalMap],
 
 def isometry_pullback_check(fam: SegreFamily, F: RationalMap,
                             sample_count: int = 20, seed: int = 0,
-                            radius: float = 0.2,
-                            points: Optional[Sequence[Sequence[complex]]] = None,
-                            max_retries: int = 40) -> float:
+                            points: Optional[Sequence[Sequence[complex]]] = None
+                            ) -> float:
     """Max entrywise deviation of the pulled-back metric from the metric."""
     space = fam.space
     eng = fam.engine("invariant")
@@ -796,7 +618,7 @@ def isometry_pullback_check(fam: SegreFamily, F: RationalMap,
     done = 0
     retries = 0
     while done < sample_count or queue:
-        pt = queue.pop(0) if queue else random_complex_ball(rng, space.n, radius)
+        pt = queue.pop(0) if queue else random_complex_ball(rng, space.n, _MAP_RADIUS)
         named = _named(space, pt)
         try:
             A = np.array([[f.evaluate_float(named) for f in row] for row in jac])
@@ -805,63 +627,10 @@ def isometry_pullback_check(fam: SegreFamily, F: RationalMap,
             g_image, _ = eng.metric(np.asarray(image, dtype=complex))
         except ZeroDivisionError:
             retries += 1
-            if retries > max_retries:
+            if retries > _MAX_RETRIES:
                 raise
             continue
         pull = A @ g_image @ A.conj().T
         worst = max(worst, float(np.max(np.abs(pull - g_here))))
-        done += 1
-    return worst
-
-
-def volume_equation_complexified(fam: SegreFamily, maps: Sequence[RationalMap],
-                                 lambdas: Sequence[float],
-                                 sample_count: int = 15, seed: int = 0,
-                                 lam: Optional[int] = None,
-                                 radius: float = 0.15,
-                                 max_retries: int = 40) -> float:
-    """Two-variable (polarized) form of the volume equation at independent
-    sample pairs; the diagonal xi = conj(z) anchor is the plain check.
-
-    Valid for maps with real rational coefficients (their conjugate maps
-    coincide with themselves), which covers the shipped isometry families."""
-    space = fam.space
-    if lam is None:
-        lam, _, _ = einstein_fit(fam, 24, seed + 7)
-    eng = fam.engine("invariant")
-    w = eng.w
-    rng = rng_from_seed(seed)
-    jacs = [F.jacobian_fractions() for F in maps]
-
-    def rho_pair(a: Sequence[complex], b: Sequence[complex]) -> complex:
-        va = eng.psi_eval(np.asarray(a, dtype=complex))
-        vb = eng.psi_eval(np.asarray(b, dtype=complex))
-        return 1.0 + complex((w * va) @ vb)
-
-    worst = 0.0
-    done = 0
-    retries = 0
-    while done < sample_count:
-        z = random_complex_ball(rng, space.n, radius)
-        xi = random_complex_ball(rng, space.n, radius)
-        nz = _named(space, z)
-        nxi = _named(space, xi)
-        try:
-            lhs = 0j
-            for F, jac, weight in zip(maps, jacs, lambdas):
-                Jz = np.array([[f.evaluate_float(nz) for f in row] for row in jac])
-                Jxi = np.array([[f.evaluate_float(nxi) for f in row] for row in jac])
-                fz = F.evaluate_float(z)
-                fxi = F.evaluate_float(xi)
-                lhs += (weight * complex(np.linalg.det(Jz))
-                        * complex(np.linalg.det(Jxi))
-                        / rho_pair(fz, fxi) ** lam)
-            rhs = 1.0 / rho_pair(z, xi) ** lam
-        except ZeroDivisionError:
-            retries += 1
-            if retries > max_retries:
-                raise
-            continue
-        worst = max(worst, abs(lhs / rhs - 1.0))
         done += 1
     return worst

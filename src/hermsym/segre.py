@@ -1,10 +1,10 @@
-"""Segre families, Kahler metrics, Einstein exponents, and projectively
-induced automorphisms.
+"""Segre families, Kahler metrics, Einstein exponents, and exact sampling
+on the family.
 
 The family polynomial rho(z, xi) = 1 + sum_j psi_j(z) psi_j(xi) is evaluated
 from the pairing vector psi of the space, exactly as it is defined.  Its
 expansion in a doubled ring (the cell variables plus a conjugate copy,
-prefix ``c``) is built lazily, for the few checks that read its monomials.
+prefix ``c``) is built lazily, for the rho command that prints it.
 Metric work differentiates the embedding polynomials symbolically once and
 pushes batches of sample points through a compiled numpy evaluator; exact
 identities never touch floats.
@@ -23,7 +23,7 @@ from .gauss import GaussRational, ONE, ZERO
 from .linalg import det_exact
 from .poly import Polynomial, PolyRing
 from .sampling import random_complex_ball, random_gauss_point, rng_from_seed
-from .spaces import Space, cell_matrix_point, sym_det
+from .spaces import Space, cell_matrix_point
 
 
 def conj_name(v: str) -> str:
@@ -39,7 +39,7 @@ class SegreFamily:
     the definition of rho, so in exact arithmetic each value equals the one
     read off the expanded polynomial, and no soundness argument beyond it is
     needed.  ``rho``, the expansion in the doubled ring, is built on first
-    read; only the rho command and the symbolic Lambda oracle read it.
+    read; only the rho command reads it.
 
     The expansion, the table of first derivatives of psi and the compiled
     metric evaluators are per-family caches: each is built once, on first
@@ -129,15 +129,6 @@ def build_rho(space: Space) -> SegreFamily:
     return fam
 
 
-def segre_membership(fam: SegreFamily, z: Dict, xi: Dict):
-    """Exact zero test for rational points, |rho| for float points."""
-    exact = all(isinstance(v, GaussRational) for v in z.values()) and \
-        all(isinstance(v, GaussRational) for v in xi.values())
-    if exact:
-        return fam.rho_at(z, xi).is_zero()
-    return abs(fam.rho_at_float(z, xi))
-
-
 # ---------------------------------------------------------------------------
 # batched float evaluation of polynomial systems
 # ---------------------------------------------------------------------------
@@ -217,17 +208,15 @@ class _MetricEngine:
         return g, rho
 
 
-def kahler_metric(fam: SegreFamily, point: Sequence[complex],
-                  hermitian_tol: float = 1e-10,
-                  weights: str = "plain") -> MetricSample:
+def kahler_metric(fam: SegreFamily, point: Sequence[complex]) -> MetricSample:
     """Fubini-Study pullback metric g_{i jbar} = d_i d_jbar log rho(z, zbar).
 
     The mixed Hessian of log rho at xi = conj(z) is assembled from the exact
     symbolic Jacobian of the embedding system (the two routes agree
     identically because rho is the self-pairing of that system)."""
-    g, _ = fam.engine(weights).metric(point)
+    g, _ = fam.engine("plain").metric(point)
     dev = float(np.max(np.abs(g - g.conj().T)))
-    if dev > hermitian_tol:
+    if dev > 1e-10:
         raise ArithmeticError(f"metric not Hermitian (deviation {dev:g}); "
                               "family polynomial is asymmetric")
     det = np.linalg.det(g)
@@ -239,7 +228,7 @@ class EinsteinError(ArithmeticError):
 
 
 def einstein_fit(fam: SegreFamily, sample_count: int, seed: int,
-                 radius: float = 0.3, weights: str = "invariant"):
+                 weights: str = "invariant"):
     """Fit the integer exponent in volume_density = c * rho(z, zbar)^-lambda.
 
     Returns (lambda, c, max relative residual over the samples).  The
@@ -250,7 +239,7 @@ def einstein_fit(fam: SegreFamily, sample_count: int, seed: int,
     eng = fam.engine(weights)
     logs = []
     for _ in range(sample_count):
-        pt = random_complex_ball(rng, fam.space.n, radius)
+        pt = random_complex_ball(rng, fam.space.n, 0.3)
         g, rho = eng.metric(np.array(pt, dtype=complex))
         det = np.linalg.det(g).real
         if det <= 0:
@@ -271,19 +260,18 @@ def einstein_fit(fam: SegreFamily, sample_count: int, seed: int,
     return lam, c, residual
 
 
-def ricci_residual(fam: SegreFamily, point_count: int, seed: int,
-                   lam: Optional[int] = None, h: float = 1e-3,
-                   radius: float = 0.25, weights: str = "invariant") -> float:
-    """Cross-check the Einstein identity -dd_bar log V = lambda * g entrywise.
+def ricci_residual(fam: SegreFamily, point_count: int, seed: int) -> float:
+    """Cross-check the Einstein identity -dd_bar log V = lambda * g entrywise,
+    lambda the genus of the space.
 
     The left side is a finite-difference mixed Hessian of log det g; the
     right side is the symbolically derived metric.  Returns the max relative
     deviation over the sampled points."""
-    if lam is None:
-        lam, _, _ = einstein_fit(fam, 24, seed, weights=weights)
+    lam = fam.space.desc.genus
     rng = rng_from_seed(seed + 1)
-    eng = fam.engine(weights)
+    eng = fam.engine("invariant")
     n = fam.space.n
+    h = 1e-3
 
     def logV(pt: np.ndarray) -> float:
         g, _ = eng.metric(pt)
@@ -291,7 +279,7 @@ def ricci_residual(fam: SegreFamily, point_count: int, seed: int,
 
     worst = 0.0
     for _ in range(point_count):
-        z = np.array(random_complex_ball(rng, n, radius), dtype=complex)
+        z = np.array(random_complex_ball(rng, n, 0.25), dtype=complex)
         g, _ = eng.metric(z)
         target = lam * g
         hess = np.zeros((n, n), dtype=complex)
@@ -458,206 +446,3 @@ def det_model_holds(fam: SegreFamily, z: Dict, xi: Dict) -> bool:
     for _ in range(space.kind.det_power):
         power = power * rho
     return (power - det_exact(M)).is_zero()
-
-
-# ---------------------------------------------------------------------------
-# projectively induced maps
-# ---------------------------------------------------------------------------
-
-class MapsIntoHyperplaneError(ValueError):
-    pass
-
-
-class NotPreservingError(ValueError):
-    pass
-
-
-def _hom_vector_exact(space: Space, z: Dict) -> List[GaussRational]:
-    vec = [GaussRational(1)]
-    vec += [p.evaluate(z) for p in space.psi]
-    return vec
-
-
-def apply_projective_map(space: Space, M, z, check_tol: float = 1e-9):
-    """Push a cell point through a projective matrix acting on [1, psi].
-
-    Exact mode: ``z`` a dict of GaussRational and ``M`` nested lists of
-    GaussRational.  Float mode: ``z`` a complex sequence and ``M`` a numpy
-    array.  Returns the image cell point (same shape as the input) and
-    verifies the image stays on the embedded variety."""
-    if isinstance(z, dict):
-        vec = _hom_vector_exact(space, z)
-        img = [sum((vec[k] * M[k][j] for k in range(len(vec))), GaussRational(0))
-               for j in range(len(vec))]
-        if img[0].is_zero():
-            raise MapsIntoHyperplaneError("point maps into hyperplane at infinity")
-        out = {v: img[j + 1] / img[0] for j, v in enumerate(space.vars)}
-        tail = [p.evaluate(out) for p in space.psi[space.n:]]
-        for j, t in enumerate(tail):
-            want = img[space.n + 1 + j] / img[0]
-            if not (t - want).is_zero():
-                raise NotPreservingError("matrix does not preserve the space")
-        return out
-    pt = np.asarray(z, dtype=complex)
-    point = {v: pt[i] for i, v in enumerate(space.vars)}
-    vec = np.concatenate(([1.0 + 0j], [p.evaluate_float(point) for p in space.psi]))
-    img = vec @ np.asarray(M, dtype=complex)
-    if abs(img[0]) < 1e-14:
-        raise MapsIntoHyperplaneError("point maps into hyperplane at infinity")
-    out = img[1:space.n + 1] / img[0]
-    outpoint = {v: out[i] for i, v in enumerate(space.vars)}
-    scale = max(1.0, float(np.max(np.abs(img / img[0]))))
-    for j, p in enumerate(space.psi[space.n:]):
-        want = img[space.n + 1 + j] / img[0]
-        if abs(p.evaluate_float(outpoint) - want) > check_tol * scale:
-            raise NotPreservingError("matrix does not preserve the space")
-    return list(out)
-
-
-def segre_invariance_check(fam: SegreFamily, M, Mbar, sample_count: int, seed: int):
-    """For on-family samples, map (z, xi) by (M, Mbar) and measure rho there.
-
-    Returns (max |rho| over samples, whether every value was exactly zero);
-    exact inputs keep the whole computation in Gaussian rationals."""
-    rng = rng_from_seed(seed)
-    space = fam.space
-    exact = not isinstance(M, np.ndarray)
-    worst = 0.0
-    all_zero = True
-    for _ in range(sample_count):
-        z, xi = sample_on_family(fam, rng)
-        if exact:
-            z2 = apply_projective_map(space, M, z)
-            xi2 = apply_projective_map(space, Mbar, xi)
-            val = fam.rho_at(z2, xi2)
-            all_zero = all_zero and val.is_zero()
-            worst = max(worst, abs(complex(val)))
-        else:
-            zf = [complex(z[v]) for v in space.vars]
-            xif = [complex(xi[v]) for v in space.vars]
-            z2 = apply_projective_map(space, M, zf)
-            xi2 = apply_projective_map(space, Mbar, xif)
-            val = fam.rho_at_float({v: z2[i] for i, v in enumerate(space.vars)},
-                                   {v: xi2[i] for i, v in enumerate(space.vars)})
-            all_zero = False
-            worst = max(worst, abs(val))
-    return worst, all_zero
-
-
-# ---------------------------------------------------------------------------
-# Grassmannian compound (induced Pluecker) action
-# ---------------------------------------------------------------------------
-
-def _type1_subsets(p: int, q: int):
-    """psi-slot order -> column subset of the widened p x (p+q) frame."""
-    subsets = [tuple(range(1, p + 1))]                       # constant slot
-    from .spaces import minor_index_sets
-    for k, rows, cols in minor_index_sets(p, q):
-        keep = tuple(sorted(set(range(1, p + 1)) - set(rows)))
-        subsets.append(keep + tuple(p + j for j in cols))
-    return subsets
-
-
-def _type1_signs(space: Space) -> List[int]:
-    """epsilon with det of frame columns == epsilon * psi, computed symbolically."""
-    p, q = space.desc.params
-    ring = space.ring
-    frame = [[ring.const(1 if i == j else 0) for j in range(1, p + 1)]
-             + [ring.var(f"z{i}_{j}") for j in range(1, q + 1)]
-             for i in range(1, p + 1)]
-    signs = []
-    psis = [ring.one()] + list(space.psi)
-    for slot, S in enumerate(_type1_subsets(p, q)):
-        sub = [[frame[i][s - 1] for s in S] for i in range(p)]
-        d = sym_det(sub)
-        if d == psis[slot]:
-            signs.append(1)
-        elif d == -psis[slot]:
-            signs.append(-1)
-        else:
-            raise ArithmeticError("minor does not match embedding slot")
-    return signs
-
-
-def type1_compound_matrix(space: Space, g) -> list:
-    """The (N+1)x(N+1) matrix acting on [1, psi] induced by g in GL(p+q).
-
-    Entry (a, b) = eps_a * det g[S_a, S_b] * eps_b (Cauchy-Binet transported
-    to the signed minor basis).  ``g`` may be exact (nested GaussRational)
-    or complex; the output matches."""
-    p, q = space.desc.params
-    subsets = _type1_subsets(p, q)
-    signs = _type1_signs(space)
-    exact = not isinstance(g, np.ndarray)
-    size = len(subsets)
-    out = []
-    for a in range(size):
-        row = []
-        Sa = subsets[a]
-        for b in range(size):
-            Sb = subsets[b]
-            if exact:
-                sub = [[g[i - 1][j - 1] for j in Sb] for i in Sa]
-                d = det_exact(sub)
-                row.append(d * GaussRational(signs[a] * signs[b]))
-            else:
-                sub = np.asarray(g, dtype=complex)[np.ix_([i - 1 for i in Sa],
-                                                          [j - 1 for j in Sb])]
-                row.append(signs[a] * signs[b] * complex(np.linalg.det(sub)))
-        out.append(row)
-    if exact:
-        return out
-    return np.array(out, dtype=complex)
-
-
-def type1_moebius(space: Space, g, z: Dict) -> Dict:
-    """The fractional-linear action Z -> (g11 + Z g21)^{-1} (g12 + Z g22)."""
-    p, q = space.desc.params
-    Z = [[GaussRational.coerce(z[f"z{i}_{j}"]) for j in range(1, q + 1)]
-         for i in range(1, p + 1)]
-    A = [[g[i][j] for j in range(p)] for i in range(p)]
-    B = [[g[i][p + j] for j in range(q)] for i in range(p)]
-    C = [[g[p + i][j] for j in range(p)] for i in range(q)]
-    D = [[g[p + i][p + j] for j in range(q)] for i in range(q)]
-    left = [[A[i][j] + sum((Z[i][k] * C[k][j] for k in range(q)), GaussRational(0))
-             for j in range(p)] for i in range(p)]
-    right = [[B[i][j] + sum((Z[i][k] * D[k][j] for k in range(q)), GaussRational(0))
-              for j in range(q)] for i in range(p)]
-    inv = _invert_exact(left)
-    out = {}
-    for i in range(p):
-        for j in range(q):
-            s = GaussRational(0)
-            for k in range(p):
-                s = s + inv[i][k] * right[k][j]
-            out[f"z{i + 1}_{j + 1}"] = s
-    return out
-
-
-def _invert_exact(m):
-    n = len(m)
-    aug = [[m[i][j] for j in range(n)] + [GaussRational(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if not aug[i][k].is_zero()), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[k], aug[piv] = aug[piv], aug[k]
-        inv = GaussRational(1) / aug[k][k]
-        aug[k] = [x * inv for x in aug[k]]
-        for i in range(n):
-            if i != k and not aug[i][k].is_zero():
-                f = aug[i][k]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
-    return [row[n:] for row in aug]
-
-
-def quadric_permutation_matrix(space: Space, perm: Sequence[int]):
-    """Projective matrix permuting the quadric cell coordinates z_1..z_n."""
-    n = space.n
-    size = space.N + 1
-    M = [[GaussRational(1 if a == b else 0) for b in range(size)] for a in range(size)]
-    for i in range(n):
-        for j in range(n):
-            M[1 + i][1 + j] = GaussRational(1 if perm[i] == j else 0)
-    return M

@@ -8,17 +8,17 @@ for the first ``n`` slots and vanishing linear part beyond), plus the
 For the symplectic Grassmannian the two differ: ``pairing_psi`` is the raw
 redundant minor vector (its pairing telescopes to ``det(I + Z Xi^t)`` via
 Cauchy-Binet) while ``psi`` is an exact maximal linearly independent basis
-selected per degree; the orthonormalized float tail that turns that basis
-into an honest Euclidean-coordinate embedding is kept in
-``symplectic_tail`` (its coefficients are irrational, so only numeric
-checks consume it).
+selected per degree.  The float combination that turns that basis into an
+honest Euclidean-coordinate embedding has irrational coefficients, and no
+check needs it.
 
 The table ``KINDS`` at the end of the module is the one place that tells
 the six families apart: each ``Kind`` record holds the parameter check and
-builder of a family, its incidence style, sampler, jet order bound,
-invariant weights, cell matrix layout, determinant model, transversal
-pencil and monomial-support laws.  Code elsewhere reads the record of a
-space (``Space.kind``) and never its kind name.
+builder of a family, its genus (the Einstein exponent), incidence style,
+sampler, jet order bound, invariant weights, cell matrix layout,
+determinant model, transversal pencil and monomial-support laws.  Code
+elsewhere reads the record of a space (``Space.kind``) and never its kind
+name.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .gauss import GaussRational
 from .linalg import RankTracker
@@ -50,31 +48,34 @@ class SpaceDescriptor:
         if not kind.valid(self.params):
             raise ValueError(kind.needs)
 
+    @property
+    def genus(self) -> int:
+        """The exponent lambda of the Einstein volume density
+        c * rho(z, zbar)^-lambda of the space."""
+        return KINDS[self.kind].genus(*self.params)
+
     def label(self) -> str:
         if self.params:
             return f"{self.kind}:{','.join(map(str, self.params))}"
         return self.kind
 
 
+SPACE_GRAMMAR = "typeI:p,q | typeII:n | typeIII:n | typeIV:n | e16 | e27"
+
+
 def parse_space_spec(text: str) -> SpaceDescriptor:
-    """Parse grammar 'typeI:p,q | typeII:n | typeIII:n | typeIV:n | e16 | e27'."""
+    """Parse a space spec of the grammar ``SPACE_GRAMMAR``."""
     text = text.strip()
     if ":" in text:
         kind, rest = text.split(":", 1)
-        params = tuple(int(x) for x in rest.split(","))
+        try:
+            params = tuple(int(x) for x in rest.split(","))
+        except ValueError:
+            raise ValueError(f"space {text!r} does not match the grammar "
+                             f"{SPACE_GRAMMAR}") from None
     else:
         kind, params = text, ()
     return SpaceDescriptor(kind, params)
-
-
-@dataclass(frozen=True)
-class SymplecticTail:
-    """Float orthonormalization data for the symplectic Grassmannian.
-
-    Per degree k: indices of the exact basis columns, and the combo matrix
-    C with (normalized block) = (exact basis block) . C, so that the
-    self-pairing of the normalized system equals the raw minor pairing."""
-    blocks: Tuple[Tuple[Tuple[int, ...], np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,6 @@ class Space:
     psi: Tuple[Polynomial, ...]          # independent embedding polynomials
     pairing_psi: Tuple[Polynomial, ...]  # vector whose self-pairing builds rho
     distinguished: str                   # dropped variable of the jet calculus
-    symplectic_tail: Optional[SymplecticTail] = None
     degenerate_note: Optional[str] = None
 
     @property
@@ -288,7 +288,7 @@ def _poly_coeff_row(p: Polynomial, monomials: List) -> List[GaussRational]:
     return [p.coeff(e) for e in monomials]
 
 
-def build_type3(n: int, tail_tol: float = 1e-9) -> Space:
+def build_type3(n: int) -> Space:
     desc = SpaceDescriptor("typeIII", (n,))
     ring, entry = _symbolic_cell(_sym_entry, n, n)
 
@@ -301,57 +301,13 @@ def build_type3(n: int, tail_tol: float = 1e-9) -> Space:
 
     # layer (b): per-degree maximal independent subsets, greedy in lex order
     psi: List[Polynomial] = []
-    blocks = []
-    offset = 0
     for k in range(1, n + 1):
         group = raw_by_degree[k]
         monomials = sorted({e for g in group for e in g.terms})
         tracker = RankTracker(len(monomials))
-        chosen_idx: List[int] = []
-        for idx, g in enumerate(group):
-            if tracker.add_row(_poly_coeff_row(g, monomials)):
-                chosen_idx.append(idx)
-        basis = [group[i] for i in chosen_idx]
-
-        # expansion matrix A_k with raw_block = basis_block . A_k
-        A = _expansion_matrix(basis, group, monomials)
-        gram = A @ A.T
-        mu, U = np.linalg.eigh(gram)
-        if mu.min() <= tail_tol:
-            raise ArithmeticError("A_k A_k^t not positive definite")
-        combo = U @ np.diag(np.sqrt(mu))
-        blocks.append((tuple(range(offset, offset + len(basis))), combo))
-        offset += len(basis)
-        psi.extend(basis)
-
-    tail = SymplecticTail(tuple(blocks))
+        psi.extend(g for g in group if tracker.add_row(_poly_coeff_row(g, monomials)))
     return Space(desc, n * (n + 1) // 2, len(psi), ring, tuple(psi), tuple(raw),
-                 distinguished=f"z{n}_{n}", symplectic_tail=tail)
-
-
-def _expansion_matrix(basis: List[Polynomial], group: List[Polynomial],
-                      monomials: List) -> np.ndarray:
-    """Rational least-squares-free expansion of each group member over the
-    basis, solved exactly by elimination and returned as floats."""
-    rows = len(basis)
-    B = np.array([[float(p.coeff(e).re) for e in monomials] for p in basis])
-    G = np.array([[float(p.coeff(e).re) for e in monomials] for p in group])
-    # all coefficients here are integers (minor expansions), so float solve
-    # of the consistent system B^T x = g is exact well within tolerance
-    A, *_ = np.linalg.lstsq(B.T, G.T, rcond=None)
-    return A
-
-
-def symplectic_tail_eval(space: Space, point: Dict[str, complex]) -> np.ndarray:
-    """Evaluate the float-coefficient orthonormalized embedding system."""
-    if space.symplectic_tail is None:
-        raise ValueError("space has no orthonormalized tail")
-    vals = np.array([p.evaluate_float(point) for p in space.psi])
-    out = []
-    for idx, combo in space.symplectic_tail.blocks:
-        block = vals[list(idx)]
-        out.append(block @ combo)
-    return np.concatenate(out)
+                 distinguished=f"z{n}_{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +359,7 @@ def space_to_json(space: Space) -> dict:
         "N": space.N,
         "distinguished": space.distinguished,
         "psi": [p.to_json() for p in space.psi],
-        "psi_numeric_tail": space.symplectic_tail is not None,
+        "psi_numeric_tail": space.kind.numeric_tail,
         "degenerate_note": space.degenerate_note,
     }
 
@@ -757,10 +713,18 @@ class Kind:
     block ends at the distinguished variable); the variables outside the
     block carry plain derivative fields.  A ``slot_solve`` kind samples
     family points by solving rho for the distinguished conjugate slot, in
-    which rho is linear; the other kinds sample incidence points."""
+    which rho is linear; the other kinds sample incidence points.
+
+    ``genus`` maps the parameters to the genus p + q, 2n - 2, n + 1, n, 12
+    or 18 (Loos, *Bounded symmetric domains and Jordan pairs*, 1977), the
+    exponent lambda of the Einstein volume density c * rho^-lambda.  A
+    ``numeric_tail`` kind has an exact psi basis that only a float
+    combination with irrational coefficients makes Euclidean."""
     needs: str                               # the parameter requirement
     valid: Callable[[Tuple[int, ...]], bool]
     build: Callable[..., Space]
+    genus: Callable[..., int]
+    numeric_tail: bool
     null_prefix: Optional[str]
     slot_solve: bool
     order_bound: Optional[int]               # witness jet order; None: 1 + N - n
@@ -776,6 +740,7 @@ KINDS: Dict[str, Kind] = {
     "typeI": Kind(
         needs="typeI needs 1 <= p <= q",
         valid=lambda p: len(p) == 2 and 1 <= p[0] <= p[1], build=build_type1,
+        genus=lambda p, q: p + q, numeric_tail=False,
         null_prefix=None, slot_solve=True, order_bound=None, weights=None,
         entry=_plain_entry, det_power=1, oracle=True,
         pencil=partial(_slot_pencil, "z1_1", "z1_2"),
@@ -783,6 +748,7 @@ KINDS: Dict[str, Kind] = {
     "typeII": Kind(
         needs="typeII needs n >= 2 (first Pfaffian block at n=4)",
         valid=lambda p: len(p) == 1 and p[0] >= 2, build=build_type2,
+        genus=lambda n: 2 * n - 2, numeric_tail=False,
         null_prefix=None, slot_solve=True, order_bound=None, weights=None,
         entry=_antisym_entry, det_power=2, oracle=True,
         pencil=partial(_slot_pencil, "z1_2", "z1_3"),
@@ -790,6 +756,7 @@ KINDS: Dict[str, Kind] = {
     "typeIII": Kind(
         needs="typeIII needs n >= 2",
         valid=lambda p: len(p) == 1 and p[0] >= 2, build=build_type3,
+        genus=lambda n: n + 1, numeric_tail=True,
         null_prefix=None, slot_solve=True, order_bound=None, weights=None,
         entry=_sym_entry, det_power=1, oracle=True,
         pencil=partial(_slot_pencil, "z1_1", "z1_2"),
@@ -797,6 +764,7 @@ KINDS: Dict[str, Kind] = {
     "typeIV": Kind(
         needs="typeIV needs n >= 3 (irreducible quadric)",
         valid=lambda p: len(p) == 1 and p[0] >= 3, build=build_type4,
+        genus=lambda n: n, numeric_tail=False,
         null_prefix="z", slot_solve=False, order_bound=2, weights=None,
         entry=None, det_power=None, oracle=True,
         pencil=_quadric_pencil, support_laws=_quadric_laws),
@@ -804,12 +772,14 @@ KINDS: Dict[str, Kind] = {
     # invariant trace form doubles their matrix-off-diagonal blocks
     "e16": Kind(
         needs="e16 takes no parameters", valid=lambda p: not p, build=build_e16,
+        genus=lambda: 12, numeric_tail=False,
         null_prefix="y", slot_solve=False, order_bound=11,
         weights=(2.0,) * 24 + (1.0,) * 2,
         entry=None, det_power=None, oracle=False,
         pencil=_cayley_plane_pencil, support_laws=_cayley_plane_laws),
     "e27": Kind(
         needs="e27 takes no parameters", valid=lambda p: not p, build=build_e27,
+        genus=lambda: 18, numeric_tail=False,
         null_prefix=None, slot_solve=False,
         order_bound=29,  # the search budget limits the practical search
         weights=(1.0,) * 3 + (2.0,) * 24 + (1.0,) * 3 + (2.0,) * 24 + (1.0,),

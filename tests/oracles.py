@@ -19,6 +19,9 @@
   identity checks read off the expanded family polynomial.
 * ``FractionPair`` -- the Gaussian-rational scalar as a pair of
   ``Fraction`` parts, the reference for ``hermsym.gauss``.
+* ``lambda_determinant`` -- the nondegeneracy determinant of the witness
+  search, with every frame field applied symbolically to psi o F over the
+  expanded family polynomial (``tangent_apply``) before evaluation.
 """
 
 import itertools
@@ -27,8 +30,10 @@ from fractions import Fraction
 from math import gcd
 
 from hermsym.gauss import GaussRational
+from hermsym.linalg import det_exact
+from hermsym.maps import compose_psi
 from hermsym.poly import Polynomial, PolyFraction, PolyModP
-from hermsym.rigidity import multiindices_upto
+from hermsym.rigidity import multiindices_upto, segre_frame
 from hermsym.segre import conj_name
 
 
@@ -187,21 +192,23 @@ def z_part_groups_expanded(fam):
 def divide_modp(target, cand):
     """target / cand in F_p[x] when cand, with constant term 1, divides
     target exactly; otherwise None."""
-    nvars = len(target.vars)
-    one = PolyModP(target.vars, target.p, {(0,) * nvars: 1})
-    parts = [target.homogeneous_part(k) for k in range(target.degree() + 1)]
-    cand_parts = [cand.homogeneous_part(j) for j in range(cand.degree() + 1)]
+    p = target.p
+
+    def homogeneous_part(poly, d):
+        return {e: c for e, c in poly.terms.items() if sum(e) == d}
+
+    cand_parts = [homogeneous_part(cand, j) for j in range(cand.degree() + 1)]
     # graded quotient: Q_k = R_k - sum_j (P_j * Q_{k-j})
-    q_parts = [one]
-    for k in range(1, len(parts)):
-        acc = parts[k]
+    q_parts = [{(0,) * len(target.vars): 1}]
+    for k in range(1, target.degree() + 1):
+        acc = homogeneous_part(target, k)
         for j in range(1, min(k, len(cand_parts) - 1) + 1):
-            if not cand_parts[j].is_zero():
-                acc = acc - (cand_parts[j] * q_parts[k - j])
+            for e1, c1 in cand_parts[j].items():
+                for e2, c2 in q_parts[k - j].items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    acc[e] = (acc.get(e, 0) - c1 * c2) % p
         q_parts.append(acc)
-    quotient = q_parts[0]
-    for qk in q_parts[1:]:
-        quotient = quotient + qk
+    quotient = PolyModP(target.vars, p, {e: c for q in q_parts for e, c in q.items()})
     return quotient if cand * quotient == target else None
 
 
@@ -215,14 +222,12 @@ def trial_division_loop(target, d, budget):
     count = p ** len(monos)
     if count > budget:
         raise OverflowError(count)
-    one = PolyModP(names, p, {(0,) * nvars: 1})
     tried = 0
     for coeffs in itertools.product(range(p), repeat=len(monos)):
         if not any(coeffs):
             continue
         tried += 1
-        cand = PolyModP(names, p, {m: c for m, c in zip(monos, coeffs) if c})
-        cand = cand + one
+        cand = PolyModP(names, p, {(0,) * nvars: 1, **dict(zip(monos, coeffs))})
         quotient = divide_modp(target, cand)
         if quotient is not None and quotient.degree() >= 1:
             return cand, tried
@@ -324,10 +329,6 @@ class FractionPair:
     def conj(self) -> "FractionPair":
         return FractionPair(self.re, -self.im)
 
-    def norm2(self) -> Fraction:
-        """Squared modulus |z|^2 = re^2 + im^2 (a rational)."""
-        return self.re * self.re + self.im * self.im
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -356,3 +357,75 @@ class FractionPair:
         if self.re == 0:
             return f"{self.im}*i"
         return f"({self.re}{'+' if self.im > 0 else ''}{self.im}*i)"
+
+
+class TangencyError(ValueError):
+    pass
+
+
+class LambdaUndefinedError(ArithmeticError):
+    pass
+
+
+def _segre_field_apply(fam, var, expr):
+    dist = fam.space.distinguished
+    rho_i = fam.rho.derivative(var)
+    rho_d = fam.rho.derivative(dist)
+    if rho_d.is_zero():
+        raise TangencyError("distinguished derivative of the family vanishes identically")
+    d_i = expr.derivative(var)
+    d_d = expr.derivative(dist)
+    # d_i and d_d share the denominator expr.den^2 by construction, so the
+    # combination d/dz_i - (rho_i / rho_d) d/dz_d stays on one denominator
+    num = d_i.num * rho_d - rho_i * d_d.num
+    den = d_i.den * rho_d
+    return PolyFraction(num, den)
+
+
+def tangent_apply(frame, fam, expr, beta):
+    """Iterated application of the frame fields per the multiindex beta.
+
+    Composition applies later-listed fields first (the product convention
+    L_1^{k_1} L_2^{k_2} ... acting on the right)."""
+    out = expr
+    for idx, k in reversed(list(enumerate(beta))):
+        for _ in range(k):
+            if frame.kind == "segre":
+                out = _segre_field_apply(fam, frame.fields[idx], out)
+            else:
+                acc = None
+                for var, coeff in frame.fields[idx].items():
+                    d = out.derivative(var)
+                    term = PolyFraction(d.num.scale(GaussRational.coerce(coeff)), d.den)
+                    acc = term if acc is None else acc + term
+                out = acc
+    return out
+
+
+def lambda_determinant(space, fam, F, betas, z0, xi0, frame=None):
+    """Exact determinant of [L^beta_l (psi_j o F)] at a family point, the
+    frame fields applied symbolically over the expanded family polynomial;
+    the witness search reads the same value off Taylor jets."""
+    if frame is None:
+        frame = segre_frame(fam)
+    if not fam.rho_at(z0, xi0).is_zero():
+        raise ValueError("point is not on the Segre family")
+    point = fam.point_pair(z0, xi0)
+    if frame.kind == "segre":
+        rho_d = fam.rho.derivative(space.distinguished)
+        if rho_d.partial_evaluate({v: point[v] for v in fam.zvars}).is_zero():
+            raise LambdaUndefinedError(
+                "Lambda undefined over this Segre variety: distinguished "
+                "derivative vanishes identically on it")
+        if rho_d.evaluate(point).is_zero():
+            raise LambdaUndefinedError("Lambda undefined at point")
+    if betas[0] != (0,) * frame.width():
+        raise ValueError("first multiindex must be zero")
+    psis = compose_psi(space, F)
+    if len(betas) != len(psis):
+        raise ValueError("need exactly N multiindices")
+    zmap = {v: v for v in space.vars}
+    lifted = [PolyFraction(p.num.embed(fam.ring, zmap), p.den.embed(fam.ring, zmap))
+              for p in psis]
+    return det_exact([[tangent_apply(frame, fam, f, beta).evaluate(point)
+                       for f in lifted] for beta in betas])

@@ -1,11 +1,10 @@
 """Exact linear algebra: elimination over Q(i) against the fraction-free
 Bareiss oracle."""
 
-import pytest
 from fractions import Fraction
 
 from hermsym.gauss import GaussRational as G
-from hermsym.linalg import RankTracker, det_exact, rank_exact, solve_linear
+from hermsym.linalg import RankTracker, det_exact, rank_exact
 from hermsym.sampling import random_small_gauss, rng_from_seed
 from oracles import det_bareiss
 
@@ -36,12 +35,6 @@ def test_rank_tracker():
     assert t.add_row([G(0), G(Fraction(1, 3)), G(0)])
     assert t.rank == 2
     assert rank_exact([[G(1), G(2)], [G(2), G(4)], [G(0), G(1)]]) == 2
-
-
-def test_solve_linear():
-    assert solve_linear(G(2), G(-4)) == G(2)
-    with pytest.raises(ZeroDivisionError):
-        solve_linear(G(0), G(1))
 
 
 def test_det_routes_agree_larger():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from hermsym.cli import dump_json, main
-from hermsym.maps import map_to_json, identity_map, parse_map_file
+from hermsym.maps import identity_map, parse_map_file
 from hermsym.spaces import build_space
 
 
@@ -15,7 +15,8 @@ def disc():
 
 
 def identity_payload(space):
-    return {"maps": [map_to_json(identity_map(space))]}
+    return {"maps": [[{"num": f.num.to_json(), "den": f.den.to_json()}
+                      for f in identity_map(space).components]]}
 
 
 def test_parse_map_file(disc):
@@ -233,6 +234,19 @@ def test_cli_exit_codes(capsys, monkeypatch):
                      "--prime", prime]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "must be below 2**31" in captured.err
+    # a space whose parameters are not integers is refused with the grammar
+    for space in ("typeI:a,b", "typeI:"):
+        assert main(["describe", "--space", space]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "typeI:p,q | typeII:n | typeIII:n" in captured.err, space
+    # an exponent fit off the genus of the kind table is a check failure
+    import dataclasses
+    from hermsym import spaces
+    monkeypatch.setitem(spaces.KINDS, "typeIV", dataclasses.replace(
+        spaces.KINDS["typeIV"], genus=lambda n: n + 1))
+    assert main(["einstein", "--space", "typeIV:3", "--seed", "7"]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
 def test_hyp2_refuses_one_dimensional_cells(capsys):
@@ -315,3 +329,27 @@ def test_cli_commands_leave_rho_unexpanded(capsys, monkeypatch):
                  ["einstein", "--space", "typeIV:3", "--seed", "7"]):
         assert main(argv) == 0, argv
     capsys.readouterr()
+
+
+def test_commands_read_the_exponent_from_the_kind_table(tmp_path, capsys,
+                                                         monkeypatch, disc):
+    """describe and volume-check take lambda from the per-kind table: with
+    every binding of the float fit made to raise, their bytes are unchanged."""
+    import sys
+    from hermsym.segre import EinsteinError
+    path = tmp_path / "maps.json"
+    path.write_text(json.dumps(identity_payload(disc)))
+    jobs = [["describe", "--space", "typeII:4", "--seed", "7"],
+            ["describe", "--space", "e16"],
+            ["volume-check", "--space", "typeI:1,1", "--maps", str(path),
+             "--seed", "7"]]
+    before = [run_cli(capsys, argv) for argv in jobs]
+
+    def refuse(*args, **kwargs):
+        raise EinsteinError("the exponent was fitted")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hermsym") and hasattr(module, "einstein_fit"):
+            monkeypatch.setattr(module, "einstein_fit", refuse)
+    assert [run_cli(capsys, argv) for argv in jobs] == before
+    assert all(code == 0 for code, _ in before)

@@ -2,31 +2,40 @@
 extraction, bordered identities, transversality, the oracle, and the volume
 equation."""
 
+import itertools
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
 from hermsym.gauss import GaussRational as G
-from hermsym.maps import RationalMap, identity_map, polynomial_map, scaling_map
+from hermsym.linalg import det_exact
+from hermsym.maps import RationalMap, identity_map, scaling_map
 from hermsym.poly import PolyFraction, PolyRing
-from hermsym.rigidity import (FlatteningSeedError, LambdaUndefinedError,
+from hermsym.rigidity import (FlatteningSeedError,
                               NotDegenerateError, OffVarietyError,
-                              bordered_identity_check, bordered_vanish_probe,
                               degeneracy_relation, default_order_bound,
                               find_nondegeneracy_witness, flattening_jacobian,
                               generic_conjugate_point, hyperplane_frame,
                               irreducibility_oracle, isometry_pullback_check,
-                              jet_rank, lambda_determinant,
-                              rank_monotonicity_probe, segre_frame,
+                              jet_rank, segre_frame,
                               special_point,
-                              support_claims, tangent_apply,
+                              support_claims,
                               transversality_rank, transversality_recipe,
                               trial_division_modp, volume_equation_check)
-from hermsym.sampling import rng_from_seed
+from hermsym.sampling import random_complex_ball, random_small_gauss, rng_from_seed
 from hermsym.segre import build_rho, hyperplane_mu, solve_null_direction
 from hermsym.spaces import build_space
+from oracles import LambdaUndefinedError, lambda_determinant, tangent_apply
 
 DESK = ["typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]
+
+
+def polynomial_map(space, images):
+    """The map replacing the named cell variables by polynomial images."""
+    r = space.ring
+    return RationalMap(r, tuple(PolyFraction.from_poly(images.get(v, r.var(v)))
+                                for v in r.vars))
 
 
 @pytest.fixture(scope="module")
@@ -39,11 +48,11 @@ def families():
 def test_jet_rank_identity_examples(families):
     fam = families["typeIV:3"]
     sp = fam.space
-    assert rank_monotonicity_probe(sp, identity_map(sp), 2, seed=1) == [1, 3, 4]
+    assert [jet_rank(sp, identity_map(sp), k, seed=1) for k in range(3)] == [1, 3, 4]
     sp12 = build_space("typeI:1,2")
     # the embedding of the (1,2) Grassmannian is linear (N = 2), so the jet
     # rank saturates at 2 already at first order
-    assert rank_monotonicity_probe(sp12, identity_map(sp12), 2, seed=1) == [1, 2, 2]
+    assert [jet_rank(sp12, identity_map(sp12), k, seed=1) for k in range(3)] == [1, 2, 2]
     sp22 = families["typeI:2,2"].space
     k = 1 + sp22.N - sp22.n
     assert jet_rank(sp22, identity_map(sp22), k, seed=1) == sp22.N
@@ -63,8 +72,8 @@ def test_jet_rank_degenerate_map(families):
     r = sp.ring
     F = polynomial_map(sp, {"z2_2": r.var("z1_1")})
     kmax = 1 + sp.N - sp.n
-    ranks = rank_monotonicity_probe(sp, F, kmax, seed=3)
-    assert ranks[-1] < sp.N
+    ranks = [jet_rank(sp, F, k, seed=3) for k in range(kmax + 1)]
+    assert ranks == sorted(ranks) and ranks[-1] < sp.N
     w = find_nondegeneracy_witness(sp, families["typeI:2,2"], F, seed=3)
     assert not w.found
 
@@ -217,6 +226,53 @@ def test_degeneracy_full_rank_control():
 
 # -- bordered determinant identities ------------------------------------------
 
+def _minor(mat, rows, cols):
+    return det_exact([[mat[i][j] for j in cols] for i in rows])
+
+
+def bordered_identity_check(n, trials, seed):
+    """The bordered two-by-two identity of complementary (n-1)-minors:
+    det of the 2x2 block of big minors equals (inner minor) * det(B)."""
+    rng = rng_from_seed(seed)
+    for t in range(trials):
+        B = [[random_small_gauss(rng) for _ in range(n)] for _ in range(n)]
+        if t == trials - 1:
+            # singular control: replace last row by the sum of the others
+            B[n - 1] = [sum((B[i][j] for i in range(n - 1)), G(0)) for j in range(n)]
+        detB = det_exact(B)
+        top = list(range(n - 1))
+        for i_set in itertools.combinations(top, n - 2):
+            for j_set in itertools.combinations(top, n - 2):
+                rows, cols = list(i_set) + [n - 1], list(j_set) + [n - 1]
+                lhs = det_exact([[_minor(B, top, top), _minor(B, top, cols)],
+                                 [_minor(B, rows, top), _minor(B, rows, cols)]])
+                if not (lhs - _minor(B, i_set, j_set) * detB).is_zero():
+                    return False
+                if detB.is_zero() and not lhs.is_zero():
+                    return False
+    return True
+
+
+def bordered_vanish_probe(n, trials, seed):
+    """All n bordered determinants det(b_{i1}..b_{i n-1}, a) vanish iff a=0,
+    for invertible B (checked on random data plus the a=0 control)."""
+    rng = rng_from_seed(seed)
+    for _ in range(trials):
+        while True:
+            B = [[random_small_gauss(rng) for _ in range(n)] for _ in range(n)]
+            if not det_exact(B).is_zero():
+                break
+        a = [random_small_gauss(rng) for _ in range(n)]
+        if all(x.is_zero() for x in a):
+            a[0] = G(1)
+        for col, want_zero in ((a, False), ([G(0)] * n, True)):
+            dets = [det_exact([[B[r][c] for c in cols] + [col[r]] for r in range(n)])
+                    for cols in itertools.combinations(range(n), n - 1)]
+            if all(d.is_zero() for d in dets) != want_zero:
+                return False
+    return True
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_bordered_identity(n):
     assert bordered_identity_check(n, trials=3, seed=2)
@@ -230,8 +286,6 @@ def test_bordered_vanish(n):
 def test_bordered_vanish_unit_vector():
     B = [[G(1 if i == j else 0) for j in range(3)] for i in range(3)]
     a = [G(1), G(0), G(0)]
-    from hermsym.linalg import det_exact
-    import itertools
     dets = []
     for cols in itertools.combinations(range(3), 2):
         dets.append(det_exact([[B[r][c] for c in cols] + [a[r]] for r in range(3)]))
@@ -400,8 +454,40 @@ def test_volume_equation_grassmannian(families):
     assert isometry_pullback_check(fam, F, 8, seed=5) < 1e-9
 
 
+def volume_equation_complexified(fam, maps, lambdas, sample_count, seed):
+    """Two-variable (polarized) form of the volume equation at independent
+    sample pairs; the diagonal xi = conj(z) anchor is the plain check.
+
+    Valid for maps with real rational coefficients (their conjugate maps
+    coincide with themselves), which covers the shipped isometry families."""
+    space = fam.space
+    lam = space.desc.genus
+    eng = fam.engine("invariant")
+    rng = rng_from_seed(seed)
+    jacs = [F.jacobian_fractions() for F in maps]
+
+    def rho_pair(a, b):
+        va = eng.psi_eval(np.asarray(a, dtype=complex))
+        vb = eng.psi_eval(np.asarray(b, dtype=complex))
+        return 1.0 + complex((eng.w * va) @ vb)
+
+    def jac_det(jac, pt):
+        named = {v: complex(pt[i]) for i, v in enumerate(space.vars)}
+        return complex(np.linalg.det([[f.evaluate_float(named) for f in row]
+                                      for row in jac]))
+
+    worst = 0.0
+    for _ in range(sample_count):
+        z = random_complex_ball(rng, space.n, 0.15)
+        xi = random_complex_ball(rng, space.n, 0.15)
+        lhs = sum(weight * jac_det(jac, z) * jac_det(jac, xi)
+                  / rho_pair(F.evaluate_float(z), F.evaluate_float(xi)) ** lam
+                  for F, jac, weight in zip(maps, jacs, lambdas))
+        worst = max(worst, abs(lhs * rho_pair(z, xi) ** lam - 1.0))
+    return worst
+
+
 def test_volume_equation_complexified(disc_family):
-    from hermsym.rigidity import volume_equation_complexified
     fam = disc_family
     sp = fam.space
     ident = identity_map(sp)
@@ -497,7 +583,7 @@ def test_jet_rank_rational_map(families):
             num = adj[i][0] * right[0][j] + adj[i][1] * right[1][j]
             comps.append(PolyFraction(num, det))
     F = RationalMap(r, tuple(comps))
-    assert not F.is_polynomial()
+    assert not all(f.den.is_constant() for f in F.components)
     assert jet_rank(sp, F, 1, trials=2, seed=4) == sp.n
     assert jet_rank(sp, F, 2, trials=2, seed=4) == sp.N
 

@@ -6,16 +6,11 @@ import pytest
 from fractions import Fraction
 
 from hermsym.gauss import GaussRational as G
-from hermsym.linalg import det_exact, solve_linear
+from hermsym.linalg import det_exact
 from hermsym.sampling import random_gauss_point, rng_from_seed
-from hermsym.segre import (EinsteinError, MapsIntoHyperplaneError,
-                           NotPreservingError, apply_projective_map,
-                           build_rho, einstein_fit, kahler_metric,
-                           quadric_permutation_matrix, ricci_residual,
-                           sample_on_family,
-                           segre_invariance_check, segre_membership,
-                           type1_compound_matrix, type1_moebius, conj_name)
-from hermsym.spaces import build_space, cell_matrix_point
+from hermsym.segre import (EinsteinError, build_rho, einstein_fit, kahler_metric,
+                           ricci_residual, sample_on_family, conj_name)
+from hermsym.spaces import build_space, cell_matrix_point, minor_index_sets, sym_det
 from oracles import rho_swap_symmetric
 
 DESK = ["typeI:1,1", "typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]
@@ -94,10 +89,10 @@ def test_membership(families):
     fam = families["typeIV:3"]
     xi = {"z1": G(1), "z2": G(0), "z3": G(0)}
     z = {"z1": G(-2), "z2": G(0), "z3": G(0)}
-    assert segre_membership(fam, z, xi) is True
+    assert fam.rho_at(z, xi).is_zero()
     for spec, f in families.items():
         origin = {v: G(0) for v in f.space.vars}
-        assert segre_membership(f, origin, origin) is False
+        assert not f.rho_at(origin, origin).is_zero()
 
 
 def test_membership_by_linear_solve(families):
@@ -114,8 +109,8 @@ def test_membership_by_linear_solve(families):
     slot = fam.ring.index("z1_1")
     A = sum((c for e, c in rest.terms.items() if e[slot] == 1), G(0))
     B = sum((c for e, c in rest.terms.items() if e[slot] == 0), G(0))
-    z["z1_1"] = solve_linear(A, B)
-    assert segre_membership(fam, z, xi) is True
+    z["z1_1"] = -(B / A)
+    assert fam.rho_at(z, xi).is_zero()
 
 
 def test_on_family_sampler(families):
@@ -160,11 +155,10 @@ def test_metric_second_derivative_route(families):
 
 
 def test_einstein_fits(families):
-    expected = {"typeI:1,1": 2, "typeI:2,2": 4, "typeII:4": 6,
-                "typeIII:2": 3, "typeIV:3": 3, "e16": 12, "e27": 18}
-    for spec, lam_want in expected.items():
-        lam, c, res = einstein_fit(families[spec], 30, seed=5)
-        assert lam == lam_want, spec
+    """The fitted exponent is the genus of the per-kind table."""
+    for spec, fam in families.items():
+        lam, c, res = einstein_fit(fam, 30, seed=5)
+        assert lam == fam.space.desc.genus, spec
         assert res < 1e-8, spec
         assert c > 0
 
@@ -179,6 +173,166 @@ def test_einstein_violation_detected(families):
 def test_ricci_cross_check(families):
     assert ricci_residual(families["typeIV:3"], 4, seed=9) < 1e-5
     assert ricci_residual(families["typeI:1,1"], 4, seed=9) < 1e-5
+
+
+# -- projectively induced maps ---------------------------------------------------
+
+class MapsIntoHyperplaneError(ValueError):
+    pass
+
+
+class NotPreservingError(ValueError):
+    pass
+
+
+def apply_projective_map(space, M, z):
+    """Push a cell point through a projective matrix acting on [1, psi].
+
+    Exact mode: ``z`` a dict of GaussRational and ``M`` nested lists of
+    GaussRational.  Float mode: ``z`` a complex sequence and ``M`` a numpy
+    array.  Returns the image cell point (same shape as the input) and
+    verifies the image stays on the embedded variety."""
+    if isinstance(z, dict):
+        vec = [G(1)] + [p.evaluate(z) for p in space.psi]
+        img = [sum((vec[k] * M[k][j] for k in range(len(vec))), G(0))
+               for j in range(len(vec))]
+        if img[0].is_zero():
+            raise MapsIntoHyperplaneError("point maps into hyperplane at infinity")
+        out = {v: img[j + 1] / img[0] for j, v in enumerate(space.vars)}
+        for j, p in enumerate(space.psi[space.n:]):
+            if not (p.evaluate(out) - img[space.n + 1 + j] / img[0]).is_zero():
+                raise NotPreservingError("matrix does not preserve the space")
+        return out
+    point = {v: complex(z[i]) for i, v in enumerate(space.vars)}
+    vec = np.array([1.0 + 0j] + [p.evaluate_float(point) for p in space.psi])
+    img = vec @ np.asarray(M, dtype=complex)
+    if abs(img[0]) < 1e-14:
+        raise MapsIntoHyperplaneError("point maps into hyperplane at infinity")
+    out = img[1:space.n + 1] / img[0]
+    outpoint = {v: out[i] for i, v in enumerate(space.vars)}
+    scale = max(1.0, float(np.max(np.abs(img / img[0]))))
+    for j, p in enumerate(space.psi[space.n:]):
+        want = img[space.n + 1 + j] / img[0]
+        if abs(p.evaluate_float(outpoint) - want) > 1e-9 * scale:
+            raise NotPreservingError("matrix does not preserve the space")
+    return list(out)
+
+
+def segre_invariance_check(fam, M, Mbar, sample_count, seed):
+    """For on-family samples, map (z, xi) by (M, Mbar) and measure rho there.
+
+    Returns (max |rho| over samples, whether every value was exactly zero);
+    exact inputs keep the whole computation in Gaussian rationals."""
+    rng = rng_from_seed(seed)
+    space = fam.space
+    exact = not isinstance(M, np.ndarray)
+    worst = 0.0
+    all_zero = True
+    for _ in range(sample_count):
+        z, xi = sample_on_family(fam, rng)
+        if exact:
+            val = fam.rho_at(apply_projective_map(space, M, z),
+                             apply_projective_map(space, Mbar, xi))
+            all_zero = all_zero and val.is_zero()
+            worst = max(worst, abs(complex(val)))
+        else:
+            z2 = apply_projective_map(space, M, [complex(z[v]) for v in space.vars])
+            xi2 = apply_projective_map(space, Mbar, [complex(xi[v]) for v in space.vars])
+            val = fam.rho_at_float(dict(zip(space.vars, z2)), dict(zip(space.vars, xi2)))
+            all_zero = False
+            worst = max(worst, abs(val))
+    return worst, all_zero
+
+
+def _type1_subsets(p, q):
+    """psi-slot order -> column subset of the widened p x (p+q) frame."""
+    subsets = [tuple(range(1, p + 1))]                       # constant slot
+    for k, rows, cols in minor_index_sets(p, q):
+        keep = tuple(sorted(set(range(1, p + 1)) - set(rows)))
+        subsets.append(keep + tuple(p + j for j in cols))
+    return subsets
+
+
+def _type1_signs(space):
+    """epsilon with det of frame columns == epsilon * psi, computed symbolically."""
+    p, q = space.desc.params
+    ring = space.ring
+    frame = [[ring.const(1 if i == j else 0) for j in range(1, p + 1)]
+             + [ring.var(f"z{i}_{j}") for j in range(1, q + 1)]
+             for i in range(1, p + 1)]
+    signs = []
+    psis = [ring.one()] + list(space.psi)
+    for slot, S in enumerate(_type1_subsets(p, q)):
+        d = sym_det([[frame[i][s - 1] for s in S] for i in range(p)])
+        if d == psis[slot]:
+            signs.append(1)
+        elif d == -psis[slot]:
+            signs.append(-1)
+        else:
+            raise ArithmeticError("minor does not match embedding slot")
+    return signs
+
+
+def type1_compound_matrix(space, g):
+    """The (N+1)x(N+1) matrix acting on [1, psi] induced by g in GL(p+q).
+
+    Entry (a, b) = eps_a * det g[S_a, S_b] * eps_b (Cauchy-Binet transported
+    to the signed minor basis).  ``g`` may be exact (nested GaussRational)
+    or complex; the output matches."""
+    p, q = space.desc.params
+    subsets = _type1_subsets(p, q)
+    signs = _type1_signs(space)
+    if not isinstance(g, np.ndarray):
+        return [[det_exact([[g[i - 1][j - 1] for j in Sb] for i in Sa]) * G(sa * sb)
+                 for Sb, sb in zip(subsets, signs)] for Sa, sa in zip(subsets, signs)]
+    return np.array([[sa * sb * complex(np.linalg.det(
+        g[np.ix_([i - 1 for i in Sa], [j - 1 for j in Sb])]))
+        for Sb, sb in zip(subsets, signs)] for Sa, sa in zip(subsets, signs)])
+
+
+def _invert_exact(m):
+    n = len(m)
+    aug = [[m[i][j] for j in range(n)] + [G(1 if i == j else 0) for j in range(n)]
+           for i in range(n)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if not aug[i][k].is_zero()), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        aug[k], aug[piv] = aug[piv], aug[k]
+        inv = G(1) / aug[k][k]
+        aug[k] = [x * inv for x in aug[k]]
+        for i in range(n):
+            if i != k and not aug[i][k].is_zero():
+                f = aug[i][k]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
+    return [row[n:] for row in aug]
+
+
+def type1_moebius(space, g, z):
+    """The fractional-linear action Z -> (g11 + Z g21)^{-1} (g12 + Z g22)."""
+    p, q = space.desc.params
+    Z = [[G.coerce(z[f"z{i}_{j}"]) for j in range(1, q + 1)] for i in range(1, p + 1)]
+    A = [[g[i][j] for j in range(p)] for i in range(p)]
+    B = [[g[i][p + j] for j in range(q)] for i in range(p)]
+    C = [[g[p + i][j] for j in range(p)] for i in range(q)]
+    D = [[g[p + i][p + j] for j in range(q)] for i in range(q)]
+    left = [[A[i][j] + sum((Z[i][k] * C[k][j] for k in range(q)), G(0))
+             for j in range(p)] for i in range(p)]
+    right = [[B[i][j] + sum((Z[i][k] * D[k][j] for k in range(q)), G(0))
+              for j in range(q)] for i in range(p)]
+    inv = _invert_exact(left)
+    return {f"z{i + 1}_{j + 1}": sum((inv[i][k] * right[k][j] for k in range(p)), G(0))
+            for i in range(p) for j in range(q)}
+
+
+def quadric_permutation_matrix(space, perm):
+    """Projective matrix permuting the quadric cell coordinates z_1..z_n."""
+    size = space.N + 1
+    M = [[G(1 if a == b else 0) for b in range(size)] for a in range(size)]
+    for i in range(space.n):
+        for j in range(space.n):
+            M[1 + i][1 + j] = G(1 if perm[i] == j else 0)
+    return M
 
 
 def test_apply_projective_identity(families):
@@ -258,10 +412,9 @@ def test_membership_float_residual(families):
     fam = families["typeIV:3"]
     z = {"z1": -2.0 + 0j, "z2": 0j, "z3": 0j}
     xi = {"z1": 1.0 + 0j, "z2": 0j, "z3": 0j}
-    res = segre_membership(fam, z, xi)
-    assert isinstance(res, float) and res < 1e-14
+    assert abs(fam.rho_at_float(z, xi)) < 1e-14
     z["z1"] = -1.9 + 0j
-    assert segre_membership(fam, z, xi) > 1e-3
+    assert abs(fam.rho_at_float(z, xi)) > 1e-3
 
 
 def test_concurrent_metric_sampling(families):

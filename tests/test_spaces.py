@@ -14,7 +14,7 @@ from hermsym.sampling import random_gauss_point, random_small_gauss, rng_from_se
 from hermsym.spaces import (SpaceDescriptor, build_space, build_type1,
                             build_type2, build_type3, build_type4,
                             cell_matrix_point, pfaffian, parse_space_spec,
-                            space_to_json, symplectic_tail_eval)
+                            space_to_json)
 
 DESK = ["typeI:2,2", "typeI:2,3", "typeII:4", "typeIII:2", "typeIII:3",
         "typeIV:3", "e16", "e27"]
@@ -116,12 +116,41 @@ def test_type3_two_layers():
     assert rank_exact(rows) == s.N
 
 
+def symplectic_tail(space):
+    """Float orthonormalization data of the symplectic Grassmannian.
+
+    Per degree k: the indices of the exact basis elements in psi, and the
+    combo matrix C with (normalized block) = (basis block) . C, so that the
+    self-pairing of the normalized system equals the raw minor pairing."""
+    blocks = []
+    for k in range(1, space.desc.params[0] + 1):
+        idx = [j for j, p in enumerate(space.psi) if p.degree() == k]
+        group = [p for p in space.pairing_psi if p.degree() == k]
+        monomials = sorted({e for g in group for e in g.terms})
+        B = np.array([[float(space.psi[j].coeff(e).re) for e in monomials] for j in idx])
+        R = np.array([[float(p.coeff(e).re) for e in monomials] for p in group])
+        # the minors have integer coefficients, so the float solve of the
+        # consistent system B^T A = R^T is exact well within tolerance
+        A, *_ = np.linalg.lstsq(B.T, R.T, rcond=None)
+        mu, U = np.linalg.eigh(A @ A.T)
+        assert mu.min() > 1e-9, "A_k A_k^t not positive definite"
+        blocks.append((idx, U @ np.diag(np.sqrt(mu))))
+    return blocks
+
+
+def symplectic_tail_eval(space, blocks, point):
+    """Evaluate the float-coefficient orthonormalized embedding system."""
+    vals = np.array([p.evaluate_float(point) for p in space.psi])
+    return np.concatenate([vals[idx] @ combo for idx, combo in blocks])
+
+
 def test_type3_numeric_tail():
     rng = rng_from_seed(4)
     for n in (2, 3):
         s = build_type3(n)
+        tail = symplectic_tail(s)
         # sqrt(2) pattern on the degree-1 block
-        idx, combo = s.symplectic_tail.blocks[0]
+        idx, combo = tail[0]
         diag = np.abs(np.diag(combo @ combo.T.conj()))
         pattern = []
         for i in range(1, n + 1):
@@ -132,8 +161,8 @@ def test_type3_numeric_tail():
         for _ in range(20):
             z = random_gauss_point(rng, s.vars, small=True)
             xi = random_gauss_point(rng, s.vars, small=True)
-            t1 = symplectic_tail_eval(s, {v: complex(z[v]) for v in s.vars})
-            t2 = symplectic_tail_eval(s, {v: complex(xi[v]) for v in s.vars})
+            t1 = symplectic_tail_eval(s, tail, {v: complex(z[v]) for v in s.vars})
+            t2 = symplectic_tail_eval(s, tail, {v: complex(xi[v]) for v in s.vars})
             Z = cell_matrix_point(s, z)
             X = cell_matrix_point(s, xi)
             M = [[(G(1 if i == j else 0)
@@ -148,7 +177,7 @@ def test_type3_numeric_tail():
             vals = rng_np.uniform(-0.5, 0.5, len(s.vars)) \
                 + 1j * rng_np.uniform(-0.5, 0.5, len(s.vars))
             pts.append(symplectic_tail_eval(
-                s, {v: vals[i] for i, v in enumerate(s.vars)}))
+                s, tail, {v: vals[i] for i, v in enumerate(s.vars)}))
         sv = np.linalg.svd(np.array(pts), compute_uv=False)
         assert sv[s.N - 1] > 1e-9
 

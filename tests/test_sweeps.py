@@ -1,22 +1,18 @@
-"""Broader parameter sweeps: the exponent fits land on the expected
-integers and witnesses resolve across sizes beyond the desk matrix."""
+"""Broader parameter sweeps: the exponent fits land on the genus of the
+per-kind table, and witnesses resolve across sizes beyond the desk matrix."""
 
 import pytest
 
 from hermsym.maps import identity_map
 from hermsym.rigidity import default_order_bound, find_nondegeneracy_witness
 from hermsym.segre import build_rho, einstein_fit
-from hermsym.spaces import build_space
+from hermsym.spaces import build_space, parse_space_spec
 
-EXPECTED_EXPONENTS = {
-    "typeI:1,3": 4, "typeI:2,3": 5, "typeI:3,3": 6,
-    "typeII:5": 8, "typeII:6": 10,
-    "typeIII:3": 4, "typeIII:4": 5,
-    "typeIV:4": 4, "typeIV:5": 5,
-}
+LADDER = ["typeI:1,3", "typeI:2,3", "typeI:3,3", "typeII:5", "typeII:6",
+          "typeIII:3", "typeIII:4", "typeIV:4", "typeIV:5"]
 
 
-@pytest.mark.parametrize("spec,lam", sorted(EXPECTED_EXPONENTS.items()))
+@pytest.mark.parametrize("spec,lam", [(s, parse_space_spec(s).genus) for s in LADDER])
 def test_einstein_exponent_sweep(spec, lam):
     fam = build_rho(build_space(spec))
     got, c, residual = einstein_fit(fam, 25, seed=5)
@@ -35,21 +31,21 @@ def test_witness_sweep(spec):
 
 def test_large_symplectic_dimension_and_exponent():
     """The n=5 symplectic system selects 131 independent components (the
-    dimension of the minimal ambient projective space) and fits exponent 6."""
+    dimension of the minimal ambient projective space) and fits its genus 6."""
     from hermsym.spaces import build_type3
     s = build_type3(5)
     assert (s.n, s.N) == (15, 131)
     fam = build_rho(s)
     lam, _, res = einstein_fit(fam, 12, seed=5)
-    assert lam == 6 and res < 1e-8
+    assert lam == s.desc.genus == 6 and res < 1e-8
 
 
 def test_large_orthogonal_dimension_and_exponent():
     """The n=8 Pfaffian system has 127 components (half-spin dimension 128
-    minus the constant slot) and fits exponent 14."""
+    minus the constant slot) and fits its genus 14."""
     from hermsym.spaces import build_type2
     s = build_type2(8)
     assert (s.n, s.N) == (28, 127)
     fam = build_rho(s)
     lam, _, res = einstein_fit(fam, 12, seed=5)
-    assert lam == 14 and res < 1e-8
+    assert lam == s.desc.genus == 14 and res < 1e-8

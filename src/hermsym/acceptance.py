@@ -1,18 +1,21 @@
-"""The acceptance matrix: one callable per criterion, shared by the pytest
-suite and the command-line selftest.
+"""The checks: one function per claim on one space, and the acceptance
+matrix built from them.
 
-Each criterion returns a ``CriterionResult``; float-tolerance failures are
-classified separately from logic failures so that a deliberately tightened
-tolerance is reported as such.
+The command-line handlers and the selftest criteria call the same per-space
+checks, so each claim is verified by one piece of code.  A criterion body
+states its claims: it returns its detail string or raises ``CheckFailed``,
+and the ``criterion`` decorator turns either into a ``CriterionResult``.
+Float-tolerance failures are classified separately from logic failures so
+that a deliberately tightened tolerance is reported as such.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
-import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .gauss import GaussRational
 from .linalg import det_exact
@@ -21,17 +24,21 @@ from .octonion import (Octonion, cayley_matrix, freudenthal_forms,
                        freudenthal_jordan_matrix, jordan_det, jordan_product,
                        jordan_trace, mat_eq, symbolic_octonion, M16_VARS)
 from .poly import PolyFraction, PolyRing, trial_division_modp
-from .rigidity import (degeneracy_relation, find_nondegeneracy_witness,
-                       flattening_jacobian, generic_conjugate_point,
-                       irreducibility_oracle, jet_rank, support_claims,
-                       transversality_rank, transversality_recipe,
-                       isometry_pullback_check, volume_equation_check)
+from .rigidity import (OracleResult, WitnessReport, degeneracy_relation,
+                       find_nondegeneracy_witness, flattening_jacobian,
+                       generic_conjugate_point, irreducibility_oracle, jet_rank,
+                       specialize_conjugate, support_claims, transversality_rank,
+                       transversality_recipe, isometry_pullback_check,
+                       volume_equation_check)
 from .sampling import random_gauss_point, rng_from_seed, random_small_gauss
-from .segre import det_model_holds, einstein_fit, ricci_residual, SegreFamily
+from .segre import (det_model_holds, einstein_fit, ricci_residual,
+                    sample_on_family, SegreFamily)
 from .spaces import build_space, pfaffian
 
 DEFAULT_SEED = 1729
 LOOSE_FLOAT_BOUND = 1e-4    # residuals below this are tolerance failures, not logic
+WITNESS_BUDGET = 20000      # candidate multiindices per witness trial
+ORACLE_BUDGET = 10 ** 7     # candidate factors of the finite-field oracle
 
 
 @dataclass
@@ -39,7 +46,6 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-    elapsed: float
     failure_kind: Optional[str] = None   # 'tolerance' | 'logic' when failed
 
 
@@ -50,7 +56,6 @@ class Tolerances:
     ricci_tol: float = 1e-5
     degeneracy_tol: float = 1e-10
     claim_head_tol: float = 1e-8
-    oracle_budget: int = 10 ** 7
 
 
 _FAMILIES: Dict[str, SegreFamily] = {}
@@ -71,43 +76,186 @@ def family(spec: str) -> SegreFamily:
     return fam
 
 
-def _float_result(name: str, residual: float, tol: float, detail: str,
-                  elapsed: float) -> CriterionResult:
-    if residual < tol:
-        return CriterionResult(name, True, detail, elapsed)
-    kind = "tolerance" if residual < LOOSE_FLOAT_BOUND else "logic"
-    return CriterionResult(name, False, detail, elapsed, kind)
+# ---------------------------------------------------------------------------
+# per-space checks, shared by the command line and the criteria
+# ---------------------------------------------------------------------------
+
+def det_pairing_holds(fam: SegreFamily, rng, points: int) -> bool:
+    """rho(z, zbar)^k equals the exact determinant det(I + Z conj(Z)^t) at
+    ``points`` random rational points drawn from ``rng``."""
+    space = fam.space
+    for _ in range(points):
+        z = random_gauss_point(rng, space.vars, small=True)
+        if not det_model_holds(fam, z, {v: z[v].conj() for v in space.vars}):
+            return False
+    return True
 
 
-# -- criterion 1 -------------------------------------------------------------
+def unit_at_origin(fam: SegreFamily) -> bool:
+    """Whether rho(0, .) = 1 + sum_j psi_j(0) psi_j is the constant 1."""
+    return specialize_conjugate(fam, {v: GaussRational(0) for v in fam.zvars}) == 1
 
-def check_embedding_identity(seed: int = DEFAULT_SEED,
-                             tol: Optional[Tolerances] = None,
-                             points: int = 100) -> CriterionResult:
-    t0 = time.perf_counter()
+
+@dataclass
+class EinsteinCheck:
+    lam: int
+    c: float
+    residual: float
+    genus: int
+    identity_checks: Dict[str, Optional[bool]]   # None: no model on this kind
+
+    @property
+    def identities_hold(self) -> bool:
+        return all(v for v in self.identity_checks.values() if v is not None)
+
+    def passed(self, tol: float) -> bool:
+        # the fit must land on the genus, the exponent the other commands use
+        return (self.residual < tol and self.lam == self.genus
+                and self.identities_hold)
+
+
+def einstein_check(fam: SegreFamily, seed: int, samples: int) -> EinsteinCheck:
+    """The Einstein condition V = c rho^-lambda fitted from ``samples``
+    points, with the exact identities of rho.  The determinant pairing is
+    checked on the kinds whose model is rho = det(I + Z Xi^t); the squared
+    Pfaffian model is a selftest criterion."""
+    lam, c, residual = einstein_fit(fam, samples, seed)
+    identity_checks = {
+        # rho pairs one vector psi with itself, so z <-> xi is a symmetry
+        "swap_symmetric": True,
+        "unit_at_origin": unit_at_origin(fam),
+        "det_pairing_exact": (det_pairing_holds(fam, rng_from_seed(seed), 5)
+                              if fam.space.kind.det_power == 1 else None),
+    }
+    return EinsteinCheck(lam, c, residual, fam.space.desc.genus, identity_checks)
+
+
+@dataclass
+class HypothesisOne:
+    rank0: int
+    rank1: int
+    cell_dimension: int
+    witness: WitnessReport
+
+    @property
+    def ranks_ok(self) -> bool:
+        return self.rank0 == 1 and self.rank1 == self.cell_dimension
+
+    @property
+    def passed(self) -> bool:
+        return self.ranks_ok and self.witness.found
+
+
+def hypothesis_one(fam: SegreFamily, seed: int, max_order: Optional[int],
+                   budget: int) -> HypothesisOne:
+    """Hypothesis I for the identity map: jet ranks 1 and n at orders 0 and
+    1, and an exact nondegeneracy witness of order at most ``max_order``
+    (None: the per-kind bound) within ``budget`` candidates per trial."""
+    space = fam.space
+    F = identity_map(space)
+    r0 = jet_rank(space, F, 0, trials=2, seed=seed)
+    r1 = jet_rank(space, F, 1, trials=2, seed=seed)
+    w = find_nondegeneracy_witness(space, fam, F, max_order=max_order,
+                                   seed=seed, budget=budget)
+    return HypothesisOne(r0, r1, space.n, w)
+
+
+@dataclass
+class HypothesisTwo:
+    pencil: Tuple[Dict, Dict, Dict]          # (xi0, z0, z1)
+    rank: int
+    jacobian: Optional[GaussRational]        # None below rank 2
+    slots: Optional[Tuple[int, int]]
+
+    @property
+    def passed(self) -> bool:
+        return (self.rank == 2 and self.jacobian is not None
+                and not self.jacobian.is_zero())
+
+
+def hypothesis_two(fam: SegreFamily, seed: int) -> HypothesisTwo:
+    """Hypothesis II: the transversality rank of the per-kind pencil and,
+    at rank 2, the exact flattening Jacobian with its slot pair."""
+    xi0, z0, z1 = transversality_recipe(fam, seed)
+    rank, rows = transversality_rank(fam, xi0, z0, z1)
+    jacobian = slots = None
+    if rank == 2:
+        jacobian, slots = flattening_jacobian(rows)
+    return HypothesisTwo((xi0, z0, z1), rank, jacobian, slots)
+
+
+def oracle_check(fam: SegreFamily, seed: int, prime: int,
+                 budget: int) -> Tuple[Dict, OracleResult]:
+    """The finite-field irreducibility oracle on rho(., xi), at a generic
+    rational xi admissible modulo ``prime``: (xi, result)."""
+    xi = generic_conjugate_point(fam, seed, prime=prime)
+    return xi, irreducibility_oracle(fam, xi, prime=prime, budget=budget)
+
+
+def regular_locus_nonempty(fam: SegreFamily, seed: int) -> bool:
+    """A family point at which both gradient blocks of rho are nonzero: the
+    computable shadow of the connectivity statement."""
+    rng = rng_from_seed(seed + 1)
+    for _ in range(8):
+        z, xi = sample_on_family(fam, rng)
+        if (any(not d.is_zero() for d in fam.xi_gradient(xi, z))
+                and any(not d.is_zero() for d in fam.xi_gradient(z, xi))):
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# the criteria
+# ---------------------------------------------------------------------------
+
+class CheckFailed(Exception):
+    """A criterion's claim is false; ``kind`` is 'logic' or 'tolerance'."""
+
+    def __init__(self, detail: str, kind: str = "logic"):
+        super().__init__(detail, kind)
+
+
+def _require(ok: bool, detail: str) -> None:
+    if not ok:
+        raise CheckFailed(detail)
+
+
+def _within(residual: float, tol: float, detail: str) -> None:
+    """A float claim: a miss below LOOSE_FLOAT_BOUND is a tolerance failure,
+    a larger one (or NaN) a logic failure."""
+    if not residual < tol:
+        raise CheckFailed(detail, "tolerance" if residual < LOOSE_FLOAT_BOUND
+                          else "logic")
+
+
+def criterion(name: str):
+    """Make a criterion body ``(seed, tol, **options) -> detail`` return a
+    ``CriterionResult`` under ``name``."""
+    def wrap(body):
+        @functools.wraps(body)
+        def check(seed: int = DEFAULT_SEED, tol: Optional[Tolerances] = None,
+                  **options) -> CriterionResult:
+            try:
+                detail = body(seed, tol or Tolerances(), **options)
+            except CheckFailed as exc:
+                return CriterionResult(name, False, *exc.args)
+            return CriterionResult(name, True, detail)
+        return check
+    return wrap
+
+
+@criterion("embedding_identity")
+def check_embedding_identity(seed, tol, points: int = 100):
     rng = rng_from_seed(seed)
-    bad = []
-    for spec in ["typeI:1,2", "typeI:2,2", "typeI:2,3", "typeIII:2", "typeIII:3"]:
-        fam = family(spec)
-        space = fam.space
-        for _ in range(points):
-            z = random_gauss_point(rng, space.vars, small=True)
-            if not det_model_holds(fam, z, {v: z[v].conj() for v in space.vars}):
-                bad.append(spec)
-                break
-    elapsed = time.perf_counter() - t0
-    if bad:
-        return CriterionResult("embedding_identity", False,
-                               f"mismatch for {bad}", elapsed, "logic")
-    return CriterionResult("embedding_identity", True,
-                           f"exact at {points} points x 5 spaces", elapsed)
+    bad = [spec for spec in ["typeI:1,2", "typeI:2,2", "typeI:2,3", "typeIII:2",
+                             "typeIII:3"]
+           if not det_pairing_holds(family(spec), rng, points)]
+    _require(not bad, f"mismatch for {bad}")
+    return f"exact at {points} points x 5 spaces"
 
 
-# -- criterion 2 -------------------------------------------------------------
-
-def check_pfaffian_suite(seed: int = DEFAULT_SEED,
-                         tol: Optional[Tolerances] = None) -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion("pfaffian_suite")
+def check_pfaffian_suite(seed, tol):
     rng = rng_from_seed(seed)
     ring = PolyRing(("t",))
 
@@ -122,19 +270,14 @@ def check_pfaffian_suite(seed: int = DEFAULT_SEED,
 
     for order in range(2, 9):          # odd orders vanish on both routes
         M = random_antisym(order)
-        if pfaffian(M, "partition") != pfaffian(M, "recursive"):
-            return CriterionResult("pfaffian_suite", False,
-                                   f"algorithms disagree at order {order}",
-                                   time.perf_counter() - t0, "logic")
+        _require(pfaffian(M, "partition") == pfaffian(M, "recursive"),
+                 f"algorithms disagree at order {order}")
     for order in range(2, 7):
         M = random_antisym(order)
         pf = pfaffian(M, "partition").constant_term()
         det = det_exact(
             [[M[i][j].constant_term() for j in range(order)] for i in range(order)])
-        if not (pf * pf - det).is_zero():
-            return CriterionResult("pfaffian_suite", False,
-                                   f"pf^2 != det at order {order}",
-                                   time.perf_counter() - t0, "logic")
+        _require((pf * pf - det).is_zero(), f"pf^2 != det at order {order}")
     # family polynomial squared equals det(I + Z Xi^t), convention fixed at
     # n=4 and then asserted at n=5
     for n in (4, 5):
@@ -143,43 +286,25 @@ def check_pfaffian_suite(seed: int = DEFAULT_SEED,
         for _ in range(10):
             z = random_gauss_point(rng, space.vars, small=True)
             xi = random_gauss_point(rng, space.vars, small=True)
-            if not det_model_holds(fam, z, xi):
-                return CriterionResult(
-                    "pfaffian_suite", False,
-                    f"rho^2 != det(I+Z Xi^t) at n={n}", time.perf_counter() - t0,
-                    "logic")
-    return CriterionResult("pfaffian_suite", True,
-                           "partition==recursive (2-8); pf^2=det (2-6); "
-                           "rho^2=det at n=4,5", time.perf_counter() - t0)
+            _require(det_model_holds(fam, z, xi), f"rho^2 != det(I+Z Xi^t) at n={n}")
+    return "partition==recursive (2-8); pf^2=det (2-6); rho^2=det at n=4,5"
 
 
-# -- criterion 3 -------------------------------------------------------------
-
-def check_octonion_suite(seed: int = DEFAULT_SEED,
-                         tol: Optional[Tolerances] = None) -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion("octonion_suite")
+def check_octonion_suite(seed, tol):
     zero, one = GaussRational(0), GaussRational(1)
     basis = [Octonion.basis(k, one, zero) for k in range(8)]
+    minus_one = Octonion.scalar(GaussRational(-1), zero)
     for i in range(8):
         for j in range(8):
             prod = basis[i] * basis[j]
-            if i == 0 and prod != basis[j]:
-                return CriterionResult("octonion_suite", False, "e0 not identity",
-                                       time.perf_counter() - t0, "logic")
-            if j == 0 and prod != basis[i]:
-                return CriterionResult("octonion_suite", False, "e0 not identity",
-                                       time.perf_counter() - t0, "logic")
-            if i == j and i >= 1:
-                if prod != Octonion.scalar(GaussRational(-1), zero):
-                    return CriterionResult("octonion_suite", False,
-                                           f"e{i}^2 != -1", time.perf_counter() - t0,
-                                           "logic")
+            if (i == 0 and prod != basis[j]) or (j == 0 and prod != basis[i]):
+                raise CheckFailed("e0 not identity")
+            if i == j >= 1 and prod != minus_one:
+                raise CheckFailed(f"e{i}^2 != -1")
             if 1 <= i != j >= 1:
-                anti = basis[j] * basis[i]
-                if not (prod + anti).is_zero():
-                    return CriterionResult("octonion_suite", False,
-                                           f"e{i} e{j} not antisymmetric",
-                                           time.perf_counter() - t0, "logic")
+                _require((prod + basis[j] * basis[i]).is_zero(),
+                         f"e{i} e{j} not antisymmetric")
     rng = rng_from_seed(seed)
 
     def rnd_oct():
@@ -187,199 +312,110 @@ def check_octonion_suite(seed: int = DEFAULT_SEED,
 
     for _ in range(100):
         a, b = rnd_oct(), rnd_oct()
-        if not ((a * b).norm() - a.norm() * b.norm()).is_zero():
-            return CriterionResult("octonion_suite", False,
-                                   "norm not multiplicative", time.perf_counter() - t0,
-                                   "logic")
+        _require(((a * b).norm() - a.norm() * b.norm()).is_zero(),
+                 "norm not multiplicative")
     ring = PolyRing(M16_VARS)
-    x = symbolic_octonion(ring, "x")
-    y = symbolic_octonion(ring, "y")
-    X = cayley_matrix(x, y)
-    XX = jordan_product(X, X)
+    X = cayley_matrix(symbolic_octonion(ring, "x"), symbolic_octonion(ring, "y"))
     scaled = [[e.scale(jordan_trace(X)) for e in row] for row in X.to_full()]
-    if not mat_eq(XX, scaled):
-        return CriterionResult("octonion_suite", False,
-                               "Cayley identity X o X = tr(X) X failed",
-                               time.perf_counter() - t0, "logic")
-    if not jordan_det(freudenthal_jordan_matrix()) == freudenthal_forms()[54]:
-        return CriterionResult("octonion_suite", False,
-                               "jordan_det != cubic coordinate polynomial",
-                               time.perf_counter() - t0, "logic")
-    return CriterionResult("octonion_suite", True,
-                           "table laws, norm multiplicativity, Cayley identity, "
-                           "det==cubic form", time.perf_counter() - t0)
+    _require(mat_eq(jordan_product(X, X), scaled),
+             "Cayley identity X o X = tr(X) X failed")
+    _require(jordan_det(freudenthal_jordan_matrix()) == freudenthal_forms()[54],
+             "jordan_det != cubic coordinate polynomial")
+    return "table laws, norm multiplicativity, Cayley identity, det==cubic form"
 
 
-# -- criterion 4 -------------------------------------------------------------
-
-def check_einstein_fits(seed: int = DEFAULT_SEED,
-                        tol: Optional[Tolerances] = None) -> CriterionResult:
-    tol = tol or Tolerances()
-    t0 = time.perf_counter()
+@criterion("einstein_fits")
+def check_einstein_fits(seed, tol):
     worst = 0.0
     for spec in ["typeI:1,1", "typeI:1,2", "typeI:2,2", "typeIV:3", "typeII:4",
                  "typeIII:2"]:
-        fam = family(spec)
-        lam, c, residual = einstein_fit(fam, 50, seed)
-        genus = fam.space.desc.genus
-        if lam != genus:
-            return CriterionResult("einstein_fits", False,
-                                   f"{spec}: exponent {lam} != {genus}",
-                                   time.perf_counter() - t0, "logic")
-        worst = max(worst, residual)
+        e = einstein_check(family(spec), seed, 50)
+        _require(e.lam == e.genus, f"{spec}: exponent {e.lam} != {e.genus}")
+        _require(e.identities_hold, f"{spec}: identity checks {e.identity_checks}")
+        worst = max(worst, e.residual)
     ricci = ricci_residual(family("typeIV:3"), 10, seed)
     detail = (f"exponents match; constancy residual {worst:.2e}; "
               f"Ricci cross-check {ricci:.2e}")
-    if worst >= tol.einstein_tol:
-        return _float_result("einstein_fits", worst, tol.einstein_tol, detail,
-                             time.perf_counter() - t0)
-    return _float_result("einstein_fits", ricci, tol.ricci_tol, detail,
-                         time.perf_counter() - t0)
+    _within(worst, tol.einstein_tol, detail)
+    _within(ricci, tol.ricci_tol, detail)
+    return detail
 
 
-# -- criterion 5 -------------------------------------------------------------
+@criterion("hypothesis_I")
+def check_hypothesis_one(seed, tol):
+    def witness(spec, budget):
+        h = hypothesis_one(family(spec), seed, None, budget)
+        _require(h.ranks_ok, f"{spec}: rank0={h.rank0}, rank1={h.rank1} "
+                             f"(expected 1, {h.cell_dimension})")
+        return h.witness
 
-def check_hypothesis_one(seed: int = DEFAULT_SEED,
-                         tol: Optional[Tolerances] = None) -> CriterionResult:
-    t0 = time.perf_counter()
-    desk = ["typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]
-    for spec in desk:
-        fam = family(spec)
-        space = fam.space
-        F = identity_map(space)
-        r0 = jet_rank(space, F, 0, trials=2, seed=seed)
-        r1 = jet_rank(space, F, 1, trials=2, seed=seed)
-        if r0 != 1 or r1 != space.n:
-            return CriterionResult(
-                "hypothesis_I", False,
-                f"{spec}: rank0={r0}, rank1={r1} (expected 1, {space.n})",
-                time.perf_counter() - t0, "logic")
-    bounds = {"typeI:2,2": 2, "typeII:4": 2, "typeIII:2": 2, "typeIV:3": 2,
-              "e16": 11}
     details = []
-    for spec, bound in bounds.items():
-        fam = family(spec)
-        w = find_nondegeneracy_witness(fam.space, fam, identity_map(fam.space),
-                                       max_order=bound, seed=seed)
-        if not w.found or w.lambda_value.is_zero():
-            return CriterionResult("hypothesis_I", False,
-                                   f"{spec}: no witness within order {bound}",
-                                   time.perf_counter() - t0, "logic")
+    for spec in ["typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16"]:
+        w = witness(spec, WITNESS_BUDGET)
+        _require(w.found, f"{spec}: no witness within order {w.max_order_used}")
         details.append(f"{spec}@{w.max_order_used}")
-    fam = family("e27")
-    w27 = find_nondegeneracy_witness(fam.space, fam, identity_map(fam.space),
-                                     seed=seed, budget=6000)
+    w27 = witness("e27", 6000)
     e27_note = (f"e27 witness {'found' if w27.found else 'not-found-within-budget'} "
                 f"(order {w27.max_order_used}, {w27.candidates_examined} candidates)")
-    return CriterionResult("hypothesis_I", True,
-                           "ranks ok; witnesses " + ", ".join(details) +
-                           "; " + e27_note, time.perf_counter() - t0)
+    return "ranks ok; witnesses " + ", ".join(details) + "; " + e27_note
 
 
-# -- criterion 6 -------------------------------------------------------------
-
-def check_hypothesis_two(seed: int = DEFAULT_SEED,
-                         tol: Optional[Tolerances] = None) -> CriterionResult:
-    t0 = time.perf_counter()
-    gradients = {}
+@criterion("hypothesis_II")
+def check_hypothesis_two(seed, tol):
     for spec in ["typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]:
-        fam = family(spec)
-        xi0, z0, z1 = transversality_recipe(fam, seed)
-        r, gradients[spec] = transversality_rank(fam, xi0, z0, z1)
-        if r != 2:
-            return CriterionResult("hypothesis_II", False,
-                                   f"{spec}: transversality rank {r} != 2",
-                                   time.perf_counter() - t0, "logic")
-    for spec in ["typeIV:3", "typeI:2,2"]:
-        det, slots = flattening_jacobian(gradients[spec])
-        if det.is_zero():
-            return CriterionResult("hypothesis_II", False,
-                                   f"{spec}: flattening Jacobian vanished",
-                                   time.perf_counter() - t0, "logic")
-    return CriterionResult("hypothesis_II", True,
-                           "rank 2 on all six recipes; flattening Jacobian "
-                           "nonzero on quadric and Grassmannian",
-                           time.perf_counter() - t0)
+        h = hypothesis_two(family(spec), seed)
+        _require(h.rank == 2, f"{spec}: transversality rank {h.rank} != 2")
+        if spec in ("typeIV:3", "typeI:2,2"):
+            _require(not h.jacobian.is_zero(), f"{spec}: flattening Jacobian vanished")
+    return ("rank 2 on all six recipes; flattening Jacobian nonzero on quadric "
+            "and Grassmannian")
 
 
-# -- criterion 7 -------------------------------------------------------------
-
-def check_hypothesis_three(seed: int = DEFAULT_SEED,
-                           tol: Optional[Tolerances] = None) -> CriterionResult:
-    tol = tol or Tolerances()
-    t0 = time.perf_counter()
+@criterion("hypothesis_III")
+def check_hypothesis_three(seed, tol):
     for spec in ["typeI:2,2", "typeII:4", "typeIII:3", "typeIV:3", "e16", "e27"]:
         report = support_claims(family(spec))
-        if not all(report.values()):
-            failed = [k for k, v in report.items() if not v]
-            return CriterionResult("hypothesis_III", False,
-                                   f"{spec}: support facts failed {failed}",
-                                   time.perf_counter() - t0, "logic")
+        failed = [k for k, v in report.items() if not v]
+        _require(not failed, f"{spec}: support facts failed {failed}")
     for spec in ["typeIV:3", "typeI:2,2"]:
-        fam = family(spec)
-        xi = generic_conjugate_point(fam, seed)
-        res = irreducibility_oracle(fam, xi, prime=5, budget=tol.oracle_budget)
-        if res.status != "irreducible_certified":
-            return CriterionResult("hypothesis_III", False,
-                                   f"{spec}: oracle returned {res.status}",
-                                   time.perf_counter() - t0, "logic")
+        _, res = oracle_check(family(spec), seed, 5, ORACLE_BUDGET)
+        _require(res.status == "irreducible_certified",
+                 f"{spec}: oracle returned {res.status}")
     ring = PolyRing(["z1", "z2"])
     control = (ring.one() + ring.var("z1")) * (ring.one() + ring.var("z2"))
-    factor, _ = trial_division_modp(control.reduce_mod(5), 1, tol.oracle_budget)
-    if factor is None:
-        return CriterionResult("hypothesis_III", False,
-                               "oracle missed the reducible control",
-                               time.perf_counter() - t0, "logic")
-    return CriterionResult("hypothesis_III", True,
-                           "support facts on all six; oracle certified the "
-                           "quadric and the Grassmannian over F5; control refuted",
-                           time.perf_counter() - t0)
+    factor, _ = trial_division_modp(control.reduce_mod(5), 1, ORACLE_BUDGET)
+    _require(factor is not None, "oracle missed the reducible control")
+    return ("support facts on all six; oracle certified the quadric and the "
+            "Grassmannian over F5; control refuted")
 
 
-# -- criterion 8 -------------------------------------------------------------
-
-def _unitary_moebius_map(space) -> RationalMap:
-    ring = space.ring
-    z = ring.var("z1_1")
-    num = ring.const(Fraction(4, 5)) + z.scale(Fraction(3, 5))
-    den = ring.const(Fraction(3, 5)) - z.scale(Fraction(4, 5))
-    return RationalMap(ring, (PolyFraction(num, den),))
-
-
-def check_volume_isometry(seed: int = DEFAULT_SEED,
-                          tol: Optional[Tolerances] = None) -> CriterionResult:
-    tol = tol or Tolerances()
-    t0 = time.perf_counter()
+@criterion("volume_isometry")
+def check_volume_isometry(seed, tol):
     fam = family("typeI:1,1")
     space = fam.space
     ident = identity_map(space)
-    unitary = _unitary_moebius_map(space)
-    residuals = {
-        "volume_identity": volume_equation_check(fam, [ident], [1.0], 25, seed),
-        "volume_half_half": volume_equation_check(fam, [ident, ident],
-                                                  [0.5, 0.5], 25, seed),
-        "volume_unitary": volume_equation_check(fam, [unitary], [1.0], 25, seed),
-        "isometry_identity": isometry_pullback_check(fam, ident, 10, seed),
-        "isometry_unitary": isometry_pullback_check(fam, unitary, 10, seed),
-    }
-    worst = max(residuals.values())
+    z = space.ring.var("z1_1")      # the unitary Moebius map (4 + 3z) / (3 - 4z)
+    unitary = RationalMap(space.ring, (PolyFraction(
+        space.ring.const(Fraction(4, 5)) + z.scale(Fraction(3, 5)),
+        space.ring.const(Fraction(3, 5)) - z.scale(Fraction(4, 5))),))
+    worst = max(
+        volume_equation_check(fam, [ident], [1.0], 25, seed),
+        volume_equation_check(fam, [ident, ident], [0.5, 0.5], 25, seed),
+        volume_equation_check(fam, [unitary], [1.0], 25, seed),
+        isometry_pullback_check(fam, ident, 10, seed),
+        isometry_pullback_check(fam, unitary, 10, seed),
+    )
     margin = isometry_pullback_check(fam, scaling_map(space, 2), 0, seed,
                                      points=[[0.2]])
-    detail = (f"residuals <= {worst:.2e}; scaling map margin {margin:.3f}")
     if margin <= 0.1:
-        return CriterionResult("volume_isometry", False,
-                               f"scaling map margin {margin:.3f} <= 0.1",
-                               time.perf_counter() - t0, "logic")
-    return _float_result("volume_isometry", worst, tol.float_tol, detail,
-                         time.perf_counter() - t0)
+        raise CheckFailed(f"scaling map margin {margin:.3f} <= 0.1")
+    detail = f"residuals <= {worst:.2e}; scaling map margin {margin:.3f}"
+    _within(worst, tol.float_tol, detail)
+    return detail
 
 
-# -- criterion 9 -------------------------------------------------------------
-
-def check_degeneracy_extraction(seed: int = DEFAULT_SEED,
-                                tol: Optional[Tolerances] = None) -> CriterionResult:
-    tol = tol or Tolerances()
-    t0 = time.perf_counter()
+@criterion("degeneracy_extraction")
+def check_degeneracy_extraction(seed, tol):
     r2 = PolyRing(["z1", "z2"])
     z1, z2 = r2.var("z1"), r2.var("z2")
     one2 = r2.one()
@@ -396,14 +432,12 @@ def check_degeneracy_extraction(seed: int = DEFAULT_SEED,
         worst_res = max(worst_res, max(rep.residuals))
         worst_head = max(worst_head, rep.zero_slice_head_max)
     detail = f"residual {worst_res:.2e}; zero-slice head {worst_head:.2e}"
-    if worst_res >= tol.degeneracy_tol:
-        return _float_result("degeneracy_extraction", worst_res,
-                             tol.degeneracy_tol, detail, time.perf_counter() - t0)
-    return _float_result("degeneracy_extraction", worst_head,
-                         tol.claim_head_tol, detail, time.perf_counter() - t0)
+    _within(worst_res, tol.degeneracy_tol, detail)
+    _within(worst_head, tol.claim_head_tol, detail)
+    return detail
 
 
-ALL_CRITERIA: List[Callable] = [
+ALL_CRITERIA: List[Callable] = [          # criteria 1 to 9
     check_embedding_identity,
     check_pfaffian_suite,
     check_octonion_suite,

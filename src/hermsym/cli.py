@@ -20,18 +20,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .acceptance import Tolerances, run_all, DEFAULT_SEED
+from . import acceptance
 from .gauss import GaussRational, gauss_json
-from .maps import identity_map, parse_map_file
+from .maps import parse_map_file
 from .poly import PRIME_BOUND
-from .rigidity import (find_nondegeneracy_witness, flattening_jacobian,
-                       generic_conjugate_point, irreducibility_oracle,
-                       isometry_pullback_check, jet_rank, specialize_conjugate,
-                       support_claims, transversality_rank, transversality_recipe,
-                       volume_equation_check)
-from .sampling import random_complex_ball, random_gauss_point, rng_from_seed
-from .segre import (SegreFamily, build_rho, det_model_holds, einstein_fit,
-                    kahler_metric, sample_on_family)
+from .rigidity import isometry_pullback_check, support_claims, volume_equation_check
+from .sampling import random_complex_ball, rng_from_seed
+from .segre import SegreFamily, build_rho, kahler_metric
 from .spaces import SPACE_GRAMMAR, build_space, space_to_json
 
 
@@ -49,10 +44,8 @@ def dump_json(obj) -> str:
         obj = obj.item()
     if obj is None:
         return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, int):
@@ -135,6 +128,18 @@ def _load_map_file(space, path):
         raise UsageError(str(exc)) from exc
 
 
+def _family_and_seed(args):
+    """The family of ``--space`` and the seed of a randomized command."""
+    fam = SegreFamily(build_space(args.space))
+    return fam, _resolve_seed(args, required=True)
+
+
+def _verdict(args, seed, ok: bool, report: dict):
+    """(exit code, report) of a check: 0 when it passed, 1 when it failed."""
+    report.update(passed=ok, config=_config(args, seed))
+    return (0 if ok else 1), report
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: return (exit_code, report)
 # ---------------------------------------------------------------------------
@@ -151,147 +156,78 @@ def cmd_describe(args):
 def cmd_rho(args):
     space = build_space(args.space)
     fam = build_rho(space)
-    report = {
-        "space": args.space,
-        "vars": list(fam.ring.vars),
-        "rho": fam.rho.to_json(),
-        "config": _config(args, None),
-    }
-    return 0, report
+    return 0, {"space": args.space, "vars": list(fam.ring.vars),
+               "rho": fam.rho.to_json(), "config": _config(args, None)}
 
 
 def cmd_metric(args):
-    space = build_space(args.space)
-    fam = SegreFamily(space)
-    seed = _resolve_seed(args, required=True)
+    fam, seed = _family_and_seed(args)
     rng = rng_from_seed(seed)
     samples = []
     for _ in range(args.points):
-        pt = random_complex_ball(rng, space.n, 0.3)
+        pt = random_complex_ball(rng, fam.space.n, 0.3)
         ms = kahler_metric(fam, pt)
         samples.append({
             "point": [{"re": z.real, "im": z.imag} for z in pt],
             "volume_density": ms.volume_density,
             "hermitian_deviation": float(np.max(np.abs(ms.g - ms.g.conj().T))),
         })
-    report = {"space": args.space, "samples": samples,
-              "config": _config(args, seed)}
-    return 0, report
-
-
-def _det_pairing_check(fam, seed):
-    """rho(z, zbar) equals the exact determinant det(I + Z conj(Z)^t) at
-    random rational points.  None for the families without that model; the
-    squared Pfaffian model is a selftest criterion."""
-    space = fam.space
-    if space.kind.det_power != 1:
-        return None
-    rng = rng_from_seed(seed)
-    for _ in range(5):
-        z = random_gauss_point(rng, space.vars, small=True)
-        if not det_model_holds(fam, z, {v: z[v].conj() for v in space.vars}):
-            return False
-    return True
-
-
-def _unit_at_origin(fam) -> bool:
-    """Whether rho(0, .) = 1 + sum_j psi_j(0) psi_j is the constant 1."""
-    return specialize_conjugate(fam, {v: GaussRational(0) for v in fam.zvars}) == 1
+    return 0, {"space": args.space, "samples": samples,
+               "config": _config(args, seed)}
 
 
 def cmd_einstein(args):
-    space = build_space(args.space)
-    fam = SegreFamily(space)
-    seed = _resolve_seed(args, required=True)
-    lam, c, residual = einstein_fit(fam, args.samples, seed)
-    identity_checks = {
-        # rho pairs one vector psi with itself, so z <-> xi is a symmetry
-        "swap_symmetric": True,
-        "unit_at_origin": _unit_at_origin(fam),
-        "det_pairing_exact": _det_pairing_check(fam, seed),
-    }
-    # the fit must land on the genus, the exponent the other commands use
-    ok = residual < args.einstein_tol and lam == space.desc.genus and all(
-        v for v in identity_checks.values() if v is not None)
-    report = {"space": args.space, "lambda": lam, "c": c,
-              "einstein_residual": residual,
-              "identity_checks": identity_checks,
-              "passed": ok, "config": _config(args, seed)}
-    return (0 if ok else 1), report
+    fam, seed = _family_and_seed(args)
+    e = acceptance.einstein_check(fam, seed, args.samples)
+    return _verdict(args, seed, e.passed(args.einstein_tol), {
+        "space": args.space, "lambda": e.lam, "c": e.c,
+        "einstein_residual": e.residual, "identity_checks": e.identity_checks})
 
 
 def cmd_hyp1(args):
-    space = build_space(args.space)
-    fam = SegreFamily(space)
-    seed = _resolve_seed(args, required=True)
-    F = identity_map(space)
-    r0 = jet_rank(space, F, 0, trials=2, seed=seed)
-    r1 = jet_rank(space, F, 1, trials=2, seed=seed)
-    w = find_nondegeneracy_witness(space, fam, F, max_order=args.max_order,
-                                   seed=seed, budget=args.budget)
-    witness = None
-    if w.found:
-        witness = {
-            "z0": point_json(w.z0),
-            "xi0": point_json(w.xi0),
-            "betas": [list(b) for b in w.betas],
-            "lambda_value": gauss_json(w.lambda_value),
-            "frame": w.frame_kind,
-            "max_order_used": w.max_order_used,
-        }
-    ok = (r0 == 1 and r1 == space.n and w.found)
-    report = {
+    fam, seed = _family_and_seed(args)
+    h = acceptance.hypothesis_one(fam, seed, args.max_order, args.budget)
+    w = h.witness
+    witness = None if not w.found else {
+        "z0": point_json(w.z0), "xi0": point_json(w.xi0),
+        "betas": [list(b) for b in w.betas],
+        "lambda_value": gauss_json(w.lambda_value),
+        "frame": w.frame_kind, "max_order_used": w.max_order_used,
+    }
+    return _verdict(args, seed, h.passed, {
         "hypothesis": "I", "space": args.space, "seed": seed,
-        "rank0": r0, "rank1": r1, "cell_dimension": space.n,
+        "rank0": h.rank0, "rank1": h.rank1, "cell_dimension": h.cell_dimension,
         "witness": witness,
         "candidates_examined": w.candidates_examined,
         "budget_exhausted": w.budget_exhausted,
         "evidence": "exact",
-        "passed": ok,
-        "config": _config(args, seed),
-    }
-    return (0 if ok else 1), report
+    })
 
 
 def cmd_hyp2(args):
-    space = build_space(args.space)
-    fam = SegreFamily(space)
-    seed = _resolve_seed(args, required=True)
-    xi0, z0, z1 = transversality_recipe(fam, seed)
-    rank, rows = transversality_rank(fam, xi0, z0, z1)
-    det = slots = None
-    ok = rank == 2
-    if ok:
-        d, slots = flattening_jacobian(rows)
-        det = gauss_json(d)
-        ok = not d.is_zero()
-    report = {
+    fam, seed = _family_and_seed(args)
+    h = acceptance.hypothesis_two(fam, seed)
+    xi0, z0, z1 = h.pencil
+    return _verdict(args, seed, h.passed, {
         "hypothesis": "II", "space": args.space, "seed": seed,
         "witness": {
             "xi0": point_json(xi0), "z0": point_json(z0), "z1": point_json(z1),
-            "transversality_rank": rank,
-            "flattening_jacobian": det,
-            "slots": list(slots) if slots else None,
+            "transversality_rank": h.rank,
+            "flattening_jacobian": (None if h.jacobian is None
+                                    else gauss_json(h.jacobian)),
+            "slots": list(h.slots) if h.slots else None,
         },
         "evidence": "exact",
-        "passed": ok,
-        "config": _config(args, seed),
-    }
-    return (0 if ok else 1), report
+    })
 
 
 def cmd_hyp3(args):
-    space = build_space(args.space)
-    fam = SegreFamily(space)
-    seed = _resolve_seed(args, required=True)
+    fam, seed = _family_and_seed(args)
     facts = support_claims(fam)
-    ok = all(facts.values())
     oracle = None
     evidence = "support-only"
-    if space.kind.oracle:
-        xi = generic_conjugate_point(fam, seed, prime=args.prime)
-        res = irreducibility_oracle(fam, xi, prime=args.prime,
-                                    budget=args.oracle_budget)
+    if fam.space.kind.oracle:
+        xi, res = acceptance.oracle_check(fam, seed, args.prime, args.oracle_budget)
         # a modular factor is only a refutation lead, kept in the report
         oracle = {"status": res.status, "detail": res.detail,
                   "xi": point_json(xi), "prime": args.prime}
@@ -299,19 +235,8 @@ def cmd_hyp3(args):
             oracle["factor"] = res.factor["terms"]
         if res.status == "irreducible_certified":
             evidence = "exact"
-    # computable shadow of the connectivity statement: a family point at
-    # which both gradient blocks are nonzero (regular locus nonempty)
-    rng = rng_from_seed(seed + 1)
-    regular = False
-    for _ in range(8):
-        z, xi = sample_on_family(fam, rng)
-        dz = any(not d.is_zero() for d in fam.xi_gradient(xi, z))
-        dxi = any(not d.is_zero() for d in fam.xi_gradient(z, xi))
-        if dz and dxi:
-            regular = True
-            break
-    ok = ok and regular
-    report = {
+    regular = acceptance.regular_locus_nonempty(fam, seed)
+    return _verdict(args, seed, all(facts.values()) and regular, {
         "hypothesis": "III", "space": args.space, "seed": seed,
         "witness": {"support_facts": facts, "oracle": oracle,
                     "regular_locus_nonempty": regular},
@@ -319,60 +244,40 @@ def cmd_hyp3(args):
                 "of its regular locus are the computable shadow of the "
                 "connectivity statement",
         "evidence": evidence,
-        "passed": ok,
-        "config": _config(args, seed),
-    }
-    return (0 if ok else 1), report
+    })
 
 
 def cmd_volume_check(args):
-    space = build_space(args.space)
-    fam = SegreFamily(space)
-    seed = _resolve_seed(args, required=True)
-    mf = _load_map_file(space, args.maps)
+    fam, seed = _family_and_seed(args)
+    mf = _load_map_file(fam.space, args.maps)
     lambdas = mf.lambdas if mf.lambdas is not None else \
         [1.0 / len(mf.maps)] * len(mf.maps)
     residual = volume_equation_check(fam, mf.maps, lambdas,
                                      sample_count=args.samples, seed=seed)
-    ok = residual < args.float_tol
-    report = {"space": args.space, "maps": len(mf.maps),
-              "lambdas": lambdas,
-              "lambdas_exact": [str(x) for x in mf.lambdas_exact] if mf.lambdas_exact else None,
-              "residual": residual, "passed": ok,
-              "config": _config(args, seed)}
-    return (0 if ok else 1), report
+    return _verdict(args, seed, residual < args.float_tol, {
+        "space": args.space, "maps": len(mf.maps), "lambdas": lambdas,
+        "lambdas_exact": [str(x) for x in mf.lambdas_exact] if mf.lambdas_exact else None,
+        "residual": residual})
 
 
 def cmd_isometry_check(args):
-    space = build_space(args.space)
-    fam = SegreFamily(space)
-    seed = _resolve_seed(args, required=True)
-    mf = _load_map_file(space, args.maps)
+    fam, seed = _family_and_seed(args)
+    mf = _load_map_file(fam.space, args.maps)
     residuals = [isometry_pullback_check(fam, F, args.samples, seed)
                  for F in mf.maps]
-    worst = max(residuals)
-    ok = worst < args.float_tol
-    report = {"space": args.space, "residuals": residuals,
-              "passed": ok, "config": _config(args, seed)}
-    return (0 if ok else 1), report
+    return _verdict(args, seed, max(residuals) < args.float_tol,
+                    {"space": args.space, "residuals": residuals})
 
 
 def cmd_selftest(args):
     seed = _resolve_seed(args, required=False)
-    if seed is None:
-        seed = DEFAULT_SEED
-    tol = Tolerances(float_tol=args.float_tol, einstein_tol=args.einstein_tol)
-    results = run_all(seed=seed, tol=tol)
-    items = []
-    ok = True
-    for r in results:
-        # wall-clock timings stay out of the report: identical (command,
-        # config, seed) must produce byte-identical bytes
-        items.append({"criterion": r.name, "passed": r.passed,
-                      "failure_kind": r.failure_kind, "detail": r.detail})
-        ok = ok and r.passed
-    report = {"selftest": items, "passed": ok, "config": _config(args, seed)}
-    return (0 if ok else 1), report
+    seed = acceptance.DEFAULT_SEED if seed is None else seed
+    tol = acceptance.Tolerances(float_tol=args.float_tol,
+                                einstein_tol=args.einstein_tol)
+    results = acceptance.run_all(seed=seed, tol=tol)
+    items = [{"criterion": r.name, "passed": r.passed,
+              "failure_kind": r.failure_kind, "detail": r.detail} for r in results]
+    return _verdict(args, seed, all(r.passed for r in results), {"selftest": items})
 
 
 # ---------------------------------------------------------------------------
@@ -431,14 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("hyp1", cmd_hyp1,
             help="jet ranks and the nondegeneracy witness search")
     p.add_argument("--max-order", dest="max_order", type=_at_least(0), default=None)
-    p.add_argument("--budget", type=_at_least(1), default=20000)
+    p.add_argument("--budget", type=_at_least(1), default=acceptance.WITNESS_BUDGET)
     add("hyp2", cmd_hyp2,
         help="transversality rank and the flattening Jacobian seed")
     p = add("hyp3", cmd_hyp3,
             help="monomial-support facts and the irreducibility oracle")
     p.add_argument("--prime", type=_prime, default=5)
     p.add_argument("--oracle-budget", dest="oracle_budget", type=_at_least(1),
-                   default=10 ** 7)
+                   default=acceptance.ORACLE_BUDGET)
     p = add("volume-check", cmd_volume_check,
             help="residual of the volume-preserving equation for a map tuple")
     p.add_argument("--maps", required=True)
@@ -460,10 +365,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         code, report = args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a check failure is a report, never an exception

@@ -120,9 +120,6 @@ class GaussRational:
     def is_zero(self) -> bool:
         return not self._abd[0] and not self._abd[1]
 
-    def is_real(self) -> bool:
-        return not self._abd[1]
-
     def __bool__(self):
         return not self.is_zero()
 

@@ -58,6 +58,9 @@ class Octonion:
     def __setattr__(self, name, value):
         raise AttributeError("Octonion is immutable")
 
+    def __reduce__(self):
+        return Octonion, (self.coeffs,)
+
     # -- helpers over the generic scalar ring ---------------------------
 
     def _zero(self):
@@ -167,6 +170,9 @@ class JordanMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("JordanMatrix is immutable")
+
+    def __reduce__(self):
+        return JordanMatrix, (self.diag, self.off)
 
     def to_full(self):
         c1, c2, c3 = self.diag

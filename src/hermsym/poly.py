@@ -136,9 +136,6 @@ class Polynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
     def constant_term(self) -> GaussRational:
         return self.terms.get((0,) * len(self.ring.vars), ZERO)
 
@@ -290,29 +287,6 @@ class Polynomial:
                     t *= x ** k
             total += t
         return total
-
-    def partial_evaluate(self, point: Dict[str, GaussRational]) -> "Polynomial":
-        """Substitute exact values for a subset of the variables."""
-        idx = {self.ring.index(v): GaussRational.coerce(c) for v, c in point.items()}
-        out: Dict[Exponent, GaussRational] = {}
-        for e, c in self.terms.items():
-            coeff = c
-            ne = list(e)
-            for i, val in idx.items():
-                k = e[i]
-                if k:
-                    for _ in range(k):
-                        coeff = coeff * val
-                ne[i] = 0
-            if coeff.is_zero():
-                continue
-            ne = tuple(ne)
-            s = out.get(ne, ZERO) + coeff
-            if s.is_zero():
-                out.pop(ne, None)
-            else:
-                out[ne] = s
-        return Polynomial(self.ring, out)
 
     def compose_fractions(self, images: Dict[str, "PolyFraction"]) -> "PolyFraction":
         """Simultaneous substitution of variables by fractions (same ring).
@@ -542,6 +516,9 @@ class PolyModP:
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyModP is immutable")
+
+    def __reduce__(self):
+        return PolyModP, (self.vars, self.p, self.terms)
 
     def degree(self) -> int:
         if not self.terms:

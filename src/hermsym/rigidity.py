@@ -139,10 +139,10 @@ class TaylorJets:
         return [part.get(beta, ZERO) for part in self.parts[w]]
 
 
-def _sample_jets(space: Space, system, fields, top: int, rng) -> TaylorJets:
+def _sample_jets(variables, system, fields, top: int, rng) -> TaylorJets:
     """Jets at a random rational point where every denominator is regular."""
     for _ in range(64):
-        pt = {v: random_small_gauss(rng) for v in space.vars}
+        pt = {v: random_small_gauss(rng) for v in variables}
         try:
             return TaylorJets(system, fields, pt, top)
         except ZeroDivisionError:
@@ -150,17 +150,15 @@ def _sample_jets(space: Space, system, fields, top: int, rng) -> TaylorJets:
     raise ArithmeticError("could not sample a regular point for the jet matrix")
 
 
-def jet_rank(space: Space, F: RationalMap, k: int, trials: int = 3,
-             seed: int = 0) -> int:
-    """Exact rank of the order-<=k truncated-variable jet of psi o F,
-    maximized over random rational points near 0."""
-    system = compose_psi(space, F)
-    fields = list(truncated_vars(space))
-    betas = multiindices_upto(len(fields), k)
+def _best_jet_rank(variables, system, fields, top: int, trials: int,
+                   seed: int) -> int:
+    """Exact rank of the order-<=top jets of ``system`` along ``fields``,
+    maximized over ``trials`` random rational points near 0."""
+    betas = multiindices_upto(len(fields), top)
     rng = rng_from_seed(seed)
     best = 0
     for _ in range(trials):
-        jets = _sample_jets(space, system, fields, k, rng)
+        jets = _sample_jets(variables, system, fields, top, rng)
         tracker = RankTracker(len(system))
         for beta in betas:
             tracker.add_row(jets.row(beta))
@@ -170,6 +168,14 @@ def jet_rank(space: Space, F: RationalMap, k: int, trials: int = 3,
         if best == len(system):
             break
     return best
+
+
+def jet_rank(space: Space, F: RationalMap, k: int, trials: int = 3,
+             seed: int = 0) -> int:
+    """Exact rank of the order-<=k truncated-variable jet of psi o F,
+    maximized over random rational points near 0."""
+    return _best_jet_rank(space.vars, compose_psi(space, F),
+                          list(truncated_vars(space)), k, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +329,8 @@ def degeneracy_relation(polys: Sequence[Polynomial], slice_count: int = 3,
     last = ring.vars[-1]
 
     # exact precondition via the jet machinery
-    top = N - m + 1
-    betas = multiindices_upto(m - 1, top)
-    rng = rng_from_seed(seed)
-    best = 0
-    for _ in range(rank_trials):
-        pt = {v: random_small_gauss(rng) for v in ring.vars}
-        jets = TaylorJets(polys, ring.vars[:-1], pt, top)
-        tracker = RankTracker(N)
-        for beta in betas:
-            tracker.add_row(jets.row(beta))
-            if tracker.rank == N:
-                break
-        best = max(best, tracker.rank)
-    if best >= N:
+    if _best_jet_rank(ring.vars, polys, ring.vars[:-1], N - m + 1, rank_trials,
+                      seed) >= N:
         raise NotDegenerateError("input not degenerate")
 
     rng2 = np.random.default_rng(seed + 1)

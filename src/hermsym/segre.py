@@ -80,12 +80,6 @@ class SegreFamily:
     def zvars(self) -> Tuple[str, ...]:
         return self.space.vars
 
-    def point_pair(self, z: Dict, xi: Dict) -> Dict:
-        out = {v: GaussRational.coerce(z[v]) for v in self.zvars}
-        for v in self.zvars:
-            out[conj_name(v)] = GaussRational.coerce(xi[v])
-        return out
-
     def rho_at(self, z: Dict, xi: Dict) -> GaussRational:
         total = ONE
         # psi(xi) first: recipe points are sparse in xi

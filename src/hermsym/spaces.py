@@ -588,94 +588,40 @@ def symplectic_pairing_facts(n: int, groups, vindex) -> Dict[str, bool]:
     def get(ze):
         return groups.get(tuple(ze), {})
 
-    def halves(d: Dict) -> Dict:
-        return {e: c * GaussRational(Fraction(1, 2)) for e, c in d.items()}
+    def attach(q, pair, k=1):
+        return add_var(add_var(q, *pair[0], k), *pair[1], k)
 
-    all_z = list(groups.keys())
+    def paired(p_pair, t_pair, marker, factor) -> bool:
+        """Every present monomial P = p_pair Q or T = t_pair Q has the
+        xi-coefficient c_T = -c_P, times ``factor`` when the marker variable
+        divides Q."""
+        seen = set()
+        for ze in groups:
+            for pair in (p_pair, t_pair):
+                q = attach(ze, pair, -1)
+                if min(q) < 0 or q in seen:
+                    continue
+                seen.add(q)
+                cp = get(attach(q, p_pair))
+                if q[vindex[vname(*marker)]]:
+                    cp = {e: c * factor for e, c in cp.items()}
+                if get(attach(q, t_pair)) != _xi_neg(cp):
+                    return False
+        return True
 
-    ok_a = True
+    half, two = GaussRational(Fraction(1, 2)), GaussRational(2)
     # law A: P = z_in z_nj Q vs Ptilde = z_ij z_nn Q, ratio -1 (or -1/2 when
     # z_ij divides Q)
-    for i in range(1, n):
-        for j in range(1, n):
-            seen = set()
-            for ze in all_z:
-                for source in ("P", "T"):
-                    if source == "P":
-                        if not (ze[vindex[vname(i, n)]] and ze[vindex[vname(j, n)]]):
-                            continue
-                        if i == j and ze[vindex[vname(i, n)]] < 2:
-                            continue
-                        q = add_var(add_var(ze, i, n, -1), j, n, -1)
-                    else:
-                        if not (ze[vindex[vname(i, j)]] and ze[vindex[vname(n, n)]]):
-                            continue
-                        q = add_var(add_var(ze, i, j, -1), n, n, -1)
-                    if q in seen:
-                        continue
-                    seen.add(q)
-                    P = add_var(add_var(q, i, n), j, n)
-                    T = add_var(add_var(q, i, j), n, n)
-                    cp = get(P)
-                    ct = get(T)
-                    ratio_half = tuple(q)[vindex[vname(i, j)]] >= 1
-                    want = halves(cp) if ratio_half else cp
-                    if ct != _xi_neg(want):
-                        ok_a = False
-
-    ok_b = True
+    ok_a = all(paired(((i, n), (j, n)), ((i, j), (n, n)), (i, j), half)
+               for i in range(1, n) for j in range(1, n))
     # law B: P = z_jn z_(n-1)(n-1) Q vs Ptilde = z_j(n-1) z_(n-1)n Q,
     # ratio -1 (or -2 when z_jn divides Q)
-    for j in range(1, n - 1):
-        seen = set()
-        for ze in all_z:
-            for source in ("P", "T"):
-                if source == "P":
-                    if not (ze[vindex[vname(j, n)]] and ze[vindex[vname(n - 1, n - 1)]]):
-                        continue
-                    q = add_var(add_var(ze, j, n, -1), n - 1, n - 1, -1)
-                else:
-                    if not (ze[vindex[vname(j, n - 1)]] and ze[vindex[vname(n - 1, n)]]):
-                        continue
-                    q = add_var(add_var(ze, j, n - 1, -1), n - 1, n, -1)
-                if q in seen:
-                    continue
-                seen.add(q)
-                P = add_var(add_var(q, j, n), n - 1, n - 1)
-                T = add_var(add_var(q, j, n - 1), n - 1, n)
-                cp = get(P)
-                ct = get(T)
-                doubled = tuple(q)[vindex[vname(j, n)]] >= 1
-                want = {e: c + c for e, c in cp.items()} if doubled else cp
-                if ct != _xi_neg(want):
-                    ok_b = False
-
-    ok_c = True
+    ok_b = all(paired(((j, n), (n - 1, n - 1)), ((j, n - 1), (n - 1, n)),
+                      (j, n), two) for j in range(1, n - 1))
     # law C: P = z_i(n-1) z_in Q vs Ptilde = z_ii z_(n-1)n Q, ratio -1
     # (or -1/2 when z_(n-1)n divides Q)
-    for i in range(1, n - 1):
-        seen = set()
-        for ze in all_z:
-            for source in ("P", "T"):
-                if source == "P":
-                    if not (ze[vindex[vname(i, n - 1)]] and ze[vindex[vname(i, n)]]):
-                        continue
-                    q = add_var(add_var(ze, i, n - 1, -1), i, n, -1)
-                else:
-                    if not (ze[vindex[vname(i, i)]] and ze[vindex[vname(n - 1, n)]]):
-                        continue
-                    q = add_var(add_var(ze, i, i, -1), n - 1, n, -1)
-                if q in seen:
-                    continue
-                seen.add(q)
-                P = add_var(add_var(q, i, n - 1), i, n)
-                T = add_var(add_var(q, i, i), n - 1, n)
-                cp = get(P)
-                ct = get(T)
-                ratio_half = tuple(q)[vindex[vname(n - 1, n)]] >= 1
-                want = halves(cp) if ratio_half else cp
-                if ct != _xi_neg(want):
-                    ok_c = False
+    ok_c = all(paired(((i, n - 1), (i, n)), ((i, i), (n - 1, n)), (n - 1, n),
+                      half) for i in range(1, n - 1))
 
     ok_d = True
     # mixed law: a present monomial z_ij z_(n-1)n Q forces the presence of
@@ -686,7 +632,7 @@ def symplectic_pairing_facts(n: int, groups, vindex) -> Dict[str, bool]:
         for j in range(1, n - 1):
             if i == j:
                 continue
-            for ze in all_z:
+            for ze in groups:
                 if not (ze[vindex[vname(i, j)]] and ze[vindex[vname(n - 1, n)]]):
                     continue
                 q = add_var(add_var(ze, i, j, -1), n - 1, n, -1)

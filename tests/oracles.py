@@ -10,6 +10,9 @@
   ``specialize_expanded`` and ``slot_coefficients_expanded`` -- queries of
   the Segre family read off its expanded doubled-ring polynomial by
   ``partial_evaluate``, instead of from the psi vector.
+* ``partial_evaluate``, ``is_constant`` and ``point_pair`` -- substitution
+  into, and the doubled-ring points of, the expanded family polynomial;
+  only these routes and the tests use them.
 * ``z_part_groups_expanded`` -- the z-monomial groups of the support facts,
   read off the expanded family polynomial instead of from the psi vector.
 * ``trial_division_loop`` -- the finite-field trial division one candidate
@@ -132,30 +135,56 @@ def compose_full(poly, images):
     return PolyFraction(total, den)
 
 
+def partial_evaluate(poly, point):
+    """Substitute exact values for a subset of the variables of ``poly``."""
+    idx = {poly.ring.index(v): GaussRational.coerce(c) for v, c in point.items()}
+    out = {}
+    for e, c in poly.terms.items():
+        ne = list(e)
+        for i, val in idx.items():
+            for _ in range(e[i]):
+                c = c * val
+            ne[i] = 0
+        ne = tuple(ne)
+        out[ne] = out.get(ne, GaussRational(0)) + c
+    return Polynomial(poly.ring, out)
+
+
+def is_constant(poly):
+    return all(sum(e) == 0 for e in poly.terms)
+
+
+def point_pair(fam, z, xi):
+    """The doubled-ring point (z, xi) of the expanded family polynomial."""
+    out = {v: GaussRational.coerce(z[v]) for v in fam.zvars}
+    out.update(_conj_assign(fam, xi))
+    return out
+
+
 def _conj_assign(fam, xi):
     return {conj_name(v): GaussRational.coerce(xi[v]) for v in fam.zvars}
 
 
 def rho_at_expanded(fam, z, xi):
-    restricted = fam.rho.partial_evaluate(_conj_assign(fam, xi))
-    return restricted.evaluate(fam.point_pair(z, xi))
+    restricted = partial_evaluate(fam.rho, _conj_assign(fam, xi))
+    return restricted.evaluate(point_pair(fam, z, xi))
 
 
 def xi_gradient_expanded(fam, z, xi):
-    assign, point = _conj_assign(fam, xi), fam.point_pair(z, xi)
-    return [fam.rho.derivative(conj_name(v)).partial_evaluate(assign).evaluate(point)
+    assign, point = _conj_assign(fam, xi), point_pair(fam, z, xi)
+    return [partial_evaluate(fam.rho.derivative(conj_name(v)), assign).evaluate(point)
             for v in fam.zvars]
 
 
 def z_gradient_expanded(fam, z, xi):
-    point = fam.point_pair(z, xi)
+    point = point_pair(fam, z, xi)
     return [fam.rho.derivative(v).evaluate(point) for v in fam.zvars]
 
 
 def specialize_expanded(fam, xi):
     """rho(., xi) moved into the cell ring of the space."""
     width = len(fam.zvars)
-    restricted = fam.rho.partial_evaluate(_conj_assign(fam, xi))
+    restricted = partial_evaluate(fam.rho, _conj_assign(fam, xi))
     terms = {}
     for e, c in restricted.terms.items():
         assert not any(e[width:]), "conjugate slot survived specialization"
@@ -166,11 +195,11 @@ def specialize_expanded(fam, xi):
 def slot_coefficients_expanded(fam, z, xi):
     """(A, B) with rho(z, xi) = A * xi_dist + B, xi_dist left free."""
     dist = conj_name(fam.space.distinguished)
-    point = fam.point_pair(z, xi)
+    point = point_pair(fam, z, xi)
     del point[dist]
     slot = fam.ring.index(dist)
     A = B = GaussRational(0)
-    for e, c in fam.rho.partial_evaluate(point).terms.items():
+    for e, c in partial_evaluate(fam.rho, point).terms.items():
         assert e[slot] <= 1, "distinguished slot not linear"
         if e[slot]:
             A = A + c
@@ -243,8 +272,8 @@ def rho_swap_symmetric(fam):
 
 def unit_at_origin_expanded(fam):
     """Whether rho(0, xi) is the constant 1, by ``partial_evaluate``."""
-    rest = fam.rho.partial_evaluate({v: GaussRational(0) for v in fam.zvars})
-    return rest.is_constant() and rest.constant_term() == GaussRational(1)
+    rest = partial_evaluate(fam.rho, {v: GaussRational(0) for v in fam.zvars})
+    return is_constant(rest) and rest.constant_term() == GaussRational(1)
 
 
 def _frac(x) -> Fraction:
@@ -410,10 +439,10 @@ def lambda_determinant(space, fam, F, betas, z0, xi0, frame=None):
         frame = segre_frame(fam)
     if not fam.rho_at(z0, xi0).is_zero():
         raise ValueError("point is not on the Segre family")
-    point = fam.point_pair(z0, xi0)
+    point = point_pair(fam, z0, xi0)
     if frame.kind == "segre":
         rho_d = fam.rho.derivative(space.distinguished)
-        if rho_d.partial_evaluate({v: point[v] for v in fam.zvars}).is_zero():
+        if partial_evaluate(rho_d, {v: point[v] for v in fam.zvars}).is_zero():
             raise LambdaUndefinedError(
                 "Lambda undefined over this Segre variety: distinguished "
                 "derivative vanishes identically on it")

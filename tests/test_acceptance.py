@@ -104,3 +104,25 @@ def test_family_cache_built_once_under_contention(monkeypatch):
     assert len(acceptance._FAMILIES) == bound
     assert "typeI:2,3" not in acceptance._FAMILIES
     assert set(acceptance._FAMILIES) == set(specs)
+
+
+@pytest.mark.parametrize("check,command,criterion,field", [
+    ("hypothesis_one", "hyp1", "check_hypothesis_one", "rank1"),
+    ("hypothesis_two", "hyp2", "check_hypothesis_two", "rank"),
+], ids=["hyp1", "hyp2"])
+def test_one_check_feeds_command_and_criterion(monkeypatch, check, command,
+                                               criterion, field):
+    """The command and the selftest criterion read the same per-space
+    check: when it reports rank 1, both fail."""
+    import contextlib
+    import dataclasses
+    import io
+    from hermsym.cli import main
+    real = getattr(acceptance, check)
+    monkeypatch.setattr(acceptance, check, lambda *args: dataclasses.replace(
+        real(*args), **{field: 1}))
+    monkeypatch.delenv("HSS_SEED", raising=False)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "--space", "typeIV:3", "--seed", "7"]) == 1
+    result = getattr(acceptance, criterion)(seed=SEED)
+    assert not result.passed and result.failure_kind == "logic", result.detail

@@ -7,6 +7,7 @@ import pytest
 from hermsym.gauss import GaussRational as G
 from hermsym.poly import PolyRing, PolyFraction, poly_from_json
 from hermsym.sampling import random_small_gauss, rng_from_seed
+from oracles import is_constant
 
 
 def rnd_poly(ring, rng, max_terms=5, max_deg=3):
@@ -176,7 +177,7 @@ def test_substitute_hyperplane_restriction():
     out = rho.compose_fractions({"z3": PolyFraction(image, r.one())})
     iz = r.index("z3")
     assert all(e[iz] == 0 for e in out.num.terms)
-    assert out.den.is_constant()
+    assert is_constant(out.den)
 
 
 def test_scaled_point_substitution_builds_pencil_equation():
@@ -258,7 +259,7 @@ def test_compose_fractions_simultaneous_swap():
     p = z * z + w
     swapped = p.compose_fractions({"z": PolyFraction.from_poly(w),
                                    "w": PolyFraction.from_poly(z)})
-    assert swapped.den.is_constant()
+    assert is_constant(swapped.den)
     want = w * w + z
     assert (swapped.num - want * swapped.den.constant_term()).is_zero()
 

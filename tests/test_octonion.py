@@ -8,6 +8,7 @@ from hermsym.octonion import (OCT_TABLE, JordanMatrix, Octonion, cayley_matrix,
                               symbolic_octonion, M16_VARS, M27_VARS)
 from hermsym.poly import PolyRing
 from hermsym.sampling import random_small_gauss, rng_from_seed
+from oracles import partial_evaluate
 
 ZERO, ONE = G(0), G(1)
 BASIS = [Octonion.basis(k, ONE, ZERO) for k in range(8)]
@@ -156,7 +157,7 @@ def test_first_pairing_form_and_zero_slice():
     r27 = PolyRing(M27_VARS)
     forms = freudenthal_forms(r27)
     kill = {v: G(0) for v in M27_VARS if v[0] in ("t", "w")}
-    d0 = forms[30].partial_evaluate(kill)
+    d0 = partial_evaluate(forms[30], kill)
     assert d0 == -(r27.var("x3") * r27.var("y0"))
 
 
@@ -174,3 +175,24 @@ def test_table_mutation_breaks_cayley_identity(monkeypatch):
     tr = jordan_trace(X)
     assert not mat_eq(XX, [[e.scale(tr) for e in row] for row in X.to_full()])
 
+
+
+def test_octonions_and_modular_polynomials_copy_and_pickle():
+    """Octonions, Jordan matrices and F_p polynomials survive copy, deepcopy
+    and a pickle round trip with equal values."""
+    import copy
+    import pickle
+    from hermsym.poly import PolyModP
+    rng = rng_from_seed(3)
+    x = Octonion([random_small_gauss(rng) for _ in range(8)])
+    J = freudenthal_jordan_matrix()
+    f = PolyModP(("z", "w"), 5, {(1, 0): 2, (0, 3): 4})
+    for value in (x, J, f):
+        for y in (copy.copy(value), copy.deepcopy(value),
+                  pickle.loads(pickle.dumps(value))):
+            assert type(y) is type(value)
+            if isinstance(value, JordanMatrix):
+                assert y.diag == J.diag and y.off == J.off
+            else:
+                assert y == value
+    assert pickle.loads(pickle.dumps(f)).p == 5

@@ -33,7 +33,7 @@ from .rigidity import (OracleResult, WitnessReport, degeneracy_relation,
 from .sampling import random_gauss_point, rng_from_seed, random_small_gauss
 from .segre import (det_model_holds, einstein_fit, ricci_residual,
                     sample_on_family, SegreFamily)
-from .spaces import build_space, pfaffian
+from .spaces import antisymmetric_cell, build_space, pf_expansion
 
 DEFAULT_SEED = 1729
 LOOSE_FLOAT_BOUND = 1e-4    # residuals below this are tolerance failures, not logic
@@ -85,7 +85,7 @@ def det_pairing_holds(fam: SegreFamily, rng, points: int) -> bool:
     ``points`` random rational points drawn from ``rng``."""
     space = fam.space
     for _ in range(points):
-        z = random_gauss_point(rng, space.vars, small=True)
+        z = random_gauss_point(rng, space.vars)
         if not det_model_holds(fam, z, {v: z[v].conj() for v in space.vars}):
             return False
     return True
@@ -98,6 +98,11 @@ def unit_at_origin(fam: SegreFamily) -> bool:
 
 @dataclass
 class EinsteinCheck:
+    """The Einstein fit of one space and the exact identities of its rho.
+    ``identity_checks["swap_symmetric"]`` is always True and is not
+    computed: rho pairs one vector psi with itself, so the z <-> xi swap
+    symmetry holds by construction.  The key stays so that ``einstein``
+    reports keep their bytes."""
     lam: int
     c: float
     residual: float
@@ -121,8 +126,7 @@ def einstein_check(fam: SegreFamily, seed: int, samples: int) -> EinsteinCheck:
     Pfaffian model is a selftest criterion."""
     lam, c, residual = einstein_fit(fam, samples, seed)
     identity_checks = {
-        # rho pairs one vector psi with itself, so z <-> xi is a symmetry
-        "swap_symmetric": True,
+        "swap_symmetric": True,     # by construction, see EinsteinCheck
         "unit_at_origin": unit_at_origin(fam),
         "det_pairing_exact": (det_pairing_holds(fam, rng_from_seed(seed), 5)
                               if fam.space.kind.det_power == 1 else None),
@@ -254,38 +258,50 @@ def check_embedding_identity(seed, tol, points: int = 100):
     return f"exact at {points} points x 5 spaces"
 
 
+def _pf_laplace(M, idx) -> GaussRational:
+    """Pfaffian of the antisymmetric matrix M on the indices idx, expanded
+    along the first row: the reference for the builder's pair partitions."""
+    if not idx:
+        return GaussRational(1)
+    total = GaussRational(0)
+    for pos in range(1, len(idx)):
+        term = M[idx[0]][idx[pos]] * _pf_laplace(M, idx[1:pos] + idx[pos + 1:])
+        total = total + term if pos % 2 else total - term
+    return total
+
+
 @criterion("pfaffian_suite")
 def check_pfaffian_suite(seed, tol):
     rng = rng_from_seed(seed)
-    ring = PolyRing(("t",))
 
-    def random_antisym(order):
-        M = [[ring.zero()] * order for _ in range(order)]
+    def pf_pair(order):
+        """The builder's Pfaffian of the order x order antisymmetric cell at
+        random entries, and the entries as a matrix."""
+        M = [[GaussRational(0)] * order for _ in range(order)]
+        point = {}
         for i in range(order):
             for j in range(i + 1, order):
-                v = ring.const(random_small_gauss(rng))
+                v = point[f"z{i + 1}_{j + 1}"] = random_small_gauss(rng)
                 M[i][j] = v
                 M[j][i] = -v
-        return M
+        pf = pf_expansion(antisymmetric_cell(order), range(1, order + 1))
+        return pf.evaluate(point), M
 
     for order in range(2, 9):          # odd orders vanish on both routes
-        M = random_antisym(order)
-        _require(pfaffian(M, "partition") == pfaffian(M, "recursive"),
-                 f"algorithms disagree at order {order}")
+        pf, M = pf_pair(order)
+        _require(pf == _pf_laplace(M, list(range(order))),
+                 f"pair partitions != Laplace expansion at order {order}")
     for order in range(2, 7):
-        M = random_antisym(order)
-        pf = pfaffian(M, "partition").constant_term()
-        det = det_exact(
-            [[M[i][j].constant_term() for j in range(order)] for i in range(order)])
-        _require((pf * pf - det).is_zero(), f"pf^2 != det at order {order}")
+        pf, M = pf_pair(order)
+        _require((pf * pf - det_exact(M)).is_zero(), f"pf^2 != det at order {order}")
     # family polynomial squared equals det(I + Z Xi^t), convention fixed at
     # n=4 and then asserted at n=5
     for n in (4, 5):
         fam = family(f"typeII:{n}")
         space = fam.space
         for _ in range(10):
-            z = random_gauss_point(rng, space.vars, small=True)
-            xi = random_gauss_point(rng, space.vars, small=True)
+            z = random_gauss_point(rng, space.vars)
+            xi = random_gauss_point(rng, space.vars)
             _require(det_model_holds(fam, z, xi), f"rho^2 != det(I+Z Xi^t) at n={n}")
     return "partition==recursive (2-8); pf^2=det (2-6); rho^2=det at n=4,5"
 

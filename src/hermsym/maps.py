@@ -81,10 +81,25 @@ class MapFile:
 
 
 def _fraction_from_json(ring: PolyRing, obj) -> PolyFraction:
+    if not (isinstance(obj, dict) and "num" in obj):
+        raise ValueError("a map component is an object with a 'num' polynomial")
     num = ring.from_json(obj["num"])
-    den = ring.from_json(obj["den"]) if "den" in obj and obj["den"] is not None \
-        else ring.one()
+    den = ring.from_json(obj["den"]) if obj.get("den") is not None else ring.one()
+    if den.is_zero():
+        raise ValueError("a map component has a zero denominator")
     return PolyFraction(num, den)
+
+
+def _lambda(x) -> Tuple[Fraction, float]:
+    """A map weight as an exact rational and as the float the checks use."""
+    if isinstance(x, bool) or not isinstance(x, (str, int, float)):
+        raise ValueError(f"lambda {x!r} is neither a number nor an 'a/b' string")
+    try:
+        exact = Fraction(x)
+        return exact, float(exact if isinstance(x, str) else x)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"lambda {x!r} is not a finite rational within "
+                         f"the float range") from None
 
 
 def parse_map_file(space: Space, payload) -> MapFile:
@@ -92,14 +107,22 @@ def parse_map_file(space: Space, payload) -> MapFile:
 
     Each map is a list of n components {num: <poly>, den: <poly>}.  Lambda
     entries given as 'a/b' strings are kept exact; plain numbers are floats.
+    A payload of any other shape raises ValueError: a non-object payload, a
+    map that is not a list of n objects with a 'num', a malformed polynomial
+    (see ``poly_from_json``), a zero denominator, 'lambdas' that is not a
+    list of one positive number or 'a/b' string per map.
     """
     if isinstance(payload, list):
         payload = {"maps": payload}
+    if not isinstance(payload, dict):
+        raise ValueError("map file must be an object or an array of maps")
     raw_maps = payload.get("maps")
     if not isinstance(raw_maps, list) or not raw_maps:
         raise ValueError("map file must contain a non-empty 'maps' array")
     maps = []
     for entry in raw_maps:
+        if not isinstance(entry, list):
+            raise ValueError("each map must be an array of components")
         if len(entry) != space.n:
             raise ValueError(
                 f"map has {len(entry)} components; space cell dimension is {space.n}")
@@ -109,14 +132,14 @@ def parse_map_file(space: Space, payload) -> MapFile:
     exact = None
     floats = None
     if lambdas is not None:
+        if not isinstance(lambdas, list):
+            raise ValueError("'lambdas' must be an array")
         if len(lambdas) != len(maps):
             raise ValueError("lambdas count does not match maps count")
+        pairs = [_lambda(x) for x in lambdas]
+        floats = [f for _, f in pairs]
         if all(isinstance(x, str) for x in lambdas):
-            exact = [Fraction(x) for x in lambdas]
-            floats = [float(f) for f in exact]
-        else:
-            floats = [float(x) for x in lambdas]
+            exact = [q for q, _ in pairs]
         if any(f <= 0 for f in floats):
             raise ValueError("lambdas must be positive")
     return MapFile(maps, floats, exact)
-

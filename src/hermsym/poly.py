@@ -8,9 +8,8 @@ so they are safe for concurrent read-only use.
 
 Two auxiliary value types live here as well:
 
-* ``PolyFraction`` -- an exact quotient of two polynomials with lazy, gcd-free
-  normalization (``normalize()`` only strips scalar and monomial content;
-  multivariate gcd is deliberately out of scope).
+* ``PolyFraction`` -- an exact quotient of two polynomials, never reduced
+  (multivariate gcd is deliberately out of scope).
 * ``PolyModP`` -- a polynomial with coefficients reduced modulo a small prime,
   used by the finite-field irreducibility oracle, whose search for factors
   (``trial_division_modp``) is the batched int64 kernel at the end.
@@ -67,9 +66,6 @@ class PolyRing:
     def __hash__(self):
         return hash(self.vars)
 
-    def __len__(self):
-        return len(self.vars)
-
     def __repr__(self):
         return f"PolyRing{self.vars}"
 
@@ -98,18 +94,11 @@ class PolyRing:
         exp[self.index(name)] = 1
         return Polynomial(self, {tuple(exp): ONE})
 
-    def monomial(self, exp: Exponent, coeff=ONE) -> "Polynomial":
-        coeff = GaussRational.coerce(coeff)
-        if coeff.is_zero():
-            return self.zero()
-        if len(exp) != len(self.vars):
-            raise ValueError("exponent length does not match ring")
-        return Polynomial(self, {tuple(exp): coeff})
-
     def from_json(self, obj) -> "Polynomial":
-        if tuple(obj["vars"]) != self.vars:
+        p = poly_from_json(obj)
+        if p.ring != self:
             raise ValueError("variable sets differ")
-        return poly_from_json(obj)
+        return p
 
 
 class Polynomial:
@@ -144,9 +133,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def support(self) -> set:
-        return set(self.terms)
 
     def coeff(self, exp: Exponent) -> GaussRational:
         return self.terms.get(tuple(exp), ZERO)
@@ -217,18 +203,6 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def scale(self, c) -> "Polynomial":
         c = GaussRational.coerce(c)
@@ -380,22 +354,36 @@ class Polynomial:
 
 
 def poly_from_json(obj) -> Polynomial:
+    """The polynomial of {"vars": [names], "terms": [{"exp": [k, ...],
+    "re": x, "im": y}]}, where each exponent is a list of non-negative
+    integers, one per variable, and "im" may be left out; anything else
+    raises ValueError."""
+    if not (isinstance(obj, dict) and isinstance(obj.get("vars"), list)
+            and all(isinstance(v, str) for v in obj["vars"])
+            and isinstance(obj.get("terms"), list)):
+        raise ValueError("a polynomial is an object with a 'vars' array of "
+                         "names and a 'terms' array")
     ring = PolyRing(obj["vars"])
     terms: Dict[Exponent, GaussRational] = {}
     for t in obj["terms"]:
-        exp = tuple(int(k) for k in t["exp"])
-        c = GaussRational(Fraction(t["re"]), Fraction(t.get("im", "0")))
+        exp = t.get("exp") if isinstance(t, dict) else None
+        if not (isinstance(exp, list) and len(exp) == len(ring.vars) and all(
+                type(k) is int and k >= 0 for k in exp)):
+            raise ValueError(f"term exponent {exp!r} is not a list of "
+                             f"{len(ring.vars)} non-negative integers")
+        if "re" not in t:
+            raise ValueError(f"term {t!r} has no 're' coefficient")
+        try:
+            c = GaussRational(Fraction(t["re"]), Fraction(t.get("im", "0")))
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValueError(f"term {t!r} has a malformed coefficient") from None
         if not c.is_zero():
-            terms[exp] = c
+            terms[tuple(exp)] = c
     return Polynomial(ring, terms)
 
 
 class PolyFraction:
-    """Exact quotient of two polynomials in the same ring.
-
-    No automatic gcd cancellation; ``normalize`` strips scalar content and a
-    common monomial factor only.
-    """
+    """Exact quotient of two polynomials in the same ring, never reduced."""
 
     __slots__ = ("num", "den")
 
@@ -471,34 +459,6 @@ class PolyFraction:
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at evaluation point")
         return self.num.evaluate_float(point) / d
-
-    def normalize(self) -> "PolyFraction":
-        """Cheap canonicalization: strip a common monomial and scalar content.
-
-        Full multivariate gcd is a non-goal; equality testing should use
-        ``sub(...).is_zero_fraction()`` which cross-multiplies.
-        """
-        if self.num.is_zero():
-            return PolyFraction(self.ring.zero(), self.ring.one())
-        nvars = len(self.ring.vars)
-        common = [min(min(e[i] for e in p.terms) for p in (self.num, self.den))
-                  for i in range(nvars)]
-
-        def strip(p: Polynomial) -> Polynomial:
-            return Polynomial(p.ring, {
-                tuple(k - m for k, m in zip(e, common)): c for e, c in p.terms.items()
-            })
-
-        num, den = strip(self.num), strip(self.den)
-        # scalar content: divide both by the leading coefficient of den
-        lead = den.terms[max(den.terms)]
-        num = num.scale(ONE / lead)
-        den = den.scale(ONE / lead)
-        return PolyFraction(num, den)
-
-    def equals(self, other: "PolyFraction") -> bool:
-        other = self._coerce(other)
-        return (self.num * other.den - other.num * self.den).is_zero()
 
     def __repr__(self):
         return f"({self.num!r}) / ({self.den!r})"

@@ -20,27 +20,19 @@ def rng_from_seed(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def random_fraction(rng: random.Random, bound: int = BOUND) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-
-
 def random_small_fraction(rng: random.Random) -> Fraction:
     """A rational of modulus < 1 ('near 0' sampling for jet ranks)."""
     return Fraction(rng.randint(-9, 9), rng.randint(10, BOUND))
-
-
-def random_gauss(rng: random.Random, bound: int = BOUND) -> GaussRational:
-    return GaussRational(random_fraction(rng, bound), random_fraction(rng, bound))
 
 
 def random_small_gauss(rng: random.Random) -> GaussRational:
     return GaussRational(random_small_fraction(rng), random_small_fraction(rng))
 
 
-def random_gauss_point(rng: random.Random, names: Sequence[str],
-                       small: bool = False) -> Dict[str, GaussRational]:
-    draw = random_small_gauss if small else random_gauss
-    return {v: draw(rng) for v in names}
+def random_gauss_point(rng: random.Random,
+                       names: Sequence[str]) -> Dict[str, GaussRational]:
+    """A point with one ``random_small_gauss`` coordinate per name."""
+    return {v: random_small_gauss(rng) for v in names}
 
 
 def random_complex_ball(rng: random.Random, n: int, radius: float = 0.3):

@@ -374,7 +374,7 @@ def special_point(space: Space, rng) -> Tuple[Dict, Dict, Optional[List[GaussRat
     block = null_block(space)
     mu = None if block is None else hyperplane_mu(len(block) - 1)
     for _ in range(64):
-        z0 = random_gauss_point(rng, space.vars, small=True)
+        z0 = random_gauss_point(rng, space.vars)
         xi0 = {v: ZERO for v in space.vars}
         if block is None:
             d = space.distinguished
@@ -401,8 +401,8 @@ def sample_on_family(fam: SegreFamily, rng) -> Tuple[Dict, Dict]:
         return z, xi
     dist = space.distinguished
     for _ in range(64):
-        z = random_gauss_point(rng, space.vars, small=True)
-        xi = random_gauss_point(rng, space.vars, small=True)
+        z = random_gauss_point(rng, space.vars)
+        xi = random_gauss_point(rng, space.vars)
         # rho(z, xi) = A * xi_dist + B exactly: every psi_j is linear in
         # the distinguished slot, psi_j(xi) = b_j + a_j * xi_dist
         at0, at1 = dict(xi), dict(xi)

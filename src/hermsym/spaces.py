@@ -27,9 +27,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .gauss import GaussRational
+from .gauss import GaussRational, ZERO
 from .linalg import RankTracker
 from .octonion import (M16_VARS, M27_VARS, cayley_plane_forms, freudenthal_forms)
 from .poly import Polynomial, PolyRing
@@ -100,23 +100,55 @@ class Space:
 
 
 # ---------------------------------------------------------------------------
-# determinants and Pfaffians of symbolic matrices
+# cell matrix layouts: (i, j) -> (variable, sign), or None for a zero entry
 # ---------------------------------------------------------------------------
 
-def sym_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Leibniz determinant for symbolic matrices (factorial cost; the minor
-    enumerations only need small orders)."""
-    k = len(rows)
-    ring = rows[0][0].ring
-    out = ring.zero()
-    for perm in itertools.permutations(range(k)):
-        sign = _perm_sign(perm)
-        term = ring.const(sign)
-        for i in range(k):
-            term = term * rows[i][perm[i]]
-        out = out + term
-    return out
+def _plain_entry(i: int, j: int):
+    return f"z{i}_{j}", 1
 
+
+def _antisym_entry(i: int, j: int):
+    if i == j:
+        return None
+    return (f"z{i}_{j}", 1) if i < j else (f"z{j}_{i}", -1)
+
+
+def _sym_entry(i: int, j: int):
+    return f"z{min(i, j)}_{max(i, j)}", 1
+
+
+def _fill_matrix(entry, rows: int, cols: int, lookup, zero) -> list:
+    """The rows x cols matrix of a layout, each variable read by ``lookup``."""
+    def value(i, j):
+        e = entry(i, j)
+        if e is None:
+            return zero
+        v = lookup(e[0])
+        return v if e[1] > 0 else -v
+    return [[value(i, j) for j in range(1, cols + 1)] for i in range(1, rows + 1)]
+
+
+def layout_cell(entry, rows: int, cols: int):
+    """The cell of a rows x cols layout: its ring (variables in row-major
+    order of first appearance) and the table (i, j) -> (ring slot, sign),
+    None for a zero entry."""
+    cells = {(i, j): entry(i, j)
+             for i in range(1, rows + 1) for j in range(1, cols + 1)}
+    ring = PolyRing(tuple(dict.fromkeys(e[0] for e in cells.values() if e)))
+    slots = {ij: None if e is None else (ring.index(e[0]), e[1])
+             for ij, e in cells.items()}
+    return ring, slots
+
+
+def antisymmetric_cell(n: int):
+    """The n x n antisymmetric cell of typeII:n."""
+    return layout_cell(_antisym_entry, n, n)
+
+
+# ---------------------------------------------------------------------------
+# minors and Pfaffians of a cell: one signed monomial per permutation or
+# pair partition
+# ---------------------------------------------------------------------------
 
 def _perm_sign(perm) -> int:
     sign = 1
@@ -149,88 +181,43 @@ def _pair_partitions(indices: Tuple[int, ...]):
             yield ((first, second),) + pairs, sign_here * sign
 
 
-def pfaffian(matrix: Sequence[Sequence[Polynomial]], algo: str = "partition") -> Polynomial:
-    """Pfaffian of an antisymmetric matrix of polynomials.
-
-    ``partition`` sums signed pair partitions (the definitional formula,
-    practical to order 8); ``recursive`` expands along the first row and
-    works for any order.  Odd order gives 0.
-    """
-    m = len(matrix)
-    ring = matrix[0][0].ring if m else None
-    for i in range(m):
-        for j in range(m):
-            if not (matrix[i][j] + matrix[j][i]).is_zero():
-                raise ValueError("matrix is not antisymmetric")
-    if m == 0:
-        raise ValueError("empty matrix")
-    if m % 2 == 1:
-        return ring.zero()
-    if algo == "partition":
-        out = ring.zero()
-        for pairs, sign in _pair_partitions(tuple(range(m))):
-            term = ring.const(sign)
-            for i, j in pairs:
-                term = term * matrix[i][j]
-            out = out + term
-        return out
-    if algo == "recursive":
-        return _pf_recursive(matrix, list(range(m)), ring)
-    raise ValueError("algo must be 'partition' or 'recursive'")
+def _expand(cell, products) -> Polynomial:
+    """The signed sum of (cells, sign) products of cell entries.  Each
+    product is one monomial, dropped when it meets a zero entry.  The terms
+    accumulate as a chain of ``Polynomial.__add__`` calls does, popping a
+    key whose sum vanishes, so the terms and their insertion order are those
+    of adding the products one at a time."""
+    ring, slots = cell
+    width = len(ring.vars)
+    terms: Dict[Tuple[int, ...], int] = {}
+    for cells, sign in products:
+        exp = [0] * width
+        for ij in cells:
+            slot = slots[ij]
+            if slot is None:
+                break
+            exp[slot[0]] += 1
+            sign *= slot[1]
+        else:
+            e = tuple(exp)
+            c = terms.get(e, 0) + sign
+            if c:
+                terms[e] = c
+            else:
+                del terms[e]
+    return Polynomial(ring, {e: GaussRational(c) for e, c in terms.items()})
 
 
-def _pf_recursive(matrix, idx: List[int], ring: PolyRing) -> Polynomial:
-    if not idx:
-        return ring.one()
-    out = ring.zero()
-    i0 = idx[0]
-    for pos in range(1, len(idx)):
-        j = idx[pos]
-        sign = (-1) ** (pos - 1)
-        rest = idx[1:pos] + idx[pos + 1:]
-        sub = _pf_recursive(matrix, rest, ring)
-        term = matrix[i0][j] * sub
-        out = out + (term if sign > 0 else -term)
-    return out
+def minor_expansion(cell, rows, cols) -> Polynomial:
+    """The minor of the cell on (rows, cols), one product per permutation."""
+    return _expand(cell, ((zip(rows, (cols[k] for k in perm)), _perm_sign(perm))
+                          for perm in itertools.permutations(range(len(rows)))))
 
 
-# ---------------------------------------------------------------------------
-# cell matrix layouts: (i, j) -> (variable, sign), or None for a zero entry
-# ---------------------------------------------------------------------------
-
-def _plain_entry(i: int, j: int):
-    return f"z{i}_{j}", 1
-
-
-def _antisym_entry(i: int, j: int):
-    if i == j:
-        return None
-    return (f"z{i}_{j}", 1) if i < j else (f"z{j}_{i}", -1)
-
-
-def _sym_entry(i: int, j: int):
-    return f"z{min(i, j)}_{max(i, j)}", 1
-
-
-def _fill_matrix(entry, rows: int, cols: int, lookup, zero) -> list:
-    """The rows x cols matrix of a layout, each variable read by ``lookup``."""
-    def value(i, j):
-        e = entry(i, j)
-        if e is None:
-            return zero
-        v = lookup(e[0])
-        return v if e[1] > 0 else -v
-    return [[value(i, j) for j in range(1, cols + 1)] for i in range(1, rows + 1)]
-
-
-def _symbolic_cell(entry, rows: int, cols: int):
-    """The cell ring of a layout (variables in row-major order of first
-    appearance) and its symbolic matrix as an entry function (i, j)."""
-    names = [e[0] for i in range(1, rows + 1) for j in range(1, cols + 1)
-             if (e := entry(i, j)) is not None]
-    ring = PolyRing(tuple(dict.fromkeys(names)))
-    M = _fill_matrix(entry, rows, cols, ring.var, ring.zero())
-    return ring, lambda i, j: M[i - 1][j - 1]
+def pf_expansion(cell, sigma) -> Polynomial:
+    """The Pfaffian of an antisymmetric cell on the index tuple sigma, one
+    product per pair partition; 0 for an odd length."""
+    return _expand(cell, _pair_partitions(tuple(sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +232,11 @@ def minor_index_sets(p: int, q: int):
                 yield k, rows, cols
 
 
-def matrix_minor(entry, rows, cols) -> Polynomial:
-    sub = [[entry(i, j) for j in cols] for i in rows]
-    return sym_det(sub)
-
-
 def build_type1(p: int, q: int) -> Space:
     desc = SpaceDescriptor("typeI", (p, q))
-    ring, entry = _symbolic_cell(_plain_entry, p, q)
-    psi = [matrix_minor(entry, rows, cols) for _, rows, cols in minor_index_sets(p, q)]
-    return Space(desc, p * q, len(psi), ring, tuple(psi), tuple(psi),
+    cell = layout_cell(_plain_entry, p, q)
+    psi = [minor_expansion(cell, rows, cols) for _, rows, cols in minor_index_sets(p, q)]
+    return Space(desc, p * q, len(psi), cell[0], tuple(psi), tuple(psi),
                  distinguished=f"z{p}_{q}")
 
 
@@ -264,19 +246,16 @@ def build_type1(p: int, q: int) -> Space:
 
 def build_type2(n: int) -> Space:
     desc = SpaceDescriptor("typeII", (n,))
-    ring, entry = _symbolic_cell(_antisym_entry, n, n)
-    psi = []
-    for k in range(2, n + 1, 2):
-        for sigma in itertools.combinations(range(1, n + 1), k):
-            block = [[entry(i, j) for j in sigma] for i in sigma]
-            psi.append(pfaffian(block, "partition" if k <= 8 else "recursive"))
+    cell = antisymmetric_cell(n)
+    psi = [pf_expansion(cell, sigma) for k in range(2, n + 1, 2)
+           for sigma in itertools.combinations(range(1, n + 1), k)]
     note = None
     if n < 4:
         note = ("only the degree-1 Pfaffian block exists for n < 4; "
                 "the embedding is linear and the space degenerates to "
                 "projective space")
-    cell = n * (n - 1) // 2
-    return Space(desc, cell, len(psi), ring, tuple(psi), tuple(psi),
+    cell_dim = n * (n - 1) // 2
+    return Space(desc, cell_dim, len(psi), cell[0], tuple(psi), tuple(psi),
                  distinguished=f"z{n - 1}_{n}", degenerate_note=note)
 
 
@@ -284,29 +263,29 @@ def build_type2(n: int) -> Space:
 # type III: symplectic Grassmannians, two-layer minor system
 # ---------------------------------------------------------------------------
 
-def _poly_coeff_row(p: Polynomial, monomials: List) -> List[GaussRational]:
-    return [p.coeff(e) for e in monomials]
-
-
 def build_type3(n: int) -> Space:
     desc = SpaceDescriptor("typeIII", (n,))
-    ring, entry = _symbolic_cell(_sym_entry, n, n)
+    cell = layout_cell(_sym_entry, n, n)
 
     raw: List[Polynomial] = []       # layer (a): all minors, redundant
-    raw_by_degree: Dict[int, List[Polynomial]] = {}
+    offered: Dict[int, List[Polynomial]] = {}
     for k, rows, cols in minor_index_sets(n, n):
-        m = matrix_minor(entry, rows, cols)
+        m = minor_expansion(cell, rows, cols)
         raw.append(m)
-        raw_by_degree.setdefault(k, []).append(m)
+        # Z is symmetric, so minor(J, I) = minor(I, J): an earlier row, which
+        # the greedy below would reject
+        if rows <= cols:
+            offered.setdefault(k, []).append(m)
 
     # layer (b): per-degree maximal independent subsets, greedy in lex order
     psi: List[Polynomial] = []
     for k in range(1, n + 1):
-        group = raw_by_degree[k]
+        group = offered[k]
         monomials = sorted({e for g in group for e in g.terms})
         tracker = RankTracker(len(monomials))
-        psi.extend(g for g in group if tracker.add_row(_poly_coeff_row(g, monomials)))
-    return Space(desc, n * (n + 1) // 2, len(psi), ring, tuple(psi), tuple(raw),
+        psi.extend(g for g in group
+                   if tracker.add_row([g.terms.get(e, ZERO) for e in monomials]))
+    return Space(desc, n * (n + 1) // 2, len(psi), cell[0], tuple(psi), tuple(raw),
                  distinguished=f"z{n}_{n}")
 
 

@@ -25,6 +25,13 @@
 * ``lambda_determinant`` -- the nondegeneracy determinant of the witness
   search, with every frame field applied symbolically to psi o F over the
   expanded family polynomial (``tangent_apply``) before evaluation.
+* ``sym_det`` and ``pfaffian`` -- minors by the Leibniz formula and
+  Pfaffians by pair partitions or by first-row recursion, each a chain of
+  ``Polynomial`` products; ``psi_by_products`` rebuilds the psi vectors of
+  the layout kinds from them, the reference for the signed-monomial builder.
+* ``monomial``, ``poly_pow``, ``normalize``, ``fractions_equal``,
+  ``random_fraction`` and ``random_gauss`` -- polynomial, fraction and
+  sampling helpers that only the tests use.
 """
 
 import itertools
@@ -32,12 +39,15 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from hermsym.gauss import GaussRational
-from hermsym.linalg import det_exact
+from hermsym.gauss import GaussRational, ONE
+from hermsym.linalg import RankTracker, det_exact
 from hermsym.maps import compose_psi
 from hermsym.poly import Polynomial, PolyFraction, PolyModP
 from hermsym.rigidity import multiindices_upto, segre_frame
+from hermsym.sampling import BOUND
 from hermsym.segre import conj_name
+from hermsym.spaces import (_fill_matrix, _pair_partitions, _perm_sign,
+                            minor_index_sets)
 
 
 def _gi_mul(a, b):
@@ -125,12 +135,12 @@ def compose_full(poly, images):
     maxk = [max((e[i] for e in poly.terms), default=0) for i in range(len(ring.vars))]
     for i, v in enumerate(ring.vars):
         img = images.get(v, PolyFraction(ring.var(v), one))
-        den = den * img.den ** maxk[i]
+        den = den * poly_pow(img.den, maxk[i])
     for e, c in poly.terms.items():
         t = ring.const(c)
         for i, v in enumerate(ring.vars):
             img = images.get(v, PolyFraction(ring.var(v), one))
-            t = t * img.num ** e[i] * img.den ** (maxk[i] - e[i])
+            t = t * poly_pow(img.num, e[i]) * poly_pow(img.den, maxk[i] - e[i])
         total = total + t
     return PolyFraction(total, den)
 
@@ -458,3 +468,134 @@ def lambda_determinant(space, fam, F, betas, z0, xi0, frame=None):
               for p in psis]
     return det_exact([[tangent_apply(frame, fam, f, beta).evaluate(point)
                        for f in lifted] for beta in betas])
+
+
+# ---------------------------------------------------------------------------
+# minors and Pfaffians as chains of polynomial products
+# ---------------------------------------------------------------------------
+
+def sym_det(rows):
+    """Leibniz determinant of a matrix of polynomials."""
+    k = len(rows)
+    ring = rows[0][0].ring
+    out = ring.zero()
+    for perm in itertools.permutations(range(k)):
+        term = ring.const(_perm_sign(perm))
+        for i in range(k):
+            term = term * rows[i][perm[i]]
+        out = out + term
+    return out
+
+
+def pfaffian(matrix, algo="partition"):
+    """Pfaffian of an antisymmetric matrix of polynomials: ``partition``
+    sums signed pair partitions, ``recursive`` expands along the first row.
+    Odd order gives 0."""
+    m = len(matrix)
+    if m == 0:
+        raise ValueError("empty matrix")
+    for i in range(m):
+        for j in range(m):
+            if not (matrix[i][j] + matrix[j][i]).is_zero():
+                raise ValueError("matrix is not antisymmetric")
+    ring = matrix[0][0].ring
+    if m % 2 == 1:
+        return ring.zero()
+    if algo == "recursive":
+        return _pf_recursive(matrix, list(range(m)), ring)
+    out = ring.zero()
+    for pairs, sign in _pair_partitions(tuple(range(m))):
+        term = ring.const(sign)
+        for i, j in pairs:
+            term = term * matrix[i][j]
+        out = out + term
+    return out
+
+
+def _pf_recursive(matrix, idx, ring):
+    if not idx:
+        return ring.one()
+    out = ring.zero()
+    for pos in range(1, len(idx)):
+        rest = idx[1:pos] + idx[pos + 1:]
+        term = matrix[idx[0]][idx[pos]] * _pf_recursive(matrix, rest, ring)
+        out = out + (term if pos % 2 else -term)
+    return out
+
+
+def psi_by_products(space):
+    """(psi, pairing_psi) of a typeI, typeII or typeIII space rebuilt from
+    polynomial products: minors of its symbolic cell matrix, Pfaffians of
+    its principal blocks (by recursion above order 8), and for typeIII the
+    per-degree greedy over all minors."""
+    params = space.desc.params
+    ring = space.ring
+    M = _fill_matrix(space.kind.entry, params[0], params[-1], ring.var, ring.zero())
+    if space.desc.kind == "typeII":
+        n = params[0]
+        psi = [pfaffian([[M[i - 1][j - 1] for j in sigma] for i in sigma],
+                        "partition" if k <= 8 else "recursive")
+               for k in range(2, n + 1, 2)
+               for sigma in itertools.combinations(range(1, n + 1), k)]
+        return psi, psi
+    minors = [(k, sym_det([[M[i - 1][j - 1] for j in cols] for i in rows]))
+              for k, rows, cols in minor_index_sets(params[0], params[-1])]
+    raw = [m for _, m in minors]
+    if space.desc.kind == "typeI":
+        return raw, raw
+    psi = []
+    for k in range(1, params[0] + 1):
+        group = [m for d, m in minors if d == k]
+        monos = sorted({e for g in group for e in g.terms})
+        tracker = RankTracker(len(monos))
+        psi.extend(g for g in group if tracker.add_row([g.coeff(e) for e in monos]))
+    return psi, raw
+
+
+# ---------------------------------------------------------------------------
+# polynomial, fraction and sampling helpers of the tests
+# ---------------------------------------------------------------------------
+
+def monomial(ring, exp, coeff=ONE):
+    """coeff times the monomial of exponent tuple ``exp``."""
+    if len(exp) != len(ring.vars):
+        raise ValueError("exponent length does not match ring")
+    return Polynomial(ring, {tuple(exp): GaussRational.coerce(coeff)})
+
+
+def poly_pow(p, k):
+    out = p.ring.one()
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+def normalize(f):
+    """Strip a common monomial factor and scale the denominator's leading
+    coefficient to 1 (no multivariate gcd)."""
+    if f.num.is_zero():
+        return PolyFraction(f.ring.zero(), f.ring.one())
+    common = [min(min(e[i] for e in p.terms) for p in (f.num, f.den))
+              for i in range(len(f.ring.vars))]
+
+    def strip(p):
+        return Polynomial(p.ring, {tuple(k - m for k, m in zip(e, common)): c
+                                   for e, c in p.terms.items()})
+    num, den = strip(f.num), strip(f.den)
+    lead = den.terms[max(den.terms)]
+    return PolyFraction(num.scale(ONE / lead), den.scale(ONE / lead))
+
+
+def fractions_equal(f, g):
+    """Equality of two fractions by cross-multiplication."""
+    return (f.num * g.den - g.num * f.den).is_zero()
+
+
+def random_fraction(rng, bound=BOUND):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def random_gauss(rng, bound=BOUND):
+    """A Gaussian rational with full-size parts (numerators and
+    denominators up to ``bound``)."""
+    return GaussRational(random_fraction(rng, bound), random_fraction(rng, bound))

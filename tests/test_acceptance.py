@@ -126,3 +126,22 @@ def test_one_check_feeds_command_and_criterion(monkeypatch, check, command,
         assert main([command, "--space", "typeIV:3", "--seed", "7"]) == 1
     result = getattr(acceptance, criterion)(seed=SEED)
     assert not result.passed and result.failure_kind == "logic", result.detail
+
+
+def test_flipped_pair_partition_fails_pfaffian_suite(monkeypatch):
+    """Criterion 2 checks the expansion the builder runs: one pair
+    partition with the wrong sign changes the typeII psi and fails it."""
+    from hermsym import spaces
+    good = spaces.build_space("typeII:4").psi[-1]
+    real = spaces._pair_partitions
+
+    def flipped(indices):
+        for pairs, sign in real(indices):
+            yield pairs, (-sign if pairs == ((1, 3), (2, 4)) else sign)
+
+    monkeypatch.setattr(spaces, "_pair_partitions", flipped)
+    monkeypatch.setattr(acceptance, "_FAMILIES", {})
+    assert spaces.build_space("typeII:4").psi[-1] != good
+    result = acceptance.check_pfaffian_suite(seed=SEED)
+    assert not result.passed and result.failure_kind == "logic", result.detail
+    assert result.detail == "pair partitions != Laplace expansion at order 4"

@@ -21,8 +21,9 @@ from hermsym.rigidity import (TaylorJets, irreducibility_oracle_poly,
 from hermsym.sampling import rng_from_seed
 from hermsym.segre import SegreFamily, sample_on_family
 from hermsym.spaces import build_space
-from oracles import (FractionPair, _integer_row, compose_full,
-                     derivative_jet_row, det_bareiss, rho_swap_symmetric,
+from oracles import (FractionPair, _integer_row, compose_full, fractions_equal,
+                     derivative_jet_row, det_bareiss, psi_by_products,
+                     rho_swap_symmetric,
                      unit_at_origin_expanded,
                      rho_at_expanded, slot_coefficients_expanded,
                      specialize_expanded, trial_division_loop,
@@ -101,7 +102,7 @@ def test_compose_fractions_partly_identity(poly, raw):
         if v not in raw:           # identity images, written out or left out
             images[v] = PolyFraction(RING.var(v), RING.one())
             break
-    assert poly.compose_fractions(images).equals(compose_full(poly, images))
+    assert fractions_equal(poly.compose_fractions(images), compose_full(poly, images))
     identity = poly.compose_fractions(
         {v: PolyFraction(RING.var(v), RING.one()) for v in RING.vars})
     assert identity.num == poly and identity.den == RING.one()
@@ -402,3 +403,21 @@ def test_einstein_identities_match_expansion(spec, shifted):
     fam = SegreFamily(_shift_first_psi(space, 1) if shifted else space)
     assert unit_at_origin(fam) == unit_at_origin_expanded(fam) == (not shifted)
     assert rho_swap_symmetric(fam)
+
+
+LAYOUT_SPECS = ([f"typeI:{p},{q}" for q in range(1, 6) for p in range(1, q + 1)]
+                + [f"typeII:{n}" for n in range(2, 11)]
+                + [f"typeIII:{n}" for n in range(2, 6)])
+
+
+@pytest.mark.parametrize("spec", LAYOUT_SPECS)
+def test_signed_monomials_match_polynomial_products(spec):
+    """Every psi and pairing_psi term of the builder, in insertion order,
+    equals that of the chains of polynomial products; for typeIII psi is
+    the greedy basis over all minors."""
+    space = build_space(spec)
+    psi, pairing_psi = psi_by_products(space)
+    assert [list(p.terms.items()) for p in space.psi] == \
+        [list(p.terms.items()) for p in psi]
+    assert [list(p.terms.items()) for p in space.pairing_psi] == \
+        [list(p.terms.items()) for p in pairing_psi]

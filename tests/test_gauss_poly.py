@@ -7,7 +7,7 @@ import pytest
 from hermsym.gauss import GaussRational as G
 from hermsym.poly import PolyRing, PolyFraction, poly_from_json
 from hermsym.sampling import random_small_gauss, rng_from_seed
-from oracles import is_constant
+from oracles import fractions_equal, is_constant, monomial, normalize
 
 
 def rnd_poly(ring, rng, max_terms=5, max_deg=3):
@@ -18,7 +18,7 @@ def rnd_poly(ring, rng, max_terms=5, max_deg=3):
         terms[exp] = random_small_gauss(rng)
     out = ring.zero()
     for e, c in terms.items():
-        out = out + ring.monomial(e, c)
+        out = out + monomial(ring, e, c)
     return out
 
 
@@ -199,7 +199,7 @@ def test_scaled_point_substitution_builds_pencil_equation():
 def test_support_and_degree():
     r = PolyRing(["z"])
     p = r.one() + r.var("z") * r.var("z")
-    assert p.support() == {(0,), (2,)}
+    assert set(p.terms) == {(0,), (2,)}
     assert p.degree() == 2
     assert r.zero().degree() == -1
 
@@ -230,8 +230,8 @@ def test_fraction_normalize_keeps_value():
     r = PolyRing(["z"])
     z = r.var("z")
     f = PolyFraction(z * z * (r.one() + z).scale(6), z.scale(3))
-    g = f.normalize()
-    assert f.equals(g)
+    g = normalize(f)
+    assert fractions_equal(f, g)
     assert g.den.degree() <= f.den.degree()
 
 
@@ -269,4 +269,4 @@ def test_compose_fractions_identity():
     rng = rng_from_seed(5)
     p = rnd_poly(r, rng)
     out = p.compose_fractions({})
-    assert out.equals(PolyFraction.from_poly(p))
+    assert fractions_equal(out, PolyFraction.from_poly(p))

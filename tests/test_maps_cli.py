@@ -189,6 +189,38 @@ def test_cli_map_with_vanishing_denominator(tmp_path, capsys, disc):
     assert "denominator" in capsys.readouterr().err
 
 
+def _term(payload):
+    return payload["maps"][0][0]["num"]["terms"][0]
+
+
+# each edit turns the identity payload of typeI:1,1 into a malformed one
+MALFORMED = {
+    "exp-too-long": lambda p: _term(p).update(exp=[1, 1]) or p,
+    "exp-float": lambda p: _term(p).update(exp=[1.5]) or p,
+    "exp-negative": lambda p: _term(p).update(exp=[-1]) or p,
+    "term-without-re": lambda p: _term(p).pop("re") and p,
+    "zero-den": lambda p: p["maps"][0][0].update(
+        den={"vars": ["z1_1"], "terms": []}) or p,
+    "payload-7": lambda p: 7,
+    "map-5": lambda p: {"maps": [5]},
+    "lambdas-5": lambda p: dict(p, lambdas=5),
+    "lambdas-null": lambda p: dict(p, lambdas=[None]),
+    "lambdas-huge": lambda p: dict(p, lambdas=[10 ** 400]),
+}
+
+
+@pytest.mark.parametrize("edit", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_cli_refuses_malformed_map_file(edit, tmp_path, capsys, disc):
+    """A malformed map file is a usage error (exit 2), never an internal
+    error or a silently truncated map."""
+    path = tmp_path / "maps.json"
+    path.write_text(json.dumps(edit(identity_payload(disc))))
+    code = main(["volume-check", "--space", "typeI:1,1",
+                 "--maps", str(path), "--seed", "7"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: "), err
+
+
 def test_cli_exit_codes(capsys, monkeypatch):
     """0 pass, 1 check failure, 2 usage error, 3 internal error."""
     from hermsym.gauss import GaussRational

@@ -10,8 +10,9 @@ from hermsym.linalg import det_exact
 from hermsym.sampling import random_gauss_point, rng_from_seed
 from hermsym.segre import (EinsteinError, build_rho, einstein_fit, kahler_metric,
                            ricci_residual, sample_on_family, conj_name)
-from hermsym.spaces import build_space, cell_matrix_point, minor_index_sets, sym_det
-from oracles import is_constant, partial_evaluate, point_pair, rho_swap_symmetric
+from hermsym.spaces import build_space, cell_matrix_point, minor_index_sets
+from oracles import (is_constant, partial_evaluate, point_pair, rho_swap_symmetric,
+                     sym_det)
 
 DESK = ["typeI:1,1", "typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]
 
@@ -74,8 +75,8 @@ def test_type_I_III_det_identity(families):
         fam = families[spec]
         space = fam.space
         for _ in range(25):
-            z = random_gauss_point(rng, space.vars, small=True)
-            xi = random_gauss_point(rng, space.vars, small=True)
+            z = random_gauss_point(rng, space.vars)
+            xi = random_gauss_point(rng, space.vars)
             Z = cell_matrix_point(space, z)
             X = cell_matrix_point(space, xi)
             rows, cols = len(Z), len(Z[0])
@@ -101,8 +102,8 @@ def test_membership_by_linear_solve(families):
     fam = families["typeI:2,2"]
     space = fam.space
     rng = rng_from_seed(3)
-    xi = random_gauss_point(rng, space.vars, small=True)
-    z = random_gauss_point(rng, space.vars, small=True)
+    xi = random_gauss_point(rng, space.vars)
+    z = random_gauss_point(rng, space.vars)
     pt = point_pair(fam, z, xi)
     del pt["z1_1"]
     rest = partial_evaluate(fam.rho, pt)
@@ -341,7 +342,7 @@ def test_apply_projective_identity(families):
     size = space.N + 1
     M = [[G(1 if i == j else 0) for j in range(size)] for i in range(size)]
     rng = rng_from_seed(2)
-    z = random_gauss_point(rng, space.vars, small=True)
+    z = random_gauss_point(rng, space.vars)
     out = apply_projective_map(space, M, z)
     assert all((out[v] - z[v]).is_zero() for v in space.vars)
 
@@ -361,7 +362,7 @@ def test_compound_matrix_matches_moebius(families):
     M = type1_compound_matrix(space, g)
     rng = rng_from_seed(6)
     for _ in range(5):
-        z = random_gauss_point(rng, space.vars, small=True)
+        z = random_gauss_point(rng, space.vars)
         via_matrix = apply_projective_map(space, M, z)
         via_moebius = type1_moebius(space, g, z)
         assert all((via_matrix[v] - via_moebius[v]).is_zero() for v in space.vars)

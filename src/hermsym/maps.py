@@ -1,4 +1,4 @@
-"""Holomorphic self-maps in cell coordinates: exact rational-map values,
+"""Holomorphic self-maps in cell coordinates: exact component fractions,
 their Jacobians, and the JSON wire format for user-supplied map tuples.
 """
 
@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .gauss import GaussRational
 from .poly import PolyFraction, PolyRing
@@ -26,16 +26,6 @@ class RationalMap:
         for f in self.components:
             if f.den.evaluate(zero).is_zero():
                 raise ValueError("component denominator vanishes at 0")
-
-    @property
-    def n(self) -> int:
-        return len(self.components)
-
-    def as_fraction_images(self) -> Dict[str, PolyFraction]:
-        return {v: f for v, f in zip(self.ring.vars, self.components)}
-
-    def evaluate(self, point: Dict[str, GaussRational]) -> Dict[str, GaussRational]:
-        return {v: f.evaluate(point) for v, f in zip(self.ring.vars, self.components)}
 
     def evaluate_float(self, point: Sequence[complex]) -> List[complex]:
         named = {v: complex(point[i]) for i, v in enumerate(self.ring.vars)}
@@ -59,14 +49,6 @@ def scaling_map(space: Space, factor) -> RationalMap:
     comps = tuple(PolyFraction(ring.var(v).scale(GaussRational.coerce(factor)), one)
                   for v in ring.vars)
     return RationalMap(ring, comps)
-
-
-def compose_psi(space: Space, F: RationalMap, polys=None) -> List[PolyFraction]:
-    """psi_j o F as exact fractions (psi defaults to the embedding system)."""
-    if polys is None:
-        polys = space.psi
-    images = F.as_fraction_images()
-    return [p.compose_fractions(images) for p in polys]
 
 
 # ---------------------------------------------------------------------------

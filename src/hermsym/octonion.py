@@ -70,9 +70,6 @@ class Octonion:
     def __add__(self, other):
         return Octonion([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other):
-        return Octonion([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __neg__(self):
         return Octonion([-a for a in self.coeffs])
 
@@ -83,7 +80,6 @@ class Octonion:
         if not isinstance(other, Octonion):
             return self.scale(other)
         a, b = self.coeffs, other.coeffs
-        out = [self._zero() for _ in range(8)]
         # e0 acts as identity
         out = [a[0] * b[k] for k in range(8)]
         for k in range(1, 8):

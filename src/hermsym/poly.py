@@ -134,16 +134,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def coeff(self, exp: Exponent) -> GaussRational:
-        return self.terms.get(tuple(exp), ZERO)
-
-    def degree_in(self, names) -> int:
-        """Max total degree over the given variable subset; -1 if zero."""
-        if not self.terms:
-            return -1
-        idx = [self.ring.index(n) for n in names]
-        return max(sum(e[i] for i in idx) for e in self.terms)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussRational)):
             other = self.ring.const(other)
@@ -184,9 +174,6 @@ class Polynomial:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -261,59 +248,6 @@ class Polynomial:
                     t *= x ** k
             total += t
         return total
-
-    def compose_fractions(self, images: Dict[str, "PolyFraction"]) -> "PolyFraction":
-        """Simultaneous substitution of variables by fractions (same ring).
-
-        A variable whose image is itself over 1 stays in place, so composing
-        with the identity costs one pass over the terms."""
-        ring = self.ring
-        one = ring.one()
-        moved = []                     # (index, power tables, max exponent)
-        for i, v in enumerate(ring.vars):
-            img = images.get(v)
-            maxk = max((e[i] for e in self.terms), default=0)
-            if img is None or maxk == 0 or (img.den == one
-                                            and img.num == ring.var(v)):
-                continue
-            pow_n, pow_d = [one], [one]
-            for _ in range(maxk):
-                pow_n.append(pow_n[-1] * img.num)
-                pow_d.append(pow_d[-1] * img.den)
-            moved.append((i, pow_n, pow_d, maxk))
-        total: Dict[Exponent, GaussRational] = {}
-        for e, c in self.terms.items():
-            kept = list(e)
-            for i, _, _, _ in moved:
-                kept[i] = 0
-            t = Polynomial(ring, {tuple(kept): c})
-            for i, pow_n, pow_d, maxk in moved:
-                t = t * pow_n[e[i]] * pow_d[maxk - e[i]]
-            for te, tc in t.terms.items():
-                s = total.get(te, ZERO) + tc
-                if s.is_zero():
-                    total.pop(te, None)
-                else:
-                    total[te] = s
-        # common denominator prod(d_i^maxk_i) over the moved variables
-        den = one
-        for _, _, pow_d, maxk in moved:
-            den = den * pow_d[maxk]
-        return PolyFraction(Polynomial(ring, total), den)
-
-    # -- transport between rings --------------------------------------------
-
-    def embed(self, ring: PolyRing, var_map: Dict[str, str]) -> "Polynomial":
-        """Rename variables into a (possibly larger) target ring."""
-        slots = [ring.index(var_map[v]) for v in self.ring.vars]
-        width = len(ring.vars)
-        out: Dict[Exponent, GaussRational] = {}
-        for e, c in self.terms.items():
-            ne = [0] * width
-            for k, s in zip(e, slots):
-                ne[s] += k
-            out[tuple(ne)] = c
-        return Polynomial(ring, out)
 
     # -- finite-field reduction ----------------------------------------------
 
@@ -416,24 +350,6 @@ class PolyFraction:
         other = self._coerce(other)
         return PolyFraction(self.num * other.den + other.num * self.den,
                             self.den * other.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return PolyFraction(self.num * other.den - other.num * self.den,
-                            self.den * other.den)
-
-    def __neg__(self):
-        return PolyFraction(-self.num, self.den)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return PolyFraction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero fraction")
-        return PolyFraction(self.num * other.den, self.den * other.num)
 
     def _coerce(self, other) -> "PolyFraction":
         if isinstance(other, PolyFraction):

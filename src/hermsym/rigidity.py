@@ -19,8 +19,8 @@ import numpy as np
 
 from .gauss import GaussRational, ONE, ZERO
 from .linalg import RankTracker, det_exact, rank_exact
-from .maps import RationalMap, compose_psi
-from .poly import Polynomial, monomials, trial_division_modp
+from .maps import RationalMap
+from .poly import PolyFraction, Polynomial, monomials, trial_division_modp
 from .sampling import random_complex_ball, random_small_gauss, rng_from_seed
 from .segre import SegreFamily, check_mu, null_block, special_point
 from .spaces import Space
@@ -65,107 +65,121 @@ def _series_mul(a: Series, b: Series, top: int) -> Series:
     return out
 
 
+def _shifter(base: List[Series], origin: Tuple[int, ...], top: int):
+    """poly -> poly(base_0, ..., base_n) truncated above weight ``top``,
+    with the powers of the base series cached across calls."""
+    powers: Dict[Tuple[int, int], Series] = {}
+
+    def power(i: int, k: int) -> Series:
+        if (i, k) not in powers:
+            powers[i, k] = (base[i] if k == 1 else
+                            _series_mul(power(i, k - 1), base[i], top))
+        return powers[i, k]
+
+    def shift(poly: Polynomial) -> Series:
+        out: Series = [{} for _ in range(top + 1)]
+        for e, c in poly.terms.items():
+            term: Series = [{origin: c}]
+            for i, k in enumerate(e):
+                if k:
+                    term = _series_mul(term, power(i, k), top)
+            for part, dest in zip(term, out):
+                for te, tc in part.items():
+                    _accumulate(dest, te, tc)
+        return out
+    return shift
+
+
+def _divide(num: Series, den: Series, origin: Tuple[int, ...],
+            top: int) -> Series:
+    """num / den as a truncated power series, q_m = (n_m - sum_{k>=1}
+    d_k q_{m-k}) / d_0, with trailing empty weights trimmed."""
+    d0 = den[0].get(origin)
+    if d0 is None:
+        raise ZeroDivisionError("denominator vanishes at the jet point")
+    inv = ONE / d0
+    out: Series = []
+    for m in range(top + 1):
+        acc = dict(num[m])
+        for k in range(1, m + 1):
+            for ed, cd in den[k].items():
+                for eq, cq in out[m - k].items():
+                    _accumulate(acc, tuple(x + y for x, y in zip(ed, eq)),
+                                -(cd * cq))
+        out.append(acc if inv == ONE else {e: c * inv for e, c in acc.items()})
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 class TaylorJets:
-    """Jets of a system of polynomials or fractions at one point, along
-    constant fields v_k (variable names or direction dicts).
+    """Jets of psi o F at one point along constant fields v_k (variable
+    names or direction dicts): psi is a system of polynomials, F a map
+    given by its component fractions F_i = a_i / b_i, one per variable,
+    and the identity when left out.
 
     For the commuting fields L_k = sum_v v_k[v] d/dv, Taylor's theorem gives
-    L^beta f(z0) = beta! [t^beta] f(z0 + sum_k t_k v_k), so one shift per
-    component replaces the iterated derivatives.  ``row(beta)`` returns the
+    L^beta f(z0) = beta! [t^beta] f(z0 + sum_k t_k v_k).  Each component is
+    shifted to that line and divided once as a truncated power series up to
+    weight ``top``; a denominator vanishing at the point raises
+    ZeroDivisionError.  psi is then shifted over the component series (the
+    chain rule of Taylor arithmetic), so ``row(beta)`` is a lookup of the
     raw coefficients [t^beta]: scaling a row by beta! leaves ranks unchanged
-    and multiplies a determinant by beta!.  A fraction's numerator and
-    denominator are shifted, then divided as truncated power series one
-    weight at a time as the scan asks for rows; a denominator vanishing at
-    the point raises ZeroDivisionError here."""
+    and multiplies a determinant by beta!."""
 
-    def __init__(self, system: Sequence, fields: Sequence, point: Dict,
-                 top: int):
-        self.top = top
-        origin = self.origin = (0,) * len(fields)
-        # powers[i, k]: (z0_i + sum_l t_l v_l[i]) ** k, the shifted variable i
-        self.powers: Dict[Tuple[int, int], Series] = {}
-        for i, v in enumerate(system[0].ring.vars):
+    def __init__(self, psi: Sequence[Polynomial], fields: Sequence, point: Dict,
+                 top: int, images: Optional[Sequence[PolyFraction]] = None):
+        origin = (0,) * len(fields)
+        series: List[Series] = []     # z0_i + sum_k t_k v_k[i] per variable i
+        for v in psi[0].ring.vars:
             linear = {}
             for k, f in enumerate(fields):
                 c = ONE if f == v else (f.get(v) if isinstance(f, dict) else None)
                 if c:
                     linear[origin[:k] + (1,) + origin[k + 1:]] = c
             const = GaussRational.coerce(point[v])
-            self.powers[i, 1] = [{origin: const} if const else {}, linear]
-        self.shifted = []             # (numerator, denominator, 1/d_0)
-        for f in system:
-            num, den = (f, f.ring.one()) if isinstance(f, Polynomial) else (f.num, f.den)
-            dser = self._shift(den)
-            d0 = dser[0].get(origin, ZERO)
-            if d0.is_zero():
-                raise ZeroDivisionError("denominator vanishes at the jet point")
-            self.shifted.append((self._shift(num), dser, ONE / d0))
-        self.parts: List[List[Dict]] = []    # parts[w][j]: weight w of component j
-
-    def _power(self, i: int, k: int) -> Series:
-        if (i, k) not in self.powers:
-            self.powers[i, k] = _series_mul(self._power(i, k - 1),
-                                            self.powers[i, 1], self.top)
-        return self.powers[i, k]
-
-    def _shift(self, poly: Polynomial) -> Series:
-        out: Series = [{} for _ in range(self.top + 1)]
-        for e, c in poly.terms.items():
-            term: Series = [{self.origin: c}]
-            for i, k in enumerate(e):
-                if k:
-                    term = _series_mul(term, self._power(i, k), self.top)
-            for part, dest in zip(term, out):
-                for te, tc in part.items():
-                    _accumulate(dest, te, tc)
-        return out
+            series.append([{origin: const} if const else {}, linear])
+        if images is not None:
+            shift = _shifter(series, origin, top)
+            series = [_divide(shift(f.num), shift(f.den), origin, top)
+                      for f in images]
+        shift = _shifter(series, origin, top)
+        self.series = [shift(p) for p in psi]
 
     def row(self, beta: Tuple[int, ...]) -> List[GaussRational]:
         w = sum(beta)
-        while len(self.parts) <= w:
-            # q_m = (n_m - sum_{k>=1} d_k q_{m-k}) / d_0
-            m = len(self.parts)
-            weight = []
-            for j, (num, den, inv) in enumerate(self.shifted):
-                acc = dict(num[m]) if m < len(num) else {}
-                for k in range(1, min(m, len(den) - 1) + 1):
-                    for ed, cd in den[k].items():
-                        for eq, cq in self.parts[m - k][j].items():
-                            _accumulate(acc, tuple(x + y for x, y in zip(ed, eq)),
-                                        -(cd * cq))
-                weight.append(acc if inv == ONE else
-                              {e: c * inv for e, c in acc.items()})
-            self.parts.append(weight)
-        return [part.get(beta, ZERO) for part in self.parts[w]]
+        return [s[w].get(beta, ZERO) for s in self.series]
 
 
-def _sample_jets(variables, system, fields, top: int, rng) -> TaylorJets:
+def _sample_jets(variables, psi, fields, top: int, rng,
+                 images=None) -> TaylorJets:
     """Jets at a random rational point where every denominator is regular."""
     for _ in range(64):
         pt = {v: random_small_gauss(rng) for v in variables}
         try:
-            return TaylorJets(system, fields, pt, top)
+            return TaylorJets(psi, fields, pt, top, images)
         except ZeroDivisionError:
             continue
     raise ArithmeticError("could not sample a regular point for the jet matrix")
 
 
-def _best_jet_rank(variables, system, fields, top: int, trials: int,
-                   seed: int) -> int:
-    """Exact rank of the order-<=top jets of ``system`` along ``fields``,
+def _best_jet_rank(variables, psi, fields, top: int, trials: int,
+                   seed: int, images=None) -> int:
+    """Exact rank of the order-<=top jets of ``psi`` (composed with the map
+    of component fractions ``images``, if given) along ``fields``,
     maximized over ``trials`` random rational points near 0."""
     betas = multiindices_upto(len(fields), top)
     rng = rng_from_seed(seed)
     best = 0
     for _ in range(trials):
-        jets = _sample_jets(variables, system, fields, top, rng)
-        tracker = RankTracker(len(system))
+        jets = _sample_jets(variables, psi, fields, top, rng, images)
+        tracker = RankTracker(len(psi))
         for beta in betas:
             tracker.add_row(jets.row(beta))
-            if tracker.rank == len(system):
+            if tracker.rank == len(psi):
                 break
         best = max(best, tracker.rank)
-        if best == len(system):
+        if best == len(psi):
             break
     return best
 
@@ -174,8 +188,8 @@ def jet_rank(space: Space, F: RationalMap, k: int, trials: int = 3,
              seed: int = 0) -> int:
     """Exact rank of the order-<=k truncated-variable jet of psi o F,
     maximized over random rational points near 0."""
-    return _best_jet_rank(space.vars, compose_psi(space, F),
-                          list(truncated_vars(space)), k, trials, seed)
+    return _best_jet_rank(space.vars, space.psi, list(truncated_vars(space)),
+                          k, trials, seed, F.components)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +263,7 @@ def find_nondegeneracy_witness(space: Space, fam: SegreFamily, F: RationalMap,
     if max_order is None:
         max_order = default_order_bound(space)
     rng = rng_from_seed(seed)
-    system = compose_psi(space, F)
-    N = len(system)
+    N = len(space.psi)
     examined_total = 0
     exhausted = False
     for _ in range(trials):
@@ -258,7 +271,7 @@ def find_nondegeneracy_witness(space: Space, fam: SegreFamily, F: RationalMap,
         if not fam.rho_at(z0, xi0).is_zero():
             raise ArithmeticError("special point is not on the family")
         frame = segre_frame(fam) if mu is None else hyperplane_frame(space, mu)
-        jets = TaylorJets(system, frame.fields, z0, max_order)
+        jets = TaylorJets(space.psi, frame.fields, z0, max_order, F.components)
         tracker = RankTracker(N)
         chosen: List[Tuple[int, ...]] = []
         chosen_rows: List[List[GaussRational]] = []
@@ -312,10 +325,13 @@ class NotDegenerateError(ValueError):
     pass
 
 
+_GRID = 40             # float sample points per slice
+_RANK_TRIALS = 3       # random points of the exact degeneracy precondition
+_NULL_TOL = 1e-8       # relative singular-value cut of the null space
+
+
 def degeneracy_relation(polys: Sequence[Polynomial], slice_count: int = 3,
-                        grid: int = 40, seed: int = 0,
-                        rank_trials: int = 3,
-                        null_tol: float = 1e-8) -> DegeneracyReport:
+                        seed: int = 0) -> DegeneracyReport:
     """Recover per-slice linear relations sum_i g_i(z_m) psi_i(z) = 0.
 
     The input must be jet-degenerate: rank_{N-m+1} in the truncated
@@ -329,7 +345,7 @@ def degeneracy_relation(polys: Sequence[Polynomial], slice_count: int = 3,
     last = ring.vars[-1]
 
     # exact precondition via the jet machinery
-    if _best_jet_rank(ring.vars, polys, ring.vars[:-1], N - m + 1, rank_trials,
+    if _best_jet_rank(ring.vars, polys, ring.vars[:-1], N - m + 1, _RANK_TRIALS,
                       seed) >= N:
         raise NotDegenerateError("input not degenerate")
 
@@ -339,7 +355,7 @@ def degeneracy_relation(polys: Sequence[Polynomial], slice_count: int = 3,
     zero_head = None
     for s in slices:
         rows = []
-        for _ in range(grid):
+        for _ in range(_GRID):
             zt = rng2.uniform(-0.4, 0.4, size=m - 1) + 1j * rng2.uniform(-0.4, 0.4, size=m - 1)
             pt = {v: complex(zt[i]) for i, v in enumerate(ring.vars[:-1])}
             pt[last] = complex(float(s))
@@ -348,7 +364,7 @@ def degeneracy_relation(polys: Sequence[Polynomial], slice_count: int = 3,
         _, sv, vh = np.linalg.svd(M)
         if len(sv) < N:
             sv = np.concatenate([sv, np.zeros(N - len(sv))])
-        null_rows = [i for i in range(N) if sv[i] <= null_tol * max(1.0, sv[0])]
+        null_rows = [i for i in range(N) if sv[i] <= _NULL_TOL * max(1.0, sv[0])]
         if not null_rows:
             raise NotDegenerateError("input not degenerate")
         basis = vh[null_rows].conj().T          # orthonormal null basis, N x k
@@ -432,31 +448,12 @@ def transversality_recipe(fam: SegreFamily, seed: int = 0) -> Tuple[Dict, Dict, 
 # monomial-support facts behind the irreducibility case analysis
 # ---------------------------------------------------------------------------
 
-def _z_part_groups(fam: SegreFamily):
-    """Group the family polynomial 1 + sum_j psi_j(z) psi_j(xi) by the
-    exponent pattern of the z block: z-exponent tuple -> {xi-exponent tuple:
-    coefficient}, read from the pairing vector (each z-monomial c z^a of
-    psi_j contributes c psi_j(xi)); zero coefficients and empty groups are
-    dropped, so the groups equal those of the expanded polynomial."""
-    origin = (0,) * len(fam.space.vars)
-    groups: Dict[Tuple[int, ...], Dict[Tuple[int, ...], GaussRational]] = {
-        origin: {origin: ONE}}
-    for p in fam.space.pairing_psi:
-        for ze, c in p.terms.items():
-            group = groups.setdefault(ze, {})
-            for xe, cx in p.terms.items():
-                term = c * cx
-                group[xe] = term if xe not in group else group[xe] + term
-    return {ze: nonzero for ze, group in groups.items()
-            if (nonzero := {xe: c for xe, c in group.items() if not c.is_zero()})}
-
-
 def support_claims(fam: SegreFamily) -> Dict[str, bool]:
     """Verify the monomial-support facts the per-type irreducibility proofs
     rest on, directly on the exact family polynomial (the z-monomial
     coefficients are compared as polynomials in the conjugate variables,
     which is stronger than any sampled specialization)."""
-    return fam.space.kind.support_laws(fam.space, _z_part_groups(fam))
+    return fam.space.kind.support_laws(fam.space, fam.z_groups)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ on the family.
 
 The family polynomial rho(z, xi) = 1 + sum_j psi_j(z) psi_j(xi) is evaluated
 from the pairing vector psi of the space, exactly as it is defined.  Its
-expansion in a doubled ring (the cell variables plus a conjugate copy,
-prefix ``c``) is built lazily, for the rho command that prints it.
+expansion is one table, grouped by z-monomial and built lazily from psi:
+the support facts read it, and the rho command prints it flattened into a
+doubled ring (the cell variables plus a conjugate copy, prefix ``c``).
 Metric work differentiates the embedding polynomials symbolically once and
 pushes batches of sample points through a compiled numpy evaluator; exact
 identities never touch floats.
@@ -34,12 +35,12 @@ class SegreFamily:
     """The Segre family of a space: rho(z, xi) = 1 + sum_j psi_j(z) psi_j(xi)
     over its pairing vector psi (``Space.pairing_psi``).
 
-    Every query evaluates that sum from the psi vector: ``rho_at``,
-    ``rho_at_float`` and the conjugate gradient ``xi_gradient``.  The sum is
-    the definition of rho, so in exact arithmetic each value equals the one
-    read off the expanded polynomial, and no soundness argument beyond it is
-    needed.  ``rho``, the expansion in the doubled ring, is built on first
-    read; only the rho command reads it.
+    Every query evaluates that sum from the psi vector: ``rho_at`` and the
+    conjugate gradient ``xi_gradient``.  The sum is the definition of rho,
+    so in exact arithmetic each value equals the one read off the expanded
+    polynomial, and no soundness argument beyond it is needed.  The
+    expansion is ``z_groups``, the sum grouped by z-monomial; ``rho`` is
+    that table flattened into the doubled ring, for the rho command.
 
     The expansion, the table of first derivatives of psi and the compiled
     metric evaluators are per-family caches: each is built once, on first
@@ -49,7 +50,7 @@ class SegreFamily:
         self.space = space
         self.ring = PolyRing(space.vars + tuple(conj_name(v) for v in space.vars))
         self._cache: Dict = {}
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()     # rho is built from z_groups
 
     def _cached(self, key, build):
         value = self._cache.get(key)
@@ -61,16 +62,31 @@ class SegreFamily:
         return value
 
     @property
+    def z_groups(self) -> Dict[Tuple[int, ...], Dict[Tuple[int, ...], GaussRational]]:
+        """The family polynomial grouped by the exponent pattern of the z
+        block: z-exponent tuple -> {xi-exponent tuple: coefficient}, read
+        from the pairing vector (each z-monomial c z^a of psi_j contributes
+        c psi_j(xi)); zero coefficients and empty groups are dropped."""
+        def expand():
+            origin = (0,) * len(self.zvars)
+            groups = {origin: {origin: ONE}}
+            for p in self.space.pairing_psi:
+                for ze, c in p.terms.items():
+                    group = groups.setdefault(ze, {})
+                    for xe, cx in p.terms.items():
+                        term = c * cx
+                        group[xe] = term if xe not in group else group[xe] + term
+            return {ze: nonzero for ze, group in groups.items()
+                    if (nonzero := {xe: c for xe, c in group.items()
+                                    if not c.is_zero()})}
+        return self._cached("z_groups", expand)
+
+    @property
     def rho(self) -> Polynomial:
         """The expanded family polynomial in the doubled ring."""
-        def expand():
-            zmap = {v: v for v in self.zvars}
-            cmap = {v: conj_name(v) for v in self.zvars}
-            rho = self.ring.one()
-            for p in self.space.pairing_psi:
-                rho = rho + p.embed(self.ring, zmap) * p.embed(self.ring, cmap)
-            return rho
-        return self._cached("rho", expand)
+        return self._cached("rho", lambda: Polynomial(self.ring, {
+            ze + xe: c for ze, group in self.z_groups.items()
+            for xe, c in group.items()}))
 
     def engine(self, weights: str = "plain") -> "_MetricEngine":
         return self._cached(("engine", weights),
@@ -88,10 +104,6 @@ class SegreFamily:
             if not b.is_zero():
                 total = total + p.evaluate(z) * b
         return total
-
-    def rho_at_float(self, z: Dict, xi: Dict) -> complex:
-        return 1 + sum((p.evaluate_float(z) * p.evaluate_float(xi)
-                        for p in self.space.pairing_psi), 0j)
 
     def xi_gradient(self, z: Dict, xi: Dict) -> List[GaussRational]:
         """[d rho / d xi_v at (z, xi) for v in the cell variables], that is
@@ -403,24 +415,17 @@ def sample_on_family(fam: SegreFamily, rng) -> Tuple[Dict, Dict]:
     for _ in range(64):
         z = random_gauss_point(rng, space.vars)
         xi = random_gauss_point(rng, space.vars)
-        # rho(z, xi) = A * xi_dist + B exactly: every psi_j is linear in
-        # the distinguished slot, psi_j(xi) = b_j + a_j * xi_dist
+        # rho(z, xi) = A * xi_dist + B: every psi_j is linear in the
+        # distinguished slot, which the exact check after the solve confirms
         at0, at1 = dict(xi), dict(xi)
         at0[dist], at1[dist] = ZERO, ONE
-        A, B = ZERO, ONE
-        for p in space.pairing_psi:
-            if p.degree_in((dist,)) > 1:
-                raise ArithmeticError("distinguished slot not linear")
-            b = p.evaluate(at0)
-            a = p.evaluate(at1) - b
-            if a.is_zero() and b.is_zero():
-                continue
-            pz = p.evaluate(z)
-            A = A + pz * a
-            B = B + pz * b
+        B = fam.rho_at(z, at0)
+        A = fam.rho_at(z, at1) - B
         if A.is_zero():
             continue
         xi[dist] = -(B / A)
+        if not fam.rho_at(z, xi).is_zero():
+            raise ArithmeticError("distinguished slot not linear")
         return z, xi
     raise ArithmeticError("could not sample a family point (degenerate draws)")
 

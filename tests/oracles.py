@@ -4,17 +4,24 @@
   Gaussian-integer matrices, where every division is exact in Z[i].
 * ``derivative_jet_row`` -- jets by iterated symbolic differentiation of
   each component, then exact evaluation at the point.
-* ``compose_full`` -- simultaneous substitution of every variable, identity
-  images included, over one common denominator.
+* ``compose_full`` -- psi_j o F by simultaneous substitution of every
+  variable, identity images included, over one common denominator: the
+  reference for the jets of psi o F, which the library reads off the
+  component series of F instead.
+* ``rho_by_products`` -- the family polynomial expanded in the doubled ring
+  as 1 + sum_j psi_j(z) psi_j(xi), each psi_j renamed into it twice
+  (``embed``) and the copies multiplied, instead of grouped by z-monomial;
+  the helpers below read it as their reference.
 * ``rho_at_expanded``, ``xi_gradient_expanded``, ``z_gradient_expanded``,
   ``specialize_expanded`` and ``slot_coefficients_expanded`` -- queries of
-  the Segre family read off its expanded doubled-ring polynomial by
-  ``partial_evaluate``, instead of from the psi vector.
+  the Segre family read off that expansion by ``partial_evaluate``,
+  instead of from the psi vector; ``rho_at_float`` is the float sum over
+  the psi vector.
 * ``partial_evaluate``, ``is_constant`` and ``point_pair`` -- substitution
   into, and the doubled-ring points of, the expanded family polynomial;
   only these routes and the tests use them.
 * ``z_part_groups_expanded`` -- the z-monomial groups of the support facts,
-  read off the expanded family polynomial instead of from the psi vector.
+  read off the product expansion instead of from the psi vector.
 * ``trial_division_loop`` -- the finite-field trial division one candidate
   at a time, with dict-based PolyModP products; ``divide_modp`` is its
   exact division step.
@@ -23,8 +30,9 @@
 * ``FractionPair`` -- the Gaussian-rational scalar as a pair of
   ``Fraction`` parts, the reference for ``hermsym.gauss``.
 * ``lambda_determinant`` -- the nondegeneracy determinant of the witness
-  search, with every frame field applied symbolically to psi o F over the
-  expanded family polynomial (``tangent_apply``) before evaluation.
+  search, with every frame field applied symbolically to psi o F (from
+  ``compose_full``) over the product expansion (``tangent_apply``) before
+  evaluation.
 * ``sym_det`` and ``pfaffian`` -- minors by the Leibniz formula and
   Pfaffians by pair partitions or by first-row recursion, each a chain of
   ``Polynomial`` products; ``psi_by_products`` rebuilds the psi vectors of
@@ -37,11 +45,11 @@
 import itertools
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
-from hermsym.gauss import GaussRational, ONE
+from hermsym.gauss import GaussRational, ONE, ZERO
 from hermsym.linalg import RankTracker, det_exact
-from hermsym.maps import compose_psi
 from hermsym.poly import Polynomial, PolyFraction, PolyModP
 from hermsym.rigidity import multiindices_upto, segre_frame
 from hermsym.sampling import BOUND
@@ -145,6 +153,30 @@ def compose_full(poly, images):
     return PolyFraction(total, den)
 
 
+def embed(poly, ring, var_map):
+    """Rename the variables of ``poly`` into a (possibly larger) ring."""
+    slots = [ring.index(var_map[v]) for v in poly.ring.vars]
+    out = {}
+    for e, c in poly.terms.items():
+        ne = [0] * len(ring.vars)
+        for k, slot in zip(e, slots):
+            ne[slot] += k
+        out[tuple(ne)] = c
+    return Polynomial(ring, out)
+
+
+@lru_cache(maxsize=8)
+def rho_by_products(fam):
+    """1 + sum_j psi_j(z) psi_j(xi) in the doubled ring of ``fam``, each
+    term a product of two renamed copies of psi_j."""
+    zmap = {v: v for v in fam.zvars}
+    cmap = {v: conj_name(v) for v in fam.zvars}
+    rho = fam.ring.one()
+    for p in fam.space.pairing_psi:
+        rho = rho + embed(p, fam.ring, zmap) * embed(p, fam.ring, cmap)
+    return rho
+
+
 def partial_evaluate(poly, point):
     """Substitute exact values for a subset of the variables of ``poly``."""
     idx = {poly.ring.index(v): GaussRational.coerce(c) for v, c in point.items()}
@@ -176,25 +208,26 @@ def _conj_assign(fam, xi):
 
 
 def rho_at_expanded(fam, z, xi):
-    restricted = partial_evaluate(fam.rho, _conj_assign(fam, xi))
+    restricted = partial_evaluate(rho_by_products(fam), _conj_assign(fam, xi))
     return restricted.evaluate(point_pair(fam, z, xi))
 
 
 def xi_gradient_expanded(fam, z, xi):
     assign, point = _conj_assign(fam, xi), point_pair(fam, z, xi)
-    return [partial_evaluate(fam.rho.derivative(conj_name(v)), assign).evaluate(point)
+    rho = rho_by_products(fam)
+    return [partial_evaluate(rho.derivative(conj_name(v)), assign).evaluate(point)
             for v in fam.zvars]
 
 
 def z_gradient_expanded(fam, z, xi):
     point = point_pair(fam, z, xi)
-    return [fam.rho.derivative(v).evaluate(point) for v in fam.zvars]
+    return [rho_by_products(fam).derivative(v).evaluate(point) for v in fam.zvars]
 
 
 def specialize_expanded(fam, xi):
     """rho(., xi) moved into the cell ring of the space."""
     width = len(fam.zvars)
-    restricted = partial_evaluate(fam.rho, _conj_assign(fam, xi))
+    restricted = partial_evaluate(rho_by_products(fam), _conj_assign(fam, xi))
     terms = {}
     for e, c in restricted.terms.items():
         assert not any(e[width:]), "conjugate slot survived specialization"
@@ -209,7 +242,7 @@ def slot_coefficients_expanded(fam, z, xi):
     del point[dist]
     slot = fam.ring.index(dist)
     A = B = GaussRational(0)
-    for e, c in partial_evaluate(fam.rho, point).terms.items():
+    for e, c in partial_evaluate(rho_by_products(fam), point).terms.items():
         assert e[slot] <= 1, "distinguished slot not linear"
         if e[slot]:
             A = A + c
@@ -218,12 +251,18 @@ def slot_coefficients_expanded(fam, z, xi):
     return A, B
 
 
+def rho_at_float(fam, z, xi):
+    """rho(z, xi) in floats, summed over the psi vector."""
+    return 1 + sum((p.evaluate_float(z) * p.evaluate_float(xi)
+                    for p in fam.space.pairing_psi), 0j)
+
+
 def z_part_groups_expanded(fam):
     """z-exponent tuple -> {xi-exponent tuple: coefficient} over the
     expanded doubled-ring rho."""
     nz = len(fam.space.vars)
     groups = {}
-    for e, c in fam.rho.terms.items():
+    for e, c in rho_by_products(fam).terms.items():
         groups.setdefault(e[:nz], {})[e[nz:]] = c
     return groups
 
@@ -277,12 +316,14 @@ def rho_swap_symmetric(fam):
     """Exact z <-> xi swap symmetry of the expanded family polynomial."""
     perm = {v: conj_name(v) for v in fam.zvars}
     perm.update({conj_name(v): v for v in fam.zvars})
-    return fam.rho.embed(fam.ring, perm) == fam.rho
+    rho = rho_by_products(fam)
+    return embed(rho, fam.ring, perm) == rho
 
 
 def unit_at_origin_expanded(fam):
     """Whether rho(0, xi) is the constant 1, by ``partial_evaluate``."""
-    rest = partial_evaluate(fam.rho, {v: GaussRational(0) for v in fam.zvars})
+    rest = partial_evaluate(rho_by_products(fam),
+                            {v: GaussRational(0) for v in fam.zvars})
     return is_constant(rest) and rest.constant_term() == GaussRational(1)
 
 
@@ -408,8 +449,9 @@ class LambdaUndefinedError(ArithmeticError):
 
 def _segre_field_apply(fam, var, expr):
     dist = fam.space.distinguished
-    rho_i = fam.rho.derivative(var)
-    rho_d = fam.rho.derivative(dist)
+    rho = rho_by_products(fam)
+    rho_i = rho.derivative(var)
+    rho_d = rho.derivative(dist)
     if rho_d.is_zero():
         raise TangencyError("distinguished derivative of the family vanishes identically")
     d_i = expr.derivative(var)
@@ -451,7 +493,7 @@ def lambda_determinant(space, fam, F, betas, z0, xi0, frame=None):
         raise ValueError("point is not on the Segre family")
     point = point_pair(fam, z0, xi0)
     if frame.kind == "segre":
-        rho_d = fam.rho.derivative(space.distinguished)
+        rho_d = rho_by_products(fam).derivative(space.distinguished)
         if partial_evaluate(rho_d, {v: point[v] for v in fam.zvars}).is_zero():
             raise LambdaUndefinedError(
                 "Lambda undefined over this Segre variety: distinguished "
@@ -460,11 +502,12 @@ def lambda_determinant(space, fam, F, betas, z0, xi0, frame=None):
             raise LambdaUndefinedError("Lambda undefined at point")
     if betas[0] != (0,) * frame.width():
         raise ValueError("first multiindex must be zero")
-    psis = compose_psi(space, F)
+    images = dict(zip(space.vars, F.components))
+    psis = [compose_full(p, images) for p in space.psi]
     if len(betas) != len(psis):
         raise ValueError("need exactly N multiindices")
     zmap = {v: v for v in space.vars}
-    lifted = [PolyFraction(p.num.embed(fam.ring, zmap), p.den.embed(fam.ring, zmap))
+    lifted = [PolyFraction(embed(p.num, fam.ring, zmap), embed(p.den, fam.ring, zmap))
               for p in psis]
     return det_exact([[tangent_apply(frame, fam, f, beta).evaluate(point)
                        for f in lifted] for beta in betas])
@@ -548,7 +591,7 @@ def psi_by_products(space):
         group = [m for d, m in minors if d == k]
         monos = sorted({e for g in group for e in g.terms})
         tracker = RankTracker(len(monos))
-        psi.extend(g for g in group if tracker.add_row([g.coeff(e) for e in monos]))
+        psi.extend(g for g in group if tracker.add_row([g.terms.get(e, ZERO) for e in monos]))
     return psi, raw
 
 

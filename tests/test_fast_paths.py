@@ -1,6 +1,6 @@
 """Property tests: each fast exact path against its slow reference route,
-with exact equality (see ``oracles.py``); the one float route, ``rho_at_float``,
-is held to a relative 1e-9."""
+with exact equality (see ``oracles.py``); the one float route, the psi sum
+``rho_at_float``, is held to a relative 1e-9."""
 
 import dataclasses
 from fractions import Fraction
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hermsym.acceptance import unit_at_origin
-from hermsym.gauss import GaussRational as G
+from hermsym.gauss import GaussRational as G, ONE, ZERO
 from hermsym.linalg import _scale_row, det_exact
 from hermsym import rigidity
 from hermsym.poly import Polynomial, PolyFraction, PolyModP, PolyRing, _GradedProducts
@@ -21,9 +21,9 @@ from hermsym.rigidity import (TaylorJets, irreducibility_oracle_poly,
 from hermsym.sampling import rng_from_seed
 from hermsym.segre import SegreFamily, sample_on_family
 from hermsym.spaces import build_space
-from oracles import (FractionPair, _integer_row, compose_full, fractions_equal,
+from oracles import (FractionPair, _integer_row, compose_full,
                      derivative_jet_row, det_bareiss, psi_by_products,
-                     rho_swap_symmetric,
+                     rho_at_float, rho_by_products, rho_swap_symmetric,
                      unit_at_origin_expanded,
                      rho_at_expanded, slot_coefficients_expanded,
                      specialize_expanded, trial_division_loop,
@@ -46,8 +46,12 @@ fields = st.one_of(
              min_size=1, max_size=2))
 
 
-def _check_jets(system, flds, point, top):
-    jets = TaylorJets(system, flds, point, top)
+def _check_jets(psi, flds, point, top, images=None):
+    """Jets of psi o F against derivatives of the composed fractions, F the
+    map of component fractions ``images`` (the identity when None)."""
+    jets = TaylorJets(psi, flds, point, top, images)
+    system = psi if images is None else [
+        compose_full(p, dict(zip(RING.vars, images))) for p in psi]
     for beta in multiindices_upto(len(flds), top):
         scale = G(prod(factorial(b) for b in beta))
         assert [c * scale for c in jets.row(beta)] == \
@@ -60,12 +64,55 @@ def test_taylor_jets_match_derivatives_on_polynomials(system, flds, point):
     _check_jets(system, flds, point, 3)
 
 
+# multilinear psi, and map components num / (1 + tail) with num and tail of
+# degree <= 2, None standing for the identity component: the symbolic
+# derivatives of the composed fractions stay small
+multilinear = st.dictionaries(st.tuples(*[st.integers(0, 1)] * 3), gauss,
+                              max_size=4).map(lambda t: Polynomial(RING, t))
+quadratic = st.dictionaries(st.sampled_from(multiindices_upto(3, 2)), gauss,
+                            max_size=3).map(lambda t: Polynomial(RING, t))
+components = st.lists(st.one_of(st.none(), st.tuples(quadratic, quadratic)),
+                      min_size=3, max_size=3)
+
+
 @BOUNDED
-@given(polys, polys, fields, points)
-def test_taylor_jets_match_derivatives_on_fractions(num, den_tail, flds, point):
-    den = RING.one() + den_tail
-    assume(not den.evaluate(point).is_zero())
-    _check_jets([PolyFraction(num, den), num], flds, point, 2)
+@given(st.lists(multilinear, min_size=1, max_size=2), components, fields, points)
+def test_taylor_jets_match_derivatives_on_fractions(psi, raw, flds, point):
+    images = []
+    for v, part in zip(RING.vars, raw):
+        num, den = (RING.var(v), RING.zero()) if part is None else part
+        den = RING.one() + den
+        assume(not den.evaluate(point).is_zero())
+        images.append(PolyFraction(num, den))
+    _check_jets(psi, flds, point, 2, images)
+
+
+MAP = [PolyFraction(RING.var("x") + RING.var("y").scale(2), RING.one() + RING.var("z")),
+       PolyFraction(RING.var("y"), RING.one()),
+       PolyFraction(RING.const(3) + RING.var("x"), RING.one() - RING.var("y"))]
+
+
+@pytest.mark.parametrize("component, weight", [(0, 0), (0, 1), (0, 2), (2, 1)])
+def test_perturbed_component_series_fails_jets(monkeypatch, component, weight):
+    """Adding 1 to the t_0^weight coefficient of one component series must
+    break the agreement with the composed fractions: psi holds the
+    coordinates, so each row reads the component series directly."""
+    psi = [RING.var(v) for v in RING.vars]
+    point = {"x": G(1), "y": G(Fraction(1, 2)), "z": G(0, 1)}
+    _check_jets(psi, ["x", "y"], point, 2, MAP)
+    divide, seen = rigidity._divide, []
+
+    def perturbed(num, den, origin, top):
+        out = divide(num, den, origin, top)
+        if len(seen) == component:
+            out += [{} for _ in range(weight + 1 - len(out))]
+            beta = (weight,) + origin[1:]
+            out[weight] = {**out[weight], beta: out[weight].get(beta, ZERO) + ONE}
+        seen.append(out)
+        return out
+    monkeypatch.setattr(rigidity, "_divide", perturbed)
+    with pytest.raises(AssertionError):
+        _check_jets(psi, ["x", "y"], point, 2, MAP)
 
 
 @BOUNDED
@@ -87,25 +134,6 @@ def test_det_exact_vanishes_on_rank_deficient(data):
              for j in range(len(rows[0]))]
     matrix = rows + [combo]
     assert det_exact(matrix).is_zero() and det_bareiss(matrix).is_zero()
-
-
-@BOUNDED
-@given(polys, st.dictionaries(st.sampled_from(RING.vars),
-                              st.tuples(polys, polys), max_size=3))
-def test_compose_fractions_partly_identity(poly, raw):
-    images = {}
-    for v, (num, den_tail) in raw.items():
-        den = RING.one() + den_tail
-        assume(not den.is_zero())
-        images[v] = PolyFraction(num, den)
-    for v in RING.vars:
-        if v not in raw:           # identity images, written out or left out
-            images[v] = PolyFraction(RING.var(v), RING.one())
-            break
-    assert fractions_equal(poly.compose_fractions(images), compose_full(poly, images))
-    identity = poly.compose_fractions(
-        {v: PolyFraction(RING.var(v), RING.one()) for v in RING.vars})
-    assert identity.num == poly and identity.den == RING.one()
 
 
 # -- the Segre family from its psi vector against the expanded rho ------------
@@ -139,8 +167,8 @@ def test_rho_at_matches_expansion(case):
     fam = _family(spec)
     want = rho_at_expanded(fam, z, xi)
     assert fam.rho_at(z, xi) == want
-    got = fam.rho_at_float({v: complex(z[v]) for v in z},
-                           {v: complex(xi[v]) for v in xi})
+    got = rho_at_float(fam, {v: complex(z[v]) for v in z},
+                       {v: complex(xi[v]) for v in xi})
     assert abs(got - complex(want)) <= 1e-9 * max(1.0, abs(complex(want)))
 
 
@@ -182,7 +210,17 @@ def test_sampled_points_match_expansion(spec, seed):
                         "e16", "e27"]))
 def test_support_groups_match_expansion(spec):
     fam = _family(spec)
-    assert rigidity._z_part_groups(fam) == z_part_groups_expanded(fam)
+    assert fam.z_groups == z_part_groups_expanded(fam)
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS + ["e27"])
+def test_rho_table_matches_products(spec):
+    """rho flattened from the z-monomial table equals the product of the
+    renamed psi copies, and prints the same JSON."""
+    fam = _family(spec)
+    want = rho_by_products(fam)
+    assert fam.rho == want
+    assert fam.rho.to_json() == want.to_json()
 
 
 # -- the batched F_p trial division against the one-candidate loop -------------

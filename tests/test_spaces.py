@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from hermsym.gauss import GaussRational as G
+from hermsym.gauss import GaussRational as G, ZERO
 from hermsym.linalg import det_exact, rank_exact
 from hermsym.poly import PolyRing
 from hermsym.sampling import random_gauss_point, random_small_gauss, rng_from_seed
@@ -112,7 +112,7 @@ def test_type3_two_layers():
     assert len(s.pairing_psi) == 19
     # exact independence of the selected basis
     monomials = sorted({e for p in s.psi for e in p.terms})
-    rows = [[p.coeff(e) for e in monomials] for p in s.psi]
+    rows = [[p.terms.get(e, ZERO) for e in monomials] for p in s.psi]
     assert rank_exact(rows) == s.N
 
 
@@ -127,8 +127,8 @@ def symplectic_tail(space):
         idx = [j for j, p in enumerate(space.psi) if p.degree() == k]
         group = [p for p in space.pairing_psi if p.degree() == k]
         monomials = sorted({e for g in group for e in g.terms})
-        B = np.array([[float(space.psi[j].coeff(e).re) for e in monomials] for j in idx])
-        R = np.array([[float(p.coeff(e).re) for e in monomials] for p in group])
+        B = np.array([[float(space.psi[j].terms.get(e, ZERO).re) for e in monomials] for j in idx])
+        R = np.array([[float(p.terms.get(e, ZERO).re) for e in monomials] for p in group])
         # the minors have integer coefficients, so the float solve of the
         # consistent system B^T A = R^T is exact well within tolerance
         A, *_ = np.linalg.lstsq(B.T, R.T, rcond=None)

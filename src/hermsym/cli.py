@@ -2,8 +2,11 @@
 
 Subcommands build spaces, emit the family polynomial and embedding, run the
 identity/Einstein/hypothesis suites, and check user-supplied map tuples.
-Reports are deterministic JSON (sorted keys, 17-significant-digit floats):
-identical (command, config, seed) produce byte-identical output.
+Reports are deterministic JSON from one writer, ``dump_json``: compact,
+dict keys sorted by their string form, strings ASCII-escaped as
+``json.dumps`` does, floats at 17 significant digits (``.17g``) with NaN
+and the infinities as ``NaN``/``Infinity``/``-Infinity``, and numpy scalars
+unwrapped.  Identical (command, config, seed) produce byte-identical output.
 
 Exit codes: 0 pass/success, 1 check failure, 2 usage or input error,
 3 internal error (an exact invariant of the program broke).
@@ -16,6 +19,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, Optional
 
 import numpy as np
@@ -34,30 +38,77 @@ from .spaces import SPACE_GRAMMAR, build_space, space_to_json
 # deterministic serialization
 # ---------------------------------------------------------------------------
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_ONLY_STR, _ONLY_INT = frozenset((str,)), frozenset((int,))
+
+
 def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+    """``x`` at 17 significant digits; NaN and the infinities as the tokens
+    ``json.dumps`` writes and ``json.loads`` reads back."""
+    text = format(x, ".17g")
+    return _NONFINITE.get(text, text)
 
 
 def dump_json(obj) -> str:
-    """Hand-rolled dump: sorted keys, floats at 17 significant digits."""
-    if isinstance(obj, np.generic):
-        obj = obj.item()
+    """The one report writer: compact JSON with dict keys sorted by their
+    string form (``str(k)``), strings ASCII-escaped as ``json.dumps`` does,
+    floats at 17 significant digits (``NaN``, ``Infinity``, ``-Infinity``
+    when not finite), numpy scalars unwrapped to their Python value, and
+    ``TypeError`` for anything that is not None, bool, int, float, str,
+    dict, list or tuple.
+
+    The recursion runs in ``_write``, so a wrapper installed on this name
+    sees one call per report."""
+    return _write(obj)
+
+
+def _write(obj) -> str:
+    # exact types first, so bool never passes for int; their subclasses and
+    # numpy scalars go through _write_other
+    t = type(obj)
+    if t is str:
+        return _json_str(obj)
+    if t is dict:
+        if set(map(type, obj)) <= _ONLY_STR:
+            return "{" + ",".join([_json_str(k) + ":" + _write(obj[k])
+                                   for k in sorted(obj)]) + "}"
+        return _write_dict(obj)
+    if t is list or t is tuple:
+        if set(map(type, obj)) <= _ONLY_INT:
+            return "[" + ",".join(map(int.__repr__, obj)) + "]"
+        return "[" + ",".join(map(_write, obj)) + "]"
+    if t is int:
+        return int.__repr__(obj)
+    if t is float:
+        return _fmt_float(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
+    if t is bool:
         return "true" if obj else "false"
+    return _write_other(obj)
+
+
+def _write_dict(obj) -> str:
+    """A dict whose keys are not all exact strings (stable sort by str(k))."""
+    items = sorted(obj.items(), key=lambda kv: str(kv[0]))
+    return "{" + ",".join([_json_str(str(k)) + ":" + _write(v)
+                           for k, v in items]) + "}"
+
+
+def _write_other(obj) -> str:
+    """Numpy scalars, unwrapped, and subclasses of the report types."""
+    if isinstance(obj, np.generic):
+        return _write(obj.item())          # a Python value, never a numpy one
     if isinstance(obj, float):
-        return _fmt_float(obj)
+        return _fmt_float(float(obj))
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _json_str(obj)
     if isinstance(obj, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{dump_json(v)}"
-                         for k, v in sorted(obj.items(), key=lambda kv: str(kv[0])))
-        return "{" + inner + "}"
+        return _write_dict(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(dump_json(v) for v in obj) + "]"
+        return "[" + ",".join(map(_write, obj)) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -80,7 +131,7 @@ def print_table(report: dict, indent: int = 0):
         elif isinstance(v, (list, tuple)):
             print(f"{pad}{k}: {dump_json(v)}")
         elif isinstance(v, float):
-            print(f"{pad}{k}: {_fmt_float(v)}")
+            print(f"{pad}{k}: {_fmt_float(float(v))}")
         else:
             print(f"{pad}{k}: {v}")
 

@@ -40,7 +40,8 @@ class SegreFamily:
     so in exact arithmetic each value equals the one read off the expanded
     polynomial, and no soundness argument beyond it is needed.  The
     expansion is ``z_groups``, the sum grouped by z-monomial; ``rho`` is
-    that table flattened into the doubled ring, for the rho command.
+    that table flattened into the doubled ring, for the rho command, built
+    afresh on each read so the family holds one copy of the expansion.
 
     The expansion, the table of first derivatives of psi and the compiled
     metric evaluators are per-family caches: each is built once, on first
@@ -50,7 +51,7 @@ class SegreFamily:
         self.space = space
         self.ring = PolyRing(space.vars + tuple(conj_name(v) for v in space.vars))
         self._cache: Dict = {}
-        self._lock = threading.RLock()     # rho is built from z_groups
+        self._lock = threading.Lock()
 
     def _cached(self, key, build):
         value = self._cache.get(key)
@@ -83,10 +84,11 @@ class SegreFamily:
 
     @property
     def rho(self) -> Polynomial:
-        """The expanded family polynomial in the doubled ring."""
-        return self._cached("rho", lambda: Polynomial(self.ring, {
+        """The expanded family polynomial in the doubled ring, flattened
+        from ``z_groups`` on each read; bind it once to read it often."""
+        return Polynomial(self.ring, {
             ze + xe: c for ze, group in self.z_groups.items()
-            for xe, c in group.items()}))
+            for xe, c in group.items()})
 
     def engine(self, weights: str = "plain") -> "_MetricEngine":
         return self._cached(("engine", weights),
@@ -129,9 +131,9 @@ class SegreFamily:
 
 
 def build_rho(space: Space) -> SegreFamily:
-    """The family of ``space`` with its doubled-ring expansion built."""
+    """The family of ``space`` with its expansion (``z_groups``) built."""
     fam = SegreFamily(space)
-    fam.rho  # expand now
+    fam.z_groups  # expand now
     return fam
 
 

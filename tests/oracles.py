@@ -27,6 +27,9 @@
   exact division step.
 * ``rho_swap_symmetric`` and ``unit_at_origin_expanded`` -- the ``einstein``
   identity checks read off the expanded family polynomial.
+* ``dump_json_reference`` -- the report writer as one recursive call and
+  one ``isinstance`` ladder per value, the reference for ``cli.dump_json``
+  on finite reports.
 * ``FractionPair`` -- the Gaussian-rational scalar as a pair of
   ``Fraction`` parts, the reference for ``hermsym.gauss``.
 * ``lambda_determinant`` -- the nondegeneracy determinant of the witness
@@ -43,10 +46,13 @@
 """
 
 import itertools
+import json
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+import numpy as np
 
 from hermsym.gauss import GaussRational, ONE, ZERO
 from hermsym.linalg import RankTracker, det_exact
@@ -325,6 +331,29 @@ def unit_at_origin_expanded(fam):
     rest = partial_evaluate(rho_by_products(fam),
                             {v: GaussRational(0) for v in fam.zvars})
     return is_constant(rest) and rest.constant_term() == GaussRational(1)
+
+
+def dump_json_reference(obj) -> str:
+    """Sorted keys, floats at 17 significant digits, one call per value."""
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, float):
+        return format(float(obj), ".17g")
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        inner = ",".join(f"{json.dumps(str(k))}:{dump_json_reference(v)}"
+                         for k, v in sorted(obj.items(), key=lambda kv: str(kv[0])))
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(dump_json_reference(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _frac(x) -> Fraction:

@@ -5,12 +5,14 @@ with exact equality (see ``oracles.py``); the one float route, the psi sum
 import dataclasses
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, inf, lcm, nan, prod
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hermsym.acceptance import unit_at_origin
+from hermsym.cli import dump_json
 from hermsym.gauss import GaussRational as G, ONE, ZERO
 from hermsym.linalg import _scale_row, det_exact
 from hermsym import rigidity
@@ -22,7 +24,8 @@ from hermsym.sampling import rng_from_seed
 from hermsym.segre import SegreFamily, sample_on_family
 from hermsym.spaces import build_space
 from oracles import (FractionPair, _integer_row, compose_full,
-                     derivative_jet_row, det_bareiss, psi_by_products,
+                     derivative_jet_row, det_bareiss, dump_json_reference,
+                     psi_by_products,
                      rho_at_float, rho_by_products, rho_swap_symmetric,
                      unit_at_origin_expanded,
                      rho_at_expanded, slot_coefficients_expanded,
@@ -219,8 +222,9 @@ def test_rho_table_matches_products(spec):
     renamed psi copies, and prints the same JSON."""
     fam = _family(spec)
     want = rho_by_products(fam)
-    assert fam.rho == want
-    assert fam.rho.to_json() == want.to_json()
+    rho = fam.rho
+    assert rho == want
+    assert rho.to_json() == want.to_json()
 
 
 # -- the batched F_p trial division against the one-candidate loop -------------
@@ -459,3 +463,55 @@ def test_signed_monomials_match_polynomial_products(spec):
         [list(p.terms.items()) for p in psi]
     assert [list(p.terms.items()) for p in space.pairing_psi] == \
         [list(p.terms.items()) for p in pairing_psi]
+
+
+# -- the report writer ------------------------------------------------------
+
+finite = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1e-9, 5e-324, 2.5e-310, 1e300, 1 / 3]),
+    st.floats(allow_nan=False, allow_infinity=False))
+leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(-10 ** 40, 10 ** 40), finite,
+    st.text(),                                 # non-ASCII and control characters
+    finite.map(np.float64), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(st.integers(), max_size=6),       # the all-int list join
+    st.lists(st.one_of(st.integers(), st.booleans()), max_size=6))
+reports = st.recursive(leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(st.text(max_size=4), st.integers(-20, 20)),
+                    inner, max_size=4)), max_leaves=24)
+NONFINITE = [(nan, "NaN"), (inf, "Infinity"), (-inf, "-Infinity"),
+             (np.float64("nan"), "NaN"), (np.float64("-inf"), "-Infinity")]
+WRITER_RUNS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@WRITER_RUNS
+@given(reports)
+def test_dump_json_matches_reference(report):
+    """The type-dispatched writer writes the bytes of the one-call-per-value
+    reference on every finite report."""
+    assert dump_json(report) == dump_json_reference(report)
+
+
+@WRITER_RUNS
+@given(reports, st.sampled_from(NONFINITE))
+def test_dump_json_writes_nonfinite_tokens(report, case):
+    """NaN and the infinities are written as json.dumps writes them, next to
+    a report and nested in dicts and tuples; the report keeps the
+    reference's bytes."""
+    x, token = case
+    assert dump_json([report, x]) == f"[{dump_json_reference(report)},{token}]"
+    assert dump_json({"r": {"s": (x,)}}) == f'{{"r":{{"s":[{token}]}}}}'
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, 1j, b"x", np.zeros(2), object()])
+def test_dump_json_refuses_what_the_reference_refuses(bad):
+    for report in (bad, [1, bad], {"a": {"b": bad}}):
+        with pytest.raises(TypeError) as fast:
+            dump_json(report)
+        with pytest.raises(TypeError) as slow:
+            dump_json_reference(report)
+        assert str(fast.value) == str(slow.value)

@@ -251,7 +251,7 @@ def test_substitution_evaluation_commute():
         assert (direct - via_subst).is_zero()
 
 
-def test_compose_fractions_simultaneous_swap():
+def test_compose_full_simultaneous_swap():
     """Composition substitutes simultaneously: the coordinate swap must not
     collapse to a repeated variable."""
     r = PolyRing(["z", "w"])
@@ -264,7 +264,7 @@ def test_compose_fractions_simultaneous_swap():
     assert (swapped.num - want * swapped.den.constant_term()).is_zero()
 
 
-def test_compose_fractions_identity():
+def test_compose_full_identity():
     r = PolyRing(["z", "w"])
     rng = rng_from_seed(5)
     p = rnd_poly(r, rng)

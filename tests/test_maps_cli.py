@@ -1,6 +1,7 @@
 """Map-file wire format and the command-line front end."""
 
 import json
+import math
 
 import pytest
 
@@ -51,6 +52,14 @@ def test_dump_json_determinism():
     s2 = dump_json({"c": {"z": True, "y": None}, "a": [1, 2.5, "x"], "b": 1.0 / 3.0})
     assert s1 == s2
     assert "0.33333333333333331" in s1
+
+
+def test_dump_json_nonfinite_round_trip():
+    """NaN and the infinities come out as tokens json.loads reads back."""
+    text = dump_json({"r": float("nan"), "s": [float("inf"), -float("inf")]})
+    assert text == '{"r":NaN,"s":[Infinity,-Infinity]}'
+    back = json.loads(text)
+    assert math.isnan(back["r"]) and back["s"] == [math.inf, -math.inf]
 
 
 def run_cli(capsys, args):

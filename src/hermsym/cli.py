@@ -207,8 +207,14 @@ def cmd_describe(args):
 def cmd_rho(args):
     space = build_space(args.space)
     fam = build_rho(space)
+    # Polynomial.to_json of fam.rho, read straight off the z-groups: the
+    # exponent of a term is ze + xe, so this loop order is sorted order
+    terms = [{"exp": ze + xe, **gauss_json(c)}
+             for ze, group in sorted(fam.z_groups.items())
+             for xe, c in sorted(group.items())]
     return 0, {"space": args.space, "vars": list(fam.ring.vars),
-               "rho": fam.rho.to_json(), "config": _config(args, None)}
+               "rho": {"vars": list(fam.ring.vars), "terms": terms},
+               "config": _config(args, None)}
 
 
 def cmd_metric(args):

@@ -8,14 +8,19 @@ Fraction-free Bareiss pays for that bound: on those matrices it took
 1.0-1.4 s each, against 0.01-0.02 s for elimination over Q(i) (2-vCPU Xeon
 VM, Python 3.11).
 
-Ranks are tracked incrementally on rows scaled to Gaussian-integer entries
-(pairs of Python ints, read off the entries' canonical triples).
+Ranks are tracked incrementally on sparse rows, {column: value} with the
+zero entries left out: the jet rows of the witness search are about 97%
+zeros, and a minor of the typeIII basis greedy has at most k! terms against
+up to 19,173 columns.  Each row is scaled to Gaussian-integer entries
+(pairs of Python ints, read off the entries' canonical triples) and
+eliminated in integer arithmetic, with one content reduction per accepted
+row.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from .gauss import GaussRational, ONE, ZERO
 
@@ -23,19 +28,21 @@ from .gauss import GaussRational, ONE, ZERO
 GInt = tuple
 
 
-def _scale_row(row: Sequence[GaussRational]) -> List[GInt]:
-    """The row times the lcm of its denominators (the d's), as Gaussian integers."""
-    parts = [x.parts() for x in row]
+def _scale_row(row: Dict[int, GaussRational]) -> Dict[int, GInt]:
+    """The nonzero entries of a sparse row times the lcm of their
+    denominators (the d's), as Gaussian integers."""
+    parts = [(j, GaussRational.coerce(x).parts()) for j, x in row.items()]
     scale = 1
-    for _, _, d in parts:
+    for _, (_, _, d) in parts:
         if scale % d:
             scale = scale // gcd(scale, d) * d
-    return [(a * (scale // d), b * (scale // d)) for a, b, d in parts]
+    return {j: (a * (scale // d), b * (scale // d))
+            for j, (a, b, d) in parts if a or b}
 
 
-def _row_content(row: List[GInt]) -> int:
+def _row_content(row: Dict[int, GInt]) -> int:
     g = 0
-    for a, b in row:
+    for a, b in row.values():
         g = gcd(g, abs(a))
         g = gcd(g, abs(b))
         if g == 1:
@@ -72,48 +79,64 @@ def det_exact(matrix: Sequence[Sequence[GaussRational]]) -> GaussRational:
 
 
 class RankTracker:
-    """Incremental exact rank of a growing set of rows.
+    """Incremental exact rank of a growing set of sparse rows.
 
-    Rows are stored as content-reduced Gaussian-integer vectors in echelon
-    form (each with a recorded pivot column).  ``add_row`` returns True when
-    the row enlarged the span.
+    ``add_row`` takes a row as {column: value} (values Gaussian rationals or
+    ints; zero values are allowed and dropped, key order is irrelevant) and
+    returns True when the row enlarged the span.  The basis is stored as
+    content-reduced Gaussian-integer rows {column: (a, b)} in echelon form,
+    each with a pivot: its smallest nonzero column.
+
+    An incoming row is eliminated against the basis rows in insertion
+    order, and only against those whose pivot lies in its current support.
+    Each basis row is zero at the pivots of the rows before it (it was
+    eliminated against them), so clearing a pivot never refills an earlier
+    one: after the pass the row is zero at every pivot, and it is in the
+    span exactly when nothing is left.  An empty row is rejected at once.
     """
 
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: List[List[GInt]] = []
+    def __init__(self):
+        self.rows: List[Dict[int, GInt]] = []
         self.pivots: List[int] = []
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def add_row(self, row: Sequence[GaussRational]) -> bool:
-        vec = _scale_row([GaussRational.coerce(x) for x in row])
+    def add_row(self, row: Dict[int, GaussRational]) -> bool:
+        vec = _scale_row(row)
         for brow, p in zip(self.rows, self.pivots):
-            if vec[p] == (0, 0):
+            if not vec:
+                return False
+            b = vec.get(p)
+            if b is None:
                 continue
             # vec <- a*vec - b*brow clears column p (a = brow[p], b = vec[p])
-            (a0, a1), (b0, b1) = brow[p], vec[p]
-            vec = [(a0 * v0 - a1 * v1 - b0 * w0 + b1 * w1,
-                    a0 * v1 + a1 * v0 - b0 * w1 - b1 * w0)
-                   for (v0, v1), (w0, w1) in zip(vec, brow)]
-        pivot = next((j for j, x in enumerate(vec) if x != (0, 0)), None)
-        if pivot is None:
+            (a0, a1), (b0, b1) = brow[p], b
+            if (a0, a1) != (1, 0):
+                vec = {j: (a0 * v0 - a1 * v1, a0 * v1 + a1 * v0)
+                       for j, (v0, v1) in vec.items()}
+            for j, (w0, w1) in brow.items():
+                v0, v1 = vec.get(j, (0, 0))
+                v0 -= b0 * w0 - b1 * w1
+                v1 -= b0 * w1 + b1 * w0
+                if v0 or v1:
+                    vec[j] = (v0, v1)
+                else:
+                    del vec[j]
+        if not vec:
             return False
         c = _row_content(vec)
         if c > 1:
-            vec = [(a // c, b // c) for a, b in vec]
+            vec = {j: (a // c, b // c) for j, (a, b) in vec.items()}
         self.rows.append(vec)
-        self.pivots.append(pivot)
+        self.pivots.append(min(vec))
         return True
 
 
 def rank_exact(matrix: Sequence[Sequence[GaussRational]]) -> int:
-    if not matrix:
-        return 0
-    tracker = RankTracker(len(matrix[0]))
+    """Exact rank of a dense matrix, through the sparse tracker."""
+    tracker = RankTracker()
     for row in matrix:
-        tracker.add_row(row)
+        tracker.add_row(dict(enumerate(row)))
     return tracker.rank
-

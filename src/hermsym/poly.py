@@ -224,8 +224,13 @@ class Polynomial:
             if v not in point:
                 raise KeyError(f"missing assignment for {v!r}")
             vals.append(GaussRational.coerce(point[v]))
+        # a term with a positive power of a variable that is 0 at the point
+        # is 0, so skipping it leaves the sum exact
+        zeros = [i for i, x in enumerate(vals) if x.is_zero()]
         total = ZERO
         for e, c in self.terms.items():
+            if zeros and any(e[i] for i in zeros):
+                continue
             t = c
             for x, k in zip(vals, e):
                 for _ in range(k):

@@ -125,7 +125,9 @@ class TaylorJets:
     ZeroDivisionError.  psi is then shifted over the component series (the
     chain rule of Taylor arithmetic), so ``row(beta)`` is a lookup of the
     raw coefficients [t^beta]: scaling a row by beta! leaves ranks unchanged
-    and multiplies a determinant by beta!."""
+    and multiplies a determinant by beta!.  The coefficients are kept as
+    one table beta -> {j: [t^beta] psi_j o F} of the nonzeros only, the
+    sparse rows that ``RankTracker.add_row`` takes."""
 
     def __init__(self, psi: Sequence[Polynomial], fields: Sequence, point: Dict,
                  top: int, images: Optional[Sequence[PolyFraction]] = None):
@@ -144,11 +146,15 @@ class TaylorJets:
             series = [_divide(shift(f.num), shift(f.den), origin, top)
                       for f in images]
         shift = _shifter(series, origin, top)
-        self.series = [shift(p) for p in psi]
+        self.table: Dict[Tuple[int, ...], Dict[int, GaussRational]] = {}
+        for j, p in enumerate(psi):
+            for part in shift(p):
+                for e, c in part.items():
+                    self.table.setdefault(e, {})[j] = c
 
-    def row(self, beta: Tuple[int, ...]) -> List[GaussRational]:
-        w = sum(beta)
-        return [s[w].get(beta, ZERO) for s in self.series]
+    def row(self, beta: Tuple[int, ...]) -> Dict[int, GaussRational]:
+        """The nonzero coefficients of the jet row of ``beta``, {j: value}."""
+        return self.table.get(beta, {})
 
 
 def _sample_jets(variables, psi, fields, top: int, rng,
@@ -173,7 +179,7 @@ def _best_jet_rank(variables, psi, fields, top: int, trials: int,
     best = 0
     for _ in range(trials):
         jets = _sample_jets(variables, psi, fields, top, rng, images)
-        tracker = RankTracker(len(psi))
+        tracker = RankTracker()
         for beta in betas:
             tracker.add_row(jets.row(beta))
             if tracker.rank == len(psi):
@@ -272,9 +278,8 @@ def find_nondegeneracy_witness(space: Space, fam: SegreFamily, F: RationalMap,
             raise ArithmeticError("special point is not on the family")
         frame = segre_frame(fam) if mu is None else hyperplane_frame(space, mu)
         jets = TaylorJets(space.psi, frame.fields, z0, max_order, F.components)
-        tracker = RankTracker(N)
+        tracker = RankTracker()
         chosen: List[Tuple[int, ...]] = []
-        chosen_rows: List[List[GaussRational]] = []
         examined = 0
         width = frame.width()
         for w in range(max_order + 1):
@@ -288,17 +293,17 @@ def find_nondegeneracy_witness(space: Space, fam: SegreFamily, F: RationalMap,
                     exhausted = True
                     break
                 examined += 1
-                row = jets.row(beta)
-                if tracker.add_row(row):
+                if tracker.add_row(jets.row(beta)):
                     chosen.append(beta)
-                    chosen_rows.append(row)
                     if tracker.rank == N:
                         break
         examined_total += examined
         if tracker.rank == N:
             # the rows hold [t^beta]; the derivative rows are beta! times them
             scale = prod(factorial(b) for beta in chosen for b in beta)
-            lam = det_exact(chosen_rows) * GaussRational(scale)
+            rows = [jets.row(beta) for beta in chosen]
+            lam = det_exact([[r.get(j, ZERO) for j in range(N)] for r in rows]) * \
+                GaussRational(scale)
             if lam.is_zero():
                 raise ArithmeticError("witness determinant vanished; rank logic broken")
             return WitnessReport(True, z0, xi0, chosen, lam, frame.kind,

@@ -39,9 +39,9 @@ class SegreFamily:
     conjugate gradient ``xi_gradient``.  The sum is the definition of rho,
     so in exact arithmetic each value equals the one read off the expanded
     polynomial, and no soundness argument beyond it is needed.  The
-    expansion is ``z_groups``, the sum grouped by z-monomial; ``rho`` is
-    that table flattened into the doubled ring, for the rho command, built
-    afresh on each read so the family holds one copy of the expansion.
+    expansion is ``z_groups``, the sum grouped by z-monomial, which the rho
+    command prints; ``rho`` is that table flattened into the doubled ring,
+    built afresh on each read so the family holds one copy of the expansion.
 
     The expansion, the table of first derivatives of psi and the compiled
     metric evaluators are per-family caches: each is built once, on first

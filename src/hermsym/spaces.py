@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .gauss import GaussRational, ZERO
+from .gauss import GaussRational
 from .linalg import RankTracker
 from .octonion import (M16_VARS, M27_VARS, cayley_plane_forms, freudenthal_forms)
 from .poly import Polynomial, PolyRing
@@ -281,10 +281,10 @@ def build_type3(n: int) -> Space:
     psi: List[Polynomial] = []
     for k in range(1, n + 1):
         group = offered[k]
-        monomials = sorted({e for g in group for e in g.terms})
-        tracker = RankTracker(len(monomials))
+        column = {e: j for j, e in enumerate(sorted({e for g in group for e in g.terms}))}
+        tracker = RankTracker()
         psi.extend(g for g in group
-                   if tracker.add_row([g.terms.get(e, ZERO) for e in monomials]))
+                   if tracker.add_row({column[e]: c for e, c in g.terms.items()}))
     return Space(desc, n * (n + 1) // 2, len(psi), cell[0], tuple(psi), tuple(raw),
                  distinguished=f"z{n}_{n}")
 

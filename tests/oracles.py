@@ -2,6 +2,13 @@
 
 * ``det_bareiss`` -- fraction-free Bareiss elimination on row-scaled
   Gaussian-integer matrices, where every division is exact in Z[i].
+* ``DenseRankTracker`` -- the incremental exact rank on dense rows, each
+  scaled and eliminated across its full width: the reference for the
+  sparse ``linalg.RankTracker``, which makes the same decisions and stores
+  the same echelon rows without their zeros.
+* ``evaluate_loop`` -- a polynomial's value as the sum over every term,
+  the reference for ``Polynomial.evaluate``, which skips the terms that
+  vanish at the point.
 * ``derivative_jet_row`` -- jets by iterated symbolic differentiation of
   each component, then exact evaluation at the point.
 * ``compose_full`` -- psi_j o F by simultaneous substitution of every
@@ -55,7 +62,7 @@ from math import gcd
 import numpy as np
 
 from hermsym.gauss import GaussRational, ONE, ZERO
-from hermsym.linalg import RankTracker, det_exact
+from hermsym.linalg import det_exact
 from hermsym.poly import Polynomial, PolyFraction, PolyModP
 from hermsym.rigidity import multiindices_upto, segre_frame
 from hermsym.sampling import BOUND
@@ -84,6 +91,55 @@ def _integer_row(row):
         for d in (x.re.denominator, x.im.denominator):
             scale = scale // gcd(scale, d) * d
     return [(int(x.re * scale), int(x.im * scale)) for x in row], scale
+
+
+class DenseRankTracker:
+    """Incremental exact rank of dense rows of Gaussian rationals, stored as
+    content-reduced Gaussian-integer lists in echelon form, each with its
+    first nonzero column as pivot; ``add_row`` returns True when the row
+    enlarged the span."""
+
+    def __init__(self):
+        self.rows, self.pivots = [], []
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def add_row(self, row):
+        parts = [GaussRational.coerce(x).parts() for x in row]
+        scale = 1
+        for _, _, d in parts:
+            scale = scale // gcd(scale, d) * d
+        vec = [(a * (scale // d), b * (scale // d)) for a, b, d in parts]
+        for brow, p in zip(self.rows, self.pivots):
+            if vec[p] == (0, 0):
+                continue
+            # vec <- a*vec - b*brow clears column p (a = brow[p], b = vec[p])
+            (a0, a1), (b0, b1) = brow[p], vec[p]
+            vec = [(a0 * v0 - a1 * v1 - b0 * w0 + b1 * w1,
+                    a0 * v1 + a1 * v0 - b0 * w1 - b1 * w0)
+                   for (v0, v1), (w0, w1) in zip(vec, brow)]
+        pivot = next((j for j, x in enumerate(vec) if x != (0, 0)), None)
+        if pivot is None:
+            return False
+        c = 0
+        for a, b in vec:
+            c = gcd(c, a, b)
+        vec = [(a // c, b // c) for a, b in vec]
+        self.rows.append(vec)
+        self.pivots.append(pivot)
+        return True
+
+
+def evaluate_loop(poly, point):
+    total = ZERO
+    for e, c in poly.terms.items():
+        for v, k in zip(poly.ring.vars, e):
+            for _ in range(k):
+                c = c * GaussRational.coerce(point[v])
+        total = total + c
+    return total
 
 
 def det_bareiss(matrix):
@@ -619,7 +675,7 @@ def psi_by_products(space):
     for k in range(1, params[0] + 1):
         group = [m for d, m in minors if d == k]
         monos = sorted({e for g in group for e in g.terms})
-        tracker = RankTracker(len(monos))
+        tracker = DenseRankTracker()
         psi.extend(g for g in group if tracker.add_row([g.terms.get(e, ZERO) for e in monos]))
     return psi, raw
 

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hermsym.acceptance import unit_at_origin
 from hermsym.cli import dump_json
 from hermsym.gauss import GaussRational as G, ONE, ZERO
-from hermsym.linalg import _scale_row, det_exact
+from hermsym.linalg import RankTracker, _scale_row, det_exact
 from hermsym import rigidity
 from hermsym.poly import Polynomial, PolyFraction, PolyModP, PolyRing, _GradedProducts
 from hermsym.rigidity import (TaylorJets, irreducibility_oracle_poly,
@@ -22,9 +22,10 @@ from hermsym.rigidity import (TaylorJets, irreducibility_oracle_poly,
                               trial_division_modp)
 from hermsym.sampling import rng_from_seed
 from hermsym.segre import SegreFamily, sample_on_family
-from hermsym.spaces import build_space
-from oracles import (FractionPair, _integer_row, compose_full,
+from hermsym.spaces import build_space, minor_index_sets
+from oracles import (DenseRankTracker, FractionPair, _integer_row, compose_full,
                      derivative_jet_row, det_bareiss, dump_json_reference,
+                     evaluate_loop,
                      psi_by_products,
                      rho_at_float, rho_by_products, rho_swap_symmetric,
                      unit_at_origin_expanded,
@@ -57,7 +58,9 @@ def _check_jets(psi, flds, point, top, images=None):
         compose_full(p, dict(zip(RING.vars, images))) for p in psi]
     for beta in multiindices_upto(len(flds), top):
         scale = G(prod(factorial(b) for b in beta))
-        assert [c * scale for c in jets.row(beta)] == \
+        row = jets.row(beta)
+        assert all(row.values())               # a sparse row: nonzeros only
+        assert [row.get(j, ZERO) * scale for j in range(len(psi))] == \
             derivative_jet_row(system, flds, point, beta)
 
 
@@ -116,6 +119,71 @@ def test_perturbed_component_series_fails_jets(monkeypatch, component, weight):
     monkeypatch.setattr(rigidity, "_divide", perturbed)
     with pytest.raises(AssertionError):
         _check_jets(psi, ["x", "y"], point, 2, MAP)
+
+
+@BOUNDED
+@given(polys, st.fixed_dictionaries({v: st.one_of(st.just(G(0)), gauss)
+                                     for v in RING.vars}))
+def test_evaluate_matches_plain_loop(poly, point):
+    """Skipping the terms that vanish at the point keeps the exact value."""
+    assert poly.evaluate(point) == evaluate_loop(poly, point)
+
+
+@st.composite
+def row_sequences(draw):
+    """Sparse rows of a random width <= 40 and density <= 30%, with
+    explicit zeros and shuffled keys, mixed with repeats, scalings and
+    linear combinations of earlier rows."""
+    width = draw(st.integers(1, 40))
+    rows = []
+    for _ in range(draw(st.integers(1, 14))):
+        how = draw(st.sampled_from(["fresh", "repeat", "scale", "combo"])
+                   if rows else st.just("fresh"))
+        if how == "fresh":
+            support = draw(st.lists(st.integers(0, width - 1), unique=True,
+                                    max_size=3 * width // 10))
+            row = {j: draw(gauss) for j in support}
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            ca, cb = draw(gauss), draw(gauss)
+            row = (dict(a) if how == "repeat" else
+                   {j: ca * x for j, x in a.items()} if how == "scale" else
+                   {j: ca * a.get(j, ZERO) + cb * b.get(j, ZERO)
+                    for j in set(a) | set(b)})
+        rows.append(dict(draw(st.permutations(list(row.items())))))
+    return width, rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(row_sequences())
+def test_sparse_rank_tracker_matches_dense(case):
+    """The sparse tracker accepts exactly the rows the dense one accepts,
+    and holds the same echelon rows and pivots."""
+    width, rows = case
+    sparse, dense = RankTracker(), DenseRankTracker()
+    for row in rows:
+        accepted = sparse.add_row(row)
+        assert accepted == dense.add_row([row.get(j, ZERO) for j in range(width)])
+        assert sparse.rank == dense.rank
+    assert sparse.pivots == dense.pivots
+    assert sparse.rows == [{j: x for j, x in enumerate(r) if x != (0, 0)}
+                           for r in dense.rows]
+
+
+def test_type3_basis_matches_dense_greedy():
+    """typeIII:6's psi is the per-degree greedy of the dense tracker over
+    all its minors (the mirror minors the builder leaves out are rejected)."""
+    space = build_space("typeIII:6")
+    psi = []
+    for k in range(1, 7):
+        group = [m for (d, _, _), m in zip(minor_index_sets(6, 6), space.pairing_psi)
+                 if d == k]
+        monos = sorted({e for g in group for e in g.terms})
+        tracker = DenseRankTracker()
+        psi += [g for g in group
+                if tracker.add_row([g.terms.get(e, ZERO) for e in monos])]
+    assert [list(p.terms.items()) for p in space.psi] == \
+        [list(p.terms.items()) for p in psi]
 
 
 @BOUNDED
@@ -400,7 +468,8 @@ def test_gauss_mixed_operands_match_fraction_pairs(xs, c):
 @given(st.lists(scalars, min_size=1, max_size=8))
 def test_scale_row_matches_fraction_route(row):
     want, scale = _integer_row([r for _, r in row])
-    assert _scale_row([x for x, _ in row]) == want
+    assert _scale_row(dict(enumerate(x for x, _ in row))) == \
+        {j: v for j, v in enumerate(want) if v != (0, 0)}
     # d is the lcm of the reduced denominators of re and im
     assert scale == lcm(*(x.parts()[2] for x, _ in row))
 

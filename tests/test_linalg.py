@@ -29,12 +29,32 @@ def test_det_complex_entries():
 
 
 def test_rank_tracker():
-    t = RankTracker(3)
-    assert t.add_row([G(1), G(0), G(1)])
-    assert not t.add_row([G(2), G(0), G(2)])
-    assert t.add_row([G(0), G(Fraction(1, 3)), G(0)])
+    t = RankTracker()
+    assert t.add_row({0: G(1), 2: G(1)})
+    assert not t.add_row({0: G(2), 2: G(2)})
+    assert t.add_row({1: G(Fraction(1, 3))})
     assert t.rank == 2
     assert rank_exact([[G(1), G(2)], [G(2), G(4)], [G(0), G(1)]]) == 2
+
+
+def test_rank_tracker_empty_and_zero_rows():
+    t = RankTracker()
+    assert not t.add_row({})
+    assert not t.add_row({0: G(0), 3: 0})
+    assert t.rank == 0
+    assert t.add_row({0: G(0), 3: G(0, 2)})     # explicit zeros are dropped
+    assert t.rows == [{3: (0, 1)}] and t.pivots == [3]
+    assert not t.add_row({3: 5, 1: G(0)})
+
+
+def test_rank_tracker_unordered_keys():
+    t = RankTracker()
+    assert t.add_row({5: G(1), 2: G(Fraction(1, 2)), 4: G(0, 1)})
+    assert t.pivots == [2]                      # the smallest column, not the first key
+    assert t.rows == [{5: (2, 0), 2: (1, 0), 4: (0, 2)}]
+    assert not t.add_row({4: G(0, 3), 2: G(Fraction(3, 2)), 5: G(3)})
+    assert t.add_row({5: G(1), 4: G(1)})
+    assert t.pivots == [2, 4]
 
 
 def test_det_routes_agree_larger():

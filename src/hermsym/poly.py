@@ -6,10 +6,13 @@ coefficients.  Rings for different spaces are distinct values, never shared
 globally; mixing rings raises.  All values are immutable after construction,
 so they are safe for concurrent read-only use.
 
-Two auxiliary value types live here as well:
+Also here:
 
 * ``PolyFraction`` -- an exact quotient of two polynomials, never reduced
   (multivariate gcd is deliberately out of scope).
+* ``TaylorJets`` -- the one exact route to derivatives of a polynomial
+  system (composed with a map of fractions, or not) at a point: truncated
+  Taylor series of its shift along constant fields.
 * ``PolyModP`` -- a polynomial with coefficients reduced modulo a small prime,
   used by the finite-field irreducibility oracle, whose search for factors
   (``trial_division_modp``) is the batched int64 kernel at the end.
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -383,6 +386,136 @@ class PolyFraction:
 
     def __repr__(self):
         return f"({self.num!r}) / ({self.den!r})"
+
+
+# ---------------------------------------------------------------------------
+# exact jets by truncated Taylor series
+# ---------------------------------------------------------------------------
+
+# A truncated power series in the shift parameters t, graded by weight:
+# series[w] maps each exponent tuple of total weight w to its coefficient.
+Series = List[Dict[Tuple[int, ...], GaussRational]]
+
+
+def _accumulate(out: Dict, e, c) -> None:
+    s = out.get(e, ZERO) + c
+    if s.is_zero():
+        out.pop(e, None)
+    else:
+        out[e] = s
+
+
+def _series_mul(a: Series, b: Series, top: int) -> Series:
+    out: Series = [{} for _ in range(min(len(a) + len(b) - 2, top) + 1)]
+    for wa, pa in enumerate(a):
+        for wb, pb in enumerate(b[:top - wa + 1]):
+            for ea, ca in pa.items():
+                for eb, cb in pb.items():
+                    # the one weight-0 exponent is the origin, which adds nothing
+                    e = eb if not wa else ea if not wb else tuple(
+                        x + y for x, y in zip(ea, eb))
+                    _accumulate(out[wa + wb], e, ca * cb)
+    return out
+
+
+def _shifter(base: List[Series], origin: Tuple[int, ...], top: int):
+    """poly -> poly(base_0, ..., base_n) truncated above weight ``top``,
+    with the powers of the base series cached across calls."""
+    powers: Dict[Tuple[int, int], Series] = {}
+    # A base series with no weight-0 part (an empty one included) starts at
+    # weight >= 1, so its k-th power starts at weight >= k: a term whose
+    # exponents on those bases sum past ``top`` is 0 up to weight ``top``,
+    # so skipping it is exact.  With no zero coordinate the list is empty.
+    lifted = [i for i, s in enumerate(base) if not (s and s[0])]
+
+    def power(i: int, k: int) -> Series:
+        if (i, k) not in powers:
+            powers[i, k] = (base[i] if k == 1 else
+                            _series_mul(power(i, k - 1), base[i], top))
+        return powers[i, k]
+
+    def shift(poly: Polynomial) -> Series:
+        out: Series = [{} for _ in range(top + 1)]
+        for e, c in poly.terms.items():
+            if lifted and sum(e[i] for i in lifted) > top:
+                continue
+            term: Series = [{origin: c}]
+            for i, k in enumerate(e):
+                if k:
+                    term = _series_mul(term, power(i, k), top)
+            for part, dest in zip(term, out):
+                for te, tc in part.items():
+                    _accumulate(dest, te, tc)
+        return out
+    return shift
+
+
+def _divide(num: Series, den: Series, origin: Tuple[int, ...],
+            top: int) -> Series:
+    """num / den as a truncated power series, q_m = (n_m - sum_{k>=1}
+    d_k q_{m-k}) / d_0, with trailing empty weights trimmed."""
+    d0 = den[0].get(origin)
+    if d0 is None:
+        raise ZeroDivisionError("denominator vanishes at the jet point")
+    inv = ONE / d0
+    out: Series = []
+    for m in range(top + 1):
+        acc = dict(num[m])
+        for k in range(1, m + 1):
+            for ed, cd in den[k].items():
+                for eq, cq in out[m - k].items():
+                    _accumulate(acc, tuple(x + y for x, y in zip(ed, eq)),
+                                -(cd * cq))
+        out.append(acc if inv == ONE else {e: c * inv for e, c in acc.items()})
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+class TaylorJets:
+    """Jets of psi o F at one point along constant fields v_k (variable
+    names or direction dicts): psi is a system of polynomials, F a map
+    given by its component fractions F_i = a_i / b_i, one per variable,
+    and the identity when left out.
+
+    For the commuting fields L_k = sum_v v_k[v] d/dv, Taylor's theorem gives
+    L^beta f(z0) = beta! [t^beta] f(z0 + sum_k t_k v_k).  Each component is
+    shifted to that line and divided once as a truncated power series up to
+    weight ``top``; a denominator vanishing at the point raises
+    ZeroDivisionError.  psi is then shifted over the component series (the
+    chain rule of Taylor arithmetic), so ``row(beta)`` is a lookup of the
+    raw coefficients [t^beta]: scaling a row by beta! leaves ranks unchanged
+    and multiplies a determinant by beta!.  The coefficients are kept as
+    one table beta -> {j: [t^beta] psi_j o F} of the nonzeros only, the
+    sparse rows that ``RankTracker.add_row`` takes."""
+
+    def __init__(self, psi: Sequence[Polynomial], fields: Sequence, point: Dict,
+                 top: int, images: Optional[Sequence[PolyFraction]] = None):
+        origin = (0,) * len(fields)
+        series: List[Series] = []     # z0_i + sum_k t_k v_k[i] per variable i
+        for v in psi[0].ring.vars:
+            linear = {}
+            for k, f in enumerate(fields):
+                c = ONE if f == v else (f.get(v) if isinstance(f, dict) else None)
+                if c:
+                    linear[origin[:k] + (1,) + origin[k + 1:]] = c
+            const = GaussRational.coerce(point[v])
+            series.append([{origin: const} if const else {}, linear])
+        if images is not None:
+            shift = _shifter(series, origin, top)
+            series = [_divide(shift(f.num), shift(f.den), origin, top)
+                      for f in images]
+        shift = _shifter(series, origin, top)
+        self.table: Dict[Tuple[int, ...], Dict[int, GaussRational]] = {}
+        for j, p in enumerate(psi):
+            for part in shift(p):
+                for e, c in part.items():
+                    self.table.setdefault(e, {})[j] = c
+
+    def row(self, beta: Tuple[int, ...]) -> Dict[int, GaussRational]:
+        """The nonzero coefficients of the jet row of ``beta``, {j: value}."""
+        return self.table.get(beta, {})
+
 
 
 class PolyModP:

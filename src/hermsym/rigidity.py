@@ -20,7 +20,7 @@ import numpy as np
 from .gauss import GaussRational, ONE, ZERO
 from .linalg import RankTracker, det_exact, rank_exact
 from .maps import RationalMap
-from .poly import PolyFraction, Polynomial, monomials, trial_division_modp
+from .poly import Polynomial, TaylorJets, monomials, trial_division_modp
 from .sampling import random_complex_ball, random_small_gauss, rng_from_seed
 from .segre import SegreFamily, check_mu, null_block, special_point
 from .spaces import Space
@@ -39,122 +39,6 @@ def multiindices_upto(width: int, max_weight: int):
     for w in range(max_weight + 1):
         out.extend(monomials(width, w))
     return out
-
-
-# A truncated power series in the shift parameters t, graded by weight:
-# series[w] maps each exponent tuple of total weight w to its coefficient.
-Series = List[Dict[Tuple[int, ...], GaussRational]]
-
-
-def _accumulate(out: Dict, e, c) -> None:
-    s = out.get(e, ZERO) + c
-    if s.is_zero():
-        out.pop(e, None)
-    else:
-        out[e] = s
-
-
-def _series_mul(a: Series, b: Series, top: int) -> Series:
-    out: Series = [{} for _ in range(min(len(a) + len(b) - 2, top) + 1)]
-    for wa, pa in enumerate(a):
-        for wb, pb in enumerate(b[:top - wa + 1]):
-            for ea, ca in pa.items():
-                for eb, cb in pb.items():
-                    _accumulate(out[wa + wb], tuple(x + y for x, y in zip(ea, eb)),
-                                ca * cb)
-    return out
-
-
-def _shifter(base: List[Series], origin: Tuple[int, ...], top: int):
-    """poly -> poly(base_0, ..., base_n) truncated above weight ``top``,
-    with the powers of the base series cached across calls."""
-    powers: Dict[Tuple[int, int], Series] = {}
-
-    def power(i: int, k: int) -> Series:
-        if (i, k) not in powers:
-            powers[i, k] = (base[i] if k == 1 else
-                            _series_mul(power(i, k - 1), base[i], top))
-        return powers[i, k]
-
-    def shift(poly: Polynomial) -> Series:
-        out: Series = [{} for _ in range(top + 1)]
-        for e, c in poly.terms.items():
-            term: Series = [{origin: c}]
-            for i, k in enumerate(e):
-                if k:
-                    term = _series_mul(term, power(i, k), top)
-            for part, dest in zip(term, out):
-                for te, tc in part.items():
-                    _accumulate(dest, te, tc)
-        return out
-    return shift
-
-
-def _divide(num: Series, den: Series, origin: Tuple[int, ...],
-            top: int) -> Series:
-    """num / den as a truncated power series, q_m = (n_m - sum_{k>=1}
-    d_k q_{m-k}) / d_0, with trailing empty weights trimmed."""
-    d0 = den[0].get(origin)
-    if d0 is None:
-        raise ZeroDivisionError("denominator vanishes at the jet point")
-    inv = ONE / d0
-    out: Series = []
-    for m in range(top + 1):
-        acc = dict(num[m])
-        for k in range(1, m + 1):
-            for ed, cd in den[k].items():
-                for eq, cq in out[m - k].items():
-                    _accumulate(acc, tuple(x + y for x, y in zip(ed, eq)),
-                                -(cd * cq))
-        out.append(acc if inv == ONE else {e: c * inv for e, c in acc.items()})
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-class TaylorJets:
-    """Jets of psi o F at one point along constant fields v_k (variable
-    names or direction dicts): psi is a system of polynomials, F a map
-    given by its component fractions F_i = a_i / b_i, one per variable,
-    and the identity when left out.
-
-    For the commuting fields L_k = sum_v v_k[v] d/dv, Taylor's theorem gives
-    L^beta f(z0) = beta! [t^beta] f(z0 + sum_k t_k v_k).  Each component is
-    shifted to that line and divided once as a truncated power series up to
-    weight ``top``; a denominator vanishing at the point raises
-    ZeroDivisionError.  psi is then shifted over the component series (the
-    chain rule of Taylor arithmetic), so ``row(beta)`` is a lookup of the
-    raw coefficients [t^beta]: scaling a row by beta! leaves ranks unchanged
-    and multiplies a determinant by beta!.  The coefficients are kept as
-    one table beta -> {j: [t^beta] psi_j o F} of the nonzeros only, the
-    sparse rows that ``RankTracker.add_row`` takes."""
-
-    def __init__(self, psi: Sequence[Polynomial], fields: Sequence, point: Dict,
-                 top: int, images: Optional[Sequence[PolyFraction]] = None):
-        origin = (0,) * len(fields)
-        series: List[Series] = []     # z0_i + sum_k t_k v_k[i] per variable i
-        for v in psi[0].ring.vars:
-            linear = {}
-            for k, f in enumerate(fields):
-                c = ONE if f == v else (f.get(v) if isinstance(f, dict) else None)
-                if c:
-                    linear[origin[:k] + (1,) + origin[k + 1:]] = c
-            const = GaussRational.coerce(point[v])
-            series.append([{origin: const} if const else {}, linear])
-        if images is not None:
-            shift = _shifter(series, origin, top)
-            series = [_divide(shift(f.num), shift(f.den), origin, top)
-                      for f in images]
-        shift = _shifter(series, origin, top)
-        self.table: Dict[Tuple[int, ...], Dict[int, GaussRational]] = {}
-        for j, p in enumerate(psi):
-            for part in shift(p):
-                for e, c in part.items():
-                    self.table.setdefault(e, {})[j] = c
-
-    def row(self, beta: Tuple[int, ...]) -> Dict[int, GaussRational]:
-        """The nonzero coefficients of the jet row of ``beta``, {j: value}."""
-        return self.table.get(beta, {})
 
 
 def _sample_jets(variables, psi, fields, top: int, rng,
@@ -394,8 +278,8 @@ def degeneracy_relation(polys: Sequence[Polynomial], slice_count: int = 3,
 # transversality and the flattening Jacobian seed
 # ---------------------------------------------------------------------------
 
-class OffVarietyError(ValueError):
-    pass
+class OffVarietyError(ArithmeticError):
+    """A pencil point off its Segre variety: the recipe is the program's."""
 
 
 class FlatteningSeedError(ArithmeticError):
@@ -418,23 +302,18 @@ def flattening_jacobian(rows: Sequence[List[GaussRational]]):
 
     The system rescales the two incidence equations along fresh parameters
     and pins the remaining coordinates; at the base point its Jacobian in
-    the xi variables reduces to a 2x2 minor of the gradient pair bordered
-    by identity rows.  Returns (determinant, slot pair)."""
+    the xi variables is the gradient pair bordered by the rows -e_k, k not
+    in the slot pair (a, b), the first with a nonzero 2x2 minor.  Expanded
+    along the border, it is (-1)^(n+a+b+1) (r0[a] r1[b] - r0[b] r1[a]) for
+    0-based a < b: nonzero exactly when the pair has rank 2, so it restates
+    the rank and is no check of its own.  Returns (determinant, slots)."""
     r0, r1 = rows
     n = len(r0)
     for a in range(n):
         for b in range(a + 1, n):
             minor = r0[a] * r1[b] - r0[b] * r1[a]
-            if minor.is_zero():
-                continue
-            mat = [r0, r1]
-            for k in range(n):
-                if k in (a, b):
-                    continue
-                e = [GaussRational(0)] * n
-                e[k] = GaussRational(-1)
-                mat.append(e)
-            return det_exact(mat), (a, b)
+            if not minor.is_zero():
+                return (minor if (n + a + b) % 2 else -minor), (a, b)
     # every 2x2 minor vanishes exactly when the pair has rank below 2
     raise FlatteningSeedError("flattening seed failed: gradients do not "
                               "intersect transversally")
@@ -559,11 +438,6 @@ def _named(space: Space, pt: Sequence[complex]) -> Dict[str, complex]:
     return {v: complex(pt[i]) for i, v in enumerate(space.vars)}
 
 
-def _weighted_rho(eng, point: Sequence[complex]) -> float:
-    v = eng.psi_eval(np.asarray(point, dtype=complex))
-    return 1.0 + float(np.real((eng.w * v) @ v.conj()))
-
-
 def volume_equation_check(fam: SegreFamily, maps: Sequence[RationalMap],
                           lambdas: Sequence[float], sample_count: int = 25,
                           seed: int = 0) -> float:
@@ -587,9 +461,9 @@ def volume_equation_check(fam: SegreFamily, maps: Sequence[RationalMap],
                 J = np.array([[f.evaluate_float(named) for f in row] for row in jac])
                 det = complex(np.linalg.det(J))
                 image = F.evaluate_float(pt)
-                rho_f = _weighted_rho(eng, image)
+                rho_f, _ = eng.rho(image)
                 lhs += w * (abs(det) ** 2) / rho_f ** lam
-            rhs = 1.0 / _weighted_rho(eng, pt) ** lam
+            rhs = 1.0 / eng.rho(pt)[0] ** lam
         except ZeroDivisionError:
             retries += 1
             if retries > _MAX_RETRIES:

@@ -6,9 +6,9 @@ from the pairing vector psi of the space, exactly as it is defined.  Its
 expansion is one table, grouped by z-monomial and built lazily from psi:
 the support facts read it, and the rho command prints it flattened into a
 doubled ring (the cell variables plus a conjugate copy, prefix ``c``).
-Metric work differentiates the embedding polynomials symbolically once and
-pushes batches of sample points through a compiled numpy evaluator; exact
-identities never touch floats.
+Exact gradients come from first-order Taylor jets (``poly.TaylorJets``);
+float metric work differentiates psi symbolically once and pushes batches of
+points through a compiled numpy evaluator; exact identities never touch floats.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .gauss import GaussRational, ONE, ZERO
 from .linalg import det_exact
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, TaylorJets
 from .sampling import random_complex_ball, random_gauss_point, rng_from_seed
 from .spaces import Space, cell_matrix_point
 
@@ -43,9 +43,10 @@ class SegreFamily:
     command prints; ``rho`` is that table flattened into the doubled ring,
     built afresh on each read so the family holds one copy of the expansion.
 
-    The expansion, the table of first derivatives of psi and the compiled
-    metric evaluators are per-family caches: each is built once, on first
-    use, under the family's lock, and is freed with the family."""
+    Exact derivatives of psi at a point are its first-order Taylor jets.
+    The expansion and the compiled metric evaluators are the only caches:
+    each is built once, on first use, under the family's lock, and is freed
+    with the family."""
 
     def __init__(self, space: Space):
         self.space = space
@@ -109,25 +110,15 @@ class SegreFamily:
 
     def xi_gradient(self, z: Dict, xi: Dict) -> List[GaussRational]:
         """[d rho / d xi_v at (z, xi) for v in the cell variables], that is
-        sum_j psi_j(z) (d_v psi_j)(xi).  The psi sum is symmetric, so the
-        z-gradient at (z, xi) is ``xi_gradient(xi, z)``."""
+        sum_j psi_j(z) (d_v psi_j)(xi), with (d_v psi_j)(xi) read off the
+        weight-1 rows of the first-order jets of psi at xi.  The psi sum is
+        symmetric, so the z-gradient at (z, xi) is ``xi_gradient(xi, z)``."""
         psi = self.space.pairing_psi
-        table = self._cached("dpsi", lambda: [
-            [(j, d) for j, d in enumerate(p.derivative(v) for p in psi) if d]
-            for v in self.zvars])
-        psi_z: Dict[int, GaussRational] = {}
-        out = []
-        for row in table:
-            acc = ZERO
-            for j, d in row:
-                b = d.evaluate(xi)
-                if b.is_zero():
-                    continue
-                if j not in psi_z:
-                    psi_z[j] = psi[j].evaluate(z)
-                acc = acc + psi_z[j] * b
-            out.append(acc)
-        return out
+        jets = TaylorJets(psi, self.zvars, xi, 1)
+        n = len(self.zvars)
+        rows = [jets.row(tuple(int(k == i) for k in range(n))) for i in range(n)]
+        psi_z = {j: psi[j].evaluate(z) for j in set().union(*rows)}
+        return [sum((psi_z[j] * d for j, d in row.items()), ZERO) for row in rows]
 
 
 def build_rho(space: Space) -> SegreFamily:
@@ -204,12 +195,15 @@ class _MetricEngine:
         else:
             self.w = np.ones(self.count)
 
+    def rho(self, point: Sequence[complex]):
+        """(1 + sum_j w_j |psi_j(z)|^2, psi(z)) at a complex point z."""
+        v = self.psi_eval(np.asarray(point, dtype=complex))
+        return 1.0 + float(np.real((self.w * v) @ v.conj())), v
+
     def metric(self, point: Sequence[complex]):
         pt = np.array(point, dtype=complex)
-        v = self.psi_eval(pt)
+        rho, v = self.rho(pt)
         J = self.jac_eval(pt).reshape(self.count, self.nvars)
-        wv = self.w * v
-        rho = 1.0 + float(np.real(wv @ v.conj()))
         H = (self.w[:, None] * J).T @ J.conj()
         b = (self.w[:, None] * J).T @ v.conj()
         g = (rho * H - np.outer(b, b.conj())) / rho ** 2

@@ -11,6 +11,9 @@
   vanish at the point.
 * ``derivative_jet_row`` -- jets by iterated symbolic differentiation of
   each component, then exact evaluation at the point.
+* ``flattening_jacobian_bordered`` -- the flattening Jacobian as the
+  determinant of the gradient pair bordered by -e_k rows, the reference
+  for ``rigidity.flattening_jacobian``, which returns the signed 2x2 minor.
 * ``compose_full`` -- psi_j o F by simultaneous substitution of every
   variable, identity images included, over one common denominator: the
   reference for the jets of psi o F, which the library reads off the
@@ -196,6 +199,25 @@ def derivative_jet_row(system, fields, point, beta):
                 f = _apply_field(f, fields[k])
         row.append(f.evaluate(point))
     return row
+
+
+def flattening_jacobian_bordered(rows):
+    """(det of the gradient pair bordered by the rows -e_k, k outside the
+    first slot pair (a, b) with a nonzero 2x2 minor, (a, b)); None when
+    every minor vanishes."""
+    r0, r1 = rows
+    n = len(r0)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if (r0[a] * r1[b] - r0[b] * r1[a]).is_zero():
+                continue
+            mat = [list(r0), list(r1)]
+            for k in range(n):
+                if k not in (a, b):
+                    mat.append([GaussRational(-1) if i == k else ZERO
+                                for i in range(n)])
+            return det_exact(mat), (a, b)
+    return None
 
 
 def compose_full(poly, images):

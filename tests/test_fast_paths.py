@@ -15,16 +15,19 @@ from hermsym.acceptance import unit_at_origin
 from hermsym.cli import dump_json
 from hermsym.gauss import GaussRational as G, ONE, ZERO
 from hermsym.linalg import RankTracker, _scale_row, det_exact
-from hermsym import rigidity
+import hermsym.poly
 from hermsym.poly import Polynomial, PolyFraction, PolyModP, PolyRing, _GradedProducts
-from hermsym.rigidity import (TaylorJets, irreducibility_oracle_poly,
+from hermsym.rigidity import (FlatteningSeedError, TaylorJets,
+                              flattening_jacobian, irreducibility_oracle_poly,
                               multiindices_upto, specialize_conjugate,
+                              transversality_rank, transversality_recipe,
                               trial_division_modp)
 from hermsym.sampling import rng_from_seed
 from hermsym.segre import SegreFamily, sample_on_family
 from hermsym.spaces import build_space, minor_index_sets
 from oracles import (DenseRankTracker, FractionPair, _integer_row, compose_full,
                      derivative_jet_row, det_bareiss, dump_json_reference,
+                     flattening_jacobian_bordered,
                      evaluate_loop,
                      psi_by_products,
                      rho_at_float, rho_by_products, rho_swap_symmetric,
@@ -93,6 +96,39 @@ def test_taylor_jets_match_derivatives_on_fractions(psi, raw, flds, point):
     _check_jets(psi, flds, point, 2, images)
 
 
+# points with zero coordinates, where the shift skips the terms of psi (or
+# of a component) that cannot reach weight ``top``
+zero_points = st.fixed_dictionaries({v: st.one_of(st.just(G(0)), gauss)
+                                     for v in RING.vars})
+
+
+@BOUNDED
+@given(st.lists(polys, min_size=1, max_size=3), fields, zero_points,
+       st.integers(1, 3))
+def test_taylor_jets_skip_exact_at_zero_coordinates(system, flds, point, top):
+    _check_jets(system, flds, point, top)
+
+
+@BOUNDED
+@given(st.lists(multilinear, min_size=1, max_size=2), components,
+       st.lists(st.booleans(), min_size=3, max_size=3), fields, zero_points,
+       st.integers(1, 3))
+def test_taylor_jets_skip_exact_at_zero_images(psi, raw, vanish, flds, point,
+                                               top):
+    """Components flagged in ``vanish`` are shifted by their value at the
+    point, so their series has no weight-0 part."""
+    images = []
+    for v, part, zero in zip(RING.vars, raw, vanish):
+        num, den = (RING.var(v), RING.zero()) if part is None else part
+        den = RING.one() + den
+        at = den.evaluate(point)
+        assume(not at.is_zero())
+        if zero:
+            num = num - den.scale(num.evaluate(point) / at)
+        images.append(PolyFraction(num, den))
+    _check_jets(psi, flds, point, top, images)
+
+
 MAP = [PolyFraction(RING.var("x") + RING.var("y").scale(2), RING.one() + RING.var("z")),
        PolyFraction(RING.var("y"), RING.one()),
        PolyFraction(RING.const(3) + RING.var("x"), RING.one() - RING.var("y"))]
@@ -106,7 +142,7 @@ def test_perturbed_component_series_fails_jets(monkeypatch, component, weight):
     psi = [RING.var(v) for v in RING.vars]
     point = {"x": G(1), "y": G(Fraction(1, 2)), "z": G(0, 1)}
     _check_jets(psi, ["x", "y"], point, 2, MAP)
-    divide, seen = rigidity._divide, []
+    divide, seen = hermsym.poly._divide, []
 
     def perturbed(num, den, origin, top):
         out = divide(num, den, origin, top)
@@ -116,7 +152,7 @@ def test_perturbed_component_series_fails_jets(monkeypatch, component, weight):
             out[weight] = {**out[weight], beta: out[weight].get(beta, ZERO) + ONE}
         seen.append(out)
         return out
-    monkeypatch.setattr(rigidity, "_divide", perturbed)
+    monkeypatch.setattr(hermsym.poly, "_divide", perturbed)
     with pytest.raises(AssertionError):
         _check_jets(psi, ["x", "y"], point, 2, MAP)
 
@@ -252,6 +288,31 @@ def test_gradients_match_expansion(case):
     fam = _family(spec)
     assert fam.xi_gradient(z, xi) == xi_gradient_expanded(fam, z, xi)
     assert fam.xi_gradient(xi, z) == z_gradient_expanded(fam, z, xi)
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS + ["typeIII:5"])
+def test_recipe_gradients_and_flattening_match_references(spec):
+    """At the hyp2 pencil of each space: both conjugate gradients against
+    the expansion, and the flattening minor against the bordered
+    determinant."""
+    fam = _family(spec)
+    xi0, z0, z1 = transversality_recipe(fam, seed=7)
+    for z in (z0, z1):
+        assert fam.xi_gradient(z, xi0) == xi_gradient_expanded(fam, z, xi0)
+    rows = transversality_rank(fam, xi0, z0, z1)[1]
+    assert flattening_jacobian(rows) == flattening_jacobian_bordered(rows)
+
+
+@BOUNDED
+@given(st.integers(2, 7).flatmap(lambda n: st.lists(
+    st.lists(entries, min_size=n, max_size=n), min_size=2, max_size=2)))
+def test_flattening_minor_matches_bordered_determinant(rows):
+    want = flattening_jacobian_bordered(rows)
+    if want is None:
+        with pytest.raises(FlatteningSeedError):
+            flattening_jacobian(rows)
+    else:
+        assert flattening_jacobian(rows) == want
 
 
 @BOUNDED

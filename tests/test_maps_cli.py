@@ -256,6 +256,17 @@ def test_cli_exit_codes(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: KeyError: 'missing'\n"
+    # the pencil recipe is the program's own: a pencil off the variety is
+    # an internal error, not a usage error
+    monkeypatch.undo()
+    from hermsym import acceptance
+    recipe = acceptance.transversality_recipe
+    monkeypatch.setattr(acceptance, "transversality_recipe", lambda fam, seed: (
+        {v: GaussRational(0) for v in fam.zvars},) + recipe(fam, seed)[1:])
+    assert main(["hyp2", "--space", "typeIV:3", "--seed", "7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: OffVarietyError: ")
     # count flags out of range are usage errors
     for argv in (["hyp1", "--space", "typeIV:3", "--seed", "1", "--max-order", "-1"],
                  ["einstein", "--space", "typeIV:3", "--seed", "7", "--samples", "0"],

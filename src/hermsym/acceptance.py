@@ -191,8 +191,8 @@ def oracle_check(fam: SegreFamily, seed: int, prime: int,
                  budget: int) -> Tuple[Dict, OracleResult]:
     """The finite-field irreducibility oracle on rho(., xi), at a generic
     rational xi admissible modulo ``prime``: (xi, result)."""
-    xi = generic_conjugate_point(fam, seed, prime=prime)
-    return xi, irreducibility_oracle(fam, xi, prime=prime, budget=budget)
+    xi, poly = generic_conjugate_point(fam, seed, prime=prime)
+    return xi, irreducibility_oracle(poly, prime=prime, budget=budget)
 
 
 def regular_locus_nonempty(fam: SegreFamily, seed: int) -> bool:

@@ -34,41 +34,48 @@ def truncated_vars(space: Space) -> Tuple[str, ...]:
     return tuple(v for v in space.vars if v != space.distinguished)
 
 
-def multiindices_upto(width: int, max_weight: int):
-    out = []
-    for w in range(max_weight + 1):
-        out.extend(monomials(width, w))
-    return out
-
-
-def _sample_jets(variables, psi, fields, top: int, rng,
-                 images=None) -> TaylorJets:
-    """Jets at a random rational point where every denominator is regular."""
-    for _ in range(64):
-        pt = {v: random_small_gauss(rng) for v in variables}
-        try:
-            return TaylorJets(psi, fields, pt, top, images)
-        except ZeroDivisionError:
-            continue
-    raise ArithmeticError("could not sample a regular point for the jet matrix")
+def _greedy_rows(jets: TaylorJets, width: int, top: int, N: int,
+                 budget: Optional[int] = None) -> Tuple[List, int, bool]:
+    """The one exact row scan: offers ``jets.row(beta)`` to a RankTracker for
+    the multiindices beta of weight <= ``top`` in ``width`` fields, by weight
+    with lexicographic tie-break, built one weight at a time.  Before each
+    candidate it stops at rank N first, then at ``budget`` candidates.
+    Returns (the betas whose rows enlarged the rank, candidates examined,
+    whether the budget stopped the scan with a candidate left)."""
+    betas = (beta for w in range(top + 1) for beta in monomials(width, w))
+    tracker = RankTracker()
+    chosen: List[Tuple[int, ...]] = []
+    examined = 0
+    while tracker.rank < N:
+        beta = next(betas, None)
+        if beta is None:
+            break
+        if budget is not None and examined >= budget:
+            return chosen, examined, True
+        examined += 1
+        if tracker.add_row(jets.row(beta)):
+            chosen.append(beta)
+    return chosen, examined, False
 
 
 def _best_jet_rank(variables, psi, fields, top: int, trials: int,
                    seed: int, images=None) -> int:
     """Exact rank of the order-<=top jets of ``psi`` (composed with the map
     of component fractions ``images``, if given) along ``fields``,
-    maximized over ``trials`` random rational points near 0."""
-    betas = multiindices_upto(len(fields), top)
+    maximized over ``trials`` random regular rational points near 0."""
     rng = rng_from_seed(seed)
     best = 0
     for _ in range(trials):
-        jets = _sample_jets(variables, psi, fields, top, rng, images)
-        tracker = RankTracker()
-        for beta in betas:
-            tracker.add_row(jets.row(beta))
-            if tracker.rank == len(psi):
+        for _ in range(64):
+            pt = {v: random_small_gauss(rng) for v in variables}
+            try:
+                jets = TaylorJets(psi, fields, pt, top, images)
                 break
-        best = max(best, tracker.rank)
+            except ZeroDivisionError:
+                continue
+        else:
+            raise ArithmeticError("could not sample a regular point for the jet matrix")
+        best = max(best, len(_greedy_rows(jets, len(fields), top, len(psi))[0]))
         if best == len(psi):
             break
     return best
@@ -88,10 +95,13 @@ def jet_rank(space: Space, F: RationalMap, k: int, trials: int = 3,
 
 @dataclass(frozen=True)
 class TangentFrame:
-    """First-order fields tangent to the family.
+    """First-order fields along which the witness search takes jets.
 
-    kind 'segre': L_i = d/dz_i - (rho_i / rho_d) d/dz_d over all cell
-    variables except the distinguished d (exact rational coefficients).
+    kind 'segre': the cell variables other than the distinguished d, so the
+    jets are plain derivatives d/dz_i.  At the witness points their
+    determinant equals that of the Segre-tangent fields
+    L_i = d/dz_i - (rho_i / rho_d) d/dz_d, as ``test_rigidity.py::
+    test_symbolic_lambda_agrees_with_witness`` checks on types I-III.
     kind 'hyperplane': constant-coefficient fields tangent to a hyperplane
     through a mu-vector with sum(mu^2) + 1 = 0."""
     kind: str
@@ -162,27 +172,11 @@ def find_nondegeneracy_witness(space: Space, fam: SegreFamily, F: RationalMap,
             raise ArithmeticError("special point is not on the family")
         frame = segre_frame(fam) if mu is None else hyperplane_frame(space, mu)
         jets = TaylorJets(space.psi, frame.fields, z0, max_order, F.components)
-        tracker = RankTracker()
-        chosen: List[Tuple[int, ...]] = []
-        examined = 0
-        width = frame.width()
-        for w in range(max_order + 1):
-            if tracker.rank == N:
-                break
-            if examined >= budget:
-                exhausted = True
-                break
-            for beta in monomials(width, w):
-                if examined >= budget:
-                    exhausted = True
-                    break
-                examined += 1
-                if tracker.add_row(jets.row(beta)):
-                    chosen.append(beta)
-                    if tracker.rank == N:
-                        break
+        chosen, examined, stopped = _greedy_rows(jets, frame.width(), max_order,
+                                                 N, budget)
         examined_total += examined
-        if tracker.rank == N:
+        exhausted = exhausted or stopped
+        if len(chosen) == N:
             # the rows hold [t^beta]; the derivative rows are beta! times them
             scale = prod(factorial(b) for beta in chosen for b in beta)
             rows = [jets.row(beta) for beta in chosen]
@@ -363,16 +357,11 @@ def specialize_conjugate(fam: SegreFamily, xi: Dict) -> Polynomial:
     return out
 
 
-def irreducibility_oracle(fam: SegreFamily, xi: Dict, prime: int = 5,
+def irreducibility_oracle(poly: Polynomial, prime: int = 5,
                           budget: int = 10 ** 7) -> OracleResult:
-    """Certify irreducibility of rho(., xi) over the rationals by exhaustive
-    trial division modulo a prime."""
-    return irreducibility_oracle_poly(specialize_conjugate(fam, xi), prime, budget)
-
-
-def irreducibility_oracle_poly(poly: Polynomial, prime: int = 5,
-                               budget: int = 10 ** 7) -> OracleResult:
-    """Oracle core on a plain rational polynomial with constant term 1.
+    """Certify irreducibility over the rationals of a polynomial with
+    constant term 1, such as rho(., xi), by exhaustive trial division modulo
+    a prime.
 
     Soundness: a rational factorization of a polynomial with unit constant
     term descends to one with unit constant terms modulo any prime that
@@ -406,9 +395,10 @@ def irreducibility_oracle_poly(poly: Polynomial, prime: int = 5,
 
 
 def generic_conjugate_point(fam: SegreFamily, seed: int = 0,
-                            prime: int = 5) -> Dict:
-    """A small random rational xi that keeps the specialized polynomial at
-    full degree and admissible modulo the prime."""
+                            prime: int = 5) -> Tuple[Dict, Polynomial]:
+    """A small random rational xi that keeps the specialized polynomial
+    rho(., xi) at full degree and admissible modulo the prime, returned with
+    that polynomial: (xi, rho(., xi))."""
     rng = rng_from_seed(seed)
     space = fam.space
     full = max(p.degree() for p in space.pairing_psi)
@@ -422,7 +412,7 @@ def generic_conjugate_point(fam: SegreFamily, seed: int = 0,
         except ValueError:
             continue
         if reduced.degree() == full:
-            return xi
+            return xi, poly
     raise ArithmeticError("no admissible specialization point found")
 
 
@@ -432,6 +422,32 @@ def generic_conjugate_point(fam: SegreFamily, seed: int = 0,
 
 _MAP_RADIUS = 0.2      # sample ball of the map checks
 _MAX_RETRIES = 40      # draws that may hit a pole of a map before one raises
+
+
+def _worst_residual(space: Space, residual, sample_count: int, seed: int,
+                    points: Sequence[Sequence[complex]] = ()) -> float:
+    """Max of ``residual(pt)`` over the given points, each taken once, then
+    over seeded draws from the _MAP_RADIUS ball until ``sample_count``
+    evaluations in all succeeded.  A point where the residual raises
+    ZeroDivisionError (a pole of a map) is skipped, at most _MAX_RETRIES
+    times; the next one re-raises."""
+    rng = rng_from_seed(seed)
+    queue = list(points)
+    worst = 0.0
+    done = 0
+    retries = 0
+    while done < sample_count or queue:
+        pt = queue.pop(0) if queue else random_complex_ball(rng, space.n, _MAP_RADIUS)
+        try:
+            value = residual(pt)
+        except ZeroDivisionError:
+            retries += 1
+            if retries > _MAX_RETRIES:
+                raise
+            continue
+        worst = max(worst, value)
+        done += 1
+    return worst
 
 
 def _named(space: Space, pt: Sequence[complex]) -> Dict[str, complex]:
@@ -447,60 +463,39 @@ def volume_equation_check(fam: SegreFamily, maps: Sequence[RationalMap],
     space = fam.space
     lam = space.desc.genus
     eng = fam.engine("invariant")
-    rng = rng_from_seed(seed)
     jacs = [F.jacobian_fractions() for F in maps]
-    worst = 0.0
-    done = 0
-    retries = 0
-    while done < sample_count:
-        pt = random_complex_ball(rng, space.n, _MAP_RADIUS)
+
+    def residual(pt):
         named = _named(space, pt)
-        try:
-            lhs = 0.0
-            for F, jac, w in zip(maps, jacs, lambdas):
-                J = np.array([[f.evaluate_float(named) for f in row] for row in jac])
-                det = complex(np.linalg.det(J))
-                image = F.evaluate_float(pt)
-                rho_f, _ = eng.rho(image)
-                lhs += w * (abs(det) ** 2) / rho_f ** lam
-            rhs = 1.0 / eng.rho(pt)[0] ** lam
-        except ZeroDivisionError:
-            retries += 1
-            if retries > _MAX_RETRIES:
-                raise
-            continue
-        worst = max(worst, abs(lhs / rhs - 1.0))
-        done += 1
-    return worst
+        lhs = 0.0
+        for F, jac, w in zip(maps, jacs, lambdas):
+            J = np.array([[f.evaluate_float(named) for f in row] for row in jac])
+            det = complex(np.linalg.det(J))
+            image = F.evaluate_float(pt)
+            rho_f, _ = eng.rho(image)
+            lhs += w * (abs(det) ** 2) / rho_f ** lam
+        rhs = 1.0 / eng.rho(pt)[0] ** lam
+        return abs(lhs / rhs - 1.0)
+
+    return _worst_residual(space, residual, sample_count, seed)
 
 
 def isometry_pullback_check(fam: SegreFamily, F: RationalMap,
                             sample_count: int = 20, seed: int = 0,
-                            points: Optional[Sequence[Sequence[complex]]] = None
-                            ) -> float:
-    """Max entrywise deviation of the pulled-back metric from the metric."""
+                            points: Sequence[Sequence[complex]] = ()) -> float:
+    """Max entrywise deviation of the pulled-back metric from the metric at
+    the given ``points``, then at random ones up to ``sample_count`` in all."""
     space = fam.space
     eng = fam.engine("invariant")
-    rng = rng_from_seed(seed)
     jac = F.jacobian_fractions()
-    worst = 0.0
-    queue = list(points) if points is not None else []
-    done = 0
-    retries = 0
-    while done < sample_count or queue:
-        pt = queue.pop(0) if queue else random_complex_ball(rng, space.n, _MAP_RADIUS)
+
+    def residual(pt):
         named = _named(space, pt)
-        try:
-            A = np.array([[f.evaluate_float(named) for f in row] for row in jac])
-            image = F.evaluate_float(pt)
-            g_here, _ = eng.metric(np.asarray(pt, dtype=complex))
-            g_image, _ = eng.metric(np.asarray(image, dtype=complex))
-        except ZeroDivisionError:
-            retries += 1
-            if retries > _MAX_RETRIES:
-                raise
-            continue
+        A = np.array([[f.evaluate_float(named) for f in row] for row in jac])
+        image = F.evaluate_float(pt)
+        g_here, _ = eng.metric(np.asarray(pt, dtype=complex))
+        g_image, _ = eng.metric(np.asarray(image, dtype=complex))
         pull = A @ g_image @ A.conj().T
-        worst = max(worst, float(np.max(np.abs(pull - g_here))))
-        done += 1
-    return worst
+        return float(np.max(np.abs(pull - g_here)))
+
+    return _worst_residual(space, residual, sample_count, seed, points)

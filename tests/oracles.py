@@ -46,13 +46,17 @@
   search, with every frame field applied symbolically to psi o F (from
   ``compose_full``) over the product expansion (``tangent_apply``) before
   evaluation.
+* ``greedy_scan_nested`` -- the witness search's row scan as a loop over
+  weights around a loop over the multiindices of each weight, with the
+  rank and budget checked in both: the reference for
+  ``rigidity._greedy_rows``, one flat scan.
 * ``sym_det`` and ``pfaffian`` -- minors by the Leibniz formula and
   Pfaffians by pair partitions or by first-row recursion, each a chain of
   ``Polynomial`` products; ``psi_by_products`` rebuilds the psi vectors of
   the layout kinds from them, the reference for the signed-monomial builder.
-* ``monomial``, ``poly_pow``, ``normalize``, ``fractions_equal``,
-  ``random_fraction`` and ``random_gauss`` -- polynomial, fraction and
-  sampling helpers that only the tests use.
+* ``monomial``, ``multiindices_upto``, ``poly_pow``, ``normalize``,
+  ``fractions_equal``, ``random_fraction`` and ``random_gauss`` --
+  polynomial, fraction and sampling helpers that only the tests use.
 """
 
 import itertools
@@ -65,9 +69,9 @@ from math import gcd
 import numpy as np
 
 from hermsym.gauss import GaussRational, ONE, ZERO
-from hermsym.linalg import det_exact
-from hermsym.poly import Polynomial, PolyFraction, PolyModP
-from hermsym.rigidity import multiindices_upto, segre_frame
+from hermsym.linalg import RankTracker, det_exact
+from hermsym.poly import Polynomial, PolyFraction, PolyModP, monomials
+from hermsym.rigidity import segre_frame
 from hermsym.sampling import BOUND
 from hermsym.segre import conj_name
 from hermsym.spaces import (_fill_matrix, _pair_partitions, _perm_sign,
@@ -620,6 +624,31 @@ def lambda_determinant(space, fam, F, betas, z0, xi0, frame=None):
                        for f in lifted] for beta in betas])
 
 
+def greedy_scan_nested(jets, width, top, N, budget):
+    """(chosen, examined, exhausted) of the greedy row scan over the
+    multiindices of weight <= ``top``, weight by weight."""
+    tracker = RankTracker()
+    chosen = []
+    examined = 0
+    exhausted = False
+    for w in range(top + 1):
+        if tracker.rank == N:
+            break
+        if examined >= budget:
+            exhausted = True
+            break
+        for beta in monomials(width, w):
+            if examined >= budget:
+                exhausted = True
+                break
+            examined += 1
+            if tracker.add_row(jets.row(beta)):
+                chosen.append(beta)
+                if tracker.rank == N:
+                    break
+    return chosen, examined, exhausted
+
+
 # ---------------------------------------------------------------------------
 # minors and Pfaffians as chains of polynomial products
 # ---------------------------------------------------------------------------
@@ -711,6 +740,15 @@ def monomial(ring, exp, coeff=ONE):
     if len(exp) != len(ring.vars):
         raise ValueError("exponent length does not match ring")
     return Polynomial(ring, {tuple(exp): GaussRational.coerce(coeff)})
+
+
+def multiindices_upto(width, max_weight):
+    """All exponent tuples of total degree <= ``max_weight``, by degree and
+    then lexicographically."""
+    out = []
+    for w in range(max_weight + 1):
+        out.extend(monomials(width, w))
+    return out
 
 
 def poly_pow(p, k):

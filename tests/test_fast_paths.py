@@ -5,7 +5,7 @@ with exact equality (see ``oracles.py``); the one float route, the psi sum
 import dataclasses
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, inf, lcm, nan, prod
+from math import comb, factorial, gcd, inf, lcm, nan, prod
 
 import numpy as np
 import pytest
@@ -17,9 +17,11 @@ from hermsym.gauss import GaussRational as G, ONE, ZERO
 from hermsym.linalg import RankTracker, _scale_row, det_exact
 import hermsym.poly
 from hermsym.poly import Polynomial, PolyFraction, PolyModP, PolyRing, _GradedProducts
-from hermsym.rigidity import (FlatteningSeedError, TaylorJets,
-                              flattening_jacobian, irreducibility_oracle_poly,
-                              multiindices_upto, specialize_conjugate,
+from hermsym.maps import RationalMap, identity_map
+from hermsym.rigidity import (FlatteningSeedError, TaylorJets, _greedy_rows,
+                              default_order_bound, flattening_jacobian,
+                              hyperplane_frame, irreducibility_oracle,
+                              segre_frame, special_point, specialize_conjugate,
                               transversality_rank, transversality_recipe,
                               trial_division_modp)
 from hermsym.sampling import rng_from_seed
@@ -28,7 +30,7 @@ from hermsym.spaces import build_space, minor_index_sets
 from oracles import (DenseRankTracker, FractionPair, _integer_row, compose_full,
                      derivative_jet_row, det_bareiss, dump_json_reference,
                      flattening_jacobian_bordered,
-                     evaluate_loop,
+                     evaluate_loop, greedy_scan_nested, multiindices_upto,
                      psi_by_products,
                      rho_at_float, rho_by_products, rho_swap_symmetric,
                      unit_at_origin_expanded,
@@ -220,6 +222,47 @@ def test_type3_basis_matches_dense_greedy():
                 if tracker.add_row([g.terms.get(e, ZERO) for e in monos])]
     assert [list(p.terms.items()) for p in space.psi] == \
         [list(p.terms.items()) for p in psi]
+
+
+SCAN_SPECS = ["typeI:2,2", "typeI:2,3", "typeII:4", "typeIII:3", "typeIV:3", "e16"]
+SCAN_BUDGETS = {1, 2, 5, 9, 10, 11, 17, 30, 60, 200, 20000}
+
+
+def _merged_map(space):
+    """The last variable replaced by the first: the jets have rank below N,
+    so the scan runs through every candidate."""
+    comps = [PolyFraction.from_poly(space.ring.var(v)) for v in space.vars]
+    comps[-1] = comps[0]
+    return RationalMap(space.ring, tuple(comps))
+
+
+@pytest.mark.parametrize("merged", [False, True])
+@pytest.mark.parametrize("top", [1, 2, None])
+@pytest.mark.parametrize("spec", SCAN_SPECS)
+def test_greedy_rows_match_nested_scan(spec, top, merged):
+    """The flat row scan against the weight-by-weight loop, on the witness
+    search's jets: at the listed budgets, at the weight boundaries and
+    around the unbudgeted scan's candidate count (where the rank and the
+    budget stop the scan together)."""
+    fam = SegreFamily(build_space(spec))
+    space = fam.space
+    top = default_order_bound(space) if top is None else top
+    z0, _, mu = special_point(space, rng_from_seed(7))
+    frame = segre_frame(fam) if mu is None else hyperplane_frame(space, mu)
+    F = _merged_map(space) if merged else identity_map(space)
+    jets = TaylorJets(space.psi, frame.fields, z0, top, F.components)
+    width, N = frame.width(), len(space.psi)
+    # comb(width + w, w) multiindices have weight <= w
+    marks = [comb(width + w, w) for w in range(top + 1)]
+    if not merged or marks[-1] <= 20000:
+        full = _greedy_rows(jets, width, top, N)
+        assert full == greedy_scan_nested(jets, width, top, N, inf)
+        marks.append(full[1])
+    budgets = SCAN_BUDGETS | {m + d for m in marks for d in (-1, 0, 1)
+                              if 1 <= m + d <= 20000}
+    for budget in sorted(budgets):
+        assert _greedy_rows(jets, width, top, N, budget) == \
+            greedy_scan_nested(jets, width, top, N, budget), budget
 
 
 @BOUNDED
@@ -422,7 +465,7 @@ small_int_polys = st.integers(1, 2).flatmap(
 @given(small_int_polys, small_int_polys, st.sampled_from([5, 7]))
 def test_oracle_never_certifies_products(g, h, prime):
     assume(g.degree() >= 1 and h.degree() >= 1)
-    result = irreducibility_oracle_poly(g * h, prime, budget=10 ** 5)
+    result = irreducibility_oracle(g * h, prime, budget=10 ** 5)
     assert result.status != "irreducible_certified"
 
 

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -178,11 +182,14 @@ def test_cli_einstein_exceptional(capsys):
 
 
 def test_cli_cross_process_determinism():
-    import subprocess, sys
+    # the child must import this checkout's package, not an installed one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     cmd = [sys.executable, "-m", "hermsym.cli", "einstein",
            "--space", "typeIV:3", "--seed", "7"]
-    out1 = subprocess.run(cmd, capture_output=True, check=True).stdout
-    out2 = subprocess.run(cmd, capture_output=True, check=True).stdout
+    out1 = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
+    out2 = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
     assert out1 == out2 and out1
 
 
@@ -387,7 +394,6 @@ def test_commands_read_the_exponent_from_the_kind_table(tmp_path, capsys,
                                                          monkeypatch, disc):
     """describe and volume-check take lambda from the per-kind table: with
     every binding of the float fit made to raise, their bytes are unchanged."""
-    import sys
     from hermsym.segre import EinsteinError
     path = tmp_path / "maps.json"
     path.write_text(json.dumps(identity_payload(disc)))

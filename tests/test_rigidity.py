@@ -12,8 +12,9 @@ from hermsym.gauss import GaussRational as G
 from hermsym.linalg import det_exact
 from hermsym.maps import RationalMap, identity_map, scaling_map
 from hermsym.poly import PolyFraction, PolyRing
-from hermsym.rigidity import (FlatteningSeedError,
+from hermsym.rigidity import (_MAP_RADIUS, _MAX_RETRIES, FlatteningSeedError,
                               NotDegenerateError, OffVarietyError,
+                              _worst_residual,
                               degeneracy_relation, default_order_bound,
                               find_nondegeneracy_witness, flattening_jacobian,
                               generic_conjugate_point, hyperplane_frame,
@@ -148,13 +149,17 @@ def test_symbolic_lambda_agrees_with_witness(families):
     frame = hyperplane_frame(sp, hyperplane_mu(sp.n - 1))
     val = lambda_determinant(sp, fam, F, w.betas, w.z0, w.xi0, frame=frame)
     assert (val - w.lambda_value).is_zero()
-    # full symbolic family-tangent route (Grassmannian)
-    fam = families["typeI:2,2"]
-    sp = fam.space
-    F = identity_map(sp)
-    w = find_nondegeneracy_witness(sp, fam, F, seed=3)
-    val = lambda_determinant(sp, fam, F, w.betas, w.z0, w.xi0)
-    assert (val - w.lambda_value).is_zero()
+    # the witness reads plain d/dz_i jets, lambda_determinant applies the
+    # Segre-tangent fields d_i - (rho_i / rho_d) d_d symbolically: they agree
+    # on every classical slot kind
+    for spec in ["typeI:2,2", "typeI:2,3", "typeII:4", "typeIII:2"]:
+        fam = families[spec] if spec in families else build_rho(build_space(spec))
+        sp = fam.space
+        F = identity_map(sp)
+        w = find_nondegeneracy_witness(sp, fam, F, seed=3)
+        assert w.frame_kind == "segre", spec
+        val = lambda_determinant(sp, fam, F, w.betas, w.z0, w.xi0)
+        assert (val - w.lambda_value).is_zero(), spec
 
 
 def test_lambda_repeated_rows_vanish(families):
@@ -365,8 +370,8 @@ def test_type1_z_degree(families):
 def test_oracle_certifications(families):
     for spec in ["typeIV:3", "typeI:2,2"]:
         fam = families[spec]
-        xi = generic_conjugate_point(fam, seed=4)
-        res = irreducibility_oracle(fam, xi, prime=5)
+        _, poly = generic_conjugate_point(fam, seed=4)
+        res = irreducibility_oracle(poly, prime=5)
         assert res.status == "irreducible_certified", spec
 
 
@@ -384,8 +389,8 @@ def test_oracle_control_and_budget():
 
 def test_oracle_budget_inconclusive(families):
     fam = families["typeI:2,2"]
-    xi = generic_conjugate_point(fam, seed=4)
-    res = irreducibility_oracle(fam, xi, prime=5, budget=3)
+    _, poly = generic_conjugate_point(fam, seed=4)
+    res = irreducibility_oracle(poly, prime=5, budget=3)
     assert res.status == "inconclusive"
     assert res.required_budget is not None and res.required_budget > 3
 
@@ -403,6 +408,62 @@ def _unitary_map(space):
     return RationalMap(r, (PolyFraction(
         r.const(Fraction(4, 5)) + z.scale(Fraction(3, 5)),
         r.const(Fraction(3, 5)) - z.scale(Fraction(4, 5))),))
+
+
+def _draws(seed, count):
+    """The first ``count`` points the map checks draw at ``seed`` on the disc."""
+    rng = rng_from_seed(seed)
+    return [random_complex_ball(rng, 1, _MAP_RADIUS) for _ in range(count)]
+
+
+def _recording(calls, poles=0, bad=None):
+    """|z| at each point, recorded in ``calls``; ZeroDivisionError on the
+    first ``poles`` calls and at the point ``bad``."""
+    def residual(pt):
+        calls.append(pt)
+        if len(calls) <= poles or pt is bad:
+            raise ZeroDivisionError("pole")
+        return abs(pt[0])
+    return residual
+
+
+def test_worst_residual_retry_limit(disc_family):
+    space = disc_family.space
+    calls = []
+    worst = _worst_residual(space, _recording(calls, _MAX_RETRIES), 5, seed=2)
+    draws = _draws(2, _MAX_RETRIES + 5)
+    assert calls == draws
+    assert worst == max(abs(pt[0]) for pt in draws[_MAX_RETRIES:])
+    with pytest.raises(ZeroDivisionError):
+        _worst_residual(space, _recording([], _MAX_RETRIES + 1), 5, seed=2)
+
+
+def test_worst_residual_given_points(disc_family):
+    space = disc_family.space
+    bad, good = [0.15], [0.1]
+    calls = []
+    # a raising given point is dropped, not retried; the given points count
+    # toward the sample count, so two draws follow
+    worst = _worst_residual(space, _recording(calls, bad=bad), 3, seed=2,
+                            points=[bad, good])
+    draws = _draws(2, 2)
+    assert calls == [bad, good] + draws
+    assert worst == max([0.1] + [abs(pt[0]) for pt in draws])
+    # more given points than samples: every given point, and no draw
+    calls = []
+    assert _worst_residual(space, _recording(calls), 0, seed=2, points=[good]) == 0.1
+    assert calls == [good]
+
+
+def test_isometry_check_counts_given_points(disc_family):
+    """The scaling-map margin of the selftest reads exactly one point."""
+    fam = disc_family
+    F = scaling_map(fam.space, 2)
+    margin = isometry_pullback_check(fam, F, 0, seed=3, points=[[0.2]])
+    assert margin > 0.1
+    assert isometry_pullback_check(fam, F, 0, seed=11, points=[[0.2]]) == margin
+    assert isometry_pullback_check(fam, F, 1, seed=11, points=[[0.2]]) == margin
+    assert isometry_pullback_check(fam, F, 0, seed=3) == 0.0
 
 
 def test_volume_equation(disc_family):
@@ -537,10 +598,9 @@ def test_lambda_undefined_at_point(families):
 
 
 def test_oracle_poly_control():
-    from hermsym.rigidity import irreducibility_oracle_poly
     r = PolyRing(["z1", "z2"])
     control = (r.one() + r.var("z1")) * (r.one() + r.var("z2"))
-    res = irreducibility_oracle_poly(control, prime=5)
+    res = irreducibility_oracle(control, prime=5)
     assert res.status == "factor_found"
     assert res.factor is not None
 

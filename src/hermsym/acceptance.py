@@ -21,10 +21,11 @@ from .gauss import GaussRational
 from .linalg import det_exact
 from .maps import RationalMap, identity_map, scaling_map
 from .octonion import (Octonion, cayley_matrix, freudenthal_forms,
-                       freudenthal_jordan_matrix, jordan_det, jordan_product,
-                       jordan_trace, mat_eq, symbolic_octonion, M16_VARS)
+                       freudenthal_jordan_matrix, jordan_det, jordan_trace,
+                       mat_eq, mat_mul, symbolic_octonion, M16_VARS)
 from .poly import PolyFraction, PolyRing, trial_division_modp
-from .rigidity import (OracleResult, WitnessReport, degeneracy_relation,
+from .rigidity import (ORACLE_BUDGET, ORACLE_PRIME, WITNESS_BUDGET,
+                       OracleResult, WitnessReport, degeneracy_relation,
                        find_nondegeneracy_witness, flattening_jacobian,
                        generic_conjugate_point, irreducibility_oracle, jet_rank,
                        specialize_conjugate, support_claims, transversality_rank,
@@ -37,8 +38,10 @@ from .spaces import antisymmetric_cell, build_space, pf_expansion
 
 DEFAULT_SEED = 1729
 LOOSE_FLOAT_BOUND = 1e-4    # residuals below this are tolerance failures, not logic
-WITNESS_BUDGET = 20000      # candidate multiindices per witness trial
-ORACLE_BUDGET = 10 ** 7     # candidate factors of the finite-field oracle
+RICCI_TOL = 1e-5            # Ricci cross-check of the Einstein criterion
+DEGENERACY_TOL = 1e-10      # relation residual of the degeneracy criterion
+CLAIM_HEAD_TOL = 1e-8       # zero-slice head of the degeneracy criterion
+EMBEDDING_POINTS = 100      # random points per space of the embedding identity
 
 
 @dataclass
@@ -51,11 +54,9 @@ class CriterionResult:
 
 @dataclass
 class Tolerances:
+    """The tolerances that the --float-tol and --einstein-tol flags set."""
     float_tol: float = 1e-9
     einstein_tol: float = 1e-8
-    ricci_tol: float = 1e-5
-    degeneracy_tol: float = 1e-10
-    claim_head_tol: float = 1e-8
 
 
 _FAMILIES: Dict[str, SegreFamily] = {}
@@ -157,10 +158,9 @@ def hypothesis_one(fam: SegreFamily, seed: int, max_order: Optional[int],
     (None: the per-kind bound) within ``budget`` candidates per trial."""
     space = fam.space
     F = identity_map(space)
-    r0 = jet_rank(space, F, 0, trials=2, seed=seed)
-    r1 = jet_rank(space, F, 1, trials=2, seed=seed)
-    w = find_nondegeneracy_witness(space, fam, F, max_order=max_order,
-                                   seed=seed, budget=budget)
+    r0 = jet_rank(space, F, 0, seed)
+    r1 = jet_rank(space, F, 1, seed)
+    w = find_nondegeneracy_witness(fam, F, max_order, seed, budget)
     return HypothesisOne(r0, r1, space.n, w)
 
 
@@ -232,14 +232,14 @@ def _within(residual: float, tol: float, detail: str) -> None:
 
 
 def criterion(name: str):
-    """Make a criterion body ``(seed, tol, **options) -> detail`` return a
+    """Make a criterion body ``(seed, tol) -> detail`` return a
     ``CriterionResult`` under ``name``."""
     def wrap(body):
         @functools.wraps(body)
-        def check(seed: int = DEFAULT_SEED, tol: Optional[Tolerances] = None,
-                  **options) -> CriterionResult:
+        def check(seed: int = DEFAULT_SEED,
+                  tol: Optional[Tolerances] = None) -> CriterionResult:
             try:
-                detail = body(seed, tol or Tolerances(), **options)
+                detail = body(seed, tol or Tolerances())
             except CheckFailed as exc:
                 return CriterionResult(name, False, *exc.args)
             return CriterionResult(name, True, detail)
@@ -248,13 +248,13 @@ def criterion(name: str):
 
 
 @criterion("embedding_identity")
-def check_embedding_identity(seed, tol, points: int = 100):
+def check_embedding_identity(seed, tol):
     rng = rng_from_seed(seed)
     bad = [spec for spec in ["typeI:1,2", "typeI:2,2", "typeI:2,3", "typeIII:2",
                              "typeIII:3"]
-           if not det_pairing_holds(family(spec), rng, points)]
+           if not det_pairing_holds(family(spec), rng, EMBEDDING_POINTS)]
     _require(not bad, f"mismatch for {bad}")
-    return f"exact at {points} points x 5 spaces"
+    return f"exact at {EMBEDDING_POINTS} points x 5 spaces"
 
 
 def _pf_laplace(M, idx) -> GaussRational:
@@ -331,8 +331,10 @@ def check_octonion_suite(seed, tol):
                  "norm not multiplicative")
     ring = PolyRing(M16_VARS)
     X = cayley_matrix(symbolic_octonion(ring, "x"), symbolic_octonion(ring, "y"))
-    scaled = [[e.scale(jordan_trace(X)) for e in row] for row in X.to_full()]
-    _require(mat_eq(jordan_product(X, X), scaled),
+    full = X.to_full()
+    scaled = [[e.scale(jordan_trace(X)) for e in row] for row in full]
+    # X o X = (XX + XX) / 2 is the one product XX
+    _require(mat_eq(mat_mul(full, full), scaled),
              "Cayley identity X o X = tr(X) X failed")
     _require(jordan_det(freudenthal_jordan_matrix()) == freudenthal_forms()[54],
              "jordan_det != cubic coordinate polynomial")
@@ -352,7 +354,7 @@ def check_einstein_fits(seed, tol):
     detail = (f"exponents match; constancy residual {worst:.2e}; "
               f"Ricci cross-check {ricci:.2e}")
     _within(worst, tol.einstein_tol, detail)
-    _within(ricci, tol.ricci_tol, detail)
+    _within(ricci, RICCI_TOL, detail)
     return detail
 
 
@@ -392,12 +394,13 @@ def check_hypothesis_three(seed, tol):
         failed = [k for k, v in report.items() if not v]
         _require(not failed, f"{spec}: support facts failed {failed}")
     for spec in ["typeIV:3", "typeI:2,2"]:
-        _, res = oracle_check(family(spec), seed, 5, ORACLE_BUDGET)
+        _, res = oracle_check(family(spec), seed, ORACLE_PRIME, ORACLE_BUDGET)
         _require(res.status == "irreducible_certified",
                  f"{spec}: oracle returned {res.status}")
     ring = PolyRing(["z1", "z2"])
     control = (ring.one() + ring.var("z1")) * (ring.one() + ring.var("z2"))
-    factor, _ = trial_division_modp(control.reduce_mod(5), 1, ORACLE_BUDGET)
+    factor, _ = trial_division_modp(control.reduce_mod(ORACLE_PRIME), 1,
+                                    ORACLE_BUDGET)
     _require(factor is not None, "oracle missed the reducible control")
     return ("support facts on all six; oracle certified the quadric and the "
             "Grassmannian over F5; control refuted")
@@ -442,12 +445,12 @@ def check_degeneracy_extraction(seed, tol):
     ]
     worst_res, worst_head = 0.0, 0.0
     for polys in inputs:
-        rep = degeneracy_relation(polys, slice_count=3, seed=seed)
+        rep = degeneracy_relation(polys, seed)
         worst_res = max(worst_res, max(rep.residuals))
         worst_head = max(worst_head, rep.zero_slice_head_max)
     detail = f"residual {worst_res:.2e}; zero-slice head {worst_head:.2e}"
-    _within(worst_res, tol.degeneracy_tol, detail)
-    _within(worst_head, tol.claim_head_tol, detail)
+    _within(worst_res, DEGENERACY_TOL, detail)
+    _within(worst_head, CLAIM_HEAD_TOL, detail)
     return detail
 
 
@@ -466,5 +469,4 @@ ALL_CRITERIA: List[Callable] = [          # criteria 1 to 9
 
 def run_all(seed: int = DEFAULT_SEED,
             tol: Optional[Tolerances] = None) -> List[CriterionResult]:
-    tol = tol or Tolerances()
     return [fn(seed=seed, tol=tol) for fn in ALL_CRITERIA]

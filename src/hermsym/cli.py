@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="transversality rank and the flattening Jacobian seed")
     p = add("hyp3", cmd_hyp3,
             help="monomial-support facts and the irreducibility oracle")
-    p.add_argument("--prime", type=_prime, default=5)
+    p.add_argument("--prime", type=_prime, default=acceptance.ORACLE_PRIME)
     p.add_argument("--oracle-budget", dest="oracle_budget", type=_at_least(1),
                    default=acceptance.ORACLE_BUDGET)
     p = add("volume-check", cmd_volume_check,

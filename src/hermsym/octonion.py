@@ -15,7 +15,6 @@ reading that makes x * conj(x) a scalar.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .gauss import GaussRational
@@ -197,24 +196,8 @@ def mat_mul(A, B):
     return out
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(A, s):
-    return [[a.scale(s) for a in row] for row in A]
-
-
 def mat_eq(A, B) -> bool:
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
-def jordan_product(A: JordanMatrix, B: JordanMatrix):
-    """A o B = (AB + BA) / 2 with octonionic matrix multiplication.
-
-    Returns the full 3x3 octonion matrix (it is Hermitian when A, B are)."""
-    FA, FB = A.to_full(), B.to_full()
-    return mat_scale(mat_add(mat_mul(FA, FB), mat_mul(FB, FA)), Fraction(1, 2))
 
 
 def jordan_trace(A: JordanMatrix):
@@ -383,15 +366,14 @@ def symbolic_octonion(ring: PolyRing, prefix: str) -> Octonion:
     return Octonion([ring.var(f"{prefix}{i}") for i in range(8)])
 
 
-def freudenthal_jordan_matrix(ring: PolyRing | None = None) -> JordanMatrix:
+def freudenthal_jordan_matrix() -> JordanMatrix:
     """The 27-variable Hermitian matrix whose det reproduces the cubic form.
 
     The canonical slot assignment is diagonal (x1, x2, x3) and off-diagonal
     (w, conj(t), y): this is the unique placement of the cell variables (up
     to symmetries of the norm form) for which jordan_det equals the cubic
     coordinate polynomial exactly."""
-    if ring is None:
-        ring = PolyRing(M27_VARS)
+    ring = PolyRing(M27_VARS)
     return JordanMatrix(
         (ring.var("x1"), ring.var("x2"), ring.var("x3")),
         (symbolic_octonion(ring, "w"),

@@ -22,8 +22,14 @@ from .linalg import RankTracker, det_exact, rank_exact
 from .maps import RationalMap
 from .poly import Polynomial, TaylorJets, monomials, trial_division_modp
 from .sampling import random_complex_ball, random_small_gauss, rng_from_seed
-from .segre import SegreFamily, check_mu, null_block, special_point
+from .segre import SegreFamily, null_block, special_point
 from .spaces import Space
+
+_JET_RANK_TRIALS = 2       # random points of jet_rank
+_WITNESS_TRIALS = 4        # special points of the witness search
+WITNESS_BUDGET = 20000     # candidate multiindices per witness trial
+ORACLE_PRIME = 5           # the oracle's default prime
+ORACLE_BUDGET = 10 ** 7    # candidate factors of the finite-field oracle
 
 
 # ---------------------------------------------------------------------------
@@ -81,51 +87,35 @@ def _best_jet_rank(variables, psi, fields, top: int, trials: int,
     return best
 
 
-def jet_rank(space: Space, F: RationalMap, k: int, trials: int = 3,
-             seed: int = 0) -> int:
+def jet_rank(space: Space, F: RationalMap, k: int, seed: int = 0) -> int:
     """Exact rank of the order-<=k truncated-variable jet of psi o F,
-    maximized over random rational points near 0."""
+    maximized over _JET_RANK_TRIALS random rational points near 0."""
     return _best_jet_rank(space.vars, space.psi, list(truncated_vars(space)),
-                          k, trials, seed, F.components)
+                          k, _JET_RANK_TRIALS, seed, F.components)
 
 
 # ---------------------------------------------------------------------------
 # tangent frames along the family and the nondegeneracy determinant
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TangentFrame:
-    """First-order fields along which the witness search takes jets.
+def witness_frame(space: Space) -> Tuple[str, Tuple]:
+    """(kind, fields): the first-order fields of the witness search's jets.
 
-    kind 'segre': the cell variables other than the distinguished d, so the
-    jets are plain derivatives d/dz_i.  At the witness points their
+    'segre' (slot kinds): the cell variables but the distinguished d, so the
+    jets are plain derivatives d/dz_i; at the witness points their
     determinant equals that of the Segre-tangent fields
-    L_i = d/dz_i - (rho_i / rho_d) d/dz_d, as ``test_rigidity.py::
-    test_symbolic_lambda_agrees_with_witness`` checks on types I-III.
-    kind 'hyperplane': constant-coefficient fields tangent to a hyperplane
-    through a mu-vector with sum(mu^2) + 1 = 0."""
-    kind: str
-    fields: Tuple                      # names (segre) or direction dicts
-
-    def width(self) -> int:
-        return len(self.fields)
-
-
-def segre_frame(fam: SegreFamily) -> TangentFrame:
-    return TangentFrame("segre", tuple(truncated_vars(fam.space)))
-
-
-def hyperplane_frame(space: Space, mu: Sequence[GaussRational]) -> TangentFrame:
-    """Plain derivatives of the variables outside the null block, then the
-    fields tangent to the hyperplane last + sum(mu_j v_j) = 0 over the block
-    (the null kinds: the quadric and the 16-dimensional exceptional cell)."""
+    L_i = d/dz_i - (rho_i / rho_d) d/dz_d (``test_rigidity.py::
+    test_symbolic_lambda_agrees_with_witness``).  'hyperplane' (null kinds):
+    plain derivatives outside the null block, then direction dicts spanning
+    the block's hyperplane v_last + i v_first = 0, which holds the null
+    direction of ``special_point``."""
     block = null_block(space)
     if block is None:
-        raise ValueError("hyperplane frames are defined for the null-direction kinds")
-    check_mu(mu, len(block) - 1)
+        return "segre", truncated_vars(space)
     fields = [{v: ONE} for v in space.vars if v not in block]
-    fields += [{v: ONE, block[-1]: -m} for v, m in zip(block, mu)]
-    return TangentFrame("hyperplane", tuple(fields))
+    fields.append({block[0]: ONE, block[-1]: -GaussRational.i()})
+    fields += [{v: ONE} for v in block[1:-1]]
+    return "hyperplane", tuple(fields)
 
 
 # ---------------------------------------------------------------------------
@@ -151,28 +141,29 @@ def default_order_bound(space: Space) -> int:
     return 1 + space.N - space.n if bound is None else bound
 
 
-def find_nondegeneracy_witness(space: Space, fam: SegreFamily, F: RationalMap,
-                               max_order: Optional[int] = None,
-                               trials: int = 4, seed: int = 0,
-                               budget: int = 20000) -> WitnessReport:
-    """Greedy exact search for N multiindices with nonvanishing determinant.
+def find_nondegeneracy_witness(fam: SegreFamily, F: RationalMap,
+                               max_order: Optional[int] = None, seed: int = 0,
+                               budget: int = WITNESS_BUDGET) -> WitnessReport:
+    """Greedy exact search for N multiindices with nonvanishing determinant,
+    at up to _WITNESS_TRIALS special points of the family.
 
     Base points follow the per-type constructions; multiindices are scanned
     breadth-first by weight with lexicographic tie-break, and a row joins
     the collection only when it enlarges the exact rank."""
+    space = fam.space
     if max_order is None:
         max_order = default_order_bound(space)
     rng = rng_from_seed(seed)
-    N = len(space.psi)
+    N = space.N
+    frame_kind, fields = witness_frame(space)
     examined_total = 0
     exhausted = False
-    for _ in range(trials):
-        z0, xi0, mu = special_point(space, rng)
+    for _ in range(_WITNESS_TRIALS):
+        z0, xi0 = special_point(space, rng)
         if not fam.rho_at(z0, xi0).is_zero():
             raise ArithmeticError("special point is not on the family")
-        frame = segre_frame(fam) if mu is None else hyperplane_frame(space, mu)
-        jets = TaylorJets(space.psi, frame.fields, z0, max_order, F.components)
-        chosen, examined, stopped = _greedy_rows(jets, frame.width(), max_order,
+        jets = TaylorJets(space.psi, fields, z0, max_order, F.components)
+        chosen, examined, stopped = _greedy_rows(jets, len(fields), max_order,
                                                  N, budget)
         examined_total += examined
         exhausted = exhausted or stopped
@@ -184,7 +175,7 @@ def find_nondegeneracy_witness(space: Space, fam: SegreFamily, F: RationalMap,
                 GaussRational(scale)
             if lam.is_zero():
                 raise ArithmeticError("witness determinant vanished; rank logic broken")
-            return WitnessReport(True, z0, xi0, chosen, lam, frame.kind,
+            return WitnessReport(True, z0, xi0, chosen, lam, frame_kind,
                                  max(sum(b) for b in chosen), examined_total,
                                  exhausted)
     return WitnessReport(False, candidates_examined=examined_total,
@@ -211,17 +202,18 @@ class NotDegenerateError(ValueError):
 _GRID = 40             # float sample points per slice
 _RANK_TRIALS = 3       # random points of the exact degeneracy precondition
 _NULL_TOL = 1e-8       # relative singular-value cut of the null space
+_SLICES = 3            # values 0, 1/10, 2/10 of the last variable
 
 
-def degeneracy_relation(polys: Sequence[Polynomial], slice_count: int = 3,
+def degeneracy_relation(polys: Sequence[Polynomial],
                         seed: int = 0) -> DegeneracyReport:
     """Recover per-slice linear relations sum_i g_i(z_m) psi_i(z) = 0.
 
     The input must be jet-degenerate: rank_{N-m+1} in the truncated
-    variables < N (checked first, exactly).  For each fixed value of the
-    last variable the coefficient vector is the SVD null direction of the
-    evaluation matrix on a float grid, normalized so its largest entry is
-    exactly 1."""
+    variables < N (checked first, exactly).  For each of the _SLICES fixed
+    values of the last variable the coefficient vector is the SVD null
+    direction of the evaluation matrix on a float grid, normalized so its
+    largest entry is exactly 1."""
     ring = polys[0].ring
     m = len(ring.vars)
     N = len(polys)
@@ -233,7 +225,7 @@ def degeneracy_relation(polys: Sequence[Polynomial], slice_count: int = 3,
         raise NotDegenerateError("input not degenerate")
 
     rng2 = np.random.default_rng(seed + 1)
-    slices = [Fraction(0)] + [Fraction(k, 10) for k in range(1, slice_count)]
+    slices = [Fraction(k, 10) for k in range(_SLICES)]
     coefficients, residuals = [], []
     zero_head = None
     for s in slices:
@@ -357,8 +349,8 @@ def specialize_conjugate(fam: SegreFamily, xi: Dict) -> Polynomial:
     return out
 
 
-def irreducibility_oracle(poly: Polynomial, prime: int = 5,
-                          budget: int = 10 ** 7) -> OracleResult:
+def irreducibility_oracle(poly: Polynomial, prime: int = ORACLE_PRIME,
+                          budget: int = ORACLE_BUDGET) -> OracleResult:
     """Certify irreducibility over the rationals of a polynomial with
     constant term 1, such as rho(., xi), by exhaustive trial division modulo
     a prime.
@@ -395,7 +387,7 @@ def irreducibility_oracle(poly: Polynomial, prime: int = 5,
 
 
 def generic_conjugate_point(fam: SegreFamily, seed: int = 0,
-                            prime: int = 5) -> Tuple[Dict, Polynomial]:
+                            prime: int = ORACLE_PRIME) -> Tuple[Dict, Polynomial]:
     """A small random rational xi that keeps the specialized polynomial
     rho(., xi) at full degree and admissible modulo the prime, returned with
     that polynomial: (xi, rho(., xi))."""

@@ -91,7 +91,7 @@ class SegreFamily:
             ze + xe: c for ze, group in self.z_groups.items()
             for xe, c in group.items()})
 
-    def engine(self, weights: str = "plain") -> "_MetricEngine":
+    def engine(self, weights: str) -> "_MetricEngine":
         return self._cached(("engine", weights),
                             lambda: _MetricEngine(self.space, weights))
 
@@ -229,8 +229,7 @@ class EinsteinError(ArithmeticError):
     pass
 
 
-def einstein_fit(fam: SegreFamily, sample_count: int, seed: int,
-                 weights: str = "invariant"):
+def einstein_fit(fam: SegreFamily, sample_count: int, seed: int):
     """Fit the integer exponent in volume_density = c * rho(z, zbar)^-lambda.
 
     Returns (lambda, c, max relative residual over the samples).  The
@@ -238,7 +237,7 @@ def einstein_fit(fam: SegreFamily, sample_count: int, seed: int,
     the rounding is then *verified* against all samples; a non-integer fit
     beyond 0.01 raises EinsteinError."""
     rng = rng_from_seed(seed)
-    eng = fam.engine(weights)
+    eng = fam.engine("invariant")
     logs = []
     for _ in range(sample_count):
         pt = random_complex_ball(rng, fam.space.n, 0.3)
@@ -318,25 +317,6 @@ def _wirtinger_mixed(f, z, i, j, h):
 # on-family exact sampling
 # ---------------------------------------------------------------------------
 
-def hyperplane_mu(n_minus_1: int):
-    """The canonical Gauss-rational solution of sum(mu^2) + 1 = 0."""
-    mu = [GaussRational(0)] * n_minus_1
-    mu[0] = GaussRational.i()
-    return mu
-
-
-def check_mu(mu: Sequence[GaussRational], width: int) -> None:
-    """Refuse a hyperplane direction mu of the wrong length, or one with
-    sum(mu^2) + 1 != 0."""
-    total = ONE
-    for m in mu:
-        total = total + m * m
-    if not total.is_zero():
-        raise ValueError("mu must satisfy sum(mu^2) + 1 = 0 exactly")
-    if len(mu) != width:
-        raise ValueError(f"mu length must be {width}")
-
-
 def null_block(space: Space) -> Optional[Tuple[str, ...]]:
     """The variables carrying the null hyperplane direction of a null kind,
     ending at the distinguished one; None for a slot kind."""
@@ -346,23 +326,20 @@ def null_block(space: Space) -> Optional[Tuple[str, ...]]:
     return tuple(v for v in space.vars if v.startswith(prefix))
 
 
-def solve_null_direction(mu: Sequence[GaussRational],
-                         base: Sequence[GaussRational]) -> List[GaussRational]:
-    """Solve for xi with 1 + <base, xi> = 0, sum(xi^2) = 0, xi_j = mu_j xi_last.
+def solve_null_direction(base: Sequence[GaussRational]) -> List[GaussRational]:
+    """Solve for xi with 1 + <base, xi> = 0 and sum(xi^2) = 0 on the fixed
+    null direction xi_0 = i xi_last, every other xi_j = 0.
 
     Both defining identities are re-verified exactly before returning; a
     base point on which the hyperplane denominator vanishes raises
     ZeroDivisionError."""
-    mu = [GaussRational.coerce(m) for m in mu]
     base = [GaussRational.coerce(b) for b in base]
-    check_mu(mu, len(base) - 1)
-    den = base[-1]
-    for m, b in zip(mu, base):
-        den = den + m * b
+    i = GaussRational.i()
+    den = base[-1] + i * base[0]
     if den.is_zero():
         raise ZeroDivisionError("hyperplane denominator vanishes at base point")
     xin = GaussRational(-1) / den
-    xi = [m * xin for m in mu] + [xin]
+    xi = [i * xin] + [ZERO] * (len(base) - 2) + [xin]
     total = ONE
     square = ZERO
     for b, x in zip(base, xi):
@@ -373,14 +350,13 @@ def solve_null_direction(mu: Sequence[GaussRational],
     return xi
 
 
-def special_point(space: Space, rng) -> Tuple[Dict, Dict, Optional[List[GaussRational]]]:
+def special_point(space: Space, rng) -> Tuple[Dict, Dict]:
     """A random rational z0 and its incidence point xi0, rho(z0, xi0) = 0.
 
     A slot kind sets xi0[d] = -1/z0[d] at the distinguished slot d; a null
-    kind takes the null direction through the hyperplane mu of its block.
-    Returns (z0, xi0, mu), with mu None for a slot kind."""
+    kind takes the null direction of ``solve_null_direction`` over its
+    block.  Returns (z0, xi0)."""
     block = null_block(space)
-    mu = None if block is None else hyperplane_mu(len(block) - 1)
     for _ in range(64):
         z0 = random_gauss_point(rng, space.vars)
         xi0 = {v: ZERO for v in space.vars}
@@ -391,10 +367,10 @@ def special_point(space: Space, rng) -> Tuple[Dict, Dict, Optional[List[GaussRat
             xi0[d] = GaussRational(-1) / z0[d]
         else:
             try:
-                xi0.update(zip(block, solve_null_direction(mu, [z0[v] for v in block])))
+                xi0.update(zip(block, solve_null_direction([z0[v] for v in block])))
             except ZeroDivisionError:
                 continue
-        return z0, xi0, mu
+        return z0, xi0
     raise ArithmeticError("could not construct a special point")
 
 
@@ -405,8 +381,7 @@ def sample_on_family(fam: SegreFamily, rng) -> Tuple[Dict, Dict]:
     slot (rho is linear in it); the other kinds take ``special_point``."""
     space = fam.space
     if not space.kind.slot_solve:
-        z, xi, _ = special_point(space, rng)
-        return z, xi
+        return special_point(space, rng)
     dist = space.distinguished
     for _ in range(64):
         z = random_gauss_point(rng, space.vars)

@@ -81,8 +81,6 @@ def parse_space_spec(text: str) -> SpaceDescriptor:
 @dataclass(frozen=True)
 class Space:
     desc: SpaceDescriptor
-    n: int
-    N: int
     ring: PolyRing                       # cell coordinate ring
     psi: Tuple[Polynomial, ...]          # independent embedding polynomials
     pairing_psi: Tuple[Polynomial, ...]  # vector whose self-pairing builds rho
@@ -92,6 +90,16 @@ class Space:
     @property
     def vars(self) -> Tuple[str, ...]:
         return self.ring.vars
+
+    @property
+    def n(self) -> int:
+        """The cell dimension."""
+        return len(self.ring.vars)
+
+    @property
+    def N(self) -> int:
+        """The number of independent embedding polynomials."""
+        return len(self.psi)
 
     @property
     def kind(self) -> "Kind":
@@ -236,7 +244,7 @@ def build_type1(p: int, q: int) -> Space:
     desc = SpaceDescriptor("typeI", (p, q))
     cell = layout_cell(_plain_entry, p, q)
     psi = [minor_expansion(cell, rows, cols) for _, rows, cols in minor_index_sets(p, q)]
-    return Space(desc, p * q, len(psi), cell[0], tuple(psi), tuple(psi),
+    return Space(desc, cell[0], tuple(psi), tuple(psi),
                  distinguished=f"z{p}_{q}")
 
 
@@ -254,8 +262,7 @@ def build_type2(n: int) -> Space:
         note = ("only the degree-1 Pfaffian block exists for n < 4; "
                 "the embedding is linear and the space degenerates to "
                 "projective space")
-    cell_dim = n * (n - 1) // 2
-    return Space(desc, cell_dim, len(psi), cell[0], tuple(psi), tuple(psi),
+    return Space(desc, cell[0], tuple(psi), tuple(psi),
                  distinguished=f"z{n - 1}_{n}", degenerate_note=note)
 
 
@@ -285,7 +292,7 @@ def build_type3(n: int) -> Space:
         tracker = RankTracker()
         psi.extend(g for g in group
                    if tracker.add_row({column[e]: c for e, c in g.terms.items()}))
-    return Space(desc, n * (n + 1) // 2, len(psi), cell[0], tuple(psi), tuple(raw),
+    return Space(desc, cell[0], tuple(psi), tuple(raw),
                  distinguished=f"z{n}_{n}")
 
 
@@ -302,7 +309,7 @@ def build_type4(n: int) -> Space:
         v = ring.var(f"z{i}")
         q = q + v * v
     psi.append(q.scale(Fraction(1, 2)))
-    return Space(desc, n, n + 1, ring, tuple(psi), tuple(psi),
+    return Space(desc, ring, tuple(psi), tuple(psi),
                  distinguished=f"z{n}")
 
 
@@ -314,14 +321,14 @@ def build_e16() -> Space:
     desc = SpaceDescriptor("e16")
     ring = PolyRing(M16_VARS)
     psi = tuple(cayley_plane_forms(ring))
-    return Space(desc, 16, 26, ring, psi, psi, distinguished="y7")
+    return Space(desc, ring, psi, psi, distinguished="y7")
 
 
 def build_e27() -> Space:
     desc = SpaceDescriptor("e27")
     ring = PolyRing(M27_VARS)
     psi = tuple(freudenthal_forms(ring))
-    return Space(desc, 27, 55, ring, psi, psi, distinguished="x3")
+    return Space(desc, ring, psi, psi, distinguished="x3")
 
 
 def build_space(desc: SpaceDescriptor | str) -> Space:

@@ -71,7 +71,7 @@ import numpy as np
 from hermsym.gauss import GaussRational, ONE, ZERO
 from hermsym.linalg import RankTracker, det_exact
 from hermsym.poly import Polynomial, PolyFraction, PolyModP, monomials
-from hermsym.rigidity import segre_frame
+from hermsym.rigidity import truncated_vars
 from hermsym.sampling import BOUND
 from hermsym.segre import conj_name
 from hermsym.spaces import (_fill_matrix, _pair_partitions, _perm_sign,
@@ -575,18 +575,20 @@ def _segre_field_apply(fam, var, expr):
 
 
 def tangent_apply(frame, fam, expr, beta):
-    """Iterated application of the frame fields per the multiindex beta.
+    """Iterated application of the fields of the frame ``(kind, fields)``
+    per the multiindex beta.
 
     Composition applies later-listed fields first (the product convention
     L_1^{k_1} L_2^{k_2} ... acting on the right)."""
+    kind, fields = frame
     out = expr
     for idx, k in reversed(list(enumerate(beta))):
         for _ in range(k):
-            if frame.kind == "segre":
-                out = _segre_field_apply(fam, frame.fields[idx], out)
+            if kind == "segre":
+                out = _segre_field_apply(fam, fields[idx], out)
             else:
                 acc = None
-                for var, coeff in frame.fields[idx].items():
+                for var, coeff in fields[idx].items():
                     d = out.derivative(var)
                     term = PolyFraction(d.num.scale(GaussRational.coerce(coeff)), d.den)
                     acc = term if acc is None else acc + term
@@ -597,13 +599,16 @@ def tangent_apply(frame, fam, expr, beta):
 def lambda_determinant(space, fam, F, betas, z0, xi0, frame=None):
     """Exact determinant of [L^beta_l (psi_j o F)] at a family point, the
     frame fields applied symbolically over the expanded family polynomial;
-    the witness search reads the same value off Taylor jets."""
+    the witness search reads the same value off Taylor jets.  ``frame`` is
+    a ``(kind, fields)`` pair, by default the Segre-tangent fields of the
+    truncated variables."""
     if frame is None:
-        frame = segre_frame(fam)
+        frame = ("segre", truncated_vars(space))
+    kind, fields = frame
     if not fam.rho_at(z0, xi0).is_zero():
         raise ValueError("point is not on the Segre family")
     point = point_pair(fam, z0, xi0)
-    if frame.kind == "segre":
+    if kind == "segre":
         rho_d = rho_by_products(fam).derivative(space.distinguished)
         if partial_evaluate(rho_d, {v: point[v] for v in fam.zvars}).is_zero():
             raise LambdaUndefinedError(
@@ -611,7 +616,7 @@ def lambda_determinant(space, fam, F, betas, z0, xi0, frame=None):
                 "derivative vanishes identically on it")
         if rho_d.evaluate(point).is_zero():
             raise LambdaUndefinedError("Lambda undefined at point")
-    if betas[0] != (0,) * frame.width():
+    if betas[0] != (0,) * len(fields):
         raise ValueError("first multiindex must be zero")
     images = dict(zip(space.vars, F.components))
     psis = [compose_full(p, images) for p in space.psi]

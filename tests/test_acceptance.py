@@ -28,14 +28,29 @@ def test_mutated_octonion_table_fails(monkeypatch):
     assert result.failure_kind == "logic"
 
 
-def test_tightened_tolerance_flags_tolerance_not_logic():
-    tight = Tolerances(float_tol=1e-15, einstein_tol=1e-17, ricci_tol=1e-15,
-                       degeneracy_tol=1e-17, claim_head_tol=1e-19)
+def test_tightened_tolerance_flags_tolerance_not_logic(monkeypatch):
+    monkeypatch.setattr(acceptance, "RICCI_TOL", 1e-15)
+    monkeypatch.setattr(acceptance, "DEGENERACY_TOL", 1e-17)
+    monkeypatch.setattr(acceptance, "CLAIM_HEAD_TOL", 1e-19)
+    tight = Tolerances(float_tol=1e-15, einstein_tol=1e-17)
     results = run_all(seed=SEED, tol=tight)
     failures = [r for r in results if not r.passed]
     assert failures, "tightening tolerances to 1e-15 must trip a float check"
     for r in failures:
         assert r.failure_kind == "tolerance", (r.name, r.detail)
+
+
+def test_tolerances_are_the_selftest_flags():
+    """Each field of ``Tolerances`` is set by a selftest flag, and each
+    tolerance flag sets one: a tolerance no flag sets is a constant."""
+    import dataclasses
+    from hermsym.cli import build_parser
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    selftest = sub.choices["selftest"]
+    flags = {a.dest for a in selftest._actions
+             if any(o.endswith("-tol") for o in a.option_strings)}
+    assert {f.name for f in dataclasses.fields(Tolerances)} == flags \
+        == {"float_tol", "einstein_tol"}
 
 
 def test_perturbed_psi_fails_embedding_identity(monkeypatch):
@@ -54,7 +69,8 @@ def test_perturbed_psi_fails_embedding_identity(monkeypatch):
                          {**minor.terms, e: minor.terms[e] + GaussRational(1)})
     bad = dataclasses.replace(space, pairing_psi=tuple(psi))
     monkeypatch.setitem(acceptance._FAMILIES, "typeI:2,2", SegreFamily(bad))
-    result = acceptance.check_embedding_identity(seed=SEED, points=10)
+    monkeypatch.setattr(acceptance, "EMBEDDING_POINTS", 10)
+    result = acceptance.check_embedding_identity(seed=SEED)
     assert not result.passed
     assert result.failure_kind == "logic" and "typeI:2,2" in result.detail
 

@@ -20,10 +20,10 @@ from hermsym.poly import Polynomial, PolyFraction, PolyModP, PolyRing, _GradedPr
 from hermsym.maps import RationalMap, identity_map
 from hermsym.rigidity import (FlatteningSeedError, TaylorJets, _greedy_rows,
                               default_order_bound, flattening_jacobian,
-                              hyperplane_frame, irreducibility_oracle,
-                              segre_frame, special_point, specialize_conjugate,
-                              transversality_rank, transversality_recipe,
-                              trial_division_modp)
+                              irreducibility_oracle, special_point,
+                              specialize_conjugate, transversality_rank,
+                              transversality_recipe, trial_division_modp,
+                              witness_frame)
 from hermsym.sampling import rng_from_seed
 from hermsym.segre import SegreFamily, sample_on_family
 from hermsym.spaces import build_space, minor_index_sets
@@ -247,11 +247,11 @@ def test_greedy_rows_match_nested_scan(spec, top, merged):
     fam = SegreFamily(build_space(spec))
     space = fam.space
     top = default_order_bound(space) if top is None else top
-    z0, _, mu = special_point(space, rng_from_seed(7))
-    frame = segre_frame(fam) if mu is None else hyperplane_frame(space, mu)
+    z0, _ = special_point(space, rng_from_seed(7))
+    _, fields = witness_frame(space)
     F = _merged_map(space) if merged else identity_map(space)
-    jets = TaylorJets(space.psi, frame.fields, z0, top, F.components)
-    width, N = frame.width(), len(space.psi)
+    jets = TaylorJets(space.psi, fields, z0, top, F.components)
+    width, N = len(fields), len(space.psi)
     # comb(width + w, w) multiindices have weight <= w
     marks = [comb(width + w, w) for w in range(top + 1)]
     if not merged or marks[-1] <= 20000:

@@ -4,7 +4,7 @@ from hermsym.gauss import GaussRational as G
 from hermsym.octonion import (OCT_TABLE, JordanMatrix, Octonion, cayley_matrix,
                               cayley_plane_forms, freudenthal_forms,
                               freudenthal_jordan_matrix, jordan_det,
-                              jordan_product, jordan_trace, mat_eq,
+                              jordan_trace, mat_eq, mat_mul,
                               symbolic_octonion, M16_VARS, M27_VARS)
 from hermsym.poly import PolyRing
 from hermsym.sampling import random_small_gauss, rng_from_seed
@@ -80,15 +80,21 @@ def test_conjugation_and_norm():
     assert e01.norm() == G(2)
 
 
+def square(X):
+    """X o X = (XX + XX) / 2, the one octonionic matrix product XX."""
+    full = X.to_full()
+    return mat_mul(full, full)
+
+
 def test_jordan_identity_unit_and_diag():
     oz = Octonion([ZERO] * 8)
     A = JordanMatrix((G(2), G(3), G(5)), (oz, oz, oz))
-    I3 = JordanMatrix((ONE, ONE, ONE), (oz, oz, oz))
-    assert mat_eq(jordan_product(A, I3), A.to_full())
+    A2 = JordanMatrix((G(4), G(9), G(25)), (oz, oz, oz))
+    assert mat_eq(square(A), A2.to_full())
     assert jordan_det(A) == G(30)
     assert jordan_trace(A) == G(10)
     P = JordanMatrix((ONE, ZERO, ZERO), (oz, oz, oz))
-    assert mat_eq(jordan_product(P, P), P.to_full())
+    assert mat_eq(square(P), P.to_full())
 
 
 def test_cayley_identity_symbolic():
@@ -96,9 +102,8 @@ def test_cayley_identity_symbolic():
     x = symbolic_octonion(ring, "x")
     y = symbolic_octonion(ring, "y")
     X = cayley_matrix(x, y)
-    XX = jordan_product(X, X)
     tr = jordan_trace(X)
-    assert mat_eq(XX, [[e.scale(tr) for e in row] for row in X.to_full()])
+    assert mat_eq(square(X), [[e.scale(tr) for e in row] for row in X.to_full()])
     assert jordan_det(X).is_zero()
 
 
@@ -171,9 +176,8 @@ def test_table_mutation_breaks_cayley_identity(monkeypatch):
     x = symbolic_octonion(ring, "x")
     y = symbolic_octonion(ring, "y")
     X = cayley_matrix(x, y)
-    XX = jordan_product(X, X)
     tr = jordan_trace(X)
-    assert not mat_eq(XX, [[e.scale(tr) for e in row] for row in X.to_full()])
+    assert not mat_eq(square(X), [[e.scale(tr) for e in row] for row in X.to_full()])
 
 
 

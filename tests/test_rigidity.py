@@ -7,25 +7,27 @@ import itertools
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import assume, given, settings, strategies as st
 
 from hermsym.gauss import GaussRational as G
 from hermsym.linalg import det_exact
 from hermsym.maps import RationalMap, identity_map, scaling_map
 from hermsym.poly import PolyFraction, PolyRing
-from hermsym.rigidity import (_MAP_RADIUS, _MAX_RETRIES, FlatteningSeedError,
+from hermsym.rigidity import (_MAP_RADIUS, _MAX_RETRIES, _WITNESS_TRIALS,
+                              FlatteningSeedError,
                               NotDegenerateError, OffVarietyError,
                               _worst_residual,
                               degeneracy_relation, default_order_bound,
                               find_nondegeneracy_witness, flattening_jacobian,
-                              generic_conjugate_point, hyperplane_frame,
+                              generic_conjugate_point,
                               irreducibility_oracle, isometry_pullback_check,
-                              jet_rank, segre_frame,
-                              special_point,
+                              jet_rank, special_point,
                               support_claims,
                               transversality_rank, transversality_recipe,
-                              trial_division_modp, volume_equation_check)
+                              trial_division_modp, truncated_vars,
+                              volume_equation_check, witness_frame)
 from hermsym.sampling import random_complex_ball, random_small_gauss, rng_from_seed
-from hermsym.segre import build_rho, hyperplane_mu, solve_null_direction
+from hermsym.segre import build_rho, null_block, solve_null_direction
 from hermsym.spaces import build_space
 from oracles import (LambdaUndefinedError, compose_full, is_constant,
                      lambda_determinant, tangent_apply)
@@ -64,8 +66,8 @@ def test_jet_rank_basics_all_desk(families):
     for spec, fam in families.items():
         sp = fam.space
         F = identity_map(sp)
-        assert jet_rank(sp, F, 0, trials=2, seed=2) == 1, spec
-        assert jet_rank(sp, F, 1, trials=2, seed=2) == sp.n, spec
+        assert jet_rank(sp, F, 0, seed=2) == 1, spec
+        assert jet_rank(sp, F, 1, seed=2) == sp.n, spec
 
 
 def test_jet_rank_degenerate_map(families):
@@ -76,21 +78,21 @@ def test_jet_rank_degenerate_map(families):
     kmax = 1 + sp.N - sp.n
     ranks = [jet_rank(sp, F, k, seed=3) for k in range(kmax + 1)]
     assert ranks == sorted(ranks) and ranks[-1] < sp.N
-    w = find_nondegeneracy_witness(sp, families["typeI:2,2"], F, seed=3)
+    w = find_nondegeneracy_witness(families["typeI:2,2"], F, seed=3)
     assert not w.found
 
 
 def test_witness_budget_exhausted_at_weight_boundary(families):
     """A budget that runs out exactly where a weight ends, below the order
-    bound, is still reported as exhausted (4 = weights 0 and 1 here)."""
+    bound, is still reported as exhausted (4 = weights 0 and 1 here), and
+    each trial spends the whole budget."""
     fam = families["typeI:2,2"]
     sp = fam.space
     F = polynomial_map(sp, {"z2_2": sp.ring.var("z1_1")})
     for budget in (4, 5):
-        w = find_nondegeneracy_witness(sp, fam, F, seed=3, trials=1,
-                                       budget=budget)
+        w = find_nondegeneracy_witness(fam, F, seed=3, budget=budget)
         assert not w.found and w.budget_exhausted, budget
-        assert w.candidates_examined == budget
+        assert w.candidates_examined == _WITNESS_TRIALS * budget
 
 
 # -- tangent frames ----------------------------------------------------------
@@ -98,24 +100,21 @@ def test_witness_budget_exhausted_at_weight_boundary(families):
 def test_tangency_exact(families):
     for spec in ["typeI:2,2", "typeIII:2", "typeIV:3"]:
         fam = families[spec]
-        frame = segre_frame(fam)
+        frame = ("segre", truncated_vars(fam.space))
         expr = PolyFraction.from_poly(fam.rho)
-        for i in range(frame.width()):
-            beta = [0] * frame.width()
+        width = len(frame[1])
+        for i in range(width):
+            beta = [0] * width
             beta[i] = 1
             assert tangent_apply(frame, fam, expr, beta).is_zero(), (spec, i)
 
 
 def test_hyperplane_field_formula(families):
     fam = families["typeIV:3"]
-    sp = fam.space
-    mu = hyperplane_mu(sp.n - 1)
-    frame = hyperplane_frame(sp, mu)
+    frame = witness_frame(fam.space)
     zn = PolyFraction.from_poly(fam.ring.var("z3"))
     out = tangent_apply(frame, fam, zn, [1, 0])
     assert (out.num + fam.ring.const(G.i()) * out.den).is_zero()
-    with pytest.raises(ValueError, match="mu"):
-        hyperplane_frame(sp, [G(1), G(0)])
 
 
 def test_witnesses_within_order_bounds(families):
@@ -123,7 +122,7 @@ def test_witnesses_within_order_bounds(families):
               "e16": 11}
     for spec, bound in bounds.items():
         fam = families[spec]
-        w = find_nondegeneracy_witness(fam.space, fam, identity_map(fam.space),
+        w = find_nondegeneracy_witness(fam, identity_map(fam.space),
                                        max_order=bound, seed=3)
         assert w.found and not w.lambda_value.is_zero(), spec
         assert w.max_order_used <= bound
@@ -133,43 +132,44 @@ def test_witnesses_within_order_bounds(families):
 
 def test_e27_witness_budgeted(families):
     fam = families["e27"]
-    w = find_nondegeneracy_witness(fam.space, fam, identity_map(fam.space),
-                                   seed=3, budget=6000, trials=2)
+    w = find_nondegeneracy_witness(fam, identity_map(fam.space), seed=3,
+                                   budget=6000)
     # found or not, the attempt must be recorded, never silent
     assert w.candidates_examined > 0
     assert w.found
 
 
 def test_symbolic_lambda_agrees_with_witness(families):
-    # hyperplane frame route (quadric)
-    fam = families["typeIV:3"]
-    sp = fam.space
-    F = identity_map(sp)
-    w = find_nondegeneracy_witness(sp, fam, F, seed=3)
-    frame = hyperplane_frame(sp, hyperplane_mu(sp.n - 1))
-    val = lambda_determinant(sp, fam, F, w.betas, w.z0, w.xi0, frame=frame)
-    assert (val - w.lambda_value).is_zero()
-    # the witness reads plain d/dz_i jets, lambda_determinant applies the
-    # Segre-tangent fields d_i - (rho_i / rho_d) d_d symbolically: they agree
-    # on every classical slot kind
-    for spec in ["typeI:2,2", "typeI:2,3", "typeII:4", "typeIII:2"]:
+    """The determinant the witness reads off Taylor jets equals the fully
+    symbolic one of ``lambda_determinant`` along the same frame.  On the
+    slot kinds the witness reads plain d/dz_i jets while
+    ``lambda_determinant`` applies the Segre-tangent fields
+    d_i - (rho_i / rho_d) d_d; on the quadric both take the hyperplane
+    frame.  The orthogonal and symplectic Grassmannians run at two seeds."""
+    cases = [("typeIV:3", 3), ("typeI:2,2", 3), ("typeI:2,3", 3),
+             ("typeII:4", 3), ("typeIII:2", 3), ("typeII:4", 7),
+             ("typeIII:2", 7)]
+    for spec, seed in cases:
         fam = families[spec] if spec in families else build_rho(build_space(spec))
         sp = fam.space
         F = identity_map(sp)
-        w = find_nondegeneracy_witness(sp, fam, F, seed=3)
-        assert w.frame_kind == "segre", spec
-        val = lambda_determinant(sp, fam, F, w.betas, w.z0, w.xi0)
-        assert (val - w.lambda_value).is_zero(), spec
+        w = find_nondegeneracy_witness(fam, F, seed=seed)
+        assert w.found, (spec, seed)
+        assert w.frame_kind == ("segre" if null_block(sp) is None
+                                else "hyperplane"), (spec, seed)
+        val = lambda_determinant(sp, fam, F, w.betas, w.z0, w.xi0,
+                                 frame=witness_frame(sp))
+        assert (val - w.lambda_value).is_zero(), (spec, seed)
 
 
 def test_lambda_repeated_rows_vanish(families):
     fam = families["typeIV:3"]
     sp = fam.space
     F = identity_map(sp)
-    w = find_nondegeneracy_witness(sp, fam, F, seed=3)
+    w = find_nondegeneracy_witness(fam, F, seed=3)
     betas = [w.betas[0], w.betas[1], w.betas[1], w.betas[2]]
-    frame = hyperplane_frame(sp, hyperplane_mu(sp.n - 1))
-    val = lambda_determinant(sp, fam, F, betas, w.z0, w.xi0, frame=frame)
+    val = lambda_determinant(sp, fam, F, betas, w.z0, w.xi0,
+                             frame=witness_frame(sp))
     assert val.is_zero()
 
 
@@ -177,7 +177,7 @@ def test_lambda_point_validation(families):
     fam = families["typeI:2,2"]
     sp = fam.space
     F = identity_map(sp)
-    w = find_nondegeneracy_witness(sp, fam, F, seed=3)
+    w = find_nondegeneracy_witness(fam, F, seed=3)
     off = dict(w.z0)
     off["z2_2"] = off["z2_2"] + G(1)
     with pytest.raises(ValueError, match="not on the Segre family"):
@@ -187,7 +187,7 @@ def test_lambda_point_validation(families):
 def test_special_points_on_family(families):
     for spec, fam in families.items():
         rng = rng_from_seed(5)
-        z0, xi0, mu = special_point(fam.space, rng)
+        z0, xi0 = special_point(fam.space, rng)
         assert fam.rho_at(z0, xi0).is_zero(), spec
 
 
@@ -196,7 +196,7 @@ def test_special_points_on_family(families):
 def test_degeneracy_relation_linear():
     r = PolyRing(["z1", "z2"])
     z1, z2 = r.var("z1"), r.var("z2")
-    rep = degeneracy_relation([z1, z2, z1 + z2], slice_count=3, seed=1)
+    rep = degeneracy_relation([z1, z2, z1 + z2], seed=1)
     assert max(rep.residuals) < 1e-10
     for s, g in zip(rep.slices, rep.coefficients):
         if s == 0:
@@ -208,7 +208,7 @@ def test_degeneracy_relation_linear():
 def test_degeneracy_relation_h_pattern():
     r = PolyRing(["z1", "z2"])
     z1, z2 = r.var("z1"), r.var("z2")
-    rep = degeneracy_relation([z1, z2, z1 * (r.one() + z2)], slice_count=4, seed=1)
+    rep = degeneracy_relation([z1, z2, z1 * (r.one() + z2)], seed=1)
     for s, g in zip(rep.slices, rep.coefficients):
         gg = g / g[0]
         assert abs(gg[2] - (-1.0 / (1.0 + float(s)))) < 1e-8
@@ -218,7 +218,7 @@ def test_degeneracy_zero_slice_head():
     r = PolyRing(["z1", "z2"])
     z1, z2 = r.var("z1"), r.var("z2")
     rep = degeneracy_relation([z1, z2, z1 * z1, z1 * z1 * (r.one() + z2)],
-                              slice_count=3, seed=1)
+                              seed=1)
     assert max(rep.residuals) < 1e-10
     assert rep.zero_slice_head_max < 1e-8
 
@@ -227,7 +227,7 @@ def test_degeneracy_full_rank_control():
     r = PolyRing(["z1", "z2"])
     z1, z2 = r.var("z1"), r.var("z2")
     with pytest.raises(NotDegenerateError):
-        degeneracy_relation([z1, z2, z1 * z1], slice_count=2, seed=1)
+        degeneracy_relation([z1, z2, z1 * z1], seed=1)
 
 
 # -- bordered determinant identities ------------------------------------------
@@ -330,25 +330,67 @@ def test_flattening_jacobian(families):
 
 # -- null directions -----------------------------------------------------------
 
+def _null_identities_hold(base, xi):
+    """1 + <base, xi> = 0 and sum(xi^2) = 0, exactly."""
+    pairing = sum((b * x for b, x in zip(base, xi)), G(1))
+    return pairing.is_zero() and sum((x * x for x in xi), G(0)).is_zero()
+
+
 def test_solve_null_direction():
-    mu = [G.i(), G(0)]
-    xi = solve_null_direction(mu, [G(0), G(0), G(1)])
-    total = G(1) + xi[2]
-    assert total.is_zero()
-    assert sum((x * x for x in xi), G(0)).is_zero()
+    xi = solve_null_direction([G(0), G(0), G(1)])
+    assert xi == [G(0, -1), G(0), G(-1)]
+    assert _null_identities_hold([G(0), G(0), G(1)], xi)
     with pytest.raises(ZeroDivisionError):
-        solve_null_direction(mu, [G(1), G(0), G(0, -1)])
-    mu8 = [G.i()] + [G(0)] * 6
+        solve_null_direction([G(1), G(0), G(0, -1)])
     base = [G(1)] + [G(0)] * 6 + [G(2)]
-    xi = solve_null_direction(mu8, base)
+    xi = solve_null_direction(base)
     assert len(xi) == 8
-    assert sum((x * x for x in xi), G(0)).is_zero()
-    s = G(1)
-    for b, x in zip(base, xi):
-        s = s + b * x
-    assert s.is_zero()
-    with pytest.raises(ValueError, match="mu"):
-        solve_null_direction([G(1), G(0)], [G(0), G(0), G(1)])
+    assert _null_identities_hold(base, xi)
+
+
+_small_gauss = st.builds(lambda a, b, d: G(Fraction(a, d), Fraction(b, d)),
+                         st.integers(-9, 9), st.integers(-9, 9),
+                         st.integers(1, 5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(_small_gauss, min_size=2, max_size=9))
+def test_solve_null_direction_identities(base):
+    """On every base with a nonzero denominator base_last + i base_0 the
+    solve lies on the fixed null direction and meets both identities."""
+    assume(not (base[-1] + G.i() * base[0]).is_zero())
+    xi = solve_null_direction(base)
+    assert len(xi) == len(base)
+    assert (xi[0] - G.i() * xi[-1]).is_zero()
+    assert all(x.is_zero() for x in xi[1:-1])
+    assert _null_identities_hold(base, xi)
+
+
+@pytest.mark.parametrize("spec", ["typeIV:3", "typeIV:5", "e16"])
+def test_witness_frame_tangent_to_null_hyperplane(spec):
+    """Every field of a null kind's frame annihilates the linear form
+    v_last + i v_first of its block, and the fields are independent: each
+    leads with its own variable, every one but the last of the block."""
+    space = build_space(spec)
+    kind, fields = witness_frame(space)
+    block = null_block(space)
+    assert kind == "hyperplane"
+    for f in fields:
+        assert (f.get(block[-1], G(0)) + G.i() * f.get(block[0], G(0))).is_zero(), f
+    leads = [next(iter(f)) for f in fields]
+    assert sorted(leads) == sorted(set(space.vars) - {block[-1]})
+
+
+def test_witness_frame_kind_follows_null_prefix():
+    """The hyperplane frame belongs exactly to the kinds with a null
+    prefix; a slot kind's frame is its truncated variables."""
+    for spec in ["typeI:1,1", "typeI:2,3", "typeII:4", "typeIII:3", "typeIV:3",
+                 "typeIV:4", "e16", "e27"]:
+        space = build_space(spec)
+        kind, fields = witness_frame(space)
+        assert (kind == "hyperplane") == (space.kind.null_prefix is not None), spec
+        if kind == "segre":
+            assert fields == truncated_vars(space), spec
 
 
 # -- support facts and the oracle ---------------------------------------------
@@ -665,27 +707,27 @@ def test_jet_rank_rational_map(families):
             comps.append(PolyFraction(num, det))
     F = RationalMap(r, tuple(comps))
     assert not all(is_constant(f.den) for f in F.components)
-    assert jet_rank(sp, F, 1, trials=2, seed=4) == sp.n
-    assert jet_rank(sp, F, 2, trials=2, seed=4) == sp.N
+    assert jet_rank(sp, F, 1, seed=4) == sp.n
+    assert jet_rank(sp, F, 2, seed=4) == sp.N
 
 
 def test_witnesses_larger_desk():
     for spec in ["typeI:2,3", "typeIII:3", "typeII:5"]:
         fam = build_rho(build_space(spec))
         sp = fam.space
-        w = find_nondegeneracy_witness(sp, fam, identity_map(sp), seed=3)
+        w = find_nondegeneracy_witness(fam, identity_map(sp), seed=3)
         assert w.found and not w.lambda_value.is_zero(), spec
         assert w.max_order_used <= default_order_bound(sp), spec
 
 
 def test_tangency_exceptional_sixteen():
     fam = build_rho(build_space("e16"))
-    frame = segre_frame(fam)
+    frame = ("segre", truncated_vars(fam.space))
     expr = PolyFraction.from_poly(fam.rho)
-    beta = [0] * frame.width()
+    beta = [0] * len(frame[1])
     beta[0] = 1
     assert tangent_apply(frame, fam, expr, beta).is_zero()
-    beta = [0] * frame.width()
+    beta = [0] * len(frame[1])
     beta[-1] = 1
     assert tangent_apply(frame, fam, expr, beta).is_zero()
 
@@ -776,7 +818,7 @@ def test_witness_for_rational_isometry(families):
             num = adj[i][0] * right[0][j] + adj[i][1] * right[1][j]
             comps.append(PolyFraction(num, det))
     F = RationalMap(r, tuple(comps))
-    w = find_nondegeneracy_witness(sp, fam, F, seed=5)
+    w = find_nondegeneracy_witness(fam, F, seed=5)
     assert w.found and not w.lambda_value.is_zero()
 
 
@@ -795,19 +837,6 @@ def test_support_claims_negative_control(families):
     assert all(support_claims(SegreFamily(space)).values())
     report = support_claims(SegreFamily(bad))
     assert not report["no_squared_entry"]
-
-
-def test_symbolic_lambda_more_types(families):
-    """The slice determinant equals the fully symbolic family-tangent
-    determinant on the orthogonal and symplectic Grassmannians too."""
-    for spec in ["typeII:4", "typeIII:2"]:
-        fam = families[spec]
-        sp = fam.space
-        F = identity_map(sp)
-        w = find_nondegeneracy_witness(sp, fam, F, seed=7)
-        assert w.found
-        val = lambda_determinant(sp, fam, F, w.betas, w.z0, w.xi0)
-        assert (val - w.lambda_value).is_zero(), spec
 
 
 def test_transversality_recipe_deterministic(families):
@@ -835,7 +864,7 @@ def test_degenerate_composition_relation(families):
     images = dict(zip(sp.vars, F.components))
     composed = [f.num.scale(G(1) / f.den.constant_term())
                 for f in (compose_full(p, images) for p in sp.psi)]
-    rep = degeneracy_relation(composed, slice_count=3, seed=2)
+    rep = degeneracy_relation(composed, seed=2)
     assert max(rep.residuals) < 1e-10
     import numpy as np
     for s, g in zip(rep.slices, rep.coefficients):
@@ -850,7 +879,7 @@ def test_witness_one_dimensional_edge(families):
     value row and still certifies."""
     fam = build_rho(build_space("typeI:1,1"))
     sp = fam.space
-    w = find_nondegeneracy_witness(sp, fam, identity_map(sp), seed=1)
+    w = find_nondegeneracy_witness(fam, identity_map(sp), seed=1)
     assert w.found and w.betas == [()]
     assert jet_rank(sp, identity_map(sp), 1, seed=1) == 1
 
@@ -858,7 +887,7 @@ def test_witness_one_dimensional_edge(families):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_e16_witness_seed_sweep(families, seed):
     fam = families["e16"]
-    w = find_nondegeneracy_witness(fam.space, fam, identity_map(fam.space),
-                                   max_order=11, seed=seed)
+    w = find_nondegeneracy_witness(fam, identity_map(fam.space), max_order=11,
+                                   seed=seed)
     assert w.found and not w.lambda_value.is_zero()
     assert w.max_order_used <= 2

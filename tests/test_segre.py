@@ -165,11 +165,14 @@ def test_einstein_fits(families):
         assert c > 0
 
 
-def test_einstein_violation_detected(families):
+def test_einstein_violation_detected(families, monkeypatch):
     """The unit-weight pairing on the 16-dimensional exceptional cell is not
     Einstein; the fit must refuse to round."""
+    from hermsym import segre
+    monkeypatch.setattr(segre, "invariant_weights",
+                        lambda space: np.ones(len(space.pairing_psi)))
     with pytest.raises(EinsteinError):
-        einstein_fit(families["e16"], 30, seed=5, weights="plain")
+        einstein_fit(segre.SegreFamily(families["e16"].space), 30, seed=5)
 
 
 def test_ricci_cross_check(families):

@@ -24,7 +24,7 @@ def test_einstein_exponent_sweep(spec, lam):
 def test_witness_sweep(spec):
     fam = build_rho(build_space(spec))
     sp = fam.space
-    w = find_nondegeneracy_witness(sp, fam, identity_map(sp), seed=3)
+    w = find_nondegeneracy_witness(fam, identity_map(sp), seed=3)
     assert w.found and not w.lambda_value.is_zero()
     assert w.max_order_used <= default_order_bound(sp)
 

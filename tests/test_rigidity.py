@@ -145,21 +145,24 @@ def test_symbolic_lambda_agrees_with_witness(families):
     slot kinds the witness reads plain d/dz_i jets while
     ``lambda_determinant`` applies the Segre-tangent fields
     d_i - (rho_i / rho_d) d_d; on the quadric both take the hyperplane
-    frame.  The orthogonal and symplectic Grassmannians run at two seeds."""
-    cases = [("typeIV:3", 3), ("typeI:2,2", 3), ("typeI:2,3", 3),
-             ("typeII:4", 3), ("typeIII:2", 3), ("typeII:4", 7),
-             ("typeIII:2", 7)]
-    for spec, seed in cases:
-        fam = families[spec] if spec in families else build_rho(build_space(spec))
-        sp = fam.space
-        F = identity_map(sp)
-        w = find_nondegeneracy_witness(fam, F, seed=seed)
-        assert w.found, (spec, seed)
-        assert w.frame_kind == ("segre" if null_block(sp) is None
-                                else "hyperplane"), (spec, seed)
-        val = lambda_determinant(sp, fam, F, w.betas, w.z0, w.xi0,
-                                 frame=witness_frame(sp))
-        assert (val - w.lambda_value).is_zero(), (spec, seed)
+    frame."""
+    for spec in ["typeIV:3", "typeI:2,2", "typeI:2,3", "typeII:4",
+                 "typeIII:2"]:
+        _check_symbolic_lambda(families, spec, seed=3)
+
+
+def _check_symbolic_lambda(families, spec, seed):
+    """Witness and symbolic lambda agree for one space at one seed."""
+    fam = families[spec] if spec in families else build_rho(build_space(spec))
+    sp = fam.space
+    F = identity_map(sp)
+    w = find_nondegeneracy_witness(fam, F, seed=seed)
+    assert w.found, (spec, seed)
+    assert w.frame_kind == ("segre" if null_block(sp) is None
+                            else "hyperplane"), (spec, seed)
+    val = lambda_determinant(sp, fam, F, w.betas, w.z0, w.xi0,
+                             frame=witness_frame(sp))
+    assert (val - w.lambda_value).is_zero(), (spec, seed)
 
 
 def test_lambda_repeated_rows_vanish(families):
@@ -837,6 +840,14 @@ def test_support_claims_negative_control(families):
     assert all(support_claims(SegreFamily(space)).values())
     report = support_claims(SegreFamily(bad))
     assert not report["no_squared_entry"]
+
+
+def test_symbolic_lambda_more_types(families):
+    """The slice determinant equals the fully symbolic family-tangent
+    determinant on the orthogonal and symplectic Grassmannians at a second
+    seed too."""
+    for spec in ["typeII:4", "typeIII:2"]:
+        _check_symbolic_lambda(families, spec, seed=7)
 
 
 def test_transversality_recipe_deterministic(families):

@@ -24,11 +24,12 @@ from .octonion import (Octonion, cayley_matrix, freudenthal_forms,
                        freudenthal_jordan_matrix, jordan_det, jordan_trace,
                        mat_eq, mat_mul, symbolic_octonion, M16_VARS)
 from .poly import PolyFraction, PolyRing, trial_division_modp
-from .rigidity import (ORACLE_BUDGET, ORACLE_PRIME, WITNESS_BUDGET,
-                       OracleResult, WitnessReport, degeneracy_relation,
-                       find_nondegeneracy_witness, flattening_jacobian,
-                       generic_conjugate_point, irreducibility_oracle, jet_rank,
-                       specialize_conjugate, support_claims, transversality_rank,
+from .rigidity import (ORACLE_BUDGET, ORACLE_PRIME, VOLUME_SAMPLES,
+                       WITNESS_BUDGET, OracleResult, WitnessReport,
+                       degeneracy_relation, find_nondegeneracy_witness,
+                       flattening_jacobian, generic_conjugate_point,
+                       irreducibility_oracle, jet_rank, specialize_conjugate,
+                       support_claims, transversality_rank,
                        transversality_recipe, isometry_pullback_check,
                        volume_equation_check)
 from .sampling import random_gauss_point, rng_from_seed, random_small_gauss
@@ -42,6 +43,7 @@ RICCI_TOL = 1e-5            # Ricci cross-check of the Einstein criterion
 DEGENERACY_TOL = 1e-10      # relation residual of the degeneracy criterion
 CLAIM_HEAD_TOL = 1e-8       # zero-slice head of the degeneracy criterion
 EMBEDDING_POINTS = 100      # random points per space of the embedding identity
+ISOMETRY_POINTS = 10        # random points per map of the isometry criterion
 
 
 @dataclass
@@ -158,8 +160,7 @@ def hypothesis_one(fam: SegreFamily, seed: int, max_order: Optional[int],
     (None: the per-kind bound) within ``budget`` candidates per trial."""
     space = fam.space
     F = identity_map(space)
-    r0 = jet_rank(space, F, 0, seed)
-    r1 = jet_rank(space, F, 1, seed)
+    r0, r1 = jet_rank(space, F, 1, seed)
     w = find_nondegeneracy_witness(fam, F, max_order, seed, budget)
     return HypothesisOne(r0, r1, space.n, w)
 
@@ -416,11 +417,11 @@ def check_volume_isometry(seed, tol):
         space.ring.const(Fraction(4, 5)) + z.scale(Fraction(3, 5)),
         space.ring.const(Fraction(3, 5)) - z.scale(Fraction(4, 5))),))
     worst = max(
-        volume_equation_check(fam, [ident], [1.0], 25, seed),
-        volume_equation_check(fam, [ident, ident], [0.5, 0.5], 25, seed),
-        volume_equation_check(fam, [unitary], [1.0], 25, seed),
-        isometry_pullback_check(fam, ident, 10, seed),
-        isometry_pullback_check(fam, unitary, 10, seed),
+        volume_equation_check(fam, [ident], [1.0], VOLUME_SAMPLES, seed),
+        volume_equation_check(fam, [ident, ident], [0.5, 0.5], VOLUME_SAMPLES, seed),
+        volume_equation_check(fam, [unitary], [1.0], VOLUME_SAMPLES, seed),
+        isometry_pullback_check(fam, ident, ISOMETRY_POINTS, seed),
+        isometry_pullback_check(fam, unitary, ISOMETRY_POINTS, seed),
     )
     margin = isometry_pullback_check(fam, scaling_map(space, 2), 0, seed,
                                      points=[[0.2]])

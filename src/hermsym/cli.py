@@ -15,6 +15,7 @@ Exit codes: 0 pass/success, 1 check failure, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -28,7 +29,8 @@ from . import acceptance
 from .gauss import GaussRational, gauss_json
 from .maps import parse_map_file
 from .poly import PRIME_BOUND
-from .rigidity import isometry_pullback_check, support_claims, volume_equation_check
+from .rigidity import (ISOMETRY_SAMPLES, VOLUME_SAMPLES, isometry_pullback_check,
+                       support_claims, volume_equation_check)
 from .sampling import random_complex_ball, rng_from_seed
 from .segre import SegreFamily, build_rho, kahler_metric
 from .spaces import SPACE_GRAMMAR, build_space, space_to_json
@@ -361,7 +363,10 @@ def _prime(text: str) -> int:
     return p
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: argparse parsers
+    keep no state between ``parse_args`` calls."""
     ap = argparse.ArgumentParser(
         prog="hermsym",
         description="verification toolkit for compact Hermitian symmetric "
@@ -404,11 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("volume-check", cmd_volume_check,
             help="residual of the volume-preserving equation for a map tuple")
     p.add_argument("--maps", required=True)
-    p.add_argument("--samples", type=_at_least(1), default=25)
+    p.add_argument("--samples", type=_at_least(1), default=VOLUME_SAMPLES)
     p = add("isometry-check", cmd_isometry_check,
             help="metric pullback deviation for a map tuple")
     p.add_argument("--maps", required=True)
-    p.add_argument("--samples", type=_at_least(1), default=20)
+    p.add_argument("--samples", type=_at_least(1), default=ISOMETRY_SAMPLES)
     add("selftest", cmd_selftest, space=False,
         help="run the full acceptance matrix")
     return ap

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +30,8 @@ _WITNESS_TRIALS = 4        # special points of the witness search
 WITNESS_BUDGET = 20000     # candidate multiindices per witness trial
 ORACLE_PRIME = 5           # the oracle's default prime
 ORACLE_BUDGET = 10 ** 7    # candidate factors of the finite-field oracle
+VOLUME_SAMPLES = 25        # sampled points of the volume equation check
+ISOMETRY_SAMPLES = 20      # sampled points of the isometry pullback check
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +67,26 @@ def _greedy_rows(jets: TaylorJets, width: int, top: int, N: int,
 
 
 def _best_jet_rank(variables, psi, fields, top: int, trials: int,
-                   seed: int, images=None) -> int:
-    """Exact rank of the order-<=top jets of ``psi`` (composed with the map
-    of component fractions ``images``, if given) along ``fields``,
-    maximized over ``trials`` random regular rational points near 0."""
+                   seed: int, images=None) -> List[int]:
+    """Exact ranks of the order-<=k jets of ``psi`` (composed with the map
+    of component fractions ``images``, if given) along ``fields``, for
+    k = 0..top, each maximized over ``trials`` random regular rational
+    points near 0.
+
+    One order-``top`` table per point gives every order: the scan runs by
+    weight, so the rows it picks of weight <= k span the order-<=k jets,
+    and a row of weight <= k is the same in a table of any higher top.
+    The trials stop once every order is at its ceiling min(N, C(width+k, k)),
+    its row count capped at N: a rank at one point is a lower bound on the
+    maximum and the ceiling an upper bound, so no further point can change
+    it.  The points are those of one search per order: the same rng, and a
+    point is redrawn on ZeroDivisionError, which depends only on the values
+    of the denominators there, not on ``top``."""
     rng = rng_from_seed(seed)
-    best = 0
+    N = len(psi)
+    width = len(fields)
+    ceilings = [min(N, comb(width + k, k)) for k in range(top + 1)]
+    best = [0] * (top + 1)
     for _ in range(trials):
         for _ in range(64):
             pt = {v: random_small_gauss(rng) for v in variables}
@@ -81,15 +97,18 @@ def _best_jet_rank(variables, psi, fields, top: int, trials: int,
                 continue
         else:
             raise ArithmeticError("could not sample a regular point for the jet matrix")
-        best = max(best, len(_greedy_rows(jets, len(fields), top, len(psi))[0]))
-        if best == len(psi):
+        weights = [sum(beta) for beta in _greedy_rows(jets, width, top, N)[0]]
+        best = [max(b, sum(w <= k for w in weights)) for k, b in enumerate(best)]
+        if best == ceilings:
             break
     return best
 
 
-def jet_rank(space: Space, F: RationalMap, k: int, seed: int = 0) -> int:
-    """Exact rank of the order-<=k truncated-variable jet of psi o F,
-    maximized over _JET_RANK_TRIALS random rational points near 0."""
+def jet_rank(space: Space, F: RationalMap, k: int, seed: int = 0) -> List[int]:
+    """Exact ranks of the order-0..k truncated-variable jets of psi o F, one
+    per order, from one jet table per point, each maximized over
+    _JET_RANK_TRIALS random rational points near 0 (fewer once every order
+    is at its ceiling)."""
     return _best_jet_rank(space.vars, space.psi, list(truncated_vars(space)),
                           k, _JET_RANK_TRIALS, seed, F.components)
 
@@ -221,7 +240,7 @@ def degeneracy_relation(polys: Sequence[Polynomial],
 
     # exact precondition via the jet machinery
     if _best_jet_rank(ring.vars, polys, ring.vars[:-1], N - m + 1, _RANK_TRIALS,
-                      seed) >= N:
+                      seed)[-1] >= N:
         raise NotDegenerateError("input not degenerate")
 
     rng2 = np.random.default_rng(seed + 1)
@@ -447,7 +466,7 @@ def _named(space: Space, pt: Sequence[complex]) -> Dict[str, complex]:
 
 
 def volume_equation_check(fam: SegreFamily, maps: Sequence[RationalMap],
-                          lambdas: Sequence[float], sample_count: int = 25,
+                          lambdas: Sequence[float], sample_count: int,
                           seed: int = 0) -> float:
     """Max relative residual of the volume-preserving equation
     sum_j lambda_j |J_Fj|^2 / rho(F_j, conj F_j)^lam = rho(z, zbar)^-lam,
@@ -473,7 +492,7 @@ def volume_equation_check(fam: SegreFamily, maps: Sequence[RationalMap],
 
 
 def isometry_pullback_check(fam: SegreFamily, F: RationalMap,
-                            sample_count: int = 20, seed: int = 0,
+                            sample_count: int, seed: int = 0,
                             points: Sequence[Sequence[complex]] = ()) -> float:
     """Max entrywise deviation of the pulled-back metric from the metric at
     the given ``points``, then at random ones up to ``sample_count`` in all."""

@@ -8,10 +8,9 @@ Rational samples keep numerators and denominators bounded by 97.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Dict, Sequence
 
-from .gauss import GaussRational
+from .gauss import GaussRational, _reduced
 
 BOUND = 97
 
@@ -20,13 +19,15 @@ def rng_from_seed(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def random_small_fraction(rng: random.Random) -> Fraction:
-    """A rational of modulus < 1 ('near 0' sampling for jet ranks)."""
-    return Fraction(rng.randint(-9, 9), rng.randint(10, BOUND))
-
-
 def random_small_gauss(rng: random.Random) -> GaussRational:
-    return GaussRational(random_small_fraction(rng), random_small_fraction(rng))
+    """a/p + (b/q) i with |a|, |b| <= 9 and 10 <= p, q <= BOUND ('near 0'
+    sampling for jet ranks), drawn in the order a, p, b, q and brought to
+    canonical form once as (a q + b p i)/(p q)."""
+    a = rng.randint(-9, 9)
+    p = rng.randint(10, BOUND)
+    b = rng.randint(-9, 9)
+    q = rng.randint(10, BOUND)
+    return _reduced(a * q, b * p, p * q)
 
 
 def random_gauss_point(rng: random.Random,

@@ -46,6 +46,11 @@
   search, with every frame field applied symbolically to psi o F (from
   ``compose_full``) over the product expansion (``tangent_apply``) before
   evaluation.
+* ``jet_rank_one_order`` -- the jet rank of one order k: one order-k jet
+  table per point, every row of weight <= k offered, maximized over the
+  trial points until it reaches N; points drawn as ``Fraction`` pairs.
+  The reference for ``rigidity.jet_rank``, which reads every order from
+  one table per point and stops at the rank ceiling.
 * ``greedy_scan_nested`` -- the witness search's row scan as a loop over
   weights around a loop over the multiindices of each weight, with the
   rank and budget checked in both: the reference for
@@ -61,6 +66,7 @@
 
 import itertools
 import json
+import random
 
 from fractions import Fraction
 from functools import lru_cache
@@ -70,8 +76,8 @@ import numpy as np
 
 from hermsym.gauss import GaussRational, ONE, ZERO
 from hermsym.linalg import RankTracker, det_exact
-from hermsym.poly import Polynomial, PolyFraction, PolyModP, monomials
-from hermsym.rigidity import truncated_vars
+from hermsym.poly import Polynomial, PolyFraction, PolyModP, TaylorJets, monomials
+from hermsym.rigidity import _JET_RANK_TRIALS, truncated_vars
 from hermsym.sampling import BOUND
 from hermsym.segre import conj_name
 from hermsym.spaces import (_fill_matrix, _pair_partitions, _perm_sign,
@@ -627,6 +633,37 @@ def lambda_determinant(space, fam, F, betas, z0, xi0, frame=None):
               for p in psis]
     return det_exact([[tangent_apply(frame, fam, f, beta).evaluate(point)
                        for f in lifted] for beta in betas])
+
+
+def _small_fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(10, BOUND))
+
+
+def jet_rank_one_order(space, F, k, seed):
+    """Exact rank of the order-<=k truncated-variable jets of psi o F,
+    maximized over _JET_RANK_TRIALS points a/p + (b/q) i (|a|, |b| <= 9,
+    10 <= p, q <= BOUND), a point redrawn where F has a pole."""
+    rng = random.Random(seed)
+    fields = list(truncated_vars(space))
+    best = 0
+    for _ in range(_JET_RANK_TRIALS):
+        for _ in range(64):
+            point = {v: GaussRational(_small_fraction(rng), _small_fraction(rng))
+                     for v in space.vars}
+            try:
+                jets = TaylorJets(space.psi, fields, point, k, F.components)
+                break
+            except ZeroDivisionError:
+                continue
+        else:
+            raise ArithmeticError("no regular point")
+        tracker = RankTracker()
+        for beta in multiindices_upto(len(fields), k):
+            tracker.add_row(jets.row(beta))
+        best = max(best, tracker.rank)
+        if best == space.N:
+            break
+    return best
 
 
 def greedy_scan_nested(jets, width, top, N, budget):

@@ -3,6 +3,7 @@ with exact equality (see ``oracles.py``); the one float route, the psi sum
 ``rho_at_float``, is held to a relative 1e-9."""
 
 import dataclasses
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, inf, lcm, nan, prod
@@ -24,7 +25,7 @@ from hermsym.rigidity import (FlatteningSeedError, TaylorJets, _greedy_rows,
                               specialize_conjugate, transversality_rank,
                               transversality_recipe, trial_division_modp,
                               witness_frame)
-from hermsym.sampling import rng_from_seed
+from hermsym.sampling import BOUND, random_small_gauss, rng_from_seed
 from hermsym.segre import SegreFamily, sample_on_family
 from hermsym.spaces import build_space, minor_index_sets
 from oracles import (DenseRankTracker, FractionPair, _integer_row, compose_full,
@@ -576,6 +577,20 @@ def test_scale_row_matches_fraction_route(row):
         {j: v for j, v in enumerate(want) if v != (0, 0)}
     # d is the lcm of the reduced denominators of re and im
     assert scale == lcm(*(x.parts()[2] for x, _ in row))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_random_small_gauss_matches_fraction_pair(seed):
+    """The sampler draws a, p, b, q in that order and returns a/p + (b/q) i
+    in canonical form, the value that two Fractions give."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        x = random_small_gauss(rng)
+        a, p = ref.randint(-9, 9), ref.randint(10, BOUND)
+        b, q = ref.randint(-9, 9), ref.randint(10, BOUND)
+        want = G(Fraction(a, p), Fraction(b, q))
+        assert x == want and x.parts() == want.parts()
 
 
 def test_gauss_is_immutable():

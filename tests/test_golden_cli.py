@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hermsym.cli import main
+from hermsym.cli import build_parser, main
 
 GOLDEN = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())
 
@@ -32,3 +32,19 @@ def test_cli_output_matches_golden(job, monkeypatch):
     monkeypatch.delenv("HSS_SEED", raising=False)
     code, digest = run_job(job)
     assert (code, digest) == (GOLDEN[job]["exit"], GOLDEN[job]["sha256"])
+
+
+def test_reused_parser_keeps_exit_codes_and_bytes(monkeypatch):
+    """``main`` parses with one parser per process: a failed parse or a
+    help request leaves nothing behind for the next call."""
+    monkeypatch.delenv("HSS_SEED", raising=False)
+    assert build_parser() is build_parser()
+    job = "hyp1 --space typeIV:3 --seed 7"
+    want = (GOLDEN[job]["exit"], GOLDEN[job]["sha256"])
+    for _ in range(3):
+        assert run_job("hyp1 --space typeIV:3 --max-order -1")[0] == 2
+        assert run_job("hyp1 --seed 7")[0] == 2
+        assert run_job("frobnicate")[0] == 2
+        assert run_job("hyp1 --help")[0] == 0
+        assert run_job("--help")[0] == 0
+        assert run_job(job) == want

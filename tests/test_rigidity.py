@@ -9,12 +9,13 @@ import pytest
 from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
+from hermsym.acceptance import hypothesis_one
 from hermsym.gauss import GaussRational as G
 from hermsym.linalg import det_exact
 from hermsym.maps import RationalMap, identity_map, scaling_map
-from hermsym.poly import PolyFraction, PolyRing
-from hermsym.rigidity import (_MAP_RADIUS, _MAX_RETRIES, _WITNESS_TRIALS,
-                              FlatteningSeedError,
+from hermsym.poly import PolyFraction, PolyRing, TaylorJets
+from hermsym.rigidity import (_JET_RANK_TRIALS, _MAP_RADIUS, _MAX_RETRIES,
+                              _WITNESS_TRIALS, WITNESS_BUDGET, FlatteningSeedError,
                               NotDegenerateError, OffVarietyError,
                               _worst_residual,
                               degeneracy_relation, default_order_bound,
@@ -30,7 +31,7 @@ from hermsym.sampling import random_complex_ball, random_small_gauss, rng_from_s
 from hermsym.segre import build_rho, null_block, solve_null_direction
 from hermsym.spaces import build_space
 from oracles import (LambdaUndefinedError, compose_full, is_constant,
-                     lambda_determinant, tangent_apply)
+                     jet_rank_one_order, lambda_determinant, tangent_apply)
 
 DESK = ["typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]
 
@@ -52,34 +53,79 @@ def families():
 def test_jet_rank_identity_examples(families):
     fam = families["typeIV:3"]
     sp = fam.space
-    assert [jet_rank(sp, identity_map(sp), k, seed=1) for k in range(3)] == [1, 3, 4]
+    for k in range(3):
+        assert jet_rank(sp, identity_map(sp), k, seed=1) == [1, 3, 4][:k + 1]
     sp12 = build_space("typeI:1,2")
     # the embedding of the (1,2) Grassmannian is linear (N = 2), so the jet
     # rank saturates at 2 already at first order
-    assert [jet_rank(sp12, identity_map(sp12), k, seed=1) for k in range(3)] == [1, 2, 2]
+    assert jet_rank(sp12, identity_map(sp12), 2, seed=1) == [1, 2, 2]
     sp22 = families["typeI:2,2"].space
     k = 1 + sp22.N - sp22.n
-    assert jet_rank(sp22, identity_map(sp22), k, seed=1) == sp22.N
+    assert jet_rank(sp22, identity_map(sp22), k, seed=1)[-1] == sp22.N
 
 
 def test_jet_rank_basics_all_desk(families):
     for spec, fam in families.items():
         sp = fam.space
-        F = identity_map(sp)
-        assert jet_rank(sp, F, 0, seed=2) == 1, spec
-        assert jet_rank(sp, F, 1, seed=2) == sp.n, spec
+        assert jet_rank(sp, identity_map(sp), 1, seed=2) == [1, sp.n], spec
+
+
+def _degenerate_map(sp):
+    """A map washing out one coordinate of typeI:2,2."""
+    return polynomial_map(sp, {"z2_2": sp.ring.var("z1_1")})
 
 
 def test_jet_rank_degenerate_map(families):
     """A map washing out one coordinate plateaus strictly below N."""
     sp = families["typeI:2,2"].space
-    r = sp.ring
-    F = polynomial_map(sp, {"z2_2": r.var("z1_1")})
+    F = _degenerate_map(sp)
     kmax = 1 + sp.N - sp.n
-    ranks = [jet_rank(sp, F, k, seed=3) for k in range(kmax + 1)]
+    ranks = jet_rank(sp, F, kmax, seed=3)
+    assert len(ranks) == kmax + 1
     assert ranks == sorted(ranks) and ranks[-1] < sp.N
     w = find_nondegeneracy_witness(families["typeI:2,2"], F, seed=3)
     assert not w.found
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([(spec, "identity") for spec in DESK]
+                       + [("typeI:2,2", "degenerate"), ("typeI:2,2", "givens")]),
+       st.integers(0, 3), st.integers(0, 10 ** 6))
+def test_jet_rank_matches_one_order_per_call(families, case, k, seed):
+    """Every order of one ``jet_rank`` call equals the rank that a search of
+    its own order finds at the same points."""
+    spec, kind = case
+    sp = families[spec].space
+    F = {"identity": identity_map, "degenerate": _degenerate_map,
+         "givens": _givens_map}[kind](sp)
+    assert jet_rank(sp, F, k, seed) == [jet_rank_one_order(sp, F, j, seed)
+                                        for j in range(k + 1)]
+
+
+def test_jet_tables_stop_at_the_rank_ceiling(families, monkeypatch):
+    """hyp1 reaches both rank ceilings (1 and n) at its first point, so it
+    builds one table for the ranks and one for the witness; the identity
+    jets of typeI:2,2 reach N, the ceiling of order 2 (below its 10 rows),
+    at the first point too; a degenerate map stays below N and samples
+    every trial point."""
+    fam = build_rho(build_space("typeI:4,4"))
+    count = [0]
+    init = TaylorJets.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TaylorJets, "__init__", counting)
+    h = hypothesis_one(fam, 7, None, WITNESS_BUDGET)
+    assert h.passed and count[0] == 2
+    sp = families["typeI:2,2"].space
+    count[0] = 0
+    assert jet_rank(sp, identity_map(sp), 2, seed=3) == [1, 4, 5]
+    assert count[0] == 1
+    count[0] = 0
+    jet_rank(sp, _degenerate_map(sp), 1 + sp.N - sp.n, seed=3)
+    assert count[0] == _JET_RANK_TRIALS
 
 
 def test_witness_budget_exhausted_at_weight_boundary(families):
@@ -687,16 +733,12 @@ def test_support_claims_symplectic_order_four():
     assert all(support_claims(build_rho(build_space("typeIII:4"))).values())
 
 
-def test_jet_rank_rational_map(families):
-    """The jet machinery also runs on genuinely rational (non-polynomial)
-    maps: a fractional-linear isometry is full rank and nondegenerate."""
-    fam = families["typeI:2,2"]
-    sp = fam.space
+def _givens_map(sp):
+    """The fractional-linear isometry (A + ZC)^{-1}(B + ZD) of typeI:2,2 for
+    a rational Givens rotation."""
     r = sp.ring
-    from fractions import Fraction as Fr
-    c, s = Fr(3, 5), Fr(4, 5)
+    c, s = Fraction(3, 5), Fraction(4, 5)
     Z = [[r.var("z1_1"), r.var("z1_2")], [r.var("z2_1"), r.var("z2_2")]]
-    # assemble (A + ZC)^{-1}(B + ZD) for the Givens rotation directly
     left = [[r.const(c) - Z[0][0].scale(s), r.zero()],
             [-(Z[1][0].scale(s)), r.one()]]
     right = [[r.const(s) + Z[0][0].scale(c), Z[0][1]],
@@ -708,10 +750,17 @@ def test_jet_rank_rational_map(families):
         for j in range(2):
             num = adj[i][0] * right[0][j] + adj[i][1] * right[1][j]
             comps.append(PolyFraction(num, det))
-    F = RationalMap(r, tuple(comps))
+    return RationalMap(r, tuple(comps))
+
+
+def test_jet_rank_rational_map(families):
+    """The jet machinery also runs on genuinely rational (non-polynomial)
+    maps: a fractional-linear isometry is full rank and nondegenerate."""
+    sp = families["typeI:2,2"].space
+    F = _givens_map(sp)
     assert not all(is_constant(f.den) for f in F.components)
-    assert jet_rank(sp, F, 1, seed=4) == sp.n
-    assert jet_rank(sp, F, 2, seed=4) == sp.N
+    assert jet_rank(sp, F, 1, seed=4) == [1, sp.n]
+    assert jet_rank(sp, F, 2, seed=4) == [1, sp.n, sp.N]
 
 
 def test_witnesses_larger_desk():
@@ -892,7 +941,7 @@ def test_witness_one_dimensional_edge(families):
     sp = fam.space
     w = find_nondegeneracy_witness(fam, identity_map(sp), seed=1)
     assert w.found and w.betas == [()]
-    assert jet_rank(sp, identity_map(sp), 1, seed=1) == 1
+    assert jet_rank(sp, identity_map(sp), 1, seed=1) == [1, 1]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

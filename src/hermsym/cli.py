@@ -42,6 +42,8 @@ from .spaces import SPACE_GRAMMAR, build_space, space_to_json
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _ONLY_STR, _ONLY_INT = frozenset((str,)), frozenset((int,))
+# the decimal strings of the small ints that exponent lists are made of
+_SMALL_INTS = {k: str(k) for k in range(256)}
 
 
 def _fmt_float(x: float) -> str:
@@ -77,7 +79,10 @@ def _write(obj) -> str:
         return _write_dict(obj)
     if t is list or t is tuple:
         if set(map(type, obj)) <= _ONLY_INT:
-            return "[" + ",".join(map(int.__repr__, obj)) + "]"
+            try:
+                return "[" + ",".join(map(_SMALL_INTS.__getitem__, obj)) + "]"
+            except KeyError:        # a negative or a large int
+                return "[" + ",".join(map(int.__repr__, obj)) + "]"
         return "[" + ",".join(map(_write, obj)) + "]"
     if t is int:
         return int.__repr__(obj)

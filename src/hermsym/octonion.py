@@ -15,10 +15,10 @@ reading that makes x * conj(x) a scalar.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, Sequence
 
-from .gauss import GaussRational
-from .poly import Polynomial, PolyRing
+from .gauss import ONE, GaussRational
+from .poly import Exponent, Polynomial, PolyRing, _accumulate
 
 _TRIPLES = ((1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7),
             (5, 6, 1), (6, 7, 2), (7, 1, 3))
@@ -297,30 +297,31 @@ _M27_F = [
 
 
 def _parse_terms(ring: PolyRing, text: str) -> Polynomial:
-    """Parse '+a*b-c*d' style sums of signed monomials with unit coefficients."""
-    out = ring.zero()
+    """Parse '+a*b-c*d' style sums of signed monomials with unit coefficients.
+
+    Each monomial adds its sign to one term table under its exponent tuple,
+    in text order, and a sum that cancels drops its entry: the table keeps
+    the insertion order of a polynomial sum of the monomials, the order in
+    which the float evaluator adds terms."""
+    terms: Dict[Exponent, GaussRational] = {}
     text = text.replace("-", "+-")
     for chunk in text.split("+"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        sign = 1
+        sign = ONE
         if chunk.startswith("-"):
-            sign = -1
+            sign = -ONE
             chunk = chunk[1:]
-        term = ring.const(sign)
+        exp = [0] * len(ring.vars)
         for name in chunk.split("*"):
-            term = term * ring.var(name)
-        out = out + term
-    return out
+            exp[ring.index(name)] += 1
+        _accumulate(terms, tuple(exp), sign)
+    return Polynomial(ring, terms)
 
 
 def _square_sum(ring: PolyRing, names) -> Polynomial:
-    out = ring.zero()
-    for n in names:
-        v = ring.var(n)
-        out = out + v * v
-    return out
+    return _parse_terms(ring, "+".join(f"{n}*{n}" for n in names))
 
 
 def cayley_plane_forms(ring: PolyRing | None = None):

@@ -21,6 +21,7 @@ Also here:
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -184,7 +185,7 @@ class Polynomial:
         out: Dict[Exponent, GaussRational] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 s = out.get(e, ZERO) + c1 * c2
                 if s.is_zero():
                     out.pop(e, None)
@@ -413,7 +414,7 @@ def _series_mul(a: Series, b: Series, top: int) -> Series:
                 for eb, cb in pb.items():
                     # the one weight-0 exponent is the origin, which adds nothing
                     e = eb if not wa else ea if not wb else tuple(
-                        x + y for x, y in zip(ea, eb))
+                        map(operator.add, ea, eb))
                     _accumulate(out[wa + wb], e, ca * cb)
     return out
 
@@ -458,13 +459,15 @@ def _divide(num: Series, den: Series, origin: Tuple[int, ...],
     if d0 is None:
         raise ZeroDivisionError("denominator vanishes at the jet point")
     inv = ONE / d0
+    # d_k = 0 past the last nonzero weight of den, so the sum stops there
+    last = max(k for k, part in enumerate(den) if part)
     out: Series = []
     for m in range(top + 1):
         acc = dict(num[m])
-        for k in range(1, m + 1):
+        for k in range(1, min(m, last) + 1):
             for ed, cd in den[k].items():
                 for eq, cq in out[m - k].items():
-                    _accumulate(acc, tuple(x + y for x, y in zip(ed, eq)),
+                    _accumulate(acc, tuple(map(operator.add, ed, eq)),
                                 -(cd * cq))
         out.append(acc if inv == ONE else {e: c * inv for e, c in acc.items()})
     while out and not out[-1]:

@@ -27,6 +27,9 @@ from .sampling import random_complex_ball, random_gauss_point, rng_from_seed
 from .spaces import Space, cell_matrix_point
 
 
+RICCI_POINTS = 10           # sampled points of the Ricci cross-check
+
+
 def conj_name(v: str) -> str:
     return "c" + v
 
@@ -261,13 +264,13 @@ def einstein_fit(fam: SegreFamily, sample_count: int, seed: int):
     return lam, c, residual
 
 
-def ricci_residual(fam: SegreFamily, point_count: int, seed: int) -> float:
+def ricci_residual(fam: SegreFamily, seed: int) -> float:
     """Cross-check the Einstein identity -dd_bar log V = lambda * g entrywise,
     lambda the genus of the space.
 
     The left side is a finite-difference mixed Hessian of log det g; the
     right side is the symbolically derived metric.  Returns the max relative
-    deviation over the sampled points."""
+    deviation over RICCI_POINTS sampled points."""
     lam = fam.space.desc.genus
     rng = rng_from_seed(seed + 1)
     eng = fam.engine("invariant")
@@ -279,7 +282,7 @@ def ricci_residual(fam: SegreFamily, point_count: int, seed: int) -> float:
         return math.log(np.linalg.det(g).real)
 
     worst = 0.0
-    for _ in range(point_count):
+    for _ in range(RICCI_POINTS):
         z = np.array(random_complex_ball(rng, n, 0.25), dtype=complex)
         g, _ = eng.metric(z)
         target = lam * g

@@ -59,6 +59,11 @@
   Pfaffians by pair partitions or by first-row recursion, each a chain of
   ``Polynomial`` products; ``psi_by_products`` rebuilds the psi vectors of
   the layout kinds from them, the reference for the signed-monomial builder.
+* ``parse_terms_by_products`` and ``square_sum_by_products`` -- the
+  exceptional cells' signed monomials and squared norms as sums of
+  ``Polynomial`` products, one monomial at a time: the reference for
+  ``octonion._parse_terms`` and ``octonion._square_sum``, which fill one
+  term table.
 * ``monomial``, ``multiindices_upto``, ``poly_pow``, ``normalize``,
   ``fractions_equal``, ``random_fraction`` and ``random_gauss`` --
   polynomial, fraction and sampling helpers that only the tests use.
@@ -419,6 +424,33 @@ def unit_at_origin_expanded(fam):
     rest = partial_evaluate(rho_by_products(fam),
                             {v: GaussRational(0) for v in fam.zvars})
     return is_constant(rest) and rest.constant_term() == GaussRational(1)
+
+
+def parse_terms_by_products(ring, text):
+    """'+a*b-c*d' as a sum of products of ring constants and variables."""
+    out = ring.zero()
+    text = text.replace("-", "+-")
+    for chunk in text.split("+"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        sign = 1
+        if chunk.startswith("-"):
+            sign = -1
+            chunk = chunk[1:]
+        term = ring.const(sign)
+        for name in chunk.split("*"):
+            term = term * ring.var(name)
+        out = out + term
+    return out
+
+
+def square_sum_by_products(ring, names):
+    out = ring.zero()
+    for n in names:
+        v = ring.var(n)
+        out = out + v * v
+    return out
 
 
 def dump_json_reference(obj) -> str:

@@ -3,6 +3,7 @@ with exact equality (see ``oracles.py``); the one float route, the psi sum
 ``rho_at_float``, is held to a relative 1e-9."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -158,6 +159,27 @@ def test_perturbed_component_series_fails_jets(monkeypatch, component, weight):
     monkeypatch.setattr(hermsym.poly, "_divide", perturbed)
     with pytest.raises(AssertionError):
         _check_jets(psi, ["x", "y"], point, 2, MAP)
+
+
+JET_DESK = ["typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]
+
+
+@pytest.mark.parametrize("spec", JET_DESK)
+def test_identity_images_keep_the_jet_table(spec):
+    """The identity map's components z_i / 1 give the table of psi itself,
+    at the witness special point and at a dense random point, up to the
+    witness search's order: the division by 1 sums over no weight of the
+    denominator past 0."""
+    space = build_space(spec)
+    _, fields = witness_frame(space)
+    top = default_order_bound(space)
+    rng = rng_from_seed(7)
+    z0, _ = special_point(space, rng)
+    dense = {v: random_small_gauss(rng) for v in space.vars}
+    images = identity_map(space).components
+    for point in (z0, dense):
+        assert TaylorJets(space.psi, fields, point, top, images).table == \
+            TaylorJets(space.psi, fields, point, top).table
 
 
 @BOUNDED
@@ -693,6 +715,38 @@ def test_dump_json_writes_nonfinite_tokens(report, case):
     x, token = case
     assert dump_json([report, x]) == f"[{dump_json_reference(report)},{token}]"
     assert dump_json({"r": {"s": (x,)}}) == f'{{"r":{{"s":[{token}]}}}}'
+
+
+plain_ints = st.one_of(st.integers(-300, -1), st.integers(0, 255),
+                       st.integers(256, 2 ** 64), st.integers(2 ** 64 + 1, 2 ** 80))
+plain_reports = st.recursive(
+    st.one_of(st.none(), st.booleans(), plain_ints, st.text(),
+              st.lists(plain_ints, max_size=8)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=4), inner,
+                                            max_size=4)),
+    max_leaves=24)
+
+
+@WRITER_RUNS
+@given(plain_reports)
+def test_dump_json_matches_json_dumps_without_floats(report):
+    """Without floats the writer writes what json.dumps writes with sorted
+    keys and compact separators: the small-int table and its fallback for
+    negative and large ints keep the bytes."""
+    assert dump_json(report) == json.dumps(report, sort_keys=True,
+                                           separators=(",", ":"))
+
+
+def test_dump_json_int_lists_at_the_table_edges():
+    assert dump_json([True, 1]) == "[true,1]"
+    assert dump_json([1, True]) == "[1,true]"
+    assert dump_json((255, 256, -1)) == "[255,256,-1]"
+    assert dump_json([0, 255]) == "[0,255]"
+    assert dump_json([2 ** 64 + 1, 7]) == f"[{2 ** 64 + 1},7]"
+    assert dump_json(list(np.arange(3, dtype=np.int64))) == "[0,1,2]"
+    assert dump_json([np.int64(-5), np.int64(300)]) == "[-5,300]"
 
 
 @pytest.mark.parametrize("bad", [{1, 2}, 1j, b"x", np.zeros(2), object()])

@@ -8,7 +8,9 @@ from hermsym.octonion import (OCT_TABLE, JordanMatrix, Octonion, cayley_matrix,
                               symbolic_octonion, M16_VARS, M27_VARS)
 from hermsym.poly import PolyRing
 from hermsym.sampling import random_small_gauss, rng_from_seed
-from oracles import partial_evaluate
+import hermsym.octonion
+from oracles import (parse_terms_by_products, partial_evaluate,
+                     square_sum_by_products)
 
 ZERO, ONE = G(0), G(1)
 BASIS = [Octonion.basis(k, ONE, ZERO) for k in range(8)]
@@ -149,6 +151,21 @@ def test_cell_forms_match_octonion_products():
     G55 = (x1 * x2 * x3 - x1 * wo.norm() - x2 * to.norm() - x3 * yo.norm()
            + tri + tri)
     assert forms[54] == G55
+
+
+def _ordered_terms(forms):
+    return [list(p.terms.items()) for p in forms]
+
+
+def test_cell_forms_match_polynomial_sums(monkeypatch):
+    """The forms filled from term tables equal those summed from polynomial
+    products one monomial at a time, term by term in insertion order (the
+    float evaluator sums terms in that order)."""
+    tables = _ordered_terms(cayley_plane_forms()), _ordered_terms(freudenthal_forms())
+    monkeypatch.setattr(hermsym.octonion, "_parse_terms", parse_terms_by_products)
+    monkeypatch.setattr(hermsym.octonion, "_square_sum", square_sum_by_products)
+    assert tables == (_ordered_terms(cayley_plane_forms()),
+                      _ordered_terms(freudenthal_forms()))
 
 
 def test_first_pairing_form_and_zero_slice():

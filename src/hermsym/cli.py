@@ -59,11 +59,18 @@ def dump_json(obj) -> str:
     floats at 17 significant digits (``NaN``, ``Infinity``, ``-Infinity``
     when not finite), numpy scalars unwrapped to their Python value, and
     ``TypeError`` for anything that is not None, bool, int, float, str,
-    dict, list or tuple.
-
-    The recursion runs in ``_write``, so a wrapper installed on this name
-    sees one call per report."""
+    dict, list or tuple.  Text it has already written, wrapped in
+    ``Written``, is written again verbatim, so a report can be assembled
+    from pieces each rendered once."""
     return _write(obj)
+
+
+class Written:
+    """JSON text that ``dump_json`` has already written."""
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
 
 
 def _write(obj) -> str:
@@ -92,6 +99,8 @@ def _write(obj) -> str:
         return "null"
     if t is bool:
         return "true" if obj else "false"
+    if t is Written:
+        return obj.text
     return _write_other(obj)
 
 
@@ -127,6 +136,11 @@ def print_table(report: dict, indent: int = 0):
     pad = "  " * indent
     for k in sorted(report, key=str):
         v = report[k]
+        # pre-written text is read back, so it prints as the value it holds
+        if type(v) is Written:
+            v = json.loads(v.text)
+        elif isinstance(v, (list, tuple)):
+            v = [json.loads(x.text) if type(x) is Written else x for x in v]
         if isinstance(v, dict):
             print(f"{pad}{k}:")
             print_table(v, indent + 1)
@@ -214,11 +228,21 @@ def cmd_describe(args):
 def cmd_rho(args):
     space = build_space(args.space)
     fam = build_rho(space)
-    # Polynomial.to_json of fam.rho, read straight off the z-groups: the
-    # exponent of a term is ze + xe, so this loop order is sorted order
-    terms = [{"exp": ze + xe, **gauss_json(c)}
-             for ze, group in sorted(fam.z_groups.items())
-             for xe, c in sorted(group.items())]
+    # the expanded polynomial's terms {"exp": ze + xe, "im": .., "re": ..},
+    # read straight off the z-groups (so this loop order is sorted order) and
+    # each joined from pieces dump_json writes once: the head with the
+    # z-part of the exponent per z-group, the xi-part per xi-exponent and
+    # the coefficient per distinct value
+    xi_text, coeff_text, terms = {}, {}, []
+    for ze, group in sorted(fam.z_groups.items()):
+        head = '{"exp":' + dump_json(ze)[:-1] + ","
+        for xe, c in sorted(group.items()):
+            if xe not in xi_text:
+                xi_text[xe] = dump_json(xe)[1:] + ","
+            parts = c.parts()
+            if parts not in coeff_text:
+                coeff_text[parts] = dump_json(gauss_json(c))[1:]
+            terms.append(Written(head + xi_text[xe] + coeff_text[parts]))
     return 0, {"space": args.space, "vars": list(fam.ring.vars),
                "rho": {"vars": list(fam.ring.vars), "terms": terms},
                "config": _config(args, None)}

@@ -4,7 +4,7 @@ on the family.
 The family polynomial rho(z, xi) = 1 + sum_j psi_j(z) psi_j(xi) is evaluated
 from the pairing vector psi of the space, exactly as it is defined.  Its
 expansion is one table, grouped by z-monomial and built lazily from psi:
-the support facts read it, and the rho command prints it flattened into a
+the support facts read it, and the rho command prints it term by term in a
 doubled ring (the cell variables plus a conjugate copy, prefix ``c``).
 Exact gradients come from first-order Taylor jets (``poly.TaylorJets``);
 float metric work differentiates psi symbolically once and pushes batches of
@@ -43,8 +43,10 @@ class SegreFamily:
     so in exact arithmetic each value equals the one read off the expanded
     polynomial, and no soundness argument beyond it is needed.  The
     expansion is ``z_groups``, the sum grouped by z-monomial, which the rho
-    command prints; ``rho`` is that table flattened into the doubled ring,
-    built afresh on each read so the family holds one copy of the expansion.
+    command prints term by term; ``rho`` is that table flattened into a
+    doubled-ring ``Polynomial`` for the tests and the benchmark's term
+    count, built afresh on each read so the family holds one copy of the
+    expansion.
 
     Exact derivatives of psi at a point are its first-order Taylor jets.
     The expansion and the compiled metric evaluators are the only caches:

@@ -40,6 +40,9 @@
 * ``dump_json_reference`` -- the report writer as one recursive call and
   one ``isinstance`` ladder per value, the reference for ``cli.dump_json``
   on finite reports.
+* ``rho_report_by_dicts`` -- the family polynomial of the ``rho`` report
+  as one dict per term, the reference for ``cli.cmd_rho``, which joins
+  each term from pieces written once.
 * ``FractionPair`` -- the Gaussian-rational scalar as a pair of
   ``Fraction`` parts, the reference for ``hermsym.gauss``.
 * ``lambda_determinant`` -- the nondegeneracy determinant of the witness
@@ -79,7 +82,7 @@ from math import gcd
 
 import numpy as np
 
-from hermsym.gauss import GaussRational, ONE, ZERO
+from hermsym.gauss import GaussRational, ONE, ZERO, gauss_json
 from hermsym.linalg import RankTracker, det_exact
 from hermsym.poly import Polynomial, PolyFraction, PolyModP, TaylorJets, monomials
 from hermsym.rigidity import _JET_RANK_TRIALS, truncated_vars
@@ -474,6 +477,15 @@ def dump_json_reference(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(dump_json_reference(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def rho_report_by_dicts(fam):
+    """The ``rho`` entry of the ``rho`` report: a term dict {"exp": ze + xe,
+    "im": .., "re": ..} per term, in sorted exponent order."""
+    terms = [{"exp": ze + xe, **gauss_json(c)}
+             for ze, group in sorted(fam.z_groups.items())
+             for xe, c in sorted(group.items())]
+    return {"vars": list(fam.ring.vars), "terms": terms}
 
 
 def _frac(x) -> Fraction:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hermsym.acceptance import unit_at_origin
-from hermsym.cli import dump_json
+from hermsym.cli import Written, build_parser, cmd_rho, dump_json, print_table
 from hermsym.gauss import GaussRational as G, ONE, ZERO
 from hermsym.linalg import RankTracker, _scale_row, det_exact
 import hermsym.poly
@@ -34,7 +34,8 @@ from oracles import (DenseRankTracker, FractionPair, _integer_row, compose_full,
                      flattening_jacobian_bordered,
                      evaluate_loop, greedy_scan_nested, multiindices_upto,
                      psi_by_products,
-                     rho_at_float, rho_by_products, rho_swap_symmetric,
+                     rho_at_float, rho_by_products, rho_report_by_dicts,
+                     rho_swap_symmetric,
                      unit_at_origin_expanded,
                      rho_at_expanded, slot_coefficients_expanded,
                      specialize_expanded, trial_division_loop,
@@ -412,6 +413,19 @@ def test_support_groups_match_expansion(spec):
 
 
 @pytest.mark.parametrize("spec", FAMILY_SPECS + ["e27"])
+def test_rho_report_matches_term_dicts(spec, capsys):
+    """The rho report, joined from pieces written once, writes the bytes of
+    the one-dict-per-term report, as JSON and as a table."""
+    _, report = cmd_rho(build_parser().parse_args(["rho", "--space", spec]))
+    want = dict(report, rho=rho_report_by_dicts(_family(spec)))
+    assert dump_json(report) == dump_json(want)
+    print_table(want)
+    table = capsys.readouterr().out
+    print_table(report)
+    assert capsys.readouterr().out == table
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS + ["e27"])
 def test_rho_table_matches_products(spec):
     """rho flattened from the z-monomial table equals the product of the
     renamed psi copies, and prints the same JSON."""
@@ -715,6 +729,24 @@ def test_dump_json_writes_nonfinite_tokens(report, case):
     x, token = case
     assert dump_json([report, x]) == f"[{dump_json_reference(report)},{token}]"
     assert dump_json({"r": {"s": (x,)}}) == f'{{"r":{{"s":[{token}]}}}}'
+
+
+def _prewrite(draw, obj):
+    """``obj`` with some of its subtrees, at any depth, replaced by their
+    ``Written`` text; a written subtree may hold written ones."""
+    if type(obj) is dict:
+        obj = {k: _prewrite(draw, v) for k, v in obj.items()}
+    elif type(obj) in (list, tuple):
+        obj = type(obj)(_prewrite(draw, x) for x in obj)
+    return Written(dump_json(obj)) if draw(st.booleans()) else obj
+
+
+@WRITER_RUNS
+@given(reports, st.data())
+def test_dump_json_writes_prewritten_text_verbatim(report, data):
+    """Replacing subtrees of a report by their pre-written text, inside
+    dicts, lists and tuples, leaves its bytes unchanged."""
+    assert dump_json(_prewrite(data.draw, report)) == dump_json(report)
 
 
 plain_ints = st.one_of(st.integers(-300, -1), st.integers(0, 255),

@@ -374,13 +374,14 @@ def test_cli_refuses_zero_map_samples(capsys, tmp_path, disc):
 
 def test_cli_commands_leave_rho_unexpanded(capsys, monkeypatch):
     """hyp1, hyp2, metric, describe and einstein evaluate the family from
-    psi and never build its doubled-ring expansion."""
+    psi and never build its expansion, the z-groups (which the flattened
+    ``SegreFamily.rho`` reads too)."""
     from hermsym.segre import SegreFamily
 
     def refuse(self):
         raise AssertionError("the expanded family polynomial was read")
 
-    monkeypatch.setattr(SegreFamily, "rho", property(refuse))
+    monkeypatch.setattr(SegreFamily, "z_groups", property(refuse))
     for argv in (["hyp1", "--space", "typeI:2,2", "--seed", "7"],
                  ["hyp2", "--space", "e16", "--seed", "7"],
                  ["metric", "--space", "typeIII:2", "--seed", "7"],

@@ -202,8 +202,9 @@ def regular_locus_nonempty(fam: SegreFamily, seed: int) -> bool:
     rng = rng_from_seed(seed + 1)
     for _ in range(8):
         z, xi = sample_on_family(fam, rng)
-        if (any(not d.is_zero() for d in fam.xi_gradient(xi, z))
-                and any(not d.is_zero() for d in fam.xi_gradient(z, xi))):
+        d_z, d_xi = fam.gradients(z, xi)
+        if (any(not d.is_zero() for d in d_z)
+                and any(not d.is_zero() for d in d_xi)):
             return True
     return False
 
@@ -468,6 +469,101 @@ ALL_CRITERIA: List[Callable] = [          # criteria 1 to 9
 ]
 
 
+# The criteria as two groups of indices into ALL_CRITERIA, which ``run_all``
+# runs side by side: the first in the calling process, the second in one
+# forked child.  Balanced on each criterion's time alone in a fresh process
+# (2 vCPUs): embedding 0.18 s, pfaffian 0.03, octonion 0.20, einstein 0.12,
+# hyp1 0.06, hyp2 0.02, hyp3 0.04, volume 0.01, degeneracy 0.03.  Each group
+# takes about 0.37 s (all nine serially 0.72 s), and criteria that share
+# families share a group.
+CRITERION_GROUPS: Tuple[Tuple[int, ...], ...] = ((0, 1, 3, 7), (2, 4, 5, 6, 8))
+
+# a group's results by index, and the index and exception of the criterion
+# that stopped it, if one raised
+Report = Tuple[Dict[int, CriterionResult], Optional[Tuple[int, Exception]]]
+
+
+def criterion_groups() -> Tuple[Tuple[int, ...], ...]:
+    """``CRITERION_GROUPS`` when two CPUs are usable (``sched_getaffinity``,
+    else ``cpu_count``) and ``os.fork`` exists; else one group of all."""
+    # os, pickle and signal are imported where they are used, so that
+    # ``import hermsym.cli`` imports nothing more
+    import os
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if cpus < 2 or not hasattr(os, "fork"):
+        return (tuple(range(len(ALL_CRITERIA))),)
+    return CRITERION_GROUPS
+
+
+def _run_group(group: Tuple[int, ...], seed: int,
+               tol: Optional[Tolerances]) -> Report:
+    """The criteria of ``group`` in order, up to the first that raises:
+    ({index: result}, None), or the results before it and (index, exception)."""
+    results = {}
+    for i in group:
+        try:
+            results[i] = ALL_CRITERIA[i](seed=seed, tol=tol)
+        except Exception as exc:
+            return results, (i, exc)
+    return results, None
+
+
+def _run_forked(groups, seed: int, tol: Optional[Tolerances]) -> Report:
+    """``groups[0]`` here and ``groups[1]`` in one forked child, which sends
+    its report back pickled over a pipe.  On every way out, BaseException
+    included, the child is reaped, and killed first if it has not reported;
+    a child that ends without a report is an internal error."""
+    import os
+    import pickle
+    import signal
+    read, write = os.pipe()
+    with open(read, "rb") as reader, open(write, "wb") as writer:
+        pid = 0
+        try:
+            pid = os.fork()
+            if pid == 0:
+                # the child: it never returns into the caller's stack, and
+                # os._exit never flushes the stdio it inherited
+                status = 1
+                try:
+                    writer.write(pickle.dumps(_run_group(groups[1], seed, tol)))
+                    writer.close()
+                    status = 0
+                finally:
+                    os._exit(status)
+            writer.close()
+            results, error = _run_group(groups[0], seed, tol)
+            data = reader.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pid = 0
+        finally:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if code != 0:
+        raise RuntimeError(f"selftest child process exited with code {code} "
+                           "before reporting")
+    more, other = pickle.loads(data)
+    results.update(more)
+    # the lowest index is the criterion a serial run raises from
+    errors = [e for e in (error, other) if e is not None]
+    return results, min(errors, key=lambda e: e[0], default=None)
+
+
 def run_all(seed: int = DEFAULT_SEED,
             tol: Optional[Tolerances] = None) -> List[CriterionResult]:
-    return [fn(seed=seed, tol=tol) for fn in ALL_CRITERIA]
+    """Every criterion, in ``ALL_CRITERIA`` order, run in one process per
+    group of ``criterion_groups()``.  Each criterion seeds its own rng from
+    ``seed``, so the results do not depend on the grouping; a criterion that
+    raises is raised here, with its type and message."""
+    groups = criterion_groups()
+    if len(groups) == 1:
+        results, error = _run_group(groups[0], seed, tol)
+    else:
+        results, error = _run_forked(groups, seed, tol)
+    if error is not None:
+        raise error[1]
+    return [results[i] for i in range(len(ALL_CRITERIA))]

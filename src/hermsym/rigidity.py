@@ -22,7 +22,7 @@ from .linalg import RankTracker, det_exact, rank_exact
 from .maps import RationalMap
 from .poly import Polynomial, TaylorJets, monomials, trial_division_modp
 from .sampling import random_complex_ball, random_small_gauss, rng_from_seed
-from .segre import SegreFamily, null_block, special_point
+from .segre import SegreFamily, null_block, pair_rows, special_point
 from .spaces import Space
 
 _JET_RANK_TRIALS = 2       # random points of jet_rank
@@ -294,10 +294,18 @@ class FlatteningSeedError(ArithmeticError):
 def transversality_rank(fam: SegreFamily, xi0: Dict, z0: Dict, z1: Dict
                         ) -> Tuple[int, List[List[GaussRational]]]:
     """Exact rank of the two conjugate-gradient rows at xi0, returned with
-    the rows: (rank, [row of z0, row of z1])."""
-    if not fam.rho_at(z0, xi0).is_zero() or not fam.rho_at(z1, xi0).is_zero():
-        raise OffVarietyError("points are not on the Segre variety of xi0")
-    rows = [fam.xi_gradient(z0, xi0), fam.xi_gradient(z1, xi0)]
+    the rows: (rank, [row of z0, row of z1]).  One first-order jet table at
+    xi0 gives psi(xi0) and its derivatives, for both rho checks and both
+    rows; psi is evaluated once at each z, on the components they use."""
+    psi = fam.space.pairing_psi
+    at_xi, d_xi = fam.first_jets(xi0)
+    used = set(at_xi).union(*d_xi)
+    rows = []
+    for z in (z0, z1):
+        at_z = {j: psi[j].evaluate(z) for j in used}
+        if not (ONE + pair_rows(at_z, [at_xi])[0]).is_zero():     # rho(z, xi0)
+            raise OffVarietyError("points are not on the Segre variety of xi0")
+        rows.append(pair_rows(at_z, d_xi))
     return rank_exact(rows), rows
 
 

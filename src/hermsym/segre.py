@@ -38,15 +38,15 @@ class SegreFamily:
     """The Segre family of a space: rho(z, xi) = 1 + sum_j psi_j(z) psi_j(xi)
     over its pairing vector psi (``Space.pairing_psi``).
 
-    Every query evaluates that sum from the psi vector: ``rho_at`` and the
-    conjugate gradient ``xi_gradient``.  The sum is the definition of rho,
-    so in exact arithmetic each value equals the one read off the expanded
-    polynomial, and no soundness argument beyond it is needed.  The
-    expansion is ``z_groups``, the sum grouped by z-monomial, which the rho
-    command prints term by term; ``rho`` is that table flattened into a
-    doubled-ring ``Polynomial`` for the tests and the benchmark's term
-    count, built afresh on each read so the family holds one copy of the
-    expansion.
+    Every query evaluates that sum from the psi vector: ``rho_at``, and the
+    gradients that ``pair_rows`` forms from ``first_jets``.  The sum is the
+    definition of rho, so in exact arithmetic each value equals the one read
+    off the expanded polynomial, and no soundness argument beyond it is
+    needed.  The expansion is ``z_groups``, the sum grouped by z-monomial,
+    which the rho command prints term by term; ``rho`` is that table
+    flattened into a doubled-ring ``Polynomial`` for the tests and the
+    benchmark's term count, built afresh on each read so the family holds
+    one copy of the expansion.
 
     Exact derivatives of psi at a point are its first-order Taylor jets.
     The expansion and the compiled metric evaluators are the only caches:
@@ -113,17 +113,35 @@ class SegreFamily:
                 total = total + p.evaluate(z) * b
         return total
 
-    def xi_gradient(self, z: Dict, xi: Dict) -> List[GaussRational]:
-        """[d rho / d xi_v at (z, xi) for v in the cell variables], that is
-        sum_j psi_j(z) (d_v psi_j)(xi), with (d_v psi_j)(xi) read off the
-        weight-1 rows of the first-order jets of psi at xi.  The psi sum is
-        symmetric, so the z-gradient at (z, xi) is ``xi_gradient(xi, z)``."""
-        psi = self.space.pairing_psi
-        jets = TaylorJets(psi, self.zvars, xi, 1)
+    def first_jets(self, point: Dict) -> Tuple[Dict[int, GaussRational],
+                                               List[Dict[int, GaussRational]]]:
+        """psi and its first derivatives at ``point``, from one first-order
+        jet table: ({j: psi_j(point)}, [{j: (d_v psi_j)(point)} for v in the
+        cell variables]), nonzeros only.  The weight-0 row is [t^0]
+        psi_j(point + t v) = psi_j(point), so the values are exact."""
         n = len(self.zvars)
-        rows = [jets.row(tuple(int(k == i) for k in range(n))) for i in range(n)]
-        psi_z = {j: psi[j].evaluate(z) for j in set().union(*rows)}
-        return [sum((psi_z[j] * d for j, d in row.items()), ZERO) for row in rows]
+        jets = TaylorJets(self.space.pairing_psi, self.zvars, point, 1)
+        return jets.row((0,) * n), [jets.row(tuple(int(k == i) for k in range(n)))
+                                    for i in range(n)]
+
+    def gradients(self, z: Dict, xi: Dict) -> Tuple[List[GaussRational],
+                                                     List[GaussRational]]:
+        """(d rho / d z_v, d rho / d xi_v) at (z, xi), from one first-order
+        jet table at each point, each also giving psi at its point."""
+        at_z, d_z = self.first_jets(z)
+        at_xi, d_xi = self.first_jets(xi)
+        return pair_rows(at_xi, d_z), pair_rows(at_z, d_xi)
+
+
+def pair_rows(values: Dict[int, GaussRational],
+              rows: Sequence[Dict[int, GaussRational]]) -> List[GaussRational]:
+    """[sum_j values[j] row[j] for each row], over the j both hold.  With
+    psi at z as ``values`` and the derivative rows of ``first_jets`` at xi,
+    that is the conjugate gradient sum_j psi_j(z) (d_v psi_j)(xi) of rho;
+    with the row [psi(xi)] it is rho(z, xi) - 1.  The psi sum is symmetric,
+    so the same call with the points swapped gives the z-gradient."""
+    return [sum((values[j] * d for j, d in row.items() if j in values), ZERO)
+            for row in rows]
 
 
 def build_rho(space: Space) -> SegreFamily:
@@ -388,19 +406,26 @@ def sample_on_family(fam: SegreFamily, rng) -> Tuple[Dict, Dict]:
     if not space.kind.slot_solve:
         return special_point(space, rng)
     dist = space.distinguished
+    psi = space.pairing_psi
+
+    def rho(at_z, xi):      # rho(z, xi), from psi(z) evaluated once per z
+        return ONE + pair_rows(at_z, [{j: p.evaluate(xi)
+                                       for j, p in enumerate(psi)}])[0]
+
     for _ in range(64):
         z = random_gauss_point(rng, space.vars)
         xi = random_gauss_point(rng, space.vars)
+        at_z = {j: p.evaluate(z) for j, p in enumerate(psi)}
         # rho(z, xi) = A * xi_dist + B: every psi_j is linear in the
         # distinguished slot, which the exact check after the solve confirms
         at0, at1 = dict(xi), dict(xi)
         at0[dist], at1[dist] = ZERO, ONE
-        B = fam.rho_at(z, at0)
-        A = fam.rho_at(z, at1) - B
+        B = rho(at_z, at0)
+        A = rho(at_z, at1) - B
         if A.is_zero():
             continue
         xi[dist] = -(B / A)
-        if not fam.rho_at(z, xi).is_zero():
+        if not rho(at_z, xi).is_zero():
             raise ArithmeticError("distinguished slot not linear")
         return z, xi
     raise ArithmeticError("could not sample a family point (degenerate draws)")

@@ -276,13 +276,17 @@ def build_type3(n: int) -> Space:
 
     raw: List[Polynomial] = []       # layer (a): all minors, redundant
     offered: Dict[int, List[Polynomial]] = {}
+    upper: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Polynomial] = {}
     for k, rows, cols in minor_index_sets(n, n):
-        m = minor_expansion(cell, rows, cols)
-        raw.append(m)
-        # Z is symmetric, so minor(J, I) = minor(I, J): an earlier row, which
-        # the greedy below would reject
+        # Z is symmetric, so minor(J, I) = minor(I, J), expanded at the
+        # earlier (I, J): reused here, and not offered to the greedy below,
+        # which would reject it
         if rows <= cols:
+            m = upper[rows, cols] = minor_expansion(cell, rows, cols)
             offered.setdefault(k, []).append(m)
+        else:
+            m = upper[cols, rows]
+        raw.append(m)
 
     # layer (b): per-degree maximal independent subsets, greedy in lex order
     psi: List[Polynomial] = []

@@ -22,6 +22,9 @@
   as 1 + sum_j psi_j(z) psi_j(xi), each psi_j renamed into it twice
   (``embed``) and the copies multiplied, instead of grouped by z-monomial;
   the helpers below read it as their reference.
+* ``xi_gradient_by_evaluate`` -- the conjugate gradient from the jets of
+  psi at xi and psi evaluated at z, the reference for ``first_jets`` and
+  ``pair_rows``, which read psi at both points off the jets' weight-0 rows.
 * ``rho_at_expanded``, ``xi_gradient_expanded``, ``z_gradient_expanded``,
   ``specialize_expanded`` and ``slot_coefficients_expanded`` -- queries of
   the Segre family read off that expansion by ``partial_evaluate``,
@@ -319,6 +322,18 @@ def xi_gradient_expanded(fam, z, xi):
     rho = rho_by_products(fam)
     return [partial_evaluate(rho.derivative(conj_name(v)), assign).evaluate(point)
             for v in fam.zvars]
+
+
+def xi_gradient_by_evaluate(fam, z, xi):
+    """d rho / d xi_v at (z, xi) from the first-order jets of psi at xi and
+    psi evaluated term by term at z: the reference for the gradients that
+    read psi at both points off the weight-0 rows of their jet tables."""
+    psi = fam.space.pairing_psi
+    n = len(fam.zvars)
+    jets = TaylorJets(psi, fam.zvars, xi, 1)
+    rows = [jets.row(tuple(int(k == i) for k in range(n))) for i in range(n)]
+    psi_z = {j: psi[j].evaluate(z) for j in set().union(*rows)}
+    return [sum((psi_z[j] * d for j, d in row.items()), ZERO) for row in rows]
 
 
 def z_gradient_expanded(fam, z, xi):

@@ -161,3 +161,173 @@ def test_flipped_pair_partition_fails_pfaffian_suite(monkeypatch):
     result = acceptance.check_pfaffian_suite(seed=SEED)
     assert not result.passed and result.failure_kind == "logic", result.detail
     assert result.detail == "pair partitions != Laplace expansion at order 4"
+
+
+# ---------------------------------------------------------------------------
+# the criteria in two processes
+# ---------------------------------------------------------------------------
+
+ONE_GROUP = (tuple(range(len(ALL_CRITERIA))),)
+
+
+def _no_child_left():
+    import os
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _patch_criteria(monkeypatch, replace):
+    """``ALL_CRITERIA`` with the criteria at the indices of ``replace``
+    swapped for the given bodies."""
+    criteria = list(ALL_CRITERIA)
+    for i, fn in replace.items():
+        criteria[i] = fn
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", criteria)
+
+
+def _selftest(argv):
+    """(exit code, stdout, stderr) of ``hermsym`` on ``argv``, in process."""
+    import contextlib
+    import io
+    from hermsym.cli import main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_criterion_groups_partition_all_criteria(monkeypatch):
+    import os
+    groups = acceptance.CRITERION_GROUPS
+    assert len(groups) == 2 and all(groups)
+    assert sorted(i for g in groups for i in g) == list(range(len(ALL_CRITERIA)))
+    assert acceptance.criterion_groups() in (groups, ONE_GROUP)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert acceptance.criterion_groups() == ONE_GROUP
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert acceptance.criterion_groups() == groups
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert acceptance.criterion_groups() == ONE_GROUP
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_run_all_equals_each_criterion_alone(monkeypatch, seed):
+    monkeypatch.setattr(acceptance, "criterion_groups",
+                        lambda: acceptance.CRITERION_GROUPS)
+    tol = Tolerances()
+    assert run_all(seed=seed, tol=tol) == [fn(seed=seed, tol=tol)
+                                           for fn in ALL_CRITERIA]
+    _no_child_left()
+
+
+def test_child_exception_exits_like_serial_route(monkeypatch):
+    """A criterion of the child's group that raises: ``selftest`` exits 3
+    with the stderr line of the serial route, and leaves no child."""
+    monkeypatch.delenv("HSS_SEED", raising=False)
+
+    def broken(seed, tol):
+        raise ArithmeticError("broken invariant")
+
+    _patch_criteria(monkeypatch, {acceptance.CRITERION_GROUPS[1][0]: broken})
+    runs = []
+    for groups in (acceptance.CRITERION_GROUPS, ONE_GROUP):
+        monkeypatch.setattr(acceptance, "criterion_groups", lambda: groups)
+        runs.append(_selftest(["selftest"]))
+        _no_child_left()
+    assert runs[0] == runs[1] == (
+        3, "", "internal error: ArithmeticError: broken invariant\n")
+
+
+@pytest.mark.parametrize("raising", [(2, 3), (1, 2), (4, 8)],
+                         ids=["child-first", "parent-first", "child-only"])
+def test_lowest_raising_index_wins(monkeypatch, raising):
+    """When criteria of both groups raise, the one a serial run reaches
+    first is raised, with its type and message."""
+    kinds = [KeyError, ValueError, ZeroDivisionError]
+
+    def fake(i):
+        def run(seed, tol):
+            if i in raising:
+                raise kinds[i % 3](f"criterion {i}")
+            return acceptance.CriterionResult(f"c{i}", True, "ok")
+        return run
+
+    _patch_criteria(monkeypatch, {i: fake(i) for i in range(len(ALL_CRITERIA))})
+    first = min(raising)
+    for groups in (acceptance.CRITERION_GROUPS, ONE_GROUP):
+        monkeypatch.setattr(acceptance, "criterion_groups", lambda: groups)
+        with pytest.raises(kinds[first % 3]) as info:
+            run_all(seed=SEED)
+        assert info.value.args == (f"criterion {first}",)
+        _no_child_left()
+
+
+def test_child_that_dies_is_an_internal_error(monkeypatch):
+    import os
+    parent = os.getpid()
+    monkeypatch.delenv("HSS_SEED", raising=False)
+
+    def dies(seed, tol):
+        assert os.getpid() != parent, "ran in the calling process"
+        os._exit(9)
+
+    _patch_criteria(monkeypatch, {acceptance.CRITERION_GROUPS[1][-1]: dies})
+    monkeypatch.setattr(acceptance, "criterion_groups",
+                        lambda: acceptance.CRITERION_GROUPS)
+    code, out, err = _selftest(["selftest"])
+    assert (code, out) == (3, "")
+    assert err == ("internal error: RuntimeError: selftest child process "
+                   "exited with code 9 before reporting\n")
+    _no_child_left()
+
+
+def test_interrupted_parent_kills_its_child(monkeypatch):
+    """A BaseException in the calling process (the benchmark's time limit
+    is one) kills the child at once and reaps it."""
+    import os
+    import time
+
+    class Stop(BaseException):
+        pass
+
+    parent = os.getpid()
+
+    def hangs(seed, tol):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise AssertionError("ran in the calling process")
+
+    def stops(seed, tol):
+        raise Stop()
+
+    groups = acceptance.CRITERION_GROUPS
+    _patch_criteria(monkeypatch, {groups[1][0]: hangs, groups[0][0]: stops})
+    monkeypatch.setattr(acceptance, "criterion_groups", lambda: groups)
+    t0 = time.perf_counter()
+    with pytest.raises(Stop):
+        run_all(seed=SEED)
+    assert time.perf_counter() - t0 < 30
+    _no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(__import__("os"), "sched_setaffinity"),
+                    reason="needs sched_setaffinity")
+def test_selftest_bytes_do_not_depend_on_the_cpu_count():
+    """``selftest --seed 7`` pinned to one CPU (one group, no child) prints
+    the bytes of an unpinned run."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env.pop("HSS_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "hermsym.cli", "selftest", "--seed", "7"]
+    cpu = min(os.sched_getaffinity(0))
+    pinned = subprocess.run(cmd, capture_output=True, check=True, env=env,
+                            preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    unpinned = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    assert pinned.stdout == unpinned.stdout and pinned.stdout
+    assert pinned.stderr == unpinned.stderr == b""

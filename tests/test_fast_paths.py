@@ -39,7 +39,8 @@ from oracles import (DenseRankTracker, FractionPair, _integer_row, compose_full,
                      unit_at_origin_expanded,
                      rho_at_expanded, slot_coefficients_expanded,
                      specialize_expanded, trial_division_loop,
-                     xi_gradient_expanded, z_gradient_expanded,
+                     xi_gradient_by_evaluate, xi_gradient_expanded,
+                     z_gradient_expanded,
                      z_part_groups_expanded)
 
 RING = PolyRing(("x", "y", "z"))
@@ -353,8 +354,9 @@ def test_gradients_match_expansion(case):
     of the regular-locus check (the z block by the swap of the psi sum)."""
     spec, z, xi = case
     fam = _family(spec)
-    assert fam.xi_gradient(z, xi) == xi_gradient_expanded(fam, z, xi)
-    assert fam.xi_gradient(xi, z) == z_gradient_expanded(fam, z, xi)
+    d_z, d_xi = fam.gradients(z, xi)
+    assert d_xi == xi_gradient_expanded(fam, z, xi)
+    assert d_z == z_gradient_expanded(fam, z, xi)
 
 
 @pytest.mark.parametrize("spec", FAMILY_SPECS + ["typeIII:5"])
@@ -364,10 +366,27 @@ def test_recipe_gradients_and_flattening_match_references(spec):
     determinant."""
     fam = _family(spec)
     xi0, z0, z1 = transversality_recipe(fam, seed=7)
-    for z in (z0, z1):
-        assert fam.xi_gradient(z, xi0) == xi_gradient_expanded(fam, z, xi0)
     rows = transversality_rank(fam, xi0, z0, z1)[1]
+    assert rows == [xi_gradient_expanded(fam, z, xi0) for z in (z0, z1)]
     assert flattening_jacobian(rows) == flattening_jacobian_bordered(rows)
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS + ["e27"])
+def test_one_jet_table_per_point_matches_evaluate_route(spec):
+    """hyp2's rows (one jet table at xi0) and the regular-locus blocks (one
+    at each point), with psi read off the weight-0 rows, equal the route
+    that evaluates psi at the other point; the weight-0 row is psi there."""
+    fam = _family(spec)
+    xi0, z0, z1 = transversality_recipe(fam, seed=7)
+    rows = transversality_rank(fam, xi0, z0, z1)[1]
+    assert rows == [xi_gradient_by_evaluate(fam, z, xi0) for z in (z0, z1)]
+    z, xi = sample_on_family(fam, rng_from_seed(8))
+    assert fam.gradients(z, xi) == (xi_gradient_by_evaluate(fam, xi, z),
+                                    xi_gradient_by_evaluate(fam, z, xi))
+    for point in (xi0, z, xi):
+        values = [p.evaluate(point) for p in fam.space.pairing_psi]
+        assert fam.first_jets(point)[0] == {
+            j: v for j, v in enumerate(values) if not v.is_zero()}
 
 
 @BOUNDED

@@ -257,8 +257,8 @@ def test_cli_exit_codes(capsys, monkeypatch):
     assert captured.err.count("\n") == 1
     # any other exception is an internal error too, never a check failure
     monkeypatch.undo()
-    monkeypatch.setattr(SegreFamily, "xi_gradient",
-                        lambda self, z, xi: {}["missing"])
+    monkeypatch.setattr(SegreFamily, "first_jets",
+                        lambda self, point: {}["missing"])
     assert main(["hyp2", "--space", "typeIV:3", "--seed", "7"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

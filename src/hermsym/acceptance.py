@@ -485,7 +485,10 @@ Report = Tuple[Dict[int, CriterionResult], Optional[Tuple[int, Exception]]]
 
 def criterion_groups() -> Tuple[Tuple[int, ...], ...]:
     """``CRITERION_GROUPS`` when two CPUs are usable (``sched_getaffinity``,
-    else ``cpu_count``) and ``os.fork`` exists; else one group of all."""
+    else ``cpu_count``) and ``os.fork`` exists; else one group of all.  A
+    caller running other threads gets one group too: a fork copies a lock
+    another thread holds (the family cache's, say) held, and the child
+    would wait on it for ever."""
     # os, pickle and signal are imported where they are used, so that
     # ``import hermsym.cli`` imports nothing more
     import os
@@ -493,7 +496,7 @@ def criterion_groups() -> Tuple[Tuple[int, ...], ...]:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    if cpus < 2 or not hasattr(os, "fork"):
+    if cpus < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return (tuple(range(len(ALL_CRITERIA))),)
     return CRITERION_GROUPS
 

@@ -207,6 +207,18 @@ def test_criterion_groups_partition_all_criteria(monkeypatch):
         assert acceptance.criterion_groups() == ONE_GROUP
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         assert acceptance.criterion_groups() == groups
+        # another thread alive: no fork
+        import threading
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            assert acceptance.criterion_groups() == ONE_GROUP
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert acceptance.criterion_groups() == groups
     monkeypatch.delattr(os, "fork", raising=False)
     assert acceptance.criterion_groups() == ONE_GROUP
 

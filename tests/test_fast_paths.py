@@ -699,11 +699,20 @@ LAYOUT_SPECS = ([f"typeI:{p},{q}" for q in range(1, 6) for p in range(1, q + 1)]
 def test_signed_monomials_match_polynomial_products(spec):
     """Every psi and pairing_psi term of the builder, in insertion order,
     equals that of the chains of polynomial products; for typeIII psi is
-    the greedy basis over all minors."""
+    the greedy basis over all minors, and the pairing holds minor(I, J) for
+    I <= J and reuses it as minor(J, I), which Z's symmetry makes the same
+    polynomial."""
     space = build_space(spec)
     psi, pairing_psi = psi_by_products(space)
     assert [list(p.terms.items()) for p in space.psi] == \
         [list(p.terms.items()) for p in psi]
+    if space.desc.kind == "typeIII":
+        n = space.desc.params[0]
+        pairs = [(rows, cols) for _, rows, cols in minor_index_sets(n, n)]
+        at = {pair: i for i, pair in enumerate(pairs)}
+        upper = [pairing_psi[at[min(pair, pair[::-1])]] for pair in pairs]
+        assert [p.terms for p in upper] == [p.terms for p in pairing_psi]
+        pairing_psi = upper
     assert [list(p.terms.items()) for p in space.pairing_psi] == \
         [list(p.terms.items()) for p in pairing_psi]
 

@@ -480,15 +480,15 @@ CRITERION_GROUPS: Tuple[Tuple[int, ...], ...] = ((0, 1, 3, 7), (2, 4, 5, 6, 8))
 
 # a group's results by index, and the index and exception of the criterion
 # that stopped it, if one raised
-Report = Tuple[Dict[int, CriterionResult], Optional[Tuple[int, Exception]]]
+_Report = Tuple[Dict[int, CriterionResult], Optional[Tuple[int, Exception]]]
 
 
 def criterion_groups() -> Tuple[Tuple[int, ...], ...]:
     """``CRITERION_GROUPS`` when two CPUs are usable (``sched_getaffinity``,
     else ``cpu_count``) and ``os.fork`` exists; else one group of all.  A
-    caller running other threads gets one group too: a fork copies a lock
-    another thread holds (the family cache's, say) held, and the child
-    would wait on it for ever."""
+    caller running other threads gets one group too: a lock another thread
+    holds at the fork (the family cache's, say) stays held in the child,
+    which would wait on it for ever."""
     # os, pickle and signal are imported where they are used, so that
     # ``import hermsym.cli`` imports nothing more
     import os
@@ -502,7 +502,7 @@ def criterion_groups() -> Tuple[Tuple[int, ...], ...]:
 
 
 def _run_group(group: Tuple[int, ...], seed: int,
-               tol: Optional[Tolerances]) -> Report:
+               tol: Optional[Tolerances]) -> _Report:
     """The criteria of ``group`` in order, up to the first that raises:
     ({index: result}, None), or the results before it and (index, exception)."""
     results = {}
@@ -514,7 +514,8 @@ def _run_group(group: Tuple[int, ...], seed: int,
     return results, None
 
 
-def _run_forked(groups, seed: int, tol: Optional[Tolerances]) -> Report:
+def _run_forked(groups: Tuple[Tuple[int, ...], ...], seed: int,
+                tol: Optional[Tolerances]) -> _Report:
     """``groups[0]`` here and ``groups[1]`` in one forked child, which sends
     its report back pickled over a pipe.  On every way out, BaseException
     included, the child is reaped, and killed first if it has not reported;

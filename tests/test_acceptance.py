@@ -1,6 +1,8 @@
 """The acceptance matrix: every criterion at its stated tolerance, one
 pass/fail line per criterion, plus the mutation and tolerance hooks."""
 
+import os
+
 import pytest
 
 from hermsym import acceptance
@@ -168,10 +170,11 @@ def test_flipped_pair_partition_fails_pfaffian_suite(monkeypatch):
 # ---------------------------------------------------------------------------
 
 ONE_GROUP = (tuple(range(len(ALL_CRITERIA))),)
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="needs os.fork")
 
 
 def _no_child_left():
-    import os
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -197,7 +200,6 @@ def _selftest(argv):
 
 
 def test_criterion_groups_partition_all_criteria(monkeypatch):
-    import os
     groups = acceptance.CRITERION_GROUPS
     assert len(groups) == 2 and all(groups)
     assert sorted(i for g in groups for i in g) == list(range(len(ALL_CRITERIA)))
@@ -223,6 +225,7 @@ def test_criterion_groups_partition_all_criteria(monkeypatch):
     assert acceptance.criterion_groups() == ONE_GROUP
 
 
+@needs_fork
 @pytest.mark.parametrize("seed", [7, 11])
 def test_run_all_equals_each_criterion_alone(monkeypatch, seed):
     monkeypatch.setattr(acceptance, "criterion_groups",
@@ -233,6 +236,7 @@ def test_run_all_equals_each_criterion_alone(monkeypatch, seed):
     _no_child_left()
 
 
+@needs_fork
 def test_child_exception_exits_like_serial_route(monkeypatch):
     """A criterion of the child's group that raises: ``selftest`` exits 3
     with the stderr line of the serial route, and leaves no child."""
@@ -251,6 +255,7 @@ def test_child_exception_exits_like_serial_route(monkeypatch):
         3, "", "internal error: ArithmeticError: broken invariant\n")
 
 
+@needs_fork
 @pytest.mark.parametrize("raising", [(2, 3), (1, 2), (4, 8)],
                          ids=["child-first", "parent-first", "child-only"])
 def test_lowest_raising_index_wins(monkeypatch, raising):
@@ -275,8 +280,8 @@ def test_lowest_raising_index_wins(monkeypatch, raising):
         _no_child_left()
 
 
+@needs_fork
 def test_child_that_dies_is_an_internal_error(monkeypatch):
-    import os
     parent = os.getpid()
     monkeypatch.delenv("HSS_SEED", raising=False)
 
@@ -294,10 +299,10 @@ def test_child_that_dies_is_an_internal_error(monkeypatch):
     _no_child_left()
 
 
+@needs_fork
 def test_interrupted_parent_kills_its_child(monkeypatch):
     """A BaseException in the calling process (the benchmark's time limit
     is one) kills the child at once and reaps it."""
-    import os
     import time
 
     class Stop(BaseException):
@@ -323,12 +328,11 @@ def test_interrupted_parent_kills_its_child(monkeypatch):
     _no_child_left()
 
 
-@pytest.mark.skipif(not hasattr(__import__("os"), "sched_setaffinity"),
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="needs sched_setaffinity")
 def test_selftest_bytes_do_not_depend_on_the_cpu_count():
     """``selftest --seed 7`` pinned to one CPU (one group, no child) prints
     the bytes of an unpinned run."""
-    import os
     import subprocess
     import sys
     from pathlib import Path

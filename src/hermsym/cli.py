@@ -258,7 +258,7 @@ def cmd_metric(args):
         samples.append({
             "point": [{"re": z.real, "im": z.imag} for z in pt],
             "volume_density": ms.volume_density,
-            "hermitian_deviation": float(np.max(np.abs(ms.g - ms.g.conj().T))),
+            "hermitian_deviation": ms.hermitian_deviation,
         })
     return 0, {"space": args.space, "samples": samples,
                "config": _config(args, seed)}

@@ -316,6 +316,8 @@ def poly_from_json(obj) -> Polynomial:
                              f"{len(ring.vars)} non-negative integers")
         if "re" not in t:
             raise ValueError(f"term {t!r} has no 're' coefficient")
+        if isinstance(t["re"], bool) or isinstance(t.get("im"), bool):
+            raise ValueError(f"term {t!r} has a boolean coefficient")
         try:
             c = GaussRational(Fraction(t["re"]), Fraction(t.get("im", "0")))
         except (TypeError, ValueError, ZeroDivisionError):

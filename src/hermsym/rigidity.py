@@ -22,7 +22,7 @@ from .linalg import RankTracker, det_exact, rank_exact
 from .maps import RationalMap
 from .poly import Polynomial, TaylorJets, monomials, trial_division_modp
 from .sampling import random_complex_ball, random_small_gauss, rng_from_seed
-from .segre import SegreFamily, null_block, pair_rows, special_point
+from .segre import SegreFamily, null_block, pair_rows, sample_on_family
 from .spaces import Space
 
 _JET_RANK_TRIALS = 2       # random points of jet_rank
@@ -178,9 +178,7 @@ def find_nondegeneracy_witness(fam: SegreFamily, F: RationalMap,
     examined_total = 0
     exhausted = False
     for _ in range(_WITNESS_TRIALS):
-        z0, xi0 = special_point(space, rng)
-        if not fam.rho_at(z0, xi0).is_zero():
-            raise ArithmeticError("special point is not on the family")
+        z0, xi0 = sample_on_family(fam, rng)
         jets = TaylorJets(space.psi, fields, z0, max_order, F.components)
         chosen, examined, stopped = _greedy_rows(jets, len(fields), max_order,
                                                  N, budget)

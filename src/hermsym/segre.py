@@ -183,9 +183,9 @@ class BatchEvaluator:
 
 @dataclass
 class MetricSample:
-    point: List[complex]
     g: np.ndarray
     volume_density: float
+    hermitian_deviation: float              # max |g - g^H|
 
 
 def invariant_weights(space: Space) -> np.ndarray:
@@ -245,7 +245,7 @@ def kahler_metric(fam: SegreFamily, point: Sequence[complex]) -> MetricSample:
         raise ArithmeticError(f"metric not Hermitian (deviation {dev:g}); "
                               "family polynomial is asymmetric")
     det = np.linalg.det(g)
-    return MetricSample(list(point), g, float(det.real))
+    return MetricSample(g, float(det.real), dev)
 
 
 class EinsteinError(ArithmeticError):
@@ -398,37 +398,12 @@ def special_point(space: Space, rng) -> Tuple[Dict, Dict]:
 
 
 def sample_on_family(fam: SegreFamily, rng) -> Tuple[Dict, Dict]:
-    """A random exact rational point (z, xi) with rho(z, xi) = 0.
-
-    A slot-solve kind draws z and xi and solves the distinguished conjugate
-    slot (rho is linear in it); the other kinds take ``special_point``."""
-    space = fam.space
-    if not space.kind.slot_solve:
-        return special_point(space, rng)
-    dist = space.distinguished
-    psi = space.pairing_psi
-
-    def rho(at_z, xi):      # rho(z, xi), from psi(z) evaluated once per z
-        return ONE + pair_rows(at_z, [{j: p.evaluate(xi)
-                                       for j, p in enumerate(psi)}])[0]
-
-    for _ in range(64):
-        z = random_gauss_point(rng, space.vars)
-        xi = random_gauss_point(rng, space.vars)
-        at_z = {j: p.evaluate(z) for j, p in enumerate(psi)}
-        # rho(z, xi) = A * xi_dist + B: every psi_j is linear in the
-        # distinguished slot, which the exact check after the solve confirms
-        at0, at1 = dict(xi), dict(xi)
-        at0[dist], at1[dist] = ZERO, ONE
-        B = rho(at_z, at0)
-        A = rho(at_z, at1) - B
-        if A.is_zero():
-            continue
-        xi[dist] = -(B / A)
-        if not rho(at_z, xi).is_zero():
-            raise ArithmeticError("distinguished slot not linear")
-        return z, xi
-    raise ArithmeticError("could not sample a family point (degenerate draws)")
+    """A random exact rational point (z0, xi0) with rho(z0, xi0) = 0: a
+    ``special_point`` draw, re-checked exactly on the family."""
+    z0, xi0 = special_point(fam.space, rng)
+    if not fam.rho_at(z0, xi0).is_zero():
+        raise ArithmeticError("special point is not on the family")
+    return z0, xi0
 
 
 def det_model_holds(fam: SegreFamily, z: Dict, xi: Dict) -> bool:

@@ -15,10 +15,9 @@ check needs it.
 The table ``KINDS`` at the end of the module is the one place that tells
 the six families apart: each ``Kind`` record holds the parameter check and
 builder of a family, its genus (the Einstein exponent), incidence style,
-sampler, jet order bound, invariant weights, cell matrix layout,
-determinant model, transversal pencil and monomial-support laws.  Code
-elsewhere reads the record of a space (``Space.kind``) and never its kind
-name.
+jet order bound, invariant weights, cell matrix layout, determinant model,
+transversal pencil and monomial-support laws.  Code elsewhere reads the
+record of a space (``Space.kind``) and never its kind name.
 """
 
 from __future__ import annotations
@@ -419,183 +418,144 @@ def _cayley_plane_pencil(space: Space, rng):
 # ---------------------------------------------------------------------------
 # monomial-support laws behind the irreducibility case analyses:
 # (space, groups) -> {fact: bool}, where groups maps each z-exponent tuple of
-# the family polynomial to its xi-coefficients {xi-exponent tuple: value}
+# the family polynomial to its xi-coefficients {xi-exponent tuple: value}.
+# Each law is a declaration over the shared predicates below; the cell kinds
+# read the position (i, j) of a variable off their layout.
 # ---------------------------------------------------------------------------
 
-def _pair_index(space: Space) -> Dict[str, Tuple[int, int]]:
-    out = {}
-    for v in space.vars:
-        i, j = v[1:].split("_")
-        out[v] = (int(i), int(j))
-    return out
+def _monomial(space: Space, *items) -> Tuple[int, ...]:
+    """The z-exponent tuple of the (variable name, power) items."""
+    ze = [0] * space.n
+    for name, k in items:
+        ze[space.ring.index(name)] += k
+    return tuple(ze)
+
+
+def _cell_slots(space: Space) -> Dict[Tuple[int, int], int]:
+    """(i, j) -> the ring slot of the cell entry at (i, j), over the nonzero
+    entries of the kind's layout."""
+    params = space.desc.params
+    _, slots = layout_cell(space.kind.entry, params[0], params[-1])
+    return {ij: slot[0] for ij, slot in slots.items() if slot is not None}
 
 
 def _xi_neg(a: Dict) -> Dict:
     return {e: -c for e, c in a.items()}
 
 
-def _grassmann_laws(space: Space, groups) -> Dict[str, bool]:
-    pairs = _pair_index(space)
-    ok_sq = ok_row = ok_col = True
+def _squarefree(groups) -> bool:
+    return all(k <= 1 for ze in groups for k in ze)
+
+
+def _squares_agree(space: Space, groups, names) -> bool:
+    """The squares of the named variables have equal xi-coefficients."""
+    first, *rest = (groups.get(_monomial(space, (v, 2)), {}) for v in names)
+    return all(group == first for group in rest)
+
+
+def _no_cross_terms(space: Space, groups, names) -> bool:
+    """No product of two distinct named variables is a z-monomial."""
+    return not any(groups.get(_monomial(space, (a, 1), (b, 1)))
+                   for a, b in itertools.combinations(names, 2))
+
+
+def _distinct(space: Space, groups, indices) -> bool:
+    """No z-monomial holds two cell entries that share an index, where
+    ``indices`` maps the position (i, j) of an entry to the indices it
+    occupies: its row, its column or its index pair."""
+    position: Dict[int, Tuple[int, int]] = {}
+    for ij, slot in _cell_slots(space).items():
+        position.setdefault(slot, ij)
     for ze in groups:
-        used = [pairs[space.vars[i]] for i, k in enumerate(ze) if k]
-        if any(k > 1 for k in ze):
-            ok_sq = False
-        rows = [ij[0] for ij in used]
-        cols = [ij[1] for ij in used]
-        if len(rows) != len(set(rows)):
-            ok_row = False
-        if len(cols) != len(set(cols)):
-            ok_col = False
-    return {"no_squared_entry": ok_sq, "no_repeated_row": ok_row,
-            "no_repeated_column": ok_col}
+        used = [x for slot, k in enumerate(ze) if k for x in indices(position[slot])]
+        if len(used) != len(set(used)):
+            return False
+    return True
+
+
+def _grassmann_laws(space: Space, groups) -> Dict[str, bool]:
+    return {"no_squared_entry": _squarefree(groups),
+            "no_repeated_row": _distinct(space, groups, lambda ij: ij[:1]),
+            "no_repeated_column": _distinct(space, groups, lambda ij: ij[1:])}
 
 
 def _orthogonal_laws(space: Space, groups) -> Dict[str, bool]:
-    pairs = _pair_index(space)
-    ok_sq = ok_overlap = True
-    for ze in groups:
-        used = []
-        for i, k in enumerate(ze):
-            if k > 1:
-                ok_sq = False
-            if k:
-                used.append(set(pairs[space.vars[i]]))
-        for a in range(len(used)):
-            for b in range(a + 1, len(used)):
-                if used[a] & used[b]:
-                    ok_overlap = False
-    return {"no_squared_entry": ok_sq, "no_overlapping_index_pairs": ok_overlap}
-
-
-def _symplectic_laws(space: Space, groups) -> Dict[str, bool]:
-    vindex = {v: i for i, v in enumerate(space.vars)}
-    return symplectic_pairing_facts(space.desc.params[0], groups, vindex)
+    return {"no_squared_entry": _squarefree(groups),
+            "no_overlapping_index_pairs": _distinct(space, groups, lambda ij: ij)}
 
 
 def _quadric_laws(space: Space, groups) -> Dict[str, bool]:
-    vindex = {v: i for i, v in enumerate(space.vars)}
-    n = space.n
-    diag = None
-    ok_diag = ok_cross = True
-    for i in range(1, n + 1):
-        ze = [0] * n
-        ze[vindex[f"z{i}"]] = 2
-        cur = groups.get(tuple(ze), {})
-        if diag is None:
-            diag = cur
-        elif diag != cur:
-            ok_diag = False
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            ze = [0] * n
-            ze[vindex[f"z{i}"]] = 1
-            ze[vindex[f"z{j}"]] = 1
-            if groups.get(tuple(ze), {}):
-                ok_cross = False
-    return {"square_coefficients_equal": ok_diag, "no_mixed_quadratics": ok_cross}
+    return {"square_coefficients_equal": _squares_agree(space, groups, space.vars),
+            "no_mixed_quadratics": _no_cross_terms(space, groups, space.vars)}
 
 
 def _cayley_plane_laws(space: Space, groups) -> Dict[str, bool]:
-    vindex = {v: i for i, v in enumerate(space.vars)}
-    nvars = len(space.vars)
+    xs = [f"x{i}" for i in range(8)]
+    ys = [f"y{i}" for i in range(8)]
 
-    def ze_of(*items):
-        ze = [0] * nvars
-        for name, k in items:
-            ze[vindex[name]] += k
-        return tuple(ze)
-    okx = oky = True
-    for i in range(8):
-        for j in range(i + 1, 8):
-            if groups.get(ze_of((f"x{i}", 1), (f"x{j}", 1)), {}):
-                okx = False
-            if groups.get(ze_of((f"y{i}", 1), (f"y{j}", 1)), {}):
-                oky = False
-    bx = [groups.get(ze_of((f"x{i}", 2)), {}) for i in range(8)]
-    by = [groups.get(ze_of((f"y{i}", 2)), {}) for i in range(8)]
-    ok_pair = True
-    for i in range(8):
-        for j in range(8):
-            if i == j:
-                continue
-            a = groups.get(ze_of((f"x{i}", 1), (f"y{j}", 1)), {})
-            b = groups.get(ze_of((f"x{j}", 1), (f"y{i}", 1)), {})
-            if a != _xi_neg(b):
-                ok_pair = False
-    return {"no_x_cross_terms": okx, "no_y_cross_terms": oky,
-            "x_square_coefficients_equal": all(bx[0] == b for b in bx),
-            "y_square_coefficients_equal": all(by[0] == b for b in by),
-            "xy_antisymmetric_pairing": ok_pair}
+    def xy(i, j):
+        return groups.get(_monomial(space, (xs[i], 1), (ys[j], 1)), {})
+    return {"no_x_cross_terms": _no_cross_terms(space, groups, xs),
+            "no_y_cross_terms": _no_cross_terms(space, groups, ys),
+            "x_square_coefficients_equal": _squares_agree(space, groups, xs),
+            "y_square_coefficients_equal": _squares_agree(space, groups, ys),
+            "xy_antisymmetric_pairing": all(
+                xy(i, j) == _xi_neg(xy(j, i))
+                for i, j in itertools.permutations(range(8), 2))}
 
 
 def _freudenthal_laws(space: Space, groups) -> Dict[str, bool]:
-    ok_xsq = True
-    div_x1x2 = set()
-    ok_x3t = ok_x3w = True
-    div_x3y0 = set()
-    div_t0w0 = set()
-    for ze in groups:
-        exp = {space.vars[i]: k for i, k in enumerate(ze) if k}
-        if any(exp.get(f"x{i}", 0) > 1 for i in (1, 2, 3)):
-            ok_xsq = False
-        if exp.get("x1") and exp.get("x2"):
-            div_x1x2.add(tuple(sorted(exp.items())))
-        if exp.get("x3"):
-            if any(exp.get(f"t{i}") for i in range(8)):
-                ok_x3t = False
-            if any(exp.get(f"w{i}") for i in range(8)):
-                ok_x3w = False
-        if exp.get("x3") and exp.get("y0"):
-            div_x3y0.add(tuple(sorted(exp.items())))
-        if exp.get("t0") and exp.get("w0"):
-            div_t0w0.add(tuple(sorted(exp.items())))
+    def product(*names):
+        return _monomial(space, *((v, 1) for v in names))
+
+    def multiples(*names):
+        """The z-monomials divisible by the product of the names."""
+        found = set(groups)
+        for slot, k in enumerate(product(*names)):
+            if k:
+                found = {ze for ze in found if ze[slot] >= k}
+        return found
     return {
-        "no_squared_diagonal": ok_xsq,
-        "x1x2_multiples": div_x1x2 <= {
-            (("x1", 1), ("x2", 1)), (("x1", 1), ("x2", 1), ("x3", 1))},
-        "no_x3_t_terms": ok_x3t,
-        "no_x3_w_terms": ok_x3w,
-        "x3y0_multiples": div_x3y0 <= {
-            (("x3", 1), ("y0", 1)), (("x3", 1), ("y0", 2))},
-        "t0w0_multiples": div_t0w0 <= {
-            (("t0", 1), ("w0", 1)), (("t0", 1), ("w0", 1), ("y0", 1))},
+        "no_squared_diagonal": not any(multiples(x, x) for x in ("x1", "x2", "x3")),
+        "x1x2_multiples": multiples("x1", "x2") <= {
+            product("x1", "x2"), product("x1", "x2", "x3")},
+        "no_x3_t_terms": not any(multiples("x3", f"t{i}") for i in range(8)),
+        "no_x3_w_terms": not any(multiples("x3", f"w{i}") for i in range(8)),
+        "x3y0_multiples": multiples("x3", "y0") <= {
+            product("x3", "y0"), product("x3", "y0", "y0")},
+        "t0w0_multiples": multiples("t0", "w0") <= {
+            product("t0", "w0"), product("t0", "w0", "y0")},
     }
 
 
-def symplectic_pairing_facts(n: int, groups, vindex) -> Dict[str, bool]:
+def symplectic_pairing_facts(space: Space, groups) -> Dict[str, bool]:
     """The four paired-coefficient laws of the symmetric-minor expansions,
     checked with xi-coefficients compared as exact polynomials."""
+    n = space.desc.params[0]
+    slot = _cell_slots(space)
 
-    def vname(i, j):
-        return f"z{min(i, j)}_{max(i, j)}"
-
-    def add_var(ze, i, j, k=1):
+    def shift(ze, cells, k=1):
+        """ze times the entries at the cells, each to the power k."""
         ze = list(ze)
-        ze[vindex[vname(i, j)]] += k
+        for ij in cells:
+            ze[slot[ij]] += k
         return tuple(ze)
-
-    def get(ze):
-        return groups.get(tuple(ze), {})
-
-    def attach(q, pair, k=1):
-        return add_var(add_var(q, *pair[0], k), *pair[1], k)
 
     def paired(p_pair, t_pair, marker, factor) -> bool:
         """Every present monomial P = p_pair Q or T = t_pair Q has the
-        xi-coefficient c_T = -c_P, times ``factor`` when the marker variable
+        xi-coefficient c_T = -c_P, times ``factor`` when the marker entry
         divides Q."""
         seen = set()
         for ze in groups:
             for pair in (p_pair, t_pair):
-                q = attach(ze, pair, -1)
+                q = shift(ze, pair, -1)
                 if min(q) < 0 or q in seen:
                     continue
                 seen.add(q)
-                cp = get(attach(q, p_pair))
-                if q[vindex[vname(*marker)]]:
+                cp = groups.get(shift(q, p_pair), {})
+                if q[slot[marker]]:
                     cp = {e: c * factor for e, c in cp.items()}
-                if get(attach(q, t_pair)) != _xi_neg(cp):
+                if groups.get(shift(q, t_pair), {}) != _xi_neg(cp):
                     return False
         return True
 
@@ -612,25 +572,19 @@ def symplectic_pairing_facts(n: int, groups, vindex) -> Dict[str, bool]:
     # (or -1/2 when z_(n-1)n divides Q)
     ok_c = all(paired(((i, n - 1), (i, n)), ((i, i), (n - 1, n)), (n - 1, n),
                       half) for i in range(1, n - 1))
-
-    ok_d = True
     # mixed law: a present monomial z_ij z_(n-1)n Q forces the presence of
     # z_i(n-1) z_jn Q or z_in z_j(n-1) Q.  (The literal two-sided coefficient
     # claim -(c1+c2) fails on explicit 3x3 submatrices once n >= 4; the case
     # analyses only ever use this presence implication, which does hold.)
-    for i in range(1, n - 1):
-        for j in range(1, n - 1):
-            if i == j:
-                continue
-            for ze in groups:
-                if not (ze[vindex[vname(i, j)]] and ze[vindex[vname(n - 1, n)]]):
-                    continue
-                q = add_var(add_var(ze, i, j, -1), n - 1, n, -1)
-                P1 = add_var(add_var(q, i, n - 1), j, n)
-                P2 = add_var(add_var(q, i, n), j, n - 1)
-                if not get(P1) and not get(P2):
-                    ok_d = False
-
+    def mixed(i, j) -> bool:
+        for ze in groups:
+            if ze[slot[i, j]] and ze[slot[n - 1, n]]:
+                q = shift(ze, ((i, j), (n - 1, n)), -1)
+                if not (groups.get(shift(q, ((i, n - 1), (j, n))))
+                        or groups.get(shift(q, ((i, n), (j, n - 1))))):
+                    return False
+        return True
+    ok_d = all(mixed(i, j) for i, j in itertools.permutations(range(1, n - 1), 2))
     return {"pairing_law_corner": ok_a, "pairing_law_row": ok_b,
             "pairing_law_diag": ok_c, "pairing_law_mixed": ok_d}
 
@@ -647,9 +601,7 @@ class Kind:
     xi[d] = -1/z[d] at the distinguished slot d.  A null kind names the
     prefix of the variables that carry its null hyperplane direction (the
     block ends at the distinguished variable); the variables outside the
-    block carry plain derivative fields.  A ``slot_solve`` kind samples
-    family points by solving rho for the distinguished conjugate slot, in
-    which rho is linear; the other kinds sample incidence points.
+    block carry plain derivative fields.
 
     ``genus`` maps the parameters to the genus p + q, 2n - 2, n + 1, n, 12
     or 18 (Loos, *Bounded symmetric domains and Jordan pairs*, 1977), the
@@ -662,7 +614,6 @@ class Kind:
     genus: Callable[..., int]
     numeric_tail: bool
     null_prefix: Optional[str]
-    slot_solve: bool
     order_bound: Optional[int]               # witness jet order; None: 1 + N - n
     weights: Optional[Tuple[float, ...]]     # invariant pairing weights; None: 1
     entry: Optional[Callable]                # cell matrix layout; None: a vector
@@ -677,7 +628,7 @@ KINDS: Dict[str, Kind] = {
         needs="typeI needs 1 <= p <= q",
         valid=lambda p: len(p) == 2 and 1 <= p[0] <= p[1], build=build_type1,
         genus=lambda p, q: p + q, numeric_tail=False,
-        null_prefix=None, slot_solve=True, order_bound=None, weights=None,
+        null_prefix=None, order_bound=None, weights=None,
         entry=_plain_entry, det_power=1, oracle=True,
         pencil=partial(_slot_pencil, "z1_1", "z1_2"),
         support_laws=_grassmann_laws),
@@ -685,7 +636,7 @@ KINDS: Dict[str, Kind] = {
         needs="typeII needs n >= 2 (first Pfaffian block at n=4)",
         valid=lambda p: len(p) == 1 and p[0] >= 2, build=build_type2,
         genus=lambda n: 2 * n - 2, numeric_tail=False,
-        null_prefix=None, slot_solve=True, order_bound=None, weights=None,
+        null_prefix=None, order_bound=None, weights=None,
         entry=_antisym_entry, det_power=2, oracle=True,
         pencil=partial(_slot_pencil, "z1_2", "z1_3"),
         support_laws=_orthogonal_laws),
@@ -693,15 +644,15 @@ KINDS: Dict[str, Kind] = {
         needs="typeIII needs n >= 2",
         valid=lambda p: len(p) == 1 and p[0] >= 2, build=build_type3,
         genus=lambda n: n + 1, numeric_tail=True,
-        null_prefix=None, slot_solve=True, order_bound=None, weights=None,
+        null_prefix=None, order_bound=None, weights=None,
         entry=_sym_entry, det_power=1, oracle=True,
         pencil=partial(_slot_pencil, "z1_1", "z1_2"),
-        support_laws=_symplectic_laws),
+        support_laws=symplectic_pairing_facts),
     "typeIV": Kind(
         needs="typeIV needs n >= 3 (irreducible quadric)",
         valid=lambda p: len(p) == 1 and p[0] >= 3, build=build_type4,
         genus=lambda n: n, numeric_tail=False,
-        null_prefix="z", slot_solve=False, order_bound=2, weights=None,
+        null_prefix="z", order_bound=2, weights=None,
         entry=None, det_power=None, oracle=True,
         pencil=_quadric_pencil, support_laws=_quadric_laws),
     # the exceptional cells are printed with unit coefficients; the
@@ -709,14 +660,14 @@ KINDS: Dict[str, Kind] = {
     "e16": Kind(
         needs="e16 takes no parameters", valid=lambda p: not p, build=build_e16,
         genus=lambda: 12, numeric_tail=False,
-        null_prefix="y", slot_solve=False, order_bound=11,
+        null_prefix="y", order_bound=11,
         weights=(2.0,) * 24 + (1.0,) * 2,
         entry=None, det_power=None, oracle=False,
         pencil=_cayley_plane_pencil, support_laws=_cayley_plane_laws),
     "e27": Kind(
         needs="e27 takes no parameters", valid=lambda p: not p, build=build_e27,
         genus=lambda: 18, numeric_tail=False,
-        null_prefix=None, slot_solve=False,
+        null_prefix=None,
         order_bound=29,  # the search budget limits the practical search
         weights=(1.0,) * 3 + (2.0,) * 24 + (1.0,) * 3 + (2.0,) * 24 + (1.0,),
         entry=None, det_power=None, oracle=False,

@@ -25,8 +25,8 @@
 * ``xi_gradient_by_evaluate`` -- the conjugate gradient from the jets of
   psi at xi and psi evaluated at z, the reference for ``first_jets`` and
   ``pair_rows``, which read psi at both points off the jets' weight-0 rows.
-* ``rho_at_expanded``, ``xi_gradient_expanded``, ``z_gradient_expanded``,
-  ``specialize_expanded`` and ``slot_coefficients_expanded`` -- queries of
+* ``rho_at_expanded``, ``xi_gradient_expanded``, ``z_gradient_expanded``
+  and ``specialize_expanded`` -- queries of
   the Segre family read off that expansion by ``partial_evaluate``,
   instead of from the psi vector; ``rho_at_float`` is the float sum over
   the psi vector.
@@ -70,6 +70,16 @@
   ``Polynomial`` products, one monomial at a time: the reference for
   ``octonion._parse_terms`` and ``octonion._square_sum``, which fill one
   term table.
+* ``support_laws_reference`` -- each kind's monomial-support laws with
+  the variables named and parsed per kind (``z{i}_{j}`` split back into
+  its indices) and each predicate written out in loops: the reference for
+  the kinds' ``support_laws``, declared over shared predicates.
+* ``slot_solve_sample`` -- a family point of a cell kind drawn with z and
+  xi random and the distinguished conjugate slot solved, in which rho is
+  linear: the sampler ``segre.sample_on_family`` used for the cell kinds
+  before it took every kind's ``special_point``.  The invariance tests of
+  ``test_segre.py`` draw their cell-kind points with it, so that every
+  row of the matrix acts on both points.
 * ``monomial``, ``multiindices_upto``, ``poly_pow``, ``normalize``,
   ``fractions_equal``, ``random_fraction`` and ``random_gauss`` --
   polynomial, fraction and sampling helpers that only the tests use.
@@ -89,7 +99,7 @@ from hermsym.gauss import GaussRational, ONE, ZERO, gauss_json
 from hermsym.linalg import RankTracker, det_exact
 from hermsym.poly import Polynomial, PolyFraction, PolyModP, TaylorJets, monomials
 from hermsym.rigidity import _JET_RANK_TRIALS, truncated_vars
-from hermsym.sampling import BOUND
+from hermsym.sampling import BOUND, random_gauss_point
 from hermsym.segre import conj_name
 from hermsym.spaces import (_fill_matrix, _pair_partitions, _perm_sign,
                             minor_index_sets)
@@ -350,22 +360,6 @@ def specialize_expanded(fam, xi):
         assert not any(e[width:]), "conjugate slot survived specialization"
         terms[e[:width]] = c
     return Polynomial(fam.space.ring, terms)
-
-
-def slot_coefficients_expanded(fam, z, xi):
-    """(A, B) with rho(z, xi) = A * xi_dist + B, xi_dist left free."""
-    dist = conj_name(fam.space.distinguished)
-    point = point_pair(fam, z, xi)
-    del point[dist]
-    slot = fam.ring.index(dist)
-    A = B = GaussRational(0)
-    for e, c in partial_evaluate(rho_by_products(fam), point).terms.items():
-        assert e[slot] <= 1, "distinguished slot not linear"
-        if e[slot]:
-            A = A + c
-        else:
-            B = B + c
-    return A, B
 
 
 def rho_at_float(fam, z, xi):
@@ -888,3 +882,230 @@ def random_gauss(rng, bound=BOUND):
     """A Gaussian rational with full-size parts (numerators and
     denominators up to ``bound``)."""
     return GaussRational(random_fraction(rng, bound), random_fraction(rng, bound))
+
+
+# ---------------------------------------------------------------------------
+# the support laws and the slot-solve sampler, as each kind stated them
+# ---------------------------------------------------------------------------
+
+def _pair_index(space):
+    out = {}
+    for v in space.vars:
+        i, j = v[1:].split("_")
+        out[v] = (int(i), int(j))
+    return out
+
+
+def _xi_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def _grassmann_laws(space, groups):
+    pairs = _pair_index(space)
+    ok_sq = ok_row = ok_col = True
+    for ze in groups:
+        used = [pairs[space.vars[i]] for i, k in enumerate(ze) if k]
+        if any(k > 1 for k in ze):
+            ok_sq = False
+        rows = [ij[0] for ij in used]
+        cols = [ij[1] for ij in used]
+        if len(rows) != len(set(rows)):
+            ok_row = False
+        if len(cols) != len(set(cols)):
+            ok_col = False
+    return {"no_squared_entry": ok_sq, "no_repeated_row": ok_row,
+            "no_repeated_column": ok_col}
+
+
+def _orthogonal_laws(space, groups):
+    pairs = _pair_index(space)
+    ok_sq = ok_overlap = True
+    for ze in groups:
+        used = []
+        for i, k in enumerate(ze):
+            if k > 1:
+                ok_sq = False
+            if k:
+                used.append(set(pairs[space.vars[i]]))
+        for a in range(len(used)):
+            for b in range(a + 1, len(used)):
+                if used[a] & used[b]:
+                    ok_overlap = False
+    return {"no_squared_entry": ok_sq, "no_overlapping_index_pairs": ok_overlap}
+
+
+def _symplectic_laws(space, groups):
+    n = space.desc.params[0]
+    vindex = {v: i for i, v in enumerate(space.vars)}
+
+    def vname(i, j):
+        return f"z{min(i, j)}_{max(i, j)}"
+
+    def add_var(ze, i, j, k=1):
+        ze = list(ze)
+        ze[vindex[vname(i, j)]] += k
+        return tuple(ze)
+
+    def get(ze):
+        return groups.get(tuple(ze), {})
+
+    def attach(q, pair, k=1):
+        return add_var(add_var(q, *pair[0], k), *pair[1], k)
+
+    def paired(p_pair, t_pair, marker, factor):
+        seen = set()
+        for ze in groups:
+            for pair in (p_pair, t_pair):
+                q = attach(ze, pair, -1)
+                if min(q) < 0 or q in seen:
+                    continue
+                seen.add(q)
+                cp = get(attach(q, p_pair))
+                if q[vindex[vname(*marker)]]:
+                    cp = {e: c * factor for e, c in cp.items()}
+                if get(attach(q, t_pair)) != _xi_neg(cp):
+                    return False
+        return True
+
+    half, two = GaussRational(Fraction(1, 2)), GaussRational(2)
+    ok_a = all(paired(((i, n), (j, n)), ((i, j), (n, n)), (i, j), half)
+               for i in range(1, n) for j in range(1, n))
+    ok_b = all(paired(((j, n), (n - 1, n - 1)), ((j, n - 1), (n - 1, n)),
+                      (j, n), two) for j in range(1, n - 1))
+    ok_c = all(paired(((i, n - 1), (i, n)), ((i, i), (n - 1, n)), (n - 1, n),
+                      half) for i in range(1, n - 1))
+    ok_d = True
+    for i in range(1, n - 1):
+        for j in range(1, n - 1):
+            if i == j:
+                continue
+            for ze in groups:
+                if not (ze[vindex[vname(i, j)]] and ze[vindex[vname(n - 1, n)]]):
+                    continue
+                q = add_var(add_var(ze, i, j, -1), n - 1, n, -1)
+                P1 = add_var(add_var(q, i, n - 1), j, n)
+                P2 = add_var(add_var(q, i, n), j, n - 1)
+                if not get(P1) and not get(P2):
+                    ok_d = False
+    return {"pairing_law_corner": ok_a, "pairing_law_row": ok_b,
+            "pairing_law_diag": ok_c, "pairing_law_mixed": ok_d}
+
+
+def _quadric_laws(space, groups):
+    vindex = {v: i for i, v in enumerate(space.vars)}
+    n = space.n
+    diag = None
+    ok_diag = ok_cross = True
+    for i in range(1, n + 1):
+        ze = [0] * n
+        ze[vindex[f"z{i}"]] = 2
+        cur = groups.get(tuple(ze), {})
+        if diag is None:
+            diag = cur
+        elif diag != cur:
+            ok_diag = False
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            ze = [0] * n
+            ze[vindex[f"z{i}"]] = 1
+            ze[vindex[f"z{j}"]] = 1
+            if groups.get(tuple(ze), {}):
+                ok_cross = False
+    return {"square_coefficients_equal": ok_diag, "no_mixed_quadratics": ok_cross}
+
+
+def _cayley_plane_laws(space, groups):
+    vindex = {v: i for i, v in enumerate(space.vars)}
+    nvars = len(space.vars)
+
+    def ze_of(*items):
+        ze = [0] * nvars
+        for name, k in items:
+            ze[vindex[name]] += k
+        return tuple(ze)
+    okx = oky = True
+    for i in range(8):
+        for j in range(i + 1, 8):
+            if groups.get(ze_of((f"x{i}", 1), (f"x{j}", 1)), {}):
+                okx = False
+            if groups.get(ze_of((f"y{i}", 1), (f"y{j}", 1)), {}):
+                oky = False
+    bx = [groups.get(ze_of((f"x{i}", 2)), {}) for i in range(8)]
+    by = [groups.get(ze_of((f"y{i}", 2)), {}) for i in range(8)]
+    ok_pair = True
+    for i in range(8):
+        for j in range(8):
+            if i == j:
+                continue
+            a = groups.get(ze_of((f"x{i}", 1), (f"y{j}", 1)), {})
+            b = groups.get(ze_of((f"x{j}", 1), (f"y{i}", 1)), {})
+            if a != _xi_neg(b):
+                ok_pair = False
+    return {"no_x_cross_terms": okx, "no_y_cross_terms": oky,
+            "x_square_coefficients_equal": all(bx[0] == b for b in bx),
+            "y_square_coefficients_equal": all(by[0] == b for b in by),
+            "xy_antisymmetric_pairing": ok_pair}
+
+
+def _freudenthal_laws(space, groups):
+    ok_xsq = True
+    div_x1x2 = set()
+    ok_x3t = ok_x3w = True
+    div_x3y0 = set()
+    div_t0w0 = set()
+    for ze in groups:
+        exp = {space.vars[i]: k for i, k in enumerate(ze) if k}
+        if any(exp.get(f"x{i}", 0) > 1 for i in (1, 2, 3)):
+            ok_xsq = False
+        if exp.get("x1") and exp.get("x2"):
+            div_x1x2.add(tuple(sorted(exp.items())))
+        if exp.get("x3"):
+            if any(exp.get(f"t{i}") for i in range(8)):
+                ok_x3t = False
+            if any(exp.get(f"w{i}") for i in range(8)):
+                ok_x3w = False
+        if exp.get("x3") and exp.get("y0"):
+            div_x3y0.add(tuple(sorted(exp.items())))
+        if exp.get("t0") and exp.get("w0"):
+            div_t0w0.add(tuple(sorted(exp.items())))
+    return {
+        "no_squared_diagonal": ok_xsq,
+        "x1x2_multiples": div_x1x2 <= {
+            (("x1", 1), ("x2", 1)), (("x1", 1), ("x2", 1), ("x3", 1))},
+        "no_x3_t_terms": ok_x3t,
+        "no_x3_w_terms": ok_x3w,
+        "x3y0_multiples": div_x3y0 <= {
+            (("x3", 1), ("y0", 1)), (("x3", 1), ("y0", 2))},
+        "t0w0_multiples": div_t0w0 <= {
+            (("t0", 1), ("w0", 1)), (("t0", 1), ("w0", 1), ("y0", 1))},
+    }
+
+
+_REFERENCE_LAWS = {"typeI": _grassmann_laws, "typeII": _orthogonal_laws,
+                   "typeIII": _symplectic_laws, "typeIV": _quadric_laws,
+                   "e16": _cayley_plane_laws, "e27": _freudenthal_laws}
+
+
+def support_laws_reference(space, groups):
+    """The support facts of the space's kind on the z-groups."""
+    return _REFERENCE_LAWS[space.desc.kind](space, groups)
+
+
+def slot_solve_sample(fam, rng):
+    """A family point (z, xi) of a cell kind: z and xi drawn at random, then
+    the distinguished conjugate slot solved, rho being linear in it."""
+    space = fam.space
+    dist = space.distinguished
+    for _ in range(64):
+        z = random_gauss_point(rng, space.vars)
+        xi = random_gauss_point(rng, space.vars)
+        at0, at1 = dict(xi), dict(xi)
+        at0[dist], at1[dist] = ZERO, ONE
+        B = fam.rho_at(z, at0)
+        A = fam.rho_at(z, at1) - B
+        if A.is_zero():
+            continue
+        xi[dist] = -(B / A)
+        assert fam.rho_at(z, xi).is_zero(), "distinguished slot not linear"
+        return z, xi
+    raise ArithmeticError("could not sample a family point (degenerate draws)")

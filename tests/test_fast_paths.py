@@ -3,6 +3,7 @@ with exact equality (see ``oracles.py``); the one float route, the psi sum
 ``rho_at_float``, is held to a relative 1e-9."""
 
 import dataclasses
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hermsym.acceptance import unit_at_origin
+from hermsym.acceptance import regular_locus_nonempty, unit_at_origin
 from hermsym.cli import Written, build_parser, cmd_rho, dump_json, print_table
 from hermsym.gauss import GaussRational as G, ONE, ZERO
 from hermsym.linalg import RankTracker, _scale_row, det_exact
@@ -22,12 +23,11 @@ from hermsym.poly import Polynomial, PolyFraction, PolyModP, PolyRing, _GradedPr
 from hermsym.maps import RationalMap, identity_map
 from hermsym.rigidity import (FlatteningSeedError, TaylorJets, _greedy_rows,
                               default_order_bound, flattening_jacobian,
-                              irreducibility_oracle, special_point,
-                              specialize_conjugate, transversality_rank,
-                              transversality_recipe, trial_division_modp,
-                              witness_frame)
+                              irreducibility_oracle, specialize_conjugate,
+                              transversality_rank, transversality_recipe,
+                              trial_division_modp, witness_frame)
 from hermsym.sampling import BOUND, random_small_gauss, rng_from_seed
-from hermsym.segre import SegreFamily, sample_on_family
+from hermsym.segre import SegreFamily, sample_on_family, special_point
 from hermsym.spaces import build_space, minor_index_sets
 from oracles import (DenseRankTracker, FractionPair, _integer_row, compose_full,
                      derivative_jet_row, det_bareiss, dump_json_reference,
@@ -37,8 +37,8 @@ from oracles import (DenseRankTracker, FractionPair, _integer_row, compose_full,
                      rho_at_float, rho_by_products, rho_report_by_dicts,
                      rho_swap_symmetric,
                      unit_at_origin_expanded,
-                     rho_at_expanded, slot_coefficients_expanded,
-                     specialize_expanded, trial_division_loop,
+                     rho_at_expanded, specialize_expanded,
+                     support_laws_reference, trial_division_loop,
                      xi_gradient_by_evaluate, xi_gradient_expanded,
                      z_gradient_expanded,
                      z_part_groups_expanded)
@@ -410,16 +410,71 @@ def test_specialize_conjugate_matches_expansion(case):
 
 
 @BOUNDED
-@given(st.sampled_from(FAMILY_SPECS), st.integers(0, 10 ** 6))
+@given(st.sampled_from(FAMILY_SPECS + ["e27"]), st.integers(0, 10 ** 6))
 def test_sampled_points_match_expansion(spec, seed):
-    """Sampled points lie on the expanded family; for types I-III the slot
-    solve equals the one read off the expansion."""
+    """Sampled points lie on the expanded family, on every kind."""
     fam = _family(spec)
     z, xi = sample_on_family(fam, rng_from_seed(seed))
     assert rho_at_expanded(fam, z, xi).is_zero()
-    if fam.space.desc.kind in ("typeI", "typeII", "typeIII"):
-        A, B = slot_coefficients_expanded(fam, z, xi)
-        assert xi[fam.space.distinguished] == -(B / A)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("spec", FAMILY_SPECS + ["typeIII:5"])
+def test_regular_locus_nonempty(spec, seed):
+    assert regular_locus_nonempty(_family(spec), seed)
+
+
+LAW_SPECS = ["typeI:2,3", "typeI:3,3", "typeII:4", "typeII:6", "typeIII:2",
+             "typeIII:3", "typeIII:4", "typeIV:3", "typeIV:6", "e16", "e27"]
+
+
+@st.composite
+def mutated_groups(draw):
+    """A kind's z-groups, as they are or with one group dropped, one group
+    negated, or a foreign z-monomial added with the coefficients of a
+    group: the product of two groups' monomials, or of two variables (the
+    monomials of the linear groups)."""
+    spec = draw(st.sampled_from(LAW_SPECS))
+    groups = dict(_family(spec).z_groups)
+    how = draw(st.sampled_from(["none", "drop", "negate", "groups", "variables"]))
+    keys = st.sampled_from([ze for ze in sorted(groups)
+                            if how != "variables" or sum(ze) == 1])
+    ze = draw(keys)
+    if how == "drop":
+        del groups[ze]
+    elif how == "negate":
+        groups[ze] = {e: -c for e, c in groups[ze].items()}
+    elif how != "none":
+        foreign = tuple(map(sum, zip(ze, draw(keys))))
+        assume(foreign not in groups)
+        groups[foreign] = groups[ze]
+    return spec, groups
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_groups())
+def test_support_laws_match_reference(case):
+    """Each kind's support laws, declared over shared predicates, equal the
+    laws as each kind wrote them out, on its z-groups and on mutations."""
+    spec, groups = case
+    space = _family(spec).space
+    assert space.kind.support_laws(space, groups) == \
+        support_laws_reference(space, groups)
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS + ["e27"])
+def test_support_laws_match_reference_on_every_variable_product(spec):
+    """As above, with each product of two variables that is no z-monomial
+    added in turn."""
+    fam = _family(spec)
+    space, groups = fam.space, fam.z_groups
+    linear = [ze for ze in groups if sum(ze) == 1]
+    for a, b in itertools.combinations_with_replacement(linear, 2):
+        foreign = tuple(map(sum, zip(a, b)))
+        if foreign not in groups:
+            mutated = {**groups, foreign: groups[a]}
+            assert space.kind.support_laws(space, mutated) == \
+                support_laws_reference(space, mutated), (spec, foreign)
 
 
 @BOUNDED

@@ -215,6 +215,8 @@ MALFORMED = {
     "exp-float": lambda p: _term(p).update(exp=[1.5]) or p,
     "exp-negative": lambda p: _term(p).update(exp=[-1]) or p,
     "term-without-re": lambda p: _term(p).pop("re") and p,
+    "re-true": lambda p: _term(p).update(re=True) or p,
+    "im-false": lambda p: _term(p).update(im=False) or p,
     "zero-den": lambda p: p["maps"][0][0].update(
         den={"vars": ["z1_1"], "terms": []}) or p,
     "payload-7": lambda p: 7,

@@ -22,13 +22,13 @@ from hermsym.rigidity import (_JET_RANK_TRIALS, _MAP_RADIUS, _MAX_RETRIES,
                               find_nondegeneracy_witness, flattening_jacobian,
                               generic_conjugate_point,
                               irreducibility_oracle, isometry_pullback_check,
-                              jet_rank, special_point,
-                              support_claims,
+                              jet_rank, support_claims,
                               transversality_rank, transversality_recipe,
                               trial_division_modp, truncated_vars,
                               volume_equation_check, witness_frame)
 from hermsym.sampling import random_complex_ball, random_small_gauss, rng_from_seed
-from hermsym.segre import build_rho, null_block, solve_null_direction
+from hermsym.segre import (build_rho, null_block, solve_null_direction,
+                           special_point)
 from hermsym.spaces import build_space
 from oracles import (LambdaUndefinedError, compose_full, is_constant,
                      jet_rank_one_order, lambda_determinant, tangent_apply)
@@ -703,10 +703,9 @@ def test_symplectic_pairing_laws_per_minor():
     from hermsym.spaces import build_type3, symplectic_pairing_facts
     for n in (3, 4):
         s = build_type3(n)
-        vindex = {v: i for i, v in enumerate(s.vars)}
         for m in s.pairing_psi + s.psi:
             groups = {e: {(): c} for e, c in m.terms.items()}
-            facts = symplectic_pairing_facts(n, groups, vindex)
+            facts = symplectic_pairing_facts(s, groups)
             assert all(facts.values()), (n, facts)
 
 
@@ -721,12 +720,11 @@ def test_symplectic_pairing_law_catches_a_doubled_partner(law, partner):
     from hermsym.spaces import symplectic_pairing_facts
     space = build_space("typeIII:3")
     groups = dict(build_rho(space).z_groups)
-    vindex = {v: i for i, v in enumerate(space.vars)}
-    assert all(symplectic_pairing_facts(3, groups, vindex).values())
+    assert all(symplectic_pairing_facts(space, groups).values())
     ze = tuple(int(v in partner) for v in space.vars)
     assert groups[ze]
     groups[ze] = {e: c + c for e, c in groups[ze].items()}
-    assert not symplectic_pairing_facts(3, groups, vindex)[law]
+    assert not symplectic_pairing_facts(space, groups)[law]
 
 
 def test_support_claims_symplectic_order_four():

@@ -12,7 +12,7 @@ from hermsym.segre import (EinsteinError, build_rho, einstein_fit, kahler_metric
                            ricci_residual, sample_on_family, conj_name)
 from hermsym.spaces import build_space, cell_matrix_point, minor_index_sets
 from oracles import (is_constant, partial_evaluate, point_pair, rho_at_float,
-                     rho_swap_symmetric, sym_det)
+                     rho_swap_symmetric, slot_solve_sample, sym_det)
 
 DESK = ["typeI:1,1", "typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]
 
@@ -228,15 +228,19 @@ def apply_projective_map(space, M, z):
 def segre_invariance_check(fam, M, Mbar, sample_count, seed):
     """For on-family samples, map (z, xi) by (M, Mbar) and measure rho there.
 
-    Returns (max |rho| over samples, whether every value was exactly zero);
-    exact inputs keep the whole computation in Gaussian rationals."""
+    A cell kind's samples are generic (z and xi random, one conjugate slot
+    solved), so every row of M acts on both points; the other kinds take
+    ``sample_on_family``.  Returns (max |rho| over samples, whether every
+    value was exactly zero); exact inputs keep the whole computation in
+    Gaussian rationals."""
     rng = rng_from_seed(seed)
     space = fam.space
+    sample = slot_solve_sample if space.kind.entry is not None else sample_on_family
     exact = not isinstance(M, np.ndarray)
     worst = 0.0
     all_zero = True
     for _ in range(sample_count):
-        z, xi = sample_on_family(fam, rng)
+        z, xi = sample(fam, rng)
         if exact:
             val = fam.rho_at(apply_projective_map(space, M, z),
                              apply_projective_map(space, Mbar, xi))

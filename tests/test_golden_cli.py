@@ -5,6 +5,8 @@ SHA-256 of its stdout and its exit code with ``golden_cli.json``.  The
 digests lock the reports (exact lambda values, witness multiindices, detail
 strings) against refactors of the internals.  ``hyp3 --space typeII:4`` is
 left out for its run time; the benchmark's ``certify`` golden covers it.
+The map checks read the files under ``tests/maps``, named relative to the
+repository root, where each job runs.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ import pytest
 from hermsym.cli import build_parser, main
 
 GOLDEN = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_job(job: str):
@@ -30,6 +33,7 @@ def run_job(job: str):
 @pytest.mark.parametrize("job", sorted(GOLDEN))
 def test_cli_output_matches_golden(job, monkeypatch):
     monkeypatch.delenv("HSS_SEED", raising=False)
+    monkeypatch.chdir(ROOT)
     code, digest = run_job(job)
     assert (code, digest) == (GOLDEN[job]["exit"], GOLDEN[job]["sha256"])
 

@@ -23,18 +23,18 @@ from .maps import RationalMap, identity_map, scaling_map
 from .octonion import (Octonion, cayley_matrix, freudenthal_forms,
                        freudenthal_jordan_matrix, jordan_det, jordan_trace,
                        mat_eq, mat_mul, symbolic_octonion, M16_VARS)
-from .poly import PolyFraction, PolyRing, trial_division_modp
-from .rigidity import (ORACLE_BUDGET, ORACLE_PRIME, VOLUME_SAMPLES,
-                       WITNESS_BUDGET, OracleResult, WitnessReport,
-                       degeneracy_relation, find_nondegeneracy_witness,
+from .floats import (VOLUME_SAMPLES, degeneracy_relation, einstein_fit,
+                     isometry_pullback_check, ricci_residual, volume_equation_check)
+from .modp import reduce_mod, trial_division_modp
+from .poly import PolyFraction, PolyRing
+from .rigidity import (ORACLE_BUDGET, ORACLE_PRIME, WITNESS_BUDGET,
+                       OracleResult, WitnessReport, find_nondegeneracy_witness,
                        flattening_jacobian, generic_conjugate_point,
                        irreducibility_oracle, jet_rank, specialize_conjugate,
                        support_claims, transversality_rank,
-                       transversality_recipe, isometry_pullback_check,
-                       volume_equation_check)
+                       transversality_recipe)
 from .sampling import random_gauss_point, rng_from_seed, random_small_gauss
-from .segre import (det_model_holds, einstein_fit, ricci_residual,
-                    sample_on_family, SegreFamily)
+from .segre import det_model_holds, sample_on_family, SegreFamily
 from .spaces import antisymmetric_cell, build_space, pf_expansion
 
 DEFAULT_SEED = 1729
@@ -401,7 +401,7 @@ def check_hypothesis_three(seed, tol):
                  f"{spec}: oracle returned {res.status}")
     ring = PolyRing(["z1", "z2"])
     control = (ring.one() + ring.var("z1")) * (ring.one() + ring.var("z2"))
-    factor, _ = trial_division_modp(control.reduce_mod(ORACLE_PRIME), 1,
+    factor, _ = trial_division_modp(reduce_mod(control, ORACLE_PRIME), 1,
                                     ORACLE_BUDGET)
     _require(factor is not None, "oracle missed the reducible control")
     return ("support facts on all six; oracle certified the quadric and the "

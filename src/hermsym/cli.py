@@ -5,8 +5,7 @@ identity/Einstein/hypothesis suites, and check user-supplied map tuples.
 Reports are deterministic JSON from one writer, ``dump_json``: compact,
 dict keys sorted by their string form, strings ASCII-escaped as
 ``json.dumps`` does, floats at 17 significant digits (``.17g``) with NaN
-and the infinities as ``NaN``/``Infinity``/``-Infinity``, and numpy scalars
-unwrapped.  Identical (command, config, seed) produce byte-identical output.
+and the infinities as ``NaN``/``Infinity``/``-Infinity``.  Identical (command, config, seed) produce byte-identical output.
 
 Exit codes: 0 pass/success, 1 check failure, 2 usage or input error,
 3 internal error (an exact invariant of the program broke).
@@ -23,16 +22,15 @@ import sys
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, Optional
 
-import numpy as np
-
 from . import acceptance
+from .floats import (ISOMETRY_SAMPLES, VOLUME_SAMPLES, isometry_pullback_check,
+                     kahler_metric, random_complex_ball, volume_equation_check)
 from .gauss import GaussRational, gauss_json
 from .maps import parse_map_file
-from .poly import PRIME_BOUND
-from .rigidity import (ISOMETRY_SAMPLES, VOLUME_SAMPLES, isometry_pullback_check,
-                       support_claims, volume_equation_check)
-from .sampling import random_complex_ball, rng_from_seed
-from .segre import SegreFamily, build_rho, kahler_metric
+from .modp import PRIME_BOUND
+from .rigidity import support_claims
+from .sampling import rng_from_seed
+from .segre import SegreFamily, build_rho
 from .spaces import SPACE_GRAMMAR, build_space, space_to_json
 
 
@@ -57,9 +55,9 @@ def dump_json(obj) -> str:
     """The one report writer: compact JSON with dict keys sorted by their
     string form (``str(k)``), strings ASCII-escaped as ``json.dumps`` does,
     floats at 17 significant digits (``NaN``, ``Infinity``, ``-Infinity``
-    when not finite), numpy scalars unwrapped to their Python value, and
-    ``TypeError`` for anything that is not None, bool, int, float, str,
-    dict, list or tuple.  Text it has already written, wrapped in
+    when not finite), and ``TypeError`` for anything that is not None,
+    bool, int, float, str, dict, list or tuple, or a subclass of one (so a
+    numpy float64 is written as a float, and other numpy scalars raise).  Text it has already written, wrapped in
     ``Written``, is written again verbatim, so a report can be assembled
     from pieces each rendered once."""
     return _write(obj)
@@ -74,8 +72,8 @@ class Written:
 
 
 def _write(obj) -> str:
-    # exact types first, so bool never passes for int; their subclasses and
-    # numpy scalars go through _write_other
+    # exact types first, so bool never passes for int; their subclasses go
+    # through _write_other
     t = type(obj)
     if t is str:
         return _json_str(obj)
@@ -112,9 +110,7 @@ def _write_dict(obj) -> str:
 
 
 def _write_other(obj) -> str:
-    """Numpy scalars, unwrapped, and subclasses of the report types."""
-    if isinstance(obj, np.generic):
-        return _write(obj.item())          # a Python value, never a numpy one
+    """Subclasses of the report types."""
     if isinstance(obj, float):
         return _fmt_float(float(obj))
     if isinstance(obj, int):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .gauss import GaussRational
 from .poly import PolyFraction, PolyRing
@@ -26,10 +26,6 @@ class RationalMap:
         for f in self.components:
             if f.den.evaluate(zero).is_zero():
                 raise ValueError("component denominator vanishes at 0")
-
-    def evaluate_float(self, point: Sequence[complex]) -> List[complex]:
-        named = {v: complex(point[i]) for i, v in enumerate(self.ring.vars)}
-        return [f.evaluate_float(named) for f in self.components]
 
     def jacobian_fractions(self) -> List[List[PolyFraction]]:
         """d F_k / d z_i as exact fractions, row index i, column index k."""

@@ -1,11 +1,10 @@
-"""Machine checks for the three rigidity hypotheses and the
-volume-preserving map equation.
+"""Machine checks for the three rigidity hypotheses.
 
 Everything rank- or determinant-shaped runs in exact Gaussian-rational
-arithmetic; metric-flavored checks (volume equation, isometry pullback,
-degeneracy relation extraction) run in floats against stated tolerances.
-Genericity arguments become seeded randomized searches, so identical seeds
-reproduce identical reports.
+arithmetic; the metric-flavored checks (volume equation, isometry pullback,
+degeneracy relation extraction) are in ``floats``.  Genericity arguments
+become seeded randomized searches, so identical seeds reproduce identical
+reports.
 """
 
 from __future__ import annotations
@@ -15,13 +14,12 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .gauss import GaussRational, ONE, ZERO
 from .linalg import RankTracker, det_exact, rank_exact
 from .maps import RationalMap
-from .poly import Polynomial, TaylorJets, monomials, trial_division_modp
-from .sampling import random_complex_ball, random_small_gauss, rng_from_seed
+from .modp import reduce_mod, trial_division_modp
+from .poly import Polynomial, TaylorJets, monomials
+from .sampling import random_small_gauss, rng_from_seed
 from .segre import SegreFamily, null_block, pair_rows, sample_on_family
 from .spaces import Space
 
@@ -30,8 +28,6 @@ _WITNESS_TRIALS = 4        # special points of the witness search
 WITNESS_BUDGET = 20000     # candidate multiindices per witness trial
 ORACLE_PRIME = 5           # the oracle's default prime
 ORACLE_BUDGET = 10 ** 7    # candidate factors of the finite-field oracle
-VOLUME_SAMPLES = 25        # sampled points of the volume equation check
-ISOMETRY_SAMPLES = 20      # sampled points of the isometry pullback check
 
 
 # ---------------------------------------------------------------------------
@@ -201,83 +197,6 @@ def find_nondegeneracy_witness(fam: SegreFamily, F: RationalMap,
 
 
 # ---------------------------------------------------------------------------
-# degeneracy relation extraction (the jet-collapse consequence)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DegeneracyReport:
-    slices: List
-    coefficients: List[np.ndarray]
-    residuals: List[float]
-    zero_slice_head_max: float        # max |g_1..g_n| at the slice through 0
-
-
-class NotDegenerateError(ValueError):
-    pass
-
-
-_GRID = 40             # float sample points per slice
-_RANK_TRIALS = 3       # random points of the exact degeneracy precondition
-_NULL_TOL = 1e-8       # relative singular-value cut of the null space
-_SLICES = 3            # values 0, 1/10, 2/10 of the last variable
-
-
-def degeneracy_relation(polys: Sequence[Polynomial],
-                        seed: int = 0) -> DegeneracyReport:
-    """Recover per-slice linear relations sum_i g_i(z_m) psi_i(z) = 0.
-
-    The input must be jet-degenerate: rank_{N-m+1} in the truncated
-    variables < N (checked first, exactly).  For each of the _SLICES fixed
-    values of the last variable the coefficient vector is the SVD null
-    direction of the evaluation matrix on a float grid, normalized so its
-    largest entry is exactly 1."""
-    ring = polys[0].ring
-    m = len(ring.vars)
-    N = len(polys)
-    last = ring.vars[-1]
-
-    # exact precondition via the jet machinery
-    if _best_jet_rank(ring.vars, polys, ring.vars[:-1], N - m + 1, _RANK_TRIALS,
-                      seed)[-1] >= N:
-        raise NotDegenerateError("input not degenerate")
-
-    rng2 = np.random.default_rng(seed + 1)
-    slices = [Fraction(k, 10) for k in range(_SLICES)]
-    coefficients, residuals = [], []
-    zero_head = None
-    for s in slices:
-        rows = []
-        for _ in range(_GRID):
-            zt = rng2.uniform(-0.4, 0.4, size=m - 1) + 1j * rng2.uniform(-0.4, 0.4, size=m - 1)
-            pt = {v: complex(zt[i]) for i, v in enumerate(ring.vars[:-1])}
-            pt[last] = complex(float(s))
-            rows.append([p.evaluate_float(pt) for p in polys])
-        M = np.array(rows, dtype=complex)
-        _, sv, vh = np.linalg.svd(M)
-        if len(sv) < N:
-            sv = np.concatenate([sv, np.zeros(N - len(sv))])
-        null_rows = [i for i in range(N) if sv[i] <= _NULL_TOL * max(1.0, sv[0])]
-        if not null_rows:
-            raise NotDegenerateError("input not degenerate")
-        basis = vh[null_rows].conj().T          # orthonormal null basis, N x k
-        if s == 0:
-            # the relation family evaluated at 0 kills the coordinate head;
-            # pick the null vector of minimal head norm to expose that
-            head = basis[:m, :]
-            _, _, vv = np.linalg.svd(head, full_matrices=True)
-            g = basis @ vv[-1].conj()
-        else:
-            g = basis[:, -1]
-        k = int(np.argmax(np.abs(g)))
-        g = g / g[k]
-        coefficients.append(g)
-        residuals.append(float(np.max(np.abs(M @ g)) / max(1.0, np.max(np.abs(M)))))
-        if s == 0:
-            zero_head = float(np.max(np.abs(g[:m])))
-    return DegeneracyReport(slices, coefficients, residuals, zero_head)
-
-
-# ---------------------------------------------------------------------------
 # transversality and the flattening Jacobian seed
 # ---------------------------------------------------------------------------
 
@@ -390,7 +309,7 @@ def irreducibility_oracle(poly: Polynomial, prime: int = ORACLE_PRIME,
         return OracleResult("irreducible_certified", detail="degree <= 1")
     if not poly.constant_term() == GaussRational(1):
         raise ValueError("polynomial must have constant term 1")
-    reduced = poly.reduce_mod(prime)
+    reduced = reduce_mod(poly, prime)
     if reduced.degree() != deg:
         return OracleResult("inconclusive",
                             detail=f"degree drops modulo {prime}; pick another prime/xi")
@@ -425,94 +344,9 @@ def generic_conjugate_point(fam: SegreFamily, seed: int = 0,
         if poly.degree() != full:
             continue
         try:
-            reduced = poly.reduce_mod(prime)
+            reduced = reduce_mod(poly, prime)
         except ValueError:
             continue
         if reduced.degree() == full:
             return xi, poly
     raise ArithmeticError("no admissible specialization point found")
-
-
-# ---------------------------------------------------------------------------
-# volume equation and isometry pullback checks
-# ---------------------------------------------------------------------------
-
-_MAP_RADIUS = 0.2      # sample ball of the map checks
-_MAX_RETRIES = 40      # draws that may hit a pole of a map before one raises
-
-
-def _worst_residual(space: Space, residual, sample_count: int, seed: int,
-                    points: Sequence[Sequence[complex]] = ()) -> float:
-    """Max of ``residual(pt)`` over the given points, each taken once, then
-    over seeded draws from the _MAP_RADIUS ball until ``sample_count``
-    evaluations in all succeeded.  A point where the residual raises
-    ZeroDivisionError (a pole of a map) is skipped, at most _MAX_RETRIES
-    times; the next one re-raises."""
-    rng = rng_from_seed(seed)
-    queue = list(points)
-    worst = 0.0
-    done = 0
-    retries = 0
-    while done < sample_count or queue:
-        pt = queue.pop(0) if queue else random_complex_ball(rng, space.n, _MAP_RADIUS)
-        try:
-            value = residual(pt)
-        except ZeroDivisionError:
-            retries += 1
-            if retries > _MAX_RETRIES:
-                raise
-            continue
-        worst = max(worst, value)
-        done += 1
-    return worst
-
-
-def _named(space: Space, pt: Sequence[complex]) -> Dict[str, complex]:
-    return {v: complex(pt[i]) for i, v in enumerate(space.vars)}
-
-
-def volume_equation_check(fam: SegreFamily, maps: Sequence[RationalMap],
-                          lambdas: Sequence[float], sample_count: int,
-                          seed: int = 0) -> float:
-    """Max relative residual of the volume-preserving equation
-    sum_j lambda_j |J_Fj|^2 / rho(F_j, conj F_j)^lam = rho(z, zbar)^-lam,
-    lam the genus of the space."""
-    space = fam.space
-    lam = space.desc.genus
-    eng = fam.engine("invariant")
-    jacs = [F.jacobian_fractions() for F in maps]
-
-    def residual(pt):
-        named = _named(space, pt)
-        lhs = 0.0
-        for F, jac, w in zip(maps, jacs, lambdas):
-            J = np.array([[f.evaluate_float(named) for f in row] for row in jac])
-            det = complex(np.linalg.det(J))
-            image = F.evaluate_float(pt)
-            rho_f, _ = eng.rho(image)
-            lhs += w * (abs(det) ** 2) / rho_f ** lam
-        rhs = 1.0 / eng.rho(pt)[0] ** lam
-        return abs(lhs / rhs - 1.0)
-
-    return _worst_residual(space, residual, sample_count, seed)
-
-
-def isometry_pullback_check(fam: SegreFamily, F: RationalMap,
-                            sample_count: int, seed: int = 0,
-                            points: Sequence[Sequence[complex]] = ()) -> float:
-    """Max entrywise deviation of the pulled-back metric from the metric at
-    the given ``points``, then at random ones up to ``sample_count`` in all."""
-    space = fam.space
-    eng = fam.engine("invariant")
-    jac = F.jacobian_fractions()
-
-    def residual(pt):
-        named = _named(space, pt)
-        A = np.array([[f.evaluate_float(named) for f in row] for row in jac])
-        image = F.evaluate_float(pt)
-        g_here, _ = eng.metric(np.asarray(pt, dtype=complex))
-        g_image, _ = eng.metric(np.asarray(image, dtype=complex))
-        pull = A @ g_image @ A.conj().T
-        return float(np.max(np.abs(pull - g_here)))
-
-    return _worst_residual(space, residual, sample_count, seed, points)

@@ -34,13 +34,3 @@ def random_gauss_point(rng: random.Random,
                        names: Sequence[str]) -> Dict[str, GaussRational]:
     """A point with one ``random_small_gauss`` coordinate per name."""
     return {v: random_small_gauss(rng) for v in names}
-
-
-def random_complex_ball(rng: random.Random, n: int, radius: float = 0.3):
-    """n complex coordinates, each of modulus <= radius (max-norm ball)."""
-    out = []
-    for _ in range(n):
-        re = rng.uniform(-radius, radius) * 0.7
-        im = rng.uniform(-radius, radius) * 0.7
-        out.append(complex(re, im))
-    return out

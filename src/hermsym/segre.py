@@ -1,5 +1,4 @@
-"""Segre families, Kahler metrics, Einstein exponents, and exact sampling
-on the family.
+"""Segre families and exact sampling on the family.
 
 The family polynomial rho(z, xi) = 1 + sum_j psi_j(z) psi_j(xi) is evaluated
 from the pairing vector psi of the space, exactly as it is defined.  Its
@@ -7,27 +6,20 @@ expansion is one table, grouped by z-monomial and built lazily from psi:
 the support facts read it, and the rho command prints it term by term in a
 doubled ring (the cell variables plus a conjugate copy, prefix ``c``).
 Exact gradients come from first-order Taylor jets (``poly.TaylorJets``);
-float metric work differentiates psi symbolically once and pushes batches of
-points through a compiled numpy evaluator; exact identities never touch floats.
+the float metric layer (``floats``) keeps its compiled evaluators in the
+family's cache, and exact identities never touch floats.
 """
 
 from __future__ import annotations
 
-import math
 import threading
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .gauss import GaussRational, ONE, ZERO
 from .linalg import det_exact
 from .poly import Polynomial, PolyRing, TaylorJets
-from .sampling import random_complex_ball, random_gauss_point, rng_from_seed
+from .sampling import random_gauss_point
 from .spaces import Space, cell_matrix_point
-
-
-RICCI_POINTS = 10           # sampled points of the Ricci cross-check
 
 
 def conj_name(v: str) -> str:
@@ -49,9 +41,9 @@ class SegreFamily:
     one copy of the expansion.
 
     Exact derivatives of psi at a point are its first-order Taylor jets.
-    The expansion and the compiled metric evaluators are the only caches:
-    each is built once, on first use, under the family's lock, and is freed
-    with the family."""
+    The expansion and the metric engines of ``floats`` are the only caches:
+    each is built once, on first use, under the family's lock (``cached``),
+    and is freed with the family."""
 
     def __init__(self, space: Space):
         self.space = space
@@ -59,7 +51,7 @@ class SegreFamily:
         self._cache: Dict = {}
         self._lock = threading.Lock()
 
-    def _cached(self, key, build):
+    def cached(self, key, build):
         value = self._cache.get(key)
         if value is None:
             with self._lock:
@@ -86,7 +78,7 @@ class SegreFamily:
             return {ze: nonzero for ze, group in groups.items()
                     if (nonzero := {xe: c for xe, c in group.items()
                                     if not c.is_zero()})}
-        return self._cached("z_groups", expand)
+        return self.cached("z_groups", expand)
 
     @property
     def rho(self) -> Polynomial:
@@ -95,10 +87,6 @@ class SegreFamily:
         return Polynomial(self.ring, {
             ze + xe: c for ze, group in self.z_groups.items()
             for xe, c in group.items()})
-
-    def engine(self, weights: str) -> "_MetricEngine":
-        return self._cached(("engine", weights),
-                            lambda: _MetricEngine(self.space, weights))
 
     @property
     def zvars(self) -> Tuple[str, ...]:
@@ -149,191 +137,6 @@ def build_rho(space: Space) -> SegreFamily:
     fam = SegreFamily(space)
     fam.z_groups  # expand now
     return fam
-
-
-# ---------------------------------------------------------------------------
-# batched float evaluation of polynomial systems
-# ---------------------------------------------------------------------------
-
-class BatchEvaluator:
-    """Evaluate a fixed list of polynomials at complex points, vectorized."""
-
-    def __init__(self, polys: Sequence[Polynomial], var_order: Sequence[str]):
-        ring = polys[0].ring
-        idx = [ring.index(v) for v in var_order]
-        coeffs, exps, owner = [], [], []
-        for k, p in enumerate(polys):
-            for e, c in p.terms.items():
-                coeffs.append(complex(c))
-                exps.append([e[i] for i in idx])
-                owner.append(k)
-        self.count = len(polys)
-        self.coeffs = np.array(coeffs, dtype=complex)
-        self.exps = np.array(exps, dtype=np.int64) if exps else np.zeros((0, len(idx)), dtype=np.int64)
-        self.owner = np.array(owner, dtype=np.int64)
-
-    def __call__(self, point: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.count, dtype=complex)
-        if len(self.coeffs) == 0:
-            return out
-        powers = np.prod(np.power(point[None, :], self.exps), axis=1)
-        np.add.at(out, self.owner, self.coeffs * powers)
-        return out
-
-
-@dataclass
-class MetricSample:
-    g: np.ndarray
-    volume_density: float
-    hermitian_deviation: float              # max |g - g^H|
-
-
-def invariant_weights(space: Space) -> np.ndarray:
-    """Pairing weights of the isometry-invariant Hermitian form.
-
-    The minor and Pfaffian pairings of the classical types are already
-    invariant (weight 1 throughout; the symplectic raw pairing duplicates
-    off-diagonal minors, which is exactly its doubling).  Only the weighted
-    pairing of the two exceptional cells is Kahler-Einstein (the exponent
-    fits land exactly on the Fano indices 12 and 18)."""
-    weights = space.kind.weights
-    if weights is None:
-        return np.ones(len(space.pairing_psi))
-    return np.array(weights)
-
-
-class _MetricEngine:
-    """The compiled pairing system of a space and its symbolic Jacobian."""
-
-    def __init__(self, space: Space, weights: str):
-        self.nvars = space.n
-        self.order = list(space.vars)
-        polys = list(space.pairing_psi)
-        derivs = [p.derivative(v) for p in polys for v in self.order]
-        self.psi_eval = BatchEvaluator(polys, self.order)
-        self.jac_eval = BatchEvaluator(derivs, self.order)
-        self.count = len(polys)
-        if weights == "invariant":
-            self.w = invariant_weights(space)
-        else:
-            self.w = np.ones(self.count)
-
-    def rho(self, point: Sequence[complex]):
-        """(1 + sum_j w_j |psi_j(z)|^2, psi(z)) at a complex point z."""
-        v = self.psi_eval(np.asarray(point, dtype=complex))
-        return 1.0 + float(np.real((self.w * v) @ v.conj())), v
-
-    def metric(self, point: Sequence[complex]):
-        pt = np.array(point, dtype=complex)
-        rho, v = self.rho(pt)
-        J = self.jac_eval(pt).reshape(self.count, self.nvars)
-        H = (self.w[:, None] * J).T @ J.conj()
-        b = (self.w[:, None] * J).T @ v.conj()
-        g = (rho * H - np.outer(b, b.conj())) / rho ** 2
-        return g, rho
-
-
-def kahler_metric(fam: SegreFamily, point: Sequence[complex]) -> MetricSample:
-    """Fubini-Study pullback metric g_{i jbar} = d_i d_jbar log rho(z, zbar).
-
-    The mixed Hessian of log rho at xi = conj(z) is assembled from the exact
-    symbolic Jacobian of the embedding system (the two routes agree
-    identically because rho is the self-pairing of that system)."""
-    g, _ = fam.engine("plain").metric(point)
-    dev = float(np.max(np.abs(g - g.conj().T)))
-    if dev > 1e-10:
-        raise ArithmeticError(f"metric not Hermitian (deviation {dev:g}); "
-                              "family polynomial is asymmetric")
-    det = np.linalg.det(g)
-    return MetricSample(g, float(det.real), dev)
-
-
-class EinsteinError(ArithmeticError):
-    pass
-
-
-def einstein_fit(fam: SegreFamily, sample_count: int, seed: int):
-    """Fit the integer exponent in volume_density = c * rho(z, zbar)^-lambda.
-
-    Returns (lambda, c, max relative residual over the samples).  The
-    exponent is computed from the two most separated samples, rounded, and
-    the rounding is then *verified* against all samples; a non-integer fit
-    beyond 0.01 raises EinsteinError."""
-    rng = rng_from_seed(seed)
-    eng = fam.engine("invariant")
-    logs = []
-    for _ in range(sample_count):
-        pt = random_complex_ball(rng, fam.space.n, 0.3)
-        g, rho = eng.metric(np.array(pt, dtype=complex))
-        det = np.linalg.det(g).real
-        if det <= 0:
-            raise EinsteinError("volume density not positive in sample ball")
-        logs.append((math.log(rho), math.log(det)))
-    lo = min(logs, key=lambda t: t[0])
-    hi = max(logs, key=lambda t: t[0])
-    if abs(hi[0] - lo[0]) < 1e-9:
-        raise EinsteinError("samples do not separate rho; enlarge the ball")
-    lam_float = -(hi[1] - lo[1]) / (hi[0] - lo[0])
-    lam = round(lam_float)
-    if abs(lam_float - lam) > 0.01:
-        raise EinsteinError(f"Einstein structure violated: exponent {lam_float!r} "
-                            "is not an integer")
-    logc = sum(lv + lam * lr for lr, lv in logs) / len(logs)
-    c = math.exp(logc)
-    residual = max(abs(math.exp(lv + lam * lr - logc) - 1.0) for lr, lv in logs)
-    return lam, c, residual
-
-
-def ricci_residual(fam: SegreFamily, seed: int) -> float:
-    """Cross-check the Einstein identity -dd_bar log V = lambda * g entrywise,
-    lambda the genus of the space.
-
-    The left side is a finite-difference mixed Hessian of log det g; the
-    right side is the symbolically derived metric.  Returns the max relative
-    deviation over RICCI_POINTS sampled points."""
-    lam = fam.space.desc.genus
-    rng = rng_from_seed(seed + 1)
-    eng = fam.engine("invariant")
-    n = fam.space.n
-    h = 1e-3
-
-    def logV(pt: np.ndarray) -> float:
-        g, _ = eng.metric(pt)
-        return math.log(np.linalg.det(g).real)
-
-    worst = 0.0
-    for _ in range(RICCI_POINTS):
-        z = np.array(random_complex_ball(rng, n, 0.25), dtype=complex)
-        g, _ = eng.metric(z)
-        target = lam * g
-        hess = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                hess[i, j] = _wirtinger_mixed(logV, z, i, j, h)
-        rel = np.max(np.abs(-hess - target)) / max(np.max(np.abs(target)), 1e-12)
-        worst = max(worst, float(rel))
-    return worst
-
-
-def _second_diff(f, z, di, dj, h):
-    if np.array_equal(di, dj):
-        return (f(z + h * di) - 2.0 * f(z) + f(z - h * di)) / h ** 2
-    return (f(z + h * di + h * dj) - f(z + h * di - h * dj)
-            - f(z - h * di + h * dj) + f(z - h * di - h * dj)) / (4 * h ** 2)
-
-
-def _wirtinger_mixed(f, z, i, j, h):
-    """d^2 f / dz_i dzbar_j by real/imaginary central differences."""
-    n = len(z)
-    xi = np.zeros(n, dtype=complex); xi[i] = 1.0
-    yi = np.zeros(n, dtype=complex); yi[i] = 1.0j
-    xj = np.zeros(n, dtype=complex); xj[j] = 1.0
-    yj = np.zeros(n, dtype=complex); yj[j] = 1.0j
-    fxx = _second_diff(f, z, xi, xj, h)
-    fyy = _second_diff(f, z, yi, yj, h)
-    fxy = _second_diff(f, z, xi, yj, h)
-    fyx = _second_diff(f, z, yi, xj, h)
-    return 0.25 * (fxx + fyy) + 0.25j * (fxy - fyx)
 
 
 # ---------------------------------------------------------------------------

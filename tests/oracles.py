@@ -81,8 +81,9 @@
   ``test_segre.py`` draw their cell-kind points with it, so that every
   row of the matrix acts on both points.
 * ``monomial``, ``multiindices_upto``, ``poly_pow``, ``normalize``,
-  ``fractions_equal``, ``random_fraction`` and ``random_gauss`` --
-  polynomial, fraction and sampling helpers that only the tests use.
+  ``as_fraction``, ``fraction_sum``, ``fractions_equal``,
+  ``random_fraction`` and ``random_gauss`` -- polynomial, fraction and
+  sampling helpers that only the tests use.
 """
 
 import itertools
@@ -93,11 +94,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-import numpy as np
-
+from hermsym.floats import evaluate_poly
 from hermsym.gauss import GaussRational, ONE, ZERO, gauss_json
 from hermsym.linalg import RankTracker, det_exact
-from hermsym.poly import Polynomial, PolyFraction, PolyModP, TaylorJets, monomials
+from hermsym.modp import PolyModP
+from hermsym.poly import Polynomial, PolyFraction, TaylorJets, monomials
 from hermsym.rigidity import _JET_RANK_TRIALS, truncated_vars
 from hermsym.sampling import BOUND, random_gauss_point
 from hermsym.segre import conj_name
@@ -217,7 +218,8 @@ def _apply_field(obj, field):
         d = obj.derivative(var)
         term = (d.scale(coeff) if isinstance(d, Polynomial)
                 else PolyFraction(d.num.scale(coeff), d.den))
-        out = term if out is None else out + term
+        out = term if out is None else (
+            out + term if isinstance(term, Polynomial) else fraction_sum(out, term))
     return out
 
 
@@ -364,7 +366,7 @@ def specialize_expanded(fam, xi):
 
 def rho_at_float(fam, z, xi):
     """rho(z, xi) in floats, summed over the psi vector."""
-    return 1 + sum((p.evaluate_float(z) * p.evaluate_float(xi)
+    return 1 + sum((evaluate_poly(p, z) * evaluate_poly(p, xi)
                     for p in fam.space.pairing_psi), 0j)
 
 
@@ -467,8 +469,6 @@ def square_sum_by_products(ring, names):
 
 def dump_json_reference(obj) -> str:
     """Sorted keys, floats at 17 significant digits, one call per value."""
-    if isinstance(obj, np.generic):
-        obj = obj.item()
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -650,7 +650,7 @@ def tangent_apply(frame, fam, expr, beta):
                 for var, coeff in fields[idx].items():
                     d = out.derivative(var)
                     term = PolyFraction(d.num.scale(GaussRational.coerce(coeff)), d.den)
-                    acc = term if acc is None else acc + term
+                    acc = term if acc is None else fraction_sum(acc, term)
                 out = acc
     return out
 
@@ -856,10 +856,11 @@ def poly_pow(p, k):
 def normalize(f):
     """Strip a common monomial factor and scale the denominator's leading
     coefficient to 1 (no multivariate gcd)."""
+    ring = f.num.ring
     if f.num.is_zero():
-        return PolyFraction(f.ring.zero(), f.ring.one())
+        return PolyFraction(ring.zero(), ring.one())
     common = [min(min(e[i] for e in p.terms) for p in (f.num, f.den))
-              for i in range(len(f.ring.vars))]
+              for i in range(len(ring.vars))]
 
     def strip(p):
         return Polynomial(p.ring, {tuple(k - m for k, m in zip(e, common)): c
@@ -867,6 +868,16 @@ def normalize(f):
     num, den = strip(f.num), strip(f.den)
     lead = den.terms[max(den.terms)]
     return PolyFraction(num.scale(ONE / lead), den.scale(ONE / lead))
+
+
+def as_fraction(p):
+    """The polynomial ``p`` as the fraction p / 1."""
+    return PolyFraction(p, p.ring.one())
+
+
+def fraction_sum(f, g):
+    """f + g over the denominator f.den * g.den, unreduced."""
+    return PolyFraction(f.num * g.den + g.num * f.den, f.den * g.den)
 
 
 def fractions_equal(f, g):

@@ -12,24 +12,26 @@ from math import comb, factorial, gcd, inf, lcm, nan, prod
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from hermsym.acceptance import regular_locus_nonempty, unit_at_origin
 from hermsym.cli import Written, build_parser, cmd_rho, dump_json, print_table
 from hermsym.gauss import GaussRational as G, ONE, ZERO
 from hermsym.linalg import RankTracker, _scale_row, det_exact
 import hermsym.poly
-from hermsym.poly import Polynomial, PolyFraction, PolyModP, PolyRing, _GradedProducts
+from hermsym.modp import PolyModP, _GradedProducts, trial_division_modp
+from hermsym.poly import Polynomial, PolyFraction, PolyRing
 from hermsym.maps import RationalMap, identity_map
 from hermsym.rigidity import (FlatteningSeedError, TaylorJets, _greedy_rows,
                               default_order_bound, flattening_jacobian,
                               irreducibility_oracle, specialize_conjugate,
                               transversality_rank, transversality_recipe,
-                              trial_division_modp, witness_frame)
+                              witness_frame)
 from hermsym.sampling import BOUND, random_small_gauss, rng_from_seed
 from hermsym.segre import SegreFamily, sample_on_family, special_point
 from hermsym.spaces import build_space, minor_index_sets
-from oracles import (DenseRankTracker, FractionPair, _integer_row, compose_full,
+from oracles import (DenseRankTracker, FractionPair, _integer_row, as_fraction,
+                     compose_full,
                      derivative_jet_row, det_bareiss, dump_json_reference,
                      flattening_jacobian_bordered,
                      evaluate_loop, greedy_scan_nested, multiindices_upto,
@@ -256,7 +258,7 @@ SCAN_BUDGETS = {1, 2, 5, 9, 10, 11, 17, 30, 60, 200, 20000}
 def _merged_map(space):
     """The last variable replaced by the first: the jets have rank below N,
     so the scan runs through every candidate."""
-    comps = [PolyFraction.from_poly(space.ring.var(v)) for v in space.vars]
+    comps = [as_fraction(space.ring.var(v)) for v in space.vars]
     comps[-1] = comps[0]
     return RationalMap(space.ring, tuple(comps))
 
@@ -451,7 +453,10 @@ def mutated_groups(draw):
     return spec, groups
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+# no shrink phase: a failing e27 example took 140-180 s to shrink, and the
+# 300 derandomized examples are the same without it
+@settings(max_examples=300, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(mutated_groups())
 def test_support_laws_match_reference(case):
     """Each kind's support laws, declared over shared predicates, equal the
@@ -781,8 +786,7 @@ leaves = st.one_of(
     st.none(), st.booleans(), st.integers(),
     st.integers(-10 ** 40, 10 ** 40), finite,
     st.text(),                                 # non-ASCII and control characters
-    finite.map(np.float64), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
-    st.booleans().map(np.bool_),
+    finite.map(np.float64),                    # a float subclass
     st.lists(st.integers(), max_size=6),       # the all-int list join
     st.lists(st.one_of(st.integers(), st.booleans()), max_size=6))
 reports = st.recursive(leaves, lambda inner: st.one_of(
@@ -860,8 +864,17 @@ def test_dump_json_int_lists_at_the_table_edges():
     assert dump_json((255, 256, -1)) == "[255,256,-1]"
     assert dump_json([0, 255]) == "[0,255]"
     assert dump_json([2 ** 64 + 1, 7]) == f"[{2 ** 64 + 1},7]"
-    assert dump_json(list(np.arange(3, dtype=np.int64))) == "[0,1,2]"
-    assert dump_json([np.int64(-5), np.int64(300)]) == "[-5,300]"
+
+
+def test_dump_json_writes_float64_as_float_and_refuses_other_numpy_scalars():
+    """An np.float64 is a float and keeps the bytes of the Python float; a
+    numpy scalar that is no subclass of a report type raises TypeError."""
+    assert dump_json(np.float64(0.1)) == dump_json(0.1)
+    assert dump_json({"r": [np.float64(-1 / 3)]}) == dump_json({"r": [-1 / 3]})
+    for bad in (np.int64(1), np.bool_(True), np.float32(0.5)):
+        for report in (bad, [1, bad], {"a": bad}):
+            with pytest.raises(TypeError):
+                dump_json(report)
 
 
 @pytest.mark.parametrize("bad", [{1, 2}, 1j, b"x", np.zeros(2), object()])

@@ -347,13 +347,13 @@ def test_hyp3_honours_prime(capsys):
     assert report["evidence"] == "support-only" and report["passed"]
     # the lead is kept: its terms divide the reduced target modulo 2
     from hermsym.gauss import GaussRational
-    from hermsym.poly import PolyModP
+    from hermsym.modp import PolyModP, reduce_mod
     from hermsym.rigidity import specialize_conjugate
     from hermsym.segre import SegreFamily
     from oracles import divide_modp
     space = build_space("typeIV:3")
     xi = {v: GaussRational(c["re"], c["im"]) for v, c in oracle["xi"].items()}
-    target = specialize_conjugate(SegreFamily(space), xi).reduce_mod(2)
+    target = reduce_mod(specialize_conjugate(SegreFamily(space), xi), 2)
     terms = oracle["factor"]
     assert terms == sorted(terms) and all(r % 2 for _, r in terms)
     factor = PolyModP(space.vars, 2, {tuple(e): r for e, r in terms})
@@ -397,7 +397,7 @@ def test_commands_read_the_exponent_from_the_kind_table(tmp_path, capsys,
                                                          monkeypatch, disc):
     """describe and volume-check take lambda from the per-kind table: with
     every binding of the float fit made to raise, their bytes are unchanged."""
-    from hermsym.segre import EinsteinError
+    from hermsym.floats import EinsteinError
     path = tmp_path / "maps.json"
     path.write_text(json.dumps(identity_payload(disc)))
     jobs = [["describe", "--space", "typeII:4", "--seed", "7"],

@@ -203,7 +203,7 @@ def test_octonions_and_modular_polynomials_copy_and_pickle():
     and a pickle round trip with equal values."""
     import copy
     import pickle
-    from hermsym.poly import PolyModP
+    from hermsym.modp import PolyModP
     rng = rng_from_seed(3)
     x = Octonion([random_small_gauss(rng) for _ in range(8)])
     J = freudenthal_jordan_matrix()

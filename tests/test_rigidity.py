@@ -10,28 +10,32 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from hermsym.acceptance import hypothesis_one
+from hermsym.floats import (_MAP_RADIUS, _MAX_RETRIES, NotDegenerateError,
+                            _worst_residual, degeneracy_relation,
+                            evaluate_fraction, evaluate_map,
+                            isometry_pullback_check, metric_engine,
+                            random_complex_ball, volume_equation_check)
 from hermsym.gauss import GaussRational as G
 from hermsym.linalg import det_exact
 from hermsym.maps import RationalMap, identity_map, scaling_map
+from hermsym.modp import reduce_mod, trial_division_modp
 from hermsym.poly import PolyFraction, PolyRing, TaylorJets
-from hermsym.rigidity import (_JET_RANK_TRIALS, _MAP_RADIUS, _MAX_RETRIES,
-                              _WITNESS_TRIALS, WITNESS_BUDGET, FlatteningSeedError,
-                              NotDegenerateError, OffVarietyError,
-                              _worst_residual,
-                              degeneracy_relation, default_order_bound,
+from hermsym.rigidity import (_JET_RANK_TRIALS, _WITNESS_TRIALS, WITNESS_BUDGET,
+                              FlatteningSeedError, OffVarietyError,
+                              default_order_bound,
                               find_nondegeneracy_witness, flattening_jacobian,
                               generic_conjugate_point,
-                              irreducibility_oracle, isometry_pullback_check,
+                              irreducibility_oracle,
                               jet_rank, support_claims,
                               transversality_rank, transversality_recipe,
-                              trial_division_modp, truncated_vars,
-                              volume_equation_check, witness_frame)
-from hermsym.sampling import random_complex_ball, random_small_gauss, rng_from_seed
+                              truncated_vars, witness_frame)
+from hermsym.sampling import random_small_gauss, rng_from_seed
 from hermsym.segre import (build_rho, null_block, solve_null_direction,
                            special_point)
 from hermsym.spaces import build_space
-from oracles import (LambdaUndefinedError, compose_full, is_constant,
-                     jet_rank_one_order, lambda_determinant, tangent_apply)
+from oracles import (LambdaUndefinedError, as_fraction, compose_full,
+                     is_constant, jet_rank_one_order, lambda_determinant,
+                     tangent_apply)
 
 DESK = ["typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]
 
@@ -39,7 +43,7 @@ DESK = ["typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]
 def polynomial_map(space, images):
     """The map replacing the named cell variables by polynomial images."""
     r = space.ring
-    return RationalMap(r, tuple(PolyFraction.from_poly(images.get(v, r.var(v)))
+    return RationalMap(r, tuple(as_fraction(images.get(v, r.var(v)))
                                 for v in r.vars))
 
 
@@ -147,18 +151,18 @@ def test_tangency_exact(families):
     for spec in ["typeI:2,2", "typeIII:2", "typeIV:3"]:
         fam = families[spec]
         frame = ("segre", truncated_vars(fam.space))
-        expr = PolyFraction.from_poly(fam.rho)
+        expr = as_fraction(fam.rho)
         width = len(frame[1])
         for i in range(width):
             beta = [0] * width
             beta[i] = 1
-            assert tangent_apply(frame, fam, expr, beta).is_zero(), (spec, i)
+            assert tangent_apply(frame, fam, expr, beta).num.is_zero(), (spec, i)
 
 
 def test_hyperplane_field_formula(families):
     fam = families["typeIV:3"]
     frame = witness_frame(fam.space)
-    zn = PolyFraction.from_poly(fam.ring.var("z3"))
+    zn = as_fraction(fam.ring.var("z3"))
     out = tangent_apply(frame, fam, zn, [1, 0])
     assert (out.num + fam.ring.const(G.i()) * out.den).is_zero()
 
@@ -469,13 +473,13 @@ def test_oracle_certifications(families):
 def test_oracle_control_and_budget():
     r = PolyRing(["z1", "z2"])
     control = (r.one() + r.var("z1")) * (r.one() + r.var("z2"))
-    factor, _ = trial_division_modp(control.reduce_mod(5), 1, 10 ** 6)
+    factor, _ = trial_division_modp(reduce_mod(control, 5), 1, 10 ** 6)
     assert factor is not None
     with pytest.raises(OverflowError):
-        trial_division_modp(control.reduce_mod(5), 1, 2)
+        trial_division_modp(reduce_mod(control, 5), 1, 2)
     # the int64 kernel needs p < 2**31, whatever the budget
     with pytest.raises(ValueError, match="2\\*\\*31"):
-        trial_division_modp(control.reduce_mod(2 ** 31 + 11), 1, 2 ** 63)
+        trial_division_modp(reduce_mod(control, 2 ** 31 + 11), 1, 2 ** 63)
 
 
 def test_oracle_budget_inconclusive(families):
@@ -616,7 +620,7 @@ def volume_equation_complexified(fam, maps, lambdas, sample_count, seed):
     coincide with themselves), which covers the shipped isometry families."""
     space = fam.space
     lam = space.desc.genus
-    eng = fam.engine("invariant")
+    eng = metric_engine(fam, "invariant")
     rng = rng_from_seed(seed)
     jacs = [F.jacobian_fractions() for F in maps]
 
@@ -627,7 +631,7 @@ def volume_equation_complexified(fam, maps, lambdas, sample_count, seed):
 
     def jac_det(jac, pt):
         named = {v: complex(pt[i]) for i, v in enumerate(space.vars)}
-        return complex(np.linalg.det([[f.evaluate_float(named) for f in row]
+        return complex(np.linalg.det([[evaluate_fraction(f, named) for f in row]
                                       for row in jac]))
 
     worst = 0.0
@@ -635,7 +639,7 @@ def volume_equation_complexified(fam, maps, lambdas, sample_count, seed):
         z = random_complex_ball(rng, space.n, 0.15)
         xi = random_complex_ball(rng, space.n, 0.15)
         lhs = sum(weight * jac_det(jac, z) * jac_det(jac, xi)
-                  / rho_pair(F.evaluate_float(z), F.evaluate_float(xi)) ** lam
+                  / rho_pair(evaluate_map(F, z), evaluate_map(F, xi)) ** lam
                   for F, jac, weight in zip(maps, jacs, lambdas))
         worst = max(worst, abs(lhs * rho_pair(z, xi) ** lam - 1.0))
     return worst
@@ -773,13 +777,13 @@ def test_witnesses_larger_desk():
 def test_tangency_exceptional_sixteen():
     fam = build_rho(build_space("e16"))
     frame = ("segre", truncated_vars(fam.space))
-    expr = PolyFraction.from_poly(fam.rho)
+    expr = as_fraction(fam.rho)
     beta = [0] * len(frame[1])
     beta[0] = 1
-    assert tangent_apply(frame, fam, expr, beta).is_zero()
+    assert tangent_apply(frame, fam, expr, beta).num.is_zero()
     beta = [0] * len(frame[1])
     beta[-1] = 1
-    assert tangent_apply(frame, fam, expr, beta).is_zero()
+    assert tangent_apply(frame, fam, expr, beta).num.is_zero()
 
 
 def test_volume_equation_quadric_permutation(families):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from hermsym.floats import (EinsteinError, einstein_fit, evaluate_poly,
+                            kahler_metric, metric_engine, ricci_residual)
 from hermsym.gauss import GaussRational as G
 from hermsym.linalg import det_exact
 from hermsym.sampling import random_gauss_point, rng_from_seed
-from hermsym.segre import (EinsteinError, build_rho, einstein_fit, kahler_metric,
-                           ricci_residual, sample_on_family, conj_name)
+from hermsym.segre import build_rho, sample_on_family, conj_name
 from hermsym.spaces import build_space, cell_matrix_point, minor_index_sets
 from oracles import (is_constant, partial_evaluate, point_pair, rho_at_float,
                      rho_swap_symmetric, slot_solve_sample, sym_det)
@@ -50,7 +51,7 @@ def test_rho_real_lower_bound(families):
     """rho(z, zbar) = 1 + sum |psi_j(z)|^2 >= 1 at 200 points per space; the
     pairing form is cross-checked against the family polynomial directly on
     a subsample."""
-    from hermsym.segre import BatchEvaluator
+    from hermsym.floats import BatchEvaluator
     rng = np.random.default_rng(0)
     for spec, fam in families.items():
         space = fam.space
@@ -143,15 +144,15 @@ def test_metric_second_derivative_route(families):
         named.update({conj_name(v): complex(named[v]).conjugate()
                       for v in space.vars})
         expanded = fam.rho
-        rho = expanded.evaluate_float(named)
+        rho = evaluate_poly(expanded, named)
         gdir = np.zeros((n, n), dtype=complex)
         for i, vi in enumerate(space.vars):
             di = expanded.derivative(vi)
             for j, vj in enumerate(space.vars):
                 dj = expanded.derivative(conj_name(vj))
                 dij = di.derivative(conj_name(vj))
-                gdir[i, j] = (dij.evaluate_float(named) * rho
-                              - di.evaluate_float(named) * dj.evaluate_float(named)) / rho ** 2
+                gdir[i, j] = (evaluate_poly(dij, named) * rho
+                              - evaluate_poly(di, named) * evaluate_poly(dj, named)) / rho ** 2
         ms = kahler_metric(fam, list(pt))
         assert np.allclose(gdir, ms.g, atol=1e-12), spec
 
@@ -168,16 +169,17 @@ def test_einstein_fits(families):
 def test_einstein_violation_detected(families, monkeypatch):
     """The unit-weight pairing on the 16-dimensional exceptional cell is not
     Einstein; the fit must refuse to round."""
-    from hermsym import segre
-    monkeypatch.setattr(segre, "invariant_weights",
+    from hermsym import floats
+    from hermsym.segre import SegreFamily
+    monkeypatch.setattr(floats, "invariant_weights",
                         lambda space: np.ones(len(space.pairing_psi)))
     with pytest.raises(EinsteinError):
-        einstein_fit(segre.SegreFamily(families["e16"].space), 30, seed=5)
+        einstein_fit(SegreFamily(families["e16"].space), 30, seed=5)
 
 
 def test_ricci_cross_check(families, monkeypatch):
-    from hermsym import segre
-    monkeypatch.setattr(segre, "RICCI_POINTS", 4)
+    from hermsym import floats
+    monkeypatch.setattr(floats, "RICCI_POINTS", 4)
     assert ricci_residual(families["typeIV:3"], seed=9) < 1e-5
     assert ricci_residual(families["typeI:1,1"], seed=9) < 1e-5
 
@@ -211,7 +213,7 @@ def apply_projective_map(space, M, z):
                 raise NotPreservingError("matrix does not preserve the space")
         return out
     point = {v: complex(z[i]) for i, v in enumerate(space.vars)}
-    vec = np.array([1.0 + 0j] + [p.evaluate_float(point) for p in space.psi])
+    vec = np.array([1.0 + 0j] + [evaluate_poly(p, point) for p in space.psi])
     img = vec @ np.asarray(M, dtype=complex)
     if abs(img[0]) < 1e-14:
         raise MapsIntoHyperplaneError("point maps into hyperplane at infinity")
@@ -220,7 +222,7 @@ def apply_projective_map(space, M, z):
     scale = max(1.0, float(np.max(np.abs(img / img[0]))))
     for j, p in enumerate(space.psi[space.n:]):
         want = img[space.n + 1 + j] / img[0]
-        if abs(p.evaluate_float(outpoint) - want) > 1e-9 * scale:
+        if abs(evaluate_poly(p, outpoint) - want) > 1e-9 * scale:
             raise NotPreservingError("matrix does not preserve the space")
     return list(out)
 
@@ -452,7 +454,7 @@ def test_family_caches_built_once_under_contention():
 
     def read():
         start.wait(timeout=60)
-        seen.append((fam.z_groups, fam.engine("invariant")))
+        seen.append((fam.z_groups, metric_engine(fam, "invariant")))
 
     threads = [threading.Thread(target=read) for _ in range(8)]
     interval = sys.getswitchinterval()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from hermsym.floats import evaluate_poly
 from hermsym.gauss import GaussRational as G, ZERO
 from hermsym.linalg import det_exact, rank_exact
 from hermsym.poly import PolyRing
@@ -140,7 +141,7 @@ def symplectic_tail(space):
 
 def symplectic_tail_eval(space, blocks, point):
     """Evaluate the float-coefficient orthonormalized embedding system."""
-    vals = np.array([p.evaluate_float(point) for p in space.psi])
+    vals = np.array([evaluate_poly(p, point) for p in space.psi])
     return np.concatenate([vals[idx] @ combo for idx, combo in blocks])
 
 
@@ -220,7 +221,8 @@ def test_kind_table_consistent():
     """Each record agrees with the space its builder makes: a null block
     ends at the distinguished variable, the weights cover the pairing
     vector, and a matrix layout holds every cell variable."""
-    from hermsym.segre import invariant_weights, null_block
+    from hermsym.floats import invariant_weights
+    from hermsym.segre import null_block
     for spec in DESK:
         s = build_space(spec)
         block = null_block(s)

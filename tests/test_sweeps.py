@@ -3,9 +3,10 @@ per-kind table, and witnesses resolve across sizes beyond the desk matrix."""
 
 import pytest
 
+from hermsym.floats import einstein_fit
 from hermsym.maps import identity_map
 from hermsym.rigidity import default_order_bound, find_nondegeneracy_witness
-from hermsym.segre import build_rho, einstein_fit
+from hermsym.segre import build_rho
 from hermsym.spaces import build_space, parse_space_spec
 
 LADDER = ["typeI:1,3", "typeI:2,3", "typeI:3,3", "typeII:5", "typeII:6",

@@ -5,7 +5,8 @@ identity/Einstein/hypothesis suites, and check user-supplied map tuples.
 Reports are deterministic JSON from one writer, ``dump_json``: compact,
 dict keys sorted by their string form, strings ASCII-escaped as
 ``json.dumps`` does, floats at 17 significant digits (``.17g``) with NaN
-and the infinities as ``NaN``/``Infinity``/``-Infinity``.  Identical (command, config, seed) produce byte-identical output.
+and the infinities as ``NaN``/``Infinity``/``-Infinity``.  Identical
+(command, config, seed) produce byte-identical output.
 
 Exit codes: 0 pass/success, 1 check failure, 2 usage or input error,
 3 internal error (an exact invariant of the program broke).
@@ -56,8 +57,8 @@ def dump_json(obj) -> str:
     string form (``str(k)``), strings ASCII-escaped as ``json.dumps`` does,
     floats at 17 significant digits (``NaN``, ``Infinity``, ``-Infinity``
     when not finite), and ``TypeError`` for anything that is not None,
-    bool, int, float, str, dict, list or tuple, or a subclass of one (so a
-    numpy float64 is written as a float, and other numpy scalars raise).  Text it has already written, wrapped in
+    bool, int, float, str, dict, list or tuple, or a subclass of one (an
+    ``np.float64`` is a float).  Text it has already written, wrapped in
     ``Written``, is written again verbatim, so a report can be assembled
     from pieces each rendered once."""
     return _write(obj)

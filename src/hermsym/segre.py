@@ -6,8 +6,7 @@ expansion is one table, grouped by z-monomial and built lazily from psi:
 the support facts read it, and the rho command prints it term by term in a
 doubled ring (the cell variables plus a conjugate copy, prefix ``c``).
 Exact gradients come from first-order Taylor jets (``poly.TaylorJets``);
-the float metric layer (``floats``) keeps its compiled evaluators in the
-family's cache, and exact identities never touch floats.
+exact identities never touch floats, which are all in ``floats``.
 """
 
 from __future__ import annotations

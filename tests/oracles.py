@@ -404,7 +404,7 @@ def divide_modp(target, cand):
 
 
 def trial_division_loop(target, d, budget):
-    """(factor, tried) of ``poly.trial_division_modp``, one candidate at
+    """(factor, tried) of ``modp.trial_division_modp``, one candidate at
     a time."""
     p = target.p
     names = target.vars

@@ -278,14 +278,15 @@ def check_pfaffian_suite(seed, tol):
     def pf_pair(order):
         """The builder's Pfaffian of the order x order antisymmetric cell at
         random entries, and the entries as a matrix."""
+        cell = ring, slots = antisymmetric_cell(order)
         M = [[GaussRational(0)] * order for _ in range(order)]
         point = {}
         for i in range(order):
             for j in range(i + 1, order):
-                v = point[f"z{i + 1}_{j + 1}"] = random_small_gauss(rng)
+                v = point[ring.vars[slots[i + 1, j + 1][0]]] = random_small_gauss(rng)
                 M[i][j] = v
                 M[j][i] = -v
-        pf = pf_expansion(antisymmetric_cell(order), range(1, order + 1))
+        pf = pf_expansion(cell, range(1, order + 1))
         return pf.evaluate(point), M
 
     for order in range(2, 9):          # odd orders vanish on both routes
@@ -413,7 +414,7 @@ def check_volume_isometry(seed, tol):
     fam = family("typeI:1,1")
     space = fam.space
     ident = identity_map(space)
-    z = space.ring.var("z1_1")      # the unitary Moebius map (4 + 3z) / (3 - 4z)
+    z = space.ring.var(space.vars[0])   # the unitary Moebius map (4 + 3z) / (3 - 4z)
     unitary = RationalMap(space.ring, (PolyFraction(
         space.ring.const(Fraction(4, 5)) + z.scale(Fraction(3, 5)),
         space.ring.const(Fraction(3, 5)) - z.scale(Fraction(4, 5))),))

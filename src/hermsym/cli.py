@@ -8,8 +8,9 @@ dict keys sorted by their string form, strings ASCII-escaped as
 and the infinities as ``NaN``/``Infinity``/``-Infinity``.  Identical
 (command, config, seed) produce byte-identical output.
 
-Exit codes: 0 pass/success, 1 check failure, 2 usage or input error,
-3 internal error (an exact invariant of the program broke).
+Exit codes: 0 pass/success, 1 check failure, 2 usage or input error (a
+``UsageError``, raised where the input is read), 3 internal error (an exact
+invariant of the program broke, or any other exception).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .modp import PRIME_BOUND
 from .rigidity import support_claims
 from .sampling import rng_from_seed
 from .segre import SegreFamily, build_rho
-from .spaces import SPACE_GRAMMAR, build_space, space_to_json
+from .spaces import SPACE_GRAMMAR, build_space, parse_space_spec, space_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +198,19 @@ def _load_map_file(space, path):
         raise UsageError(str(exc)) from exc
 
 
+def _space(args):
+    """The space of ``--space``; a spec off the grammar or the kind table is
+    a usage error."""
+    try:
+        desc = parse_space_spec(args.space)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return build_space(desc)
+
+
 def _family_and_seed(args):
     """The family of ``--space`` and the seed of a randomized command."""
-    fam = SegreFamily(build_space(args.space))
+    fam = SegreFamily(_space(args))
     return fam, _resolve_seed(args, required=True)
 
 
@@ -214,7 +225,7 @@ def _verdict(args, seed, ok: bool, report: dict):
 # ---------------------------------------------------------------------------
 
 def cmd_describe(args):
-    space = build_space(args.space)
+    space = _space(args)
     seed = _resolve_seed(args, required=False)
     report = space_to_json(space)
     report["lambda"] = space.desc.genus
@@ -223,7 +234,7 @@ def cmd_describe(args):
 
 
 def cmd_rho(args):
-    space = build_space(args.space)
+    space = _space(args)
     fam = build_rho(space)
     # the expanded polynomial's terms {"exp": ze + xe, "im": .., "re": ..},
     # read straight off the z-groups (so this loop order is sorted order) and
@@ -291,6 +302,9 @@ def cmd_hyp1(args):
 
 def cmd_hyp2(args):
     fam, seed = _family_and_seed(args)
+    if fam.space.n < 2:
+        raise UsageError(f"{fam.space.desc.label()}: a rank-2 pencil needs a "
+                         "cell of dimension >= 2")
     h = acceptance.hypothesis_two(fam, seed)
     xi0, z0, z1 = h.pencil
     return _verdict(args, seed, h.passed, {
@@ -393,6 +407,7 @@ def _prime(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: argparse parsers
     keep no state between ``parse_args`` calls."""
+    tol = acceptance.Tolerances()
     ap = argparse.ArgumentParser(
         prog="hermsym",
         description="verification toolkit for compact Hermitian symmetric "
@@ -407,8 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output", choices=("json", "table"), default="json")
-        p.add_argument("--float-tol", dest="float_tol", type=float, default=1e-9)
-        p.add_argument("--einstein-tol", dest="einstein_tol", type=float, default=1e-8)
+        p.add_argument("--float-tol", dest="float_tol", type=float,
+                       default=tol.float_tol)
+        p.add_argument("--einstein-tol", dest="einstein_tol", type=float,
+                       default=tol.einstein_tol)
         p.set_defaults(handler=fn)
         return p
 
@@ -453,7 +470,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         code, report = args.handler(args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a check failure is a report, never an exception

@@ -115,7 +115,7 @@ def invariant_weights(space: Space) -> np.ndarray:
     weights = space.kind.weights
     if weights is None:
         return np.ones(len(space.pairing_psi))
-    return np.array(weights)
+    return np.array(weights, dtype=float)
 
 
 class _MetricEngine:

@@ -250,12 +250,9 @@ def flattening_jacobian(rows: Sequence[List[GaussRational]]):
 
 
 def transversality_recipe(fam: SegreFamily, seed: int = 0) -> Tuple[Dict, Dict, Dict]:
-    """Per-type (xi0, z0, z1) data realizing transversal Segre pencils."""
-    space = fam.space
-    if space.n < 2:
-        raise ValueError(f"{space.desc.label()}: a rank-2 pencil needs a cell "
-                         "of dimension >= 2")
-    return space.kind.pencil(space, rng_from_seed(seed))
+    """Per-type (xi0, z0, z1) data realizing transversal Segre pencils, on a
+    cell of dimension >= 2 (the command line refuses a smaller one)."""
+    return fam.space.kind.pencil(fam.space, rng_from_seed(seed))
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,17 @@ check needs it.
 The table ``KINDS`` at the end of the module is the one place that tells
 the six families apart: each ``Kind`` record holds the parameter check and
 builder of a family, its genus (the Einstein exponent), incidence style,
-jet order bound, invariant weights, cell matrix layout, determinant model,
-transversal pencil and monomial-support laws.  Code elsewhere reads the
-record of a space (``Space.kind``) and never its kind name.
+jet order bound, invariant weights, determinant model, transversal pencil
+and monomial-support laws.  Code elsewhere reads the record of a space
+(``Space.kind``) and never its kind name.  A matrix cell's layout is named
+once, in its builder, and the built space carries its slot table
+(``Space.cell``).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
@@ -85,6 +87,9 @@ class Space:
     pairing_psi: Tuple[Polynomial, ...]  # vector whose self-pairing builds rho
     distinguished: str                   # dropped variable of the jet calculus
     degenerate_note: Optional[str] = None
+    # layout_cell's table of a matrix cell, None for a vector cell; the
+    # descriptor fixes it, so equality and hashing leave it out
+    cell: Optional[Dict] = field(default=None, compare=False)
 
     @property
     def vars(self) -> Tuple[str, ...]:
@@ -122,17 +127,6 @@ def _antisym_entry(i: int, j: int):
 
 def _sym_entry(i: int, j: int):
     return f"z{min(i, j)}_{max(i, j)}", 1
-
-
-def _fill_matrix(entry, rows: int, cols: int, lookup, zero) -> list:
-    """The rows x cols matrix of a layout, each variable read by ``lookup``."""
-    def value(i, j):
-        e = entry(i, j)
-        if e is None:
-            return zero
-        v = lookup(e[0])
-        return v if e[1] > 0 else -v
-    return [[value(i, j) for j in range(1, cols + 1)] for i in range(1, rows + 1)]
 
 
 def layout_cell(entry, rows: int, cols: int):
@@ -239,20 +233,20 @@ def minor_index_sets(p: int, q: int):
                 yield k, rows, cols
 
 
-def build_type1(p: int, q: int) -> Space:
-    desc = SpaceDescriptor("typeI", (p, q))
+def build_type1(desc: SpaceDescriptor) -> Space:
+    p, q = desc.params
     cell = layout_cell(_plain_entry, p, q)
     psi = [minor_expansion(cell, rows, cols) for _, rows, cols in minor_index_sets(p, q)]
     return Space(desc, cell[0], tuple(psi), tuple(psi),
-                 distinguished=f"z{p}_{q}")
+                 distinguished=f"z{p}_{q}", cell=cell[1])
 
 
 # ---------------------------------------------------------------------------
 # type II: orthogonal Grassmannians, Pfaffian coordinates
 # ---------------------------------------------------------------------------
 
-def build_type2(n: int) -> Space:
-    desc = SpaceDescriptor("typeII", (n,))
+def build_type2(desc: SpaceDescriptor) -> Space:
+    n, = desc.params
     cell = antisymmetric_cell(n)
     psi = [pf_expansion(cell, sigma) for k in range(2, n + 1, 2)
            for sigma in itertools.combinations(range(1, n + 1), k)]
@@ -262,15 +256,16 @@ def build_type2(n: int) -> Space:
                 "the embedding is linear and the space degenerates to "
                 "projective space")
     return Space(desc, cell[0], tuple(psi), tuple(psi),
-                 distinguished=f"z{n - 1}_{n}", degenerate_note=note)
+                 distinguished=f"z{n - 1}_{n}", degenerate_note=note,
+                 cell=cell[1])
 
 
 # ---------------------------------------------------------------------------
 # type III: symplectic Grassmannians, two-layer minor system
 # ---------------------------------------------------------------------------
 
-def build_type3(n: int) -> Space:
-    desc = SpaceDescriptor("typeIII", (n,))
+def build_type3(desc: SpaceDescriptor) -> Space:
+    n, = desc.params
     cell = layout_cell(_sym_entry, n, n)
 
     raw: List[Polynomial] = []       # layer (a): all minors, redundant
@@ -296,15 +291,15 @@ def build_type3(n: int) -> Space:
         psi.extend(g for g in group
                    if tracker.add_row({column[e]: c for e, c in g.terms.items()}))
     return Space(desc, cell[0], tuple(psi), tuple(raw),
-                 distinguished=f"z{n}_{n}")
+                 distinguished=f"z{n}_{n}", cell=cell[1])
 
 
 # ---------------------------------------------------------------------------
 # type IV: hyperquadrics
 # ---------------------------------------------------------------------------
 
-def build_type4(n: int) -> Space:
-    desc = SpaceDescriptor("typeIV", (n,))
+def build_type4(desc: SpaceDescriptor) -> Space:
+    n, = desc.params
     ring = PolyRing(tuple(f"z{i}" for i in range(1, n + 1)))
     psi = [ring.var(f"z{i}") for i in range(1, n + 1)]
     q = ring.zero()
@@ -320,15 +315,13 @@ def build_type4(n: int) -> Space:
 # the two exceptional spaces
 # ---------------------------------------------------------------------------
 
-def build_e16() -> Space:
-    desc = SpaceDescriptor("e16")
+def build_e16(desc: SpaceDescriptor) -> Space:
     ring = PolyRing(M16_VARS)
     psi = tuple(cayley_plane_forms(ring))
     return Space(desc, ring, psi, psi, distinguished="y7")
 
 
-def build_e27() -> Space:
-    desc = SpaceDescriptor("e27")
+def build_e27(desc: SpaceDescriptor) -> Space:
     ring = PolyRing(M27_VARS)
     psi = tuple(freudenthal_forms(ring))
     return Space(desc, ring, psi, psi, distinguished="x3")
@@ -337,7 +330,7 @@ def build_e27() -> Space:
 def build_space(desc: SpaceDescriptor | str) -> Space:
     if isinstance(desc, str):
         desc = parse_space_spec(desc)
-    return KINDS[desc.kind].build(*desc.params)
+    return KINDS[desc.kind].build(desc)
 
 
 def space_to_json(space: Space) -> dict:
@@ -348,20 +341,23 @@ def space_to_json(space: Space) -> dict:
         "N": space.N,
         "distinguished": space.distinguished,
         "psi": [p.to_json() for p in space.psi],
-        "psi_numeric_tail": space.kind.numeric_tail,
+        # an exact basis of a longer pairing vector: only a float combination
+        # with irrational coefficients makes it Euclidean
+        "psi_numeric_tail": len(space.psi) < len(space.pairing_psi),
         "degenerate_note": space.degenerate_note,
     }
 
 
 def cell_matrix_point(space: Space, values: Dict[str, GaussRational]):
-    """Assemble the matrix (or, for a kind without a layout, the vector) of
-    a cell point from named values."""
-    entry = space.kind.entry
-    if entry is None:
+    """Assemble the matrix (or, for a vector cell, the vector) of a cell
+    point from named values."""
+    if space.cell is None:
         return [values[v] for v in space.vars]
-    params = space.desc.params
-    return _fill_matrix(entry, params[0], params[-1],
-                        lambda v: GaussRational.coerce(values[v]), GaussRational(0))
+    vals = [GaussRational.coerce(values[v]) for v in space.vars]
+    flat = [GaussRational(0) if e is None else vals[e[0]] if e[1] > 0 else -vals[e[0]]
+            for e in space.cell.values()]         # row-major
+    cols = space.desc.params[-1]
+    return [flat[k:k + cols] for k in range(0, len(flat), cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +416,7 @@ def _cayley_plane_pencil(space: Space, rng):
 # (space, groups) -> {fact: bool}, where groups maps each z-exponent tuple of
 # the family polynomial to its xi-coefficients {xi-exponent tuple: value}.
 # Each law is a declaration over the shared predicates below; the cell kinds
-# read the position (i, j) of a variable off their layout.
+# read the position (i, j) of a variable off the space's cell table.
 # ---------------------------------------------------------------------------
 
 def _monomial(space: Space, *items) -> Tuple[int, ...]:
@@ -429,14 +425,6 @@ def _monomial(space: Space, *items) -> Tuple[int, ...]:
     for name, k in items:
         ze[space.ring.index(name)] += k
     return tuple(ze)
-
-
-def _cell_slots(space: Space) -> Dict[Tuple[int, int], int]:
-    """(i, j) -> the ring slot of the cell entry at (i, j), over the nonzero
-    entries of the kind's layout."""
-    params = space.desc.params
-    _, slots = layout_cell(space.kind.entry, params[0], params[-1])
-    return {ij: slot[0] for ij, slot in slots.items() if slot is not None}
 
 
 def _xi_neg(a: Dict) -> Dict:
@@ -464,8 +452,9 @@ def _distinct(space: Space, groups, indices) -> bool:
     ``indices`` maps the position (i, j) of an entry to the indices it
     occupies: its row, its column or its index pair."""
     position: Dict[int, Tuple[int, int]] = {}
-    for ij, slot in _cell_slots(space).items():
-        position.setdefault(slot, ij)
+    for ij, slot in space.cell.items():
+        if slot is not None:
+            position.setdefault(slot[0], ij)
     for ze in groups:
         used = [x for slot, k in enumerate(ze) if k for x in indices(position[slot])]
         if len(used) != len(set(used)):
@@ -532,13 +521,13 @@ def symplectic_pairing_facts(space: Space, groups) -> Dict[str, bool]:
     """The four paired-coefficient laws of the symmetric-minor expansions,
     checked with xi-coefficients compared as exact polynomials."""
     n = space.desc.params[0]
-    slot = _cell_slots(space)
+    cell = space.cell
 
     def shift(ze, cells, k=1):
         """ze times the entries at the cells, each to the power k."""
         ze = list(ze)
         for ij in cells:
-            ze[slot[ij]] += k
+            ze[cell[ij][0]] += k
         return tuple(ze)
 
     def paired(p_pair, t_pair, marker, factor) -> bool:
@@ -553,7 +542,7 @@ def symplectic_pairing_facts(space: Space, groups) -> Dict[str, bool]:
                     continue
                 seen.add(q)
                 cp = groups.get(shift(q, p_pair), {})
-                if q[slot[marker]]:
+                if q[cell[marker][0]]:
                     cp = {e: c * factor for e, c in cp.items()}
                 if groups.get(shift(q, t_pair), {}) != _xi_neg(cp):
                     return False
@@ -578,7 +567,7 @@ def symplectic_pairing_facts(space: Space, groups) -> Dict[str, bool]:
     # analyses only ever use this presence implication, which does hold.)
     def mixed(i, j) -> bool:
         for ze in groups:
-            if ze[slot[i, j]] and ze[slot[n - 1, n]]:
+            if ze[cell[i, j][0]] and ze[cell[n - 1, n][0]]:
                 q = shift(ze, ((i, j), (n - 1, n)), -1)
                 if not (groups.get(shift(q, ((i, n - 1), (j, n))))
                         or groups.get(shift(q, ((i, n), (j, n - 1))))):
@@ -605,18 +594,15 @@ class Kind:
 
     ``genus`` maps the parameters to the genus p + q, 2n - 2, n + 1, n, 12
     or 18 (Loos, *Bounded symmetric domains and Jordan pairs*, 1977), the
-    exponent lambda of the Einstein volume density c * rho^-lambda.  A
-    ``numeric_tail`` kind has an exact psi basis that only a float
-    combination with irrational coefficients makes Euclidean."""
+    exponent lambda of the Einstein volume density c * rho^-lambda.
+    ``build`` makes the space of a validated descriptor."""
     needs: str                               # the parameter requirement
     valid: Callable[[Tuple[int, ...]], bool]
-    build: Callable[..., Space]
+    build: Callable[[SpaceDescriptor], Space]
     genus: Callable[..., int]
-    numeric_tail: bool
     null_prefix: Optional[str]
     order_bound: Optional[int]               # witness jet order; None: 1 + N - n
-    weights: Optional[Tuple[float, ...]]     # invariant pairing weights; None: 1
-    entry: Optional[Callable]                # cell matrix layout; None: a vector
+    weights: Optional[Tuple[int, ...]]       # invariant pairing weights; None: 1
     det_power: Optional[int]                 # rho^k = det(I + Z Xi^t); None: no model
     oracle: bool                             # hyp3 runs the finite-field oracle
     pencil: Callable                         # (space, rng) -> (xi0, z0, z1)
@@ -627,50 +613,43 @@ KINDS: Dict[str, Kind] = {
     "typeI": Kind(
         needs="typeI needs 1 <= p <= q",
         valid=lambda p: len(p) == 2 and 1 <= p[0] <= p[1], build=build_type1,
-        genus=lambda p, q: p + q, numeric_tail=False,
-        null_prefix=None, order_bound=None, weights=None,
-        entry=_plain_entry, det_power=1, oracle=True,
+        genus=lambda p, q: p + q, null_prefix=None, order_bound=None,
+        weights=None, det_power=1, oracle=True,
         pencil=partial(_slot_pencil, "z1_1", "z1_2"),
         support_laws=_grassmann_laws),
     "typeII": Kind(
         needs="typeII needs n >= 2 (first Pfaffian block at n=4)",
         valid=lambda p: len(p) == 1 and p[0] >= 2, build=build_type2,
-        genus=lambda n: 2 * n - 2, numeric_tail=False,
-        null_prefix=None, order_bound=None, weights=None,
-        entry=_antisym_entry, det_power=2, oracle=True,
+        genus=lambda n: 2 * n - 2, null_prefix=None, order_bound=None,
+        weights=None, det_power=2, oracle=True,
         pencil=partial(_slot_pencil, "z1_2", "z1_3"),
         support_laws=_orthogonal_laws),
     "typeIII": Kind(
         needs="typeIII needs n >= 2",
         valid=lambda p: len(p) == 1 and p[0] >= 2, build=build_type3,
-        genus=lambda n: n + 1, numeric_tail=True,
-        null_prefix=None, order_bound=None, weights=None,
-        entry=_sym_entry, det_power=1, oracle=True,
+        genus=lambda n: n + 1, null_prefix=None, order_bound=None,
+        weights=None, det_power=1, oracle=True,
         pencil=partial(_slot_pencil, "z1_1", "z1_2"),
         support_laws=symplectic_pairing_facts),
     "typeIV": Kind(
         needs="typeIV needs n >= 3 (irreducible quadric)",
         valid=lambda p: len(p) == 1 and p[0] >= 3, build=build_type4,
-        genus=lambda n: n, numeric_tail=False,
-        null_prefix="z", order_bound=2, weights=None,
-        entry=None, det_power=None, oracle=True,
+        genus=lambda n: n, null_prefix="z", order_bound=2,
+        weights=None, det_power=None, oracle=True,
         pencil=_quadric_pencil, support_laws=_quadric_laws),
     # the exceptional cells are printed with unit coefficients; the
     # invariant trace form doubles their matrix-off-diagonal blocks
     "e16": Kind(
         needs="e16 takes no parameters", valid=lambda p: not p, build=build_e16,
-        genus=lambda: 12, numeric_tail=False,
-        null_prefix="y", order_bound=11,
-        weights=(2.0,) * 24 + (1.0,) * 2,
-        entry=None, det_power=None, oracle=False,
+        genus=lambda: 12, null_prefix="y", order_bound=11,
+        weights=(2,) * 24 + (1,) * 2, det_power=None, oracle=False,
         pencil=_cayley_plane_pencil, support_laws=_cayley_plane_laws),
     "e27": Kind(
         needs="e27 takes no parameters", valid=lambda p: not p, build=build_e27,
-        genus=lambda: 18, numeric_tail=False,
-        null_prefix=None,
+        genus=lambda: 18, null_prefix=None,
         order_bound=29,  # the search budget limits the practical search
-        weights=(1.0,) * 3 + (2.0,) * 24 + (1.0,) * 3 + (2.0,) * 24 + (1.0,),
-        entry=None, det_power=None, oracle=False,
+        weights=(1,) * 3 + (2,) * 24 + (1,) * 3 + (2,) * 24 + (1,),
+        det_power=None, oracle=False,
         pencil=partial(_slot_pencil, "x1", "y0"),
         support_laws=_freudenthal_laws),
 }

@@ -102,8 +102,8 @@ from hermsym.poly import Polynomial, PolyFraction, TaylorJets, monomials
 from hermsym.rigidity import _JET_RANK_TRIALS, truncated_vars
 from hermsym.sampling import BOUND, random_gauss_point
 from hermsym.segre import conj_name
-from hermsym.spaces import (_fill_matrix, _pair_partitions, _perm_sign,
-                            minor_index_sets)
+from hermsym.spaces import (_antisym_entry, _pair_partitions, _perm_sign,
+                            _plain_entry, _sym_entry, minor_index_sets)
 
 
 def _gi_mul(a, b):
@@ -804,7 +804,14 @@ def psi_by_products(space):
     per-degree greedy over all minors."""
     params = space.desc.params
     ring = space.ring
-    M = _fill_matrix(space.kind.entry, params[0], params[-1], ring.var, ring.zero())
+    entry = {"typeI": _plain_entry, "typeII": _antisym_entry,
+             "typeIII": _sym_entry}[space.desc.kind]
+
+    def value(i, j):
+        e = entry(i, j)
+        return ring.zero() if e is None else ring.var(e[0]).scale(e[1])
+    M = [[value(i, j) for j in range(1, params[-1] + 1)]
+         for i in range(1, params[0] + 1)]
     if space.desc.kind == "typeII":
         n = params[0]
         psi = [pfaffian([[M[i - 1][j - 1] for j in sigma] for i in sigma],

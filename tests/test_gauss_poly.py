@@ -65,6 +65,9 @@ def test_values_copy_and_pickle():
     space = build_space("typeI:2,2")
     assert copy.deepcopy(space) == space
     assert pickle.loads(pickle.dumps(space.psi)) == space.psi
+    # the cell table is left out of equality, so compare it on its own
+    for y in (copy.deepcopy(space), pickle.loads(pickle.dumps(space))):
+        assert y == space and y.cell == space.cell
 
 
 def test_basic_products():

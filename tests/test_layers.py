@@ -1,7 +1,10 @@
 """Which modules of the package may use numpy: the float layer (``floats``)
-and the F_p trial-division kernel (``modp``); every other module is exact."""
+and the F_p trial-division kernel (``modp``); every other module is exact.
+Which module may spell a cell variable: only ``spaces``, where each layout
+is named once."""
 
 import ast
+import re
 from pathlib import Path
 
 import hermsym
@@ -27,3 +30,31 @@ def test_only_the_float_layer_and_the_modp_kernel_import_numpy():
     users = {path.name for path in package.glob("*.py")
              if _imports_numpy(ast.parse(path.read_text()))}
     assert users == NUMPY_MODULES
+
+
+CELL_NAME = re.compile(r"\bz\d+_\d+\b")
+
+
+def _cell_names(tree: ast.AST):
+    """The line numbers of string constants and f-strings that spell a cell
+    variable z<i>_<j>; each replacement field of an f-string reads as 0."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(v.value if isinstance(v, ast.Constant) else "0"
+                           for v in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value
+        else:
+            continue
+        if CELL_NAME.search(text):
+            yield node.lineno
+
+
+def test_only_spaces_spells_cell_variables():
+    package = Path(hermsym.__file__).parent
+    found = {f"{path.name}:{line}" for path in package.glob("*.py")
+             if path.name != "spaces.py"
+             for line in _cell_names(ast.parse(path.read_text()))}
+    assert not found
+    # the check sees both spellings
+    assert list(_cell_names(ast.parse('f"z{i + 1}_{j + 1}"; "z1_1"'))) == [1, 1]

@@ -265,6 +265,15 @@ def test_cli_exit_codes(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: KeyError: 'missing'\n"
+
+    def boom(self, point):
+        raise ValueError("boom")
+    # so is a ValueError raised inside the program: exit 2 is only for input
+    monkeypatch.setattr(SegreFamily, "first_jets", boom)
+    assert main(["hyp2", "--space", "typeIV:3", "--seed", "7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ValueError: boom\n"
     # the pencil recipe is the program's own: a pencil off the variety is
     # an internal error, not a usage error
     monkeypatch.undo()

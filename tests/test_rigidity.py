@@ -704,9 +704,9 @@ def test_symplectic_pairing_laws_per_minor():
     """The paired-coefficient laws hold for each individual minor and each
     independent basis element, not just their aggregation; n=4 exercises
     the mixed law non-vacuously."""
-    from hermsym.spaces import build_type3, symplectic_pairing_facts
+    from hermsym.spaces import build_space, symplectic_pairing_facts
     for n in (3, 4):
-        s = build_type3(n)
+        s = build_space(f"typeIII:{n}")
         for m in s.pairing_psi + s.psi:
             groups = {e: {(): c} for e, c in m.terms.items()}
             facts = symplectic_pairing_facts(s, groups)

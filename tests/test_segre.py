@@ -237,7 +237,7 @@ def segre_invariance_check(fam, M, Mbar, sample_count, seed):
     Gaussian rationals."""
     rng = rng_from_seed(seed)
     space = fam.space
-    sample = slot_solve_sample if space.kind.entry is not None else sample_on_family
+    sample = slot_solve_sample if space.cell is not None else sample_on_family
     exact = not isinstance(M, np.ndarray)
     worst = 0.0
     all_zero = True

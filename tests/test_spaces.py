@@ -12,9 +12,9 @@ from hermsym.gauss import GaussRational as G, ZERO
 from hermsym.linalg import det_exact, rank_exact
 from hermsym.poly import PolyRing
 from hermsym.sampling import random_gauss_point, random_small_gauss, rng_from_seed
-from hermsym.spaces import (SpaceDescriptor, build_space, build_type1,
-                            build_type2, build_type3, build_type4,
-                            cell_matrix_point, parse_space_spec, space_to_json)
+from hermsym.spaces import (KINDS, SpaceDescriptor, _antisym_entry, _plain_entry,
+                            _sym_entry, build_space, cell_matrix_point,
+                            parse_space_spec, space_to_json)
 from oracles import pfaffian
 
 DESK = ["typeI:2,2", "typeI:2,3", "typeII:4", "typeIII:2", "typeIII:3",
@@ -34,17 +34,17 @@ def test_descriptor_validation():
 
 
 def test_type1_counts_and_minor():
-    s = build_type1(1, 1)
+    s = build_space("typeI:1,1")
     assert (s.n, s.N) == (1, 1)
-    s = build_type1(2, 2)
+    s = build_space("typeI:2,2")
     assert s.N == 5
     r = s.ring
     det = r.var("z1_1") * r.var("z2_2") - r.var("z1_2") * r.var("z2_1")
     assert s.psi[4] == det
-    s = build_type1(2, 3)
+    s = build_space("typeI:2,3")
     assert s.N == 9
     for p, q in [(1, 2), (2, 2), (2, 3), (3, 3)]:
-        s = build_type1(p, q)
+        s = build_space(f"typeI:{p},{q}")
         want = sum(math.comb(p, k) * math.comb(q, k) for k in range(1, p + 1))
         assert s.N == want == len(s.psi)
 
@@ -72,14 +72,14 @@ def test_pfaffian_basics():
 
 
 def test_type2_embedding():
-    s = build_type2(4)
+    s = build_space("typeII:4")
     assert (s.n, s.N) == (6, 7)
     r = s.ring
     want = (r.var("z1_2") * r.var("z3_4") - r.var("z1_3") * r.var("z2_4")
             + r.var("z1_4") * r.var("z2_3"))
     assert s.psi[-1] == want
-    assert build_type2(5).N == 15
-    assert build_type2(3).degenerate_note is not None
+    assert build_space("typeII:5").N == 15
+    assert build_space("typeII:3").degenerate_note is not None
 
 
 def test_pfaffian_partition_vs_recursive_and_square():
@@ -104,11 +104,11 @@ def test_pfaffian_partition_vs_recursive_and_square():
 
 
 def test_type3_two_layers():
-    s = build_type3(2)
+    s = build_space("typeIII:2")
     assert (s.n, s.N) == (3, 4)
     assert len(s.pairing_psi) == 5
     assert [str(p) for p in s.psi[:3]] == ["1*z1_1", "1*z1_2", "1*z2_2"]
-    s = build_type3(3)
+    s = build_space("typeIII:3")
     assert (s.n, s.N) == (6, 13)
     assert len(s.pairing_psi) == 19
     # exact independence of the selected basis
@@ -148,7 +148,7 @@ def symplectic_tail_eval(space, blocks, point):
 def test_type3_numeric_tail():
     rng = rng_from_seed(4)
     for n in (2, 3):
-        s = build_type3(n)
+        s = build_space(f"typeIII:{n}")
         tail = symplectic_tail(s)
         # sqrt(2) pattern on the degree-1 block
         idx, combo = tail[0]
@@ -184,7 +184,7 @@ def test_type3_numeric_tail():
 
 
 def test_type4_and_defining_equation():
-    s = build_type4(3)
+    s = build_space("typeIV:3")
     r = s.ring
     z1, z2, z3 = (r.var(f"z{i}") for i in (1, 2, 3))
     q = (z1 * z1 + z2 * z2 + z3 * z3).scale(Fraction(1, 2))
@@ -213,8 +213,11 @@ def test_space_json():
     obj = space_to_json(s)
     assert obj["kind"] == "typeI" and obj["n"] == 4 and obj["N"] == 5
     assert len(obj["psi"]) == 5
-    assert obj["psi_numeric_tail"] is False
-    assert space_to_json(build_space("typeIII:2"))["psi_numeric_tail"] is True
+    # a proper psi basis of a longer pairing vector needs a numeric tail;
+    # of the six kinds only the symplectic one has it
+    tails = {spec: space_to_json(build_space(spec))["psi_numeric_tail"]
+             for spec in ["typeI:1,1", "typeII:3"] + DESK}
+    assert tails == {spec: spec.startswith("typeIII:") for spec in tails}
 
 
 def test_kind_table_consistent():
@@ -229,7 +232,47 @@ def test_kind_table_consistent():
         if block is not None:
             assert block[-1] == s.distinguished and len(block) >= 2, spec
         assert len(invariant_weights(s)) == len(s.pairing_psi), spec
-        if s.kind.entry is not None:
+        if s.cell is not None:
             z = {v: G(k + 1) for k, v in enumerate(s.vars)}
             entries = {abs(complex(x)) for row in cell_matrix_point(s, z) for x in row}
             assert entries - {0} == {k + 1 for k in range(s.n)}, spec
+
+
+def test_space_carries_its_cell_table():
+    """The stored table of a matrix cell equals one rebuilt from its layout
+    function: (i, j) -> (ring slot, sign), None for a zero entry, in
+    row-major order.  A vector cell stores none."""
+    layouts = [("typeI", _plain_entry,
+                [(p, q) for q in range(1, 5) for p in range(1, q + 1)]),
+               ("typeII", _antisym_entry, [(n,) for n in range(2, 7)]),
+               ("typeIII", _sym_entry, [(n,) for n in range(2, 6)])]
+    for kind, entry, cases in layouts:
+        for params in cases:
+            s = build_space(SpaceDescriptor(kind, params))
+            want = []
+            for i in range(1, params[0] + 1):
+                for j in range(1, params[-1] + 1):
+                    e = entry(i, j)
+                    slot = None if e is None else (s.vars.index(e[0]), e[1])
+                    want.append(((i, j), slot))
+            assert list(s.cell.items()) == want, (kind, params)
+    for spec in ("typeIV:3", "e16", "e27"):
+        assert build_space(spec).cell is None
+
+
+def test_build_space_validates_once(monkeypatch):
+    """The builder takes the parsed descriptor; it makes no second one."""
+    calls = []
+    check = SpaceDescriptor.__post_init__
+    monkeypatch.setattr(SpaceDescriptor, "__post_init__",
+                        lambda self: calls.append(self) or check(self))
+    space = build_space("typeI:2,3")
+    assert calls == [space.desc]
+
+
+def test_kind_weights_are_exact():
+    """The invariant weights are ints; the float layer reads them as floats."""
+    from hermsym.floats import invariant_weights
+    for name, kind in KINDS.items():
+        assert kind.weights is None or {type(w) for w in kind.weights} == {int}, name
+    assert invariant_weights(build_space("e16")).dtype == np.float64

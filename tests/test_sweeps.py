@@ -33,8 +33,7 @@ def test_witness_sweep(spec):
 def test_large_symplectic_dimension_and_exponent():
     """The n=5 symplectic system selects 131 independent components (the
     dimension of the minimal ambient projective space) and fits its genus 6."""
-    from hermsym.spaces import build_type3
-    s = build_type3(5)
+    s = build_space("typeIII:5")
     assert (s.n, s.N) == (15, 131)
     fam = build_rho(s)
     lam, _, res = einstein_fit(fam, 12, seed=5)
@@ -44,8 +43,7 @@ def test_large_symplectic_dimension_and_exponent():
 def test_large_orthogonal_dimension_and_exponent():
     """The n=8 Pfaffian system has 127 components (half-spin dimension 128
     minus the constant slot) and fits its genus 14."""
-    from hermsym.spaces import build_type2
-    s = build_type2(8)
+    s = build_space("typeII:8")
     assert (s.n, s.N) == (28, 127)
     fam = build_rho(s)
     lam, _, res = einstein_fit(fam, 12, seed=5)

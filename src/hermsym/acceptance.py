@@ -25,14 +25,12 @@ from .octonion import (Octonion, cayley_matrix, freudenthal_forms,
                        mat_eq, mat_mul, symbolic_octonion, M16_VARS)
 from .floats import (VOLUME_SAMPLES, degeneracy_relation, einstein_fit,
                      isometry_pullback_check, ricci_residual, volume_equation_check)
-from .modp import reduce_mod, trial_division_modp
 from .poly import PolyFraction, PolyRing
 from .rigidity import (ORACLE_BUDGET, ORACLE_PRIME, WITNESS_BUDGET,
                        OracleResult, WitnessReport, find_nondegeneracy_witness,
-                       flattening_jacobian, generic_conjugate_point,
-                       irreducibility_oracle, jet_rank, specialize_conjugate,
-                       support_claims, transversality_rank,
-                       transversality_recipe)
+                       generic_conjugate_point, irreducibility_oracle,
+                       jet_rank, specialize_conjugate, support_claims,
+                       transversality_rank, transversality_recipe)
 from .sampling import random_gauss_point, rng_from_seed, random_small_gauss
 from .segre import det_model_holds, sample_on_family, SegreFamily
 from .spaces import antisymmetric_cell, build_space, pf_expansion
@@ -181,10 +179,7 @@ def hypothesis_two(fam: SegreFamily, seed: int) -> HypothesisTwo:
     """Hypothesis II: the transversality rank of the per-kind pencil and,
     at rank 2, the exact flattening Jacobian with its slot pair."""
     xi0, z0, z1 = transversality_recipe(fam, seed)
-    rank, rows = transversality_rank(fam, xi0, z0, z1)
-    jacobian = slots = None
-    if rank == 2:
-        jacobian, slots = flattening_jacobian(rows)
+    rank, _, jacobian, slots = transversality_rank(fam, xi0, z0, z1)
     return HypothesisTwo((xi0, z0, z1), rank, jacobian, slots)
 
 
@@ -402,9 +397,8 @@ def check_hypothesis_three(seed, tol):
                  f"{spec}: oracle returned {res.status}")
     ring = PolyRing(["z1", "z2"])
     control = (ring.one() + ring.var("z1")) * (ring.one() + ring.var("z2"))
-    factor, _ = trial_division_modp(reduce_mod(control, ORACLE_PRIME), 1,
-                                    ORACLE_BUDGET)
-    _require(factor is not None, "oracle missed the reducible control")
+    res = irreducibility_oracle(control, ORACLE_PRIME, ORACLE_BUDGET)
+    _require(res.status == "factor_found", "oracle missed the reducible control")
     return ("support facts on all six; oracle certified the quadric and the "
             "Grassmannian over F5; control refuted")
 

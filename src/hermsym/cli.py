@@ -174,12 +174,14 @@ def _resolve_seed(args, required: bool) -> Optional[int]:
 
 
 def _config(args, seed) -> dict:
+    # commands without a tolerance flag report its default: same report bytes
+    tol = acceptance.Tolerances
     return {
         "command": args.command,
         "space": getattr(args, "space", None),
         "seed": seed,
-        "float_tol": getattr(args, "float_tol", None),
-        "einstein_tol": getattr(args, "einstein_tol", None),
+        "float_tol": getattr(args, "float_tol", tol.float_tol),
+        "einstein_tol": getattr(args, "einstein_tol", tol.einstein_tol),
     }
 
 
@@ -196,6 +198,17 @@ def _load_map_file(space, path):
         return parse_map_file(space, payload)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _map_check(path, check, *args):
+    """``check(*args)`` on the maps of ``path``; a map that the floats cannot
+    evaluate (poles at every draw, values beyond the float range) is an
+    input error."""
+    try:
+        return check(*args)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise UsageError(f"the maps in {path} cannot be evaluated in "
+                         f"floats: {exc}") from exc
 
 
 def _space(args):
@@ -351,8 +364,8 @@ def cmd_volume_check(args):
     mf = _load_map_file(fam.space, args.maps)
     lambdas = mf.lambdas if mf.lambdas is not None else \
         [1.0 / len(mf.maps)] * len(mf.maps)
-    residual = volume_equation_check(fam, mf.maps, lambdas,
-                                     sample_count=args.samples, seed=seed)
+    residual = _map_check(args.maps, volume_equation_check, fam, mf.maps,
+                          lambdas, args.samples, seed)
     return _verdict(args, seed, residual < args.float_tol, {
         "space": args.space, "maps": len(mf.maps), "lambdas": lambdas,
         "lambdas_exact": [str(x) for x in mf.lambdas_exact] if mf.lambdas_exact else None,
@@ -362,8 +375,8 @@ def cmd_volume_check(args):
 def cmd_isometry_check(args):
     fam, seed = _family_and_seed(args)
     mf = _load_map_file(fam.space, args.maps)
-    residuals = [isometry_pullback_check(fam, F, args.samples, seed)
-                 for F in mf.maps]
+    residuals = [_map_check(args.maps, isometry_pullback_check, fam, F,
+                            args.samples, seed) for F in mf.maps]
     return _verdict(args, seed, max(residuals) < args.float_tol,
                     {"space": args.space, "residuals": residuals})
 
@@ -391,6 +404,18 @@ def _at_least(low: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """argparse type: a finite float >= 0.  A NaN or negative tolerance
+    would fail every check, an infinite one pass every check."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan                  # refused below, with one message
+    if math.isfinite(value) and value >= 0:
+        return value
+    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+
+
 def _prime(text: str) -> int:
     """argparse type: a prime; the oracle's modular arithmetic needs a field."""
     p = int(text)
@@ -407,7 +432,6 @@ def _prime(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: argparse parsers
     keep no state between ``parse_args`` calls."""
-    tol = acceptance.Tolerances()
     ap = argparse.ArgumentParser(
         prog="hermsym",
         description="verification toolkit for compact Hermitian symmetric "
@@ -415,17 +439,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "rigidity hypothesis suites")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, space=True, seed=True, help=None):
+    def add(name, fn, space=True, seed=True, tols=(), help=None):
         p = sub.add_parser(name, help=help)
         if space:
             p.add_argument("--space", required=True, help=SPACE_GRAMMAR)
         if seed:
             p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output", choices=("json", "table"), default="json")
-        p.add_argument("--float-tol", dest="float_tol", type=float,
-                       default=tol.float_tol)
-        p.add_argument("--einstein-tol", dest="einstein_tol", type=float,
-                       default=tol.einstein_tol)
+        for dest in tols:                 # only the commands that read them
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest,
+                           type=_tolerance,
+                           default=getattr(acceptance.Tolerances, dest))
         p.set_defaults(handler=fn)
         return p
 
@@ -435,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the Segre family polynomial as exact JSON")
     p = add("metric", cmd_metric, help="sample the pullback metric and volume density")
     p.add_argument("--points", type=_at_least(1), default=5)
-    p = add("einstein", cmd_einstein,
+    p = add("einstein", cmd_einstein, tols=("einstein_tol",),
             help="fit the integer exponent of the volume density")
     p.add_argument("--samples", type=_at_least(2), default=50)
     p = add("hyp1", cmd_hyp1,
@@ -449,16 +473,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=_prime, default=acceptance.ORACLE_PRIME)
     p.add_argument("--oracle-budget", dest="oracle_budget", type=_at_least(1),
                    default=acceptance.ORACLE_BUDGET)
-    p = add("volume-check", cmd_volume_check,
+    p = add("volume-check", cmd_volume_check, tols=("float_tol",),
             help="residual of the volume-preserving equation for a map tuple")
     p.add_argument("--maps", required=True)
     p.add_argument("--samples", type=_at_least(1), default=VOLUME_SAMPLES)
-    p = add("isometry-check", cmd_isometry_check,
+    p = add("isometry-check", cmd_isometry_check, tols=("float_tol",),
             help="metric pullback deviation for a map tuple")
     p.add_argument("--maps", required=True)
     p.add_argument("--samples", type=_at_least(1), default=ISOMETRY_SAMPLES)
     add("selftest", cmd_selftest, space=False,
-        help="run the full acceptance matrix")
+        tols=("float_tol", "einstein_tol"), help="run the full acceptance matrix")
     return ap
 
 

@@ -132,11 +132,3 @@ class RankTracker:
         self.rows.append(vec)
         self.pivots.append(min(vec))
         return True
-
-
-def rank_exact(matrix: Sequence[Sequence[GaussRational]]) -> int:
-    """Exact rank of a dense matrix, through the sparse tracker."""
-    tracker = RankTracker()
-    for row in matrix:
-        tracker.add_row(dict(enumerate(row)))
-    return tracker.rank

@@ -283,7 +283,7 @@ def poly_from_json(obj) -> Polynomial:
             raise ValueError(f"term {t!r} has a boolean coefficient")
         try:
             c = GaussRational(Fraction(t["re"]), Fraction(t.get("im", "0")))
-        except (TypeError, ValueError, ZeroDivisionError):
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             raise ValueError(f"term {t!r} has a malformed coefficient") from None
         if not c.is_zero():
             terms[tuple(exp)] = c

@@ -15,12 +15,12 @@ from math import comb, factorial, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gauss import GaussRational, ONE, ZERO
-from .linalg import RankTracker, det_exact, rank_exact
+from .linalg import RankTracker, det_exact
 from .maps import RationalMap
 from .modp import reduce_mod, trial_division_modp
 from .poly import Polynomial, TaylorJets, monomials
 from .sampling import random_small_gauss, rng_from_seed
-from .segre import SegreFamily, null_block, pair_rows, sample_on_family
+from .segre import SegreFamily, pair_rows, sample_on_family
 from .spaces import Space
 
 _JET_RANK_TRIALS = 2       # random points of jet_rank
@@ -124,7 +124,7 @@ def witness_frame(space: Space) -> Tuple[str, Tuple]:
     plain derivatives outside the null block, then direction dicts spanning
     the block's hyperplane v_last + i v_first = 0, which holds the null
     direction of ``special_point``."""
-    block = null_block(space)
+    block = space.null_block
     if block is None:
         return "segre", truncated_vars(space)
     fields = [{v: ONE} for v in space.vars if v not in block]
@@ -204,16 +204,13 @@ class OffVarietyError(ArithmeticError):
     """A pencil point off its Segre variety: the recipe is the program's."""
 
 
-class FlatteningSeedError(ArithmeticError):
-    pass
-
-
 def transversality_rank(fam: SegreFamily, xi0: Dict, z0: Dict, z1: Dict
-                        ) -> Tuple[int, List[List[GaussRational]]]:
-    """Exact rank of the two conjugate-gradient rows at xi0, returned with
-    the rows: (rank, [row of z0, row of z1]).  One first-order jet table at
-    xi0 gives psi(xi0) and its derivatives, for both rho checks and both
-    rows; psi is evaluated once at each z, on the components they use."""
+                        ) -> Tuple[int, List[List[GaussRational]], Optional, Optional]:
+    """(rank, [row of z0, row of z1], flattening Jacobian, slots) of the two
+    conjugate-gradient rows at xi0, exact; the last two are None below rank
+    2.  One first-order jet table at xi0 gives psi(xi0) and its derivatives,
+    for both rho checks and both rows; psi is evaluated once at each z, on
+    the components they use."""
     psi = fam.space.pairing_psi
     at_xi, d_xi = fam.first_jets(xi0)
     used = set(at_xi).union(*d_xi)
@@ -223,7 +220,17 @@ def transversality_rank(fam: SegreFamily, xi0: Dict, z0: Dict, z1: Dict
         if not (ONE + pair_rows(at_z, [at_xi])[0]).is_zero():     # rho(z, xi0)
             raise OffVarietyError("points are not on the Segre variety of xi0")
         rows.append(pair_rows(at_z, d_xi))
-    return rank_exact(rows), rows
+    rank, jacobian, slots = _pair_rank(rows)
+    return rank, rows, jacobian, slots
+
+
+def _pair_rank(rows: Sequence[List[GaussRational]]):
+    """(rank, flattening Jacobian, slots) of two rows from one minor scan:
+    rank 2 exactly when some 2x2 minor is nonzero, else 1 if some entry is."""
+    jacobian, slots = flattening_jacobian(rows)
+    if jacobian is not None:
+        return 2, jacobian, slots
+    return int(any(not x.is_zero() for row in rows for x in row)), None, None
 
 
 def flattening_jacobian(rows: Sequence[List[GaussRational]]):
@@ -236,7 +243,8 @@ def flattening_jacobian(rows: Sequence[List[GaussRational]]):
     in the slot pair (a, b), the first with a nonzero 2x2 minor.  Expanded
     along the border, it is (-1)^(n+a+b+1) (r0[a] r1[b] - r0[b] r1[a]) for
     0-based a < b: nonzero exactly when the pair has rank 2, so it restates
-    the rank and is no check of its own.  Returns (determinant, slots)."""
+    the rank and is no check of its own.  Returns (determinant, slots);
+    (None, None) when every 2x2 minor vanishes."""
     r0, r1 = rows
     n = len(r0)
     for a in range(n):
@@ -244,9 +252,7 @@ def flattening_jacobian(rows: Sequence[List[GaussRational]]):
             minor = r0[a] * r1[b] - r0[b] * r1[a]
             if not minor.is_zero():
                 return (minor if (n + a + b) % 2 else -minor), (a, b)
-    # every 2x2 minor vanishes exactly when the pair has rank below 2
-    raise FlatteningSeedError("flattening seed failed: gradients do not "
-                              "intersect transversally")
+    return None, None
 
 
 def transversality_recipe(fam: SegreFamily, seed: int = 0) -> Tuple[Dict, Dict, Dict]:

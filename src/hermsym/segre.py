@@ -12,7 +12,7 @@ exact identities never touch floats, which are all in ``floats``.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .gauss import GaussRational, ONE, ZERO
 from .linalg import det_exact
@@ -142,15 +142,6 @@ def build_rho(space: Space) -> SegreFamily:
 # on-family exact sampling
 # ---------------------------------------------------------------------------
 
-def null_block(space: Space) -> Optional[Tuple[str, ...]]:
-    """The variables carrying the null hyperplane direction of a null kind,
-    ending at the distinguished one; None for a slot kind."""
-    prefix = space.kind.null_prefix
-    if prefix is None:
-        return None
-    return tuple(v for v in space.vars if v.startswith(prefix))
-
-
 def solve_null_direction(base: Sequence[GaussRational]) -> List[GaussRational]:
     """Solve for xi with 1 + <base, xi> = 0 and sum(xi^2) = 0 on the fixed
     null direction xi_0 = i xi_last, every other xi_j = 0.
@@ -180,8 +171,8 @@ def special_point(space: Space, rng) -> Tuple[Dict, Dict]:
 
     A slot kind sets xi0[d] = -1/z0[d] at the distinguished slot d; a null
     kind takes the null direction of ``solve_null_direction`` over its
-    block.  Returns (z0, xi0)."""
-    block = null_block(space)
+    stored block (``Space.null_block``).  Returns (z0, xi0)."""
+    block = space.null_block
     for _ in range(64):
         z0 = random_gauss_point(rng, space.vars)
         xi0 = {v: ZERO for v in space.vars}

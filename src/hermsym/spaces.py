@@ -14,12 +14,13 @@ check needs it.
 
 The table ``KINDS`` at the end of the module is the one place that tells
 the six families apart: each ``Kind`` record holds the parameter check and
-builder of a family, its genus (the Einstein exponent), incidence style,
-jet order bound, invariant weights, determinant model, transversal pencil
-and monomial-support laws.  Code elsewhere reads the record of a space
+builder of a family, its genus (the Einstein exponent), jet order bound,
+invariant weights, determinant model, transversal pencil and
+monomial-support laws.  Code elsewhere reads the record of a space
 (``Space.kind``) and never its kind name.  A matrix cell's layout is named
 once, in its builder, and the built space carries its slot table
-(``Space.cell``).
+(``Space.cell``); a null kind's builder stores its null block
+(``Space.null_block``).
 """
 
 from __future__ import annotations
@@ -87,9 +88,11 @@ class Space:
     pairing_psi: Tuple[Polynomial, ...]  # vector whose self-pairing builds rho
     distinguished: str                   # dropped variable of the jet calculus
     degenerate_note: Optional[str] = None
-    # layout_cell's table of a matrix cell, None for a vector cell; the
-    # descriptor fixes it, so equality and hashing leave it out
+    # layout_cell's table of a matrix cell (None for a vector cell) and a null
+    # kind's block, ending at the distinguished variable (None for a slot
+    # kind); the descriptor fixes both, so equality and hashing leave them out
     cell: Optional[Dict] = field(default=None, compare=False)
+    null_block: Optional[Tuple[str, ...]] = field(default=None, compare=False)
 
     @property
     def vars(self) -> Tuple[str, ...]:
@@ -308,7 +311,7 @@ def build_type4(desc: SpaceDescriptor) -> Space:
         q = q + v * v
     psi.append(q.scale(Fraction(1, 2)))
     return Space(desc, ring, tuple(psi), tuple(psi),
-                 distinguished=f"z{n}")
+                 distinguished=f"z{n}", null_block=ring.vars)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +321,7 @@ def build_type4(desc: SpaceDescriptor) -> Space:
 def build_e16(desc: SpaceDescriptor) -> Space:
     ring = PolyRing(M16_VARS)
     psi = tuple(cayley_plane_forms(ring))
-    return Space(desc, ring, psi, psi, distinguished="y7")
+    return Space(desc, ring, psi, psi, distinguished="y7", null_block=M16_VARS[8:])
 
 
 def build_e27(desc: SpaceDescriptor) -> Space:
@@ -586,12 +589,6 @@ def symplectic_pairing_facts(space: Space, groups) -> Dict[str, bool]:
 class Kind:
     """How one family of spaces differs from the others.
 
-    ``null_prefix`` is None for a slot kind, whose incidence point of z is
-    xi[d] = -1/z[d] at the distinguished slot d.  A null kind names the
-    prefix of the variables that carry its null hyperplane direction (the
-    block ends at the distinguished variable); the variables outside the
-    block carry plain derivative fields.
-
     ``genus`` maps the parameters to the genus p + q, 2n - 2, n + 1, n, 12
     or 18 (Loos, *Bounded symmetric domains and Jordan pairs*, 1977), the
     exponent lambda of the Einstein volume density c * rho^-lambda.
@@ -600,7 +597,6 @@ class Kind:
     valid: Callable[[Tuple[int, ...]], bool]
     build: Callable[[SpaceDescriptor], Space]
     genus: Callable[..., int]
-    null_prefix: Optional[str]
     order_bound: Optional[int]               # witness jet order; None: 1 + N - n
     weights: Optional[Tuple[int, ...]]       # invariant pairing weights; None: 1
     det_power: Optional[int]                 # rho^k = det(I + Z Xi^t); None: no model
@@ -613,40 +609,36 @@ KINDS: Dict[str, Kind] = {
     "typeI": Kind(
         needs="typeI needs 1 <= p <= q",
         valid=lambda p: len(p) == 2 and 1 <= p[0] <= p[1], build=build_type1,
-        genus=lambda p, q: p + q, null_prefix=None, order_bound=None,
-        weights=None, det_power=1, oracle=True,
-        pencil=partial(_slot_pencil, "z1_1", "z1_2"),
+        genus=lambda p, q: p + q, order_bound=None, weights=None, det_power=1,
+        oracle=True, pencil=partial(_slot_pencil, "z1_1", "z1_2"),
         support_laws=_grassmann_laws),
     "typeII": Kind(
         needs="typeII needs n >= 2 (first Pfaffian block at n=4)",
         valid=lambda p: len(p) == 1 and p[0] >= 2, build=build_type2,
-        genus=lambda n: 2 * n - 2, null_prefix=None, order_bound=None,
-        weights=None, det_power=2, oracle=True,
-        pencil=partial(_slot_pencil, "z1_2", "z1_3"),
+        genus=lambda n: 2 * n - 2, order_bound=None, weights=None, det_power=2,
+        oracle=True, pencil=partial(_slot_pencil, "z1_2", "z1_3"),
         support_laws=_orthogonal_laws),
     "typeIII": Kind(
         needs="typeIII needs n >= 2",
         valid=lambda p: len(p) == 1 and p[0] >= 2, build=build_type3,
-        genus=lambda n: n + 1, null_prefix=None, order_bound=None,
-        weights=None, det_power=1, oracle=True,
-        pencil=partial(_slot_pencil, "z1_1", "z1_2"),
+        genus=lambda n: n + 1, order_bound=None, weights=None, det_power=1,
+        oracle=True, pencil=partial(_slot_pencil, "z1_1", "z1_2"),
         support_laws=symplectic_pairing_facts),
     "typeIV": Kind(
         needs="typeIV needs n >= 3 (irreducible quadric)",
         valid=lambda p: len(p) == 1 and p[0] >= 3, build=build_type4,
-        genus=lambda n: n, null_prefix="z", order_bound=2,
-        weights=None, det_power=None, oracle=True,
-        pencil=_quadric_pencil, support_laws=_quadric_laws),
+        genus=lambda n: n, order_bound=2, weights=None, det_power=None,
+        oracle=True, pencil=_quadric_pencil, support_laws=_quadric_laws),
     # the exceptional cells are printed with unit coefficients; the
     # invariant trace form doubles their matrix-off-diagonal blocks
     "e16": Kind(
         needs="e16 takes no parameters", valid=lambda p: not p, build=build_e16,
-        genus=lambda: 12, null_prefix="y", order_bound=11,
+        genus=lambda: 12, order_bound=11,
         weights=(2,) * 24 + (1,) * 2, det_power=None, oracle=False,
         pencil=_cayley_plane_pencil, support_laws=_cayley_plane_laws),
     "e27": Kind(
         needs="e27 takes no parameters", valid=lambda p: not p, build=build_e27,
-        genus=lambda: 18, null_prefix=None,
+        genus=lambda: 18,
         order_bound=29,  # the search budget limits the practical search
         weights=(1,) * 3 + (2,) * 24 + (1,) * 3 + (2,) * 24 + (1,),
         det_power=None, oracle=False,

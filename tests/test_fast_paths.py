@@ -12,7 +12,8 @@ from math import comb, factorial, gcd, inf, lcm, nan, prod
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings, strategies as st
+from hypothesis import (Phase, assume, example, given, settings,
+                        strategies as st)
 
 from hermsym.acceptance import regular_locus_nonempty, unit_at_origin
 from hermsym.cli import Written, build_parser, cmd_rho, dump_json, print_table
@@ -22,7 +23,7 @@ import hermsym.poly
 from hermsym.modp import PolyModP, _GradedProducts, trial_division_modp
 from hermsym.poly import Polynomial, PolyFraction, PolyRing
 from hermsym.maps import RationalMap, identity_map
-from hermsym.rigidity import (FlatteningSeedError, TaylorJets, _greedy_rows,
+from hermsym.rigidity import (TaylorJets, _greedy_rows, _pair_rank,
                               default_order_bound, flattening_jacobian,
                               irreducibility_oracle, specialize_conjugate,
                               transversality_rank, transversality_recipe,
@@ -391,16 +392,33 @@ def test_one_jet_table_per_point_matches_evaluate_route(spec):
             j: v for j, v in enumerate(values) if not v.is_zero()}
 
 
+def _row_pairs(n):
+    """Pairs of n-entry rows: free ones (mostly rank 2), a row with a
+    multiple of itself (rank 1, or 0 when the row is zero), zero rows."""
+    row = st.lists(entries, min_size=n, max_size=n)
+    return st.one_of(
+        st.lists(row, min_size=2, max_size=2),
+        st.tuples(row, gauss).map(lambda t: [t[0], [t[1] * x for x in t[0]]]),
+        st.just([[G(0)] * n, [G(0)] * n]))
+
+
 @BOUNDED
-@given(st.integers(2, 7).flatmap(lambda n: st.lists(
-    st.lists(entries, min_size=n, max_size=n), min_size=2, max_size=2)))
+@given(st.integers(2, 7).flatmap(_row_pairs))
+@example([[G(0)] * 3, [G(0)] * 3])
+@example([[G(0), G(1), G(2)], [G(0), G(2), G(4)]])
+@example([[G(0), G(1)], [G(1), G(0)]])
 def test_flattening_minor_matches_bordered_determinant(rows):
+    """hyp2's rank read off the minor scan equals the tracker's rank; the
+    minor is the bordered determinant at rank 2 and None below."""
+    tracker = RankTracker()
+    for row in rows:
+        tracker.add_row(dict(enumerate(row)))
+    rank, jacobian, slots = _pair_rank(rows)
+    assert rank == tracker.rank
     want = flattening_jacobian_bordered(rows)
-    if want is None:
-        with pytest.raises(FlatteningSeedError):
-            flattening_jacobian(rows)
-    else:
-        assert flattening_jacobian(rows) == want
+    assert (jacobian, slots) == flattening_jacobian(rows) == \
+        ((None, None) if want is None else want)
+    assert (jacobian is None) == (rank < 2)
 
 
 @BOUNDED

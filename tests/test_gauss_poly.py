@@ -65,9 +65,12 @@ def test_values_copy_and_pickle():
     space = build_space("typeI:2,2")
     assert copy.deepcopy(space) == space
     assert pickle.loads(pickle.dumps(space.psi)) == space.psi
-    # the cell table is left out of equality, so compare it on its own
-    for y in (copy.deepcopy(space), pickle.loads(pickle.dumps(space))):
-        assert y == space and y.cell == space.cell
+    # the cell table and the null block are left out of equality, so
+    # compare them on their own
+    for space in (space, build_space("typeIV:3")):
+        for y in (copy.deepcopy(space), pickle.loads(pickle.dumps(space))):
+            assert y == space and y.cell == space.cell
+            assert y.null_block == space.null_block
 
 
 def test_basic_products():

@@ -4,7 +4,7 @@ Bareiss oracle."""
 from fractions import Fraction
 
 from hermsym.gauss import GaussRational as G
-from hermsym.linalg import RankTracker, det_exact, rank_exact
+from hermsym.linalg import RankTracker, det_exact
 from hermsym.sampling import random_small_gauss, rng_from_seed
 from oracles import det_bareiss
 
@@ -34,7 +34,10 @@ def test_rank_tracker():
     assert not t.add_row({0: G(2), 2: G(2)})
     assert t.add_row({1: G(Fraction(1, 3))})
     assert t.rank == 2
-    assert rank_exact([[G(1), G(2)], [G(2), G(4)], [G(0), G(1)]]) == 2
+    t = RankTracker()
+    assert [t.add_row(dict(enumerate(r)))
+            for r in ([G(1), G(2)], [G(2), G(4)], [G(0), G(1)])] == [True, False, True]
+    assert t.rank == 2
 
 
 def test_rank_tracker_empty_and_zero_rows():
@@ -75,6 +78,9 @@ def test_rank_matches_float_rank():
     for _ in range(5):
         rows = [[random_small_gauss(rng) for _ in range(5)] for _ in range(3)]
         rows.append([a + b for a, b in zip(rows[0], rows[1])])
-        exact = rank_exact(rows)
+        tracker = RankTracker()
+        for row in rows:
+            tracker.add_row(dict(enumerate(row)))
+        exact = tracker.rank
         f = np.array([[complex(x) for x in r] for r in rows])
         assert exact == np.linalg.matrix_rank(f, tol=1e-9)

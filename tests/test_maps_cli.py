@@ -1,5 +1,6 @@
 """Map-file wire format and the command-line front end."""
 
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hermsym.cli import dump_json, main
+from hermsym.cli import build_parser, dump_json, main
 from hermsym.maps import identity_map, parse_map_file
 from hermsym.spaces import build_space
 
@@ -224,6 +225,10 @@ MALFORMED = {
     "lambdas-5": lambda p: dict(p, lambdas=5),
     "lambdas-null": lambda p: dict(p, lambdas=[None]),
     "lambdas-huge": lambda p: dict(p, lambdas=[10 ** 400]),
+    # JSON numbers that parse to a float infinity: written as text
+    "re-1e400": lambda p: _term(p).update(re="RAW") or json.dumps(p).replace(
+        '"RAW"', "1e400"),
+    "re-Infinity": lambda p: _term(p).update(re=math.inf) or p,
 }
 
 
@@ -232,11 +237,79 @@ def test_cli_refuses_malformed_map_file(edit, tmp_path, capsys, disc):
     """A malformed map file is a usage error (exit 2), never an internal
     error or a silently truncated map."""
     path = tmp_path / "maps.json"
-    path.write_text(json.dumps(edit(identity_payload(disc))))
+    payload = edit(identity_payload(disc))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     code = main(["volume-check", "--space", "typeI:1,1",
                  "--maps", str(path), "--seed", "7"])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: "), err
+
+
+def test_cli_refuses_maps_the_floats_cannot_evaluate(tmp_path, capsys, disc):
+    """An exact map whose float values overflow, or whose denominator is
+    0.0 in floats at every draw, is an input error (exit 2) naming the map
+    file, not an internal error."""
+    huge = identity_payload(disc)
+    _term(huge).update(re="1e400")               # exact, beyond the float range
+    tiny = identity_payload(disc)
+    tiny["maps"][0][0]["den"] = {"vars": ["z1_1"], "terms": [
+        {"exp": [0], "re": "1/1" + "0" * 400}]}  # exactly nonzero, 0.0 in floats
+    for name, payload in (("huge", huge), ("tiny", tiny)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        for command in ("volume-check", "isometry-check"):
+            assert main([command, "--space", "typeI:1,1", "--maps", str(path),
+                         "--seed", "7"]) == 2, (name, command)
+            captured = capsys.readouterr()
+            assert captured.out == "", (name, command)
+            assert captured.err.startswith("error: ") and str(path) in captured.err
+
+
+# the options of each subcommand: a tolerance flag only where it is read
+CLI_OPTIONS = {
+    "describe": {"--space", "--seed", "--output"},
+    "rho": {"--space", "--output"},
+    "metric": {"--space", "--seed", "--output", "--points"},
+    "einstein": {"--space", "--seed", "--output", "--samples", "--einstein-tol"},
+    "hyp1": {"--space", "--seed", "--output", "--max-order", "--budget"},
+    "hyp2": {"--space", "--seed", "--output"},
+    "hyp3": {"--space", "--seed", "--output", "--prime", "--oracle-budget"},
+    "volume-check": {"--space", "--seed", "--output", "--maps", "--samples",
+                     "--float-tol"},
+    "isometry-check": {"--space", "--seed", "--output", "--maps", "--samples",
+                       "--float-tol"},
+    "selftest": {"--seed", "--output", "--float-tol", "--einstein-tol"},
+}
+
+
+def test_cli_options_per_command(capsys):
+    """The parser's option set, pinned per subcommand (43 options); a
+    tolerance flag on a command that ignores it is a usage error."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+           for name, p in sub.choices.items()}
+    assert got == CLI_OPTIONS
+    assert sum(map(len, got.values())) == 43
+    for flag in ("--float-tol", "--einstein-tol"):
+        assert main(["hyp1", "--space", "typeIV:3", "--seed", "7", flag,
+                     "1e-3"]) == 2, flag
+        assert capsys.readouterr().out == ""
+
+
+def test_cli_refuses_bad_tolerances(capsys):
+    """A tolerance is a finite number >= 0: NaN and negative values would
+    fail every check and an infinite one pass every check, so each is a
+    usage error.  0 is a tolerance (``test_cli_exit_codes``)."""
+    for value in ("nan", "-1", "inf", "-inf", "1e400", "abc"):
+        for argv in (["einstein", "--space", "typeIV:3", "--seed", "7",
+                      f"--einstein-tol={value}"],
+                     ["volume-check", "--space", "typeI:1,1", "--maps",
+                      "unread.json", "--seed", "7", f"--float-tol={value}"],
+                     ["selftest", f"--einstein-tol={value}"]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and "finite number >= 0" in captured.err, argv
 
 
 def test_cli_exit_codes(capsys, monkeypatch):

@@ -21,8 +21,7 @@ from hermsym.maps import RationalMap, identity_map, scaling_map
 from hermsym.modp import reduce_mod, trial_division_modp
 from hermsym.poly import PolyFraction, PolyRing, TaylorJets
 from hermsym.rigidity import (_JET_RANK_TRIALS, _WITNESS_TRIALS, WITNESS_BUDGET,
-                              FlatteningSeedError, OffVarietyError,
-                              default_order_bound,
+                              OffVarietyError, default_order_bound,
                               find_nondegeneracy_witness, flattening_jacobian,
                               generic_conjugate_point,
                               irreducibility_oracle,
@@ -30,8 +29,7 @@ from hermsym.rigidity import (_JET_RANK_TRIALS, _WITNESS_TRIALS, WITNESS_BUDGET,
                               transversality_rank, transversality_recipe,
                               truncated_vars, witness_frame)
 from hermsym.sampling import random_small_gauss, rng_from_seed
-from hermsym.segre import (build_rho, null_block, solve_null_direction,
-                           special_point)
+from hermsym.segre import build_rho, solve_null_direction, special_point
 from hermsym.spaces import build_space
 from oracles import (LambdaUndefinedError, as_fraction, compose_full,
                      is_constant, jet_rank_one_order, lambda_determinant,
@@ -208,7 +206,7 @@ def _check_symbolic_lambda(families, spec, seed):
     F = identity_map(sp)
     w = find_nondegeneracy_witness(fam, F, seed=seed)
     assert w.found, (spec, seed)
-    assert w.frame_kind == ("segre" if null_block(sp) is None
+    assert w.frame_kind == ("segre" if sp.null_block is None
                             else "hyperplane"), (spec, seed)
     val = lambda_determinant(sp, fam, F, w.betas, w.z0, w.xi0,
                              frame=witness_frame(sp))
@@ -370,15 +368,19 @@ def test_transversality_rank_one_and_errors(families):
 
 
 def test_flattening_jacobian(families):
+    """transversality_rank returns the flattening Jacobian of its rows:
+    nonzero at rank 2, (None, None) below."""
     for spec in ["typeIV:3", "typeI:2,2"]:
         fam = families[spec]
         xi0, z0, z1 = transversality_recipe(fam, seed=6)
-        det, slots = flattening_jacobian(transversality_rank(fam, xi0, z0, z1)[1])
-        assert not det.is_zero(), spec
+        rank, rows, det, slots = transversality_rank(fam, xi0, z0, z1)
+        assert rank == 2 and not det.is_zero(), spec
+        assert flattening_jacobian(rows) == (det, slots), spec
     fam = families["typeIV:3"]
     xi0, z0, z1 = transversality_recipe(fam, seed=6)
-    with pytest.raises(FlatteningSeedError):
-        flattening_jacobian(transversality_rank(fam, xi0, z0, z0)[1])
+    rank, rows, det, slots = transversality_rank(fam, xi0, z0, z0)
+    assert (rank, det, slots) == (1, None, None)
+    assert flattening_jacobian(rows) == (None, None)
 
 
 # -- null directions -----------------------------------------------------------
@@ -426,7 +428,7 @@ def test_witness_frame_tangent_to_null_hyperplane(spec):
     leads with its own variable, every one but the last of the block."""
     space = build_space(spec)
     kind, fields = witness_frame(space)
-    block = null_block(space)
+    block = space.null_block
     assert kind == "hyperplane"
     for f in fields:
         assert (f.get(block[-1], G(0)) + G.i() * f.get(block[0], G(0))).is_zero(), f
@@ -434,14 +436,14 @@ def test_witness_frame_tangent_to_null_hyperplane(spec):
     assert sorted(leads) == sorted(set(space.vars) - {block[-1]})
 
 
-def test_witness_frame_kind_follows_null_prefix():
-    """The hyperplane frame belongs exactly to the kinds with a null
-    prefix; a slot kind's frame is its truncated variables."""
+def test_witness_frame_kind_follows_null_block():
+    """The hyperplane frame belongs exactly to the spaces that store a null
+    block; a slot kind's frame is its truncated variables."""
     for spec in ["typeI:1,1", "typeI:2,3", "typeII:4", "typeIII:3", "typeIV:3",
                  "typeIV:4", "e16", "e27"]:
         space = build_space(spec)
         kind, fields = witness_frame(space)
-        assert (kind == "hyperplane") == (space.kind.null_prefix is not None), spec
+        assert (kind == "hyperplane") == (space.null_block is not None), spec
         if kind == "segre":
             assert fields == truncated_vars(space), spec
 

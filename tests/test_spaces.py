@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from hermsym.floats import evaluate_poly
 from hermsym.gauss import GaussRational as G, ZERO
-from hermsym.linalg import det_exact, rank_exact
+from hermsym.linalg import RankTracker, det_exact
 from hermsym.poly import PolyRing
 from hermsym.sampling import random_gauss_point, random_small_gauss, rng_from_seed
 from hermsym.spaces import (KINDS, SpaceDescriptor, _antisym_entry, _plain_entry,
@@ -113,8 +113,11 @@ def test_type3_two_layers():
     assert len(s.pairing_psi) == 19
     # exact independence of the selected basis
     monomials = sorted({e for p in s.psi for e in p.terms})
-    rows = [[p.terms.get(e, ZERO) for e in monomials] for p in s.psi]
-    assert rank_exact(rows) == s.N
+    tracker = RankTracker()
+    for p in s.psi:
+        tracker.add_row({k: p.terms[e] for k, e in enumerate(monomials)
+                         if e in p.terms})
+    assert tracker.rank == s.N
 
 
 def symplectic_tail(space):
@@ -225,10 +228,9 @@ def test_kind_table_consistent():
     ends at the distinguished variable, the weights cover the pairing
     vector, and a matrix layout holds every cell variable."""
     from hermsym.floats import invariant_weights
-    from hermsym.segre import null_block
     for spec in DESK:
         s = build_space(spec)
-        block = null_block(s)
+        block = s.null_block
         if block is not None:
             assert block[-1] == s.distinguished and len(block) >= 2, spec
         assert len(invariant_weights(s)) == len(s.pairing_psi), spec
@@ -258,6 +260,19 @@ def test_space_carries_its_cell_table():
             assert list(s.cell.items()) == want, (kind, params)
     for spec in ("typeIV:3", "e16", "e27"):
         assert build_space(spec).cell is None
+
+
+def test_space_stores_its_null_block():
+    """A null kind's stored block is its variables of one letter, in ring
+    order, ending at the distinguished variable: every cell variable of
+    typeIV, the y block of e16.  A slot kind stores none."""
+    for spec, letter in [("typeIV:3", "z"), ("typeIV:4", "z"), ("typeIV:5", "z"),
+                         ("typeIV:6", "z"), ("e16", "y")]:
+        s = build_space(spec)
+        assert s.null_block == tuple(v for v in s.vars if v.startswith(letter)), spec
+        assert s.null_block[-1] == s.distinguished, spec
+    for spec in ["typeI:1,1", "typeI:2,3", "typeII:4", "typeIII:3", "e27"]:
+        assert build_space(spec).null_block is None, spec
 
 
 def test_build_space_validates_once(monkeypatch):

@@ -6,7 +6,8 @@ checks, so each claim is verified by one piece of code.  A criterion body
 states its claims: it returns its detail string or raises ``CheckFailed``,
 and the ``criterion`` decorator turns either into a ``CriterionResult``.
 Float-tolerance failures are classified separately from logic failures so
-that a deliberately tightened tolerance is reported as such.
+that a deliberately tightened tolerance is reported as such.  A criterion
+gets its families from a memo that lives for the run that calls it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ DEGENERACY_TOL = 1e-10      # relation residual of the degeneracy criterion
 CLAIM_HEAD_TOL = 1e-8       # zero-slice head of the degeneracy criterion
 EMBEDDING_POINTS = 100      # random points per space of the embedding identity
 ISOMETRY_POINTS = 10        # random points per map of the isometry criterion
+EINSTEIN_SAMPLES = 50       # sample points of each Einstein fit
 
 
 @dataclass
@@ -57,24 +59,6 @@ class Tolerances:
     """The tolerances that the --float-tol and --einstein-tol flags set."""
     float_tol: float = 1e-9
     einstein_tol: float = 1e-8
-
-
-_FAMILIES: Dict[str, SegreFamily] = {}
-_FAMILIES_BOUND = 16                # above the 11 spaces of the selftest
-_FAMILIES_LOCK = threading.Lock()
-
-
-def family(spec: str) -> SegreFamily:
-    """The shared family of ``spec``, built once; a full cache drops its oldest."""
-    fam = _FAMILIES.get(spec)
-    if fam is None:
-        with _FAMILIES_LOCK:
-            fam = _FAMILIES.get(spec)
-            if fam is None:
-                if len(_FAMILIES) >= _FAMILIES_BOUND:
-                    del _FAMILIES[next(iter(_FAMILIES))]
-                fam = _FAMILIES[spec] = SegreFamily(build_space(spec))
-    return fam
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +212,21 @@ def _within(residual: float, tol: float, detail: str) -> None:
                           else "logic")
 
 
+def _families() -> Callable[[str], SegreFamily]:
+    """A memo for one run: the family of a spec, built on its first request."""
+    return functools.cache(lambda spec: SegreFamily(build_space(spec)))
+
+
 def criterion(name: str):
-    """Make a criterion body ``(seed, tol) -> detail`` return a
-    ``CriterionResult`` under ``name``."""
+    """Make a criterion body ``(seed, tol, family) -> detail`` return a
+    ``CriterionResult`` under ``name``; called without a ``family`` memo,
+    the criterion makes its own, shared by its own requests."""
     def wrap(body):
         @functools.wraps(body)
-        def check(seed: int = DEFAULT_SEED,
-                  tol: Optional[Tolerances] = None) -> CriterionResult:
+        def check(seed: int = DEFAULT_SEED, tol: Optional[Tolerances] = None,
+                  family: Optional[Callable] = None) -> CriterionResult:
             try:
-                detail = body(seed, tol or Tolerances())
+                detail = body(seed, tol or Tolerances(), family or _families())
             except CheckFailed as exc:
                 return CriterionResult(name, False, *exc.args)
             return CriterionResult(name, True, detail)
@@ -245,7 +235,7 @@ def criterion(name: str):
 
 
 @criterion("embedding_identity")
-def check_embedding_identity(seed, tol):
+def check_embedding_identity(seed, tol, family):
     rng = rng_from_seed(seed)
     bad = [spec for spec in ["typeI:1,2", "typeI:2,2", "typeI:2,3", "typeIII:2",
                              "typeIII:3"]
@@ -267,7 +257,7 @@ def _pf_laplace(M, idx) -> GaussRational:
 
 
 @criterion("pfaffian_suite")
-def check_pfaffian_suite(seed, tol):
+def check_pfaffian_suite(seed, tol, family):
     rng = rng_from_seed(seed)
 
     def pf_pair(order):
@@ -304,7 +294,7 @@ def check_pfaffian_suite(seed, tol):
 
 
 @criterion("octonion_suite")
-def check_octonion_suite(seed, tol):
+def check_octonion_suite(seed, tol, family):
     zero, one = GaussRational(0), GaussRational(1)
     basis = [Octonion.basis(k, one, zero) for k in range(8)]
     minus_one = Octonion.scalar(GaussRational(-1), zero)
@@ -340,11 +330,11 @@ def check_octonion_suite(seed, tol):
 
 
 @criterion("einstein_fits")
-def check_einstein_fits(seed, tol):
+def check_einstein_fits(seed, tol, family):
     worst = 0.0
     for spec in ["typeI:1,1", "typeI:1,2", "typeI:2,2", "typeIV:3", "typeII:4",
                  "typeIII:2"]:
-        e = einstein_check(family(spec), seed, 50)
+        e = einstein_check(family(spec), seed, EINSTEIN_SAMPLES)
         _require(e.lam == e.genus, f"{spec}: exponent {e.lam} != {e.genus}")
         _require(e.identities_hold, f"{spec}: identity checks {e.identity_checks}")
         worst = max(worst, e.residual)
@@ -357,7 +347,7 @@ def check_einstein_fits(seed, tol):
 
 
 @criterion("hypothesis_I")
-def check_hypothesis_one(seed, tol):
+def check_hypothesis_one(seed, tol, family):
     def witness(spec, budget):
         h = hypothesis_one(family(spec), seed, None, budget)
         _require(h.ranks_ok, f"{spec}: rank0={h.rank0}, rank1={h.rank1} "
@@ -376,7 +366,7 @@ def check_hypothesis_one(seed, tol):
 
 
 @criterion("hypothesis_II")
-def check_hypothesis_two(seed, tol):
+def check_hypothesis_two(seed, tol, family):
     for spec in ["typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]:
         h = hypothesis_two(family(spec), seed)
         _require(h.rank == 2, f"{spec}: transversality rank {h.rank} != 2")
@@ -386,7 +376,7 @@ def check_hypothesis_two(seed, tol):
 
 
 @criterion("hypothesis_III")
-def check_hypothesis_three(seed, tol):
+def check_hypothesis_three(seed, tol, family):
     for spec in ["typeI:2,2", "typeII:4", "typeIII:3", "typeIV:3", "e16", "e27"]:
         report = support_claims(family(spec))
         failed = [k for k, v in report.items() if not v]
@@ -404,7 +394,7 @@ def check_hypothesis_three(seed, tol):
 
 
 @criterion("volume_isometry")
-def check_volume_isometry(seed, tol):
+def check_volume_isometry(seed, tol, family):
     fam = family("typeI:1,1")
     space = fam.space
     ident = identity_map(space)
@@ -429,7 +419,7 @@ def check_volume_isometry(seed, tol):
 
 
 @criterion("degeneracy_extraction")
-def check_degeneracy_extraction(seed, tol):
+def check_degeneracy_extraction(seed, tol, family):
     r2 = PolyRing(["z1", "z2"])
     z1, z2 = r2.var("z1"), r2.var("z2")
     one2 = r2.one()
@@ -481,9 +471,9 @@ _Report = Tuple[Dict[int, CriterionResult], Optional[Tuple[int, Exception]]]
 def criterion_groups() -> Tuple[Tuple[int, ...], ...]:
     """``CRITERION_GROUPS`` when two CPUs are usable (``sched_getaffinity``,
     else ``cpu_count``) and ``os.fork`` exists; else one group of all.  A
-    caller running other threads gets one group too: a lock another thread
-    holds at the fork (the family cache's, say) stays held in the child,
-    which would wait on it for ever."""
+    caller running other threads gets one group too: a lock that another
+    thread holds at the fork, such as a family's lock or an I/O buffer's,
+    stays held in the child, which would wait on it for ever."""
     # os, pickle and signal are imported where they are used, so that
     # ``import hermsym.cli`` imports nothing more
     import os
@@ -500,10 +490,11 @@ def _run_group(group: Tuple[int, ...], seed: int,
                tol: Optional[Tolerances]) -> _Report:
     """The criteria of ``group`` in order, up to the first that raises:
     ({index: result}, None), or the results before it and (index, exception)."""
+    family = _families()     # one thread, 11 specs at most: no lock, no bound
     results = {}
     for i in group:
         try:
-            results[i] = ALL_CRITERIA[i](seed=seed, tol=tol)
+            results[i] = ALL_CRITERIA[i](seed=seed, tol=tol, family=family)
         except Exception as exc:
             return results, (i, exc)
     return results, None

@@ -394,10 +394,18 @@ def cmd_selftest(args):
 
 # ---------------------------------------------------------------------------
 
+def _integer(text: str, expected: str) -> int:
+    """``text`` as an int, else refused with the ``expected`` kind of value."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}") from None
+
+
 def _at_least(low: int):
     """argparse type: an integer >= low."""
     def parse(text: str) -> int:
-        value = int(text)
+        value = _integer(text, f"an integer >= {low}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
@@ -418,7 +426,7 @@ def _tolerance(text: str) -> float:
 
 def _prime(text: str) -> int:
     """argparse type: a prime; the oracle's modular arithmetic needs a field."""
-    p = int(text)
+    p = _integer(text, "a prime")
     if p >= PRIME_BOUND:
         raise argparse.ArgumentTypeError(
             f"must be below 2**31, got {p}: the candidate space of the oracle "
@@ -461,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_at_least(1), default=5)
     p = add("einstein", cmd_einstein, tols=("einstein_tol",),
             help="fit the integer exponent of the volume density")
-    p.add_argument("--samples", type=_at_least(2), default=50)
+    p.add_argument("--samples", type=_at_least(2), default=acceptance.EINSTEIN_SAMPLES)
     p = add("hyp1", cmd_hyp1,
             help="jet ranks and the nondegeneracy witness search")
     p.add_argument("--max-order", dest="max_order", type=_at_least(0), default=None)

@@ -372,7 +372,7 @@ def _zero_point(space: Space) -> Dict[str, GaussRational]:
 
 
 def _slot_pencil(a: str, b: str, space: Space, rng):
-    """xi0 = e_a; z0 random with z0[a] = -1; z1 = z0 moved by 1/3 along b."""
+    """xi0 = e_a; z0 random with z0[a] = -1; z1 = z0 moved by 1 + 3i along b."""
     xi0 = _zero_point(space)
     xi0[a] = GaussRational(1)
     z0 = {v: random_small_gauss(rng) for v in space.vars}
@@ -387,7 +387,7 @@ def _quadric_pencil(space: Space, rng):
     xi0["z1"] = GaussRational(1)
     i = GaussRational.i()
     a = random_small_gauss(rng)
-    b = a + GaussRational(1, 5)
+    b = a + GaussRational(1, 5)         # 1 + 5i
     z0 = _zero_point(space)
     z0["z1"] = a
     z0["z2"] = i * (a + 2)

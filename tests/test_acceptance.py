@@ -69,59 +69,13 @@ def test_perturbed_psi_fails_embedding_identity(monkeypatch):
     e = min(minor.terms)
     psi[-1] = Polynomial(minor.ring,
                          {**minor.terms, e: minor.terms[e] + GaussRational(1)})
-    bad = dataclasses.replace(space, pairing_psi=tuple(psi))
-    monkeypatch.setitem(acceptance._FAMILIES, "typeI:2,2", SegreFamily(bad))
+    bad = SegreFamily(dataclasses.replace(space, pairing_psi=tuple(psi)))
     monkeypatch.setattr(acceptance, "EMBEDDING_POINTS", 10)
-    result = acceptance.check_embedding_identity(seed=SEED)
+    result = acceptance.check_embedding_identity(
+        seed=SEED, family=lambda spec: (
+            bad if spec == "typeI:2,2" else SegreFamily(build_space(spec))))
     assert not result.passed
     assert result.failure_kind == "logic" and "typeI:2,2" in result.detail
-
-
-def test_family_cache_built_once_under_contention(monkeypatch):
-    """Concurrent first requests for one space share a single build, and
-    the cache never holds more than its bound, dropping the oldest entry."""
-    import sys
-    import threading
-    import time
-    from hermsym.spaces import build_space
-    builds = []
-
-    def counting_build(spec):
-        builds.append(spec)
-        time.sleep(0.01)                    # widen the race window
-        return build_space(spec)
-
-    monkeypatch.setattr(acceptance, "_FAMILIES", {})
-    monkeypatch.setattr(acceptance, "build_space", counting_build)
-    seen = []
-    start = threading.Barrier(8)
-
-    def request():
-        start.wait(timeout=60)
-        seen.append(acceptance.family("typeI:2,3"))
-
-    threads = [threading.Thread(target=request) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert builds == ["typeI:2,3"]
-    assert len(seen) == 8 and all(f is seen[0] for f in seen)
-    # fill past the bound with cheap spaces: the first one is dropped
-    bound = acceptance._FAMILIES_BOUND
-    assert bound > 11                       # the selftest's spaces never evict
-    specs = [f"typeI:1,{k}" for k in range(1, bound + 1)]
-    for spec in specs:
-        acceptance.family(spec)
-    assert len(acceptance._FAMILIES) == bound
-    assert "typeI:2,3" not in acceptance._FAMILIES
-    assert set(acceptance._FAMILIES) == set(specs)
 
 
 @pytest.mark.parametrize("check,command,criterion,field", [
@@ -158,11 +112,67 @@ def test_flipped_pair_partition_fails_pfaffian_suite(monkeypatch):
             yield pairs, (-sign if pairs == ((1, 3), (2, 4)) else sign)
 
     monkeypatch.setattr(spaces, "_pair_partitions", flipped)
-    monkeypatch.setattr(acceptance, "_FAMILIES", {})
     assert spaces.build_space("typeII:4").psi[-1] != good
     result = acceptance.check_pfaffian_suite(seed=SEED)
     assert not result.passed and result.failure_kind == "logic", result.detail
     assert result.detail == "pair partitions != Laplace expansion at order 4"
+
+
+# ---------------------------------------------------------------------------
+# the run contract: families live for one run
+# ---------------------------------------------------------------------------
+
+SELFTEST_SPECS = ["e16", "e27", "typeI:1,1", "typeI:1,2", "typeI:2,2",
+                  "typeI:2,3", "typeII:4", "typeII:5", "typeIII:2",
+                  "typeIII:3", "typeIV:3"]
+
+
+def _count_builds(monkeypatch):
+    """The list of specs that ``acceptance`` builds from now on."""
+    from hermsym.spaces import build_space
+    builds = []
+
+    def counting(spec):
+        builds.append(spec)
+        return build_space(spec)
+
+    monkeypatch.setattr(acceptance, "build_space", counting)
+    return builds
+
+
+def test_each_run_builds_each_space_once(monkeypatch):
+    """Two serial runs in one process each build each selftest space
+    exactly once, and no family outlives its run in the module."""
+    from hermsym.segre import SegreFamily
+    builds = _count_builds(monkeypatch)
+    monkeypatch.setattr(acceptance, "criterion_groups", lambda: ONE_GROUP)
+    for _ in range(2):
+        builds.clear()
+        assert all(r.passed for r in run_all(seed=7))
+        assert sorted(builds) == SELFTEST_SPECS
+
+    def holds_family(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, (list, tuple, set, frozenset)):
+            return any(isinstance(v, SegreFamily) for v in value)
+        return isinstance(value, SegreFamily)
+
+    assert [name for name, value in vars(acceptance).items()
+            if holds_family(value)] == []
+
+
+def test_criteria_called_alone_build_their_own_families(monkeypatch):
+    """A criterion called alone makes its own memo: it shares a build
+    between its own requests for one space, never with another call."""
+    builds = _count_builds(monkeypatch)
+    assert acceptance.check_pfaffian_suite(seed=7).passed
+    assert builds == ["typeII:4", "typeII:5"]
+    builds.clear()
+    # typeII:4 again; typeIV:3 once, for the fit and the Ricci cross-check
+    assert acceptance.check_einstein_fits(seed=7).passed
+    assert builds == ["typeI:1,1", "typeI:1,2", "typeI:2,2", "typeIV:3",
+                      "typeII:4", "typeIII:2"]
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +252,7 @@ def test_child_exception_exits_like_serial_route(monkeypatch):
     with the stderr line of the serial route, and leaves no child."""
     monkeypatch.delenv("HSS_SEED", raising=False)
 
-    def broken(seed, tol):
+    def broken(seed, tol, family):
         raise ArithmeticError("broken invariant")
 
     _patch_criteria(monkeypatch, {acceptance.CRITERION_GROUPS[1][0]: broken})
@@ -264,7 +274,7 @@ def test_lowest_raising_index_wins(monkeypatch, raising):
     kinds = [KeyError, ValueError, ZeroDivisionError]
 
     def fake(i):
-        def run(seed, tol):
+        def run(seed, tol, family):
             if i in raising:
                 raise kinds[i % 3](f"criterion {i}")
             return acceptance.CriterionResult(f"c{i}", True, "ok")
@@ -285,7 +295,7 @@ def test_child_that_dies_is_an_internal_error(monkeypatch):
     parent = os.getpid()
     monkeypatch.delenv("HSS_SEED", raising=False)
 
-    def dies(seed, tol):
+    def dies(seed, tol, family):
         assert os.getpid() != parent, "ran in the calling process"
         os._exit(9)
 
@@ -310,12 +320,12 @@ def test_interrupted_parent_kills_its_child(monkeypatch):
 
     parent = os.getpid()
 
-    def hangs(seed, tol):
+    def hangs(seed, tol, family):
         if os.getpid() != parent:
             time.sleep(60)
         raise AssertionError("ran in the calling process")
 
-    def stops(seed, tol):
+    def stops(seed, tol, family):
         raise Stop()
 
     groups = acceptance.CRITERION_GROUPS

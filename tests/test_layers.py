@@ -1,7 +1,8 @@
 """Which modules of the package may use numpy: the float layer (``floats``)
 and the F_p trial-division kernel (``modp``); every other module is exact.
 Which module may spell a cell variable: only ``spaces``, where each layout
-is named once."""
+is named once.  No module keeps mutable state at module level: state
+belongs to objects, such as a family's cache."""
 
 import ast
 import re
@@ -58,3 +59,43 @@ def test_only_spaces_spells_cell_variables():
     assert not found
     # the check sees both spellings
     assert list(_cell_names(ast.parse('f"z{i + 1}_{j + 1}"; "z1_1"'))) == [1, 1]
+
+
+LOCKS = {"Lock", "RLock"}
+
+
+def _module_state(tree: ast.Module):
+    """The line numbers of module-level statements that bind a name to an
+    empty ``{}``, ``[]``, ``set()`` or ``dict()``, or that call
+    ``threading.Lock()`` or ``RLock()``; function and class bodies are not
+    module level."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        value = getattr(stmt, "value", None)
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and (
+                isinstance(value, ast.Dict) and not value.keys
+                or isinstance(value, ast.List) and not value.elts
+                or isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id in ("set", "dict")
+                and not value.args and not value.keywords):
+            yield stmt.lineno
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and (
+                    getattr(node.func, "attr", None) in LOCKS
+                    or getattr(node.func, "id", None) in LOCKS):
+                yield stmt.lineno
+                break
+
+
+def test_no_module_level_state():
+    package = Path(hermsym.__file__).parent
+    found = {f"{path.name}:{line}" for path in package.glob("*.py")
+             for line in _module_state(ast.parse(path.read_text()))}
+    assert not found
+    # the check sees each form, and passes a non-empty constant table
+    probe = ("import threading\nA = {}\nB: list = []\nC = set()\nD = dict()\n"
+             "E = threading.Lock()\nF = RLock()\nG = {1: 2}\n"
+             "def f():\n    H = {}\n")
+    assert list(_module_state(ast.parse(probe))) == [2, 3, 4, 5, 6, 7]

@@ -370,6 +370,18 @@ def test_cli_exit_codes(capsys, monkeypatch):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "must be >= " in captured.err, argv
+    # a count or a prime that is not an integer is refused with the kind of
+    # value expected, never with the name of a parsing function
+    for argv in (["hyp1", "--space", "typeIV:3", "--seed", "7", "--budget", "abc"],
+                 ["metric", "--space", "typeIV:3", "--seed", "7", "--points", "1.5"],
+                 ["hyp1", "--space", "typeIV:3", "--seed", "7", "--max-order", "x"],
+                 ["hyp3", "--space", "typeIV:3", "--seed", "7", "--oracle-budget", "x"],
+                 ["einstein", "--space", "typeIV:3", "--seed", "7", "--samples", "x"],
+                 ["hyp3", "--space", "typeIV:3", "--seed", "7", "--prime", "abc"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"got {argv[-1]!r}" in captured.err, argv
+        assert "parse" not in captured.err and "_prime" not in captured.err, argv
     # the oracle's int64 kernel needs p < 2**31; a larger prime is refused
     # before any primality trial
     for prime in (str(2 ** 31 - 1 + 12), str(10 ** 40 + 1)):

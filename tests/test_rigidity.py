@@ -376,6 +376,8 @@ def test_flattening_jacobian(families):
         rank, rows, det, slots = transversality_rank(fam, xi0, z0, z1)
         assert rank == 2 and not det.is_zero(), spec
         assert flattening_jacobian(rows) == (det, slots), spec
+    # the last pencil, typeI:2,2's slot pencil, moves z0 by 1 + 3i along z1_2
+    assert z1["z1_2"] - z0["z1_2"] == G(1, 3)
     fam = families["typeIV:3"]
     xi0, z0, z1 = transversality_recipe(fam, seed=6)
     rank, rows, det, slots = transversality_rank(fam, xi0, z0, z0)

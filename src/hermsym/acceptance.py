@@ -30,7 +30,7 @@ from .poly import PolyFraction, PolyRing
 from .rigidity import (ORACLE_BUDGET, ORACLE_PRIME, WITNESS_BUDGET,
                        OracleResult, WitnessReport, find_nondegeneracy_witness,
                        generic_conjugate_point, irreducibility_oracle,
-                       jet_rank, specialize_conjugate, support_claims,
+                       jet_rank, support_claims,
                        transversality_rank, transversality_recipe)
 from .sampling import random_gauss_point, rng_from_seed, random_small_gauss
 from .segre import det_model_holds, sample_on_family, SegreFamily
@@ -78,7 +78,7 @@ def det_pairing_holds(fam: SegreFamily, rng, points: int) -> bool:
 
 def unit_at_origin(fam: SegreFamily) -> bool:
     """Whether rho(0, .) = 1 + sum_j psi_j(0) psi_j is the constant 1."""
-    return specialize_conjugate(fam, {v: GaussRational(0) for v in fam.zvars}) == 1
+    return fam.specialize({v: GaussRational(0) for v in fam.zvars}) == 1
 
 
 @dataclass

@@ -315,12 +315,6 @@ class PolyFraction:
             self.den * self.den,
         )
 
-    def evaluate(self, point) -> GaussRational:
-        d = self.den.evaluate(point)
-        if d.is_zero():
-            raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return self.num.evaluate(point) / d
-
     def __repr__(self):
         return f"({self.num!r}) / ({self.den!r})"
 
@@ -357,7 +351,9 @@ def _series_mul(a: Series, b: Series, top: int) -> Series:
 
 def _shifter(base: List[Series], origin: Tuple[int, ...], top: int):
     """poly -> poly(base_0, ..., base_n) truncated above weight ``top``,
-    with the powers of the base series cached across calls."""
+    with the powers of the base series cached across calls.  Each series
+    ends at the largest weight one of its terms reaches, so its length
+    follows the polynomial and the base series, not ``top``."""
     powers: Dict[Tuple[int, int], Series] = {}
     # A base series with no weight-0 part (an empty one included) starts at
     # weight >= 1, so its k-th power starts at weight >= k: a term whose
@@ -372,7 +368,7 @@ def _shifter(base: List[Series], origin: Tuple[int, ...], top: int):
         return powers[i, k]
 
     def shift(poly: Polynomial) -> Series:
-        out: Series = [{} for _ in range(top + 1)]
+        out: Series = []
         for e, c in poly.terms.items():
             if lifted and sum(e[i] for i in lifted) > top:
                 continue
@@ -380,6 +376,7 @@ def _shifter(base: List[Series], origin: Tuple[int, ...], top: int):
             for i, k in enumerate(e):
                 if k:
                     term = _series_mul(term, power(i, k), top)
+            out += [{} for _ in range(len(term) - len(out))]
             for part, dest in zip(term, out):
                 for te, tc in part.items():
                     _accumulate(dest, te, tc)
@@ -391,15 +388,16 @@ def _divide(num: Series, den: Series, origin: Tuple[int, ...],
             top: int) -> Series:
     """num / den as a truncated power series, q_m = (n_m - sum_{k>=1}
     d_k q_{m-k}) / d_0, with trailing empty weights trimmed."""
-    d0 = den[0].get(origin)
+    d0 = den[0].get(origin) if den else None
     if d0 is None:
         raise ZeroDivisionError("denominator vanishes at the jet point")
     inv = ONE / d0
-    # d_k = 0 past the last nonzero weight of den, so the sum stops there
+    # d_k = 0 past the last nonzero weight of den, so the sum stops there;
+    # a constant den divides term by term, so q ends where num does
     last = max(k for k, part in enumerate(den) if part)
     out: Series = []
-    for m in range(top + 1):
-        acc = dict(num[m])
+    for m in range(top + 1 if last else len(num)):
+        acc = dict(num[m]) if m < len(num) else {}
         for k in range(1, min(m, last) + 1):
             for ed, cd in den[k].items():
                 for eq, cq in out[m - k].items():

@@ -20,7 +20,7 @@ from .maps import RationalMap
 from .modp import reduce_mod, trial_division_modp
 from .poly import Polynomial, TaylorJets, monomials
 from .sampling import random_small_gauss, rng_from_seed
-from .segre import SegreFamily, pair_rows, sample_on_family
+from .segre import SegreFamily, sample_on_family
 from .spaces import Space
 
 _JET_RANK_TRIALS = 2       # random points of jet_rank
@@ -211,15 +211,14 @@ def transversality_rank(fam: SegreFamily, xi0: Dict, z0: Dict, z1: Dict
     2.  One first-order jet table at xi0 gives psi(xi0) and its derivatives,
     for both rho checks and both rows; psi is evaluated once at each z, on
     the components they use."""
-    psi = fam.space.pairing_psi
     at_xi, d_xi = fam.first_jets(xi0)
     used = set(at_xi).union(*d_xi)
     rows = []
     for z in (z0, z1):
-        at_z = {j: psi[j].evaluate(z) for j in used}
-        if not (ONE + pair_rows(at_z, [at_xi])[0]).is_zero():     # rho(z, xi0)
+        at_z = fam.psi_at(z, used)
+        if not (ONE + fam.pair(at_z, at_xi)).is_zero():     # rho(z, xi0)
             raise OffVarietyError("points are not on the Segre variety of xi0")
-        rows.append(pair_rows(at_z, d_xi))
+        rows.append([fam.pair(row, at_z) for row in d_xi])
     rank, jacobian, slots = _pair_rank(rows)
     return rank, rows, jacobian, slots
 
@@ -285,17 +284,6 @@ class OracleResult:
     required_budget: Optional[int] = None
 
 
-def specialize_conjugate(fam: SegreFamily, xi: Dict) -> Polynomial:
-    """rho(., xi) = 1 + sum_j psi_j(xi) psi_j as an exact polynomial in the
-    cell variables."""
-    out = fam.space.ring.one()
-    for p in fam.space.pairing_psi:
-        c = p.evaluate(xi)
-        if not c.is_zero():
-            out = out + p.scale(c)
-    return out
-
-
 def irreducibility_oracle(poly: Polynomial, prime: int = ORACLE_PRIME,
                           budget: int = ORACLE_BUDGET) -> OracleResult:
     """Certify irreducibility over the rationals of a polynomial with
@@ -337,13 +325,14 @@ def generic_conjugate_point(fam: SegreFamily, seed: int = 0,
                             prime: int = ORACLE_PRIME) -> Tuple[Dict, Polynomial]:
     """A small random rational xi that keeps the specialized polynomial
     rho(., xi) at full degree and admissible modulo the prime, returned with
-    that polynomial: (xi, rho(., xi))."""
+    that polynomial: (xi, rho(., xi)).  Full degree is the top z-degree of
+    the expansion; the psi coefficients are real, so no xi cancels a whole
+    top-degree group (its xi^a coefficient is a sum of squares)."""
     rng = rng_from_seed(seed)
-    space = fam.space
-    full = max(p.degree() for p in space.pairing_psi)
+    full = max(sum(ze) for ze in fam.z_groups)
     for _ in range(64):
-        xi = {v: GaussRational(Fraction(rng.randint(-4, 4))) for v in space.vars}
-        poly = specialize_conjugate(fam, xi)
+        xi = {v: GaussRational(Fraction(rng.randint(-4, 4))) for v in fam.zvars}
+        poly = fam.specialize(xi)
         if poly.degree() != full:
             continue
         try:

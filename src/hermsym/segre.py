@@ -1,10 +1,11 @@
 """Segre families and exact sampling on the family.
 
 The family polynomial rho(z, xi) = 1 + sum_j psi_j(z) psi_j(xi) is evaluated
-from the pairing vector psi of the space, exactly as it is defined.  Its
-expansion is one table, grouped by z-monomial and built lazily from psi:
-the support facts read it, and the rho command prints it term by term in a
-doubled ring (the cell variables plus a conjugate copy, prefix ``c``).
+from the pairing vector psi of the space, exactly as it is defined, by the
+one pairing ``SegreFamily.pair``.  Its expansion is one table, grouped by
+z-monomial and built lazily from psi: the support facts read it, and the rho
+command prints it term by term in a doubled ring (the cell variables plus a
+conjugate copy, prefix ``c``).
 Exact gradients come from first-order Taylor jets (``poly.TaylorJets``);
 exact identities never touch floats, which are all in ``floats``.
 """
@@ -29,15 +30,16 @@ class SegreFamily:
     """The Segre family of a space: rho(z, xi) = 1 + sum_j psi_j(z) psi_j(xi)
     over its pairing vector psi (``Space.pairing_psi``).
 
-    Every query evaluates that sum from the psi vector: ``rho_at``, and the
-    gradients that ``pair_rows`` forms from ``first_jets``.  The sum is the
-    definition of rho, so in exact arithmetic each value equals the one read
-    off the expanded polynomial, and no soundness argument beyond it is
-    needed.  The expansion is ``z_groups``, the sum grouped by z-monomial,
-    which the rho command prints term by term; ``rho`` is that table
-    flattened into a doubled-ring ``Polynomial`` for the tests and the
-    benchmark's term count, built afresh on each read so the family holds
-    one copy of the expansion.
+    Every exact query forms that sum with the one pairing ``pair``:
+    ``rho_at``, ``specialize`` (rho(., xi) as a polynomial in z) and
+    ``gradients`` (psi at one point paired with the derivative rows of
+    ``first_jets`` at the other).  The sum is the definition of rho, so in
+    exact arithmetic each value equals the one read off the expanded
+    polynomial.  The expansion is ``z_groups``, the sum grouped by
+    z-monomial and written out directly, which the rho command prints term
+    by term; ``rho`` is that table flattened into a doubled-ring
+    ``Polynomial`` for the tests and the benchmark's term count, built
+    afresh on each read so the family holds one copy of the expansion.
 
     Exact derivatives of psi at a point are its first-order Taylor jets.
     The expansion and the metric engines of ``floats`` are the only caches:
@@ -91,14 +93,33 @@ class SegreFamily:
     def zvars(self) -> Tuple[str, ...]:
         return self.space.vars
 
+    def psi_at(self, point: Dict, only=None) -> Dict[int, GaussRational]:
+        """{j: psi_j(point)} over the nonzero values, for the j in ``only``
+        (every j when None)."""
+        psi = self.space.pairing_psi
+        values = ((j, psi[j].evaluate(point))
+                  for j in (range(len(psi)) if only is None else only))
+        return {j: c for j, c in values if not c.is_zero()}
+
+    @staticmethod
+    def pair(a: Dict[int, object], b: Dict[int, GaussRational]):
+        """sum_j a_j b_j over the j both hold: the one pairing of rho, with
+        rho(z, xi) = 1 + pair(psi(z), psi(xi)).  An a_j may be a polynomial,
+        which gives rho(., xi) (``specialize``); a row of first-order jets
+        as either side gives a gradient."""
+        terms = (x * b[j] for j, x in a.items() if j in b)
+        return sum(terms, next(terms, ZERO))
+
     def rho_at(self, z: Dict, xi: Dict) -> GaussRational:
-        total = ONE
         # psi(xi) first: recipe points are sparse in xi
-        for p in self.space.pairing_psi:
-            b = p.evaluate(xi)
-            if not b.is_zero():
-                total = total + p.evaluate(z) * b
-        return total
+        at_xi = self.psi_at(xi)
+        return ONE + self.pair(self.psi_at(z, at_xi), at_xi)
+
+    def specialize(self, xi: Dict) -> Polynomial:
+        """rho(., xi) = 1 + sum_j psi_j(xi) psi_j as an exact polynomial in
+        the cell variables."""
+        return self.space.ring.one() + self.pair(
+            dict(enumerate(self.space.pairing_psi)), self.psi_at(xi))
 
     def first_jets(self, point: Dict) -> Tuple[Dict[int, GaussRational],
                                                List[Dict[int, GaussRational]]]:
@@ -113,22 +134,13 @@ class SegreFamily:
 
     def gradients(self, z: Dict, xi: Dict) -> Tuple[List[GaussRational],
                                                      List[GaussRational]]:
-        """(d rho / d z_v, d rho / d xi_v) at (z, xi), from one first-order
-        jet table at each point, each also giving psi at its point."""
+        """(d rho / d z_v, d rho / d xi_v) at (z, xi): psi at one point
+        paired with the derivative rows at the other, from one first-order
+        jet table at each point, which also gives psi there."""
         at_z, d_z = self.first_jets(z)
         at_xi, d_xi = self.first_jets(xi)
-        return pair_rows(at_xi, d_z), pair_rows(at_z, d_xi)
-
-
-def pair_rows(values: Dict[int, GaussRational],
-              rows: Sequence[Dict[int, GaussRational]]) -> List[GaussRational]:
-    """[sum_j values[j] row[j] for each row], over the j both hold.  With
-    psi at z as ``values`` and the derivative rows of ``first_jets`` at xi,
-    that is the conjugate gradient sum_j psi_j(z) (d_v psi_j)(xi) of rho;
-    with the row [psi(xi)] it is rho(z, xi) - 1.  The psi sum is symmetric,
-    so the same call with the points swapped gives the z-gradient."""
-    return [sum((values[j] * d for j, d in row.items() if j in values), ZERO)
-            for row in rows]
+        return ([self.pair(row, at_xi) for row in d_z],
+                [self.pair(row, at_z) for row in d_xi])
 
 
 def build_rho(space: Space) -> SegreFamily:

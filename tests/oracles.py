@@ -9,6 +9,8 @@
 * ``evaluate_loop`` -- a polynomial's value as the sum over every term,
   the reference for ``Polynomial.evaluate``, which skips the terms that
   vanish at the point.
+* ``evaluate_fraction`` -- the exact value of a ``PolyFraction`` (or of a
+  polynomial) at a point, for the fraction routes below.
 * ``derivative_jet_row`` -- jets by iterated symbolic differentiation of
   each component, then exact evaluation at the point.
 * ``flattening_jacobian_bordered`` -- the flattening Jacobian as the
@@ -24,7 +26,8 @@
   the helpers below read it as their reference.
 * ``xi_gradient_by_evaluate`` -- the conjugate gradient from the jets of
   psi at xi and psi evaluated at z, the reference for ``first_jets`` and
-  ``pair_rows``, which read psi at both points off the jets' weight-0 rows.
+  ``SegreFamily.gradients``, which read psi at both points off the jets'
+  weight-0 rows.
 * ``rho_at_expanded``, ``xi_gradient_expanded``, ``z_gradient_expanded``
   and ``specialize_expanded`` -- queries of
   the Segre family read off that expansion by ``partial_evaluate``,
@@ -177,6 +180,17 @@ def evaluate_loop(poly, point):
     return total
 
 
+def evaluate_fraction(f, point):
+    """f(point) for a ``PolyFraction`` or a ``Polynomial`` f; ZeroDivisionError
+    where the denominator vanishes."""
+    if isinstance(f, Polynomial):
+        return f.evaluate(point)
+    d = f.den.evaluate(point)
+    if d.is_zero():
+        raise ZeroDivisionError("denominator vanishes at evaluation point")
+    return f.num.evaluate(point) / d
+
+
 def det_bareiss(matrix):
     n = len(matrix)
     if n == 0:
@@ -230,7 +244,7 @@ def derivative_jet_row(system, fields, point, beta):
         for k, order in enumerate(beta):
             for _ in range(order):
                 f = _apply_field(f, fields[k])
-        row.append(f.evaluate(point))
+        row.append(evaluate_fraction(f, point))
     return row
 
 
@@ -684,7 +698,7 @@ def lambda_determinant(space, fam, F, betas, z0, xi0, frame=None):
     zmap = {v: v for v in space.vars}
     lifted = [PolyFraction(embed(p.num, fam.ring, zmap), embed(p.den, fam.ring, zmap))
               for p in psis]
-    return det_exact([[tangent_apply(frame, fam, f, beta).evaluate(point)
+    return det_exact([[evaluate_fraction(tangent_apply(frame, fam, f, beta), point)
                        for f in lifted] for beta in betas])
 
 

@@ -25,7 +25,7 @@ from hermsym.poly import Polynomial, PolyFraction, PolyRing
 from hermsym.maps import RationalMap, identity_map
 from hermsym.rigidity import (TaylorJets, _greedy_rows, _pair_rank,
                               default_order_bound, flattening_jacobian,
-                              irreducibility_oracle, specialize_conjugate,
+                              irreducibility_oracle,
                               transversality_rank, transversality_recipe,
                               witness_frame)
 from hermsym.sampling import BOUND, random_small_gauss, rng_from_seed
@@ -426,7 +426,7 @@ def test_flattening_minor_matches_bordered_determinant(rows):
 def test_specialize_conjugate_matches_expansion(case):
     spec, _, xi = case
     fam = _family(spec)
-    assert specialize_conjugate(fam, xi) == specialize_expanded(fam, xi)
+    assert fam.specialize(xi) == specialize_expanded(fam, xi)
 
 
 @BOUNDED

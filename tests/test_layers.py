@@ -2,7 +2,10 @@
 and the F_p trial-division kernel (``modp``); every other module is exact.
 Which module may spell a cell variable: only ``spaces``, where each layout
 is named once.  No module keeps mutable state at module level: state
-belongs to objects, such as a family's cache."""
+belongs to objects, such as a family's cache.  Which module may read a
+space's pairing vector ``pairing_psi``: ``spaces``, which builds it,
+``segre``, whose one pairing forms rho from it, and the float engine of
+``floats``; every other module asks the family."""
 
 import ast
 import re
@@ -99,3 +102,26 @@ def test_no_module_level_state():
              "E = threading.Lock()\nF = RLock()\nG = {1: 2}\n"
              "def f():\n    H = {}\n")
     assert list(_module_state(ast.parse(probe))) == [2, 3, 4, 5, 6, 7]
+
+
+PAIRING_READERS = {"spaces.py", "segre.py", "floats.py"}
+
+
+def _attribute_reads(tree: ast.AST, attr: str):
+    """The line numbers at which ``attr`` is read as an attribute."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == attr
+                and isinstance(node.ctx, ast.Load)):
+            yield node.lineno
+
+
+def test_only_the_pairing_reads_pairing_psi():
+    package = Path(hermsym.__file__).parent
+    found = {f"{path.name}:{line}" for path in package.glob("*.py")
+             if path.name not in PAIRING_READERS
+             for line in _attribute_reads(ast.parse(path.read_text()),
+                                          "pairing_psi")}
+    assert not found
+    # the check sees a read in any expression, and not a store
+    probe = "s.pairing_psi\nf(fam.space.pairing_psi[0])\ns.pairing_psi = ()\n"
+    assert list(_attribute_reads(ast.parse(probe), "pairing_psi")) == [1, 2]

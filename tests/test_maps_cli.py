@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,22 @@ def test_cli_hyp1_determinism(capsys):
     assert out1 == out2
     import json as _json
     assert _json.loads(out1)["witness"] is not None
+
+
+def test_hyp1_memory_does_not_grow_with_max_order(capsys):
+    """A jet series ends at the largest weight its terms reach, and a
+    quotient by a constant denominator where its numerator ends, so a huge
+    --max-order prints the default run's bytes from tables of the same size."""
+    _, want = run_cli(capsys, ["hyp1", "--space", "typeIV:3", "--seed", "7"])
+    tracemalloc.start()
+    try:
+        _, got = run_cli(capsys, ["hyp1", "--space", "typeIV:3", "--seed", "7",
+                                  "--max-order", "1000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 2 ** 21
 
 
 def test_cli_einstein_exceptional(capsys):
@@ -442,12 +459,11 @@ def test_hyp3_honours_prime(capsys):
     # the lead is kept: its terms divide the reduced target modulo 2
     from hermsym.gauss import GaussRational
     from hermsym.modp import PolyModP, reduce_mod
-    from hermsym.rigidity import specialize_conjugate
     from hermsym.segre import SegreFamily
     from oracles import divide_modp
     space = build_space("typeIV:3")
     xi = {v: GaussRational(c["re"], c["im"]) for v, c in oracle["xi"].items()}
-    target = reduce_mod(specialize_conjugate(SegreFamily(space), xi), 2)
+    target = reduce_mod(SegreFamily(space).specialize(xi), 2)
     terms = oracle["factor"]
     assert terms == sorted(terms) and all(r % 2 for _, r in terms)
     factor = PolyModP(space.vars, 2, {tuple(e): r for e, r in terms})

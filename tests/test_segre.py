@@ -10,7 +10,9 @@ from hermsym.floats import (EinsteinError, einstein_fit, evaluate_poly,
 from hermsym.gauss import GaussRational as G
 from hermsym.linalg import det_exact
 from hermsym.sampling import random_gauss_point, rng_from_seed
-from hermsym.segre import build_rho, sample_on_family, conj_name
+from hermsym.rigidity import (OffVarietyError, generic_conjugate_point,
+                              transversality_rank, transversality_recipe)
+from hermsym.segre import SegreFamily, build_rho, sample_on_family, conj_name
 from hermsym.spaces import build_space, cell_matrix_point, minor_index_sets
 from oracles import (is_constant, partial_evaluate, point_pair, rho_at_float,
                      rho_swap_symmetric, slot_solve_sample, sym_det)
@@ -469,3 +471,35 @@ def test_family_caches_built_once_under_contention():
     assert not any(t.is_alive() for t in threads)
     assert len(seen) == 8
     assert all(r is seen[0][0] and e is seen[0][1] for r, e in seen)
+
+
+@pytest.mark.parametrize("spec", ["typeI:2,2", "typeIV:3", "e16"])
+def test_weighting_the_pairing_moves_every_exact_query(monkeypatch, spec):
+    """Weighting one index j of ``SegreFamily.pair`` by 2, as the invariant
+    weights will, moves rho_at, both gradient blocks, the transversality
+    rows (or puts the pencil off its variety) and rho(., xi) at a generic
+    xi: each exact query of rho goes through the one pairing."""
+    fam = SegreFamily(build_space(spec))
+    rng = rng_from_seed(5)
+    z, xi = (random_gauss_point(rng, fam.zvars) for _ in range(2))
+    recipe = transversality_recipe(fam, seed=7)
+    generic = generic_conjugate_point(fam, seed=7)[0]
+
+    def queries():
+        try:
+            rows = transversality_rank(fam, *recipe)[1]
+        except OffVarietyError:
+            rows = "off the variety"
+        d_z, d_xi = fam.gradients(z, xi)
+        return {"rho_at": fam.rho_at(z, xi), "d_z": d_z, "d_xi": d_xi,
+                "transversality": rows, "specialize": fam.specialize(generic)}
+
+    before = queries()
+    assert before["transversality"] != "off the variety"
+    pair, j = SegreFamily.pair, 0
+
+    def weighted(a, b):
+        return pair({k: x * 2 if k == j else x for k, x in a.items()}, b)
+    monkeypatch.setattr(SegreFamily, "pair", staticmethod(weighted))
+    after = queries()
+    assert [k for k in before if before[k] == after[k]] == []

@@ -27,13 +27,13 @@ from typing import Dict, Optional
 from . import acceptance
 from .floats import (ISOMETRY_SAMPLES, VOLUME_SAMPLES, isometry_pullback_check,
                      kahler_metric, random_complex_ball, volume_equation_check)
-from .gauss import GaussRational, gauss_json
+from .gauss import GaussRational
 from .maps import parse_map_file
 from .modp import PRIME_BOUND
 from .rigidity import support_claims
 from .sampling import rng_from_seed
 from .segre import SegreFamily, build_rho
-from .spaces import SPACE_GRAMMAR, build_space, parse_space_spec, space_to_json
+from .spaces import SPACE_GRAMMAR, build_space, parse_space_spec
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +126,37 @@ def _write_other(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def gauss_json(x: GaussRational) -> dict:
+    """The report form {"re": str(x.re), "im": str(x.im)}."""
+    a, b, d = x.parts()
+    return {"re": str(a), "im": str(b)} if d == 1 else {"re": str(x.re), "im": str(x.im)}
+
+
 def point_json(point: Dict[str, GaussRational]) -> dict:
     return {k: gauss_json(v) for k, v in point.items()}
+
+
+def terms_json(groups) -> Written:
+    """The term array [{"exp": head + tail, "im": .., "re": ..}, ...] of
+    ``groups``, pairs (head, {tail: coefficient}) of exponent tuples, each
+    group in sorted tail order, as one ``Written`` joined from pieces written
+    once: the head per group, each distinct tail and coefficient per call (in
+    two tables: the exponent (1, 0, 1) is the triple of the coefficient 1)."""
+    # one join of the pieces, brackets and commas included, so the array's
+    # text is never copied while its pieces are held
+    tail_text, coeff_text, terms, sep = {}, {}, ["["], ""
+    for head, group in groups:
+        start = '{"exp":' + dump_json(head)[:-1] + ("," if head else "")
+        for tail, c in sorted(group.items()):
+            if tail not in tail_text:
+                tail_text[tail] = dump_json(tail)[1:] + ","
+            parts = c.parts()
+            if parts not in coeff_text:
+                coeff_text[parts] = dump_json(gauss_json(c))[1:]
+            terms.append(sep + start + tail_text[tail] + coeff_text[parts])
+            sep = ","
+    terms.append("]")
+    return Written("".join(terms))
 
 
 def print_table(report: dict, indent: int = 0):
@@ -187,11 +216,10 @@ def _config(args, seed) -> dict:
 
 def _load_map_file(space, path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise UsageError(
-            f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too deep
+        raise UsageError(f"malformed JSON in {path}: {exc}") from exc
     except OSError as exc:
         raise UsageError(str(exc)) from exc
     try:
@@ -240,32 +268,28 @@ def _verdict(args, seed, ok: bool, report: dict):
 def cmd_describe(args):
     space = _space(args)
     seed = _resolve_seed(args, required=False)
-    report = space_to_json(space)
-    report["lambda"] = space.desc.genus
-    report["config"] = _config(args, seed)
-    return 0, report
+    names = list(space.vars)
+    return 0, {
+        "kind": space.desc.kind, "params": list(space.desc.params),
+        "n": space.n, "N": space.N, "distinguished": space.distinguished,
+        # each component written whole, its terms with an empty head, so
+        # the report holds its text once and dump_json copies no component
+        "psi": [Written(dump_json({"vars": names,
+                                   "terms": terms_json([((), p.terms)])}))
+                for p in space.psi],
+        "psi_numeric_tail": space.numeric_tail,
+        "degenerate_note": space.degenerate_note,
+        "lambda": space.desc.genus, "config": _config(args, seed)}
 
 
 def cmd_rho(args):
     space = _space(args)
     fam = build_rho(space)
-    # the expanded polynomial's terms {"exp": ze + xe, "im": .., "re": ..},
-    # read straight off the z-groups (so this loop order is sorted order) and
-    # each joined from pieces dump_json writes once: the head with the
-    # z-part of the exponent per z-group, the xi-part per xi-exponent and
-    # the coefficient per distinct value
-    xi_text, coeff_text, terms = {}, {}, []
-    for ze, group in sorted(fam.z_groups.items()):
-        head = '{"exp":' + dump_json(ze)[:-1] + ","
-        for xe, c in sorted(group.items()):
-            if xe not in xi_text:
-                xi_text[xe] = dump_json(xe)[1:] + ","
-            parts = c.parts()
-            if parts not in coeff_text:
-                coeff_text[parts] = dump_json(gauss_json(c))[1:]
-            terms.append(Written(head + xi_text[xe] + coeff_text[parts]))
+    # the expanded polynomial's terms, read straight off the z-groups: the
+    # z-part of each exponent is the head, the xi-part the tail
     return 0, {"space": args.space, "vars": list(fam.ring.vars),
-               "rho": {"vars": list(fam.ring.vars), "terms": terms},
+               "rho": {"vars": list(fam.ring.vars),
+                       "terms": terms_json(sorted(fam.z_groups.items()))},
                "config": _config(args, None)}
 
 
@@ -344,7 +368,7 @@ def cmd_hyp3(args):
         oracle = {"status": res.status, "detail": res.detail,
                   "xi": point_json(xi), "prime": args.prime}
         if res.status == "factor_found":
-            oracle["factor"] = res.factor["terms"]
+            oracle["factor"] = [[list(k), v] for k, v in sorted(res.factor.terms.items())]
         if res.status == "irreducible_certified":
             evidence = "exact"
     regular = acceptance.regular_locus_nonempty(fam, seed)

@@ -152,12 +152,6 @@ class GaussRational:
         return f"({re}{'+' if im > 0 else ''}{im}*i)"
 
 
-def gauss_json(x: GaussRational) -> dict:
-    """The report form {"re": str(x.re), "im": str(x.im)}."""
-    a, b, d = x._abd
-    return {"re": str(a), "im": str(b)} if d == 1 else {"re": str(x.re), "im": str(x.im)}
-
-
 _new, _set = object.__new__, GaussRational._abd.__set__
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .gauss import GaussRational
-from .poly import PolyFraction, PolyRing
+from .poly import Polynomial, PolyFraction, PolyRing
 from .spaces import Space
 
 
@@ -58,11 +58,44 @@ class MapFile:
     lambdas_exact: Optional[List[Fraction]]
 
 
+def poly_from_json(obj, ring: PolyRing) -> Polynomial:
+    """The polynomial of {"vars": [names], "terms": [{"exp": [k, ...],
+    "re": x, "im": y}]} in ``ring``, whose names "vars" lists in order.  Each
+    exponent is a list of non-negative integers, one per variable, that no
+    other term repeats; "im" may be left out.  Else ValueError."""
+    if not (isinstance(obj, dict) and isinstance(obj.get("vars"), list)
+            and all(isinstance(v, str) for v in obj["vars"])
+            and isinstance(obj.get("terms"), list)):
+        raise ValueError("a polynomial is an object with a 'vars' array of "
+                         "names and a 'terms' array")
+    if tuple(obj["vars"]) != ring.vars:
+        raise ValueError("variable sets differ")
+    terms = {}
+    for t in obj["terms"]:
+        exp = t.get("exp") if isinstance(t, dict) else None
+        if not (isinstance(exp, list) and len(exp) == len(ring.vars) and all(
+                type(k) is int and k >= 0 for k in exp)):
+            raise ValueError(f"term exponent {exp!r} is not a list of "
+                             f"{len(ring.vars)} non-negative integers")
+        if tuple(exp) in terms:
+            raise ValueError(f"term exponent {exp!r} is repeated")
+        if "re" not in t:
+            raise ValueError(f"term {t!r} has no 're' coefficient")
+        if isinstance(t["re"], bool) or isinstance(t.get("im"), bool):
+            raise ValueError(f"term {t!r} has a boolean coefficient")
+        try:
+            terms[tuple(exp)] = GaussRational(Fraction(t["re"]),
+                                              Fraction(t.get("im", "0")))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise ValueError(f"term {t!r} has a malformed coefficient") from None
+    return Polynomial(ring, terms)     # which drops zero terms
+
+
 def _fraction_from_json(ring: PolyRing, obj) -> PolyFraction:
     if not (isinstance(obj, dict) and "num" in obj):
         raise ValueError("a map component is an object with a 'num' polynomial")
-    num = ring.from_json(obj["num"])
-    den = ring.from_json(obj["den"]) if obj.get("den") is not None else ring.one()
+    num = poly_from_json(obj["num"], ring)
+    den = poly_from_json(obj["den"], ring) if obj.get("den") is not None else ring.one()
     if den.is_zero():
         raise ValueError("a map component has a zero denominator")
     return PolyFraction(num, den)

@@ -24,7 +24,7 @@ import operator
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .gauss import GaussRational, ZERO, ONE, gauss_json
+from .gauss import GaussRational, ZERO, ONE
 
 Exponent = Tuple[int, ...]
 
@@ -93,12 +93,6 @@ class PolyRing:
         exp = [0] * len(self.vars)
         exp[self.index(name)] = 1
         return Polynomial(self, {tuple(exp): ONE})
-
-    def from_json(self, obj) -> "Polynomial":
-        p = poly_from_json(obj)
-        if p.ring != self:
-            raise ValueError("variable sets differ")
-        return p
 
 
 class Polynomial:
@@ -238,12 +232,6 @@ class Polynomial:
             total = total + t
         return total
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_json(self) -> dict:
-        terms = [{"exp": list(e), **gauss_json(self.terms[e])} for e in sorted(self.terms)]
-        return {"vars": list(self.ring.vars), "terms": terms}
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -257,37 +245,6 @@ class Polynomial:
             )
             bits.append(f"{c!r}*{mono}" if mono else f"{c!r}")
         return " + ".join(bits)
-
-
-def poly_from_json(obj) -> Polynomial:
-    """The polynomial of {"vars": [names], "terms": [{"exp": [k, ...],
-    "re": x, "im": y}]}, where each exponent is a list of non-negative
-    integers, one per variable, and "im" may be left out; anything else
-    raises ValueError."""
-    if not (isinstance(obj, dict) and isinstance(obj.get("vars"), list)
-            and all(isinstance(v, str) for v in obj["vars"])
-            and isinstance(obj.get("terms"), list)):
-        raise ValueError("a polynomial is an object with a 'vars' array of "
-                         "names and a 'terms' array")
-    ring = PolyRing(obj["vars"])
-    terms: Dict[Exponent, GaussRational] = {}
-    for t in obj["terms"]:
-        exp = t.get("exp") if isinstance(t, dict) else None
-        if not (isinstance(exp, list) and len(exp) == len(ring.vars) and all(
-                type(k) is int and k >= 0 for k in exp)):
-            raise ValueError(f"term exponent {exp!r} is not a list of "
-                             f"{len(ring.vars)} non-negative integers")
-        if "re" not in t:
-            raise ValueError(f"term {t!r} has no 're' coefficient")
-        if isinstance(t["re"], bool) or isinstance(t.get("im"), bool):
-            raise ValueError(f"term {t!r} has a boolean coefficient")
-        try:
-            c = GaussRational(Fraction(t["re"]), Fraction(t.get("im", "0")))
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-            raise ValueError(f"term {t!r} has a malformed coefficient") from None
-        if not c.is_zero():
-            terms[tuple(exp)] = c
-    return Polynomial(ring, terms)
 
 
 class PolyFraction:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .gauss import GaussRational, ONE, ZERO
 from .linalg import RankTracker, det_exact
 from .maps import RationalMap
-from .modp import reduce_mod, trial_division_modp
+from .modp import PolyModP, reduce_mod, trial_division_modp
 from .poly import Polynomial, TaylorJets, monomials
 from .sampling import random_small_gauss, rng_from_seed
 from .segre import SegreFamily, sample_on_family
@@ -279,7 +279,7 @@ def support_claims(fam: SegreFamily) -> Dict[str, bool]:
 @dataclass
 class OracleResult:
     status: str                       # irreducible_certified | factor_found | inconclusive
-    factor: Optional[Dict] = None     # PolyModP terms of a found factor
+    factor: Optional[PolyModP] = None  # a found modular factor
     detail: str = ""
     required_budget: Optional[int] = None
 
@@ -313,9 +313,7 @@ def irreducibility_oracle(poly: Polynomial, prime: int = ORACLE_PRIME,
                                 required_budget=int(exc.args[0]))
         if factor is not None:
             return OracleResult(
-                "factor_found",
-                factor={"vars": list(factor.vars), "prime": prime,
-                        "terms": [[list(k), v] for k, v in sorted(factor.terms.items())]},
+                "factor_found", factor=factor,
                 detail=f"nontrivial factor of degree <= {d} modulo {prime}")
     return OracleResult("irreducible_certified",
                         detail=f"no factor of degree <= {deg // 2} modulo {prime}")

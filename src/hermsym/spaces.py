@@ -26,6 +26,7 @@ once, in its builder, and the built space carries its slot table
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -63,21 +64,19 @@ class SpaceDescriptor:
 
 
 SPACE_GRAMMAR = "typeI:p,q | typeII:n | typeIII:n | typeIV:n | e16 | e27"
+_PARAM = re.compile(r"0|[1-9][0-9]*")     # a parameter of the grammar
 
 
 def parse_space_spec(text: str) -> SpaceDescriptor:
-    """Parse a space spec of the grammar ``SPACE_GRAMMAR``."""
-    text = text.strip()
-    if ":" in text:
-        kind, rest = text.split(":", 1)
-        try:
-            params = tuple(int(x) for x in rest.split(","))
-        except ValueError:
-            raise ValueError(f"space {text!r} does not match the grammar "
-                             f"{SPACE_GRAMMAR}") from None
-    else:
-        kind, params = text, ()
-    return SpaceDescriptor(kind, params)
+    """Parse a space spec of the grammar ``SPACE_GRAMMAR``: each parameter
+    is written in ASCII digits with no sign, leading zero or blank, so one
+    space has one spelling."""
+    kind, colon, rest = text.partition(":")
+    params = rest.split(",") if colon else []
+    if not all(_PARAM.fullmatch(x) for x in params):
+        raise ValueError(f"space {text!r} does not match the grammar "
+                         f"{SPACE_GRAMMAR}")
+    return SpaceDescriptor(kind, tuple(map(int, params)))
 
 
 @dataclass(frozen=True)
@@ -107,6 +106,12 @@ class Space:
     def N(self) -> int:
         """The number of independent embedding polynomials."""
         return len(self.psi)
+
+    @property
+    def numeric_tail(self) -> bool:
+        """psi is an exact basis of a longer pairing vector: only a float
+        combination with irrational coefficients makes it Euclidean."""
+        return len(self.psi) < len(self.pairing_psi)
 
     @property
     def kind(self) -> "Kind":
@@ -334,21 +339,6 @@ def build_space(desc: SpaceDescriptor | str) -> Space:
     if isinstance(desc, str):
         desc = parse_space_spec(desc)
     return KINDS[desc.kind].build(desc)
-
-
-def space_to_json(space: Space) -> dict:
-    return {
-        "kind": space.desc.kind,
-        "params": list(space.desc.params),
-        "n": space.n,
-        "N": space.N,
-        "distinguished": space.distinguished,
-        "psi": [p.to_json() for p in space.psi],
-        # an exact basis of a longer pairing vector: only a float combination
-        # with irrational coefficients makes it Euclidean
-        "psi_numeric_tail": len(space.psi) < len(space.pairing_psi),
-        "degenerate_note": space.degenerate_note,
-    }
 
 
 def cell_matrix_point(space: Space, values: Dict[str, GaussRational]):

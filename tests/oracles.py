@@ -46,9 +46,15 @@
 * ``dump_json_reference`` -- the report writer as one recursive call and
   one ``isinstance`` ladder per value, the reference for ``cli.dump_json``
   on finite reports.
+* ``poly_json_reference`` -- a polynomial's report form, {"vars": [...],
+  "terms": [...]} with one dict {"exp": .., "im": .., "re": ..} per term in
+  sorted exponent order: the reference for ``cli.terms_json``, the one
+  term writer of the ``rho`` and ``describe`` reports, which joins each
+  term from pieces written once, and the form ``maps.poly_from_json``
+  reads.
 * ``rho_report_by_dicts`` -- the family polynomial of the ``rho`` report
-  as one dict per term, the reference for ``cli.cmd_rho``, which joins
-  each term from pieces written once.
+  as one dict per term, read off the z-groups, the reference for
+  ``cli.cmd_rho``.
 * ``FractionPair`` -- the Gaussian-rational scalar as a pair of
   ``Fraction`` parts, the reference for ``hermsym.gauss``.
 * ``lambda_determinant`` -- the nondegeneracy determinant of the witness
@@ -98,7 +104,7 @@ from functools import lru_cache
 from math import gcd
 
 from hermsym.floats import evaluate_poly
-from hermsym.gauss import GaussRational, ONE, ZERO, gauss_json
+from hermsym.gauss import GaussRational, ONE, ZERO
 from hermsym.linalg import RankTracker, det_exact
 from hermsym.modp import PolyModP
 from hermsym.poly import Polynomial, PolyFraction, TaylorJets, monomials
@@ -502,10 +508,22 @@ def dump_json_reference(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _gauss_json_reference(c):
+    return {"re": str(c.re), "im": str(c.im)}
+
+
+def poly_json_reference(p):
+    """{"vars": [names], "terms": [{"exp": [k, ...], "re": .., "im": ..}]},
+    the terms in sorted exponent order."""
+    terms = [{"exp": list(e), **_gauss_json_reference(p.terms[e])}
+             for e in sorted(p.terms)]
+    return {"vars": list(p.ring.vars), "terms": terms}
+
+
 def rho_report_by_dicts(fam):
     """The ``rho`` entry of the ``rho`` report: a term dict {"exp": ze + xe,
     "im": .., "re": ..} per term, in sorted exponent order."""
-    terms = [{"exp": ze + xe, **gauss_json(c)}
+    terms = [{"exp": ze + xe, **_gauss_json_reference(c)}
              for ze, group in sorted(fam.z_groups.items())
              for xe, c in sorted(group.items())]
     return {"vars": list(fam.ring.vars), "terms": terms}

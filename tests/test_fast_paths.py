@@ -16,7 +16,8 @@ from hypothesis import (Phase, assume, example, given, settings,
                         strategies as st)
 
 from hermsym.acceptance import regular_locus_nonempty, unit_at_origin
-from hermsym.cli import Written, build_parser, cmd_rho, dump_json, print_table
+from hermsym.cli import (Written, build_parser, cmd_rho, dump_json, main,
+                         print_table)
 from hermsym.gauss import GaussRational as G, ONE, ZERO
 from hermsym.linalg import RankTracker, _scale_row, det_exact
 import hermsym.poly
@@ -36,7 +37,7 @@ from oracles import (DenseRankTracker, FractionPair, _integer_row, as_fraction,
                      derivative_jet_row, det_bareiss, dump_json_reference,
                      flattening_jacobian_bordered,
                      evaluate_loop, greedy_scan_nested, multiindices_upto,
-                     psi_by_products,
+                     poly_json_reference, psi_by_products,
                      rho_at_float, rho_by_products, rho_report_by_dicts,
                      rho_swap_symmetric,
                      unit_at_origin_expanded,
@@ -525,6 +526,23 @@ def test_support_groups_match_expansion(spec):
     assert fam.z_groups == z_part_groups_expanded(fam)
 
 
+@pytest.mark.parametrize("spec", ["typeI:3,4", "typeII:6", "typeIII:5",
+                                  "e27", "e16"])
+def test_term_writer_matches_reference(spec, capsys, monkeypatch):
+    """The ``describe`` and ``rho`` reports, whose terms the one term writer
+    joins from pieces, read back as the reference's one dict per term."""
+    monkeypatch.delenv("HSS_SEED", raising=False)
+    space = build_space(spec)
+    assert main(["describe", "--space", spec]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["psi"] == [poly_json_reference(p) for p in space.psi]
+    assert main(["rho", "--space", spec]) == 0
+    report = json.loads(capsys.readouterr().out)
+    rho = SegreFamily(space).rho
+    assert report["vars"] == list(rho.ring.vars)
+    assert report["rho"] == poly_json_reference(rho)
+
+
 @pytest.mark.parametrize("spec", FAMILY_SPECS + ["e27"])
 def test_rho_report_matches_term_dicts(spec, capsys):
     """The rho report, joined from pieces written once, writes the bytes of
@@ -546,7 +564,7 @@ def test_rho_table_matches_products(spec):
     want = rho_by_products(fam)
     rho = fam.rho
     assert rho == want
-    assert rho.to_json() == want.to_json()
+    assert poly_json_reference(rho) == poly_json_reference(want)
 
 
 # -- the batched F_p trial division against the one-candidate loop -------------

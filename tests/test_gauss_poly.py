@@ -7,10 +7,12 @@ import pytest
 from hermsym.floats import evaluate_poly
 from hermsym.gauss import GaussRational as G
 from hermsym.modp import reduce_mod
-from hermsym.poly import PolyRing, PolyFraction, poly_from_json
+from hermsym.maps import poly_from_json
+from hermsym.poly import PolyRing, PolyFraction
 from hermsym.sampling import random_small_gauss, rng_from_seed
 from oracles import (as_fraction, compose_full, evaluate_fraction,
-                     fractions_equal, is_constant, monomial, normalize)
+                     fractions_equal, is_constant, monomial, normalize,
+                     poly_json_reference)
 
 
 def rnd_poly(ring, rng, max_terms=5, max_deg=3):
@@ -229,10 +231,10 @@ def test_reduce_mod_p():
 def test_json_round_trip():
     r = PolyRing(["z", "w"])
     p = r.var("z").scale(G(Fraction(2, 3), Fraction(-1, 7))) + r.one()
-    obj = p.to_json()
+    obj = poly_json_reference(p)
     assert obj["vars"] == ["z", "w"]
     assert all(isinstance(t["re"], str) for t in obj["terms"])
-    assert poly_from_json(obj) == p
+    assert poly_from_json(obj, r) == p
 
 
 def test_fraction_normalize_keeps_value():

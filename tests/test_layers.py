@@ -5,7 +5,9 @@ is named once.  No module keeps mutable state at module level: state
 belongs to objects, such as a family's cache.  Which module may read a
 space's pairing vector ``pairing_psi``: ``spaces``, which builds it,
 ``segre``, whose one pairing forms rho from it, and the float engine of
-``floats``; every other module asks the family."""
+``floats``; every other module asks the family.  Which modules may spell
+the keys of a written polynomial term, "exp", "re" and "im": ``cli``,
+which writes every report, and ``maps``, which reads every map file."""
 
 import ast
 import re
@@ -125,3 +127,25 @@ def test_only_the_pairing_reads_pairing_psi():
     # the check sees a read in any expression, and not a store
     probe = "s.pairing_psi\nf(fam.space.pairing_psi[0])\ns.pairing_psi = ()\n"
     assert list(_attribute_reads(ast.parse(probe), "pairing_psi")) == [1, 2]
+
+
+WIRE_KEYS = {"exp", "re", "im"}
+WIRE_MODULES = {"cli.py", "maps.py"}
+
+
+def _wire_keys(tree: ast.AST):
+    """The line numbers of string constants that are a wire key."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in WIRE_KEYS:
+            yield node.lineno
+
+
+def test_only_the_writer_and_the_reader_spell_wire_keys():
+    package = Path(hermsym.__file__).parent
+    found = {f"{path.name}:{line}" for path in package.glob("*.py")
+             if path.name not in WIRE_MODULES
+             for line in _wire_keys(ast.parse(path.read_text()))}
+    assert not found
+    # the check sees a key in any expression, and not a longer string
+    probe = 'd["re"]\nf(im="x", k="im")\n{"exp": 1}\n"exp re"\n'
+    assert sorted(_wire_keys(ast.parse(probe))) == [1, 2, 3]

@@ -14,6 +14,7 @@ import pytest
 from hermsym.cli import build_parser, dump_json, main
 from hermsym.maps import identity_map, parse_map_file
 from hermsym.spaces import build_space
+from oracles import poly_json_reference
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,8 @@ def disc():
 
 
 def identity_payload(space):
-    return {"maps": [[{"num": f.num.to_json(), "den": f.den.to_json()}
+    return {"maps": [[{"num": poly_json_reference(f.num),
+                       "den": poly_json_reference(f.den)}
                       for f in identity_map(space).components]]}
 
 
@@ -153,6 +155,42 @@ def test_cli_malformed_json(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
+
+
+MOEBIUS = Path(__file__).with_name("maps") / "moebius.json"
+
+
+@pytest.mark.parametrize("command", ["volume-check", "isometry-check"])
+def test_cli_refuses_a_repeated_exponent(command, tmp_path, capsys):
+    """The shipped isometry with its constant 4/5 written as two terms at
+    exponent [0], 3/5 and 1/5, is refused (exit 2) and the exponent named:
+    keeping only the last term would read another map and fail the check."""
+    payload = json.loads(MOEBIUS.read_text())
+    num = payload["maps"][0][0]["num"]
+    assert num["terms"][0] == {"exp": [0], "re": "4/5", "im": "0"}
+    num["terms"][:1] = [{"exp": [0], "re": "3/5", "im": "0"},
+                        {"exp": [0], "re": "1/5", "im": "0"}]
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(payload))
+    assert main([command, "--space", "typeI:1,1", "--maps", str(path),
+                 "--seed", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exponent [0] is repeated" in captured.err
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe", b"[" * 200_000,
+                                  b"[" + b"1" * 5000 + b"]"],
+                         ids=["not-utf8", "nested-200000", "int-5000-digits"])
+def test_cli_refuses_unreadable_map_file(data, tmp_path, capsys):
+    """A map file that is not UTF-8, nests past the JSON reader's depth or
+    holds an integer past Python's digit limit is an input error (exit 2)
+    that names the file, not an internal error."""
+    path = tmp_path / "maps.json"
+    path.write_bytes(data)
+    assert main(["volume-check", "--space", "typeI:1,1", "--maps", str(path),
+                 "--seed", "7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed JSON in ") and str(path) in err
 
 
 def test_cli_table_output(capsys):

@@ -1,12 +1,14 @@
 """Space builders: dimensions, embedding invariants, Pfaffians, the
 symplectic two-layer system."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from fractions import Fraction
 
+from hermsym.cli import build_parser, cmd_describe, dump_json, main
 from hermsym.floats import evaluate_poly
 from hermsym.gauss import GaussRational as G, ZERO
 from hermsym.linalg import RankTracker, det_exact
@@ -14,7 +16,7 @@ from hermsym.poly import PolyRing
 from hermsym.sampling import random_gauss_point, random_small_gauss, rng_from_seed
 from hermsym.spaces import (KINDS, SpaceDescriptor, _antisym_entry, _plain_entry,
                             _sym_entry, build_space, cell_matrix_point,
-                            parse_space_spec, space_to_json)
+                            parse_space_spec)
 from oracles import pfaffian
 
 DESK = ["typeI:2,2", "typeI:2,3", "typeII:4", "typeIII:2", "typeIII:3",
@@ -211,16 +213,36 @@ def test_exceptional_dimensions():
     assert (e.n, e.N) == (27, 55)
 
 
+def _describe(spec: str) -> dict:
+    """The ``describe`` report of ``spec``, as written and read back."""
+    args = build_parser().parse_args(["describe", "--space", spec])
+    return json.loads(dump_json(cmd_describe(args)[1]))
+
+
 def test_space_json():
-    s = build_space("typeI:2,2")
-    obj = space_to_json(s)
+    obj = _describe("typeI:2,2")
     assert obj["kind"] == "typeI" and obj["n"] == 4 and obj["N"] == 5
     assert len(obj["psi"]) == 5
     # a proper psi basis of a longer pairing vector needs a numeric tail;
     # of the six kinds only the symplectic one has it
-    tails = {spec: space_to_json(build_space(spec))["psi_numeric_tail"]
+    tails = {spec: _describe(spec)["psi_numeric_tail"]
              for spec in ["typeI:1,1", "typeII:3"] + DESK}
     assert tails == {spec: spec.startswith("typeIII:") for spec in tails}
+
+
+# specs that int() and strip() read as a space: each parameter is ASCII
+# 0|[1-9][0-9]*, and a spec has no blanks
+OFF_GRAMMAR = ["typeI:+2,2", "typeI:02,2", "typeI:2,2 ", " typeIV:3",
+               "typeI:\uff12,2", "typeIV:\u0663", "typeI:1,1_0"]
+
+
+@pytest.mark.parametrize("spec", OFF_GRAMMAR)
+def test_specs_off_the_grammar_are_refused(spec, capsys, monkeypatch):
+    monkeypatch.delenv("HSS_SEED", raising=False)
+    with pytest.raises(ValueError):
+        parse_space_spec(spec)
+    assert main(["describe", "--space", spec]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_kind_table_consistent():

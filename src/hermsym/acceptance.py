@@ -141,9 +141,8 @@ def hypothesis_one(fam: SegreFamily, seed: int, max_order: Optional[int],
     1, and an exact nondegeneracy witness of order at most ``max_order``
     (None: the per-kind bound) within ``budget`` candidates per trial."""
     space = fam.space
-    F = identity_map(space)
-    r0, r1 = jet_rank(space, F, 1, seed)
-    w = find_nondegeneracy_witness(fam, F, max_order, seed, budget)
+    r0, r1 = jet_rank(space, 1, seed)
+    w = find_nondegeneracy_witness(fam, max_order, seed, budget)
     return HypothesisOne(r0, r1, space.n, w)
 
 

@@ -19,7 +19,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, Optional
@@ -163,11 +162,6 @@ def print_table(report: dict, indent: int = 0):
     pad = "  " * indent
     for k in sorted(report, key=str):
         v = report[k]
-        # pre-written text is read back, so it prints as the value it holds
-        if type(v) is Written:
-            v = json.loads(v.text)
-        elif isinstance(v, (list, tuple)):
-            v = [json.loads(x.text) if type(x) is Written else x for x in v]
         if isinstance(v, dict):
             print(f"{pad}{k}:")
             print_table(v, indent + 1)
@@ -189,16 +183,10 @@ class UsageError(Exception):
 
 
 def _resolve_seed(args, required: bool) -> Optional[int]:
-    env = os.environ.get("HSS_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"HSS_SEED is not an integer: {env!r}") from exc
     if getattr(args, "seed", None) is not None:
         return args.seed
     if required:
-        raise UsageError("this command is randomized: pass --seed or set HSS_SEED")
+        raise UsageError("this command is randomized: pass --seed")
     return None
 
 
@@ -533,7 +521,8 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if args.output == "table":
-        print_table(report)
+        # the report as its JSON reads back, pre-written pieces included
+        print_table(json.loads(dump_json(report)))
     else:
         print(dump_json(report))
     return code

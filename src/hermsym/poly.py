@@ -11,8 +11,8 @@ Also here:
 * ``PolyFraction`` -- an exact quotient of two polynomials, never reduced
   (multivariate gcd is deliberately out of scope).
 * ``TaylorJets`` -- the one exact route to derivatives of a polynomial
-  system (composed with a map of fractions, or not) at a point: truncated
-  Taylor series of its shift along constant fields.
+  system at a point: truncated Taylor series of its shift along constant
+  fields.
 
 Reduction mod p is in ``modp``, and float values are in ``floats``.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .gauss import GaussRational, ZERO, ONE
 
@@ -312,11 +312,11 @@ def _shifter(base: List[Series], origin: Tuple[int, ...], top: int):
     ends at the largest weight one of its terms reaches, so its length
     follows the polynomial and the base series, not ``top``."""
     powers: Dict[Tuple[int, int], Series] = {}
-    # A base series with no weight-0 part (an empty one included) starts at
-    # weight >= 1, so its k-th power starts at weight >= k: a term whose
-    # exponents on those bases sum past ``top`` is 0 up to weight ``top``,
-    # so skipping it is exact.  With no zero coordinate the list is empty.
-    lifted = [i for i, s in enumerate(base) if not (s and s[0])]
+    # A base series with no weight-0 part starts at weight >= 1, so its k-th
+    # power starts at weight >= k: a term whose exponents on those bases sum
+    # past ``top`` is 0 up to weight ``top``, so skipping it is exact.  With
+    # no zero coordinate the list is empty.
+    lifted = [i for i, s in enumerate(base) if not s[0]]
 
     def power(i: int, k: int) -> Series:
         if (i, k) not in powers:
@@ -341,50 +341,21 @@ def _shifter(base: List[Series], origin: Tuple[int, ...], top: int):
     return shift
 
 
-def _divide(num: Series, den: Series, origin: Tuple[int, ...],
-            top: int) -> Series:
-    """num / den as a truncated power series, q_m = (n_m - sum_{k>=1}
-    d_k q_{m-k}) / d_0, with trailing empty weights trimmed."""
-    d0 = den[0].get(origin) if den else None
-    if d0 is None:
-        raise ZeroDivisionError("denominator vanishes at the jet point")
-    inv = ONE / d0
-    # d_k = 0 past the last nonzero weight of den, so the sum stops there;
-    # a constant den divides term by term, so q ends where num does
-    last = max(k for k, part in enumerate(den) if part)
-    out: Series = []
-    for m in range(top + 1 if last else len(num)):
-        acc = dict(num[m]) if m < len(num) else {}
-        for k in range(1, min(m, last) + 1):
-            for ed, cd in den[k].items():
-                for eq, cq in out[m - k].items():
-                    _accumulate(acc, tuple(map(operator.add, ed, eq)),
-                                -(cd * cq))
-        out.append(acc if inv == ONE else {e: c * inv for e, c in acc.items()})
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 class TaylorJets:
-    """Jets of psi o F at one point along constant fields v_k (variable
-    names or direction dicts): psi is a system of polynomials, F a map
-    given by its component fractions F_i = a_i / b_i, one per variable,
-    and the identity when left out.
+    """Jets of a system psi of polynomials at one point along constant
+    fields v_k (variable names or direction dicts).
 
     For the commuting fields L_k = sum_v v_k[v] d/dv, Taylor's theorem gives
-    L^beta f(z0) = beta! [t^beta] f(z0 + sum_k t_k v_k).  Each component is
-    shifted to that line and divided once as a truncated power series up to
-    weight ``top``; a denominator vanishing at the point raises
-    ZeroDivisionError.  psi is then shifted over the component series (the
-    chain rule of Taylor arithmetic), so ``row(beta)`` is a lookup of the
-    raw coefficients [t^beta]: scaling a row by beta! leaves ranks unchanged
-    and multiplies a determinant by beta!.  The coefficients are kept as
-    one table beta -> {j: [t^beta] psi_j o F} of the nonzeros only, the
-    sparse rows that ``RankTracker.add_row`` takes."""
+    L^beta f(z0) = beta! [t^beta] f(z0 + sum_k t_k v_k).  Each variable is
+    shifted to that line, and psi is shifted over the variable series up to
+    weight ``top``, so ``row(beta)`` is a lookup of the raw coefficients
+    [t^beta]: scaling a row by beta! leaves ranks unchanged and multiplies a
+    determinant by beta!.  The coefficients are kept as one table
+    beta -> {j: [t^beta] psi_j} of the nonzeros only, the sparse rows that
+    ``RankTracker.add_row`` takes."""
 
     def __init__(self, psi: Sequence[Polynomial], fields: Sequence, point: Dict,
-                 top: int, images: Optional[Sequence[PolyFraction]] = None):
+                 top: int):
         origin = (0,) * len(fields)
         series: List[Series] = []     # z0_i + sum_k t_k v_k[i] per variable i
         for v in psi[0].ring.vars:
@@ -395,10 +366,6 @@ class TaylorJets:
                     linear[origin[:k] + (1,) + origin[k + 1:]] = c
             const = GaussRational.coerce(point[v])
             series.append([{origin: const} if const else {}, linear])
-        if images is not None:
-            shift = _shifter(series, origin, top)
-            series = [_divide(shift(f.num), shift(f.den), origin, top)
-                      for f in images]
         shift = _shifter(series, origin, top)
         self.table: Dict[Tuple[int, ...], Dict[int, GaussRational]] = {}
         for j, p in enumerate(psi):

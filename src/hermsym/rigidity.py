@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gauss import GaussRational, ONE, ZERO
 from .linalg import RankTracker, det_exact
-from .maps import RationalMap
 from .modp import PolyModP, reduce_mod, trial_division_modp
 from .poly import Polynomial, TaylorJets, monomials
 from .sampling import random_small_gauss, rng_from_seed
@@ -63,11 +62,9 @@ def _greedy_rows(jets: TaylorJets, width: int, top: int, N: int,
 
 
 def _best_jet_rank(variables, psi, fields, top: int, trials: int,
-                   seed: int, images=None) -> List[int]:
-    """Exact ranks of the order-<=k jets of ``psi`` (composed with the map
-    of component fractions ``images``, if given) along ``fields``, for
-    k = 0..top, each maximized over ``trials`` random regular rational
-    points near 0.
+                   seed: int) -> List[int]:
+    """Exact ranks of the order-<=k jets of ``psi`` along ``fields``, for
+    k = 0..top, each maximized over ``trials`` random points near 0.
 
     One order-``top`` table per point gives every order: the scan runs by
     weight, so the rows it picks of weight <= k span the order-<=k jets,
@@ -75,24 +72,16 @@ def _best_jet_rank(variables, psi, fields, top: int, trials: int,
     The trials stop once every order is at its ceiling min(N, C(width+k, k)),
     its row count capped at N: a rank at one point is a lower bound on the
     maximum and the ceiling an upper bound, so no further point can change
-    it.  The points are those of one search per order: the same rng, and a
-    point is redrawn on ZeroDivisionError, which depends only on the values
-    of the denominators there, not on ``top``."""
+    it.  The points are those of one search per order: the same rng, one
+    point per trial."""
     rng = rng_from_seed(seed)
     N = len(psi)
     width = len(fields)
     ceilings = [min(N, comb(width + k, k)) for k in range(top + 1)]
     best = [0] * (top + 1)
     for _ in range(trials):
-        for _ in range(64):
-            pt = {v: random_small_gauss(rng) for v in variables}
-            try:
-                jets = TaylorJets(psi, fields, pt, top, images)
-                break
-            except ZeroDivisionError:
-                continue
-        else:
-            raise ArithmeticError("could not sample a regular point for the jet matrix")
+        pt = {v: random_small_gauss(rng) for v in variables}
+        jets = TaylorJets(psi, fields, pt, top)
         weights = [sum(beta) for beta in _greedy_rows(jets, width, top, N)[0]]
         best = [max(b, sum(w <= k for w in weights)) for k, b in enumerate(best)]
         if best == ceilings:
@@ -100,13 +89,13 @@ def _best_jet_rank(variables, psi, fields, top: int, trials: int,
     return best
 
 
-def jet_rank(space: Space, F: RationalMap, k: int, seed: int = 0) -> List[int]:
-    """Exact ranks of the order-0..k truncated-variable jets of psi o F, one
-    per order, from one jet table per point, each maximized over
+def jet_rank(space: Space, k: int, seed: int = 0) -> List[int]:
+    """Exact ranks of the order-0..k truncated-variable jets of psi, one per
+    order, from one jet table per point, each maximized over
     _JET_RANK_TRIALS random rational points near 0 (fewer once every order
     is at its ceiling)."""
     return _best_jet_rank(space.vars, space.psi, list(truncated_vars(space)),
-                          k, _JET_RANK_TRIALS, seed, F.components)
+                          k, _JET_RANK_TRIALS, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +145,7 @@ def default_order_bound(space: Space) -> int:
     return 1 + space.N - space.n if bound is None else bound
 
 
-def find_nondegeneracy_witness(fam: SegreFamily, F: RationalMap,
+def find_nondegeneracy_witness(fam: SegreFamily,
                                max_order: Optional[int] = None, seed: int = 0,
                                budget: int = WITNESS_BUDGET) -> WitnessReport:
     """Greedy exact search for N multiindices with nonvanishing determinant,
@@ -175,7 +164,7 @@ def find_nondegeneracy_witness(fam: SegreFamily, F: RationalMap,
     exhausted = False
     for _ in range(_WITNESS_TRIALS):
         z0, xi0 = sample_on_family(fam, rng)
-        jets = TaylorJets(space.psi, fields, z0, max_order, F.components)
+        jets = TaylorJets(space.psi, fields, z0, max_order)
         chosen, examined, stopped = _greedy_rows(jets, len(fields), max_order,
                                                  N, budget)
         examined_total += examined

@@ -17,9 +17,9 @@
   determinant of the gradient pair bordered by -e_k rows, the reference
   for ``rigidity.flattening_jacobian``, which returns the signed 2x2 minor.
 * ``compose_full`` -- psi_j o F by simultaneous substitution of every
-  variable, identity images included, over one common denominator: the
-  reference for the jets of psi o F, which the library reads off the
-  component series of F instead.
+  variable, identity images included, over one common denominator;
+  ``composed_space`` puts psi o F of a polynomial map F in place of a
+  space's psi, so the library's jets of that space are those of psi o F.
 * ``rho_by_products`` -- the family polynomial expanded in the doubled ring
   as 1 + sum_j psi_j(z) psi_j(xi), each psi_j renamed into it twice
   (``embed``) and the copies multiplied, instead of grouped by z-monomial;
@@ -58,9 +58,8 @@
 * ``FractionPair`` -- the Gaussian-rational scalar as a pair of
   ``Fraction`` parts, the reference for ``hermsym.gauss``.
 * ``lambda_determinant`` -- the nondegeneracy determinant of the witness
-  search, with every frame field applied symbolically to psi o F (from
-  ``compose_full``) over the product expansion (``tangent_apply``) before
-  evaluation.
+  search, with every frame field applied symbolically to psi over the
+  product expansion (``tangent_apply``) before evaluation.
 * ``jet_rank_one_order`` -- the jet rank of one order k: one order-k jet
   table per point, every row of weight <= k offered, maximized over the
   trial points until it reaches N; points drawn as ``Fraction`` pairs.
@@ -95,6 +94,7 @@
   sampling helpers that only the tests use.
 """
 
+import dataclasses
 import itertools
 import json
 import random
@@ -288,6 +288,16 @@ def compose_full(poly, images):
             t = t * poly_pow(img.num, e[i]) * poly_pow(img.den, maxk[i] - e[i])
         total = total + t
     return PolyFraction(total, den)
+
+
+def composed_space(space, images):
+    """``space`` with psi replaced by psi o F, F the polynomial map sending
+    each variable named in ``images`` to its polynomial image and fixing
+    the others: the jets of the returned space are those of psi o F."""
+    images = {v: as_fraction(p) for v, p in images.items()}
+    composed = [compose_full(p, images) for p in space.psi]
+    assert all(f.den == space.ring.one() for f in composed)
+    return dataclasses.replace(space, psi=tuple(f.num for f in composed))
 
 
 def embed(poly, ring, var_map):
@@ -687,11 +697,11 @@ def tangent_apply(frame, fam, expr, beta):
     return out
 
 
-def lambda_determinant(space, fam, F, betas, z0, xi0, frame=None):
-    """Exact determinant of [L^beta_l (psi_j o F)] at a family point, the
-    frame fields applied symbolically over the expanded family polynomial;
-    the witness search reads the same value off Taylor jets.  ``frame`` is
-    a ``(kind, fields)`` pair, by default the Segre-tangent fields of the
+def lambda_determinant(space, fam, betas, z0, xi0, frame=None):
+    """Exact determinant of [L^beta_l psi_j] at a family point, the frame
+    fields applied symbolically over the expanded family polynomial; the
+    witness search reads the same value off Taylor jets.  ``frame`` is a
+    ``(kind, fields)`` pair, by default the Segre-tangent fields of the
     truncated variables."""
     if frame is None:
         frame = ("segre", truncated_vars(space))
@@ -709,13 +719,10 @@ def lambda_determinant(space, fam, F, betas, z0, xi0, frame=None):
             raise LambdaUndefinedError("Lambda undefined at point")
     if betas[0] != (0,) * len(fields):
         raise ValueError("first multiindex must be zero")
-    images = dict(zip(space.vars, F.components))
-    psis = [compose_full(p, images) for p in space.psi]
-    if len(betas) != len(psis):
+    if len(betas) != len(space.psi):
         raise ValueError("need exactly N multiindices")
     zmap = {v: v for v in space.vars}
-    lifted = [PolyFraction(embed(p.num, fam.ring, zmap), embed(p.den, fam.ring, zmap))
-              for p in psis]
+    lifted = [as_fraction(embed(p, fam.ring, zmap)) for p in space.psi]
     return det_exact([[evaluate_fraction(tangent_apply(frame, fam, f, beta), point)
                        for f in lifted] for beta in betas])
 
@@ -724,24 +731,17 @@ def _small_fraction(rng):
     return Fraction(rng.randint(-9, 9), rng.randint(10, BOUND))
 
 
-def jet_rank_one_order(space, F, k, seed):
-    """Exact rank of the order-<=k truncated-variable jets of psi o F,
+def jet_rank_one_order(space, k, seed):
+    """Exact rank of the order-<=k truncated-variable jets of psi,
     maximized over _JET_RANK_TRIALS points a/p + (b/q) i (|a|, |b| <= 9,
-    10 <= p, q <= BOUND), a point redrawn where F has a pole."""
+    10 <= p, q <= BOUND)."""
     rng = random.Random(seed)
     fields = list(truncated_vars(space))
     best = 0
     for _ in range(_JET_RANK_TRIALS):
-        for _ in range(64):
-            point = {v: GaussRational(_small_fraction(rng), _small_fraction(rng))
-                     for v in space.vars}
-            try:
-                jets = TaylorJets(space.psi, fields, point, k, F.components)
-                break
-            except ZeroDivisionError:
-                continue
-        else:
-            raise ArithmeticError("no regular point")
+        point = {v: GaussRational(_small_fraction(rng), _small_fraction(rng))
+                 for v in space.vars}
+        jets = TaylorJets(space.psi, fields, point, k)
         tracker = RankTracker()
         for beta in multiindices_upto(len(fields), k):
             tracker.add_row(jets.row(beta))

@@ -93,7 +93,6 @@ def test_one_check_feeds_command_and_criterion(monkeypatch, check, command,
     real = getattr(acceptance, check)
     monkeypatch.setattr(acceptance, check, lambda *args: dataclasses.replace(
         real(*args), **{field: 1}))
-    monkeypatch.delenv("HSS_SEED", raising=False)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([command, "--space", "typeIV:3", "--seed", "7"]) == 1
     result = getattr(acceptance, criterion)(seed=SEED)
@@ -250,7 +249,6 @@ def test_run_all_equals_each_criterion_alone(monkeypatch, seed):
 def test_child_exception_exits_like_serial_route(monkeypatch):
     """A criterion of the child's group that raises: ``selftest`` exits 3
     with the stderr line of the serial route, and leaves no child."""
-    monkeypatch.delenv("HSS_SEED", raising=False)
 
     def broken(seed, tol, family):
         raise ArithmeticError("broken invariant")
@@ -293,7 +291,6 @@ def test_lowest_raising_index_wins(monkeypatch, raising):
 @needs_fork
 def test_child_that_dies_is_an_internal_error(monkeypatch):
     parent = os.getpid()
-    monkeypatch.delenv("HSS_SEED", raising=False)
 
     def dies(seed, tol, family):
         assert os.getpid() != parent, "ran in the calling process"
@@ -348,7 +345,6 @@ def test_selftest_bytes_do_not_depend_on_the_cpu_count():
     from pathlib import Path
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
-    env.pop("HSS_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     cmd = [sys.executable, "-m", "hermsym.cli", "selftest", "--seed", "7"]
     cpu = min(os.sched_getaffinity(0))

@@ -18,12 +18,10 @@ from hypothesis import (Phase, assume, example, given, settings,
 from hermsym.acceptance import regular_locus_nonempty, unit_at_origin
 from hermsym.cli import (Written, build_parser, cmd_rho, dump_json, main,
                          print_table)
-from hermsym.gauss import GaussRational as G, ONE, ZERO
+from hermsym.gauss import GaussRational as G, ZERO
 from hermsym.linalg import RankTracker, _scale_row, det_exact
-import hermsym.poly
 from hermsym.modp import PolyModP, _GradedProducts, trial_division_modp
-from hermsym.poly import Polynomial, PolyFraction, PolyRing
-from hermsym.maps import RationalMap, identity_map
+from hermsym.poly import Polynomial, PolyRing
 from hermsym.rigidity import (TaylorJets, _greedy_rows, _pair_rank,
                               default_order_bound, flattening_jacobian,
                               irreducibility_oracle,
@@ -32,8 +30,8 @@ from hermsym.rigidity import (TaylorJets, _greedy_rows, _pair_rank,
 from hermsym.sampling import BOUND, random_small_gauss, rng_from_seed
 from hermsym.segre import SegreFamily, sample_on_family, special_point
 from hermsym.spaces import build_space, minor_index_sets
-from oracles import (DenseRankTracker, FractionPair, _integer_row, as_fraction,
-                     compose_full,
+from oracles import (DenseRankTracker, FractionPair, _integer_row,
+                     composed_space,
                      derivative_jet_row, det_bareiss, dump_json_reference,
                      flattening_jacobian_bordered,
                      evaluate_loop, greedy_scan_nested, multiindices_upto,
@@ -63,18 +61,15 @@ fields = st.one_of(
              min_size=1, max_size=2))
 
 
-def _check_jets(psi, flds, point, top, images=None):
-    """Jets of psi o F against derivatives of the composed fractions, F the
-    map of component fractions ``images`` (the identity when None)."""
-    jets = TaylorJets(psi, flds, point, top, images)
-    system = psi if images is None else [
-        compose_full(p, dict(zip(RING.vars, images))) for p in psi]
+def _check_jets(psi, flds, point, top):
+    """Jets of psi against its symbolic derivatives."""
+    jets = TaylorJets(psi, flds, point, top)
     for beta in multiindices_upto(len(flds), top):
         scale = G(prod(factorial(b) for b in beta))
         row = jets.row(beta)
         assert all(row.values())               # a sparse row: nonzeros only
         assert [row.get(j, ZERO) * scale for j in range(len(psi))] == \
-            derivative_jet_row(system, flds, point, beta)
+            derivative_jet_row(psi, flds, point, beta)
 
 
 @BOUNDED
@@ -83,31 +78,8 @@ def test_taylor_jets_match_derivatives_on_polynomials(system, flds, point):
     _check_jets(system, flds, point, 3)
 
 
-# multilinear psi, and map components num / (1 + tail) with num and tail of
-# degree <= 2, None standing for the identity component: the symbolic
-# derivatives of the composed fractions stay small
-multilinear = st.dictionaries(st.tuples(*[st.integers(0, 1)] * 3), gauss,
-                              max_size=4).map(lambda t: Polynomial(RING, t))
-quadratic = st.dictionaries(st.sampled_from(multiindices_upto(3, 2)), gauss,
-                            max_size=3).map(lambda t: Polynomial(RING, t))
-components = st.lists(st.one_of(st.none(), st.tuples(quadratic, quadratic)),
-                      min_size=3, max_size=3)
-
-
-@BOUNDED
-@given(st.lists(multilinear, min_size=1, max_size=2), components, fields, points)
-def test_taylor_jets_match_derivatives_on_fractions(psi, raw, flds, point):
-    images = []
-    for v, part in zip(RING.vars, raw):
-        num, den = (RING.var(v), RING.zero()) if part is None else part
-        den = RING.one() + den
-        assume(not den.evaluate(point).is_zero())
-        images.append(PolyFraction(num, den))
-    _check_jets(psi, flds, point, 2, images)
-
-
-# points with zero coordinates, where the shift skips the terms of psi (or
-# of a component) that cannot reach weight ``top``
+# points with zero coordinates, where the shift skips the terms of psi that
+# cannot reach weight ``top``
 zero_points = st.fixed_dictionaries({v: st.one_of(st.just(G(0)), gauss)
                                      for v in RING.vars})
 
@@ -117,75 +89,6 @@ zero_points = st.fixed_dictionaries({v: st.one_of(st.just(G(0)), gauss)
        st.integers(1, 3))
 def test_taylor_jets_skip_exact_at_zero_coordinates(system, flds, point, top):
     _check_jets(system, flds, point, top)
-
-
-@BOUNDED
-@given(st.lists(multilinear, min_size=1, max_size=2), components,
-       st.lists(st.booleans(), min_size=3, max_size=3), fields, zero_points,
-       st.integers(1, 3))
-def test_taylor_jets_skip_exact_at_zero_images(psi, raw, vanish, flds, point,
-                                               top):
-    """Components flagged in ``vanish`` are shifted by their value at the
-    point, so their series has no weight-0 part."""
-    images = []
-    for v, part, zero in zip(RING.vars, raw, vanish):
-        num, den = (RING.var(v), RING.zero()) if part is None else part
-        den = RING.one() + den
-        at = den.evaluate(point)
-        assume(not at.is_zero())
-        if zero:
-            num = num - den.scale(num.evaluate(point) / at)
-        images.append(PolyFraction(num, den))
-    _check_jets(psi, flds, point, top, images)
-
-
-MAP = [PolyFraction(RING.var("x") + RING.var("y").scale(2), RING.one() + RING.var("z")),
-       PolyFraction(RING.var("y"), RING.one()),
-       PolyFraction(RING.const(3) + RING.var("x"), RING.one() - RING.var("y"))]
-
-
-@pytest.mark.parametrize("component, weight", [(0, 0), (0, 1), (0, 2), (2, 1)])
-def test_perturbed_component_series_fails_jets(monkeypatch, component, weight):
-    """Adding 1 to the t_0^weight coefficient of one component series must
-    break the agreement with the composed fractions: psi holds the
-    coordinates, so each row reads the component series directly."""
-    psi = [RING.var(v) for v in RING.vars]
-    point = {"x": G(1), "y": G(Fraction(1, 2)), "z": G(0, 1)}
-    _check_jets(psi, ["x", "y"], point, 2, MAP)
-    divide, seen = hermsym.poly._divide, []
-
-    def perturbed(num, den, origin, top):
-        out = divide(num, den, origin, top)
-        if len(seen) == component:
-            out += [{} for _ in range(weight + 1 - len(out))]
-            beta = (weight,) + origin[1:]
-            out[weight] = {**out[weight], beta: out[weight].get(beta, ZERO) + ONE}
-        seen.append(out)
-        return out
-    monkeypatch.setattr(hermsym.poly, "_divide", perturbed)
-    with pytest.raises(AssertionError):
-        _check_jets(psi, ["x", "y"], point, 2, MAP)
-
-
-JET_DESK = ["typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]
-
-
-@pytest.mark.parametrize("spec", JET_DESK)
-def test_identity_images_keep_the_jet_table(spec):
-    """The identity map's components z_i / 1 give the table of psi itself,
-    at the witness special point and at a dense random point, up to the
-    witness search's order: the division by 1 sums over no weight of the
-    denominator past 0."""
-    space = build_space(spec)
-    _, fields = witness_frame(space)
-    top = default_order_bound(space)
-    rng = rng_from_seed(7)
-    z0, _ = special_point(space, rng)
-    dense = {v: random_small_gauss(rng) for v in space.vars}
-    images = identity_map(space).components
-    for point in (z0, dense):
-        assert TaylorJets(space.psi, fields, point, top, images).table == \
-            TaylorJets(space.psi, fields, point, top).table
 
 
 @BOUNDED
@@ -257,12 +160,10 @@ SCAN_SPECS = ["typeI:2,2", "typeI:2,3", "typeII:4", "typeIII:3", "typeIV:3", "e1
 SCAN_BUDGETS = {1, 2, 5, 9, 10, 11, 17, 30, 60, 200, 20000}
 
 
-def _merged_map(space):
-    """The last variable replaced by the first: the jets have rank below N,
-    so the scan runs through every candidate."""
-    comps = [as_fraction(space.ring.var(v)) for v in space.vars]
-    comps[-1] = comps[0]
-    return RationalMap(space.ring, tuple(comps))
+def _merged(space):
+    """psi o F, F replacing the last variable by the first: the jets have
+    rank below N, so the scan runs through every candidate."""
+    return composed_space(space, {space.vars[-1]: space.ring.var(space.vars[0])})
 
 
 @pytest.mark.parametrize("merged", [False, True])
@@ -278,8 +179,8 @@ def test_greedy_rows_match_nested_scan(spec, top, merged):
     top = default_order_bound(space) if top is None else top
     z0, _ = special_point(space, rng_from_seed(7))
     _, fields = witness_frame(space)
-    F = _merged_map(space) if merged else identity_map(space)
-    jets = TaylorJets(space.psi, fields, z0, top, F.components)
+    psi = _merged(space).psi if merged else space.psi
+    jets = TaylorJets(psi, fields, z0, top)
     width, N = len(fields), len(space.psi)
     # comb(width + w, w) multiindices have weight <= w
     marks = [comb(width + w, w) for w in range(top + 1)]
@@ -528,10 +429,9 @@ def test_support_groups_match_expansion(spec):
 
 @pytest.mark.parametrize("spec", ["typeI:3,4", "typeII:6", "typeIII:5",
                                   "e27", "e16"])
-def test_term_writer_matches_reference(spec, capsys, monkeypatch):
+def test_term_writer_matches_reference(spec, capsys):
     """The ``describe`` and ``rho`` reports, whose terms the one term writer
     joins from pieces, read back as the reference's one dict per term."""
-    monkeypatch.delenv("HSS_SEED", raising=False)
     space = build_space(spec)
     assert main(["describe", "--space", spec]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -552,7 +452,7 @@ def test_rho_report_matches_term_dicts(spec, capsys):
     assert dump_json(report) == dump_json(want)
     print_table(want)
     table = capsys.readouterr().out
-    print_table(report)
+    assert main(["rho", "--space", spec, "--output", "table"]) == 0
     assert capsys.readouterr().out == table
 
 

@@ -32,16 +32,14 @@ def run_job(job: str):
 
 @pytest.mark.parametrize("job", sorted(GOLDEN))
 def test_cli_output_matches_golden(job, monkeypatch):
-    monkeypatch.delenv("HSS_SEED", raising=False)
     monkeypatch.chdir(ROOT)
     code, digest = run_job(job)
     assert (code, digest) == (GOLDEN[job]["exit"], GOLDEN[job]["sha256"])
 
 
-def test_reused_parser_keeps_exit_codes_and_bytes(monkeypatch):
+def test_reused_parser_keeps_exit_codes_and_bytes():
     """``main`` parses with one parser per process: a failed parse or a
     help request leaves nothing behind for the next call."""
-    monkeypatch.delenv("HSS_SEED", raising=False)
     assert build_parser() is build_parser()
     job = "hyp1 --space typeIV:3 --seed 7"
     want = (GOLDEN[job]["exit"], GOLDEN[job]["sha256"])

@@ -7,7 +7,9 @@ space's pairing vector ``pairing_psi``: ``spaces``, which builds it,
 ``segre``, whose one pairing forms rho from it, and the float engine of
 ``floats``; every other module asks the family.  Which modules may spell
 the keys of a written polynomial term, "exp", "re" and "im": ``cli``,
-which writes every report, and ``maps``, which reads every map file."""
+which writes every report, and ``maps``, which reads every map file.  The
+jet layer, ``poly``, ``segre`` and ``rigidity``, imports nothing from
+``maps``: jets are taken of a polynomial system, never of a map."""
 
 import ast
 import re
@@ -149,3 +151,33 @@ def test_only_the_writer_and_the_reader_spell_wire_keys():
     # the check sees a key in any expression, and not a longer string
     probe = 'd["re"]\nf(im="x", k="im")\n{"exp": 1}\n"exp re"\n'
     assert sorted(_wire_keys(ast.parse(probe))) == [1, 2, 3]
+
+
+JET_LAYER = {"poly.py", "segre.py", "rigidity.py"}
+
+
+def _maps_imports(tree: ast.AST):
+    """The line numbers of imports that name a module ``maps``, relative or
+    absolute, at any depth of the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [base] + [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any("maps" in name.split(".") for name in names):
+            yield node.lineno
+
+
+def test_the_jet_layer_imports_no_maps():
+    package = Path(hermsym.__file__).parent
+    found = {f"{path}:{line}" for path in JET_LAYER
+             for line in _maps_imports(ast.parse((package / path).read_text()))}
+    assert not found
+    # the check sees each spelling, inside a function too, and no lookalike
+    probe = ("from .maps import RationalMap\nfrom . import maps\n"
+             "import hermsym.maps\ndef f():\n    from hermsym import maps\n"
+             "from .mapsx import y\nimport heapmaps\n")
+    assert sorted(_maps_imports(ast.parse(probe))) == [1, 2, 3, 5]

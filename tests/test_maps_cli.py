@@ -103,10 +103,11 @@ def test_cli_seed_required(capsys):
 
 
 def test_cli_env_seed(capsys, monkeypatch):
+    """The seed comes from ``--seed`` alone: with ``HSS_SEED`` set in the
+    environment, a randomized command without ``--seed`` is still refused."""
     monkeypatch.setenv("HSS_SEED", "11")
-    code, out = run_cli(capsys, ["einstein", "--space", "typeIV:3"])
-    assert code == 0
-    assert json.loads(out)["config"]["seed"] == 11
+    assert main(["einstein", "--space", "typeIV:3"]) == 2
+    assert "pass --seed" in capsys.readouterr().err
 
 
 def test_cli_determinism(capsys):

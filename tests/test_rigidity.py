@@ -2,6 +2,7 @@
 extraction, bordered identities, transversality, the oracle, and the volume
 equation."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -32,8 +33,8 @@ from hermsym.sampling import random_small_gauss, rng_from_seed
 from hermsym.segre import build_rho, solve_null_direction, special_point
 from hermsym.spaces import build_space
 from oracles import (LambdaUndefinedError, as_fraction, compose_full,
-                     is_constant, jet_rank_one_order, lambda_determinant,
-                     tangent_apply)
+                     composed_space, jet_rank_one_order, lambda_determinant,
+                     poly_pow, tangent_apply)
 
 DESK = ["typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]
 
@@ -56,52 +57,52 @@ def test_jet_rank_identity_examples(families):
     fam = families["typeIV:3"]
     sp = fam.space
     for k in range(3):
-        assert jet_rank(sp, identity_map(sp), k, seed=1) == [1, 3, 4][:k + 1]
+        assert jet_rank(sp, k, seed=1) == [1, 3, 4][:k + 1]
     sp12 = build_space("typeI:1,2")
     # the embedding of the (1,2) Grassmannian is linear (N = 2), so the jet
     # rank saturates at 2 already at first order
-    assert jet_rank(sp12, identity_map(sp12), 2, seed=1) == [1, 2, 2]
+    assert jet_rank(sp12, 2, seed=1) == [1, 2, 2]
     sp22 = families["typeI:2,2"].space
     k = 1 + sp22.N - sp22.n
-    assert jet_rank(sp22, identity_map(sp22), k, seed=1)[-1] == sp22.N
+    assert jet_rank(sp22, k, seed=1)[-1] == sp22.N
 
 
 def test_jet_rank_basics_all_desk(families):
     for spec, fam in families.items():
         sp = fam.space
-        assert jet_rank(sp, identity_map(sp), 1, seed=2) == [1, sp.n], spec
+        assert jet_rank(sp, 1, seed=2) == [1, sp.n], spec
 
 
-def _degenerate_map(sp):
-    """A map washing out one coordinate of typeI:2,2."""
-    return polynomial_map(sp, {"z2_2": sp.ring.var("z1_1")})
+def _degenerate(sp):
+    """typeI:2,2 with psi o F in place of psi, F the map washing out one
+    coordinate."""
+    return composed_space(sp, {"z2_2": sp.ring.var("z1_1")})
 
 
 def test_jet_rank_degenerate_map(families):
     """A map washing out one coordinate plateaus strictly below N."""
-    sp = families["typeI:2,2"].space
-    F = _degenerate_map(sp)
+    sp = _degenerate(families["typeI:2,2"].space)
     kmax = 1 + sp.N - sp.n
-    ranks = jet_rank(sp, F, kmax, seed=3)
+    ranks = jet_rank(sp, kmax, seed=3)
     assert len(ranks) == kmax + 1
     assert ranks == sorted(ranks) and ranks[-1] < sp.N
-    w = find_nondegeneracy_witness(families["typeI:2,2"], F, seed=3)
+    w = find_nondegeneracy_witness(build_rho(sp), seed=3)
     assert not w.found
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.sampled_from([(spec, "identity") for spec in DESK]
-                       + [("typeI:2,2", "degenerate"), ("typeI:2,2", "givens")]),
+@given(st.sampled_from([(spec, False) for spec in DESK]
+                       + [("typeI:2,2", True)]),
        st.integers(0, 3), st.integers(0, 10 ** 6))
 def test_jet_rank_matches_one_order_per_call(families, case, k, seed):
     """Every order of one ``jet_rank`` call equals the rank that a search of
     its own order finds at the same points."""
-    spec, kind = case
+    spec, degenerate = case
     sp = families[spec].space
-    F = {"identity": identity_map, "degenerate": _degenerate_map,
-         "givens": _givens_map}[kind](sp)
-    assert jet_rank(sp, F, k, seed) == [jet_rank_one_order(sp, F, j, seed)
-                                        for j in range(k + 1)]
+    if degenerate:
+        sp = _degenerate(sp)
+    assert jet_rank(sp, k, seed) == [jet_rank_one_order(sp, j, seed)
+                                     for j in range(k + 1)]
 
 
 def test_jet_tables_stop_at_the_rank_ceiling(families, monkeypatch):
@@ -123,10 +124,10 @@ def test_jet_tables_stop_at_the_rank_ceiling(families, monkeypatch):
     assert h.passed and count[0] == 2
     sp = families["typeI:2,2"].space
     count[0] = 0
-    assert jet_rank(sp, identity_map(sp), 2, seed=3) == [1, 4, 5]
+    assert jet_rank(sp, 2, seed=3) == [1, 4, 5]
     assert count[0] == 1
     count[0] = 0
-    jet_rank(sp, _degenerate_map(sp), 1 + sp.N - sp.n, seed=3)
+    jet_rank(_degenerate(sp), 1 + sp.N - sp.n, seed=3)
     assert count[0] == _JET_RANK_TRIALS
 
 
@@ -134,11 +135,9 @@ def test_witness_budget_exhausted_at_weight_boundary(families):
     """A budget that runs out exactly where a weight ends, below the order
     bound, is still reported as exhausted (4 = weights 0 and 1 here), and
     each trial spends the whole budget."""
-    fam = families["typeI:2,2"]
-    sp = fam.space
-    F = polynomial_map(sp, {"z2_2": sp.ring.var("z1_1")})
+    fam = build_rho(_degenerate(families["typeI:2,2"].space))
     for budget in (4, 5):
-        w = find_nondegeneracy_witness(fam, F, seed=3, budget=budget)
+        w = find_nondegeneracy_witness(fam, seed=3, budget=budget)
         assert not w.found and w.budget_exhausted, budget
         assert w.candidates_examined == _WITNESS_TRIALS * budget
 
@@ -170,8 +169,7 @@ def test_witnesses_within_order_bounds(families):
               "e16": 11}
     for spec, bound in bounds.items():
         fam = families[spec]
-        w = find_nondegeneracy_witness(fam, identity_map(fam.space),
-                                       max_order=bound, seed=3)
+        w = find_nondegeneracy_witness(fam, max_order=bound, seed=3)
         assert w.found and not w.lambda_value.is_zero(), spec
         assert w.max_order_used <= bound
         assert w.betas[0] == (0,) * len(w.betas[0])
@@ -180,8 +178,7 @@ def test_witnesses_within_order_bounds(families):
 
 def test_e27_witness_budgeted(families):
     fam = families["e27"]
-    w = find_nondegeneracy_witness(fam, identity_map(fam.space), seed=3,
-                                   budget=6000)
+    w = find_nondegeneracy_witness(fam, seed=3, budget=6000)
     # found or not, the attempt must be recorded, never silent
     assert w.candidates_examined > 0
     assert w.found
@@ -203,12 +200,11 @@ def _check_symbolic_lambda(families, spec, seed):
     """Witness and symbolic lambda agree for one space at one seed."""
     fam = families[spec] if spec in families else build_rho(build_space(spec))
     sp = fam.space
-    F = identity_map(sp)
-    w = find_nondegeneracy_witness(fam, F, seed=seed)
+    w = find_nondegeneracy_witness(fam, seed=seed)
     assert w.found, (spec, seed)
     assert w.frame_kind == ("segre" if sp.null_block is None
                             else "hyperplane"), (spec, seed)
-    val = lambda_determinant(sp, fam, F, w.betas, w.z0, w.xi0,
+    val = lambda_determinant(sp, fam, w.betas, w.z0, w.xi0,
                              frame=witness_frame(sp))
     assert (val - w.lambda_value).is_zero(), (spec, seed)
 
@@ -216,10 +212,9 @@ def _check_symbolic_lambda(families, spec, seed):
 def test_lambda_repeated_rows_vanish(families):
     fam = families["typeIV:3"]
     sp = fam.space
-    F = identity_map(sp)
-    w = find_nondegeneracy_witness(fam, F, seed=3)
+    w = find_nondegeneracy_witness(fam, seed=3)
     betas = [w.betas[0], w.betas[1], w.betas[1], w.betas[2]]
-    val = lambda_determinant(sp, fam, F, betas, w.z0, w.xi0,
+    val = lambda_determinant(sp, fam, betas, w.z0, w.xi0,
                              frame=witness_frame(sp))
     assert val.is_zero()
 
@@ -227,12 +222,11 @@ def test_lambda_repeated_rows_vanish(families):
 def test_lambda_point_validation(families):
     fam = families["typeI:2,2"]
     sp = fam.space
-    F = identity_map(sp)
-    w = find_nondegeneracy_witness(fam, F, seed=3)
+    w = find_nondegeneracy_witness(fam, seed=3)
     off = dict(w.z0)
     off["z2_2"] = off["z2_2"] + G(1)
     with pytest.raises(ValueError, match="not on the Segre family"):
-        lambda_determinant(sp, fam, F, w.betas, off, w.xi0)
+        lambda_determinant(sp, fam, w.betas, off, w.xi0)
 
 
 def test_special_points_on_family(families):
@@ -686,14 +680,13 @@ def test_lambda_undefined_at_point(families):
     the tangent denominators vanish at the incidence point."""
     fam = families["typeIV:3"]
     sp = fam.space
-    F = identity_map(sp)
     t = G(Fraction(1, 2))
     xi0 = {"z1": t, "z2": G.i() * t, "z3": G(0)}
     z0 = {"z1": G(-1) / t, "z2": G(0), "z3": G(0)}
     assert fam.rho_at(z0, xi0).is_zero()
     betas = [(0, 0), (1, 0), (0, 1), (2, 0)]
     with pytest.raises(LambdaUndefinedError, match="at point"):
-        lambda_determinant(sp, fam, F, betas, z0, xi0)
+        lambda_determinant(sp, fam, betas, z0, xi0)
 
 
 def test_oracle_poly_control():
@@ -739,41 +732,11 @@ def test_support_claims_symplectic_order_four():
     assert all(support_claims(build_rho(build_space("typeIII:4"))).values())
 
 
-def _givens_map(sp):
-    """The fractional-linear isometry (A + ZC)^{-1}(B + ZD) of typeI:2,2 for
-    a rational Givens rotation."""
-    r = sp.ring
-    c, s = Fraction(3, 5), Fraction(4, 5)
-    Z = [[r.var("z1_1"), r.var("z1_2")], [r.var("z2_1"), r.var("z2_2")]]
-    left = [[r.const(c) - Z[0][0].scale(s), r.zero()],
-            [-(Z[1][0].scale(s)), r.one()]]
-    right = [[r.const(s) + Z[0][0].scale(c), Z[0][1]],
-             [Z[1][0].scale(c), Z[1][1]]]
-    det = left[0][0] * left[1][1] - left[0][1] * left[1][0]
-    adj = [[left[1][1], -left[0][1]], [-left[1][0], left[0][0]]]
-    comps = []
-    for i in range(2):
-        for j in range(2):
-            num = adj[i][0] * right[0][j] + adj[i][1] * right[1][j]
-            comps.append(PolyFraction(num, det))
-    return RationalMap(r, tuple(comps))
-
-
-def test_jet_rank_rational_map(families):
-    """The jet machinery also runs on genuinely rational (non-polynomial)
-    maps: a fractional-linear isometry is full rank and nondegenerate."""
-    sp = families["typeI:2,2"].space
-    F = _givens_map(sp)
-    assert not all(is_constant(f.den) for f in F.components)
-    assert jet_rank(sp, F, 1, seed=4) == [1, sp.n]
-    assert jet_rank(sp, F, 2, seed=4) == [1, sp.n, sp.N]
-
-
 def test_witnesses_larger_desk():
     for spec in ["typeI:2,3", "typeIII:3", "typeII:5"]:
         fam = build_rho(build_space(spec))
         sp = fam.space
-        w = find_nondegeneracy_witness(fam, identity_map(sp), seed=3)
+        w = find_nondegeneracy_witness(fam, seed=3)
         assert w.found and not w.lambda_value.is_zero(), spec
         assert w.max_order_used <= default_order_bound(sp), spec
 
@@ -856,8 +819,12 @@ def test_volume_equation_mixed_isometries(disc_family):
 
 
 def test_witness_for_rational_isometry(families):
-    """Nondegeneracy witnesses also exist for genuinely rational maps (the
-    fraction path of the jet cache): a fractional-linear isometry."""
+    """A fractional-linear isometry F is nondegenerate: the witness search
+    finds a witness for psi o F with its denominators cleared.  Each
+    component of psi o F is over a power of one linear det, and the search
+    runs on all of them times one power of det.  Row beta of h f is
+    h(z0) times row beta of f plus rows of f at multiindices below beta,
+    so for h(z0) != 0 the scan accepts the same multiindices."""
     fam = families["typeI:2,2"]
     sp = fam.space
     r = sp.ring
@@ -875,8 +842,14 @@ def test_witness_for_rational_isometry(families):
         for j in range(2):
             num = adj[i][0] * right[0][j] + adj[i][1] * right[1][j]
             comps.append(PolyFraction(num, det))
-    F = RationalMap(r, tuple(comps))
-    w = find_nondegeneracy_witness(fam, F, seed=5)
+    composed = [compose_full(p, dict(zip(sp.vars, comps))) for p in sp.psi]
+    top = max(f.den.degree() for f in composed)
+    psi = []
+    for f in composed:
+        assert f.den == poly_pow(det, f.den.degree())
+        psi.append(f.num * poly_pow(det, top - f.den.degree()))
+    cleared = build_rho(dataclasses.replace(sp, psi=tuple(psi)))
+    w = find_nondegeneracy_witness(cleared, seed=5)
     assert w.found and not w.lambda_value.is_zero()
 
 
@@ -924,13 +897,7 @@ def test_degenerate_composition_relation(families):
     """End-to-end: a jet-degenerate composed system on the Grassmannian
     yields the expected constant coefficient relation on every slice."""
     fam = families["typeI:2,2"]
-    sp = fam.space
-    r = sp.ring
-    F = polynomial_map(sp, {"z2_2": r.var("z1_1")})
-    images = dict(zip(sp.vars, F.components))
-    composed = [f.num.scale(G(1) / f.den.constant_term())
-                for f in (compose_full(p, images) for p in sp.psi)]
-    rep = degeneracy_relation(composed, seed=2)
+    rep = degeneracy_relation(list(_degenerate(fam.space).psi), seed=2)
     assert max(rep.residuals) < 1e-10
     import numpy as np
     for s, g in zip(rep.slices, rep.coefficients):
@@ -945,15 +912,14 @@ def test_witness_one_dimensional_edge(families):
     value row and still certifies."""
     fam = build_rho(build_space("typeI:1,1"))
     sp = fam.space
-    w = find_nondegeneracy_witness(fam, identity_map(sp), seed=1)
+    w = find_nondegeneracy_witness(fam, seed=1)
     assert w.found and w.betas == [()]
-    assert jet_rank(sp, identity_map(sp), 1, seed=1) == [1, 1]
+    assert jet_rank(sp, 1, seed=1) == [1, 1]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_e16_witness_seed_sweep(families, seed):
     fam = families["e16"]
-    w = find_nondegeneracy_witness(fam, identity_map(fam.space), max_order=11,
-                                   seed=seed)
+    w = find_nondegeneracy_witness(fam, max_order=11, seed=seed)
     assert w.found and not w.lambda_value.is_zero()
     assert w.max_order_used <= 2

@@ -237,8 +237,7 @@ OFF_GRAMMAR = ["typeI:+2,2", "typeI:02,2", "typeI:2,2 ", " typeIV:3",
 
 
 @pytest.mark.parametrize("spec", OFF_GRAMMAR)
-def test_specs_off_the_grammar_are_refused(spec, capsys, monkeypatch):
-    monkeypatch.delenv("HSS_SEED", raising=False)
+def test_specs_off_the_grammar_are_refused(spec, capsys):
     with pytest.raises(ValueError):
         parse_space_spec(spec)
     assert main(["describe", "--space", spec]) == 2

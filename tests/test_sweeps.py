@@ -4,7 +4,6 @@ per-kind table, and witnesses resolve across sizes beyond the desk matrix."""
 import pytest
 
 from hermsym.floats import einstein_fit
-from hermsym.maps import identity_map
 from hermsym.rigidity import default_order_bound, find_nondegeneracy_witness
 from hermsym.segre import build_rho
 from hermsym.spaces import build_space, parse_space_spec
@@ -25,7 +24,7 @@ def test_einstein_exponent_sweep(spec, lam):
 def test_witness_sweep(spec):
     fam = build_rho(build_space(spec))
     sp = fam.space
-    w = find_nondegeneracy_witness(fam, identity_map(sp), seed=3)
+    w = find_nondegeneracy_witness(fam, seed=3)
     assert w.found and not w.lambda_value.is_zero()
     assert w.max_order_used <= default_order_bound(sp)
 

@@ -295,7 +295,7 @@ def degeneracy_relation(polys: Sequence[Polynomial],
     last = ring.vars[-1]
 
     # exact precondition via the jet machinery
-    if _best_jet_rank(ring.vars, polys, ring.vars[:-1], N - m + 1, _RANK_TRIALS,
+    if _best_jet_rank(polys, ring.vars[:-1], N - m + 1, _RANK_TRIALS,
                       seed)[-1] >= N:
         raise NotDegenerateError("input not degenerate")
 
@@ -349,7 +349,8 @@ def _worst_residual(space: Space, residual, sample_count: int, seed: int,
     over seeded draws from the _MAP_RADIUS ball until ``sample_count``
     evaluations in all succeeded.  A point where the residual raises
     ZeroDivisionError (a pole of a map) is skipped, at most _MAX_RETRIES
-    times; the next one re-raises."""
+    times; the next one re-raises.  A residual that is not finite (a value
+    past the float range) raises OverflowError: max() would drop a NaN."""
     rng = rng_from_seed(seed)
     queue = list(points)
     worst = 0.0
@@ -364,6 +365,8 @@ def _worst_residual(space: Space, residual, sample_count: int, seed: int,
             if retries > _MAX_RETRIES:
                 raise
             continue
+        if not math.isfinite(value):
+            raise OverflowError(f"residual {value} at a sample point")
         worst = max(worst, value)
         done += 1
     return worst

@@ -3,9 +3,9 @@ and the hard-coded affine-cell coordinate polynomials of the two exceptional
 compact Hermitian symmetric spaces (the 16-dimensional Cayley plane and the
 27-dimensional Freudenthal variety).
 
-Octonion coefficients live in any ring supporting +, -, * and coercion of
-ints/Fractions (GaussRational or Polynomial), so the same code drives both
-numeric checks and exact polynomial identities.
+Octonion coefficients live in any ring supporting +, -, *, ``is_zero()``
+and coercion of ints/Fractions (GaussRational or Polynomial), so the same
+code drives both numeric checks and exact polynomial identities.
 
 Basis products follow the seven cyclic triples encoded in ``_TRIPLES``:
 e_i * e_{i+1} = e_{i+3} (indices mod 7, representatives 1..7), e_i^2 = -1.
@@ -106,12 +106,12 @@ class Octonion:
         return self.coeffs[0]
 
     def is_zero(self) -> bool:
-        return all(_is_zero_scalar(c) for c in self.coeffs)
+        return all(c.is_zero() for c in self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        return all(_scalar_eq(a, b) for a, b in zip(self.coeffs, other.coeffs))
+        return all((a - b).is_zero() for a, b in zip(self.coeffs, other.coeffs))
 
     def __repr__(self):
         return f"Octonion{self.coeffs!r}"
@@ -127,18 +127,6 @@ class Octonion:
         coeffs = [zero] * 8
         coeffs[0] = s
         return Octonion(coeffs)
-
-
-def _is_zero_scalar(c) -> bool:
-    if isinstance(c, GaussRational):
-        return c.is_zero()
-    if isinstance(c, Polynomial):
-        return c.is_zero()
-    return c == 0
-
-
-def _scalar_eq(a, b) -> bool:
-    return _is_zero_scalar(a - b)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ def _greedy_rows(jets: TaylorJets, width: int, top: int, N: int,
     return chosen, examined, False
 
 
-def _best_jet_rank(variables, psi, fields, top: int, trials: int,
+def _best_jet_rank(psi, fields, top: int, trials: int,
                    seed: int) -> List[int]:
     """Exact ranks of the order-<=k jets of ``psi`` along ``fields``, for
     k = 0..top, each maximized over ``trials`` random points near 0.
@@ -80,7 +80,7 @@ def _best_jet_rank(variables, psi, fields, top: int, trials: int,
     ceilings = [min(N, comb(width + k, k)) for k in range(top + 1)]
     best = [0] * (top + 1)
     for _ in range(trials):
-        pt = {v: random_small_gauss(rng) for v in variables}
+        pt = {v: random_small_gauss(rng) for v in psi[0].ring.vars}
         jets = TaylorJets(psi, fields, pt, top)
         weights = [sum(beta) for beta in _greedy_rows(jets, width, top, N)[0]]
         best = [max(b, sum(w <= k for w in weights)) for k, b in enumerate(best)]
@@ -94,8 +94,8 @@ def jet_rank(space: Space, k: int, seed: int = 0) -> List[int]:
     order, from one jet table per point, each maximized over
     _JET_RANK_TRIALS random rational points near 0 (fewer once every order
     is at its ceiling)."""
-    return _best_jet_rank(space.vars, space.psi, list(truncated_vars(space)),
-                          k, _JET_RANK_TRIALS, seed)
+    return _best_jet_rank(space.psi, list(truncated_vars(space)), k,
+                          _JET_RANK_TRIALS, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +140,8 @@ class WitnessReport:
 
 
 def default_order_bound(space: Space) -> int:
-    """Per-type jet order bound for the witness search."""
-    bound = space.kind.order_bound
-    return 1 + space.N - space.n if bound is None else bound
+    """Jet order bound of the witness search: 1 + N - n."""
+    return 1 + space.N - space.n
 
 
 def find_nondegeneracy_witness(fam: SegreFamily,

@@ -587,7 +587,6 @@ class Kind:
     valid: Callable[[Tuple[int, ...]], bool]
     build: Callable[[SpaceDescriptor], Space]
     genus: Callable[..., int]
-    order_bound: Optional[int]               # witness jet order; None: 1 + N - n
     weights: Optional[Tuple[int, ...]]       # invariant pairing weights; None: 1
     det_power: Optional[int]                 # rho^k = det(I + Z Xi^t); None: no model
     oracle: bool                             # hyp3 runs the finite-field oracle
@@ -599,37 +598,36 @@ KINDS: Dict[str, Kind] = {
     "typeI": Kind(
         needs="typeI needs 1 <= p <= q",
         valid=lambda p: len(p) == 2 and 1 <= p[0] <= p[1], build=build_type1,
-        genus=lambda p, q: p + q, order_bound=None, weights=None, det_power=1,
+        genus=lambda p, q: p + q, weights=None, det_power=1,
         oracle=True, pencil=partial(_slot_pencil, "z1_1", "z1_2"),
         support_laws=_grassmann_laws),
     "typeII": Kind(
         needs="typeII needs n >= 2 (first Pfaffian block at n=4)",
         valid=lambda p: len(p) == 1 and p[0] >= 2, build=build_type2,
-        genus=lambda n: 2 * n - 2, order_bound=None, weights=None, det_power=2,
+        genus=lambda n: 2 * n - 2, weights=None, det_power=2,
         oracle=True, pencil=partial(_slot_pencil, "z1_2", "z1_3"),
         support_laws=_orthogonal_laws),
     "typeIII": Kind(
         needs="typeIII needs n >= 2",
         valid=lambda p: len(p) == 1 and p[0] >= 2, build=build_type3,
-        genus=lambda n: n + 1, order_bound=None, weights=None, det_power=1,
+        genus=lambda n: n + 1, weights=None, det_power=1,
         oracle=True, pencil=partial(_slot_pencil, "z1_1", "z1_2"),
         support_laws=symplectic_pairing_facts),
     "typeIV": Kind(
         needs="typeIV needs n >= 3 (irreducible quadric)",
         valid=lambda p: len(p) == 1 and p[0] >= 3, build=build_type4,
-        genus=lambda n: n, order_bound=2, weights=None, det_power=None,
+        genus=lambda n: n, weights=None, det_power=None,
         oracle=True, pencil=_quadric_pencil, support_laws=_quadric_laws),
     # the exceptional cells are printed with unit coefficients; the
     # invariant trace form doubles their matrix-off-diagonal blocks
     "e16": Kind(
         needs="e16 takes no parameters", valid=lambda p: not p, build=build_e16,
-        genus=lambda: 12, order_bound=11,
-        weights=(2,) * 24 + (1,) * 2, det_power=None, oracle=False,
-        pencil=_cayley_plane_pencil, support_laws=_cayley_plane_laws),
+        genus=lambda: 12, weights=(2,) * 24 + (1,) * 2, det_power=None,
+        oracle=False, pencil=_cayley_plane_pencil,
+        support_laws=_cayley_plane_laws),
     "e27": Kind(
         needs="e27 takes no parameters", valid=lambda p: not p, build=build_e27,
         genus=lambda: 18,
-        order_bound=29,  # the search budget limits the practical search
         weights=(1,) * 3 + (2,) * 24 + (1,) * 3 + (2,) * 24 + (1,),
         det_power=None, oracle=False,
         pencil=partial(_slot_pencil, "x1", "y0"),

@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, inf, lcm, nan, prod
@@ -808,6 +809,23 @@ def test_dump_json_matches_json_dumps_without_floats(report):
     negative and large ints keep the bytes."""
     assert dump_json(report) == json.dumps(report, sort_keys=True,
                                            separators=(",", ":"))
+
+
+def test_dump_json_copies_no_written_text():
+    """A report holding one 8 MB ``Written`` where describe holds a psi
+    component's terms, under a dict in a list in a dict, is written in one
+    join of its pieces: the peak is the finished text, not a copy of the
+    subtree's text at each level above it."""
+    big = Written('"' + "x" * (8 * 2 ** 20) + '"')
+    report = {"config": None, "psi": [{"terms": big, "vars": ["z"]}]}
+    tracemalloc.start()
+    try:
+        text = dump_json(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == '{"config":null,"psi":[{"terms":%s,"vars":["z"]}]}' % big.text
+    assert peak < 1.5 * len(text)
 
 
 def test_dump_json_int_lists_at_the_table_edges():

@@ -1,15 +1,20 @@
 """Map-file wire format and the command-line front end."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hermsym.cli import build_parser, dump_json, main
 from hermsym.maps import identity_map, parse_map_file
@@ -321,6 +326,25 @@ def test_cli_refuses_maps_the_floats_cannot_evaluate(tmp_path, capsys, disc):
             assert captured.err.startswith("error: ") and str(path) in captured.err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["volume-check", "isometry-check"])
+@pytest.mark.parametrize("scale", ["1e160", "1e200"])
+def test_cli_refuses_maps_whose_residual_is_not_finite(command, scale,
+                                                       tmp_path, capsys, disc):
+    """z -> 10^200 z has finite float values, but the metric at its image
+    overflows and the residual is NaN: an input error (exit 2), never a
+    pass that drops the NaN from the maximum."""
+    payload = identity_payload(disc)
+    _term(payload).update(re=scale)
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(payload))
+    assert main([command, "--space", "typeI:1,1", "--maps", str(path),
+                 "--seed", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot be evaluated in floats" in captured.err
+
+
 # the options of each subcommand: a tolerance flag only where it is read
 CLI_OPTIONS = {
     "describe": {"--space", "--seed", "--output"},
@@ -563,3 +587,169 @@ def test_commands_read_the_exponent_from_the_kind_table(tmp_path, capsys,
             monkeypatch.setattr(module, "einstein_fit", refuse)
     assert [run_cli(capsys, argv) for argv in jobs] == before
     assert all(code == 0 for code, _ in before)
+
+
+# ---------------------------------------------------------------------------
+# map files on typeI:1,1 as a property: valid maps with coefficients from
+# 10^-300 to 10^300 and exponents 0..60, and mutations of them
+# ---------------------------------------------------------------------------
+
+MAP_COMMANDS = ("volume-check", "isometry-check")
+FUZZ_RUNS = settings(max_examples=150, deadline=None, derandomize=True)
+
+# the one component of z -> z and of the Moebius isometry of tests/maps
+ISOMETRIES = [{"num": {"vars": ["z1_1"], "terms": [{"exp": [1], "re": "1"}]}},
+              json.loads(MOEBIUS.read_text())["maps"][0][0]]
+# a decimal coefficient m * 10^e, as text ("-3e-120") or as a JSON number
+decimals = st.builds(lambda neg, m, e: f"{'-' if neg else ''}{m}e{e}",
+                     st.booleans(), st.integers(1, 9), st.integers(-300, 300))
+coefficients = st.one_of(decimals, decimals.map(float), st.just("0"),
+                         st.builds("{}/{}".format, st.integers(-9, 9),
+                                   st.integers(1, 9)))
+
+
+@st.composite
+def polynomials(draw, constant=None):
+    """A polynomial in z1_1 of one to four terms; ``constant``, if given,
+    is its coefficient at exponent 0."""
+    exps = draw(st.lists(st.integers(0 if constant is None else 1, 60),
+                         min_size=1, max_size=4, unique=True))
+    terms = [{"exp": [k], "re": draw(coefficients), "im": draw(coefficients)}
+             for k in exps]
+    if constant is not None:
+        terms.insert(draw(st.integers(0, len(terms))),
+                     {"exp": [0], "re": constant})
+    return {"vars": ["z1_1"], "terms": terms}
+
+
+@st.composite
+def components(draw):
+    """A component z -> num / den with den(0) = 1 (or no den at all), or
+    one of the shipped isometries of the disc."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(ISOMETRIES))
+    comp = {"num": draw(polynomials())}
+    if draw(st.booleans()):
+        comp["den"] = draw(polynomials(constant="1"))
+    return comp
+
+
+@st.composite
+def map_files(draw):
+    """A well-formed map file of one to three maps on typeI:1,1."""
+    maps = [[draw(components())] for _ in range(draw(st.integers(1, 3)))]
+    payload = {"maps": maps}
+    if draw(st.booleans()):
+        payload["lambdas"] = [draw(st.builds("{}/{}".format, st.integers(1, 9),
+                                             st.integers(1, 9))) for _ in maps]
+    return json.loads(json.dumps(payload))     # shares no shipped isometry
+
+
+# where a wrong type goes: the payload and each node on the way to a term
+TERM = ("maps", 0, 0, "num", "terms", 0)
+TYPE_PATHS = [(), ("maps",), ("maps", 0), ("maps", 0, 0), ("maps", 0, 0, "num"),
+              ("maps", 0, 0, "num", "vars"), TERM[:-1], TERM, TERM + ("exp",),
+              TERM + ("exp", 0), TERM + ("re",), TERM + ("im",),
+              ("maps", 0, 0, "den"), ("lambdas",)]
+WRONG_VALUES = [7, 1.5, "x", None, True, [], {}, [[]], {"maps": []}]
+# bytes that are not UTF-8, and JSON numbers that are not finite floats
+BAD_BYTES = [b"\xff", b"\xfe\xff", b"\xc3\x28", b"\xed\xa0\x80", b"\x80"]
+NONFINITE = ["NaN", "Infinity", "-Infinity", "1e400", "-1e999"]
+
+
+def _put(payload, path, value):
+    if not path:
+        return value
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return payload
+
+
+@st.composite
+def mutated_files(draw):
+    """A map file from ``map_files`` broken one way, as bytes."""
+    payload = draw(map_files())
+    term = payload["maps"][0][0]["num"]["terms"][0]
+    how = draw(st.sampled_from(["type", "repeat", "huge-exp", "encoding",
+                                "nesting", "nonfinite"]))
+    if how == "type":
+        payload = _put(payload, draw(st.sampled_from(TYPE_PATHS)),
+                       draw(st.sampled_from(WRONG_VALUES)))
+    elif how == "repeat":
+        payload["maps"][0][0]["num"]["terms"].append(
+            dict(term, re=draw(coefficients)))
+    elif how == "huge-exp":
+        term["exp"] = [draw(st.integers(61, 10 ** 40))]
+    elif how == "nonfinite":
+        term[draw(st.sampled_from(["re", "im"]))] = "RAW"
+    text = json.dumps(payload)
+    if how == "nonfinite":
+        text = text.replace('"RAW"', draw(st.sampled_from(NONFINITE)))
+    if how == "nesting":
+        depth = draw(st.integers(1, 3000))
+        text = "[" * depth + text + "]" * depth
+    data = text.encode()
+    if how == "encoding":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(BAD_BYTES)) + data[at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "maps.json"
+
+
+def _exit_codes(path, data):
+    """Exit codes of both map commands on the map file ``data``."""
+    path.write_bytes(data)
+    codes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # numpy overflow
+        for command in MAP_COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                codes.append(main([command, "--space", "typeI:1,1", "--maps",
+                                   str(path), "--seed", "7"]))
+    return codes
+
+
+@FUZZ_RUNS
+@given(st.one_of(map_files().map(lambda p: json.dumps(p).encode()),
+                 mutated_files()))
+def test_map_files_exit_0_1_or_2(fuzz_path, data):
+    """Any map file, well-formed or broken, is a verdict (0, 1) or an input
+    error (2), never an internal error (3)."""
+    for code in _exit_codes(fuzz_path, data):
+        assert code in (0, 1, 2)
+
+
+@FUZZ_RUNS
+@given(decimals, decimals)
+def test_scaling_by_two_or_more_is_no_isometry(fuzz_path, re, im):
+    """z -> c z with |c| >= 2 never passes isometry-check: it fails the
+    check (1) or cannot be evaluated in floats (2)."""
+    assume(Fraction(re) ** 2 + Fraction(im) ** 2 >= 4)
+    payload = {"maps": [[{"num": {"vars": ["z1_1"], "terms": [
+        {"exp": [1], "re": re, "im": im}]}}]]}
+    assert _exit_codes(fuzz_path, json.dumps(payload).encode())[1] in (1, 2)
+
+
+@FUZZ_RUNS
+@given(map_files(), st.randoms(use_true_random=False))
+def test_map_file_order_keeps_the_exit_code(fuzz_path, payload, rnd):
+    """Permuting each polynomial's terms, and the maps together with their
+    lambdas, keeps both commands' exit codes."""
+    want = _exit_codes(fuzz_path, json.dumps(payload).encode())
+    for (comp,) in payload["maps"]:
+        for poly in (comp["num"], comp.get("den")):
+            if poly is not None:
+                rnd.shuffle(poly["terms"])
+    order = list(range(len(payload["maps"])))
+    rnd.shuffle(order)
+    payload["maps"] = [payload["maps"][i] for i in order]
+    if "lambdas" in payload:
+        payload["lambdas"] = [payload["lambdas"][i] for i in order]
+    assert _exit_codes(fuzz_path, json.dumps(payload).encode()) == want

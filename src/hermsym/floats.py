@@ -1,19 +1,19 @@
 """The float layer, checked against stated tolerances; with ``modp``, the
-only user of numpy: float values of exact polynomials, fractions and maps,
-a family's metric engine (kept in its cache) with the Kahler metric, Einstein
-fit and Ricci cross-check, the degeneracy relation, and the map checks."""
+only user of numpy: one compiled evaluator of exact polynomials, a family's
+metric engine (kept in its cache) with the Kahler metric, Einstein fit and
+Ricci cross-check, the degeneracy relation, and the map checks."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from .maps import RationalMap
-from .poly import Polynomial, PolyFraction
+from .poly import Polynomial
 from .rigidity import _best_jet_rank
 from .sampling import rng_from_seed
 from .segre import SegreFamily
@@ -22,39 +22,6 @@ from .spaces import Space
 RICCI_POINTS = 10           # sampled points of the Ricci cross-check
 VOLUME_SAMPLES = 25        # sampled points of the volume equation check
 ISOMETRY_SAMPLES = 20      # sampled points of the isometry pullback check
-
-
-# ---------------------------------------------------------------------------
-# float values of exact polynomials, fractions and maps
-# ---------------------------------------------------------------------------
-
-def evaluate_poly(poly: Polynomial, point: Dict[str, complex]) -> complex:
-    """The value of ``poly`` at a complex point, in floats."""
-    vals = []
-    for v in poly.ring.vars:
-        if v not in point:
-            raise KeyError(f"missing assignment for {v!r}")
-        vals.append(complex(point[v]))
-    total = 0j
-    for e, c in poly.terms.items():
-        t = complex(c)
-        for x, k in zip(vals, e):
-            if k:
-                t *= x ** k
-        total += t
-    return total
-
-
-def evaluate_fraction(f: PolyFraction, point: Dict[str, complex]) -> complex:
-    d = evaluate_poly(f.den, point)
-    if d == 0:
-        raise ZeroDivisionError("denominator vanishes at evaluation point")
-    return evaluate_poly(f.num, point) / d
-
-
-def evaluate_map(F: RationalMap, point: Sequence[complex]) -> List[complex]:
-    named = {v: complex(point[i]) for i, v in enumerate(F.ring.vars)}
-    return [evaluate_fraction(f, named) for f in F.components]
 
 
 def random_complex_ball(rng, n: int, radius: float = 0.3):
@@ -72,7 +39,9 @@ def random_complex_ball(rng, n: int, radius: float = 0.3):
 # ---------------------------------------------------------------------------
 
 class BatchEvaluator:
-    """Evaluate a fixed list of polynomials at complex points, vectorized."""
+    """Evaluate a fixed list of polynomials at complex points, vectorized:
+    the one place a polynomial gets a float value.  The point lists the
+    values of ``var_order``."""
 
     def __init__(self, polys: Sequence[Polynomial], var_order: Sequence[str]):
         ring = polys[0].ring
@@ -292,13 +261,13 @@ def degeneracy_relation(polys: Sequence[Polynomial],
     ring = polys[0].ring
     m = len(ring.vars)
     N = len(polys)
-    last = ring.vars[-1]
 
     # exact precondition via the jet machinery
     if _best_jet_rank(polys, ring.vars[:-1], N - m + 1, _RANK_TRIALS,
                       seed)[-1] >= N:
         raise NotDegenerateError("input not degenerate")
 
+    values = BatchEvaluator(polys, ring.vars)
     rng2 = np.random.default_rng(seed + 1)
     slices = [Fraction(k, 10) for k in range(_SLICES)]
     coefficients, residuals = [], []
@@ -307,9 +276,7 @@ def degeneracy_relation(polys: Sequence[Polynomial],
         rows = []
         for _ in range(_GRID):
             zt = rng2.uniform(-0.4, 0.4, size=m - 1) + 1j * rng2.uniform(-0.4, 0.4, size=m - 1)
-            pt = {v: complex(zt[i]) for i, v in enumerate(ring.vars[:-1])}
-            pt[last] = complex(float(s))
-            rows.append([evaluate_poly(p, pt) for p in polys])
+            rows.append(values(np.append(zt, float(s))))
         M = np.array(rows, dtype=complex)
         _, sv, vh = np.linalg.svd(M)
         if len(sv) < N:
@@ -349,8 +316,9 @@ def _worst_residual(space: Space, residual, sample_count: int, seed: int,
     over seeded draws from the _MAP_RADIUS ball until ``sample_count``
     evaluations in all succeeded.  A point where the residual raises
     ZeroDivisionError (a pole of a map) is skipped, at most _MAX_RETRIES
-    times; the next one re-raises.  A residual that is not finite (a value
-    past the float range) raises OverflowError: max() would drop a NaN."""
+    times; the next one re-raises.  Each residual runs with numpy's float
+    warnings off; one that is not finite (a value past the float range)
+    raises OverflowError: max() would drop a NaN."""
     rng = rng_from_seed(seed)
     queue = list(points)
     worst = 0.0
@@ -359,7 +327,8 @@ def _worst_residual(space: Space, residual, sample_count: int, seed: int,
     while done < sample_count or queue:
         pt = queue.pop(0) if queue else random_complex_ball(rng, space.n, _MAP_RADIUS)
         try:
-            value = residual(pt)
+            with np.errstate(all="ignore"):
+                value = residual(pt)
         except ZeroDivisionError:
             retries += 1
             if retries > _MAX_RETRIES:
@@ -372,8 +341,24 @@ def _worst_residual(space: Space, residual, sample_count: int, seed: int,
     return worst
 
 
-def _named(space: Space, pt: Sequence[complex]) -> Dict[str, complex]:
-    return {v: complex(pt[i]) for i, v in enumerate(space.vars)}
+class _MapValues:
+    """A map's components and Jacobian entries at a point, from one
+    evaluator of all their numerators and denominators; each quotient is
+    a Python complex division (ZeroDivisionError at a pole)."""
+
+    def __init__(self, F: RationalMap):
+        fractions = list(F.components) + [f for row in F.jacobian_fractions()
+                                          for f in row]
+        self.n = len(F.components)
+        self.values = BatchEvaluator([f.num for f in fractions]
+                                     + [f.den for f in fractions], F.ring.vars)
+
+    def __call__(self, pt: Sequence[complex]):
+        """(F(pt) as a list, the Jacobian d F_k / d z_i at row i, column k)."""
+        v = self.values(np.asarray(pt, dtype=complex)).tolist()
+        half = len(v) // 2
+        q = [a / b for a, b in zip(v[:half], v[half:])]
+        return q[:self.n], np.array(q[self.n:]).reshape(self.n, self.n)
 
 
 def volume_equation_check(fam: SegreFamily, maps: Sequence[RationalMap],
@@ -385,15 +370,13 @@ def volume_equation_check(fam: SegreFamily, maps: Sequence[RationalMap],
     space = fam.space
     lam = space.desc.genus
     eng = metric_engine(fam, "invariant")
-    jacs = [F.jacobian_fractions() for F in maps]
+    values = [_MapValues(F) for F in maps]
 
     def residual(pt):
-        named = _named(space, pt)
         lhs = 0.0
-        for F, jac, w in zip(maps, jacs, lambdas):
-            J = np.array([[evaluate_fraction(f, named) for f in row] for row in jac])
+        for at, w in zip(values, lambdas):
+            image, J = at(pt)
             det = complex(np.linalg.det(J))
-            image = evaluate_map(F, pt)
             rho_f, _ = eng.rho(image)
             lhs += w * (abs(det) ** 2) / rho_f ** lam
         rhs = 1.0 / eng.rho(pt)[0] ** lam
@@ -409,12 +392,10 @@ def isometry_pullback_check(fam: SegreFamily, F: RationalMap,
     the given ``points``, then at random ones up to ``sample_count`` in all."""
     space = fam.space
     eng = metric_engine(fam, "invariant")
-    jac = F.jacobian_fractions()
+    at = _MapValues(F)
 
     def residual(pt):
-        named = _named(space, pt)
-        A = np.array([[evaluate_fraction(f, named) for f in row] for row in jac])
-        image = evaluate_map(F, pt)
+        image, A = at(pt)
         g_here, _ = eng.metric(np.asarray(pt, dtype=complex))
         g_image, _ = eng.metric(np.asarray(image, dtype=complex))
         pull = A @ g_image @ A.conj().T

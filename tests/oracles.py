@@ -11,6 +11,11 @@
   vanish at the point.
 * ``evaluate_fraction`` -- the exact value of a ``PolyFraction`` (or of a
   polynomial) at a point, for the fraction routes below.
+* ``evaluate_float``, ``evaluate_float_fraction`` and
+  ``evaluate_float_map`` -- float values of a polynomial, a fraction and a
+  map's components, term by term in Python complex arithmetic: the
+  reference for ``floats.BatchEvaluator``, the one float evaluator of the
+  package, and for the map checks' compiled values.
 * ``derivative_jet_row`` -- jets by iterated symbolic differentiation of
   each component, then exact evaluation at the point.
 * ``flattening_jacobian_bordered`` -- the flattening Jacobian as the
@@ -103,7 +108,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from hermsym.floats import evaluate_poly
 from hermsym.gauss import GaussRational, ONE, ZERO
 from hermsym.linalg import RankTracker, det_exact
 from hermsym.modp import PolyModP
@@ -195,6 +199,32 @@ def evaluate_fraction(f, point):
     if d.is_zero():
         raise ZeroDivisionError("denominator vanishes at evaluation point")
     return f.num.evaluate(point) / d
+
+
+def evaluate_float(poly, point):
+    """poly at a complex point, a dict of values by variable name."""
+    vals = [complex(point[v]) for v in poly.ring.vars]
+    total = 0j
+    for e, c in poly.terms.items():
+        t = complex(c)
+        for x, k in zip(vals, e):
+            if k:
+                t *= x ** k
+        total += t
+    return total
+
+
+def evaluate_float_fraction(f, point):
+    d = evaluate_float(f.den, point)
+    if d == 0:
+        raise ZeroDivisionError("denominator vanishes at evaluation point")
+    return evaluate_float(f.num, point) / d
+
+
+def evaluate_float_map(F, point):
+    """F's components at a complex point given as a sequence."""
+    named = {v: complex(point[i]) for i, v in enumerate(F.ring.vars)}
+    return [evaluate_float_fraction(f, named) for f in F.components]
 
 
 def det_bareiss(matrix):
@@ -396,7 +426,7 @@ def specialize_expanded(fam, xi):
 
 def rho_at_float(fam, z, xi):
     """rho(z, xi) in floats, summed over the psi vector."""
-    return 1 + sum((evaluate_poly(p, z) * evaluate_poly(p, xi)
+    return 1 + sum((evaluate_float(p, z) * evaluate_float(p, xi)
                     for p in fam.space.pairing_psi), 0j)
 
 

@@ -4,15 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from hermsym.floats import evaluate_poly
 from hermsym.gauss import GaussRational as G
 from hermsym.modp import reduce_mod
 from hermsym.maps import poly_from_json
 from hermsym.poly import PolyRing, PolyFraction
 from hermsym.sampling import random_small_gauss, rng_from_seed
-from oracles import (as_fraction, compose_full, evaluate_fraction,
-                     fractions_equal, is_constant, monomial, normalize,
-                     poly_json_reference)
+from oracles import (as_fraction, compose_full, evaluate_float,
+                     evaluate_fraction, fractions_equal, is_constant, monomial,
+                     normalize, poly_json_reference)
 
 
 def rnd_poly(ring, rng, max_terms=5, max_deg=3):
@@ -149,7 +148,7 @@ def test_evaluate_exact_and_float():
         q = rnd_poly(r, rng)
         pt = {"z": random_small_gauss(rng), "xi": random_small_gauss(rng)}
         exact = complex(q.evaluate(pt))
-        approx = evaluate_poly(q, {k: complex(v) for k, v in pt.items()})
+        approx = evaluate_float(q, {k: complex(v) for k, v in pt.items()})
         assert abs(exact - approx) <= 1e-12 * max(1.0, abs(exact))
 
 

@@ -6,10 +6,11 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
-import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -184,6 +185,36 @@ def test_cli_refuses_a_repeated_exponent(command, tmp_path, capsys):
     assert captured.out == "" and "exponent [0] is repeated" in captured.err
 
 
+def _decimal_spelling(text):
+    """``text`` with each "a/b" string written as its decimal: "4/5" as
+    "0.8", "-3/5" as "-0.6"."""
+    def decimal(match):
+        q = Fraction(match.group(1))
+        d = Decimal(q.numerator) / Decimal(q.denominator)
+        assert Fraction(d) == q, match.group(1)
+        return f'"{d}"'
+    return re.sub(r'"(-?[0-9]+/[0-9]+)"', decimal, text)
+
+
+@pytest.mark.parametrize("name", ["moebius.json", "moebius_and_identity.json"])
+@pytest.mark.parametrize("command", ["volume-check", "isometry-check"])
+def test_decimal_coefficients_keep_the_report(name, command, tmp_path, capsys):
+    """A shipped map file with its fractions written as decimals ("0.8" for
+    "4/5", lambdas included) is the same map: the same exit code and
+    stdout bytes."""
+    original = MOEBIUS.with_name(name)
+    text = original.read_text()
+    spelled = tmp_path / name
+    spelled.write_text(_decimal_spelling(text))
+    assert '"0.8"' in spelled.read_text() and "/" not in spelled.read_text()
+    runs = []
+    for path in (original, spelled):
+        code = main([command, "--space", "typeI:1,1", "--maps", str(path),
+                     "--seed", "7"])
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
 @pytest.mark.parametrize("data", [b"\xff\xfe", b"[" * 200_000,
                                   b"[" + b"1" * 5000 + b"]"],
                          ids=["not-utf8", "nested-200000", "int-5000-digits"])
@@ -243,16 +274,20 @@ def test_cli_einstein_exceptional(capsys):
     assert obj["lambda"] == 12 and obj["einstein_residual"] < 1e-8
 
 
-def test_cli_cross_process_determinism():
-    # the child must import this checkout's package, not an installed one
+def _run_checkout(*args):
+    """The CLI of this checkout in a child process, not an installed one."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    cmd = [sys.executable, "-m", "hermsym.cli", "einstein",
-           "--space", "typeIV:3", "--seed", "7"]
-    out1 = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
-    out2 = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
-    assert out1 == out2 and out1
+    return subprocess.run([sys.executable, "-m", "hermsym.cli", *args],
+                          capture_output=True, env=env)
+
+
+def test_cli_cross_process_determinism():
+    args = ("einstein", "--space", "typeIV:3", "--seed", "7")
+    out1, out2 = (_run_checkout(*args) for _ in range(2))
+    assert out1.returncode == out2.returncode == 0
+    assert out1.stdout == out2.stdout and out1.stdout
 
 
 def test_cli_map_with_vanishing_denominator(tmp_path, capsys, disc):
@@ -326,7 +361,6 @@ def test_cli_refuses_maps_the_floats_cannot_evaluate(tmp_path, capsys, disc):
             assert captured.err.startswith("error: ") and str(path) in captured.err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["volume-check", "isometry-check"])
 @pytest.mark.parametrize("scale", ["1e160", "1e200"])
 def test_cli_refuses_maps_whose_residual_is_not_finite(command, scale,
@@ -343,6 +377,21 @@ def test_cli_refuses_maps_whose_residual_is_not_finite(command, scale,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cannot be evaluated in floats" in captured.err
+
+
+@pytest.mark.parametrize("command", ["volume-check", "isometry-check"])
+def test_map_that_overflows_writes_one_stderr_line(command, tmp_path, disc):
+    """z -> 10^200 z overflows the metric at its image: the command writes
+    the one ``error:`` line on stderr, and no numpy warning before it."""
+    payload = identity_payload(disc)
+    _term(payload).update(re="1e200")
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(payload))
+    run = _run_checkout(command, "--space", "typeI:1,1", "--maps", str(path),
+                        "--seed", "7")
+    assert run.returncode == 2 and run.stdout == b""
+    lines = run.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 # the options of each subcommand: a tolerance flag only where it is read
@@ -706,13 +755,11 @@ def _exit_codes(path, data):
     """Exit codes of both map commands on the map file ``data``."""
     path.write_bytes(data)
     codes = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)   # numpy overflow
-        for command in MAP_COMMANDS:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                codes.append(main([command, "--space", "typeI:1,1", "--maps",
-                                   str(path), "--seed", "7"]))
+    for command in MAP_COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            codes.append(main([command, "--space", "typeI:1,1", "--maps",
+                               str(path), "--seed", "7"]))
     return codes
 
 

@@ -11,16 +11,16 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from hermsym.acceptance import hypothesis_one
-from hermsym.floats import (_MAP_RADIUS, _MAX_RETRIES, NotDegenerateError,
-                            _worst_residual, degeneracy_relation,
-                            evaluate_fraction, evaluate_map,
-                            isometry_pullback_check, metric_engine,
-                            random_complex_ball, volume_equation_check)
+from hermsym.floats import (_MAP_RADIUS, _MAX_RETRIES, BatchEvaluator,
+                            NotDegenerateError, _MapValues, _worst_residual,
+                            degeneracy_relation, isometry_pullback_check,
+                            metric_engine, random_complex_ball,
+                            volume_equation_check)
 from hermsym.gauss import GaussRational as G
 from hermsym.linalg import det_exact
 from hermsym.maps import RationalMap, identity_map, scaling_map
 from hermsym.modp import reduce_mod, trial_division_modp
-from hermsym.poly import PolyFraction, PolyRing, TaylorJets
+from hermsym.poly import Polynomial, PolyFraction, PolyRing, TaylorJets
 from hermsym.rigidity import (_JET_RANK_TRIALS, _WITNESS_TRIALS, WITNESS_BUDGET,
                               OffVarietyError, default_order_bound,
                               find_nondegeneracy_witness, flattening_jacobian,
@@ -33,8 +33,10 @@ from hermsym.sampling import random_small_gauss, rng_from_seed
 from hermsym.segre import build_rho, solve_null_direction, special_point
 from hermsym.spaces import build_space
 from oracles import (LambdaUndefinedError, as_fraction, compose_full,
-                     composed_space, jet_rank_one_order, lambda_determinant,
-                     poly_pow, tangent_apply)
+                     composed_space, evaluate_float,
+                     evaluate_float_fraction, evaluate_float_map,
+                     jet_rank_one_order, lambda_determinant, poly_pow,
+                     tangent_apply)
 
 DESK = ["typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]
 
@@ -559,6 +561,79 @@ def test_isometry_check_counts_given_points(disc_family):
     assert isometry_pullback_check(fam, F, 0, seed=3) == 0.0
 
 
+# -- the compiled float evaluator against the scalar loop ------------------------
+
+_COEFF = st.builds(Fraction, st.integers(-16, 16), st.integers(1, 8))
+_SMALL = st.integers(-1, 1).map(lambda k: Fraction(k, 8))
+
+
+@st.composite
+def _float_polys(draw, ring, real, coeff=_COEFF, constant=None):
+    """A polynomial of ``ring`` of up to six terms, exponents 0-6, with
+    coefficients drawn from ``coeff`` (real ones when ``real``);
+    ``constant``, if given, at exponent 0 and only terms of positive degree
+    besides it."""
+    low = 0 if constant is None else 1
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 6)] * len(ring.vars))
+                         .filter(lambda e: sum(e) >= low),
+                         max_size=6, unique=True))
+    terms = {e: G(draw(coeff), 0 if real else draw(coeff)) for e in exps}
+    if constant is not None:
+        terms[(0,) * len(ring.vars)] = G(constant)
+    return Polynomial(ring, terms)
+
+
+@st.composite
+def _float_cases(draw):
+    """(ring, a complex point as a list, real coefficients or not)."""
+    ring = PolyRing([f"x{i}" for i in range(draw(st.integers(1, 3)))])
+    part = st.floats(-0.5, 0.5)
+    point = [complex(draw(part), draw(part)) for _ in ring.vars]
+    return ring, point, draw(st.booleans())
+
+
+def _close(got, want):
+    """Agreement within 1e-12 relative, the scale at least 1."""
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_float_cases(), st.data())
+def test_batch_evaluator_matches_the_scalar_loop(case, data):
+    """BatchEvaluator's values are the term-by-term sums of
+    ``oracles.evaluate_float``, with real and non-real coefficients."""
+    ring, point, real = case
+    polys = data.draw(st.lists(_float_polys(ring, real), min_size=1,
+                               max_size=4))
+    named = dict(zip(ring.vars, point))
+    got = BatchEvaluator(polys, ring.vars)(np.array(point))
+    for value, p in zip(got, polys):
+        assert _close(complex(value), evaluate_float(p, named))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_float_cases(), st.data())
+def test_map_values_match_the_scalar_loop(case, data):
+    """The map checks' compiled components and Jacobian entries are the
+    quotients of ``oracles.evaluate_float_fraction``; each denominator is
+    1 plus terms of coefficient at most 1/8, so it keeps away from 0 on the
+    sample box."""
+    ring, point, real = case
+    comps = tuple(PolyFraction(
+        data.draw(_float_polys(ring, real)) + ring.var(v),
+        data.draw(_float_polys(ring, real, _SMALL, constant=1)))
+        for v in ring.vars)
+    F = RationalMap(ring, comps)
+    image, J = _MapValues(F)(point)
+    named = dict(zip(ring.vars, point))
+    assert all(_close(a, b) for a, b in zip(image, evaluate_float_map(F, point)))
+    want = [[evaluate_float_fraction(f, named) for f in row]
+            for row in F.jacobian_fractions()]
+    assert J.shape == (len(comps), len(comps))
+    assert all(_close(complex(J[i, k]), want[i][k])
+               for i in range(len(comps)) for k in range(len(comps)))
+
+
 def test_volume_equation(disc_family):
     fam = disc_family
     sp = fam.space
@@ -629,15 +704,16 @@ def volume_equation_complexified(fam, maps, lambdas, sample_count, seed):
 
     def jac_det(jac, pt):
         named = {v: complex(pt[i]) for i, v in enumerate(space.vars)}
-        return complex(np.linalg.det([[evaluate_fraction(f, named) for f in row]
-                                      for row in jac]))
+        return complex(np.linalg.det([[evaluate_float_fraction(f, named)
+                                       for f in row] for row in jac]))
 
     worst = 0.0
     for _ in range(sample_count):
         z = random_complex_ball(rng, space.n, 0.15)
         xi = random_complex_ball(rng, space.n, 0.15)
         lhs = sum(weight * jac_det(jac, z) * jac_det(jac, xi)
-                  / rho_pair(evaluate_map(F, z), evaluate_map(F, xi)) ** lam
+                  / rho_pair(evaluate_float_map(F, z),
+                             evaluate_float_map(F, xi)) ** lam
                   for F, jac, weight in zip(maps, jacs, lambdas))
         worst = max(worst, abs(lhs * rho_pair(z, xi) ** lam - 1.0))
     return worst

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from hermsym.floats import (EinsteinError, einstein_fit, evaluate_poly,
-                            kahler_metric, metric_engine, ricci_residual)
+from hermsym.floats import (EinsteinError, einstein_fit, kahler_metric,
+                            metric_engine, ricci_residual)
 from hermsym.gauss import GaussRational as G
 from hermsym.linalg import det_exact
 from hermsym.sampling import random_gauss_point, rng_from_seed
@@ -14,8 +14,9 @@ from hermsym.rigidity import (OffVarietyError, generic_conjugate_point,
                               transversality_rank, transversality_recipe)
 from hermsym.segre import SegreFamily, build_rho, sample_on_family, conj_name
 from hermsym.spaces import build_space, cell_matrix_point, minor_index_sets
-from oracles import (is_constant, partial_evaluate, point_pair, rho_at_float,
-                     rho_swap_symmetric, slot_solve_sample, sym_det)
+from oracles import (evaluate_float, is_constant, partial_evaluate, point_pair,
+                     rho_at_float, rho_swap_symmetric, slot_solve_sample,
+                     sym_det)
 
 DESK = ["typeI:1,1", "typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]
 
@@ -146,15 +147,15 @@ def test_metric_second_derivative_route(families):
         named.update({conj_name(v): complex(named[v]).conjugate()
                       for v in space.vars})
         expanded = fam.rho
-        rho = evaluate_poly(expanded, named)
+        rho = evaluate_float(expanded, named)
         gdir = np.zeros((n, n), dtype=complex)
         for i, vi in enumerate(space.vars):
             di = expanded.derivative(vi)
             for j, vj in enumerate(space.vars):
                 dj = expanded.derivative(conj_name(vj))
                 dij = di.derivative(conj_name(vj))
-                gdir[i, j] = (evaluate_poly(dij, named) * rho
-                              - evaluate_poly(di, named) * evaluate_poly(dj, named)) / rho ** 2
+                gdir[i, j] = (evaluate_float(dij, named) * rho
+                              - evaluate_float(di, named) * evaluate_float(dj, named)) / rho ** 2
         ms = kahler_metric(fam, list(pt))
         assert np.allclose(gdir, ms.g, atol=1e-12), spec
 
@@ -215,7 +216,7 @@ def apply_projective_map(space, M, z):
                 raise NotPreservingError("matrix does not preserve the space")
         return out
     point = {v: complex(z[i]) for i, v in enumerate(space.vars)}
-    vec = np.array([1.0 + 0j] + [evaluate_poly(p, point) for p in space.psi])
+    vec = np.array([1.0 + 0j] + [evaluate_float(p, point) for p in space.psi])
     img = vec @ np.asarray(M, dtype=complex)
     if abs(img[0]) < 1e-14:
         raise MapsIntoHyperplaneError("point maps into hyperplane at infinity")
@@ -224,7 +225,7 @@ def apply_projective_map(space, M, z):
     scale = max(1.0, float(np.max(np.abs(img / img[0]))))
     for j, p in enumerate(space.psi[space.n:]):
         want = img[space.n + 1 + j] / img[0]
-        if abs(evaluate_poly(p, outpoint) - want) > 1e-9 * scale:
+        if abs(evaluate_float(p, outpoint) - want) > 1e-9 * scale:
             raise NotPreservingError("matrix does not preserve the space")
     return list(out)
 

@@ -1,15 +1,17 @@
 """Space builders: dimensions, embedding invariants, Pfaffians, the
 symplectic two-layer system."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from hermsym.cli import build_parser, cmd_describe, dump_json, main
-from hermsym.floats import evaluate_poly
 from hermsym.gauss import GaussRational as G, ZERO
 from hermsym.linalg import RankTracker, det_exact
 from hermsym.poly import PolyRing
@@ -17,7 +19,7 @@ from hermsym.sampling import random_gauss_point, random_small_gauss, rng_from_se
 from hermsym.spaces import (KINDS, SpaceDescriptor, _antisym_entry, _plain_entry,
                             _sym_entry, build_space, cell_matrix_point,
                             parse_space_spec)
-from oracles import pfaffian
+from oracles import evaluate_float, pfaffian
 
 DESK = ["typeI:2,2", "typeI:2,3", "typeII:4", "typeIII:2", "typeIII:3",
         "typeIV:3", "e16", "e27"]
@@ -146,7 +148,7 @@ def symplectic_tail(space):
 
 def symplectic_tail_eval(space, blocks, point):
     """Evaluate the float-coefficient orthonormalized embedding system."""
-    vals = np.array([evaluate_poly(p, point) for p in space.psi])
+    vals = np.array([evaluate_float(p, point) for p in space.psi])
     return np.concatenate([vals[idx] @ combo for idx, combo in blocks])
 
 
@@ -242,6 +244,37 @@ def test_specs_off_the_grammar_are_refused(spec, capsys):
         parse_space_spec(spec)
     assert main(["describe", "--space", spec]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# pieces of --space strings: kind names, digits, signs, blanks, "_" and
+# non-ASCII digits (full-width 2, Arabic-Indic 3, Devanagari 5)
+SPEC_PIECES = (list(KINDS) + ["type", "V", ":", ",", "0", "1", "2", "7", "10",
+                              "+", "-", " ", "\t", "_", "\uff12", "\u0663",
+                              "\u096b"])
+PARAM_PIECES = ["0", "1", "2", "3", "9", "12", "007", "+2", "-1", " 2", "2 ",
+                "1_0", "\uff12", "\u0663", ""]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.lists(st.sampled_from(SPEC_PIECES), max_size=8).map("".join),
+    st.builds(lambda kind, params: kind + ":" + ",".join(params),
+              st.sampled_from(list(KINDS)),
+              st.lists(st.sampled_from(PARAM_PIECES), min_size=1, max_size=3))))
+def test_space_spellings_parse_as_written_or_are_refused(spec):
+    """A --space string is either one space, whose label is the string
+    itself, or refused: ValueError from the parser and exit 2 from
+    ``describe``.  No space is built."""
+    try:
+        desc = parse_space_spec(spec)
+    except ValueError:
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            # "--space=" keeps argparse from reading "-typeI" as a flag
+            assert main(["describe", "--space=" + spec]) == 2
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    else:
+        assert desc.label() == spec
 
 
 def test_kind_table_consistent():

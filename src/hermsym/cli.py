@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 from . import acceptance
 from .floats import (ISOMETRY_SAMPLES, VOLUME_SAMPLES, isometry_pullback_check,
@@ -447,14 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: argparse parsers
     keep no state between ``parse_args`` calls."""
     ap = argparse.ArgumentParser(
-        prog="hermsym",
+        prog="hermsym", allow_abbrev=False,
         description="verification toolkit for compact Hermitian symmetric "
                     "spaces: canonical embeddings, Segre families, and the "
                     "rigidity hypothesis suites")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, space=True, seed=True, tols=(), help=None):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         if space:
             p.add_argument("--space", required=True, help=SPACE_GRAMMAR)
         if seed:
@@ -500,10 +500,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _glue_space_value(argv: Sequence[str]) -> List[str]:
+    """argv with ``--space VALUE`` written as ``--space=VALUE`` when VALUE
+    begins with one "-": argparse would read such a value as a flag and
+    refuse it with its usage text, and the spec grammar should refuse it
+    with its one ``error:`` line.  A value that begins with "--" is left to
+    argparse, since every flag of hermsym but -h does.  The parser takes
+    no abbreviated flag, so ``--space`` is the one spelling to join."""
+    out: List[str] = []
+    for a in argv:
+        if out and out[-1] == "--space" and a[:1] == "-" and a[:2] != "--":
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_glue_space_value(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

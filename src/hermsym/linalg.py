@@ -104,6 +104,8 @@ class RankTracker:
         return len(self.rows)
 
     def add_row(self, row: Dict[int, GaussRational]) -> bool:
+        if not row:
+            return False
         vec = _scale_row(row)
         for brow, p in zip(self.rows, self.pivots):
             if not vec:

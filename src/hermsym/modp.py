@@ -87,7 +87,7 @@ class _GradedProducts:
     the output monomial, with the first pair of each output for reduceat."""
 
     def __init__(self, nvars: int, top: int):
-        self.monos = [monomials(nvars, k) for k in range(top + 1)]
+        self.monos = [list(monomials(nvars, k)) for k in range(top + 1)]
         self.index = [{m: i for i, m in enumerate(ms)} for ms in self.monos]
         self._tables: Dict[Tuple[int, int], Tuple] = {}
 

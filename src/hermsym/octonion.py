@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from .gauss import ONE, GaussRational
-from .poly import Exponent, Polynomial, PolyRing, _accumulate
+from .gauss import ONE, ZERO, GaussRational
+from .poly import Exponent, Polynomial, PolyRing
 
 _TRIPLES = ((1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7),
             (5, 6, 1), (6, 7, 2), (7, 1, 3))
@@ -282,6 +282,14 @@ _M27_F = [
     "+y0*t6-y6*t0-y1*t5+y5*t1+y2*t7-y7*t2-y3*t4+y4*t3-x1*w6",
     "+y0*t7-y7*t0-y1*t3+y3*t1-y2*t6+y6*t2-y4*t5+y5*t4-x1*w7",
 ]
+
+
+def _accumulate(out: Dict, e, c) -> None:
+    s = out.get(e, ZERO) + c
+    if s.is_zero():
+        out.pop(e, None)
+    else:
+        out[e] = s
 
 
 def _parse_terms(ring: PolyRing, text: str) -> Polynomial:

@@ -12,34 +12,51 @@ Also here:
   (multivariate gcd is deliberately out of scope).
 * ``TaylorJets`` -- the one exact route to derivatives of a polynomial
   system at a point: truncated Taylor series of its shift along constant
-  fields.
+  fields, built in Gaussian integers on packed exponent keys.  Soundness:
+  scaling component j by the nonzero integer C_j Q^m_j is exact, and one
+  ``_reduced`` per nonzero entry restores the canonical triple, so
+  ``row(beta)`` holds the values of the series over Q(i); the digit width
+  bounds every field exponent of a kept product; skipping an empty product
+  is exact (it adds nothing).  The class docstring has the details.
 
 Reduction mod p is in ``modp``, and float values are in ``floats``.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from itertools import compress
+from math import lcm
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .gauss import GaussRational, ZERO, ONE
+from .gauss import GaussRational, ZERO, ONE, _reduced
 
 Exponent = Tuple[int, ...]
 
 
-def monomials(width: int, degree: int) -> List[Exponent]:
+def monomials(width: int, degree: int) -> Iterator[Exponent]:
     """All exponent tuples in ``width`` variables of the given total degree,
-    in lexicographic order."""
-    out = []
-    for combo in itertools.combinations_with_replacement(range(width), degree):
-        e = [0] * width
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    out.sort()
-    return out
+    in lexicographic order, made one at a time.  The successor of e moves
+    one unit from its last nonzero entry e_j (j >= 1) to e_(j-1) and the
+    rest of e_j to the last place: the smallest tuple above e with e's
+    prefix before j - 1 and a larger entry at j - 1."""
+    if not width:
+        if not degree:
+            yield ()
+        return
+    e = [0] * width
+    e[-1] = degree
+    while True:
+        yield tuple(e)
+        j = width - 1
+        while j and not e[j]:
+            j -= 1
+        if not j:
+            return
+        rest, e[j] = e[j] - 1, 0
+        e[j - 1] += 1
+        e[-1] = rest
 
 
 class PolyRing:
@@ -280,65 +297,33 @@ class PolyFraction:
 # exact jets by truncated Taylor series
 # ---------------------------------------------------------------------------
 
-# A truncated power series in the shift parameters t, graded by weight:
-# series[w] maps each exponent tuple of total weight w to its coefficient.
-Series = List[Dict[Tuple[int, ...], GaussRational]]
+# A truncated power series in the shift parameters t with Gaussian-integer
+# coefficients, {key: (re, im)}.  The key packs t^beta into one int: beta_k
+# in digit k, ``bits`` wide, and the weight |beta| in the digit above them,
+# so a product of monomials is one int add and the truncation above weight
+# ``top`` is one compare with ``limit`` = (top + 1) << (bits * width).
+IntSeries = Dict[int, Tuple[int, int]]
 
 
-def _accumulate(out: Dict, e, c) -> None:
-    s = out.get(e, ZERO) + c
-    if s.is_zero():
-        out.pop(e, None)
-    else:
-        out[e] = s
-
-
-def _series_mul(a: Series, b: Series, top: int) -> Series:
-    out: Series = [{} for _ in range(min(len(a) + len(b) - 2, top) + 1)]
-    for wa, pa in enumerate(a):
-        for wb, pb in enumerate(b[:top - wa + 1]):
-            for ea, ca in pa.items():
-                for eb, cb in pb.items():
-                    # the one weight-0 exponent is the origin, which adds nothing
-                    e = eb if not wa else ea if not wb else tuple(
-                        map(operator.add, ea, eb))
-                    _accumulate(out[wa + wb], e, ca * cb)
+def _mul_add(out: IntSeries, a: IntSeries, b: IntSeries,
+             limit: int) -> IntSeries:
+    """out += a*b, truncated below the key ``limit``; returns out."""
+    for ka, (a0, a1) in a.items():
+        for kb, (b0, b1) in b.items():
+            k = ka + kb
+            if k < limit:
+                re, im = a0 * b0 - a1 * b1, a0 * b1 + a1 * b0
+                if k in out:
+                    r0, r1 = out[k]
+                    out[k] = (r0 + re, r1 + im)
+                else:
+                    out[k] = (re, im)
     return out
 
 
-def _shifter(base: List[Series], origin: Tuple[int, ...], top: int):
-    """poly -> poly(base_0, ..., base_n) truncated above weight ``top``,
-    with the powers of the base series cached across calls.  Each series
-    ends at the largest weight one of its terms reaches, so its length
-    follows the polynomial and the base series, not ``top``."""
-    powers: Dict[Tuple[int, int], Series] = {}
-    # A base series with no weight-0 part starts at weight >= 1, so its k-th
-    # power starts at weight >= k: a term whose exponents on those bases sum
-    # past ``top`` is 0 up to weight ``top``, so skipping it is exact.  With
-    # no zero coordinate the list is empty.
-    lifted = [i for i, s in enumerate(base) if not s[0]]
-
-    def power(i: int, k: int) -> Series:
-        if (i, k) not in powers:
-            powers[i, k] = (base[i] if k == 1 else
-                            _series_mul(power(i, k - 1), base[i], top))
-        return powers[i, k]
-
-    def shift(poly: Polynomial) -> Series:
-        out: Series = []
-        for e, c in poly.terms.items():
-            if lifted and sum(e[i] for i in lifted) > top:
-                continue
-            term: Series = [{origin: c}]
-            for i, k in enumerate(e):
-                if k:
-                    term = _series_mul(term, power(i, k), top)
-            out += [{} for _ in range(len(term) - len(out))]
-            for part, dest in zip(term, out):
-                for te, tc in part.items():
-                    _accumulate(dest, te, tc)
-        return out
-    return shift
+def _field_coefficient(f, v: str):
+    """The coefficient of d/dv in the field f (a name or a dict), or None."""
+    return ONE if f == v else (f.get(v) if isinstance(f, dict) else None)
 
 
 class TaylorJets:
@@ -352,26 +337,99 @@ class TaylorJets:
     [t^beta]: scaling a row by beta! leaves ranks unchanged and multiplies a
     determinant by beta!.  The coefficients are kept as one table
     beta -> {j: [t^beta] psi_j} of the nonzeros only, the sparse rows that
-    ``RankTracker.add_row`` takes."""
+    ``RankTracker.add_row`` takes.
+
+    The series are built in Gaussian integers, as (re, im) pairs of ints.
+    Q is the lcm of the denominators of the point and of the field
+    coefficients, so each Q x_i(t) has Gaussian-integer coefficients; C_j is
+    the lcm of the coefficient denominators of the terms of psi_j that are
+    not skipped (below) and m_j the degree of psi_j, so
+    C_j Q^m_j psi_j(x(t)) = sum_e (C_j a_e) Q^(m_j - |e|) prod_i (Q x_i(t))^e_i
+    is a series over Z[i].  Scaling column j by the nonzero integer C_j Q^m_j
+    is exact, and one ``_reduced`` of each nonzero coefficient over it
+    restores the canonical triple of [t^beta] psi_j, so ``row(beta)`` holds
+    the same values as the series over Q(i) (the tests' reference route,
+    ``taylor_table_by_series``), with one GaussRational per table entry.
+
+    The digit width bounds every field exponent: a term of psi has degree
+    <= deg psi and each x_i(t) is linear in t, so a product that is kept
+    (weight <= top) has every exponent <= min(deg psi, top), which its digit
+    holds.  So a key sum below ``limit`` carries out of no digit, and a sum
+    that carries has weight > top and is dropped.  Skipping an empty product
+    is exact: a variable with value 0 at the point and no field is the zero
+    series, and a term whose powers of the variables with value 0 sum past
+    ``top`` is 0 up to weight ``top``, so neither adds to the table."""
 
     def __init__(self, psi: Sequence[Polynomial], fields: Sequence, point: Dict,
                  top: int):
-        origin = (0,) * len(fields)
-        series: List[Series] = []     # z0_i + sum_k t_k v_k[i] per variable i
-        for v in psi[0].ring.vars:
-            linear = {}
-            for k, f in enumerate(fields):
-                c = ONE if f == v else (f.get(v) if isinstance(f, dict) else None)
-                if c:
-                    linear[origin[:k] + (1,) + origin[k + 1:]] = c
-            const = GaussRational.coerce(point[v])
-            series.append([{origin: const} if const else {}, linear])
-        shift = _shifter(series, origin, top)
-        self.table: Dict[Tuple[int, ...], Dict[int, GaussRational]] = {}
+        ring_vars = psi[0].ring.vars
+        width = len(fields)
+        consts = [GaussRational.coerce(point[v]).parts() for v in ring_vars]
+        moves = [[(k, GaussRational.coerce(c).parts())
+                  for k, f in enumerate(fields)
+                  if (c := _field_coefficient(f, v))] for v in ring_vars]
+        q = lcm(*(d for _, _, d in consts),
+                *(d for row in moves for _, (_, _, d) in row))
+        degrees = [p.degree() for p in psi]
+        degree = max(degrees)
+        bits = max(min(degree, top), 1).bit_length()
+        wshift = bits * width
+        limit = (top + 1) << wshift
+        base: List[IntSeries] = []    # Q x_i(t) = Q z0_i + sum_k t_k Q v_k[i]
+        for (a, b, d), row in zip(consts, moves):
+            series = {0: (a * (q // d), b * (q // d))} if a or b else {}
+            for k, (a, b, d) in row:
+                series[(1 << bits * k) + (1 << wshift)] = (a * (q // d),
+                                                           b * (q // d))
+            base.append(series)
+        lifted = [0 not in s for s in base]     # no constant term
+        sparse = any(lifted)
+        powers: Dict[Tuple[int, int], IntSeries] = {}   # x_i^k, built once
+
+        def power(i: int, k: int) -> IntSeries:
+            out = powers.get((i, k))
+            if out is None:
+                out = powers[i, k] = (base[i] if k == 1 else _mul_add(
+                    {}, power(i, k - 1), base[i], limit))
+            return out
+
+        qpow = [q ** m for m in range(degree + 1)]
+        rows: Dict[int, Dict[int, GaussRational]] = {}     # by packed key
         for j, p in enumerate(psi):
-            for part in shift(p):
-                for e, c in part.items():
-                    self.table.setdefault(e, {})[j] = c
+            terms = [(e, c.parts()) for e, c in p.terms.items()
+                     if not sparse or sum(compress(e, lifted)) <= top]
+            if not terms:
+                continue
+            m = degrees[j]
+            scale = lcm(*(d for _, (_, _, d) in terms))
+            acc: IntSeries = {}
+            for e, (a, b, d) in terms:
+                s = scale // d * qpow[m - sum(e)]
+                c0, c1 = a * s, b * s
+                factors = [power(i, k) for i, k in enumerate(e) if k]
+                last = factors.pop() if factors else {0: (1, 0)}
+                head: IntSeries = {0: (1, 0)}
+                for f in factors:
+                    head = _mul_add({}, head, f, limit)
+                    if not head:
+                        break
+                if head:
+                    # the coefficient goes on the last factor, the shorter
+                    # series
+                    _mul_add(acc, head, {
+                        kb: (c0 * b0 - c1 * b1, c0 * b1 + c1 * b0)
+                        for kb, (b0, b1) in last.items()}, limit)
+            den = scale * qpow[m]
+            for key, (re, im) in acc.items():
+                if re or im:
+                    row = rows.get(key)
+                    if row is None:
+                        row = rows[key] = {}
+                    row[j] = _reduced(re, im, den)
+        mask = (1 << bits) - 1
+        self.table: Dict[Tuple[int, ...], Dict[int, GaussRational]] = {
+            tuple((key >> bits * k) & mask for k in range(width)): row
+            for key, row in rows.items()}
 
     def row(self, beta: Tuple[int, ...]) -> Dict[int, GaussRational]:
         """The nonzero coefficients of the jet row of ``beta``, {j: value}."""

@@ -41,7 +41,7 @@ def _greedy_rows(jets: TaylorJets, width: int, top: int, N: int,
                  budget: Optional[int] = None) -> Tuple[List, int, bool]:
     """The one exact row scan: offers ``jets.row(beta)`` to a RankTracker for
     the multiindices beta of weight <= ``top`` in ``width`` fields, by weight
-    with lexicographic tie-break, built one weight at a time.  Before each
+    with lexicographic tie-break, made one at a time.  Before each
     candidate it stops at rank N first, then at ``budget`` candidates.
     Returns (the betas whose rows enlarged the rank, candidates examined,
     whether the budget stopped the scan with a candidate left)."""

@@ -18,6 +18,10 @@
   package, and for the map checks' compiled values.
 * ``derivative_jet_row`` -- jets by iterated symbolic differentiation of
   each component, then exact evaluation at the point.
+* ``taylor_table_by_series`` -- the jet table from truncated series over
+  Q(i), one ``GaussRational`` operation per product and per sum, with no
+  term of psi skipped: the reference for ``poly.TaylorJets``, which builds
+  its series in Gaussian integers on packed exponent keys.
 * ``flattening_jacobian_bordered`` -- the flattening Jacobian as the
   determinant of the gradient pair bordered by -e_k rows, the reference
   for ``rigidity.flattening_jacobian``, which returns the signed 2x2 minor.
@@ -93,6 +97,9 @@
   before it took every kind's ``special_point``.  The invariance tests of
   ``test_segre.py`` draw their cell-kind points with it, so that every
   row of the matrix acts on both points.
+* ``monomials_sorted`` -- the exponent tuples of one degree as the sorted
+  list of every multiset of variables, the reference for
+  ``poly.monomials``, which makes them lazily by a successor rule.
 * ``monomial``, ``multiindices_upto``, ``poly_pow``, ``normalize``,
   ``as_fraction``, ``fraction_sum``, ``fractions_equal``,
   ``random_fraction`` and ``random_gauss`` -- polynomial, fraction and
@@ -111,7 +118,7 @@ from math import gcd
 from hermsym.gauss import GaussRational, ONE, ZERO
 from hermsym.linalg import RankTracker, det_exact
 from hermsym.modp import PolyModP
-from hermsym.poly import Polynomial, PolyFraction, TaylorJets, monomials
+from hermsym.poly import Polynomial, PolyFraction, TaylorJets
 from hermsym.rigidity import _JET_RANK_TRIALS, truncated_vars
 from hermsym.sampling import BOUND, random_gauss_point
 from hermsym.segre import conj_name
@@ -282,6 +289,77 @@ def derivative_jet_row(system, fields, point, beta):
                 f = _apply_field(f, fields[k])
         row.append(evaluate_fraction(f, point))
     return row
+
+
+def _accumulate(out, e, c):
+    s = out.get(e, ZERO) + c
+    if s.is_zero():
+        out.pop(e, None)
+    else:
+        out[e] = s
+
+
+def _series_mul(a, b, top):
+    """Product of two series graded by weight (series[w] = {beta: c} over
+    the multiindices of weight w), truncated above weight ``top``."""
+    out = [{} for _ in range(min(len(a) + len(b) - 2, top) + 1)]
+    for wa, pa in enumerate(a):
+        for wb, pb in enumerate(b[:top - wa + 1]):
+            for ea, ca in pa.items():
+                for eb, cb in pb.items():
+                    _accumulate(out[wa + wb],
+                                tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+    return out
+
+
+def _shifter(base, origin, top):
+    """poly -> poly(base_0, ..., base_n) truncated above weight ``top``,
+    with the powers of the base series cached across calls."""
+    powers = {}
+
+    def power(i, k):
+        if (i, k) not in powers:
+            powers[i, k] = (base[i] if k == 1 else
+                            _series_mul(power(i, k - 1), base[i], top))
+        return powers[i, k]
+
+    def shift(poly):
+        out = []
+        for e, c in poly.terms.items():
+            term = [{origin: c}]
+            for i, k in enumerate(e):
+                if k:
+                    term = _series_mul(term, power(i, k), top)
+            out += [{} for _ in range(len(term) - len(out))]
+            for part, dest in zip(term, out):
+                for te, tc in part.items():
+                    _accumulate(dest, te, tc)
+        return out
+    return shift
+
+
+def taylor_table_by_series(psi, fields, point, top):
+    """The jet table beta -> {j: [t^beta] psi_j(point + sum_k t_k v_k)} of
+    ``TaylorJets``, nonzeros only, from truncated series over Q(i): every
+    product and sum is one ``GaussRational`` operation, and no term of psi
+    is skipped."""
+    origin = (0,) * len(fields)
+    series = []
+    for v in psi[0].ring.vars:
+        linear = {}
+        for k, f in enumerate(fields):
+            c = ONE if f == v else (f.get(v) if isinstance(f, dict) else None)
+            if c:
+                linear[origin[:k] + (1,) + origin[k + 1:]] = c
+        const = GaussRational.coerce(point[v])
+        series.append([{origin: const} if const else {}, linear])
+    shift = _shifter(series, origin, top)
+    table = {}
+    for j, p in enumerate(psi):
+        for part in shift(p):
+            for e, c in part.items():
+                table.setdefault(e, {})[j] = c
+    return table
 
 
 def flattening_jacobian_bordered(rows):
@@ -794,7 +872,7 @@ def greedy_scan_nested(jets, width, top, N, budget):
         if examined >= budget:
             exhausted = True
             break
-        for beta in monomials(width, w):
+        for beta in monomials_sorted(width, w):
             if examined >= budget:
                 exhausted = True
                 break
@@ -906,12 +984,25 @@ def monomial(ring, exp, coeff=ONE):
     return Polynomial(ring, {tuple(exp): GaussRational.coerce(coeff)})
 
 
+def monomials_sorted(width, degree):
+    """All exponent tuples in ``width`` variables of the given total degree,
+    in lexicographic order."""
+    out = []
+    for combo in itertools.combinations_with_replacement(range(width), degree):
+        e = [0] * width
+        for i in combo:
+            e[i] += 1
+        out.append(tuple(e))
+    out.sort()
+    return out
+
+
 def multiindices_upto(width, max_weight):
     """All exponent tuples of total degree <= ``max_weight``, by degree and
     then lexicographically."""
     out = []
     for w in range(max_weight + 1):
-        out.extend(monomials(width, w))
+        out.extend(monomials_sorted(width, w))
     return out
 
 

@@ -19,10 +19,11 @@ from hypothesis import (Phase, assume, example, given, settings,
 from hermsym.acceptance import regular_locus_nonempty, unit_at_origin
 from hermsym.cli import (Written, build_parser, cmd_rho, dump_json, main,
                          print_table)
+from hermsym import gauss as gauss_module, poly as poly_module
 from hermsym.gauss import GaussRational as G, ZERO
 from hermsym.linalg import RankTracker, _scale_row, det_exact
 from hermsym.modp import PolyModP, _GradedProducts, trial_division_modp
-from hermsym.poly import Polynomial, PolyRing
+from hermsym.poly import Polynomial, PolyRing, monomials
 from hermsym.rigidity import (TaylorJets, _greedy_rows, _pair_rank,
                               default_order_bound, flattening_jacobian,
                               irreducibility_oracle,
@@ -35,13 +36,15 @@ from oracles import (DenseRankTracker, FractionPair, _integer_row,
                      composed_space,
                      derivative_jet_row, det_bareiss, dump_json_reference,
                      flattening_jacobian_bordered,
-                     evaluate_loop, greedy_scan_nested, multiindices_upto,
+                     evaluate_loop, greedy_scan_nested, monomials_sorted,
+                     multiindices_upto,
                      poly_json_reference, psi_by_products,
                      rho_at_float, rho_by_products, rho_report_by_dicts,
                      rho_swap_symmetric,
                      unit_at_origin_expanded,
                      rho_at_expanded, specialize_expanded,
-                     support_laws_reference, trial_division_loop,
+                     support_laws_reference, taylor_table_by_series,
+                     trial_division_loop,
                      xi_gradient_by_evaluate, xi_gradient_expanded,
                      z_gradient_expanded,
                      z_part_groups_expanded)
@@ -90,6 +93,83 @@ zero_points = st.fixed_dictionaries({v: st.one_of(st.just(G(0)), gauss)
        st.integers(1, 3))
 def test_taylor_jets_skip_exact_at_zero_coordinates(system, flds, point, top):
     _check_jets(system, flds, point, top)
+
+
+# denominators 1..9, so that the lcm's of the integer kernel differ per
+# component and per variable
+wide_gauss = st.builds(lambda a, b, p, q: G(Fraction(a, p), Fraction(b, q)),
+                       st.integers(-5, 5), st.integers(-5, 5),
+                       st.integers(1, 9), st.integers(1, 9))
+wide_polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), wide_gauss,
+                             max_size=5).map(lambda t: Polynomial(RING, t))
+wide_fields = st.one_of(
+    st.lists(st.sampled_from(RING.vars), min_size=1, max_size=3, unique=True),
+    st.lists(st.dictionaries(st.sampled_from(RING.vars), wide_gauss,
+                             min_size=1), min_size=1, max_size=3))
+wide_points = st.fixed_dictionaries({v: st.one_of(st.just(G(0)), wide_gauss)
+                                     for v in RING.vars})
+
+
+def _poly(terms):
+    return Polynomial(RING, {e: G(c) for e, c in terms.items()})
+
+
+X3 = _poly({(3, 0, 0): 1})                          # degree 3 = digit cap
+XY2 = _poly({(1, 2, 0): Fraction(2, 3), (0, 0, 1): Fraction(-1, 5)})
+ZERO_POLY = _poly({})
+Q_POINT = {"x": G(Fraction(1, 2), Fraction(-1, 3)), "y": G(Fraction(3, 7)),
+           "z": G(0, Fraction(1, 4))}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(wide_polys, min_size=1, max_size=3), wide_fields, wide_points,
+       st.integers(0, 6))
+# the field exponent at the digit's cap min(deg, top) = 3 = 2^2 - 1, next to
+# a second field's digit, and below and above it
+@example([X3, XY2], ["x", "y"], Q_POINT, 3)
+@example([X3, XY2], ["x", "y"], Q_POINT, 2)
+@example([X3, XY2], ["y", "x"], Q_POINT, 7)
+# dict fields sharing x and z, with x = 0 at the point
+@example([XY2, X3], [{"x": G(1), "z": G(Fraction(2, 5))},
+                     {"x": G(0, Fraction(1, 3)), "y": G(-2)}],
+         {**Q_POINT, "x": G(0)}, 3)
+# zero coordinates with and without a field, and an empty component
+@example([ZERO_POLY, XY2, X3], ["y"], {"x": G(0), "y": G(1), "z": G(0)}, 2)
+@example([ZERO_POLY, XY2], ["x", "z"], {"x": G(0), "y": G(0), "z": G(0)}, 1)
+@example([ZERO_POLY], ["x"], Q_POINT, 0)
+def test_integer_jets_match_series_route(system, flds, point, top):
+    """The Gaussian-integer kernel on packed keys holds the table of the
+    truncated series over Q(i), entry for entry, each row in component
+    order."""
+    table = TaylorJets(system, flds, point, top).table
+    assert table == taylor_table_by_series(system, flds, point, top)
+    assert all(list(row) == sorted(row) for row in table.values())
+
+
+def test_integer_jets_make_one_gauss_rational_per_entry(monkeypatch):
+    """A typeI:3,3 table costs at most one canonical reduction per nonzero
+    entry: no per-operation GaussRational arithmetic in the kernel."""
+    fam = SegreFamily(build_space("typeI:3,3"))
+    z0, _ = sample_on_family(fam, rng_from_seed(7))
+    _, fields = witness_frame(fam.space)
+    calls = [0]
+
+    def counting(a, b, d, _reduced=gauss_module._reduced):
+        calls[0] += 1
+        return _reduced(a, b, d)
+
+    monkeypatch.setattr(gauss_module, "_reduced", counting)
+    monkeypatch.setattr(poly_module, "_reduced", counting)
+    jets = TaylorJets(fam.space.psi, fields, z0, default_order_bound(fam.space))
+    entries = sum(len(row) for row in jets.table.values())
+    assert entries and calls[0] <= entries
+
+
+def test_lazy_monomials_match_sorted_reference():
+    for width in range(7):
+        for weight in range(6):
+            assert list(monomials(width, weight)) == \
+                monomials_sorted(width, weight), (width, weight)
 
 
 @BOUNDED
@@ -194,6 +274,18 @@ def test_greedy_rows_match_nested_scan(spec, top, merged):
     for budget in sorted(budgets):
         assert _greedy_rows(jets, width, top, N, budget) == \
             greedy_scan_nested(jets, width, top, N, budget), budget
+
+
+@pytest.mark.parametrize("spec", SCAN_SPECS)
+def test_integer_jets_match_series_route_at_witness_points(spec):
+    """The full table at the witness search's first point of each scanned
+    space, with its fields and order bound."""
+    fam = SegreFamily(build_space(spec))
+    z0, _ = sample_on_family(fam, rng_from_seed(7))
+    _, fields = witness_frame(fam.space)
+    top = default_order_bound(fam.space)
+    assert TaylorJets(fam.space.psi, fields, z0, top).table == \
+        taylor_table_by_series(fam.space.psi, fields, z0, top)
 
 
 @BOUNDED

@@ -246,6 +246,37 @@ def test_specs_off_the_grammar_are_refused(spec, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("spec", ["-typeI", "-typeI:2,2", "-1", "-h", "-",
+                                  "- typeI"])
+@pytest.mark.parametrize("command", ["describe", "hyp1"])
+def test_dash_led_space_reaches_the_grammar(command, spec, capsys):
+    """A spec that begins with "-", given as its own argument, is refused
+    by the spec grammar with its one error line, not by argparse."""
+    with pytest.raises(ValueError) as exc:
+        parse_space_spec(spec)
+    assert main([command, "--space", spec, "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("flag", ["--spac", "--sp"])
+def test_space_flag_has_no_abbreviation(flag, capsys):
+    """Only the full ``--space`` names the spec, so a dash-led value has no
+    spelling that argparse reads as a missing value: a prefix is no flag."""
+    assert main(["describe", flag, "-typeI"]) == 2
+    err = capsys.readouterr().err
+    assert "the following arguments are required: --space" in err
+    assert "expected one argument" not in err
+    assert main(["hyp1", "--space", "typeI:2,2", "--max-ord", "1"]) == 2
+    assert "unrecognized arguments: --max-ord 1" in capsys.readouterr().err
+
+
+def test_flag_after_space_still_lacks_a_value(capsys):
+    """A long flag right after --space is a missing value, as before."""
+    assert main(["hyp1", "--space", "--seed", "1"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 # pieces of --space strings: kind names, digits, signs, blanks, "_" and
 # non-ASCII digits (full-width 2, Arabic-Indic 3, Devanagari 5)
 SPEC_PIECES = (list(KINDS) + ["type", "V", ":", ",", "0", "1", "2", "7", "10",

@@ -166,4 +166,3 @@ def _reduced(a: int, b: int, d: int) -> GaussRational:
 
 ZERO = GaussRational(0)
 ONE = GaussRational(1)
-I = GaussRational.i()

@@ -19,7 +19,7 @@ row.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Sequence
 
 from .gauss import GaussRational, ONE, ZERO
@@ -32,10 +32,7 @@ def _scale_row(row: Dict[int, GaussRational]) -> Dict[int, GInt]:
     """The nonzero entries of a sparse row times the lcm of their
     denominators (the d's), as Gaussian integers."""
     parts = [(j, GaussRational.coerce(x).parts()) for j, x in row.items()]
-    scale = 1
-    for _, (_, _, d) in parts:
-        if scale % d:
-            scale = scale // gcd(scale, d) * d
+    scale = lcm(*(d for _, (_, _, d) in parts))
     return {j: (a * (scale // d), b * (scale // d))
             for j, (a, b, d) in parts if a or b}
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from .gauss import ONE, ZERO, GaussRational
-from .poly import Exponent, Polynomial, PolyRing
+from .gauss import GaussRational
+from .poly import Exponent, Polynomial, PolyRing, add_term
 
 _TRIPLES = ((1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7),
             (5, 6, 1), (6, 7, 2), (7, 1, 3))
@@ -284,36 +284,26 @@ _M27_F = [
 ]
 
 
-def _accumulate(out: Dict, e, c) -> None:
-    s = out.get(e, ZERO) + c
-    if s.is_zero():
-        out.pop(e, None)
-    else:
-        out[e] = s
-
-
 def _parse_terms(ring: PolyRing, text: str) -> Polynomial:
     """Parse '+a*b-c*d' style sums of signed monomials with unit coefficients.
 
-    Each monomial adds its sign to one term table under its exponent tuple,
-    in text order, and a sum that cancels drops its entry: the table keeps
-    the insertion order of a polynomial sum of the monomials, the order in
-    which the float evaluator adds terms."""
-    terms: Dict[Exponent, GaussRational] = {}
+    Each monomial's int sign goes into one term table by ``poly.add_term``,
+    in text order."""
+    terms: Dict[Exponent, int] = {}
     text = text.replace("-", "+-")
     for chunk in text.split("+"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        sign = ONE
+        sign = 1
         if chunk.startswith("-"):
-            sign = -ONE
+            sign = -1
             chunk = chunk[1:]
         exp = [0] * len(ring.vars)
         for name in chunk.split("*"):
             exp[ring.index(name)] += 1
-        _accumulate(terms, tuple(exp), sign)
-    return Polynomial(ring, terms)
+        add_term(terms, tuple(exp), sign)
+    return Polynomial(ring, {e: GaussRational(c) for e, c in terms.items()})
 
 
 def _square_sum(ring: PolyRing, names) -> Polynomial:

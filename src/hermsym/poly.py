@@ -2,9 +2,14 @@
 
 A polynomial belongs to a ring with a fixed, ordered tuple of variable names.
 Terms are stored as ``{exponent_tuple: GaussRational}`` with no zero
-coefficients.  Rings for different spaces are distinct values, never shared
-globally; mixing rings raises.  All values are immutable after construction,
-so they are safe for concurrent read-only use.
+coefficients.  Every exact term table is built by ``add_term``, one rule:
+add the coefficient to the key's entry, or insert it under a new key, and
+drop the key when the sum is zero.  So a table holds no zeros, and its
+insertion order, the order in which ``floats.BatchEvaluator`` sums the
+terms, is that of adding the monomials one at a time.  Rings for different
+spaces are distinct values, never shared globally; mixing rings raises.  All
+values are immutable after construction, so they are safe for concurrent
+read-only use.
 
 Also here:
 
@@ -33,6 +38,17 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 from .gauss import GaussRational, ZERO, ONE, _reduced
 
 Exponent = Tuple[int, ...]
+
+
+def add_term(terms: Dict, e, c) -> None:
+    """terms[e] += c over ints or ``GaussRational``s, inserting a new key
+    and dropping the key when the sum is zero."""
+    if e in terms:
+        c = terms[e] + c
+    if c:
+        terms[e] = c
+    else:
+        terms.pop(e, None)
 
 
 def monomials(width: int, degree: int) -> Iterator[Exponent]:
@@ -171,11 +187,7 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, ZERO) + c
-            if s.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = s
+            add_term(terms, e, c)
         return Polynomial(self.ring, terms)
 
     __radd__ = __add__
@@ -192,12 +204,7 @@ class Polynomial:
         out: Dict[Exponent, GaussRational] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(map(operator.add, e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                add_term(out, tuple(map(operator.add, e1, e2)), c1 * c2)
         return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
@@ -219,12 +226,7 @@ class Polynomial:
                 continue
             ne = list(e)
             ne[i] = k - 1
-            ne = tuple(ne)
-            s = out.get(ne, ZERO) + c * k
-            if s.is_zero():
-                out.pop(ne, None)
-            else:
-                out[ne] = s
+            add_term(out, tuple(ne), c * k)
         return Polynomial(self.ring, out)
 
     # -- evaluation ----------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .gauss import GaussRational, ONE, ZERO
 from .linalg import det_exact
-from .poly import Polynomial, PolyRing, TaylorJets
+from .poly import Polynomial, PolyRing, TaylorJets, add_term
 from .sampling import random_gauss_point
 from .spaces import Space, cell_matrix_point
 
@@ -66,7 +66,8 @@ class SegreFamily:
         """The family polynomial grouped by the exponent pattern of the z
         block: z-exponent tuple -> {xi-exponent tuple: coefficient}, read
         from the pairing vector (each z-monomial c z^a of psi_j contributes
-        c psi_j(xi)); zero coefficients and empty groups are dropped."""
+        c psi_j(xi)).  Each group is a term table built by
+        ``poly.add_term``; a group that ends up empty is dropped."""
         def expand():
             origin = (0,) * len(self.zvars)
             groups = {origin: {origin: ONE}}
@@ -74,11 +75,8 @@ class SegreFamily:
                 for ze, c in p.terms.items():
                     group = groups.setdefault(ze, {})
                     for xe, cx in p.terms.items():
-                        term = c * cx
-                        group[xe] = term if xe not in group else group[xe] + term
-            return {ze: nonzero for ze, group in groups.items()
-                    if (nonzero := {xe: c for xe, c in group.items()
-                                    if not c.is_zero()})}
+                        add_term(group, xe, c * cx)
+            return {ze: group for ze, group in groups.items() if group}
         return self.cached("z_groups", expand)
 
     @property

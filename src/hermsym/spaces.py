@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .gauss import GaussRational
 from .linalg import RankTracker
 from .octonion import (M16_VARS, M27_VARS, cayley_plane_forms, freudenthal_forms)
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, add_term
 from .sampling import random_small_gauss
 
 
@@ -192,10 +192,8 @@ def _pair_partitions(indices: Tuple[int, ...]):
 
 def _expand(cell, products) -> Polynomial:
     """The signed sum of (cells, sign) products of cell entries.  Each
-    product is one monomial, dropped when it meets a zero entry.  The terms
-    accumulate as a chain of ``Polynomial.__add__`` calls does, popping a
-    key whose sum vanishes, so the terms and their insertion order are those
-    of adding the products one at a time."""
+    product is one monomial, dropped when it meets a zero entry, and its
+    int sign goes into one term table by ``poly.add_term``."""
     ring, slots = cell
     width = len(ring.vars)
     terms: Dict[Tuple[int, ...], int] = {}
@@ -208,12 +206,7 @@ def _expand(cell, products) -> Polynomial:
             exp[slot[0]] += 1
             sign *= slot[1]
         else:
-            e = tuple(exp)
-            c = terms.get(e, 0) + sign
-            if c:
-                terms[e] = c
-            else:
-                del terms[e]
+            add_term(terms, tuple(exp), sign)
     return Polynomial(ring, {e: GaussRational(c) for e, c in terms.items()})
 
 

@@ -180,6 +180,59 @@ def test_evaluate_matches_plain_loop(poly, point):
     assert poly.evaluate(point) == evaluate_loop(poly, point)
 
 
+# -- the term-table rule against a list of (key, sum) pairs ------------------
+
+def _add_term_reference(steps):
+    """The table that ``add_term`` builds, as a list of [key, sum] pairs in
+    insertion order: a sum is updated in place, a new nonzero coefficient is
+    appended, and a pair whose sum is zero is removed, so a key that comes
+    back after it cancelled goes to the end."""
+    pairs = []
+    for e, c in steps:
+        at = next((k for k, (key, _) in enumerate(pairs) if key == e), None)
+        if at is None:
+            if c != 0:
+                pairs.append([e, c])
+        elif pairs[at][1] + c == 0:
+            del pairs[at]
+        else:
+            pairs[at][1] += c
+    return [tuple(pair) for pair in pairs]
+
+
+@st.composite
+def term_steps(draw):
+    """(key, coefficient) steps over three keys, all ints or all Gaussian
+    rationals.  A step drawn as None becomes the negated running sum at its
+    key, so sums cancel and keys come back after cancelling."""
+    coeffs, zero = draw(st.sampled_from([(st.integers(-2, 2), 0),
+                                         (gauss, G(0))]))
+    raw = draw(st.lists(st.tuples(st.sampled_from([(0, 1), (1, 0), (2, 2)]),
+                                  st.one_of(st.none(), coeffs)), max_size=12))
+    steps, sums = [], {}
+    for e, c in raw:
+        if c is None:
+            c = -sums.get(e, zero)
+        sums[e] = sums.get(e, zero) + c
+        steps.append((e, c))
+    return steps
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(term_steps())
+@example([((0, 1), 1), ((1, 0), 2), ((0, 1), -1), ((0, 1), 3)])
+@example([((0, 1), G(1, 1)), ((1, 0), G(2)), ((0, 1), G(-1, -1)),
+          ((1, 0), G(0)), ((0, 1), G(Fraction(1, 2)))])
+def test_add_term_matches_list_reference(steps):
+    """``add_term`` keeps the ordered items of the list reference: a
+    coefficient and its negation at one key drop it, and the key comes back
+    at the end."""
+    terms = {}
+    for e, c in steps:
+        poly_module.add_term(terms, e, c)
+    assert list(terms.items()) == _add_term_reference(steps)
+
+
 @st.composite
 def row_sequences(draw):
     """Sparse rows of a random width <= 40 and density <= 30%, with
@@ -518,6 +571,30 @@ def test_support_laws_match_reference_on_every_variable_product(spec):
 def test_support_groups_match_expansion(spec):
     fam = _family(spec)
     assert fam.z_groups == z_part_groups_expanded(fam)
+
+
+@pytest.mark.parametrize("how", ["group", "term", "comeback"])
+def test_z_groups_drop_cancelled_terms_and_groups(how):
+    """Pairing vectors that cancel a whole z-group (z, iz), one term of a
+    group (z1, iz1 + z2), or one term that comes back (z1, iz1, z1): the
+    groups hold no zero and no empty group, and equal the expansion's."""
+    space = build_space("typeI:1,2")
+    ring = space.ring
+    z1, z2 = (ring.var(v) for v in space.vars)
+    i = ring.const(G.i())
+    psi = {"group": (z1, i * z1), "term": (z1, i * z1 + z2),
+           "comeback": (z1, i * z1, z1)}[how]
+    fam = SegreFamily(dataclasses.replace(space, pairing_psi=psi))
+    groups = fam.z_groups
+    assert all(groups.values())
+    assert all(not c.is_zero() for g in groups.values() for c in g.values())
+    assert groups == z_part_groups_expanded(fam)
+    one = {(0, 0): {(0, 0): G(1)}}
+    assert groups == {
+        "group": one,
+        "term": {**one, (1, 0): {(0, 1): G.i()},
+                 (0, 1): {(1, 0): G.i(), (0, 1): G(1)}},
+        "comeback": {**one, (1, 0): {(1, 0): G(1)}}}[how]
 
 
 @pytest.mark.parametrize("spec", ["typeI:3,4", "typeII:6", "typeIII:5",

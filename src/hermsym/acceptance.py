@@ -78,7 +78,7 @@ def det_pairing_holds(fam: SegreFamily, rng, points: int) -> bool:
 
 def unit_at_origin(fam: SegreFamily) -> bool:
     """Whether rho(0, .) = 1 + sum_j psi_j(0) psi_j is the constant 1."""
-    return fam.specialize({v: GaussRational(0) for v in fam.zvars}) == 1
+    return fam.specialize({v: GaussRational(0) for v in fam.space.vars}) == 1
 
 
 @dataclass

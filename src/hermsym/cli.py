@@ -31,7 +31,7 @@ from .maps import parse_map_file
 from .modp import PRIME_BOUND
 from .rigidity import support_claims
 from .sampling import rng_from_seed
-from .segre import SegreFamily, build_rho
+from .segre import SegreFamily, conj_name
 from .spaces import SPACE_GRAMMAR, build_space, parse_space_spec
 
 
@@ -266,11 +266,12 @@ def cmd_describe(args):
 
 def cmd_rho(args):
     space = _space(args)
-    fam = build_rho(space)
+    fam = SegreFamily(space)
     # the expanded polynomial's terms, read straight off the z-groups: the
     # z-part of each exponent is the head, the xi-part the tail
-    return 0, {"space": args.space, "vars": list(fam.ring.vars),
-               "rho": {"vars": list(fam.ring.vars),
+    names = list(space.vars) + [conj_name(v) for v in space.vars]
+    return 0, {"space": args.space, "vars": names,
+               "rho": {"vars": names,
                        "terms": terms_json(sorted(fam.z_groups.items()))},
                "config": _config(args, None)}
 
@@ -458,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         if space:
             p.add_argument("--space", required=True, help=SPACE_GRAMMAR)
         if seed:
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--seed", type=_at_least(0), default=None)
         p.add_argument("--output", choices=("json", "table"), default="json")
         for dest in tols:                 # only the commands that read them
             p.add_argument("--" + dest.replace("_", "-"), dest=dest,

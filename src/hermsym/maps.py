@@ -22,9 +22,8 @@ class RationalMap:
     components: Tuple[PolyFraction, ...]
 
     def __post_init__(self):
-        zero = {v: GaussRational(0) for v in self.ring.vars}
         for f in self.components:
-            if f.den.evaluate(zero).is_zero():
+            if f.den.constant_term().is_zero():   # its value at the origin
                 raise ValueError("component denominator vanishes at 0")
 
     def jacobian_fractions(self) -> List[List[PolyFraction]]:

@@ -317,7 +317,7 @@ def generic_conjugate_point(fam: SegreFamily, seed: int = 0,
     rng = rng_from_seed(seed)
     full = max(sum(ze) for ze in fam.z_groups)
     for _ in range(64):
-        xi = {v: GaussRational(Fraction(rng.randint(-4, 4))) for v in fam.zvars}
+        xi = {v: GaussRational(Fraction(rng.randint(-4, 4))) for v in fam.space.vars}
         poly = fam.specialize(xi)
         if poly.degree() != full:
             continue

@@ -2,10 +2,10 @@
 
 The family polynomial rho(z, xi) = 1 + sum_j psi_j(z) psi_j(xi) is evaluated
 from the pairing vector psi of the space, exactly as it is defined, by the
-one pairing ``SegreFamily.pair``.  Its expansion is one table, grouped by
-z-monomial and built lazily from psi: the support facts read it, and the rho
-command prints it term by term in a doubled ring (the cell variables plus a
-conjugate copy, prefix ``c``).
+one pairing ``SegreFamily.pair``.  Its expansion has one form, a table
+grouped by z-monomial and built lazily from psi: the support facts read it,
+and the rho command prints it term by term over the cell variables followed
+by a conjugate copy (prefix ``c``, ``conj_name``).
 Exact gradients come from first-order Taylor jets (``poly.TaylorJets``);
 exact identities never touch floats, which are all in ``floats``.
 """
@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .gauss import GaussRational, ONE, ZERO
 from .linalg import det_exact
-from .poly import Polynomial, PolyRing, TaylorJets, add_term
+from .poly import Polynomial, TaylorJets, add_term
 from .sampling import random_gauss_point
 from .spaces import Space, cell_matrix_point
 
@@ -36,10 +36,8 @@ class SegreFamily:
     ``first_jets`` at the other).  The sum is the definition of rho, so in
     exact arithmetic each value equals the one read off the expanded
     polynomial.  The expansion is ``z_groups``, the sum grouped by
-    z-monomial and written out directly, which the rho command prints term
-    by term; ``rho`` is that table flattened into a doubled-ring
-    ``Polynomial`` for the tests and the benchmark's term count, built
-    afresh on each read so the family holds one copy of the expansion.
+    z-monomial and written out directly, which the rho and hyp3 commands
+    read; no other form of it is kept.
 
     Exact derivatives of psi at a point are its first-order Taylor jets.
     The expansion and the metric engines of ``floats`` are the only caches:
@@ -48,7 +46,6 @@ class SegreFamily:
 
     def __init__(self, space: Space):
         self.space = space
-        self.ring = PolyRing(space.vars + tuple(conj_name(v) for v in space.vars))
         self._cache: Dict = {}
         self._lock = threading.Lock()
 
@@ -69,7 +66,7 @@ class SegreFamily:
         c psi_j(xi)).  Each group is a term table built by
         ``poly.add_term``; a group that ends up empty is dropped."""
         def expand():
-            origin = (0,) * len(self.zvars)
+            origin = (0,) * self.space.n
             groups = {origin: {origin: ONE}}
             for p in self.space.pairing_psi:
                 for ze, c in p.terms.items():
@@ -78,18 +75,6 @@ class SegreFamily:
                         add_term(group, xe, c * cx)
             return {ze: group for ze, group in groups.items() if group}
         return self.cached("z_groups", expand)
-
-    @property
-    def rho(self) -> Polynomial:
-        """The expanded family polynomial in the doubled ring, flattened
-        from ``z_groups`` on each read; bind it once to read it often."""
-        return Polynomial(self.ring, {
-            ze + xe: c for ze, group in self.z_groups.items()
-            for xe, c in group.items()})
-
-    @property
-    def zvars(self) -> Tuple[str, ...]:
-        return self.space.vars
 
     def psi_at(self, point: Dict, only=None) -> Dict[int, GaussRational]:
         """{j: psi_j(point)} over the nonzero values, for the j in ``only``
@@ -125,8 +110,8 @@ class SegreFamily:
         jet table: ({j: psi_j(point)}, [{j: (d_v psi_j)(point)} for v in the
         cell variables]), nonzeros only.  The weight-0 row is [t^0]
         psi_j(point + t v) = psi_j(point), so the values are exact."""
-        n = len(self.zvars)
-        jets = TaylorJets(self.space.pairing_psi, self.zvars, point, 1)
+        n = self.space.n
+        jets = TaylorJets(self.space.pairing_psi, self.space.vars, point, 1)
         return jets.row((0,) * n), [jets.row(tuple(int(k == i) for k in range(n)))
                                     for i in range(n)]
 
@@ -139,13 +124,6 @@ class SegreFamily:
         at_xi, d_xi = self.first_jets(xi)
         return ([self.pair(row, at_xi) for row in d_z],
                 [self.pair(row, at_z) for row in d_xi])
-
-
-def build_rho(space: Space) -> SegreFamily:
-    """The family of ``space`` with its expansion (``z_groups``) built."""
-    fam = SegreFamily(space)
-    fam.z_groups  # expand now
-    return fam
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,10 @@
   variable, identity images included, over one common denominator;
   ``composed_space`` puts psi o F of a polynomial map F in place of a
   space's psi, so the library's jets of that space are those of psi o F.
+* ``doubled_ring`` and ``rho_flattened`` -- the ring of the cell variables
+  followed by their conjugate copies, and ``SegreFamily.z_groups``
+  flattened into one polynomial in it: the form the ``rho`` report writes,
+  which the library keeps only as the grouped table.
 * ``rho_by_products`` -- the family polynomial expanded in the doubled ring
   as 1 + sum_j psi_j(z) psi_j(xi), each psi_j renamed into it twice
   (``embed``) and the copies multiplied, instead of grouped by z-monomial;
@@ -118,7 +122,7 @@ from math import gcd
 from hermsym.gauss import GaussRational, ONE, ZERO
 from hermsym.linalg import RankTracker, det_exact
 from hermsym.modp import PolyModP
-from hermsym.poly import Polynomial, PolyFraction, TaylorJets
+from hermsym.poly import Polynomial, PolyFraction, PolyRing, TaylorJets
 from hermsym.rigidity import _JET_RANK_TRIALS, truncated_vars
 from hermsym.sampling import BOUND, random_gauss_point
 from hermsym.segre import conj_name
@@ -420,15 +424,30 @@ def embed(poly, ring, var_map):
     return Polynomial(ring, out)
 
 
+def doubled_ring(fam):
+    """The ring of the expanded family polynomial: the cell variables of
+    ``fam`` followed by their conjugate copies (``conj_name``)."""
+    names = fam.space.vars
+    return PolyRing(names + tuple(conj_name(v) for v in names))
+
+
+def rho_flattened(fam):
+    """The expansion ``fam.z_groups`` flattened into one polynomial in the
+    doubled ring, each exponent the z-part followed by the xi-part."""
+    return Polynomial(doubled_ring(fam), {
+        ze + xe: c for ze, group in fam.z_groups.items() for xe, c in group.items()})
+
+
 @lru_cache(maxsize=8)
 def rho_by_products(fam):
     """1 + sum_j psi_j(z) psi_j(xi) in the doubled ring of ``fam``, each
     term a product of two renamed copies of psi_j."""
-    zmap = {v: v for v in fam.zvars}
-    cmap = {v: conj_name(v) for v in fam.zvars}
-    rho = fam.ring.one()
+    ring = doubled_ring(fam)
+    zmap = {v: v for v in fam.space.vars}
+    cmap = {v: conj_name(v) for v in fam.space.vars}
+    rho = ring.one()
     for p in fam.space.pairing_psi:
-        rho = rho + embed(p, fam.ring, zmap) * embed(p, fam.ring, cmap)
+        rho = rho + embed(p, ring, zmap) * embed(p, ring, cmap)
     return rho
 
 
@@ -453,13 +472,13 @@ def is_constant(poly):
 
 def point_pair(fam, z, xi):
     """The doubled-ring point (z, xi) of the expanded family polynomial."""
-    out = {v: GaussRational.coerce(z[v]) for v in fam.zvars}
+    out = {v: GaussRational.coerce(z[v]) for v in fam.space.vars}
     out.update(_conj_assign(fam, xi))
     return out
 
 
 def _conj_assign(fam, xi):
-    return {conj_name(v): GaussRational.coerce(xi[v]) for v in fam.zvars}
+    return {conj_name(v): GaussRational.coerce(xi[v]) for v in fam.space.vars}
 
 
 def rho_at_expanded(fam, z, xi):
@@ -471,7 +490,7 @@ def xi_gradient_expanded(fam, z, xi):
     assign, point = _conj_assign(fam, xi), point_pair(fam, z, xi)
     rho = rho_by_products(fam)
     return [partial_evaluate(rho.derivative(conj_name(v)), assign).evaluate(point)
-            for v in fam.zvars]
+            for v in fam.space.vars]
 
 
 def xi_gradient_by_evaluate(fam, z, xi):
@@ -479,8 +498,8 @@ def xi_gradient_by_evaluate(fam, z, xi):
     psi evaluated term by term at z: the reference for the gradients that
     read psi at both points off the weight-0 rows of their jet tables."""
     psi = fam.space.pairing_psi
-    n = len(fam.zvars)
-    jets = TaylorJets(psi, fam.zvars, xi, 1)
+    n = len(fam.space.vars)
+    jets = TaylorJets(psi, fam.space.vars, xi, 1)
     rows = [jets.row(tuple(int(k == i) for k in range(n))) for i in range(n)]
     psi_z = {j: psi[j].evaluate(z) for j in set().union(*rows)}
     return [sum((psi_z[j] * d for j, d in row.items()), ZERO) for row in rows]
@@ -488,12 +507,12 @@ def xi_gradient_by_evaluate(fam, z, xi):
 
 def z_gradient_expanded(fam, z, xi):
     point = point_pair(fam, z, xi)
-    return [rho_by_products(fam).derivative(v).evaluate(point) for v in fam.zvars]
+    return [rho_by_products(fam).derivative(v).evaluate(point) for v in fam.space.vars]
 
 
 def specialize_expanded(fam, xi):
     """rho(., xi) moved into the cell ring of the space."""
-    width = len(fam.zvars)
+    width = len(fam.space.vars)
     restricted = partial_evaluate(rho_by_products(fam), _conj_assign(fam, xi))
     terms = {}
     for e, c in restricted.terms.items():
@@ -565,16 +584,16 @@ def trial_division_loop(target, d, budget):
 
 def rho_swap_symmetric(fam):
     """Exact z <-> xi swap symmetry of the expanded family polynomial."""
-    perm = {v: conj_name(v) for v in fam.zvars}
-    perm.update({conj_name(v): v for v in fam.zvars})
+    perm = {v: conj_name(v) for v in fam.space.vars}
+    perm.update({conj_name(v): v for v in fam.space.vars})
     rho = rho_by_products(fam)
-    return embed(rho, fam.ring, perm) == rho
+    return embed(rho, doubled_ring(fam), perm) == rho
 
 
 def unit_at_origin_expanded(fam):
     """Whether rho(0, xi) is the constant 1, by ``partial_evaluate``."""
     rest = partial_evaluate(rho_by_products(fam),
-                            {v: GaussRational(0) for v in fam.zvars})
+                            {v: GaussRational(0) for v in fam.space.vars})
     return is_constant(rest) and rest.constant_term() == GaussRational(1)
 
 
@@ -644,7 +663,7 @@ def rho_report_by_dicts(fam):
     terms = [{"exp": ze + xe, **_gauss_json_reference(c)}
              for ze, group in sorted(fam.z_groups.items())
              for xe, c in sorted(group.items())]
-    return {"vars": list(fam.ring.vars), "terms": terms}
+    return {"vars": list(doubled_ring(fam).vars), "terms": terms}
 
 
 def _frac(x) -> Fraction:
@@ -819,7 +838,7 @@ def lambda_determinant(space, fam, betas, z0, xi0, frame=None):
     point = point_pair(fam, z0, xi0)
     if kind == "segre":
         rho_d = rho_by_products(fam).derivative(space.distinguished)
-        if partial_evaluate(rho_d, {v: point[v] for v in fam.zvars}).is_zero():
+        if partial_evaluate(rho_d, {v: point[v] for v in fam.space.vars}).is_zero():
             raise LambdaUndefinedError(
                 "Lambda undefined over this Segre variety: distinguished "
                 "derivative vanishes identically on it")
@@ -830,7 +849,7 @@ def lambda_determinant(space, fam, betas, z0, xi0, frame=None):
     if len(betas) != len(space.psi):
         raise ValueError("need exactly N multiindices")
     zmap = {v: v for v in space.vars}
-    lifted = [as_fraction(embed(p, fam.ring, zmap)) for p in space.psi]
+    lifted = [as_fraction(embed(p, doubled_ring(fam), zmap)) for p in space.psi]
     return det_exact([[evaluate_fraction(tangent_apply(frame, fam, f, beta), point)
                        for f in lifted] for beta in betas])
 

@@ -39,7 +39,8 @@ from oracles import (DenseRankTracker, FractionPair, _integer_row,
                      evaluate_loop, greedy_scan_nested, monomials_sorted,
                      multiindices_upto,
                      poly_json_reference, psi_by_products,
-                     rho_at_float, rho_by_products, rho_report_by_dicts,
+                     rho_at_float, rho_by_products, rho_flattened,
+                     rho_report_by_dicts,
                      rho_swap_symmetric,
                      unit_at_origin_expanded,
                      rho_at_expanded, specialize_expanded,
@@ -382,8 +383,8 @@ def _points(names):
 
 
 family_points = st.sampled_from(FAMILY_SPECS).flatmap(
-    lambda spec: st.tuples(st.just(spec), _points(_family(spec).zvars),
-                           _points(_family(spec).zvars)))
+    lambda spec: st.tuples(st.just(spec), _points(_family(spec).space.vars),
+                           _points(_family(spec).space.vars)))
 
 
 @BOUNDED
@@ -608,7 +609,7 @@ def test_term_writer_matches_reference(spec, capsys):
     assert report["psi"] == [poly_json_reference(p) for p in space.psi]
     assert main(["rho", "--space", spec]) == 0
     report = json.loads(capsys.readouterr().out)
-    rho = SegreFamily(space).rho
+    rho = rho_flattened(SegreFamily(space))
     assert report["vars"] == list(rho.ring.vars)
     assert report["rho"] == poly_json_reference(rho)
 
@@ -632,7 +633,7 @@ def test_rho_table_matches_products(spec):
     renamed psi copies, and prints the same JSON."""
     fam = _family(spec)
     want = rho_by_products(fam)
-    rho = fam.rho
+    rho = rho_flattened(fam)
     assert rho == want
     assert poly_json_reference(rho) == poly_json_reference(want)
 

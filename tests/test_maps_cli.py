@@ -302,6 +302,22 @@ def test_cli_map_with_vanishing_denominator(tmp_path, capsys, disc):
     assert "denominator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["volume-check", "isometry-check"])
+def test_cli_refuses_a_denominator_vanishing_at_the_origin(command, tmp_path,
+                                                          capsys, disc):
+    """A component z / z, whose denominator is 0 at the origin, is refused
+    with exit 2 by both map commands, and the refusal says so."""
+    payload = identity_payload(disc)
+    payload["maps"][0][0]["den"] = payload["maps"][0][0]["num"]
+    path = tmp_path / "den-z.json"
+    path.write_text(json.dumps(payload))
+    code = main([command, "--space", "typeI:1,1", "--maps", str(path),
+                 "--seed", "7"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: component denominator vanishes at 0\n"
+
+
 def _term(payload):
     return payload["maps"][0][0]["num"]["terms"][0]
 
@@ -482,7 +498,7 @@ def test_cli_exit_codes(capsys, monkeypatch):
     from hermsym import acceptance
     recipe = acceptance.transversality_recipe
     monkeypatch.setattr(acceptance, "transversality_recipe", lambda fam, seed: (
-        {v: GaussRational(0) for v in fam.zvars},) + recipe(fam, seed)[1:])
+        {v: GaussRational(0) for v in fam.space.vars},) + recipe(fam, seed)[1:])
     assert main(["hyp2", "--space", "typeIV:3", "--seed", "7"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -495,7 +511,9 @@ def test_cli_exit_codes(capsys, monkeypatch):
                  ["metric", "--space", "typeIV:3", "--seed", "7", "--points", "0"],
                  ["hyp3", "--space", "typeIV:3", "--seed", "7", "--oracle-budget", "0"],
                  ["hyp1", "--space", "typeI:2,2", "--seed", "7", "--budget", "0"],
-                 ["hyp1", "--space", "typeI:2,2", "--seed", "7", "--budget", "-5"]):
+                 ["hyp1", "--space", "typeI:2,2", "--seed", "7", "--budget", "-5"],
+                 ["selftest", "--seed", "-2"],
+                 ["hyp1", "--space", "typeI:2,2", "--seed", "-1"]):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "must be >= " in captured.err, argv
@@ -598,8 +616,7 @@ def test_cli_refuses_zero_map_samples(capsys, tmp_path, disc):
 
 def test_cli_commands_leave_rho_unexpanded(capsys, monkeypatch):
     """hyp1, hyp2, metric, describe and einstein evaluate the family from
-    psi and never build its expansion, the z-groups (which the flattened
-    ``SegreFamily.rho`` reads too)."""
+    psi and never build its expansion, the z-groups."""
     from hermsym.segre import SegreFamily
 
     def refuse(self):
@@ -612,6 +629,45 @@ def test_cli_commands_leave_rho_unexpanded(capsys, monkeypatch):
                  ["describe", "--space", "typeII:4", "--seed", "7"],
                  ["einstein", "--space", "typeIV:3", "--seed", "7"]):
         assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
+def test_only_rho_and_hyp3_build_the_expansion(tmp_path, capsys, monkeypatch,
+                                                disc):
+    """Every command but rho and hyp3 leaves the expansion of rho (the
+    z-groups) unbuilt; those two build it once per family.  Each read of
+    ``z_groups`` records its family and the table it got, so a table
+    built twice shows as two tables of one family."""
+    from hermsym.segre import SegreFamily
+
+    build = SegreFamily.z_groups.fget
+    reads = []
+
+    def counting(self):
+        table = build(self)
+        reads.append((self, table))
+        return table
+
+    monkeypatch.setattr(SegreFamily, "z_groups", property(counting))
+    maps = tmp_path / "identity.json"
+    maps.write_text(json.dumps(identity_payload(disc)))
+    map_args = ["--space", "typeI:1,1", "--maps", str(maps), "--seed", "7"]
+    for argv, builds in (
+            (["describe", "--space", "typeII:4", "--seed", "7"], []),
+            (["hyp1", "--space", "typeI:2,2", "--seed", "7"], []),
+            (["hyp2", "--space", "e16", "--seed", "7"], []),
+            (["einstein", "--space", "typeIV:3", "--seed", "7"], []),
+            (["metric", "--space", "typeIII:2", "--seed", "7"], []),
+            (["volume-check"] + map_args, []),
+            (["isometry-check"] + map_args, []),
+            (["rho", "--space", "typeI:2,3"], [1]),
+            (["hyp3", "--space", "typeIII:3", "--seed", "7"], [1])):
+        reads.clear()
+        assert main(argv) == 0, argv
+        tables = {}
+        for fam, table in reads:
+            tables.setdefault(id(fam), set()).add(id(table))
+        assert [len(t) for t in tables.values()] == builds, argv
     capsys.readouterr()
 
 

@@ -30,13 +30,13 @@ from hermsym.rigidity import (_JET_RANK_TRIALS, _WITNESS_TRIALS, WITNESS_BUDGET,
                               transversality_rank, transversality_recipe,
                               truncated_vars, witness_frame)
 from hermsym.sampling import random_small_gauss, rng_from_seed
-from hermsym.segre import build_rho, solve_null_direction, special_point
+from hermsym.segre import SegreFamily, solve_null_direction, special_point
 from hermsym.spaces import build_space
 from oracles import (LambdaUndefinedError, as_fraction, compose_full,
-                     composed_space, evaluate_float,
+                     composed_space, doubled_ring, evaluate_float,
                      evaluate_float_fraction, evaluate_float_map,
                      jet_rank_one_order, lambda_determinant, poly_pow,
-                     tangent_apply)
+                     rho_flattened, tangent_apply)
 
 DESK = ["typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]
 
@@ -50,7 +50,7 @@ def polynomial_map(space, images):
 
 @pytest.fixture(scope="module")
 def families():
-    return {spec: build_rho(build_space(spec)) for spec in DESK}
+    return {spec: SegreFamily(build_space(spec)) for spec in DESK}
 
 
 # -- jet ranks ---------------------------------------------------------------
@@ -88,7 +88,7 @@ def test_jet_rank_degenerate_map(families):
     ranks = jet_rank(sp, kmax, seed=3)
     assert len(ranks) == kmax + 1
     assert ranks == sorted(ranks) and ranks[-1] < sp.N
-    w = find_nondegeneracy_witness(build_rho(sp), seed=3)
+    w = find_nondegeneracy_witness(SegreFamily(sp), seed=3)
     assert not w.found
 
 
@@ -113,7 +113,7 @@ def test_jet_tables_stop_at_the_rank_ceiling(families, monkeypatch):
     jets of typeI:2,2 reach N, the ceiling of order 2 (below its 10 rows),
     at the first point too; a degenerate map stays below N and samples
     every trial point."""
-    fam = build_rho(build_space("typeI:4,4"))
+    fam = SegreFamily(build_space("typeI:4,4"))
     count = [0]
     init = TaylorJets.__init__
 
@@ -137,7 +137,7 @@ def test_witness_budget_exhausted_at_weight_boundary(families):
     """A budget that runs out exactly where a weight ends, below the order
     bound, is still reported as exhausted (4 = weights 0 and 1 here), and
     each trial spends the whole budget."""
-    fam = build_rho(_degenerate(families["typeI:2,2"].space))
+    fam = SegreFamily(_degenerate(families["typeI:2,2"].space))
     for budget in (4, 5):
         w = find_nondegeneracy_witness(fam, seed=3, budget=budget)
         assert not w.found and w.budget_exhausted, budget
@@ -150,7 +150,7 @@ def test_tangency_exact(families):
     for spec in ["typeI:2,2", "typeIII:2", "typeIV:3"]:
         fam = families[spec]
         frame = ("segre", truncated_vars(fam.space))
-        expr = as_fraction(fam.rho)
+        expr = as_fraction(rho_flattened(fam))
         width = len(frame[1])
         for i in range(width):
             beta = [0] * width
@@ -161,9 +161,9 @@ def test_tangency_exact(families):
 def test_hyperplane_field_formula(families):
     fam = families["typeIV:3"]
     frame = witness_frame(fam.space)
-    zn = as_fraction(fam.ring.var("z3"))
+    zn = as_fraction(doubled_ring(fam).var("z3"))
     out = tangent_apply(frame, fam, zn, [1, 0])
-    assert (out.num + fam.ring.const(G.i()) * out.den).is_zero()
+    assert (out.num + doubled_ring(fam).const(G.i()) * out.den).is_zero()
 
 
 def test_witnesses_within_order_bounds(families):
@@ -200,7 +200,7 @@ def test_symbolic_lambda_agrees_with_witness(families):
 
 def _check_symbolic_lambda(families, spec, seed):
     """Witness and symbolic lambda agree for one space at one seed."""
-    fam = families[spec] if spec in families else build_rho(build_space(spec))
+    fam = families[spec] if spec in families else SegreFamily(build_space(spec))
     sp = fam.space
     w = find_nondegeneracy_witness(fam, seed=seed)
     assert w.found, (spec, seed)
@@ -451,7 +451,7 @@ def test_witness_frame_kind_follows_null_block():
 def test_support_claims_all_types():
     for spec in ["typeI:2,2", "typeI:2,3", "typeII:4", "typeIII:3",
                  "typeIV:3", "e16", "e27"]:
-        fam = build_rho(build_space(spec))
+        fam = SegreFamily(build_space(spec))
         report = support_claims(fam)
         assert report and all(report.values()), (spec, report)
 
@@ -459,7 +459,7 @@ def test_support_claims_all_types():
 def test_type1_z_degree(families):
     fam = families["typeI:2,2"]
     z_slots = range(len(fam.space.vars))
-    assert max(sum(e[i] for i in z_slots) for e in fam.rho.terms) == 2
+    assert max(sum(e[i] for i in z_slots) for e in rho_flattened(fam).terms) == 2
 
 
 def test_oracle_certifications(families):
@@ -494,7 +494,7 @@ def test_oracle_budget_inconclusive(families):
 
 @pytest.fixture(scope="module")
 def disc_family():
-    return build_rho(build_space("typeI:1,1"))
+    return SegreFamily(build_space("typeI:1,1"))
 
 
 def _unitary_map(space):
@@ -736,7 +736,7 @@ def test_type2_square_identity_order_six():
     from hermsym.linalg import det_exact
     from hermsym.sampling import random_gauss_point
     from hermsym.spaces import cell_matrix_point
-    fam = build_rho(build_space("typeII:6"))
+    fam = SegreFamily(build_space("typeII:6"))
     sp = fam.space
     rng = rng_from_seed(13)
     for _ in range(3):
@@ -796,7 +796,7 @@ def test_symplectic_pairing_law_catches_a_doubled_partner(law, partner):
     of degree two, makes that law false on the typeIII:3 groups."""
     from hermsym.spaces import symplectic_pairing_facts
     space = build_space("typeIII:3")
-    groups = dict(build_rho(space).z_groups)
+    groups = dict(SegreFamily(space).z_groups)
     assert all(symplectic_pairing_facts(space, groups).values())
     ze = tuple(int(v in partner) for v in space.vars)
     assert groups[ze]
@@ -805,12 +805,12 @@ def test_symplectic_pairing_law_catches_a_doubled_partner(law, partner):
 
 
 def test_support_claims_symplectic_order_four():
-    assert all(support_claims(build_rho(build_space("typeIII:4"))).values())
+    assert all(support_claims(SegreFamily(build_space("typeIII:4"))).values())
 
 
 def test_witnesses_larger_desk():
     for spec in ["typeI:2,3", "typeIII:3", "typeII:5"]:
-        fam = build_rho(build_space(spec))
+        fam = SegreFamily(build_space(spec))
         sp = fam.space
         w = find_nondegeneracy_witness(fam, seed=3)
         assert w.found and not w.lambda_value.is_zero(), spec
@@ -818,9 +818,9 @@ def test_witnesses_larger_desk():
 
 
 def test_tangency_exceptional_sixteen():
-    fam = build_rho(build_space("e16"))
+    fam = SegreFamily(build_space("e16"))
     frame = ("segre", truncated_vars(fam.space))
-    expr = as_fraction(fam.rho)
+    expr = as_fraction(rho_flattened(fam))
     beta = [0] * len(frame[1])
     beta[0] = 1
     assert tangent_apply(frame, fam, expr, beta).num.is_zero()
@@ -871,7 +871,7 @@ def test_big_grassmannian_det_identity():
     from hermsym.linalg import det_exact
     from hermsym.spaces import cell_matrix_point
     from oracles import random_gauss
-    fam = build_rho(build_space("typeI:3,3"))
+    fam = SegreFamily(build_space("typeI:3,3"))
     sp = fam.space
     assert sp.N == 19
     rng = rng_from_seed(17)
@@ -924,7 +924,7 @@ def test_witness_for_rational_isometry(families):
     for f in composed:
         assert f.den == poly_pow(det, f.den.degree())
         psi.append(f.num * poly_pow(det, top - f.den.degree()))
-    cleared = build_rho(dataclasses.replace(sp, psi=tuple(psi)))
+    cleared = SegreFamily(dataclasses.replace(sp, psi=tuple(psi)))
     w = find_nondegeneracy_witness(cleared, seed=5)
     assert w.found and not w.lambda_value.is_zero()
 
@@ -986,7 +986,7 @@ def test_degenerate_composition_relation(families):
 def test_witness_one_dimensional_edge(families):
     """n = 1 leaves no truncated variables; the witness degenerates to the
     value row and still certifies."""
-    fam = build_rho(build_space("typeI:1,1"))
+    fam = SegreFamily(build_space("typeI:1,1"))
     sp = fam.space
     w = find_nondegeneracy_witness(fam, seed=1)
     assert w.found and w.betas == [()]

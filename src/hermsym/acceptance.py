@@ -456,10 +456,10 @@ ALL_CRITERIA: List[Callable] = [          # criteria 1 to 9
 # The criteria as two groups of indices into ALL_CRITERIA, which ``run_all``
 # runs side by side: the first in the calling process, the second in one
 # forked child.  Balanced on each criterion's time alone in a fresh process
-# (2 vCPUs): embedding 0.18 s, pfaffian 0.03, octonion 0.20, einstein 0.12,
-# hyp1 0.06, hyp2 0.02, hyp3 0.04, volume 0.01, degeneracy 0.03.  Each group
-# takes about 0.37 s (all nine serially 0.72 s), and criteria that share
-# families share a group.
+# (2 vCPUs, Python 3.11, 19 runs each): embedding 0.11 s, pfaffian 0.02,
+# octonion 0.13, einstein 0.07, hyp1 0.03, hyp2 0.01, hyp3 0.02, volume 0.01,
+# degeneracy 0.02.  Each group takes about 0.21 s (all nine serially 0.40 s),
+# and criteria that share families share a group.
 CRITERION_GROUPS: Tuple[Tuple[int, ...], ...] = ((0, 1, 3, 7), (2, 4, 5, 6, 8))
 
 # a group's results by index, and the index and exception of the criterion

@@ -1,7 +1,10 @@
 """The float layer, checked against stated tolerances; with ``modp``, the
-only user of numpy: one compiled evaluator of exact polynomials, a family's
-metric engine (kept in its cache) with the Kahler metric, Einstein fit and
-Ricci cross-check, the degeneracy relation, and the map checks."""
+only user of numpy: one compiled evaluator of exact polynomials
+(``BatchEvaluator``: each term compiled once to its nonzero factors, each
+point one power table; its Jacobian form is written straight from the
+terms, so no derivative polynomial is built), a family's metric engine
+(kept in its cache) with the Kahler metric, Einstein fit and Ricci
+cross-check, the degeneracy relation, and the map checks."""
 
 from __future__ import annotations
 
@@ -41,29 +44,87 @@ def random_complex_ball(rng, n: int, radius: float = 0.3):
 class BatchEvaluator:
     """Evaluate a fixed list of polynomials at complex points, vectorized:
     the one place a polynomial gets a float value.  The point lists the
-    values of ``var_order``."""
+    values of ``var_order``.
+
+    Compiled form: each term keeps only its nonzero factors, as flat slots
+    ``column * (top + 1) + exponent`` in column order, padded to the widest
+    term with slot 0, which holds x_0^0; ``top`` is the largest exponent.
+    A point is one power table ``x_i^k`` (k = 0..top), gathered at the
+    slots, multiplied along each term, scaled by the coefficients and summed
+    into the owners by ``np.add.at`` in the terms' insertion order.
+
+    Equality with a dense product over every column (the tests' reference,
+    ``oracles.DenseBatchEvaluator``, bit for bit): the coefficients, owners
+    and summing order are the same, and each term multiplies the same
+    non-unit factors in the same order, by the same ``prod`` reduction (an
+    elementwise product of the columns may fuse a multiply-add and move a
+    last bit).  The dense product also multiplies by exact 1+0j factors
+    (``np.power(x, 0)`` is 1+0j for every x, NaN and inf included), which
+    changes no finite value; a zero's sign may differ inside a product, but
+    a sum that starts from +0 gives +0 either way.  Where a term overflows
+    both routes are non-finite, though this one may hold inf where the
+    dense one held nan (so an OverflowError message may print ``inf`` for
+    ``nan``)."""
 
     def __init__(self, polys: Sequence[Polynomial], var_order: Sequence[str]):
-        ring = polys[0].ring
-        idx = [ring.index(v) for v in var_order]
-        coeffs, exps, owner = [], [], []
-        for k, p in enumerate(polys):
-            for e, c in p.terms.items():
-                coeffs.append(complex(c))
-                exps.append([e[i] for i in idx])
-                owner.append(k)
-        self.count = len(polys)
+        coeffs, exps, owner = _terms(polys, var_order)
+        self._compile(len(polys), [complex(c) for c in coeffs], exps, owner)
+
+    @classmethod
+    def jacobian(cls, polys: Sequence[Polynomial],
+                 var_order: Sequence[str]) -> "BatchEvaluator":
+        """The evaluator of d p_j / d var_order[i] at j * n + i, n the number
+        of variables, written straight from each term c x^e: for each i with
+        e_i > 0, the coefficient c e_i, the exponent lowered by one at i.
+        These are the terms of ``p_j.derivative``, in the same order."""
+        coeffs, exps, owner = _terms(polys, var_order)
+        n = exps.shape[1]
+        t, i = np.nonzero(exps)         # by term, then by column
+        k = exps[t, i]
+        lowered = exps[t]
+        lowered[np.arange(len(t)), i] -= 1
+        values = [complex(coeffs[a] * b) for a, b in zip(t.tolist(), k.tolist())]
+        self = cls.__new__(cls)
+        self._compile(len(polys) * n, values, lowered, owner[t] * n + i)
+        return self
+
+    def _compile(self, count: int, coeffs: List[complex], exps: np.ndarray,
+                 owner: np.ndarray) -> None:
+        """The slots of each term's dense exponent row ``exps``; ``count``
+        owners."""
+        t, i = np.nonzero(exps)         # by term, then by column
+        factors = np.bincount(t, minlength=len(exps))
+        top = int(exps.max(initial=0))
+        # a term's k-th nonzero factor goes to column k of its row of slots
+        place = np.arange(len(t)) - (np.cumsum(factors) - factors)[t]
+        self.count = count
         self.coeffs = np.array(coeffs, dtype=complex)
-        self.exps = np.array(exps, dtype=np.int64) if exps else np.zeros((0, len(idx)), dtype=np.int64)
-        self.owner = np.array(owner, dtype=np.int64)
+        self.slots = np.zeros((len(exps), int(factors.max(initial=0))),
+                              dtype=np.int64)
+        self.slots[t, place] = i * (top + 1) + exps[t, i]
+        self.owner = owner
+        self.exponents = np.arange(top + 1)
 
     def __call__(self, point: np.ndarray) -> np.ndarray:
         out = np.zeros(self.count, dtype=complex)
         if len(self.coeffs) == 0:
             return out
-        powers = np.prod(np.power(point[None, :], self.exps), axis=1)
-        np.add.at(out, self.owner, self.coeffs * powers)
+        table = np.power(point[:, None], self.exponents).ravel()
+        np.add.at(out, self.owner, self.coeffs * table[self.slots].prod(axis=1))
         return out
+
+
+def _terms(polys: Sequence[Polynomial], var_order: Sequence[str]):
+    """Every term of ``polys`` in order: the exact coefficients, the
+    (terms x variables) exponent matrix with columns in ``var_order``, and
+    the index of each term's polynomial."""
+    ring = polys[0].ring
+    cols = [ring.index(v) for v in var_order]
+    coeffs = [c for p in polys for c in p.terms.values()]
+    exps = np.array([e for p in polys for e in p.terms], dtype=np.int64)
+    owner = np.array([k for k, p in enumerate(polys) for _ in p.terms],
+                     dtype=np.int64)
+    return coeffs, exps.reshape(len(coeffs), len(ring.vars))[:, cols], owner
 
 
 @dataclass
@@ -94,9 +155,8 @@ class _MetricEngine:
         self.nvars = space.n
         self.order = list(space.vars)
         polys = list(space.pairing_psi)
-        derivs = [p.derivative(v) for p in polys for v in self.order]
         self.psi_eval = BatchEvaluator(polys, self.order)
-        self.jac_eval = BatchEvaluator(derivs, self.order)
+        self.jac_eval = BatchEvaluator.jacobian(polys, self.order)
         self.count = len(polys)
         if weights == "invariant":
             self.w = invariant_weights(space)
@@ -112,8 +172,9 @@ class _MetricEngine:
         pt = np.array(point, dtype=complex)
         rho, v = self.rho(pt)
         J = self.jac_eval(pt).reshape(self.count, self.nvars)
-        H = (self.w[:, None] * J).T @ J.conj()
-        b = (self.w[:, None] * J).T @ v.conj()
+        wJ = self.w[:, None] * J
+        H = wJ.T @ J.conj()
+        b = wJ.T @ v.conj()
         g = (rho * H - np.outer(b, b.conj())) / rho ** 2
         return g, rho
 

@@ -32,11 +32,12 @@ from hermsym.rigidity import (_JET_RANK_TRIALS, _WITNESS_TRIALS, WITNESS_BUDGET,
 from hermsym.sampling import random_small_gauss, rng_from_seed
 from hermsym.segre import SegreFamily, solve_null_direction, special_point
 from hermsym.spaces import build_space
-from oracles import (LambdaUndefinedError, as_fraction, compose_full,
-                     composed_space, doubled_ring, evaluate_float,
-                     evaluate_float_fraction, evaluate_float_map,
-                     jet_rank_one_order, lambda_determinant, poly_pow,
-                     rho_flattened, tangent_apply)
+from oracles import (DenseBatchEvaluator, LambdaUndefinedError, as_fraction,
+                     compose_full, composed_space, dense_jacobian,
+                     doubled_ring, evaluate_float, evaluate_float_fraction,
+                     evaluate_float_map, jet_rank_one_order,
+                     lambda_determinant, poly_pow, rho_flattened,
+                     tangent_apply)
 
 DESK = ["typeI:2,2", "typeII:4", "typeIII:2", "typeIV:3", "e16", "e27"]
 
@@ -609,6 +610,97 @@ def test_batch_evaluator_matches_the_scalar_loop(case, data):
     got = BatchEvaluator(polys, ring.vars)(np.array(point))
     for value, p in zip(got, polys):
         assert _close(complex(value), evaluate_float(p, named))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_float_cases(), st.data())
+def test_jacobian_evaluator_matches_the_derivatives(case, data):
+    """``BatchEvaluator.jacobian`` at j * n + i is
+    ``oracles.evaluate_float`` of ``Polynomial.derivative`` of p_j in the
+    i-th variable of the evaluator's order, any order of the ring's
+    variables; it and the values carry the bits of the dense route."""
+    ring, point, real = case
+    polys = data.draw(st.lists(_float_polys(ring, real), min_size=1,
+                               max_size=4))
+    order = data.draw(st.permutations(ring.vars))
+    named = dict(zip(ring.vars, point))
+    pt = np.array([named[v] for v in order])
+    got = BatchEvaluator.jacobian(polys, order)(pt)
+    want = [evaluate_float(p.derivative(v), named) for p in polys for v in order]
+    assert len(got) == len(want)
+    assert all(_close(complex(a), b) for a, b in zip(got, want))
+    assert np.array_equal(got.view(np.uint64),
+                          dense_jacobian(polys, order)(pt).view(np.uint64))
+    assert np.array_equal(BatchEvaluator(polys, order)(pt).view(np.uint64),
+                          DenseBatchEvaluator(polys, order)(pt).view(np.uint64))
+
+
+def test_batch_evaluator_edge_cases():
+    """A constant, the zero polynomial, a variable no term uses and one term
+    alone at the top exponent: values and Jacobian agree with the scalar
+    loop, at a general point and at the origin."""
+    ring = PolyRing(["x", "y", "z"])
+    x, y = ring.var("x"), ring.var("y")
+    systems = [
+        [ring.const(G(3, -2))],
+        [ring.zero()],
+        [ring.zero(), ring.const(5), ring.zero()],
+        [x * y + ring.const(G(0, 1)), y * y],            # z unused
+        [poly_pow(x, 7) * y - y, x + ring.one()],   # x^7 alone at the top
+    ]
+    for polys in systems:
+        for point in ([0.3 - 0.2j, -0.45 + 0.1j, 0.25j], [0j, 0j, 0j]):
+            named = dict(zip(ring.vars, point))
+            values = BatchEvaluator(polys, ring.vars)(np.array(point))
+            assert [complex(v) for v in values] == pytest.approx(
+                [evaluate_float(p, named) for p in polys], rel=1e-12, abs=1e-12)
+            jac = BatchEvaluator.jacobian(polys, ring.vars)(np.array(point))
+            want = [evaluate_float(p.derivative(v), named)
+                    for p in polys for v in ring.vars]
+            assert [complex(v) for v in jac] == pytest.approx(want, rel=1e-12,
+                                                               abs=1e-12)
+
+
+def _bit_points(n, rng):
+    """Random complex points, real points with negative coordinates, points
+    with one zero coordinate, and the origin."""
+    def cplx():
+        return rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n)
+    points = [cplx() for _ in range(3)]
+    points += [rng.uniform(-0.5, 0.5, n).astype(complex) for _ in range(2)]
+    for k in sorted({0, n // 2, n - 1}):
+        pt = cplx()
+        pt[k] = 0
+        points.append(pt)
+    points.append(np.zeros(n, dtype=complex))
+    return points
+
+
+@pytest.mark.parametrize("spec", DESK + ["typeI:1,1", "typeI:2,3", "typeIII:3"])
+def test_metric_engine_bits_match_the_dense_route(families, spec):
+    """The metric engine's psi values, Jacobian entries and metric are the
+    bits of the dense route (``oracles.DenseBatchEvaluator`` on psi and on
+    its ``Polynomial.derivative``s, the weighted Jacobian formed twice)."""
+    fam = families[spec] if spec in families else SegreFamily(build_space(spec))
+    space = fam.space
+    polys, order = list(space.pairing_psi), list(space.vars)
+    psi, jac = DenseBatchEvaluator(polys, order), dense_jacobian(polys, order)
+    rng = np.random.default_rng(5)
+    for weights in ("plain", "invariant"):
+        eng = metric_engine(fam, weights)
+        for pt in _bit_points(space.n, rng):
+            v, J = psi(pt), jac(pt)
+            assert np.array_equal(eng.psi_eval(pt).view(np.uint64),
+                                  v.view(np.uint64))
+            assert np.array_equal(eng.jac_eval(pt).view(np.uint64),
+                                  J.view(np.uint64))
+            rho = 1.0 + float(np.real((eng.w * v) @ v.conj()))
+            J = J.reshape(len(polys), space.n)
+            H = (eng.w[:, None] * J).T @ J.conj()
+            b = (eng.w[:, None] * J).T @ v.conj()
+            g = (rho * H - np.outer(b, b.conj())) / rho ** 2
+            assert np.array_equal(eng.metric(pt)[0].view(np.uint64),
+                                  g.view(np.uint64))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
